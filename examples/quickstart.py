@@ -74,7 +74,7 @@ def merge_into_view(view, image, props):
 
 
 def main():
-    # Deterministic in-process transport (swap in TcpTransport for
+    # Deterministic in-process transport (swap in AioTcpTransport for
     # real sockets — the protocol code is identical).
     kernel = SimKernel()
     transport = SimTransport(kernel, default_latency=1.0)

@@ -3,9 +3,9 @@
 
 The paper's prototype ran over a real network; this example runs the
 exact same directory/cache-manager code as the other examples, but on
-:class:`~repro.net.tcp_transport.TcpTransport` — every control message
-is a length-prefixed JSON frame over a real socket, and the view
-scripts run as blocking threads instead of simulated processes.
+:class:`~repro.net.aio_transport.AioTcpTransport` — every control
+message is a length-prefixed JSON frame over a real socket, and the
+view scripts run as blocking threads instead of simulated processes.
 
 Run:  python examples/tcp_sockets.py
 """
@@ -23,11 +23,11 @@ from repro.apps.airline.travel_agent import (
 )
 from repro.core import FleccSystem, Mode
 from repro.core.system import run_all_scripts
-from repro.net import TcpTransport
+from repro.net import AioTcpTransport
 
 
 def main():
-    transport = TcpTransport()  # real sockets on 127.0.0.1
+    transport = AioTcpTransport()  # real sockets on 127.0.0.1
     database = FlightDatabase(
         [Flight("UA100", "NYC", "SFO", 180, 180, 320.0)]
     )
@@ -44,7 +44,7 @@ def main():
         )
         agents.append((agent, cm))
 
-    print("directory listening on port", transport.port_of("dir"))
+    print("directory listening on port", transport.port)
 
     # Three strong-mode agents race on the same flight over real TCP;
     # one-copy serializability guarantees no reservation is lost.

@@ -143,7 +143,7 @@ def build_airline_system(
 
     ``transport`` picks the backend (a :func:`resolve_transport` spec
     or instance).  The default ``"sim"`` builds the simulated LAN; with
-    ``"tcp"`` / ``"aio"`` the same system runs over real sockets —
+    ``"aio"`` the same system runs over real sockets —
     there is no topology to place endpoints on (everything is
     localhost), and ``kernel`` on the returned system is ``None``.
     """

@@ -221,12 +221,23 @@ class CacheManager:
         self,
         msg_type: str,
         payload: Dict[str, Any],
+        on_reply: Optional[Callable[[Completion], None]] = None,
         timeout: Optional[float] = None,
     ) -> Completion:
+        """Send one request; the returned completion resolves to the reply.
+
+        ``on_reply`` is attached *before* the send: a reply can be
+        delivered on the transport's thread before ``send`` returns to
+        ours, and a callback attached afterwards would then apply it
+        (say, a GRANT) behind a later message the handler has already
+        answered (the INVALIDATE revoking that grant).
+        """
         payload = dict(payload)
         payload["view_id"] = self.view_id
         msg = Message(msg_type, self.address, self.directory_address, payload)
         comp = self.transport.completion(f"{self.view_id}.{msg_type}")
+        if on_reply is not None:
+            comp.then(on_reply)
         with self._lock:
             self._pending[msg.msg_id] = comp
         self._trace(f"send:{msg_type}", dst=self.directory_address)
@@ -474,7 +485,7 @@ class CacheManager:
                 msg_type, payload, on_fail, on_done, on_state, full=True
             )
 
-        self._request(msg_type, req).then(on_reply)
+        self._request(msg_type, req, on_reply)
 
     # ------------------------------------------------------------------
     # View-facing API (Fig 3)
@@ -501,7 +512,8 @@ class CacheManager:
                 "mode": self.mode.value,
                 "triggers": self.triggers.to_jsonable(),
             },
-        ).then(on_ack)
+            on_ack,
+        )
         return comp
 
     def init_image(self) -> Completion:
@@ -539,8 +551,9 @@ class CacheManager:
             comp.resolve(msg.payload.get("committed", 0))
 
         self._request(
-            M.PUSH, {"image": dirty, "state_seq": self._next_state_seq()}
-        ).then(on_ack)
+            M.PUSH, {"image": dirty, "state_seq": self._next_state_seq()},
+            on_ack,
+        )
         self._rebase()
         return comp
 
@@ -651,7 +664,7 @@ class CacheManager:
                         self.owner = False
                 comp.resolve(new_mode)
 
-            self._request(M.SET_MODE, {"mode": new_mode.value}).then(on_ack)
+            self._request(M.SET_MODE, {"mode": new_mode.value}, on_ack)
 
         if self.mode is Mode.STRONG and new_mode is Mode.WEAK and self.owner:
             # Leaving strong mode: surrender dirty state first so the
@@ -683,7 +696,7 @@ class CacheManager:
                 self._since = -1
             comp.resolve(properties)
 
-        self._request(M.PROP_UPDATE, {"properties": properties}).then(on_ack)
+        self._request(M.PROP_UPDATE, {"properties": properties}, on_ack)
         return comp
 
     def kill_image(self) -> Completion:
@@ -710,8 +723,9 @@ class CacheManager:
             comp.resolve(None)
 
         self._request(
-            M.UNREGISTER, {"image": dirty, "state_seq": self._next_state_seq()}
-        ).then(on_ack)
+            M.UNREGISTER, {"image": dirty, "state_seq": self._next_state_seq()},
+            on_ack,
+        )
         return comp
 
     def _shutdown(self) -> None:
@@ -816,7 +830,8 @@ class CacheManager:
                 "triggers": self.triggers.to_jsonable(),
                 "recover": True,
             },
-        ).then(on_ack)
+            on_ack,
+        )
         return comp
 
     # ------------------------------------------------------------------
@@ -860,7 +875,7 @@ class CacheManager:
                 # a healed link clears the degradation.
                 pass
 
-        self._request(M.HEARTBEAT, {}, timeout=timeout).then(done)
+        self._request(M.HEARTBEAT, {}, done, timeout=timeout)
         self._schedule_heartbeat()
 
     # ------------------------------------------------------------------

@@ -357,6 +357,7 @@ class DirectoryManager:
         # the reclaim window expires), queued ops stay blocked.
         self._reclaim_needed: List[str] = []
         self._reclaim_fetches: Dict[int, str] = {}
+        self._reclaim_timer = None
         # Durable primary copy: opening the lineage performs recovery
         # (snapshot + WAL tail), which must land before the endpoint
         # binds — a request that raced recovery could read the blank
@@ -1463,7 +1464,9 @@ class DirectoryManager:
             # Without a configured round/lease window, a fixed one keeps
             # a dead owner from wedging the queue forever.
             timeout = self.round_timeout or self.lease_duration or 60.0
-            self.transport.schedule(timeout, self._expire_reclaim)
+            self._reclaim_timer = self.transport.schedule(
+                timeout, self._expire_reclaim
+            )
 
     def _h_reclaim_reply(self, msg: Message) -> None:
         view_id = self._reclaim_fetches.pop(msg.reply_to)
@@ -1669,10 +1672,16 @@ class DirectoryManager:
         return len(image)
 
     # ------------------------------------------------------------------
+    def _cancel_timers(self) -> None:
+        # A timer outliving the directory would act on torn-down state
+        # (the reclaim watchdog logs cursors to a closed WAL).
+        for timer in (self._lease_timer, self._reclaim_timer):
+            if timer is not None:
+                timer.cancel()
+        self._lease_timer = self._reclaim_timer = None
+
     def close(self) -> None:
-        if self._lease_timer is not None:
-            self._lease_timer.cancel()
-            self._lease_timer = None
+        self._cancel_timers()
         if self.durability is not None:
             self.durability.close()  # clean shutdown: WAL tail synced
         self.endpoint.close()
@@ -1684,9 +1693,7 @@ class DirectoryManager:
         the kill interrupted).  Restart = construct a fresh
         DirectoryManager over the same DurabilitySpec; its recovery
         replays the lineage."""
-        if self._lease_timer is not None:
-            self._lease_timer.cancel()
-            self._lease_timer = None
+        self._cancel_timers()
         if self.durability is not None:
             self.durability.simulate_crash(torn_tail=torn_tail)
         self.endpoint.close()

@@ -52,7 +52,6 @@ from typing import (
 )
 
 from repro.core import messages as M
-from repro.core.cache_manager import CacheManager, ExtractFromView, MergeIntoView
 from repro.core.directory import (
     DirectoryManager,
     ExtractCells,
@@ -65,18 +64,11 @@ from repro.core.image import DeltaImage, ObjectImage
 from repro.core.messages import TraceLog
 from repro.core.modes import Mode
 from repro.core.property_set import PropertySet
-from repro.core.static_map import StaticSharingMap
-from repro.core.triggers import TriggerSet
+from repro.core.system import FleccSystem
 from repro.errors import ReproError, TransportError
 from repro.net.message import Message
 from repro.net.stats import MessageStats
-from repro.net.transport import (
-    Completion,
-    Endpoint,
-    TimerHandle,
-    Transport,
-    resolve_transport,
-)
+from repro.net.transport import Completion, Endpoint, TimerHandle, Transport
 
 
 def stable_key_hash(key: Any) -> int:
@@ -1146,12 +1138,20 @@ class ShardedDirectoryPlane:
         self.router.close()
 
 
-class ShardedFleccSystem:
+class ShardedFleccSystem(FleccSystem):
     """Drop-in :class:`~repro.core.system.FleccSystem` over a sharded plane.
 
     Same constructor surface plus ``n_shards`` / ``partitioner``; views
     attach exactly as on the unsharded builder (the cache managers bind
     on the router and never learn the plane is partitioned).
+
+    Directory options apply per shard: each shard keeps its own
+    conflict index over the views registered with it, its own profiler
+    (fold with ``plane.merged_profile()``) and its own conflict-aware
+    round scheduler, overlapping rounds for independent conflict groups
+    of *its* partition.  The router's INVALIDATE hold/disturb protocol
+    is per-view, so a held revocation blocks only its own conflict
+    group's round, not the shard's whole queue.
     """
 
     def __init__(
@@ -1162,124 +1162,40 @@ class ShardedFleccSystem:
         merge_into_object: MergeIntoObject,
         n_shards: int = 1,
         partitioner: Optional[Partitioner] = None,
-        directory_address: str = "dir",
-        static_map: Optional[StaticSharingMap] = None,
-        conflict_resolver: Optional[Callable[[str, Any, Any], Any]] = None,
-        trace: Optional[TraceLog] = None,
-        directory_cls: type = DirectoryManager,
-        coalesce_rounds: bool = False,
-        round_timeout: Optional[float] = None,
-        lease_duration: Optional[float] = None,
-        delta: Optional[bool] = None,
-        extract_cells: Optional[ExtractCells] = None,
-        codec: Any = None,
-        durability: Optional[DurabilitySpec] = None,
-        conflict_index: Optional[bool] = None,
-        profile: bool = False,
-        concurrent_rounds: Optional[int] = None,
+        *args: Any,
+        **kwargs: Any,
     ) -> None:
-        # Instance or resolve_transport spec ("sim" | "tcp" | "aio"),
-        # same seam as the unsharded builder.
-        transport = resolve_transport(transport)
-        if codec is not None:
-            set_codec = getattr(transport, "set_codec", None)
-            if set_codec is None:
-                raise ReproError(
-                    f"{type(transport).__name__} does not support codec "
-                    f"selection (no set_codec method)"
-                )
-            set_codec(codec)
-        self.trace = trace
-        self.delta = delta
-        dm_kwargs: Dict[str, Any] = {}
-        if round_timeout is not None:
-            dm_kwargs["round_timeout"] = round_timeout
-        if lease_duration is not None:
-            dm_kwargs["lease_duration"] = lease_duration
-        if delta is not None:
-            dm_kwargs["delta"] = delta
-        if extract_cells is not None:
-            dm_kwargs["extract_cells"] = extract_cells
-        if durability is not None:
-            dm_kwargs["durability"] = durability
-        if conflict_index is not None:
-            # Per-shard conflict indexes: each shard maintains its own
-            # inverted index over the views registered with it.
-            dm_kwargs["conflict_index"] = conflict_index
-        if profile:
-            # Per-shard profilers; fold with plane.merged_profile().
-            dm_kwargs["profile"] = True
-        if concurrent_rounds is not None:
-            # Each shard runs its own conflict-aware round scheduler:
-            # with N > 1 (or 0 = unbounded) a shard overlaps rounds for
-            # independent conflict groups of *its* partition.  The
-            # router's INVALIDATE hold/disturb protocol is per-view, so
-            # a held revocation now blocks only its own conflict
-            # group's round, not the shard's whole queue.
-            dm_kwargs["concurrent_rounds"] = concurrent_rounds
+        """``*args``/``**kwargs`` are :class:`FleccSystem`'s remaining
+        parameters, from ``directory_address`` on."""
+        self._n_shards = n_shards
+        self._partitioner = partitioner
+        super().__init__(
+            transport, component, extract_from_object, merge_into_object,
+            *args, **kwargs,
+        )
+
+    def _build_directory(
+        self,
+        directory_cls: type,
+        transport: Transport,
+        address: str,
+        component: Any,
+        extract_from_object: ExtractFromObject,
+        merge_into_object: MergeIntoObject,
+        **dm_kwargs: Any,
+    ) -> ShardedDirectoryPlane:
         self.plane = ShardedDirectoryPlane(
             transport,
             component,
             extract_from_object,
             merge_into_object,
-            n_shards=n_shards,
-            partitioner=partitioner,
-            directory_address=directory_address,
+            n_shards=self._n_shards,
+            partitioner=self._partitioner,
+            directory_address=address,
             directory_cls=directory_cls,
-            trace=trace,
-            static_map=static_map,
-            conflict_resolver=conflict_resolver,
-            coalesce_rounds=coalesce_rounds,
             **dm_kwargs,
         )
         # Views bind on the router; ``.directory`` is the plane (it has
         # ``.address``/``.counters``/``.check_invariants`` like a DM).
-        self.transport: Transport = self.plane.router
-        self.directory = self.plane
-        self.cache_managers: Dict[str, CacheManager] = {}
-
-    def add_view(
-        self,
-        view_id: str,
-        view: Any,
-        properties: PropertySet,
-        extract_from_view: ExtractFromView,
-        merge_into_view: MergeIntoView,
-        mode: Union[Mode, str] = Mode.WEAK,
-        triggers: Optional[TriggerSet] = None,
-        trigger_poll_period: float = 100.0,
-        request_timeout: Optional[float] = None,
-        max_retries: int = 3,
-        heartbeat_period: Optional[float] = None,
-    ) -> CacheManager:
-        """Create (but do not yet start) the cache manager for a view."""
-        if view_id in self.cache_managers:
-            raise ReproError(f"view id already in system: {view_id}")
-        cm_kwargs: Dict[str, Any] = {}
-        if self.delta is not None:
-            cm_kwargs["delta"] = self.delta
-        cm = CacheManager(
-            transport=self.plane.router,
-            directory_address=self.plane.address,
-            view_id=view_id,
-            view=view,
-            properties=properties,
-            extract_from_view=extract_from_view,
-            merge_into_view=merge_into_view,
-            mode=mode,
-            triggers=triggers,
-            trigger_poll_period=trigger_poll_period,
-            trace=self.trace,
-            request_timeout=request_timeout,
-            max_retries=max_retries,
-            heartbeat_period=heartbeat_period,
-            **cm_kwargs,
-        )
-        self.cache_managers[view_id] = cm
-        return cm
-
-    def close(self) -> None:
-        for cm in self.cache_managers.values():
-            if not cm._closed:
-                cm._shutdown()
-        self.plane.close()
+        self.transport = self.plane.router
+        return self.plane

@@ -2,7 +2,7 @@
 
 Also provides :func:`run_view_script`, the cross-backend driver that
 lets the *same* application code (a generator yielding completions)
-run on the simulated transport (as a kernel process) and on the TCP
+run on the simulated transport (as a kernel process) and on the socket
 transport (as a blocking thread) — the trick that keeps the airline
 case study single-sourced across both backends.
 """
@@ -55,8 +55,8 @@ class FleccSystem:
         concurrent_rounds: Optional[int] = None,
     ) -> None:
         # `transport` may be an instance or a resolve_transport spec
-        # string ("sim" | "tcp" | "aio"): the three backends are
-        # interchangeable behind this one seam.
+        # string ("sim" | "aio"): the backends are interchangeable
+        # behind this one seam.
         self.transport = transport = resolve_transport(transport)
         self.trace = trace
         # Wire-codec selection ("json" | "binary" | "binary+zlib" |
@@ -102,7 +102,8 @@ class FleccSystem:
             # own default (1 = the serial queue); N > 1 bounds the
             # in-flight op table, 0 = unbounded independent rounds.
             directory_kwargs["concurrent_rounds"] = concurrent_rounds
-        self.directory = directory_cls(
+        self.directory = self._build_directory(
+            directory_cls,
             transport=transport,
             address=directory_address,
             component=component,
@@ -115,6 +116,11 @@ class FleccSystem:
             **directory_kwargs,
         )
         self.cache_managers: Dict[str, CacheManager] = {}
+
+    def _build_directory(self, directory_cls: type, **kwargs: Any) -> Any:
+        """Construct what views register with; may rebind
+        ``self.transport`` to what they should bind on."""
+        return directory_cls(**kwargs)
 
     def add_view(
         self,

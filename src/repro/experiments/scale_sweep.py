@@ -2,17 +2,13 @@
 
 The paper's dynamic-reconfiguration story only matters at scale if the
 wire layer can hold thousands of concurrent cache-manager connections.
-This sweep ramps the CM count (100 → 1k → 10k) over the two real-socket
-backends — thread-per-connection :class:`~repro.net.tcp_transport.TcpTransport`
-and event-loop :class:`~repro.net.aio_transport.AioTcpTransport` — and
-measures, in wall-clock time on one box:
+This sweep ramps the CM count (100 → 1k → 10k) over the socket backend,
+:class:`~repro.net.aio_transport.AioTcpTransport`, and measures, in
+wall-clock time on one box:
 
-- **max sustainable CMs** — the largest ramp point a backend completes
-  with zero protocol errors inside the point's time budget.  TCP
-  points whose file-descriptor appetite (a listener per CM plus two
-  socket ends per direction of every CM↔DM link) exceeds the process
-  rlimit are *structurally* skipped and recorded unsustainable — the
-  collapse is a resource wall, not a timeout worth waiting out.
+- **max sustainable CMs** — the largest ramp point the backend
+  completes with zero protocol errors and the exact serializable end
+  state inside the point's time budget.
 - **p99 acquire latency** — wall seconds from ``start_use_image`` to
   grant for each CM's initial strong-mode acquire (all N contend at
   once; the tail is dominated by directory queueing).
@@ -38,11 +34,12 @@ overlapping independent pairs' rounds on real sockets.  It closes the
 loop between the transport-plane numbers here and the bare-DM numbers
 in ``BENCH_dmprofile.json``/``BENCH_dmsched.json``: the gate is
 correctness (sustained, zero errors, exact end state under contention),
-and the point is excluded from the max-sustainable transport ratios.
+and the point is excluded from the max-sustainable figure.
 
 The ``--check`` gate also replays one deterministic Fig-4-style
-workload on sim / threaded-TCP / asyncio-TCP and requires identical
-message-type counts and end state: three backends, one protocol.
+workload on sim and on sockets and requires both to reproduce the
+frozen :data:`GOLDEN_PARITY` census and end state — the last run that
+also carried the since-deleted thread-per-connection backend.
 
 ``python -m repro.experiments.scale_sweep`` writes ``BENCH_scale.json``;
 ``--full`` adds the 10k point (manual/nightly — several minutes on one
@@ -53,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
 import threading
 import time
 from dataclasses import dataclass, field
@@ -64,8 +60,7 @@ from repro.core.system import FleccSystem, run_all_scripts
 from repro.experiments.report import Table
 from repro.net.aio_transport import AioTcpTransport
 from repro.net.message import reset_message_ids
-from repro.net.tcp_transport import TcpTransport
-from repro.net.transport import Transport, resolve_transport
+from repro.net.transport import resolve_transport
 from repro.testing import (
     Agent,
     Store,
@@ -80,19 +75,24 @@ from repro.testing import (
 #: CM-count ramp; the 10k point rides only behind ``--full``.
 DEFAULT_RAMP: Tuple[int, ...] = (100, 300, 1000, 3000)
 FULL_RAMP: Tuple[int, ...] = (100, 300, 1000, 3000, 10000)
-TRANSPORTS: Tuple[str, ...] = ("tcp", "aio")
 
-#: The directory-bound contention variant: "<transport>+paired" makes
-#: CM pairs share a cell and runs the directory's concurrent round
-#: scheduler unbounded.  One such point rides the sweep at the ramp's
-#: smallest size.
+#: The directory-bound contention variant makes CM pairs share a cell
+#: and runs the directory's concurrent round scheduler unbounded.  One
+#: such point rides the sweep at the ramp's smallest size.
 PAIRED_SPEC = "aio+paired"
 
-# Rough per-CM file-descriptor appetite of the threaded backend: one
-# listening socket, plus the CM->DM and DM->CM connections at two fds
-# each (client end + accepted end live in this one process).
-_TCP_FDS_PER_CM = 5
-_FD_HEADROOM = 0.8
+#: Message census and end state of the parity workload as sim, the
+#: thread-per-connection TCP backend and asyncio TCP all produced them
+#: (``BENCH_scale.json`` at PR 12, the last three-way run).  Frozen
+#: here so the deleted backend's evidence still gates the survivors.
+GOLDEN_PARITY: Dict[str, Dict[str, int]] = {
+    "state": {"a": 99, "b": 21},
+    "by_type": {
+        "REGISTER": 2, "REGISTER_ACK": 2, "INIT_REQ": 2, "INIT_DATA": 2,
+        "PUSH": 1, "PUSH_ACK": 1, "UNREGISTER": 2, "UNREGISTER_ACK": 2,
+        "ACQUIRE": 1, "GRANT": 1,
+    },
+}
 
 
 def _cell(i: int) -> str:
@@ -118,30 +118,6 @@ def point_budget(n_cms: int, cycles: int) -> float:
     return min(600.0, max(60.0, 6e-6 * n_cms * n_cms * (cycles + 2)))
 
 
-def tcp_capacity_reason(n_cms: int) -> Optional[str]:
-    """Why a TCP point cannot run at all (None = it can)."""
-    soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-    need = _TCP_FDS_PER_CM * n_cms + 64
-    if need > soft * _FD_HEADROOM:
-        return (
-            f"thread-per-connection backend needs ~{need} fds at {n_cms} "
-            f"CMs; process soft limit is {soft}"
-        )
-    return None
-
-
-def _make_transport(spec: str, n_cms: int) -> Transport:
-    if spec == "aio":
-        # Queue bound sized to the fleet: the benchmark's interest is
-        # steady-state flow, not refusing the initial registration
-        # burst.  wrap_batches: the sweep reports the coalesced-frame
-        # economics, and Fig-4 counts are unaffected by construction.
-        return AioTcpTransport(max_queue=2 * n_cms + 1024, wrap_batches=True)
-    if spec == "tcp":
-        return TcpTransport()
-    raise ValueError(f"scale sweep transport must be tcp|aio, not {spec!r}")
-
-
 @dataclass
 class ScalePoint:
     """One (transport, CM count) measurement."""
@@ -149,7 +125,6 @@ class ScalePoint:
     transport: str
     n_cms: int
     cycles: int
-    ran: bool                      # False = structurally skipped
     completed: bool                # all CMs finished inside the budget
     sustainable: bool              # completed and zero errors
     reason: str                    # why not sustainable ("" when it is)
@@ -254,29 +229,17 @@ class _CmDriver:
         self._step(comp, lambda: self._on_done(None))
 
 
-def _skipped_point(spec: str, n_cms: int, cycles: int, reason: str) -> ScalePoint:
-    return ScalePoint(
-        transport=spec, n_cms=n_cms, cycles=cycles, ran=False,
-        completed=False, sustainable=False, reason=reason,
-        budget=point_budget(n_cms, cycles), elapsed=0.0, errors=0,
-        acquire_p50=0.0, acquire_p99=0.0, messages=0, frames=0,
-        messages_per_sec=0.0, frames_per_sec=0.0, coalesced_ratio=0.0,
-        send_queue_hwm=0, backpressure_stalls=0,
-    )
-
-
 def _run_point(spec: str, n_cms: int, cycles: int) -> ScalePoint:
-    base, _, variant = spec.partition("+")
-    paired = variant == "paired"
+    paired = spec == PAIRED_SPEC
     if paired:
         n_cms -= n_cms % 2  # pairs need an even fleet
-    if base == "tcp":
-        reason = tcp_capacity_reason(n_cms)
-        if reason is not None:
-            return _skipped_point(spec, n_cms, cycles, reason)
     reset_message_ids()
     budget = point_budget(n_cms, cycles)
-    transport = _make_transport(base, n_cms)
+    # Queue bound sized to the fleet: the benchmark's interest is
+    # steady-state flow, not refusing the initial registration burst.
+    # wrap_batches: the sweep reports the coalesced-frame economics,
+    # and Fig-4 counts are unaffected by construction.
+    transport = AioTcpTransport(max_queue=2 * n_cms + 1024, wrap_batches=True)
     n_cells = n_cms // 2 if paired else n_cms
     store = Store({_cell(i): 0 for i in range(n_cells)})
     system = FleccSystem(
@@ -311,8 +274,7 @@ def _run_point(spec: str, n_cms: int, cycles: int) -> ScalePoint:
     completed = done.wait(budget)
     elapsed = time.monotonic() - t0
     stats = transport.stats
-    handler_errors = len(getattr(transport, "handler_errors", ()))
-    n_errors = len(errors) + handler_errors
+    n_errors = len(errors) + len(transport.handler_errors)
     wrong_cells = 0
     if completed and not n_errors:
         # Paired cells absorb both partners' increments; strong-mode
@@ -336,7 +298,7 @@ def _run_point(spec: str, n_cms: int, cycles: int) -> ScalePoint:
     else:
         reason = f"{wrong_cells} cells diverged from expected end state"
     return ScalePoint(
-        transport=spec, n_cms=n_cms, cycles=cycles, ran=True,
+        transport=spec, n_cms=n_cms, cycles=cycles,
         completed=completed, sustainable=sustainable, reason=reason,
         budget=budget, elapsed=elapsed, errors=n_errors,
         acquire_p50=_percentile(latencies, 0.50),
@@ -353,7 +315,7 @@ def _run_point(spec: str, n_cms: int, cycles: int) -> ScalePoint:
 
 
 # ---------------------------------------------------------------------------
-# Three-transport parity
+# Transport parity
 # ---------------------------------------------------------------------------
 
 def _parity_run(spec: str) -> Tuple[Dict[str, int], Dict[str, int]]:
@@ -407,18 +369,14 @@ def _parity_run(spec: str) -> Tuple[Dict[str, int], Dict[str, int]]:
 
 
 def transport_parity() -> Tuple[bool, bool, Dict[str, int]]:
-    """sim vs tcp vs aio on the parity workload.
+    """sim and aio on the parity workload, each against the golden.
 
-    Returns (state_identical, counts_identical, reference by_type)."""
-    states, counts = [], []
-    for spec in ("sim", "tcp", "aio"):
-        state, by_type = _parity_run(spec)
-        states.append(state)
-        counts.append(by_type)
+    Returns (state_identical, counts_identical, sim's by_type)."""
+    runs = [_parity_run(spec) for spec in ("sim", "aio")]
     return (
-        states[0] == states[1] == states[2],
-        counts[0] == counts[1] == counts[2],
-        counts[0],
+        all(state == GOLDEN_PARITY["state"] for state, _ in runs),
+        all(by_type == GOLDEN_PARITY["by_type"] for _, by_type in runs),
+        runs[0][1],
     )
 
 
@@ -440,7 +398,7 @@ class ScaleSweepResult:
         for p in self.points:
             t.add_row(
                 p.transport, p.n_cms,
-                "yes" if p.sustainable else ("skip" if not p.ran else "NO"),
+                "yes" if p.sustainable else "NO",
                 f"{p.elapsed:.1f}", f"{p.acquire_p50:.3f}",
                 f"{p.acquire_p99:.3f}", f"{p.messages_per_sec:.0f}",
                 f"{p.frames_per_sec:.0f}", f"{p.coalesced_ratio:.2f}",
@@ -456,7 +414,7 @@ def sweep_points(
 
     Includes the directory-bound ``aio+paired`` contention point at
     the ramp's smallest size (rounded down to an even fleet)."""
-    points = [(spec, n, cycles) for spec in TRANSPORTS for n in ramp]
+    points = [("aio", n, cycles) for n in ramp]
     if ramp:
         paired_n = min(ramp) - (min(ramp) % 2)
         if paired_n >= 2:
@@ -496,23 +454,6 @@ def run_scale_sweep(
     return merge_scale_sweep(points, [run_sweep_point(p) for p in points])
 
 
-def _max_sustainable(payload_points: List[Dict[str, Any]], spec: str) -> int:
-    return max(
-        (p["n_cms"] for p in payload_points
-         if p["transport"] == spec and p["sustainable"]),
-        default=0,
-    )
-
-
-def _point_at(
-    payload_points: List[Dict[str, Any]], spec: str, n_cms: int
-) -> Optional[Dict[str, Any]]:
-    for p in payload_points:
-        if p["transport"] == spec and p["n_cms"] == n_cms:
-            return p
-    return None
-
-
 def bench_payload(result: ScaleSweepResult) -> Dict[str, object]:
     """The ``BENCH_scale.json`` document for one sweep."""
     points = [
@@ -520,7 +461,6 @@ def bench_payload(result: ScaleSweepResult) -> Dict[str, object]:
             "transport": p.transport,
             "n_cms": p.n_cms,
             "cycles": p.cycles,
-            "ran": p.ran,
             "completed": p.completed,
             "sustainable": p.sustainable,
             "reason": p.reason,
@@ -539,28 +479,18 @@ def bench_payload(result: ScaleSweepResult) -> Dict[str, object]:
         }
         for p in result.points
     ]
-    ramp_top = max((p["n_cms"] for p in points), default=0)
-    tcp_max = _max_sustainable(points, "tcp")
-    aio_max = _max_sustainable(points, "aio")
-    ratio = aio_max / tcp_max if tcp_max else float(aio_max > 0)
-    matched = _point_at(points, "aio", tcp_max) if tcp_max else None
-    tcp_best = _point_at(points, "tcp", tcp_max) if tcp_max else None
     return {
         "description": (
             "Connection-scale sweep: concurrent cache managers vs "
-            "transport plane (thread-per-connection TCP vs asyncio "
-            "event loop), wall clock on one box"
+            "transport plane (asyncio event loop), wall clock on one box"
         ),
         "command": "python -m repro.experiments.scale_sweep --full",
-        "ramp_top": ramp_top,
-        "tcp_max_sustainable_cms": tcp_max,
-        "aio_max_sustainable_cms": aio_max,
-        "aio_over_tcp_ratio": round(ratio, 2),
-        "p99_at_tcp_max": {
-            "n_cms": tcp_max,
-            "tcp_s": tcp_best["acquire_p99_s"] if tcp_best else 0.0,
-            "aio_s": matched["acquire_p99_s"] if matched else 0.0,
-        },
+        "ramp_top": max((p["n_cms"] for p in points), default=0),
+        "aio_max_sustainable_cms": max(
+            (p["n_cms"] for p in points
+             if p["transport"] == "aio" and p["sustainable"]),
+            default=0,
+        ),
         "parity_state_identical": result.parity_state_identical,
         "parity_counts_identical": result.parity_counts_identical,
         "parity_by_type": dict(result.parity_by_type),
@@ -569,64 +499,31 @@ def bench_payload(result: ScaleSweepResult) -> Dict[str, object]:
 
 
 def check_acceptance(payload: Dict[str, Any]) -> List[str]:
-    """The PR's acceptance gates; returns a list of violations.
+    """The sweep's acceptance gates; returns a list of violations.
 
-    The 3x floor is enforced whenever the ramp gave the asyncio backend
-    room to prove it (top point >= 3x TCP's best); a capped smoke ramp
-    still enforces parity, that aio is never behind threaded TCP, and
-    that it sustains at least the smallest ramp point.  The ramp *top*
-    is deliberately not a gate: the full 10k point records how far this
-    box gets, and on a small box the directory plane (not the
+    Every point up to the default ramp's top must be sustainable —
+    completed inside its budget with zero errors and the exact
+    serializable end state — the directory-bound paired point included
+    (real revocation rounds under the concurrent scheduler).  The
+    ``--full`` 10k point is deliberately not a gate: it records how far
+    this box gets, and on a small box the directory plane (not the
     transport) is what gives out first."""
     problems = []
     if not payload["parity_state_identical"]:
-        problems.append("sim/tcp/aio end states differ on the parity workload")
+        problems.append(
+            "sim/aio end states differ from the golden on the parity workload"
+        )
     if not payload["parity_counts_identical"]:
         problems.append(
-            "sim/tcp/aio Fig-4 message counts differ on the parity workload"
+            "sim/aio Fig-4 message counts differ from the golden on the "
+            "parity workload"
         )
-    points = payload["points"]
-    # The directory-bound paired point gates on correctness only: real
-    # revocation rounds under the concurrent scheduler must sustain
-    # with zero errors and the exact serializable end state.  It never
-    # enters the transport ratios (its transport name is "aio+paired").
-    for p in points:
-        if p["transport"].endswith("+paired") and p["ran"] and not p["sustainable"]:
+    for p in payload["points"]:
+        if p["n_cms"] <= DEFAULT_RAMP[-1] and not p["sustainable"]:
             problems.append(
-                f"directory-bound paired point ({p['n_cms']} CMs, "
-                f"concurrent rounds) not sustainable: {p['reason']}"
+                f"{p['transport']} point ({p['n_cms']} CMs) not "
+                f"sustainable: {p['reason']}"
             )
-    ramp_top = payload["ramp_top"]
-    aio_max = payload["aio_max_sustainable_cms"]
-    tcp_max = payload["tcp_max_sustainable_cms"]
-    ramp_bottom = min((p["n_cms"] for p in points), default=0)
-    if aio_max < ramp_bottom:
-        problems.append(
-            f"aio transport did not sustain even the smallest ramp "
-            f"point ({aio_max} < {ramp_bottom} CMs)"
-        )
-    if aio_max < tcp_max:
-        problems.append(
-            f"aio sustains fewer CMs than threaded TCP "
-            f"({aio_max} < {tcp_max})"
-        )
-    if tcp_max and ramp_top >= 3 * tcp_max:
-        ratio = payload["aio_over_tcp_ratio"]
-        if ratio < 3.0:
-            problems.append(
-                f"aio sustains only {ratio}x the CMs of threaded TCP "
-                f"(need >= 3x: {aio_max} vs {tcp_max})"
-            )
-        matched = _point_at(points, "aio", tcp_max)
-        tcp_best = _point_at(points, "tcp", tcp_max)
-        if matched and tcp_best and matched["sustainable"]:
-            # "equal or better" with a 5% scheduler-jitter allowance.
-            if matched["acquire_p99_s"] > tcp_best["acquire_p99_s"] * 1.05:
-                problems.append(
-                    f"aio p99 acquire at {tcp_max} CMs is "
-                    f"{matched['acquire_p99_s']}s vs TCP's "
-                    f"{tcp_best['acquire_p99_s']}s (must be equal or better)"
-                )
     return problems
 
 
@@ -662,11 +559,7 @@ def main(argv: Optional[Sequence[str]] = None) -> ScaleSweepResult:
     result = run_scale_sweep(ramp=ramp, cycles=args.cycles)
     print(result.table())
     payload = bench_payload(result)
-    print(
-        f"max sustainable CMs: aio={payload['aio_max_sustainable_cms']} "
-        f"tcp={payload['tcp_max_sustainable_cms']} "
-        f"(ratio {payload['aio_over_tcp_ratio']}x)"
-    )
+    print(f"max sustainable CMs: {payload['aio_max_sustainable_cms']}")
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
     problems = check_acceptance(payload)
@@ -676,8 +569,8 @@ def main(argv: Optional[Sequence[str]] = None) -> ScaleSweepResult:
             raise SystemExit(1)
     else:
         print(
-            "acceptance: OK (aio never behind threaded TCP; >=3x TCP's "
-            "max CMs where the ramp can prove it; 3-transport parity holds)"
+            "acceptance: OK (every gated point sustains with the exact end "
+            "state; sim and aio reproduce the golden parity census)"
         )
     return result
 

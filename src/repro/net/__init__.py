@@ -4,20 +4,18 @@ The Flecc protocol engines (directory manager, cache managers) are
 transport-agnostic: they talk to a :class:`~repro.net.transport.Transport`
 which provides message delivery, a clock, timers, and completions.
 
-Three interchangeable transports are provided (see
+Two interchangeable transports are provided (see
 :func:`~repro.net.transport.resolve_transport`):
 
 - :class:`~repro.net.sim_transport.SimTransport` — deterministic
   discrete-event delivery over a :class:`~repro.net.topology.Topology`
   (per-link latencies), used by all benchmarks.
-- :class:`~repro.net.tcp_transport.TcpTransport` — real TCP sockets on
+- :class:`~repro.net.aio_transport.AioTcpTransport` — real TCP sockets on
   localhost with length-prefixed frames and per-connection codec
   negotiation (JSON fallback), matching the paper's "prototype with
-  sockets" character.
-- :class:`~repro.net.aio_transport.AioTcpTransport` — the same wire
-  contract on one asyncio event loop: endpoints multiplex one socket
-  pair, writes coalesce into single flushes, and bounded send queues
-  push back on senders instead of buffering unboundedly.
+  sockets" character, on one asyncio event loop: endpoints multiplex
+  one socket pair, writes coalesce into single flushes, and bounded
+  send queues push back on senders instead of buffering unboundedly.
 
 Two wire codecs share one type registry:
 :class:`~repro.net.codec.JsonCodec` (text, always available) and
@@ -43,8 +41,7 @@ from repro.net.transport import (
     transport_name,
 )
 from repro.net.sim_transport import SimCompletion, SimTransport
-from repro.net.tcp_transport import TcpTransport, ThreadCompletion
-from repro.net.aio_transport import AioTcpTransport
+from repro.net.aio_transport import AioTcpTransport, ThreadCompletion
 from repro.net.reliability import ReliableTransport
 
 __all__ = [
@@ -63,7 +60,6 @@ __all__ = [
     "Transport",
     "SimTransport",
     "SimCompletion",
-    "TcpTransport",
     "ThreadCompletion",
     "AioTcpTransport",
     "ReliableTransport",

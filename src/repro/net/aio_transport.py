@@ -1,23 +1,33 @@
-"""Event-loop TCP transport: multiplexed links, coalesced writes,
-bounded send queues.
+"""The TCP socket transport (localhost): one asyncio loop, multiplexed
+links, coalesced writes, bounded send queues.
 
-``TcpTransport`` spends one listening socket per endpoint and one
-reader thread per connection — faithful to the paper's prototype, but
-it collapses around a few hundred cache managers.  ``AioTcpTransport``
-keeps the same wire contract (4-byte length-prefixed frames, JSON
-``CODEC_HELLO``/``CODEC_WELCOME`` negotiation, process-local address
-book, ``ThreadCompletion`` futures) while changing the machinery
-underneath:
+This backend keeps the reproduction faithful to the paper's networked
+prototype — every control message crosses a real socket — while
+staying inside the single-threaded handler model the protocol engines
+assume.
+
+Wire contract: each frame is a 4-byte big-endian length followed by the
+encoded message.  The first frame a client writes on a fresh connection
+is a JSON-encoded ``CODEC_HELLO`` advertising the codecs it supports
+and the one it prefers; the server answers with a JSON-encoded
+``CODEC_WELCOME`` naming the codec every later frame on that connection
+will use — the client's preference if the server has it, else the first
+advertised codec the server shares, else ``"json"``.  A peer whose
+first frame is *not* a hello (a legacy JSON speaker) gets its message
+delivered normally and the connection stays on JSON, so mixed-version
+links degrade instead of breaking.
+
+Machinery:
 
 - **Multiplexing** — all endpoints bound on one transport share a
   single asyncio server and a single mux connection; ``bind`` is a
   dict insert, not a socket.  10k endpoints cost 10k dict entries and
-  one socket pair instead of ~30k file descriptors and 10k threads.
+  one socket pair.
 - **Write coalescing** — the writer coroutine drains whatever has
   queued since the last flush and ships it in one ``write()`` +
   ``drain()``; with ``wrap_batches=True`` adjacent messages are
-  additionally wrapped in one ``BATCH`` envelope (the PR-2 machinery),
-  paying one codec pass and one frame for the whole flush.
+  additionally wrapped in one ``BATCH`` envelope, paying one codec
+  pass and one frame for the whole flush.
 - **Backpressure** — the send queue is bounded (``max_queue``).  A
   send against a full queue is *refused* with a ``TransportError``
   and counted in ``stats.backpressure_stalls``; stacked layers that
@@ -26,16 +36,21 @@ underneath:
   control instead of unbounded buffering.
 
 Threaded callers are first-class: ``send``/``schedule``/``close`` may
-be called from any thread, and ``completion()`` returns the same
-``ThreadCompletion`` the threaded backend uses, resolved from handler
-code running on the loop.  Handlers themselves run on the loop thread,
-one at a time — the same one-at-a-time semantics the sim kernel and
-the per-endpoint TCP locks provide — so engine code runs unchanged.
+be called from any thread, and ``completion()`` returns a
+:class:`ThreadCompletion` that a caller thread can block on, resolved
+from handler code running on the loop.  Handlers themselves run on the
+loop thread, one at a time — the same one-at-a-time semantics the sim
+kernel provides — so engine code runs unchanged.
+
+Time: ``now()`` is wall-clock seconds since transport creation, scaled
+by ``time_scale`` so tests can use the same trigger expressions as the
+simulated runs.
 """
 
 from __future__ import annotations
 
 import asyncio
+import struct
 import threading
 import time
 from collections import deque
@@ -44,14 +59,91 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.errors import CodecError, TransportError
 from repro.net.codec import JsonCodec
 from repro.net.message import BATCH, Message, make_batch, split_batch
-from repro.net.tcp_transport import (
-    _LEN,
-    _MAX_FRAME,
-    CODEC_HELLO,
-    CODEC_WELCOME,
-    ThreadCompletion,
-)
-from repro.net.transport import Endpoint, TimerHandle, Transport
+from repro.net.transport import Completion, Endpoint, TimerHandle, Transport
+
+_LEN = struct.Struct(">I")
+_MAX_FRAME = 64 * 1024 * 1024
+
+# Codec-negotiation handshake message types.  Both frames are always
+# JSON-encoded (the one format every peer speaks) and are consumed by
+# the transport itself — endpoint handlers never see them.
+CODEC_HELLO = "CODEC_HELLO"
+CODEC_WELCOME = "CODEC_WELCOME"
+
+# Default for ThreadCompletion.wait: long enough for any test or demo
+# round-trip, finite so a lost reply surfaces as a clear TransportError
+# instead of blocking the calling thread forever.
+DEFAULT_WAIT_TIMEOUT = 30.0
+
+
+class ThreadCompletion(Completion):
+    """Completion backed by ``threading.Event`` (blockable from threads)."""
+
+    def __init__(self, name: str = "") -> None:
+        self.name = name or "completion"
+        self._ev = threading.Event()
+        self._lock = threading.Lock()
+        self._value: Any = None
+        self._exc: Optional[BaseException] = None
+        self._callbacks: List[Callable[[Completion], None]] = []
+
+    def resolve(self, value: Any = None) -> None:
+        with self._lock:
+            if self._ev.is_set():
+                raise TransportError(f"{self.name} already completed")
+            self._value = value
+            callbacks = list(self._callbacks)
+            self._ev.set()
+        for cb in callbacks:
+            cb(self)
+
+    def fail(self, exc: BaseException) -> None:
+        with self._lock:
+            if self._ev.is_set():
+                raise TransportError(f"{self.name} already completed")
+            self._exc = exc
+            callbacks = list(self._callbacks)
+            self._ev.set()
+        for cb in callbacks:
+            cb(self)
+
+    def then(self, callback: Callable[[Completion], None]) -> None:
+        run_now = False
+        with self._lock:
+            if self._ev.is_set():
+                run_now = True
+            else:
+                self._callbacks.append(callback)
+        if run_now:
+            callback(self)
+
+    @property
+    def done(self) -> bool:
+        return self._ev.is_set()
+
+    @property
+    def value(self) -> Any:
+        if not self._ev.is_set():
+            raise TransportError(f"{self.name}: value read before completion")
+        if self._exc is not None:
+            raise self._exc
+        return self._value
+
+    def wait(self, timeout: Optional[float] = None) -> Any:
+        """Block until completion; ``timeout`` in wall-clock seconds.
+
+        ``None`` means the finite :data:`DEFAULT_WAIT_TIMEOUT`, never
+        indefinite blocking: a lost reply must surface as an error
+        naming what was being waited on, not as a hung thread.
+        """
+        if timeout is None:
+            timeout = DEFAULT_WAIT_TIMEOUT
+        if not self._ev.wait(timeout):
+            raise TransportError(
+                f"timed out after {timeout}s waiting on {self.name!r} "
+                f"(the reply for this pending message type never arrived)"
+            )
+        return self.value
 
 
 class _Link:
@@ -70,9 +162,15 @@ class _Link:
 
 
 class AioTcpTransport(Transport):
-    """Asyncio localhost TCP backend; drop-in for ``TcpTransport``.
+    """Asyncio localhost TCP backend with a process-local address book.
 
-    ``time_scale``/``codec`` mean what they mean on ``TcpTransport``.
+    ``time_scale``: transport time units per wall-clock second.  The
+    default (1000) makes one time unit ~= 1 ms, so trigger expressions
+    like ``t > 1500`` mean "after 1.5 s" on sockets while being pure
+    numbers in simulation.
+    ``codec``: preferred wire codec — ``"json"`` (default),
+    ``"binary"``, ``"binary+zlib"``, or a codec instance.  JSON is
+    always kept as the negotiation fallback.
     ``max_queue`` bounds the mux send queue (full queue ⇒ the send is
     refused with ``TransportError`` + a ``backpressure_stalls`` tick).
     ``max_flush`` caps frames coalesced into one ``drain()``.
@@ -151,6 +249,9 @@ class AioTcpTransport(Transport):
         return link.codec_name if link is not None else None
 
     def _choose_codec(self, payload: Any) -> str:
+        """Server-side pick from a hello payload: the client's stated
+        preference if we speak it, else the first advertised codec we
+        share, else JSON."""
         if not isinstance(payload, dict):
             return "json"
         prefer = payload.get("prefer")
@@ -246,8 +347,12 @@ class AioTcpTransport(Transport):
     def _first_frame(
         self, writer: asyncio.StreamWriter, body: bytes, codec: Any
     ) -> Tuple[Optional[Message], Any]:
-        """Same contract as ``TcpTransport._first_frame``: a hello is
-        answered and consumed, anything else is a legacy JSON frame."""
+        """Handle the first frame of an inbound connection.
+
+        A CODEC_HELLO is answered with a CODEC_WELCOME and consumed
+        (returns ``(None, negotiated_codec)``); anything else is a
+        legacy peer's ordinary message, delivered as-is on JSON.
+        """
         try:
             msg = self.json_codec.decode(body)
         except CodecError:
@@ -357,7 +462,7 @@ class AioTcpTransport(Transport):
         """Encode one flush worth of messages into wire bytes.
 
         Stats contract: each logical message is recorded exactly once
-        (identical ``by_type``/``by_pair``/``total`` to the threaded
+        (identical ``by_type``/``by_pair``/``total`` to the sim
         backend).  In ``wrap_batches`` mode the flush ships as one
         BATCH envelope, so bytes are accounted per envelope and the
         envelope itself stays out of ``by_type`` — it is transport
@@ -438,7 +543,7 @@ class AioTcpTransport(Transport):
         if self._closed:
             raise TransportError("transport closed")
         if msg.dst not in self._endpoints:
-            # Same semantics as sim/TCP: message to a vanished endpoint
+            # Same semantics as sim: message to a vanished endpoint
             # is lost (and there is no link to size the frame with).
             self.stats.record(msg)
             self.stats.record_drop(msg)

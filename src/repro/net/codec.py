@@ -34,7 +34,7 @@ _BY_CLASS: Dict[type, str] = {}
 # so the common case is a single dict hit.
 _DISPATCH: Dict[type, Optional[Tuple[str, Callable[[Any], Any]]]] = {}
 # Guards registration against concurrent dispatch-memo population: the
-# TCP listener thread can be decoding (and memoizing negative answers)
+# socket transport's loop thread can be decoding (and memoizing negative answers)
 # while an application module's import-time register_codec_type runs.
 # Without the lock a racing _dispatch_for could re-cache a stale
 # negative entry for a freshly registered class after the clear().

@@ -1,4 +1,4 @@
-"""Transport abstraction shared by the simulated and TCP backends.
+"""Transport abstraction shared by the simulated and socket backends.
 
 Protocol engines (directory manager, cache managers, baselines) are
 written against this interface only, so the same engine code runs
@@ -161,12 +161,11 @@ class Transport(abc.ABC):
 # ---------------------------------------------------------------------------
 # Mirrors ``resolve_codec``: a spec string names a backend, an instance
 # passes through.  The factories import lazily so this module stays the
-# bottom of the dependency graph (sim_transport, tcp_transport, and
-# aio_transport all import *us*).
+# bottom of the dependency graph (sim_transport and aio_transport both
+# import *us*).
 
 #: Spec names understood by :func:`resolve_transport`.
 TRANSPORT_SIM = "sim"
-TRANSPORT_TCP = "tcp"
 TRANSPORT_AIO = "aio"
 
 
@@ -180,12 +179,6 @@ def _make_sim(**kwargs: Any) -> "Transport":
     return SimTransport(**kwargs)
 
 
-def _make_tcp(**kwargs: Any) -> "Transport":
-    from repro.net.tcp_transport import TcpTransport
-
-    return TcpTransport(**kwargs)
-
-
 def _make_aio(**kwargs: Any) -> "Transport":
     from repro.net.aio_transport import AioTcpTransport
 
@@ -194,9 +187,9 @@ def _make_aio(**kwargs: Any) -> "Transport":
 
 _TRANSPORT_SPECS: Dict[str, Callable[..., "Transport"]] = {
     TRANSPORT_SIM: _make_sim,
-    TRANSPORT_TCP: _make_tcp,
     TRANSPORT_AIO: _make_aio,
-    # Common aliases.
+    # Aliases: "tcp" names the wire, not a threading model.
+    "tcp": _make_aio,
     "asyncio": _make_aio,
     "aio-tcp": _make_aio,
 }
@@ -213,8 +206,8 @@ def resolve_transport(spec: Any, **kwargs: Any) -> "Transport":
     - ``"sim"`` — a :class:`~repro.net.sim_transport.SimTransport`; a
       fresh :class:`~repro.sim.kernel.SimKernel` is created unless one
       is passed as ``kernel=``;
-    - ``"tcp"`` — a threaded :class:`~repro.net.tcp_transport.TcpTransport`;
-    - ``"aio"`` (aliases ``"asyncio"``, ``"aio-tcp"``) — an event-loop
+    - ``"aio"`` (aliases ``"tcp"``, ``"asyncio"``, ``"aio-tcp"``) — the
+      socket backend, an event-loop
       :class:`~repro.net.aio_transport.AioTcpTransport`.
 
     Extra ``kwargs`` are forwarded to the backend constructor.
@@ -239,19 +232,11 @@ def resolve_transport(spec: Any, **kwargs: Any) -> "Transport":
 
 def transport_name(transport: "Transport") -> str:
     """The spec name a transport instance answers to (best effort)."""
+    from repro.net.aio_transport import AioTcpTransport
     from repro.net.sim_transport import SimTransport
 
     if isinstance(transport, SimTransport):
         return TRANSPORT_SIM
-    try:
-        from repro.net.aio_transport import AioTcpTransport
-
-        if isinstance(transport, AioTcpTransport):
-            return TRANSPORT_AIO
-    except ImportError:  # pragma: no cover - aio backend always ships
-        pass
-    from repro.net.tcp_transport import TcpTransport
-
-    if isinstance(transport, TcpTransport):
-        return TRANSPORT_TCP
+    if isinstance(transport, AioTcpTransport):
+        return TRANSPORT_AIO
     return type(transport).__name__

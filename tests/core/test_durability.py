@@ -9,6 +9,8 @@ recovered-exclusive views, and never acknowledge before durability
 under ``fsync=always``.
 """
 
+import pytest
+
 from repro.core import messages as M
 from repro.core.directory import DirectoryManager
 from repro.core.durability import DurabilityManager, DurabilitySpec
@@ -277,3 +279,28 @@ def test_reclaim_timeout_quarantines_dead_owner(wal_root):
     assert not dm2.views["w"].exclusive
     assert not dm2.views["w"].active
     dm2.close()
+
+
+@pytest.mark.parametrize("stop", ["close", "crash"])
+def test_reclaim_watchdog_dies_with_the_directory(wal_root, stop):
+    """Regression: a restarted directory that is closed (or crashes
+    again) inside its reclaim window must take the watchdog with it —
+    fired afterwards, it logged cursors to the closed WAL and raised."""
+    kernel = SimKernel()
+    transport = SimTransport(kernel)
+    spec = _spec(wal_root, name="watchdog")
+    dm = _dm(transport, Store({"a": 0}), spec)
+    ep = transport.bind("cm", lambda m: None)
+    ep.send(Message(M.REGISTER, "cm", "dir",
+                    {"view_id": "w", "properties": props_for(["a"]),
+                     "mode": "strong"}))
+    kernel.run()
+    ep.send(Message(M.ACQUIRE, "cm", "dir", {"view_id": "w"}))
+    kernel.run()
+    dm.crash()
+    kernel2 = SimKernel()
+    dm2 = _dm(SimTransport(kernel2), Store(), spec)
+    assert dm2.counters["recovery_reclaims"] == 1
+    getattr(dm2, stop)()
+    kernel2.run()  # past the reclaim window
+    assert dm2.counters["reclaim_timeouts"] == 0

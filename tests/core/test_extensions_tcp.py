@@ -14,7 +14,7 @@ from repro.apps.airline.travel_agent import (
 from repro.core import FleccSystem, Mode
 from repro.core.rw_semantics import Access, RWCacheManager, RWDirectoryManager
 from repro.core.system import run_all_scripts
-from repro.net import TcpTransport
+from repro.net import resolve_transport
 
 from tests.core.harness import (
     Agent,
@@ -29,7 +29,7 @@ from tests.core.harness import (
 
 @pytest.fixture()
 def tcp():
-    transport = TcpTransport()
+    transport = resolve_transport("tcp")
     yield transport
     transport.close()
 

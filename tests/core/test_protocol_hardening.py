@@ -1,9 +1,11 @@
 """Protocol hardening: at-least-once request dedup and round watchdog."""
 
-from repro.core import Mode
+from repro.core import Mode, ObjectImage
 from repro.core import messages as M
+from repro.core.cache_manager import CacheManager
 from repro.core.system import run_all_scripts
-from repro.net import SimTransport
+from repro.net import Message, SimTransport, ThreadCompletion, Transport
+from repro.net.transport import TimerHandle
 from repro.sim import SimKernel
 
 from tests.core.harness import (
@@ -205,3 +207,55 @@ class TestRoundWatchdog:
         # The invalidation completed normally; no state was lost.
         assert results[1] == 7
         directory.check_invariants()
+
+
+class _InlineTransport(Transport):
+    """Delivers each message on the sender's stack, before ``send``
+    returns: the worst case of a socket backend whose loop thread
+    outruns the thread that sent the request."""
+
+    def send(self, msg):
+        self._endpoints[msg.dst].handler(msg)
+
+    def now(self):
+        return 0.0
+
+    def schedule(self, delay, fn):
+        return TimerHandle(lambda: None)
+
+    def completion(self, name=""):
+        return ThreadCompletion(name)
+
+
+def test_grant_is_applied_before_the_invalidate_delivered_behind_it():
+    """Regression: the reply callback must be attached before the
+    request is sent.  Attached after, a GRANT delivered before ``send``
+    returned was applied only once the INVALIDATE behind it had already
+    been acknowledged — leaving this view an owner of a slice the
+    directory had just handed to someone else."""
+    transport = _InlineTransport()
+    acks = []
+
+    def directory(msg):
+        if msg.msg_type == M.ACQUIRE:
+            ep.send(msg.reply(M.GRANT, {"image": ObjectImage({"a": 1})}))
+            ep.send(Message(M.INVALIDATE, "dir", msg.src, {"view_id": "v"}))
+        elif msg.msg_type == M.INVALIDATE_ACK:
+            acks.append(msg)
+        else:
+            ep.send(msg.reply(M.REGISTER_ACK, {}))
+
+    ep = transport.bind("dir", directory)
+    cm = CacheManager(
+        transport=transport, directory_address="dir", view_id="v",
+        view=Agent(), properties=props_for(["a"]),
+        extract_from_view=extract_from_view, merge_into_view=merge_into_view,
+        mode=Mode.STRONG,
+    )
+    cm.start().wait(1.0)
+    cm.start_use_image().wait(1.0)
+    # Granted first, so the revocation found the view inside its
+    # critical section and was deferred, not acknowledged.
+    assert cm.owner and acks == []
+    cm.end_use_image()
+    assert not cm.owner and len(acks) == 1

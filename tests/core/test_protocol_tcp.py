@@ -19,7 +19,7 @@ from repro.core import (
 from repro.core import messages as M
 from repro.core.system import run_all_scripts
 from repro.core.triggers import TriggerSet
-from repro.net import TcpTransport
+from repro.net import resolve_transport
 
 from tests.core.harness import (
     Agent,
@@ -34,7 +34,7 @@ from tests.core.harness import (
 
 @pytest.fixture()
 def tcp_system():
-    transport = TcpTransport()
+    transport = resolve_transport("tcp")
     store = Store({"a": 10, "b": 20})
     system = FleccSystem(transport, store, extract_from_object, merge_into_object)
     yield transport, store, system

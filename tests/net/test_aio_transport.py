@@ -1,9 +1,9 @@
 """Unit tests for repro.net.aio_transport (event-loop TCP on localhost).
 
-The asyncio backend must honour the exact Transport contract the
-threaded TCP backend does — same framing, same codec negotiation, same
-completion semantics — plus the three things it adds: connection
-multiplexing, write coalescing, and bounded-queue backpressure.
+The asyncio backend must honour the Transport contract — framing, codec
+negotiation, completion semantics — plus the three things its event
+loop adds: connection multiplexing, write coalescing, and bounded-queue
+backpressure.
 """
 
 import threading
@@ -15,7 +15,6 @@ from repro.errors import TransportError
 from repro.net import (
     AioTcpTransport,
     Message,
-    TcpTransport,
     ThreadCompletion,
     resolve_transport,
     transport_name,
@@ -319,7 +318,8 @@ def test_stacked_reliable_transport_recovers_stalled_frames():
 
 
 def test_resolve_transport_specs():
-    for spec in ("aio", "asyncio", "aio-tcp"):
+    # "tcp" names the wire, not a threading model: one socket backend.
+    for spec in ("aio", "tcp", "asyncio", "aio-tcp"):
         tr = resolve_transport(spec)
         try:
             assert isinstance(tr, AioTcpTransport)
@@ -338,11 +338,3 @@ def test_resolve_transport_passthrough_and_errors():
             resolve_transport("carrier-pigeon")
     finally:
         tr.close()
-
-
-def test_transport_name_distinguishes_tcp_backends():
-    tcp = TcpTransport()
-    try:
-        assert transport_name(tcp) == "tcp"
-    finally:
-        tcp.close()

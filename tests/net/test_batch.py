@@ -13,7 +13,7 @@ from repro.net.message import (
 )
 from repro.net.sim_transport import SimTransport
 from repro.net.stats import MessageStats
-from repro.net.tcp_transport import TcpTransport
+from repro.net.transport import resolve_transport
 from repro.net.topology import Topology
 from repro.sim import SimKernel
 
@@ -134,7 +134,7 @@ def test_batch_delivery_latency_is_one_frame():
 
 
 def test_tcp_transport_splits_batch_to_each_endpoint():
-    transport = TcpTransport()
+    transport = resolve_transport("tcp")
     try:
         import threading
 

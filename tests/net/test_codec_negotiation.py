@@ -15,9 +15,9 @@ from repro.net import (
     Message,
     ReliableTransport,
     SimTransport,
-    TcpTransport,
+    resolve_transport,
 )
-from repro.net.tcp_transport import CODEC_HELLO, CODEC_WELCOME
+from repro.net.aio_transport import CODEC_HELLO, CODEC_WELCOME
 from repro.sim.kernel import SimKernel
 
 _LEN = struct.Struct(">I")
@@ -44,7 +44,7 @@ def _recv_frame(sock):
 
 @pytest.fixture()
 def transport():
-    tr = TcpTransport(codec="binary")
+    tr = resolve_transport("tcp", codec="binary")
     yield tr
     tr.close()
 
@@ -61,7 +61,7 @@ def test_binary_codec_negotiated_between_local_endpoints(transport):
 
 
 def test_default_transport_negotiates_json():
-    tr = TcpTransport()
+    tr = resolve_transport("tcp")
     try:
         done = threading.Event()
         tr.bind("a", lambda m: None)
@@ -93,7 +93,7 @@ def test_legacy_peer_without_hello_still_delivered(transport):
     transport.bind("dir", handler)
     codec = JsonCodec()
     with socket.create_connection(
-        ("127.0.0.1", transport.port_of("dir")), timeout=5.0
+        ("127.0.0.1", transport.port), timeout=5.0
     ) as sock:
         _send_frame(sock, codec.encode(Message("ONE", "ext", "dir", {"i": 1})))
         _send_frame(sock, codec.encode(Message("TWO", "ext", "dir", {"i": 2})))
@@ -109,7 +109,7 @@ def test_hello_answered_with_welcome_and_codec_switch(transport):
     transport.bind("dir", lambda m: (got.append(m), done.set()))
     json_codec, binary_codec = JsonCodec(), BinaryCodec()
     with socket.create_connection(
-        ("127.0.0.1", transport.port_of("dir")), timeout=5.0
+        ("127.0.0.1", transport.port), timeout=5.0
     ) as sock:
         hello = Message(
             CODEC_HELLO, "ext", "dir",
@@ -135,7 +135,7 @@ def test_unknown_codec_preference_falls_back_to_json(transport):
     transport.bind("dir", lambda m: (got.append(m), done.set()))
     json_codec = JsonCodec()
     with socket.create_connection(
-        ("127.0.0.1", transport.port_of("dir")), timeout=5.0
+        ("127.0.0.1", transport.port), timeout=5.0
     ) as sock:
         hello = Message(
             CODEC_HELLO, "ext", "dir",
@@ -167,7 +167,7 @@ def test_set_codec_renegotiates_existing_links(transport):
     assert done1.wait(5.0)
     assert transport.negotiated_codec("a", "b") == "binary"
     transport.set_codec("json")
-    assert transport.negotiated_codec("a", "b") is None  # conns dropped
+    assert transport.negotiated_codec("a", "b") is None  # link dropped
     transport.send(Message("Y", "a", "b"))
     assert done2.wait(5.0)
     assert transport.negotiated_codec("a", "b") == "json"
@@ -182,7 +182,7 @@ def test_frame_bytes_shrink_under_binary_codec():
     payload = {"image": img}
     sizes = {}
     for spec in ("json", "binary"):
-        tr = TcpTransport(codec=spec)
+        tr = resolve_transport("tcp", codec=spec)
         try:
             done = threading.Event()
             tr.bind("a", lambda m: None)

@@ -1,4 +1,8 @@
-"""Unit tests for repro.net.tcp_transport (real sockets on localhost)."""
+"""The TCP wire contract, driven through ``resolve_transport("tcp")``
+(real sockets on localhost), plus ``ThreadCompletion``.
+
+Event-loop specifics — multiplexing, coalescing, backpressure — live in
+``test_aio_transport.py``."""
 
 import threading
 import time
@@ -6,12 +10,12 @@ import time
 import pytest
 
 from repro.errors import TransportError
-from repro.net import Message, TcpTransport, ThreadCompletion
+from repro.net import Message, ThreadCompletion, resolve_transport
 
 
 @pytest.fixture()
 def transport():
-    tr = TcpTransport()
+    tr = resolve_transport("tcp")
     yield tr
     tr.close()
 
@@ -70,9 +74,8 @@ def test_many_messages_arrive_in_order(transport):
 
 def test_frame_length_immune_to_racing_codec_state(transport):
     """Regression: the length prefix must be measured from the actual
-    frame bytes, never from shared codec state — send() runs
-    concurrently from listener/timer threads, so framing that consulted
-    a codec attribute a racing encode can overwrite would corrupt the
+    frame bytes, never from shared codec state — framing that consulted
+    a codec attribute another encode can overwrite would corrupt the
     stream for every later frame on the connection.  Simulate such a
     stale attribute and check framing stays intact."""
     got = []
@@ -108,9 +111,11 @@ def test_send_to_unbound_address_is_counted_as_drop(transport):
 
 
 def test_stats_count_bytes(transport):
+    delivered = threading.Event()
     transport.bind("a", lambda m: None)
-    transport.bind("b", lambda m: None)
+    transport.bind("b", lambda m: delivered.set())
     transport.send(Message("X", "a", "b", {"data": "y" * 100}))
+    assert delivered.wait(5.0)  # bytes are counted when the writer flushes
     assert transport.stats.bytes_sent > 100
 
 
@@ -172,15 +177,15 @@ def test_thread_completion_then_callback_runs():
 
 
 def test_reconnect_after_endpoint_rebound(transport):
-    """A cached connection dies when the peer endpoint is closed and
-    re-bound on a fresh port; send() reconnects transparently."""
+    """An address closed and re-bound receives later sends on its new
+    handler: nothing cached for the old endpoint outlives it."""
     got = []
     ev = threading.Event()
     transport.bind("a", lambda m: None)
     ep = transport.bind("b", lambda m: None)
     transport.send(Message("ONE", "a", "b"))
     time.sleep(0.05)
-    ep.close()  # kills the listener; the cached conn goes stale
+    ep.close()
     transport.bind("b", lambda m: (got.append(m.msg_type), ev.set()))
     transport.send(Message("TWO", "a", "b"))
     assert ev.wait(5.0)
@@ -188,7 +193,7 @@ def test_reconnect_after_endpoint_rebound(transport):
 
 
 def test_send_after_close_rejected():
-    tr = TcpTransport()
+    tr = resolve_transport("tcp")
     tr.bind("a", lambda m: None)
     tr.close()
     with pytest.raises(TransportError, match="closed"):
@@ -196,59 +201,46 @@ def test_send_after_close_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Shutdown hygiene: close() must actually reclaim reader threads
+# Shutdown hygiene: close() must actually reclaim the loop thread
 # ---------------------------------------------------------------------------
 
 
-def _net_threads():
-    return [
-        t for t in threading.enumerate()
-        if t.name.startswith(("tcp-", "Thread-")) and t is not threading.current_thread()
-    ]
-
-
-def test_close_joins_reader_threads_within_timeout():
-    tr = TcpTransport()
+def test_close_joins_loop_thread_within_timeout():
+    before = set(threading.enumerate())
+    tr = resolve_transport("tcp")
     done = threading.Event()
     tr.bind("a", lambda m: None)
     tr.bind("b", lambda m: done.set())
     tr.send(Message("PING", "a", "b"))
     assert done.wait(5.0)
-    before = threading.active_count()
+    [loop_thread] = set(threading.enumerate()) - before
     t0 = time.monotonic()
     tr.close(join_timeout=2.0)
-    elapsed = time.monotonic() - t0
-    assert elapsed < 2.5  # bounded even with live connections
-    # The accept loops and per-connection readers exited with close();
-    # give the last joins a beat, then require the count to have shrunk
-    # back (no leaked daemon readers spinning on dead sockets).
-    deadline = time.monotonic() + 2.0
-    while threading.active_count() >= before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert threading.active_count() < before
+    assert time.monotonic() - t0 < 2.5  # bounded even with a live link
+    assert not loop_thread.is_alive()  # no leaked daemon loop
 
 
 def test_close_is_idempotent_and_swallows_timer_races():
-    tr = TcpTransport()
+    tr = resolve_transport("tcp")
     tr.bind("a", lambda m: None)
     tr.bind("b", lambda m: None)
-    # A timer that fires into the closing transport must not raise on
-    # its timer thread: schedule() fences the callback once closed.
+    # A timer that fires into the closing transport must not raise:
+    # schedule() fences the callback once closed.
     tr.schedule(30.0, lambda: tr.send(Message("LATE", "a", "b")))
     tr.close()
     tr.close()  # second close is a no-op, not an error
 
 
 def test_scheduled_send_racing_close_is_silent():
-    tr = TcpTransport()
+    tr = resolve_transport("tcp")
     tr.bind("a", lambda m: None)
     tr.bind("b", lambda m: None)
     failures = []
     hook_prev = threading.excepthook
     threading.excepthook = lambda args: failures.append(args)
     try:
-        # Fire "immediately": the timer thread may run before, during,
-        # or after close() — all three must be silent.
+        # Fire "immediately": the timer may run before, during, or
+        # after close() — all three must be silent.
         for _ in range(5):
             tr.schedule(0.1, lambda: tr.send(Message("RACE", "a", "b")))
         tr.close()

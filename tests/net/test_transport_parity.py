@@ -1,11 +1,12 @@
-"""Three backends, one protocol: sim / threaded TCP / asyncio TCP.
+"""Two backends, one protocol: sim / asyncio TCP.
 
 The Flecc engines must be unable to tell which transport they run on.
-These tests replay one deterministic protocol script on all three
-backends and assert *identical* Fig-4 message-type counts and identical
-end state — then prove the composition claims: ReliableTransport and
-the sharded directory plane (ShardRouter) run unmodified on the asyncio
-backend.
+These tests replay one deterministic protocol script on both backends
+and assert *identical* Fig-4 message-type counts and identical end
+state — both equal to the golden census frozen from the last run that
+also carried the thread-per-connection TCP backend — then prove the
+composition claims: ReliableTransport and the sharded directory plane
+(ShardRouter) run unmodified on the asyncio backend.
 """
 
 import pytest
@@ -13,10 +14,11 @@ import pytest
 from repro import testing
 from repro.core.sharding import ShardedFleccSystem
 from repro.core.system import FleccSystem, run_all_scripts
+from repro.experiments.scale_sweep import GOLDEN_PARITY
 from repro.net import resolve_transport, transport_name
 from repro.net.message import reset_message_ids
 
-BACKENDS = ("sim", "tcp", "aio")
+BACKENDS = ("sim", "aio")
 
 
 def _lifecycle_run(spec: str, concurrent_rounds=None):
@@ -80,14 +82,12 @@ def lifecycle_runs():
 
 def test_end_state_identical_across_backends(lifecycle_runs):
     states = {spec: run[0] for spec, run in lifecycle_runs.items()}
-    assert states["sim"] == states["tcp"] == states["aio"]
-    # And it is the *right* state, not three copies of the same bug.
-    assert states["sim"] == {"a": 99, "b": 21}
+    assert states["sim"] == states["aio"] == GOLDEN_PARITY["state"]
 
 
 def test_fig4_message_counts_identical_across_backends(lifecycle_runs):
     counts = {spec: run[1] for spec, run in lifecycle_runs.items()}
-    assert counts["sim"] == counts["tcp"] == counts["aio"]
+    assert counts["sim"] == counts["aio"] == GOLDEN_PARITY["by_type"]
     # The scripted lifecycle has an exact expected message census.
     reference = counts["sim"]
     for mt in (
@@ -100,7 +100,7 @@ def test_fig4_message_counts_identical_across_backends(lifecycle_runs):
 
 def test_view_results_identical_across_backends(lifecycle_runs):
     results = {spec: run[2] for spec, run in lifecycle_runs.items()}
-    assert results["sim"] == results["tcp"] == results["aio"] == [99, 21]
+    assert results["sim"] == results["aio"] == [99, 21]
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +158,15 @@ def test_reliable_transport_stacks_on_aio():
 
 def test_concurrent_scheduler_parity_across_backends(lifecycle_runs):
     """The concurrent round scheduler (PR 10) must be invisible at this
-    workload: ``concurrent_rounds=4`` on all three backends produces
+    workload: ``concurrent_rounds=4`` on both backends produces
     the same end state and Fig-4 census as the serial runs."""
     runs = {
         spec: _lifecycle_run(spec, concurrent_rounds=4) for spec in BACKENDS
     }
     states = {spec: run[0] for spec, run in runs.items()}
     counts = {spec: run[1] for spec, run in runs.items()}
-    assert states["sim"] == states["tcp"] == states["aio"]
-    assert counts["sim"] == counts["tcp"] == counts["aio"]
+    assert states["sim"] == states["aio"]
+    assert counts["sim"] == counts["aio"]
     # And identical to the serial-scheduler reference runs.
     assert states["sim"] == lifecycle_runs["sim"][0]
     assert counts["sim"] == lifecycle_runs["sim"][1]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.system import run_all_scripts
 from repro.errors import ReproError
-from repro.net import SimTransport, TcpTransport
+from repro.net import SimTransport, resolve_transport
 from repro.psf.remote import ComponentServer, RemoteCallError, RemoteStub, expose
 from repro.sim import SimKernel
 
@@ -124,7 +124,7 @@ def test_whitelist_from_proxy_view_functions():
 
 
 def test_remote_calls_over_tcp():
-    transport = TcpTransport()
+    transport = resolve_transport("tcp")
     try:
         expose(transport, "calc", Calculator(), ["add"])
         stub = RemoteStub(transport, "client", "calc")
