@@ -9,9 +9,10 @@ measures is the cost of repairing the wire:
 
 - **correctness** — every committed write must survive every loss rate
   (``lost_writes == 0``);
-- **message overhead** — wire frames (envelopes + ACKs + retransmits)
-  vs the logical protocol messages, which stay comparable to the
-  paper's Fig 4 metric because the sublayer accounts them separately;
+- **message overhead** — wire frames (envelopes + ACK vectors +
+  retransmits) vs the logical protocol messages, which stay comparable
+  to the paper's Fig 4 metric because the sublayer accounts them
+  separately;
 - **staleness** — the weak reader's lag behind the primary copy,
   sampled at each of its uses.
 
@@ -20,7 +21,9 @@ the logical message profile over the reliable transport must be
 *identical*, type for type, to the same workload on the raw transport
 (``parity_ok``), with the sublayer's ACK traffic reported separately.
 
-``python -m repro.experiments.chaos`` writes ``BENCH_chaos.json``.
+``python -m repro.experiments.chaos`` writes ``BENCH_chaos.json``;
+``--check`` exits non-zero unless every gate of
+:func:`check_acceptance` holds.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache_manager import CacheManager
 from repro.core.directory import DirectoryManager
@@ -64,11 +67,14 @@ class ChaosPoint:
     expected: int                # writers * ops
     lost_writes: int             # expected - committed (must be 0)
     logical_messages: int        # protocol messages (Fig-4 comparable)
-    wire_frames: int             # envelopes + ACKs + retransmissions
+    wire_frames: int             # envelopes + ACK vectors + retransmissions
     overhead_ratio: float        # wire_frames / logical_messages
     retransmits: int
     duplicates_suppressed: int
-    acks_sent: int
+    acks_sent: int               # sequence numbers acknowledged
+    ack_frames: int              # R_ACK vectors that carried them
+    undelivered: int             # given up after max_attempts, or handed
+                                 # to a vanished endpoint (must be 0)
     injected_drops: int
     injected_duplicates: int
     staleness_mean: float        # reader lag behind primary, per sample
@@ -104,7 +110,7 @@ class ChaosResult:
     points: List[ChaosPoint] = field(default_factory=list)
     # 0-loss logical profile over ReliableTransport == raw SimTransport?
     parity_ok: bool = False
-    faultless_acks: int = 0      # sublayer ACK traffic at 0 loss (wire only)
+    faultless_acks: int = 0      # ACK vector frames at 0 loss (wire only)
     dm_restart: Optional[DMRestartPoint] = None
 
     def table(self) -> Table:
@@ -269,7 +275,7 @@ def run_chaos(
         )
         if loss == 0:
             result.parity_ok = dict(transport.stats.by_type) == raw_profile
-            result.faultless_acks = transport.stats.acks_sent
+            result.faultless_acks = transport.stats.ack_frames_sent
         logical = transport.stats.total
         wire = inner.stats.total
         result.points.append(
@@ -285,6 +291,8 @@ def run_chaos(
                 retransmits=transport.stats.retransmits,
                 duplicates_suppressed=transport.stats.duplicates_suppressed,
                 acks_sent=transport.stats.acks_sent,
+                ack_frames=transport.stats.ack_frames_sent,
+                undelivered=transport.stats.dropped,
                 injected_drops=injector.counters["drops"],
                 injected_duplicates=injector.counters["duplicates"],
                 staleness_mean=sum(lags) / len(lags) if lags else 0.0,
@@ -391,6 +399,8 @@ def bench_payload(result: ChaosResult) -> Dict[str, object]:
                 "retransmits": p.retransmits,
                 "duplicates_suppressed": p.duplicates_suppressed,
                 "acks_sent": p.acks_sent,
+                "ack_frames": p.ack_frames,
+                "undelivered": p.undelivered,
                 "injected_drops": p.injected_drops,
                 "injected_duplicates": p.injected_duplicates,
                 "staleness_mean": round(p.staleness_mean, 3),
@@ -417,6 +427,51 @@ def bench_payload(result: ChaosResult) -> Dict[str, object]:
     }
 
 
+#: Wire frames per logical message the zero-loss leg may cost: one
+#: envelope each plus the ACK vectors (2.0 with one ACK per message).
+MAX_ZERO_LOSS_OVERHEAD = 1.7
+
+
+def check_acceptance(payload: Dict[str, Any]) -> List[str]:
+    """The gates ``--check`` arms; returns a list of violations.
+
+    Everything runs in simulated time from a fixed seed, so there is no
+    noise to allow for: no leg may lose a committed write or leave a
+    message undelivered, the zero-loss leg must match the raw transport
+    type for type at no more than :data:`MAX_ZERO_LOSS_OVERHEAD` wire
+    frames per logical message, and the directory-restart leg must keep
+    both parities.
+    """
+    problems: List[str] = []
+    for p in payload["points"]:
+        leg = f"drop={p['drop_rate']}"
+        if p["lost_writes"]:
+            problems.append(f"{leg}: {p['lost_writes']} committed writes lost")
+        if p["undelivered"]:
+            problems.append(f"{leg}: {p['undelivered']} messages undelivered")
+    if not payload["parity_with_raw_transport_at_zero_loss"]:
+        problems.append("zero loss: logical profile differs from raw transport")
+    clean = [p for p in payload["points"] if p["drop_rate"] == 0]
+    if not clean:
+        problems.append("no zero-loss leg to gate the wire overhead on")
+    for p in clean:
+        if p["overhead_ratio"] > MAX_ZERO_LOSS_OVERHEAD:
+            problems.append(
+                f"zero loss: {p['overhead_ratio']}x wire frames per logical "
+                f"message (limit {MAX_ZERO_LOSS_OVERHEAD}x)"
+            )
+    d = payload["dm_restart"]
+    if d is None:
+        problems.append("dm restart leg did not run")
+    else:
+        if d["lost_writes"]:
+            problems.append(f"dm restart: {d['lost_writes']} writes lost")
+        for parity in ("state_parity", "recovered_parity"):
+            if not d[parity]:
+                problems.append(f"dm restart: {parity} broken")
+    return problems
+
+
 def main(argv: Optional[Sequence[str]] = None) -> ChaosResult:
     parser = argparse.ArgumentParser(
         prog="repro.experiments.chaos",
@@ -427,6 +482,10 @@ def main(argv: Optional[Sequence[str]] = None) -> ChaosResult:
         help="output JSON path (default: BENCH_chaos.json)",
     )
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit non-zero when an acceptance gate fails",
+    )
     args = parser.parse_args(argv)
     result = run_chaos(seed=args.seed)
     print(result.table())
@@ -440,8 +499,20 @@ def main(argv: Optional[Sequence[str]] = None) -> ChaosResult:
             f"recovered_parity={d.recovered_parity} "
             f"(recoveries={d.recoveries}, cells_replayed={d.cells_replayed})"
         )
-    Path(args.out).write_text(json.dumps(bench_payload(result), indent=2) + "\n")
+    payload = bench_payload(result)
+    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
+    problems = check_acceptance(payload)
+    if problems:
+        print("ACCEPTANCE VIOLATIONS:", *problems, sep="\n  ")
+        if args.check:
+            raise SystemExit(1)
+    else:
+        print(
+            "acceptance: OK (no lost write, nothing undelivered, zero-loss "
+            f"parity at <= {MAX_ZERO_LOSS_OVERHEAD}x wire frames, dm-restart "
+            "parities hold)"
+        )
     return result
 
 

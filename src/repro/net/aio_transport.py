@@ -36,7 +36,9 @@ Machinery:
   control instead of unbounded buffering.
 
 Threaded callers are first-class: ``send``/``schedule``/``close`` may
-be called from any thread, and ``completion()`` returns a
+be called from any thread (``call_soon_threadsafe`` carries them onto
+the loop; calls made *on* the loop thread — every handler and timer —
+skip that hop and its self-pipe write), and ``completion()`` returns a
 :class:`ThreadCompletion` that a caller thread can block on, resolved
 from handler code running on the loop.  Handlers themselves run on the
 loop thread, one at a time — the same one-at-a-time semantics the sim
@@ -154,7 +156,8 @@ class _Link:
         self.queue: Deque[Message] = deque()
         self.lock = threading.Lock()
         # Created off-loop (safe on 3.10+: Event binds its loop on first
-        # await); set via call_soon_threadsafe from sender threads.
+        # await); set on the loop thread, directly by senders already on
+        # it and via call_soon_threadsafe by every other thread.
         self.wake = asyncio.Event()
         self.task: Optional[asyncio.Task] = None
         self.codec_name: Optional[str] = None
@@ -199,6 +202,10 @@ class AioTcpTransport(Transport):
         self._lifecycle_lock = threading.Lock()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
+        # Set by the loop thread itself: handlers and timers all run
+        # there, and on it send/schedule/cancel touch the loop directly
+        # instead of paying call_soon_threadsafe's self-pipe write.
+        self._loop_tid: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._server_writers: set = set()
         self._port: Optional[int] = None
@@ -284,6 +291,7 @@ class AioTcpTransport(Transport):
 
     def _run_loop(self, loop: asyncio.AbstractEventLoop) -> None:
         asyncio.set_event_loop(loop)
+        self._loop_tid = threading.get_ident()
         try:
             loop.run_forever()
         finally:
@@ -560,6 +568,9 @@ class AioTcpTransport(Transport):
             link.queue.append(msg)
             depth = len(link.queue)
         self.stats.record_queue_depth(depth)
+        if threading.get_ident() == self._loop_tid:
+            link.wake.set()
+            return
         try:
             self._loop.call_soon_threadsafe(link.wake.set)
         except RuntimeError:
@@ -586,10 +597,17 @@ class AioTcpTransport(Transport):
 
         def create() -> None:
             if not state["cancelled"]:
-                state["handle"] = loop.call_later(delay / self.time_scale, run)
+                state["handle"] = (
+                    loop.call_later(delay / self.time_scale, run)
+                    if delay > 0 else loop.call_soon(run)
+                )
 
         def cancel() -> None:
             state["cancelled"] = True
+            if threading.get_ident() == self._loop_tid:
+                if state["handle"] is not None:
+                    state["handle"].cancel()
+                return
             try:
                 loop.call_soon_threadsafe(
                     lambda: state["handle"] and state["handle"].cancel()
@@ -598,7 +616,10 @@ class AioTcpTransport(Transport):
                 pass
 
         try:
-            loop.call_soon_threadsafe(create)
+            if threading.get_ident() == self._loop_tid:
+                create()
+            else:
+                loop.call_soon_threadsafe(create)
         except RuntimeError:
             raise TransportError("transport closed")
         return TimerHandle(cancel)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CodecError
 from repro.net import codec as codec_mod
@@ -109,42 +109,345 @@ def _unzigzag(z: int) -> int:
     return (z >> 1) if not (z & 1) else -((z + 1) >> 1)
 
 
-class _Reader:
-    """Cursor over one decoded frame body + its growing string table."""
+# Two-byte records that need no arithmetic: references to the first 128
+# table strings, and the ints whose zigzag form fits one varint byte.
+_SREF_PAIR = [bytes((_T_SREF, i)) for i in range(0x80)]
+_INT_PAIR = {_unzigzag(z): bytes((_T_INT, z)) for z in range(0x80)}
 
-    __slots__ = ("buf", "pos", "strings")
+# Pre-built SDEF records are kept per codec for strings up to this many
+# characters, and the cache is emptied when it reaches this many entries
+# (keys, addresses and message types come straight back; one-off values
+# cannot pin memory).
+_SDEF_CACHE_STR_MAX = 64
+_SDEF_CACHE_ENTRIES = 4096
 
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-        self.strings: List[str] = []
 
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.buf):
-            raise CodecError("truncated binary frame")
-        chunk = self.buf[self.pos : end]
-        self.pos = end
-        return chunk
+# ---------------------------------------------------------------------------
+# Encoding
+# ---------------------------------------------------------------------------
+# Module-level functions threading (out, strings, sdef) through: the
+# frame body, the frame's string table and the codec's SDEF cache.
 
-    def byte(self) -> int:
-        pos = self.pos
-        if pos >= len(self.buf):
-            raise CodecError("truncated binary frame")
-        self.pos = pos + 1
-        return self.buf[pos]
+def _enc_str(s: str, out: bytearray, strings: Dict[str, int],
+             sdef: Dict[str, bytes]) -> None:
+    idx = strings.get(s)
+    if idx is not None:
+        if idx < 0x80:
+            out += _SREF_PAIR[idx]
+        else:
+            out.append(_T_SREF)
+            _write_uvarint(out, idx)
+        return
+    strings[s] = len(strings)
+    record = sdef.get(s)
+    if record is None:
+        raw = s.encode("utf-8")
+        head = bytearray((_T_SDEF,))
+        _write_uvarint(head, len(raw))
+        record = bytes(head) + raw
+        if len(s) <= _SDEF_CACHE_STR_MAX:
+            if len(sdef) >= _SDEF_CACHE_ENTRIES:
+                sdef.clear()
+            sdef[s] = record
+    out += record
 
-    def uvarint(self) -> int:
-        shift = 0
-        result = 0
-        while True:
-            b = self.byte()
-            result |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return result
-            shift += 7
-            if shift > 10_000:  # corrupt frame guard
-                raise CodecError("runaway varint in binary frame")
+
+def _enc_value(obj: Any, out: bytearray, strings: Dict[str, int],
+               sdef: Dict[str, bytes]) -> None:
+    # Dispatch order mirrors JsonCodec._encode_into: exact scalar
+    # classes, None, registered types, dict, list/tuple, scalar
+    # subclasses (coerced to their base value, like json.dumps) — with
+    # the exact dict and list classes, which cannot be registered types,
+    # taken ahead of the registry lookup.
+    cls = obj.__class__
+    if cls is str:
+        _enc_str(obj, out, strings, sdef)
+        return
+    if cls is int:
+        pair = _INT_PAIR.get(obj)
+        if pair is not None:
+            out += pair
+        else:
+            out.append(_T_INT)
+            _write_uvarint(out, _zigzag(obj))
+        return
+    if cls is float:
+        out.append(_T_FLOAT)
+        out += _DOUBLE.pack(obj)
+        return
+    if cls is bool:
+        out.append(_T_TRUE if obj else _T_FALSE)
+        return
+    if obj is None:
+        out.append(_T_NULL)
+        return
+    if cls is dict:
+        _enc_dict(obj, out, strings, sdef)
+        return
+    if cls is list:
+        _enc_list(obj, out, strings, sdef)
+        return
+    entry = codec_mod._dispatch_for(cls)
+    if entry is not None:
+        tag, to_jsonable = entry
+        if tag == _IMAGE_TAG:
+            _enc_image(obj, out, strings, sdef)
+        elif tag == _VVEC_TAG:
+            _enc_vvec(obj, out, strings, sdef)
+        elif tag == _PSET_TAG:
+            _enc_pset(obj, out, strings, sdef)
+        elif tag == _DELTA_TAG:
+            _enc_delta(obj, out, strings, sdef)
+        else:
+            out.append(_T_TAGGED)
+            _enc_str(tag, out, strings, sdef)
+            _enc_value(to_jsonable(obj), out, strings, sdef)
+        return
+    if isinstance(obj, dict):
+        _enc_dict(obj, out, strings, sdef)
+        return
+    if isinstance(obj, (list, tuple)):
+        _enc_list(obj, out, strings, sdef)
+        return
+    if isinstance(obj, bool):  # bool subclass cannot exist, but order
+        out.append(_T_TRUE if obj else _T_FALSE)  # matches JsonCodec
+        return
+    if isinstance(obj, int):  # IntEnum and friends: coerce like JSON
+        out.append(_T_INT)
+        _write_uvarint(out, _zigzag(int(obj)))
+        return
+    if isinstance(obj, float):
+        out.append(_T_FLOAT)
+        out += _DOUBLE.pack(float(obj))
+        return
+    if isinstance(obj, str):
+        _enc_str(str(obj), out, strings, sdef)
+        return
+    raise CodecError(
+        f"type {type(obj).__name__} is not wire-encodable; "
+        f"register it with register_codec_type()"
+    )
+
+
+def _enc_dict(obj: Any, out: bytearray, strings: Dict[str, int],
+              sdef: Dict[str, bytes]) -> None:
+    out.append(_T_DICT)
+    _write_uvarint(out, len(obj))
+    for k, v in obj.items():
+        _enc_str(k if k.__class__ is str else str(k), out, strings, sdef)
+        _enc_value(v, out, strings, sdef)
+
+
+def _enc_list(obj: Any, out: bytearray, strings: Dict[str, int],
+              sdef: Dict[str, bytes]) -> None:
+    out.append(_T_LIST)
+    _write_uvarint(out, len(obj))
+    for v in obj:
+        _enc_value(v, out, strings, sdef)
+
+
+def _enc_image(img: Any, out: bytearray, strings: Dict[str, int],
+               sdef: Dict[str, bytes]) -> None:
+    """One record per cell: key, version, value — the key crosses the
+    wire once instead of appearing in both the cells dict and the
+    version vector.  Version entries without a live cell (possible
+    after restricts/merges) follow as a separate (key, version) list.
+    """
+    out.append(_T_IMAGE)
+    cells = img.cells
+    versions = img.versions
+    vget = versions.get
+    _write_uvarint(out, len(cells))
+    for k, v in cells.items():
+        key = k if k.__class__ is str else str(k)
+        _enc_str(key, out, strings, sdef)
+        _write_uvarint(out, vget(key))
+        _enc_value(v, out, strings, sdef)
+    extra = [k for k in versions.keys() if k not in cells]
+    _write_uvarint(out, len(extra))
+    for k in extra:
+        _enc_str(k, out, strings, sdef)
+        _write_uvarint(out, vget(k))
+
+
+def _enc_vvec(vv: Any, out: bytearray, strings: Dict[str, int],
+              sdef: Dict[str, bytes]) -> None:
+    out.append(_T_VVEC)
+    keys = list(vv.keys())
+    _write_uvarint(out, len(keys))
+    vget = vv.get
+    for k in keys:
+        _enc_str(k, out, strings, sdef)
+        _write_uvarint(out, vget(k))
+
+
+def _enc_pset(ps: Any, out: bytearray, strings: Dict[str, int],
+              sdef: Dict[str, bytes]) -> None:
+    out.append(_T_PSET)
+    _write_uvarint(out, len(ps))
+    for p in ps:  # deterministic name-sorted order
+        _enc_str(p.name, out, strings, sdef)
+        _enc_value(p.domain.to_jsonable(), out, strings, sdef)
+
+
+def _enc_delta(d: Any, out: bytearray, strings: Dict[str, int],
+               sdef: Dict[str, bytes]) -> None:
+    out.append(_T_DELTA)
+    _enc_image(d.image, out, strings, sdef)
+    _write_uvarint(out, _zigzag(d.base_seq))
+    _write_uvarint(out, _zigzag(d.as_of))
+    out.append(1 if d.complete else 0)
+    _write_uvarint(out, _zigzag(d.slice_size))
+
+
+# ---------------------------------------------------------------------------
+# Decoding
+# ---------------------------------------------------------------------------
+# Module-level functions over (buf, pos, strings) returning (value,
+# pos): the cursor is a local int.  Reading past the end of ``buf``
+# raises IndexError, which the entry points report as a truncated frame.
+
+_TRUNCATED = "truncated binary frame"
+
+
+def _dec_uvarint(buf: bytes, pos: int) -> Tuple[int, int]:
+    b = buf[pos]
+    pos += 1
+    if b < 0x80:
+        return b, pos
+    result = b & 0x7F
+    shift = 7
+    while True:
+        b = buf[pos]
+        pos += 1
+        result |= (b & 0x7F) << shift
+        if b < 0x80:
+            return result, pos
+        shift += 7
+        if shift > 10_000:  # corrupt frame guard
+            raise CodecError("runaway varint in binary frame")
+
+
+def _dec_str(buf: bytes, pos: int, strings: List[str]) -> Tuple[str, int]:
+    tag = buf[pos]
+    n = buf[pos + 1]
+    if n < 0x80:
+        pos += 2
+    else:
+        n, pos = _dec_uvarint(buf, pos + 1)
+    if tag == _T_SREF:
+        if n >= len(strings):
+            raise CodecError(f"string table reference out of range: {n}")
+        return strings[n], pos
+    if tag == _T_SDEF:
+        end = pos + n
+        if end > len(buf):
+            raise CodecError(_TRUNCATED)
+        s = str(buf[pos:end], "utf-8")
+        strings.append(s)
+        return s, end
+    raise CodecError(f"expected string, found value tag {tag:#x}")
+
+
+def _dec_value(buf: bytes, pos: int, strings: List[str]) -> Tuple[Any, int]:
+    tag = buf[pos]
+    if tag == _T_SREF or tag == _T_SDEF:
+        return _dec_str(buf, pos, strings)
+    pos += 1
+    if tag == _T_INT:
+        z = buf[pos]
+        if z < 0x80:
+            pos += 1
+        else:
+            z, pos = _dec_uvarint(buf, pos)
+        return ((z >> 1) if not (z & 1) else -((z + 1) >> 1)), pos  # _unzigzag
+    if tag == _T_DICT:
+        n, pos = _dec_uvarint(buf, pos)
+        d: Dict[str, Any] = {}
+        for _ in range(n):
+            key, pos = _dec_str(buf, pos, strings)
+            d[key], pos = _dec_value(buf, pos, strings)
+        return d, pos
+    if tag == _T_LIST:
+        n, pos = _dec_uvarint(buf, pos)
+        items: List[Any] = []
+        append = items.append
+        for _ in range(n):
+            v, pos = _dec_value(buf, pos, strings)
+            append(v)
+        return items, pos
+    if tag == _T_FLOAT:
+        return _DOUBLE.unpack_from(buf, pos)[0], pos + 8
+    if tag == _T_NULL:
+        return None, pos
+    if tag == _T_TRUE:
+        return True, pos
+    if tag == _T_FALSE:
+        return False, pos
+    if tag == _T_IMAGE:
+        return _dec_image(buf, pos, strings)
+    if tag == _T_VVEC:
+        n, pos = _dec_uvarint(buf, pos)
+        versions: Dict[str, int] = {}
+        for _ in range(n):
+            key, pos = _dec_str(buf, pos, strings)
+            versions[key], pos = _dec_uvarint(buf, pos)
+        return _from_registry(_VVEC_TAG)(versions), pos
+    if tag == _T_PSET:
+        n, pos = _dec_uvarint(buf, pos)
+        props = []
+        for _ in range(n):
+            name, pos = _dec_str(buf, pos, strings)
+            domain, pos = _dec_value(buf, pos, strings)
+            props.append({"name": name, "domain": domain})
+        return _from_registry(_PSET_TAG)(props), pos
+    if tag == _T_DELTA:
+        if buf[pos] != _T_IMAGE:
+            raise CodecError("malformed delta frame: missing image")
+        image, pos = _dec_image(buf, pos + 1, strings)
+        base_seq, pos = _dec_uvarint(buf, pos)
+        as_of, pos = _dec_uvarint(buf, pos)
+        complete = bool(buf[pos])
+        slice_size, pos = _dec_uvarint(buf, pos + 1)
+        return _from_registry(_DELTA_TAG)({
+            "image": image,
+            "base_seq": _unzigzag(base_seq),
+            "as_of": _unzigzag(as_of),
+            "complete": complete,
+            "slice_size": _unzigzag(slice_size),
+        }), pos
+    if tag == _T_TAGGED:
+        type_tag, pos = _dec_str(buf, pos, strings)
+        data, pos = _dec_value(buf, pos, strings)
+        return _from_registry(type_tag)(data), pos
+    raise CodecError(f"unknown value tag in binary frame: {tag:#x}")
+
+
+def _dec_image(buf: bytes, pos: int, strings: List[str]) -> Tuple[Any, int]:
+    cells: Dict[str, Any] = {}
+    versions: Dict[str, int] = {}
+    n, pos = _dec_uvarint(buf, pos)
+    for _ in range(n):
+        key, pos = _dec_str(buf, pos, strings)
+        versions[key], pos = _dec_uvarint(buf, pos)
+        cells[key], pos = _dec_value(buf, pos, strings)
+    n, pos = _dec_uvarint(buf, pos)
+    for _ in range(n):
+        key, pos = _dec_str(buf, pos, strings)
+        versions[key], pos = _dec_uvarint(buf, pos)
+    return _from_registry(_IMAGE_TAG)({"cells": cells, "versions": versions}), pos
+
+
+def _from_registry(tag: str) -> Callable[[Any], Any]:
+    try:
+        return codec_mod._REGISTRY[tag][2]
+    except KeyError:
+        raise CodecError(f"unknown codec tag {tag!r} in frame")
+
+
+# What a corrupt body can raise out of the decode functions, by way of
+# the registry constructors, struct, str() and range().
+_DECODE_ERRORS = (ValueError, TypeError, KeyError, OverflowError, struct.error)
 
 
 class BinaryCodec:
@@ -171,19 +474,22 @@ class BinaryCodec:
         # Fallback for mixed links: a JSON frame handed to this codec
         # (e.g. a pre-negotiation peer) still decodes.
         self._json = JsonCodec()
+        # string -> its pre-built SDEF record (see _enc_str); a pure
+        # memo, so sharing the codec between threads stays race-free.
+        self._sdef: Dict[str, bytes] = {}
 
     # -- encoding --------------------------------------------------------
     def encode(self, msg: Message) -> bytes:
         try:
             body = bytearray()
             strings: Dict[str, int] = {}
-            enc = self._encode_value
-            enc(msg.msg_type, body, strings)
-            enc(msg.src, body, strings)
-            enc(msg.dst, body, strings)
-            enc(msg.msg_id, body, strings)
-            enc(msg.reply_to, body, strings)
-            enc(msg.payload, body, strings)
+            sdef = self._sdef
+            _enc_value(msg.msg_type, body, strings, sdef)
+            _enc_value(msg.src, body, strings, sdef)
+            _enc_value(msg.dst, body, strings, sdef)
+            _enc_value(msg.msg_id, body, strings, sdef)
+            _enc_value(msg.reply_to, body, strings, sdef)
+            _enc_value(msg.payload, body, strings, sdef)
         except CodecError:
             raise
         except (TypeError, ValueError, struct.error) as exc:
@@ -207,140 +513,6 @@ class BinaryCodec:
                 stats.record_stored()
         return bytes((MAGIC_RAW,)) + bytes(body)
 
-    def _write_str(self, s: str, out: bytearray, strings: Dict[str, int]) -> None:
-        idx = strings.get(s)
-        if idx is None:
-            strings[s] = len(strings)
-            raw = s.encode("utf-8")
-            out.append(_T_SDEF)
-            _write_uvarint(out, len(raw))
-            out += raw
-        else:
-            out.append(_T_SREF)
-            _write_uvarint(out, idx)
-
-    def _encode_value(
-        self, obj: Any, out: bytearray, strings: Dict[str, int]
-    ) -> None:
-        # Dispatch order mirrors JsonCodec._encode_into: exact scalar
-        # classes, None, registered types, dict, list/tuple, scalar
-        # subclasses (coerced to their base value, like json.dumps).
-        cls = obj.__class__
-        if cls is str:
-            self._write_str(obj, out, strings)
-            return
-        if cls is int:
-            out.append(_T_INT)
-            _write_uvarint(out, _zigzag(obj))
-            return
-        if cls is float:
-            out.append(_T_FLOAT)
-            out += _DOUBLE.pack(obj)
-            return
-        if cls is bool:
-            out.append(_T_TRUE if obj else _T_FALSE)
-            return
-        if obj is None:
-            out.append(_T_NULL)
-            return
-        entry = codec_mod._dispatch_for(cls)
-        if entry is not None:
-            tag, to_jsonable = entry
-            if tag == _IMAGE_TAG:
-                self._encode_image(obj, out, strings)
-                return
-            if tag == _VVEC_TAG:
-                self._encode_vvec(obj, out, strings)
-                return
-            if tag == _PSET_TAG:
-                self._encode_pset(obj, out, strings)
-                return
-            if tag == _DELTA_TAG:
-                self._encode_delta(obj, out, strings)
-                return
-            out.append(_T_TAGGED)
-            self._write_str(tag, out, strings)
-            self._encode_value(to_jsonable(obj), out, strings)
-            return
-        if isinstance(obj, dict):
-            out.append(_T_DICT)
-            _write_uvarint(out, len(obj))
-            for k, v in obj.items():
-                self._write_str(k if type(k) is str else str(k), out, strings)
-                self._encode_value(v, out, strings)
-            return
-        if isinstance(obj, (list, tuple)):
-            out.append(_T_LIST)
-            _write_uvarint(out, len(obj))
-            for v in obj:
-                self._encode_value(v, out, strings)
-            return
-        if isinstance(obj, bool):  # bool subclass cannot exist, but order
-            out.append(_T_TRUE if obj else _T_FALSE)  # matches JsonCodec
-            return
-        if isinstance(obj, int):  # IntEnum and friends: coerce like JSON
-            out.append(_T_INT)
-            _write_uvarint(out, _zigzag(int(obj)))
-            return
-        if isinstance(obj, float):
-            out.append(_T_FLOAT)
-            out += _DOUBLE.pack(float(obj))
-            return
-        if isinstance(obj, str):
-            self._write_str(str(obj), out, strings)
-            return
-        raise CodecError(
-            f"type {type(obj).__name__} is not wire-encodable; "
-            f"register it with register_codec_type()"
-        )
-
-    # -- fast paths ------------------------------------------------------
-    def _encode_image(self, img: Any, out: bytearray, strings: Dict[str, int]) -> None:
-        """One record per cell: key, version, value — the key crosses the
-        wire once instead of appearing in both the cells dict and the
-        version vector.  Version entries without a live cell (possible
-        after restricts/merges) follow as a separate (key, version) list.
-        """
-        out.append(_T_IMAGE)
-        cells = img.cells
-        versions = img.versions
-        vget = versions.get
-        _write_uvarint(out, len(cells))
-        for k, v in cells.items():
-            key = k if type(k) is str else str(k)
-            self._write_str(key, out, strings)
-            _write_uvarint(out, vget(key))
-            self._encode_value(v, out, strings)
-        extra = [k for k in versions.keys() if k not in cells]
-        _write_uvarint(out, len(extra))
-        for k in extra:
-            self._write_str(k, out, strings)
-            _write_uvarint(out, vget(k))
-
-    def _encode_vvec(self, vv: Any, out: bytearray, strings: Dict[str, int]) -> None:
-        out.append(_T_VVEC)
-        keys = list(vv.keys())
-        _write_uvarint(out, len(keys))
-        vget = vv.get
-        for k in keys:
-            self._write_str(k, out, strings)
-            _write_uvarint(out, vget(k))
-
-    def _encode_pset(self, ps: Any, out: bytearray, strings: Dict[str, int]) -> None:
-        out.append(_T_PSET)
-        _write_uvarint(out, len(ps))
-        for p in ps:  # deterministic name-sorted order
-            self._write_str(p.name, out, strings)
-            self._encode_value(p.domain.to_jsonable(), out, strings)
-
-    def _encode_delta(self, d: Any, out: bytearray, strings: Dict[str, int]) -> None:
-        out.append(_T_DELTA)
-        self._encode_image(d.image, out, strings)
-        _write_uvarint(out, _zigzag(d.base_seq))
-        _write_uvarint(out, _zigzag(d.as_of))
-        out.append(1 if d.complete else 0)
-        _write_uvarint(out, _zigzag(d.slice_size))
-
     # -- decoding --------------------------------------------------------
     def decode(self, raw: bytes) -> Message:
         if not raw:
@@ -357,133 +529,33 @@ class BinaryCodec:
             return self._json.decode(raw)
         else:
             raise CodecError(f"unknown binary frame magic: {magic:#x}")
-        reader = _Reader(body)
+        strings: List[str] = []
         try:
-            msg_type = self._decode_value(reader)
-            src = self._decode_value(reader)
-            dst = self._decode_value(reader)
-            msg_id = self._decode_value(reader)
-            reply_to = self._decode_value(reader)
-            payload = self._decode_value(reader)
+            msg_type, pos = _dec_value(body, 0, strings)
+            src, pos = _dec_value(body, pos, strings)
+            dst, pos = _dec_value(body, pos, strings)
+            msg_id, pos = _dec_value(body, pos, strings)
+            reply_to, pos = _dec_value(body, pos, strings)
+            payload, pos = _dec_value(body, pos, strings)
         except CodecError:
             raise
-        except (ValueError, TypeError, KeyError, IndexError, struct.error) as exc:
+        except IndexError:
+            raise CodecError(_TRUNCATED) from None
+        except _DECODE_ERRORS as exc:
             raise CodecError(f"cannot decode frame: {exc}") from exc
         if not isinstance(msg_type, str):
             raise CodecError(f"frame is not a message: bad msg_type {msg_type!r}")
-        return Message(
-            msg_type=msg_type,
-            src=src,
-            dst=dst,
-            payload=payload,
-            msg_id=msg_id,
-            reply_to=reply_to,
-        )
-
-    def _read_str(self, r: _Reader) -> str:
-        tag = r.byte()
-        if tag == _T_SDEF:
-            s = str(r.take(r.uvarint()), "utf-8")
-            r.strings.append(s)
-            return s
-        if tag == _T_SREF:
-            idx = r.uvarint()
-            try:
-                return r.strings[idx]
-            except IndexError:
-                raise CodecError(f"string table reference out of range: {idx}")
-        raise CodecError(f"expected string, found value tag {tag:#x}")
-
-    def _decode_value(self, r: _Reader) -> Any:
-        tag = r.byte()
-        if tag == _T_SDEF:
-            s = str(r.take(r.uvarint()), "utf-8")
-            r.strings.append(s)
-            return s
-        if tag == _T_SREF:
-            idx = r.uvarint()
-            try:
-                return r.strings[idx]
-            except IndexError:
-                raise CodecError(f"string table reference out of range: {idx}")
-        if tag == _T_INT:
-            return _unzigzag(r.uvarint())
-        if tag == _T_DICT:
-            return {
-                self._read_str(r): self._decode_value(r)
-                for _ in range(r.uvarint())
-            }
-        if tag == _T_LIST:
-            return [self._decode_value(r) for _ in range(r.uvarint())]
-        if tag == _T_FLOAT:
-            return _DOUBLE.unpack(r.take(8))[0]
-        if tag == _T_NULL:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_IMAGE:
-            return self._decode_image(r)
-        if tag == _T_VVEC:
-            return self._from_registry(_VVEC_TAG)(
-                {self._read_str(r): r.uvarint() for _ in range(r.uvarint())}
-            )
-        if tag == _T_PSET:
-            items = [
-                {"name": self._read_str(r), "domain": self._decode_value(r)}
-                for _ in range(r.uvarint())
-            ]
-            return self._from_registry(_PSET_TAG)(items)
-        if tag == _T_DELTA:
-            if r.byte() != _T_IMAGE:
-                raise CodecError("malformed delta frame: missing image")
-            image = self._decode_image(r)
-            return self._from_registry(_DELTA_TAG)(
-                {
-                    "image": image,
-                    "base_seq": _unzigzag(r.uvarint()),
-                    "as_of": _unzigzag(r.uvarint()),
-                    "complete": bool(r.byte()),
-                    "slice_size": _unzigzag(r.uvarint()),
-                }
-            )
-        if tag == _T_TAGGED:
-            type_tag = self._read_str(r)
-            data = self._decode_value(r)
-            return self._from_registry(type_tag)(data)
-        raise CodecError(f"unknown value tag in binary frame: {tag:#x}")
-
-    def _decode_image(self, r: _Reader) -> Any:
-        cells: Dict[str, Any] = {}
-        versions: Dict[str, int] = {}
-        for _ in range(r.uvarint()):
-            key = self._read_str(r)
-            versions[key] = r.uvarint()
-            cells[key] = self._decode_value(r)
-        for _ in range(r.uvarint()):
-            key = self._read_str(r)
-            versions[key] = r.uvarint()
-        return self._from_registry(_IMAGE_TAG)(
-            {"cells": cells, "versions": versions}
-        )
-
-    @staticmethod
-    def _from_registry(tag: str) -> Callable[[Any], Any]:
-        try:
-            return codec_mod._REGISTRY[tag][2]
-        except KeyError:
-            raise CodecError(f"unknown codec tag {tag!r} in frame")
+        return Message(msg_type, src, dst, payload, msg_id, reply_to)
 
 
 # ---------------------------------------------------------------------------
 # Standalone value encoding (used by the durability WAL)
 # ---------------------------------------------------------------------------
-# One shared instance; every call gets a fresh per-value string table,
-# so encoded values are self-contained byte strings (unlike message
-# frames, whose string table spans the whole frame).
+# Every call gets a fresh per-value string table, so encoded values are
+# self-contained byte strings (unlike message frames, whose string table
+# spans the whole frame); the SDEF cache is shared across calls.
 
-_VALUE_CODEC = BinaryCodec()
+_VALUE_SDEF: Dict[str, bytes] = {}
 
 
 def encode_value(obj: Any) -> bytes:
@@ -497,7 +569,7 @@ def encode_value(obj: Any) -> bytes:
     """
     body = bytearray()
     try:
-        _VALUE_CODEC._encode_value(obj, body, {})
+        _enc_value(obj, body, {}, _VALUE_SDEF)
     except CodecError:
         raise
     except (TypeError, ValueError, struct.error) as exc:
@@ -511,17 +583,16 @@ def decode_value(raw: bytes) -> Any:
     Trailing bytes after the value are an error — a WAL record is one
     value, so leftovers mean the framing around it is wrong.
     """
-    reader = _Reader(raw)
     try:
-        value = _VALUE_CODEC._decode_value(reader)
+        value, pos = _dec_value(raw, 0, [])
     except CodecError:
         raise
-    except (ValueError, TypeError, KeyError, IndexError, struct.error) as exc:
+    except IndexError:
+        raise CodecError(_TRUNCATED) from None
+    except _DECODE_ERRORS as exc:
         raise CodecError(f"cannot decode value: {exc}") from exc
-    if reader.pos != len(reader.buf):
-        raise CodecError(
-            f"trailing bytes after value: {len(reader.buf) - reader.pos}"
-        )
+    if pos != len(raw):
+        raise CodecError(f"trailing bytes after value: {len(raw) - pos}")
     return value
 
 

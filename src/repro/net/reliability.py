@@ -1,4 +1,5 @@
-"""Reliable-delivery sublayer: ACK + retransmit over any transport.
+"""Reliable-delivery sublayer: ACK vectors + one retransmit timer over
+any transport.
 
 The Flecc FSMs (paper §4.2) assume reliable, ordered delivery between
 the directory manager and the cache managers.  The raw transports do
@@ -6,32 +7,59 @@ not guarantee that — :class:`~repro.net.sim_transport.SimTransport`
 supports injected drops/duplicates/delays and the TCP backend can lose
 frames to a vanished endpoint.  :class:`ReliableTransport` wraps any
 inner :class:`~repro.net.transport.Transport` and restores the FSMs'
-assumptions:
+assumptions at TCP's cost model — bookkeeping per segment, messages
+per flight:
 
-- **At-least-once**: every protocol message rides an ``R_DATA``
-  envelope carrying a per-link sequence number.  The receiver answers
-  with ``R_ACK``; an unacknowledged envelope is retransmitted with
-  exponential backoff (plus seeded jitter, so synchronized retry storms
-  de-correlate deterministically) up to ``max_attempts`` times.
+- **At-least-once**: every protocol message rides one ``R_DATA``
+  envelope ``{"seq", "ctl", "t", "p", "i", "r"}`` — per-link sequence
+  number, the sender's control address, then the logical message's
+  type, payload, id and reply_to, flat (retransmissions add ``"n"``,
+  the attempt number).  Unacknowledged envelopes sit in one deadline
+  heap served by a single inner timer; an expired one is retransmitted
+  with exponential backoff (plus seeded jitter, so synchronized retry
+  storms de-correlate deterministically) up to ``max_attempts`` times,
+  then given up like a raw transport's loss.
+- **ACK vectors**: the receiver does not answer each frame.  It notes
+  ``(link, seq[, attempt])`` as owed and flushes once per loop turn:
+  one ``R_ACK`` per peer control address, payload ``{"acks": [[src,
+  dst, [seq | [seq, attempt], ...]], ...]}``.  Every ACK crosses the
+  inner transport, local senders included.
 - **At-most-once**: the receiver keeps a per-link cursor of the last
   in-order sequence delivered plus a bounded window of seen envelope
   msg_ids; duplicate frames (retransmissions whose ACK was lost, or
-  duplicates injected below the sublayer) are suppressed and re-ACKed.
+  duplicates injected below the sublayer) are suppressed and owed an
+  ACK again, every time they arrive.
 - **In-order handoff**: out-of-order arrivals are buffered and handed
   to the destination endpoint in send order, so delayed/reordered
   frames cannot interleave a round's replies.
+- **Learned timeout**: per link, ``RTO = max(ack_timeout, srtt +
+  4*rttvar)``.  The ACK echoes the attempt number it answers, so every
+  ACK is an unambiguous round-trip sample — including the slow
+  originals whose retransmission was spurious, which is exactly what
+  the estimator has to see.  A retransmit timer that itself fires late
+  means the thread was busy and ACKs may sit unread behind it: the
+  scan is put off once, by a quarter of ``ack_timeout``, before
+  anything is declared lost.
+
+Threads: ``send`` may be called from any thread while the inner
+transport's delivery thread runs the ACK and timer paths; one lock
+guards the sublayer's state and is never held across ``inner.send`` or
+a handler hand-off.
 
 Accounting: ``self.stats`` records the *logical* messages the protocol
 sent — exactly what a raw transport would record for the same run, so
 the paper's Fig 4 efficiency metric is unchanged by the sublayer.  The
-wire overhead (envelopes, ACKs, retransmissions) is visible separately
-in ``inner.stats`` and in this layer's ``retransmits`` /
-``duplicates_suppressed`` / ``acks_sent`` counters.
+wire overhead is visible separately in ``inner.stats`` and in this
+layer's counters: ``acks_sent`` (sequence numbers acknowledged, one per
+data frame received), ``ack_frames_sent`` (``R_ACK`` vectors that
+carried them), ``retransmits`` and ``duplicates_suppressed``.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
@@ -46,16 +74,57 @@ R_ACK = "R_ACK"
 
 Link = Tuple[str, str]  # (sender address, receiver address)
 
+# A timer that fires later than this share of ack_timeout past its
+# deadline ran behind a busy thread; the scan is then put off, once, by
+# _LATE_DEFER * ack_timeout so ACKs already in the socket get read.
+_LATE_FIRE = 0.1
+_LATE_DEFER = 0.25
+
 
 class _Outgoing:
-    """Sender-side state for one unacknowledged envelope."""
+    """Sender-side state for one envelope; ``envelope`` is dropped
+    (None) once it is acknowledged, abandoned or given up."""
 
-    __slots__ = ("envelope", "attempts", "timer")
+    __slots__ = ("link", "seq", "envelope", "sent_at")
 
-    def __init__(self, envelope: Message) -> None:
-        self.envelope = envelope
-        self.attempts = 0
-        self.timer: Optional[TimerHandle] = None
+    def __init__(self, link: Link, seq: int, envelope: Message, now: float) -> None:
+        self.link = link
+        self.seq = seq
+        self.envelope: Optional[Message] = envelope
+        self.sent_at = [now]  # transmission time of attempt 1, 2, ...
+
+
+class _LinkSender:
+    """Sender-side state for one directed link."""
+
+    __slots__ = ("next_seq", "unacked", "srtt", "rttvar")
+
+    def __init__(self) -> None:
+        self.next_seq = 0
+        self.unacked: Dict[int, _Outgoing] = {}
+        self.srtt: Optional[float] = None
+        self.rttvar = 0.0
+
+    def rto(self, floor: float) -> float:
+        if self.srtt is None:
+            return floor
+        return max(floor, self.srtt + 4.0 * self.rttvar)
+
+    def observe(self, sample: float) -> None:
+        """Fold one round-trip sample in (RFC 6298 gains, except that
+        ``rttvar`` jumps to a larger error at once and decays slowly:
+        one slow round trip predicts the next better than the mean)."""
+        if self.srtt is None:
+            self.srtt = sample
+            self.rttvar = sample / 2.0
+            return
+        err = sample - self.srtt
+        self.srtt += err / 8.0
+        dev = abs(err)
+        if dev > self.rttvar:
+            self.rttvar = dev
+        else:
+            self.rttvar += (dev - self.rttvar) / 16.0
 
 
 class _LinkReceiver:
@@ -76,6 +145,7 @@ class ReliableTransport(Transport):
     is mirrored onto the inner transport, where the sublayer's frames
     actually travel.  ``now``/``schedule``/``completion`` delegate to
     the inner backend, so the same engine code runs on both.
+    ``ack_timeout`` is the initial and minimum retransmission timeout.
     """
 
     def __init__(
@@ -108,10 +178,31 @@ class ReliableTransport(Transport):
         from repro.sim.rng import stream_for
 
         self._jitter_rng = stream_for(seed, "reliability-jitter")
+        self._inner_node_of = getattr(inner, "node_of", None)
+        self._lock = threading.Lock()
         self._inner_eps: Dict[str, Endpoint] = {}
-        self._next_seq: Dict[Link, int] = {}
-        self._in_flight: Dict[Link, Dict[int, _Outgoing]] = {}
+        # Control endpoints ACK vectors are addressed to, one per
+        # topology node senders sit on (a single one, keyed None, where
+        # the inner transport has no placement), so under a sim topology
+        # a vector sees the latency of the links it covers.
+        self._ctl: Dict[Optional[str], Endpoint] = {}
+        self._senders: Dict[Link, _LinkSender] = {}
         self._receivers: Dict[Link, _LinkReceiver] = {}
+        self._unacked = 0
+        # (deadline, push order, envelope state), head = next to expire.
+        # Acknowledged entries stay until the timer pops them.
+        self._heap: List[Tuple[float, int, _Outgoing]] = []
+        self._pushes = 0
+        self._timer: Optional[TimerHandle] = None
+        self._timer_at = 0.0
+        self._timer_gen = 0
+        self._deferred = False
+        # (peer control address, our node) -> (an address of ours the
+        # vector leaves from, link -> sequence numbers owed)
+        self._owed: Dict[
+            Tuple[str, Optional[str]], Tuple[str, Dict[Link, List[Any]]]
+        ] = {}
+        self._flush_armed = False
         self._closed = False
 
     # -- binding ---------------------------------------------------------
@@ -123,113 +214,226 @@ class ReliableTransport(Transport):
         if inner_ep is not None:
             inner_ep.close()
         # Abandon retransmissions originating from the closed address.
-        for link in [l for l in self._in_flight if l[0] == ep.address]:
-            for out in self._in_flight.pop(link).values():
-                if out.timer is not None:
-                    out.timer.cancel()
+        with self._lock:
+            for link, sender in self._senders.items():
+                if link[0] == ep.address and sender.unacked:
+                    self._unacked -= len(sender.unacked)
+                    for out in sender.unacked.values():
+                        out.envelope = None
+                    sender.unacked.clear()
+
+    def _ctl_for(self, address: str) -> str:
+        """The control address serving ``address`` (lock held)."""
+        node = self._inner_node_of(address) if self._inner_node_of else None
+        ep = self._ctl.get(node)
+        if ep is None:
+            base = "rel-ctl" if node is None else f"rel-ctl@{node}"
+            name, n = base, 1
+            while self.inner.is_bound(name):  # another sublayer, same inner
+                n += 1
+                name = f"{base}#{n}"
+            ep = self._ctl[node] = self.inner.bind(name, self._on_frame)
+            place = getattr(self.inner, "place", None)
+            if node is not None and place is not None:
+                place(name, node)
+        return ep.address
 
     # -- sending ---------------------------------------------------------
     def send(self, msg: Message) -> None:
         if self._closed:
             raise TransportError("reliable transport closed")
-        # Logical accounting: what the protocol sent, envelope-free.
-        self.stats.record(msg)
         link = (msg.src, msg.dst)
-        seq = self._next_seq.get(link, 0) + 1
-        self._next_seq[link] = seq
-        envelope = Message(
-            R_DATA, msg.src, msg.dst, {"seq": seq, "inner": msg.to_dict()}
-        )
-        out = _Outgoing(envelope)
-        self._in_flight.setdefault(link, {})[seq] = out
-        self._transmit(link, out)
+        with self._lock:
+            # Logical accounting: what the protocol sent, envelope-free.
+            self.stats.record(msg)
+            sender = self._senders.get(link)
+            if sender is None:
+                sender = self._senders[link] = _LinkSender()
+            sender.next_seq = seq = sender.next_seq + 1
+            envelope = Message(R_DATA, msg.src, msg.dst, {
+                "seq": seq, "ctl": self._ctl_for(msg.src), "t": msg.msg_type,
+                "p": msg.payload, "i": msg.msg_id, "r": msg.reply_to,
+            })
+            now = self.inner.now()
+            out = sender.unacked[seq] = _Outgoing(link, seq, envelope, now)
+            self._unacked += 1
+            self._push(out, now + self._retry_delay(sender, 1))
+        self._wire_send(envelope)
 
-    def _transmit(self, link: Link, out: _Outgoing) -> None:
-        out.attempts += 1
-        if out.attempts > 1:
-            self.stats.record_retransmit(out.envelope)
+    def _wire_send(self, frame: Message) -> None:
         try:
-            self.inner.send(out.envelope)
+            self.inner.send(frame)
         except TransportError:
-            # The wire refused the frame (e.g. TCP peer vanished mid
-            # send); the retransmit timer below is the recovery path.
-            self.inner.stats.record_drop(out.envelope)
-        if out.attempts >= self.max_attempts:
-            # Out of attempts: behave like a raw transport losing the
-            # message (the protocol's own watchdogs take over).
-            out.timer = self.inner.schedule(
-                self._retry_delay(out.attempts), lambda: self._give_up(link, out)
-            )
-            return
-        out.timer = self.inner.schedule(
-            self._retry_delay(out.attempts), lambda: self._maybe_retransmit(link, out)
-        )
+            # The wire refused the frame (e.g. the aio send queue is
+            # full); for data the retransmit timer is the recovery
+            # path, for an ACK vector the sender's is.
+            self.inner.stats.record_drop(frame)
 
-    def _retry_delay(self, attempts: int) -> float:
-        delay = min(
-            self.ack_timeout * (self.backoff ** (attempts - 1)), self.max_backoff
-        )
+    def _retry_delay(self, sender: _LinkSender, attempt: int) -> float:
+        delay = min(sender.rto(self.ack_timeout) * self.backoff ** (attempt - 1),
+                    self.max_backoff)
         if self.jitter > 0.0:
             delay *= 1.0 + self.jitter * (2.0 * self._jitter_rng.random() - 1.0)
         return delay
 
-    def _maybe_retransmit(self, link: Link, out: _Outgoing) -> None:
-        if self._closed:
-            return
-        seq = out.envelope.payload["seq"]
-        if self._in_flight.get(link, {}).get(seq) is not out:
-            return  # acknowledged meanwhile
-        self._transmit(link, out)
+    # -- the retransmit timer (lock held in _push/_arm) --------------------
+    def _push(self, out: _Outgoing, deadline: float) -> None:
+        self._pushes += 1
+        heappush(self._heap, (deadline, self._pushes, out))
+        if self._timer is None or deadline < self._timer_at:
+            self._arm(deadline)
 
-    def _give_up(self, link: Link, out: _Outgoing) -> None:
-        seq = out.envelope.payload["seq"]
-        if self._in_flight.get(link, {}).get(seq) is not out:
-            return
-        del self._in_flight[link][seq]
-        self.stats.record_drop(out.envelope)
+    def _arm(self, deadline: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        # A cancelled timer may already be past the point of no return
+        # on another thread; its generation tells _on_timer to ignore it.
+        self._timer_gen = gen = self._timer_gen + 1
+        self._timer_at = deadline
+        self._timer = self.inner.schedule(
+            max(0.0, deadline - self.inner.now()), lambda: self._on_timer(gen)
+        )
+
+    def _on_timer(self, gen: int) -> None:
+        resend: List[Message] = []
+        with self._lock:
+            if gen != self._timer_gen or self._closed:
+                return
+            self._timer = None
+            if self._unacked == 0:
+                self._heap.clear()  # nothing to watch: the timer rests
+                self._deferred = False
+                return
+            now = self.inner.now()
+            late = now - self._timer_at > _LATE_FIRE * self.ack_timeout
+            if late and not self._deferred:
+                self._deferred = True
+                self._arm(now + _LATE_DEFER * self.ack_timeout)
+                return
+            self._deferred = False
+            heap = self._heap
+            while heap:
+                deadline, _, out = heap[0]
+                envelope = out.envelope
+                if envelope is not None and deadline > now:
+                    break
+                heappop(heap)
+                if envelope is None:
+                    continue  # acknowledged or abandoned meanwhile
+                sender = self._senders[out.link]
+                attempt = len(out.sent_at)
+                if attempt >= self.max_attempts:
+                    # Out of attempts: behave like a raw transport
+                    # losing the message (the protocol's own watchdogs
+                    # take over).
+                    out.envelope = None
+                    del sender.unacked[out.seq]
+                    self._unacked -= 1
+                    self.stats.record_drop(envelope)
+                    continue
+                attempt += 1
+                out.sent_at.append(now)
+                self.stats.record_retransmit(envelope)
+                resend.append(Message(
+                    R_DATA, envelope.src, envelope.dst,
+                    {**envelope.payload, "n": attempt}, msg_id=envelope.msg_id,
+                ))
+                self._pushes += 1
+                heappush(heap, (now + self._retry_delay(sender, attempt), self._pushes, out))
+            if self._unacked == 0:
+                heap.clear()
+            else:
+                self._arm(heap[0][0])
+        for frame in resend:
+            self._wire_send(frame)
 
     # -- receiving -------------------------------------------------------
     def _on_frame(self, frame: Message) -> None:
-        if frame.msg_type == R_ACK:
-            self._on_ack(frame)
-        elif frame.msg_type == R_DATA:
+        if frame.msg_type == R_DATA:
             self._on_data(frame)
+        elif frame.msg_type == R_ACK:
+            self._on_ack(frame)
         else:  # a raw message that bypassed the sublayer — hand off as-is
             self._handoff(frame)
 
     def _on_ack(self, frame: Message) -> None:
-        # The ACK travels dst -> src, so the data link is the reverse.
-        link = (frame.dst, frame.src)
-        out = self._in_flight.get(link, {}).pop(frame.payload.get("seq"), None)
-        if out is not None and out.timer is not None:
-            out.timer.cancel()
+        with self._lock:
+            now = self.inner.now()
+            for src, dst, seqs in frame.payload["acks"]:
+                sender = self._senders.get((src, dst))
+                if sender is None:
+                    continue
+                for entry in seqs:
+                    seq, attempt = (entry, 1) if entry.__class__ is int else entry
+                    out = sender.unacked.pop(seq, None)
+                    if out is None:
+                        continue  # acknowledged before (a re-ACK)
+                    if 1 <= attempt <= len(out.sent_at):
+                        sender.observe(now - out.sent_at[attempt - 1])
+                    # The heap entry stays until the timer pops it; the
+                    # envelope it pins does not.
+                    out.envelope = None
+                    self._unacked -= 1
 
     def _on_data(self, frame: Message) -> None:
         link = (frame.src, frame.dst)
-        seq = frame.payload["seq"]
-        # Always (re-)ACK — the previous ACK may have been the lost frame.
-        ack = Message(R_ACK, frame.dst, frame.src, {"seq": seq})
-        self.stats.record_ack(ack)
-        try:
-            self.inner.send(ack)
-        except TransportError:
-            self.inner.stats.record_drop(ack)
-        recv = self._receivers.setdefault(link, _LinkReceiver())
-        if (
-            seq <= recv.delivered_upto
-            or seq in recv.pending
-            or frame.msg_id in recv.seen_ids
-        ):
-            self.stats.record_duplicate_suppressed(frame)
-            return
-        recv.seen_ids[frame.msg_id] = None
-        while len(recv.seen_ids) > self._dedup_window:
-            recv.seen_ids.popitem(last=False)
-        recv.pending[seq] = Message.from_dict(frame.payload["inner"])
-        # In-order handoff: flush the contiguous prefix.
-        while recv.delivered_upto + 1 in recv.pending:
-            recv.delivered_upto += 1
-            self._handoff(recv.pending.pop(recv.delivered_upto))
+        p = frame.payload
+        seq = p["seq"]
+        ready: List[Message] = []
+        with self._lock:
+            if self._closed:
+                return
+            # Always owe an ACK — the previous one may have been lost.
+            # One vector per sender control address and receiving node:
+            # it leaves from an endpoint it acknowledges for, so the
+            # inner transport routes it over the links it covers.
+            node = self._inner_node_of(frame.dst) if self._inner_node_of else None
+            group = self._owed.get((p["ctl"], node))
+            if group is None:
+                group = self._owed[(p["ctl"], node)] = (frame.dst, {})
+            group[1].setdefault(link, []).append(
+                [seq, p["n"]] if "n" in p else seq
+            )
+            self.stats.record_ack(frame)
+            if not self._flush_armed:
+                self._flush_armed = True
+                self.inner.schedule(0.0, self._flush_acks)
+            recv = self._receivers.get(link)
+            if recv is None:
+                recv = self._receivers[link] = _LinkReceiver()
+            if (
+                seq <= recv.delivered_upto
+                or seq in recv.pending
+                or frame.msg_id in recv.seen_ids
+            ):
+                self.stats.record_duplicate_suppressed(frame)
+                return
+            recv.seen_ids[frame.msg_id] = None
+            while len(recv.seen_ids) > self._dedup_window:
+                recv.seen_ids.popitem(last=False)
+            recv.pending[seq] = Message(
+                p["t"], frame.src, frame.dst, p["p"], p["i"], p["r"]
+            )
+            # In-order handoff: the contiguous prefix is ready.
+            while recv.delivered_upto + 1 in recv.pending:
+                recv.delivered_upto += 1
+                ready.append(recv.pending.pop(recv.delivered_upto))
+        for msg in ready:
+            self._handoff(msg)
+
+    def _flush_acks(self) -> None:
+        """Send everything owed: one vector per peer control address
+        (and receiving node), however many frames and links it covers."""
+        with self._lock:
+            self._flush_armed = False
+            owed, self._owed = self._owed, {}
+            if self._closed:
+                return
+            self.stats.record_ack_frames(len(owed))
+        for (theirs, _node), (ours, by_link) in owed.items():
+            self._wire_send(Message(R_ACK, ours, theirs, {
+                "acks": [[src, dst, seqs] for (src, dst), seqs in by_link.items()]
+            }))
 
     def _handoff(self, msg: Message) -> None:
         if msg.msg_type == BATCH:
@@ -247,11 +451,18 @@ class ReliableTransport(Transport):
     # -- introspection ---------------------------------------------------
     def in_flight_count(self) -> int:
         """Envelopes awaiting acknowledgement (for tests/monitoring)."""
-        return sum(len(m) for m in self._in_flight.values())
+        return self._unacked
+
+    def rto(self, src: str, dst: str) -> float:
+        """The link's current retransmission timeout, before backoff
+        and jitter: ``ack_timeout`` until its round trips say more."""
+        with self._lock:
+            sender = self._senders.get((src, dst))
+            return sender.rto(self.ack_timeout) if sender else self.ack_timeout
 
     def node_of(self, address: str) -> Optional[str]:
         """Topology placement passthrough (round coalescing support)."""
-        fn = getattr(self.inner, "node_of", None)
+        fn = self._inner_node_of
         return fn(address) if fn is not None else None
 
     def place(self, address: str, node: str) -> None:
@@ -282,11 +493,17 @@ class ReliableTransport(Transport):
         return self.inner.completion(name)
 
     def close(self) -> None:
-        self._closed = True
-        for pending in self._in_flight.values():
-            for out in pending.values():
-                if out.timer is not None:
-                    out.timer.cancel()
-        self._in_flight.clear()
+        with self._lock:
+            self._closed = True
+            if self._timer is not None:
+                self._timer.cancel()
+                self._timer = None
+            self._heap.clear()
+            self._senders.clear()
+            self._owed.clear()
+            self._unacked = 0
+            ctl, self._ctl = self._ctl, {}
         super().close()  # closes reliable endpoints -> unbinds inner ones
+        for ep in ctl.values():
+            ep.close()
         self.inner.close()

@@ -92,12 +92,15 @@ class MessageStats:
     messages_coalesced: int = 0
     # Reliable-delivery sublayer (net/reliability.py): data frames
     # retransmitted after an ACK timeout, incoming frames suppressed as
-    # duplicates by the receiver's dedup window, and ACK frames sent.
+    # duplicates by the receiver's dedup window, sequence numbers
+    # acknowledged (one per data frame received, duplicates included)
+    # and the R_ACK vector frames that carried them.
     # These live on the *reliable* transport's stats, so the logical
     # message counters above stay comparable to a raw-transport run.
     retransmits: int = 0
     duplicates_suppressed: int = 0
     acks_sent: int = 0
+    ack_frames_sent: int = 0
     # Wire-bytes accounting (delta synchronization): encoded bytes per
     # message type, image replies split into full snapshots vs deltas,
     # and the cells each image carried vs left off the wire.
@@ -198,7 +201,12 @@ class MessageStats:
         self.duplicates_suppressed += 1
 
     def record_ack(self, msg: Message) -> None:
+        """Account one sequence number owed an acknowledgement."""
         self.acks_sent += 1
+
+    def record_ack_frames(self, frames: int) -> None:
+        """Account the R_ACK vector frames of one flush."""
+        self.ack_frames_sent += frames
 
     def record_compression(self, saved: int) -> None:
         """Account one frame shipped compressed (``saved`` body bytes)."""
@@ -264,6 +272,7 @@ class MessageStats:
         self.retransmits += other.retransmits
         self.duplicates_suppressed += other.duplicates_suppressed
         self.acks_sent += other.acks_sent
+        self.ack_frames_sent += other.ack_frames_sent
         self.images_full += other.images_full
         self.images_delta += other.images_delta
         self.cells_sent += other.cells_sent
@@ -323,6 +332,7 @@ class MessageStats:
         self.retransmits = 0
         self.duplicates_suppressed = 0
         self.acks_sent = 0
+        self.ack_frames_sent = 0
         self.images_full = 0
         self.images_delta = 0
         self.cells_sent = 0
@@ -358,7 +368,7 @@ class MessageStats:
             lines.append(
                 f"  (retransmits={self.retransmits} "
                 f"dup_suppressed={self.duplicates_suppressed} "
-                f"acks={self.acks_sent})"
+                f"acks={self.acks_sent} in {self.ack_frames_sent} frames)"
             )
         if self.images_full or self.images_delta:
             lines.append(

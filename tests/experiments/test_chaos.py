@@ -1,6 +1,16 @@
 """The chaos experiment's acceptance properties."""
 
-from repro.experiments.chaos import bench_payload, run_chaos
+import copy
+
+import pytest
+
+from repro.experiments.chaos import (
+    MAX_ZERO_LOSS_OVERHEAD,
+    bench_payload,
+    check_acceptance,
+    main,
+    run_chaos,
+)
 
 
 def test_chaos_acceptance_at_ten_percent_drop_seed_zero():
@@ -24,6 +34,10 @@ def test_chaos_zero_loss_parity_with_raw_transport():
     [clean] = result.points
     assert clean.retransmits == 0 and clean.duplicates_suppressed == 0
     assert clean.wire_frames > clean.logical_messages
+    # Every message is acknowledged, several to a vector.
+    assert clean.acks_sent == clean.logical_messages
+    assert clean.ack_frames == result.faultless_acks < clean.acks_sent
+    assert clean.wire_frames == clean.logical_messages + clean.ack_frames
 
 
 def test_chaos_deterministic_per_seed():
@@ -54,3 +68,38 @@ def test_chaos_dm_restart_recovery_accounting():
     assert d.cells_replayed > 0
     payload = bench_payload(result)
     assert payload["dm_restart"]["recovered_parity"]
+
+
+def test_check_gates_pass_on_the_sweep_and_fire_on_each_violation():
+    payload = bench_payload(run_chaos(loss_rates=(0.0, 0.1), seed=0))
+    assert check_acceptance(payload) == []
+    assert payload["points"][0]["overhead_ratio"] <= MAX_ZERO_LOSS_OVERHEAD
+
+    def broken(edit):
+        doc = copy.deepcopy(payload)
+        edit(doc)
+        return check_acceptance(doc)
+
+    assert "writes lost" in broken(
+        lambda d: d["points"][1].update(lost_writes=1))[0]
+    assert "undelivered" in broken(
+        lambda d: d["points"][1].update(undelivered=2))[0]
+    assert "differs from raw" in broken(
+        lambda d: d.update(parity_with_raw_transport_at_zero_loss=False))[0]
+    assert "wire frames per logical" in broken(
+        lambda d: d["points"][0].update(overhead_ratio=2.0))[0]
+    assert "recovered_parity" in broken(
+        lambda d: d["dm_restart"].update(recovered_parity=False))[0]
+    assert "no zero-loss leg" in broken(lambda d: d["points"].pop(0))[0]
+
+
+def test_check_flag_turns_a_violation_into_exit_1(tmp_path, monkeypatch):
+    import repro.experiments.chaos as chaos
+
+    out = str(tmp_path / "bench.json")
+    main(["--out", out, "--check"])  # the real sweep passes its gates
+    monkeypatch.setattr(chaos, "MAX_ZERO_LOSS_OVERHEAD", 1.0)
+    main(["--out", out])  # reported, not fatal, without --check
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--out", out, "--check"])
+    assert exit_info.value.code == 1

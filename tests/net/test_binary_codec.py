@@ -16,7 +16,7 @@ from repro.core import (
 from repro.core.image import DeltaImage
 from repro.errors import CodecError
 from repro.net import BinaryCodec, JsonCodec, Message, codec_name, resolve_codec
-from repro.net.binary_codec import MAGIC_RAW, MAGIC_ZLIB
+from repro.net.binary_codec import MAGIC_RAW, MAGIC_ZLIB, decode_value, encode_value
 from repro.net.stats import MessageStats
 
 
@@ -130,6 +130,50 @@ def test_decode_truncated_frame_raises():
     raw = BinaryCodec().encode(Message("T", "a", "b", {"n": 1}))
     with pytest.raises(CodecError):
         BinaryCodec().decode(raw[: len(raw) // 2])
+
+
+def test_every_truncation_of_a_frame_is_a_codec_error():
+    """Cut a frame that uses every record kind at each byte: the
+    decoder must answer CodecError, never an IndexError or a bogus
+    message."""
+    img = ObjectImage({"a": 1, "b": [2.5, None]}, VersionVector({"a": 300, "b": 1, "gone": 7}))
+    payload = {
+        "image": img,
+        "delta": DeltaImage(img, base_seq=3, as_of=9, slice_size=12),
+        "props": PropertySet([Property("p", Interval(-5, 5))]),
+        "vv": VersionVector({"a": 1}),
+        "big": 2**70, "s": "x" * 200, "t": True,
+    }
+    raw = BinaryCodec().encode(Message("T", "a", "b", payload, reply_to=7))
+    assert BinaryCodec().decode(raw).payload["big"] == 2**70
+    for cut in range(1, len(raw)):
+        with pytest.raises(CodecError):
+            BinaryCodec().decode(raw[:cut])
+    value = encode_value(payload)
+    for cut in range(len(value)):
+        with pytest.raises(CodecError):
+            decode_value(value[:cut])
+    with pytest.raises(CodecError, match="trailing"):
+        decode_value(value + b"\x00")
+
+
+def test_corrupt_bodies_raise_codec_error():
+    sref_out_of_range = bytes((MAGIC_RAW, 0x06, 0x05))
+    with pytest.raises(CodecError, match="out of range"):
+        BinaryCodec().decode(sref_out_of_range)
+    runaway = bytes((MAGIC_RAW, 0x03)) + b"\xff" * 2000
+    with pytest.raises(CodecError, match="runaway varint"):
+        BinaryCodec().decode(runaway)
+    with pytest.raises(CodecError, match="unknown value tag"):
+        BinaryCodec().decode(bytes((MAGIC_RAW, 0x7F, 0x00)))
+    # dict key that is not a string record
+    with pytest.raises(CodecError, match="expected string"):
+        decode_value(bytes((0x08, 0x01, 0x03, 0x02, 0x00)))
+    # a collection claiming more entries than any frame could hold
+    with pytest.raises(CodecError):
+        decode_value(bytes((0x07,)) + b"\xff" * 9 + b"\x7f")
+    with pytest.raises(CodecError, match="missing image"):
+        decode_value(bytes((0x0D, 0x00)))
 
 
 def test_decode_json_frame_falls_back():

@@ -1,0 +1,145 @@
+"""Golden frames: BinaryCodec output is pinned byte for byte.
+
+``golden_binary_frames.json`` holds what the codec emitted for the
+corpus below before its encode/decode loops were rewritten for speed
+(commit d774046).  The wire and the WAL both store these bytes, so an
+optimisation may not move one of them.  Compressed frames are pinned by
+their magic and their decompressed body: the deflate stream itself
+belongs to whichever zlib the interpreter links.
+"""
+
+import json
+import zlib
+from pathlib import Path
+
+import pytest
+
+from repro.core import (
+    DiscreteSet,
+    Interval,
+    ObjectImage,
+    Property,
+    PropertySet,
+    VersionVector,
+)
+from repro.core.image import DeltaImage
+from repro.net import BinaryCodec, Message
+from repro.net.binary_codec import MAGIC_RAW, MAGIC_ZLIB, decode_value, encode_value
+from repro.net.message import make_batch
+
+GOLDEN = Path(__file__).with_name("golden_binary_frames.json")
+
+
+def _image(n, start=0):
+    img = ObjectImage()
+    for i in range(start, start + n):
+        img.put(f"flight:{i:04d}", {"seats": 180 - i, "price": 99.5 + i,
+                                    "open": i % 2 == 0})
+    return img
+
+
+def _messages():
+    props = PropertySet([
+        Property("flight", DiscreteSet({"AA10", "BA7", "LH400"})),
+        Property("price", Interval(-5, 5000)),
+    ])
+    delta = DeltaImage(_image(3, start=40), base_seq=17, as_of=23,
+                       complete=False, slice_size=64)
+    sparse = ObjectImage({"a": 1}, VersionVector({"a": 300, "gone": 7}))
+    subs = [
+        Message("INVALIDATE", "shard:0", f"cm:ta{i:04d}",
+                {"view_id": f"ta{i:04d}", "round": 130 + i}, msg_id=500 + i)
+        for i in range(3)
+    ]
+    batch = make_batch("shard:0", "cm:ta0000", subs)
+    batch.msg_id = 777  # make_batch mints it from the process-wide counter
+    return {
+        "scalars": Message(
+            "T", "a", "b",
+            {"zero": 0, "one": 1, "neg": -1, "b63": 63, "b64": 64,
+             "b127": 127, "b128": 128, "big": 2**80, "negbig": -(2**80),
+             "f": 2.5, "inf": float("inf"), "t": True, "f0": False,
+             "none": None, "s": "välue \U0001f600", "": "empty key",
+             "tuple": (1, "a", None), "nested": [[], {}, [{"k": []}]]},
+            msg_id=1, reply_to=None),
+        "register": Message(
+            "REGISTER", "cm:ta0001", "shard:2",
+            {"view_id": "ta0001", "properties": props, "mode": "strong",
+             "triggers": {"push": "t % 10 == 0", "pull": None}},
+            msg_id=70000, reply_to=None),
+        "grant_full": Message(
+            "GRANT", "shard:1", "cm:ta0003",
+            {"view_id": "ta0003", "image": _image(12), "seq": 200},
+            msg_id=123456, reply_to=123450),
+        "pull_delta": Message(
+            "PULL_DATA", "shard:3", "cm:ta0007",
+            {"view_id": "ta0007", "image": delta}, msg_id=2**33, reply_to=9),
+        "sparse_image": Message(
+            "INIT_DATA", "dir", "cm:v", {"image": sparse,
+                                         "versions": VersionVector({"z": 1})},
+            msg_id=3, reply_to=2),
+        "batch": batch,
+        "r_data": Message(
+            "R_DATA", "cm:ta0001", "shard:2",
+            {"seq": 129, "ctl": "rel-ctl", "t": "PUSH",
+             "p": {"view_id": "ta0001", "image": _image(2)},
+             "i": 88, "r": None},
+            msg_id=89, reply_to=None),
+        "many_strings": Message(
+            "T", "a", "b", {f"key-{i:03d}": f"key-{(i * 7) % 200:03d}"
+                            for i in range(200)},
+            msg_id=4, reply_to=None),
+    }
+
+
+def _values():
+    return {
+        "wal_commit": {"kind": "commit", "lsn": 4097, "view": "ta0002",
+                       "image": _image(4), "seq": 300},
+        "wal_scalar_list": [0, -64, 63, "x", "x", 1.0, None, True],
+    }
+
+
+def _corpus():
+    """name -> bytes, everything the golden file pins."""
+    out = {}
+    raw_codec = BinaryCodec()
+    zlib_codec = BinaryCodec(compress_level=6)
+    for name, msg in _messages().items():
+        out[f"frame.{name}"] = raw_codec.encode(msg)
+        packed = zlib_codec.encode(msg)
+        if packed[0] == MAGIC_ZLIB:
+            out[f"zbody.{name}"] = zlib.decompress(packed[1:])
+        else:
+            out[f"zstored.{name}"] = packed
+    for name, value in _values().items():
+        out[f"value.{name}"] = encode_value(value)
+    return out
+
+
+def test_encoder_output_is_byte_identical_to_golden():
+    golden = {k: bytes.fromhex(v) for k, v in json.loads(GOLDEN.read_text()).items()}
+    corpus = _corpus()
+    assert sorted(corpus) == sorted(golden)
+    for name, raw in corpus.items():
+        assert raw == golden[name], name
+    kinds = {k.split(".")[0] for k in golden}
+    assert {"frame", "zbody", "zstored", "value"} <= kinds
+
+
+@pytest.mark.parametrize("name", sorted(_messages()))
+def test_golden_frames_decode_to_the_messages_that_made_them(name):
+    golden = json.loads(GOLDEN.read_text())
+    msg = _messages()[name]
+    decoded = BinaryCodec().decode(bytes.fromhex(golden[f"frame.{name}"]))
+    again = BinaryCodec().decode(BinaryCodec().encode(msg))
+    assert decoded == again
+    assert decoded.msg_id == msg.msg_id and decoded.reply_to == msg.reply_to
+    assert bytes.fromhex(golden[f"frame.{name}"])[0] == MAGIC_RAW
+
+
+@pytest.mark.parametrize("name", sorted(_values()))
+def test_golden_values_decode(name):
+    golden = json.loads(GOLDEN.read_text())
+    raw = bytes.fromhex(golden[f"value.{name}"])
+    assert encode_value(decode_value(raw)) == raw

@@ -1,10 +1,16 @@
 """Unit + protocol tests for the reliable-delivery sublayer."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.errors import TransportError
 from repro.net import Message, ReliableTransport, SimTransport
+from repro.net.aio_transport import AioTcpTransport
 from repro.net.reliability import R_ACK, R_DATA
+from repro.net.transport import TimerHandle, Transport
 from repro.sim import SimKernel
 
 
@@ -158,6 +164,358 @@ def test_constructor_validation():
 
 
 # ---------------------------------------------------------------------------
+# ACK vectors, the one retransmit timer, the learned timeout
+# ---------------------------------------------------------------------------
+
+def _spy(inner, verdict=lambda m: "deliver"):
+    """Record every R_ACK payload crossing ``inner``; ``verdict``
+    decides each frame's fate."""
+    vectors = []
+
+    def policy(msg):
+        if msg.msg_type == R_ACK:
+            vectors.append(msg.payload["acks"])
+        return verdict(msg)
+
+    inner.fault_policy = policy
+    return vectors
+
+
+def test_envelope_is_flat_and_keeps_the_logical_id():
+    kernel, inner, rel = make()
+    frames, got = [], []
+    inner.fault_policy = lambda m: frames.append(m) or "deliver"
+    rel.bind("a", lambda m: None)
+    rel.bind("b", got.append)
+    sent = Message("DATA", "a", "b", {"k": 1}, reply_to=41)
+    rel.send(sent)
+    kernel.run()
+    data = frames[0]
+    assert data.msg_type == R_DATA and (data.src, data.dst) == ("a", "b")
+    assert data.payload == {"seq": 1, "ctl": frames[1].dst, "t": "DATA",
+                            "p": {"k": 1}, "i": sent.msg_id, "r": 41}
+    assert got == [sent] and got[0].msg_id == sent.msg_id
+    assert inner.is_bound(data.payload["ctl"])  # the ACK really travels
+
+
+def test_one_vector_acknowledges_a_whole_flight_across_links():
+    kernel, inner, rel = make()
+    vectors = _spy(inner)
+    for addr in ("a", "b", "c"):
+        rel.bind(addr, lambda m: None)
+    for n in range(3):
+        rel.send(Message("DATA", "a", "b", {"n": n}))
+    rel.send(Message("DATA", "c", "b"))
+    kernel.run()
+    assert vectors == [[["a", "b", [1, 2, 3]], ["c", "b", [1]]]]
+    assert rel.stats.acks_sent == 4 and rel.stats.ack_frames_sent == 1
+    assert inner.stats.by_type[R_ACK] == 1
+    assert rel.in_flight_count() == 0
+
+
+def test_dropped_vector_every_seq_retransmitted_suppressed_and_reacked():
+    kernel, inner, rel = make(ack_timeout=5.0, jitter=0.0)
+    state = {"dropped": 0}
+
+    def drop_first_vector(msg):
+        if msg.msg_type == R_ACK and not state["dropped"]:
+            state["dropped"] += 1
+            return "drop"
+        return "deliver"
+
+    vectors = _spy(inner, drop_first_vector)
+    got = []
+    rel.bind("a", lambda m: None)
+    rel.bind("b", lambda m: got.append(m.payload["n"]))
+    for n in (1, 2, 3):
+        rel.send(Message("DATA", "a", "b", {"n": n}))
+    kernel.run()
+    assert got == [1, 2, 3]  # nothing handed off twice
+    assert rel.stats.retransmits == 3
+    assert rel.stats.duplicates_suppressed == 3
+    assert rel.stats.acks_sent == 6 and rel.stats.ack_frames_sent == 2
+    # The re-ACK echoes the attempt it answers.
+    assert vectors == [[["a", "b", [1, 2, 3]]],
+                       [["a", "b", [[1, 2], [2, 2], [3, 2]]]]]
+    assert rel.in_flight_count() == 0
+
+
+def test_out_of_order_arrival_across_vectors():
+    kernel, inner, rel = make(ack_timeout=50.0)
+    state = {"first": True}
+
+    def delay_first(msg):
+        if msg.msg_type == R_DATA and state["first"]:
+            state["first"] = False
+            return ("delay", 10.0)
+        return "deliver"
+
+    vectors = _spy(inner, delay_first)
+    got = []
+    rel.bind("a", lambda m: None)
+    rel.bind("b", lambda m: got.append(m.payload["n"]))
+    for n in (1, 2, 3):
+        rel.send(Message("DATA", "a", "b", {"n": n}))
+    kernel.run()
+    # 2 and 3 are acknowledged while they wait for 1; hand-off is in order.
+    assert vectors == [[["a", "b", [2, 3]]], [["a", "b", [1]]]]
+    assert got == [1, 2, 3]
+    assert rel.stats.retransmits == 0 and rel.in_flight_count() == 0
+
+
+def test_vectors_under_a_topology_see_the_latency_of_their_links():
+    from repro.net.topology import Topology
+
+    topo = Topology()
+    topo.add_link("hub", "near", latency=1.0)
+    topo.add_link("hub", "far", latency=30.0)
+    kernel = SimKernel()
+    inner = SimTransport(kernel, topology=topo, strict_wire=False)
+    rel = ReliableTransport(inner, ack_timeout=10.0, jitter=0.0)
+    acked_at = {}
+
+    def note_vector_arrival(msg):
+        if msg.msg_type == R_ACK:
+            acked_at.setdefault(  # the first vector to each; re-ACKs follow
+                msg.dst, kernel.now + inner.latency_between(msg.src, msg.dst))
+        return "deliver"
+
+    inner.fault_policy = note_vector_arrival
+    for addr, node in (("dm", "hub"), ("n", "near"), ("f", "far")):
+        rel.bind(addr, lambda m: None)
+        rel.place(addr, node)
+    rel.send(Message("DATA", "n", "dm"))
+    rel.send(Message("DATA", "f", "dm"))
+    kernel.run()
+    # One control endpoint per node; each vector took its own link back.
+    assert acked_at == {"rel-ctl@near": 2.0, "rel-ctl@far": 60.0}
+    assert rel.in_flight_count() == 0
+    # The far link learned its round trip instead of retransmitting forever.
+    assert rel.rto("f", "dm") > 60.0 and rel.rto("n", "dm") == 10.0
+
+
+class ManualTransport(Transport):
+    """Hand-cranked inner transport: sent frames queue until
+    ``deliver``, timers fire when ``fire`` moves the clock past them."""
+
+    def __init__(self):
+        super().__init__()
+        self.t = 0.0
+        self.timers = []
+        self.wire = []
+
+    def send(self, msg):
+        self.stats.record(msg)
+        self.wire.append(msg)
+
+    def now(self):
+        return self.t
+
+    def schedule(self, delay, fn):
+        entry = [self.t + delay, fn, False]
+        self.timers.append(entry)
+        return TimerHandle(lambda: entry.__setitem__(2, True))
+
+    def completion(self, name=""):
+        raise NotImplementedError
+
+    def deliver(self):
+        while self.wire:
+            frames, self.wire = self.wire, []
+            for msg in frames:
+                self._endpoints[msg.dst].handler(msg)
+            self.fire(self.t)  # the receiver's end-of-turn ACK flush
+
+    def fire(self, at):
+        self.t = at
+        due = [e for e in self.timers if e[0] <= at]
+        self.timers = [e for e in self.timers if e[0] > at]
+        for _, fn, cancelled in due:
+            if not cancelled:
+                fn()
+
+    def live_timers(self):
+        return [e[0] for e in self.timers if not e[2]]
+
+
+def _manual(**kw):
+    inner = ManualTransport()
+    rel = ReliableTransport(inner, jitter=0.0, **kw)
+    got = []
+    rel.bind("a", lambda m: None)
+    rel.bind("b", lambda m: got.append(m.payload["n"]))
+    return inner, rel, got
+
+
+def test_one_timer_serves_every_envelope_and_rests_once_all_are_acked():
+    inner, rel, got = _manual(ack_timeout=10.0)
+    for n in range(5):
+        rel.send(Message("DATA", "a", "b", {"n": n}))
+    assert inner.live_timers() == [10.0]  # five envelopes, one timer
+    inner.deliver()
+    assert got == list(range(5)) and rel.in_flight_count() == 0
+    inner.fire(10.0)
+    assert inner.live_timers() == []  # nothing unacked: no re-arm
+    assert rel.stats.retransmits == 0 and inner.wire == []
+    # The next send wakes it again.
+    inner.t = 50.0
+    rel.send(Message("DATA", "a", "b", {"n": 5}))
+    assert inner.live_timers() == [60.0]
+
+
+def test_sim_run_terminates_soon_after_the_last_ack():
+    kernel, inner, rel = make(ack_timeout=10.0)
+    rel.bind("a", lambda m: None)
+    rel.bind("b", lambda m: None)
+    for _ in range(20):
+        rel.send(Message("DATA", "a", "b"))
+    assert kernel.run() <= 11.0  # one resting fire of the timer, no more
+
+
+def test_on_time_fire_retransmits_at_once():
+    inner, rel, _ = _manual(ack_timeout=10.0)
+    rel.send(Message("DATA", "a", "b", {"n": 0}))
+    inner.wire.clear()  # the frame is lost
+    inner.fire(10.5)    # within a tenth of ack_timeout of the deadline
+    assert rel.stats.retransmits == 1
+    assert [m.payload.get("n") for m in inner.wire] == [2]
+
+
+def test_late_fire_defers_the_scan_once_not_forever():
+    inner, rel, _ = _manual(ack_timeout=10.0)
+    rel.send(Message("DATA", "a", "b", {"n": 0}))
+    inner.wire.clear()
+    inner.fire(12.0)  # 2.0 late: the thread was busy, look again shortly
+    assert rel.stats.retransmits == 0
+    assert inner.live_timers() == [14.5]
+    inner.fire(20.0)  # late again: the deferral is spent, scan now
+    assert rel.stats.retransmits == 1
+    assert [m.payload.get("n") for m in inner.wire] == [2]
+    # ... and the next late fire may defer again.
+    inner.wire.clear()
+    (deadline,) = inner.live_timers()
+    inner.fire(deadline + 5.0)
+    assert rel.stats.retransmits == 1 and inner.live_timers() == [deadline + 7.5]
+
+
+def test_ack_read_during_the_deferral_saves_the_retransmission():
+    inner, rel, got = _manual(ack_timeout=10.0)
+    rel.send(Message("DATA", "a", "b", {"n": 0}))
+    held = inner.wire.pop()       # sits in the socket while the thread is busy
+    inner.fire(12.0)              # the timer gets the thread first, late
+    assert rel.stats.retransmits == 0
+    inner.wire.append(held)
+    inner.deliver()               # now the frame and its ACK are read
+    assert got == [0] and rel.in_flight_count() == 0
+    inner.fire(14.5)
+    assert rel.stats.retransmits == 0 and inner.live_timers() == []
+
+
+def test_late_but_delivered_original_raises_the_timeout():
+    """Round trip 12 against ack_timeout 5: the first message is
+    retransmitted spuriously, but the original's ACK (echoing attempt
+    1) is a valid 12-unit sample, so the next message is left alone."""
+    kernel = SimKernel()
+    inner = SimTransport(kernel, default_latency=6.0, strict_wire=False)
+    rel = ReliableTransport(inner, ack_timeout=5.0, jitter=0.0)
+    got = []
+    rel.bind("a", lambda m: None)
+    rel.bind("b", lambda m: got.append(m.payload["n"]))
+    rel.send(Message("DATA", "a", "b", {"n": 1}))
+    kernel.run()
+    assert rel.stats.retransmits == 1 and rel.stats.duplicates_suppressed == 1
+    assert rel.rto("a", "b") > 12.0
+    rel.send(Message("DATA", "a", "b", {"n": 2}))
+    kernel.run()
+    assert got == [1, 2]
+    assert rel.stats.retransmits == 1  # no second spurious retransmission
+
+
+def test_lost_frames_retransmission_does_not_poison_the_estimate():
+    """Round trip 2; one frame is lost and repaired 5 units later.  Its
+    ACK echoes attempt 2, so the sample is 2, not 7."""
+    kernel, inner, rel = make(ack_timeout=5.0, jitter=0.0)
+    state = {"sent": 0}
+
+    def drop_fourth(msg):
+        if msg.msg_type == R_DATA:
+            state["sent"] += 1
+            if state["sent"] == 4:
+                return "drop"
+        return "deliver"
+
+    inner.fault_policy = drop_fourth
+    rel.bind("a", lambda m: None)
+    rel.bind("b", lambda m: None)
+    for _ in range(4):
+        rel.send(Message("DATA", "a", "b"))
+        kernel.run()
+    assert rel.stats.retransmits == 1 and rel.in_flight_count() == 0
+    assert rel._senders[("a", "b")].srtt == pytest.approx(2.0)
+    assert rel.rto("a", "b") < 6.0  # a 7-unit sample would make it > 20
+
+
+def test_unbinding_an_address_abandons_its_retransmissions():
+    kernel, inner, rel = make(ack_timeout=5.0, jitter=0.0)
+    inner.fault_policy = lambda m: "drop" if m.msg_type == R_DATA else "deliver"
+    a = rel.bind("a", lambda m: None)
+    rel.bind("b", lambda m: None)
+    rel.bind("c", lambda m: None)
+    rel.send(Message("DATA", "a", "b"))
+    rel.send(Message("DATA", "c", "b"))
+    assert rel.in_flight_count() == 2
+    a.close()
+    assert rel.in_flight_count() == 1
+    kernel.run(until=13.0)
+    assert rel.stats.retransmits == 2  # both of them c's: at 5.0 and 12.5
+    assert rel.stats.dropped == 0      # abandoning is not giving up
+
+
+def test_send_from_two_threads_over_sockets():
+    """Two threads x 2000 sends while the loop thread runs the ACK and
+    timer paths over the same state: every message is handed off
+    exactly once, in per-link order, and nothing stays in flight."""
+    n = 2000
+    tr = AioTcpTransport(max_queue=3 * n)
+    rel = ReliableTransport(tr, ack_timeout=50.0)
+    got = {"t0": [], "t1": []}
+    done = threading.Event()
+
+    def sink(msg):
+        got[msg.src].append(msg.payload["i"])
+        if sum(map(len, got.values())) == 2 * n:
+            done.set()
+
+    def sender(src):
+        for i in range(n):
+            rel.send(Message("SEQ", src, "sink", {"i": i}))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rel.bind("sink", sink)
+        for src in got:
+            rel.bind(src, lambda m: None)
+        threads = [threading.Thread(target=sender, args=(src,)) for src in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+            assert not t.is_alive()
+        assert done.wait(30.0)
+        assert got == {"t0": list(range(n)), "t1": list(range(n))}
+        deadline = time.monotonic() + 10.0
+        while rel.in_flight_count() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert rel.in_flight_count() == 0
+        assert tr.handler_errors == []
+        assert rel.stats.total == 2 * n
+    finally:
+        sys.setswitchinterval(interval)
+        rel.close()
+
+
+# ---------------------------------------------------------------------------
 # Protocol-level behaviour over the sublayer
 # ---------------------------------------------------------------------------
 
@@ -226,8 +584,11 @@ def test_no_fault_runs_are_message_for_message_identical():
     assert dict(rel.stats.by_type) == dict(raw.stats.by_type)
     assert rel.stats.total == raw.stats.total
     assert rel.stats.retransmits == 0 and rel.stats.duplicates_suppressed == 0
-    # The overhead exists, but only below the sublayer.
-    assert inner.stats.by_type[R_ACK] == rel.stats.acks_sent > 0
+    # The overhead exists, but only below the sublayer: every data frame
+    # is owed one acknowledgement, and vectors carry several per frame.
+    assert rel.stats.acks_sent == inner.stats.by_type[R_DATA] == raw.stats.total
+    assert 0 < inner.stats.by_type[R_ACK] <= rel.stats.acks_sent
+    assert inner.stats.by_type[R_ACK] == rel.stats.ack_frames_sent
 
 
 def test_duplicate_wire_frames_idempotent_across_protocol():

@@ -62,3 +62,17 @@ def test_summary_lists_types_by_count():
     out = s.summary()
     assert "total messages: 3" in out
     assert out.index("A") < out.index("B")
+
+
+def test_reliability_counters_merge_reset_and_summarise():
+    a, b = MessageStats(), MessageStats()
+    for _ in range(5):
+        a.record_ack(_msg("R_DATA"))
+    a.record_ack_frames(2)
+    b.record_ack(_msg("R_DATA"))
+    b.record_ack_frames(1)
+    a.merge(b)
+    assert a.acks_sent == 6 and a.ack_frames_sent == 3
+    assert "acks=6 in 3 frames" in a.summary()
+    a.reset()
+    assert a.acks_sent == 0 and a.ack_frames_sent == 0
