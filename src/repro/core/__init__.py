@@ -31,6 +31,7 @@ from repro.core.system import FleccSystem
 from repro.core.sharding import (
     DomainRangePartitioner,
     HashPartitioner,
+    KeyRangePartitioner,
     ShardedDirectoryPlane,
     ShardedFleccSystem,
     ShardRouter,
@@ -59,6 +60,7 @@ __all__ = [
     "CacheManager",
     "FleccSystem",
     "HashPartitioner",
+    "KeyRangePartitioner",
     "DomainRangePartitioner",
     "ShardRouter",
     "ShardedDirectoryPlane",

@@ -3,7 +3,8 @@
 :class:`DurabilitySpec` is the user-facing configuration threaded
 through :class:`~repro.core.system.FleccSystem`,
 :class:`~repro.core.sharding.ShardedFleccSystem` (one lineage per
-shard, named by shard id + partitioner fingerprint) and
+shard, named by shard id + partitioner fingerprint, plus a placement
+manifest when the plane cut its own key ranges) and
 ``build_airline_system``.  :class:`DurabilityManager` owns one
 lineage's on-disk state:
 
@@ -95,6 +96,13 @@ class DurabilitySpec:
     def directory(self) -> Path:
         return Path(self.root) / self.name
 
+    @property
+    def placement_path(self) -> Path:
+        """Where a sharded plane that placed keys itself keeps its split
+        points: they decide which lineage a key's history lives in, so
+        they are part of the plane's durable state."""
+        return Path(self.root) / f"{self.name}-placement.json"
+
 
 @dataclass
 class RecoveredState:
@@ -135,6 +143,35 @@ def _load_snapshot(path: Path) -> Dict[str, Any]:
     if not isinstance(value, dict):
         raise WalError(f"{path}: snapshot payload is not a record")
     return value
+
+
+def load_placement(spec: DurabilitySpec) -> Optional[Dict[str, Any]]:
+    """The placement manifest under ``spec``'s root; None before the
+    first build.  A manifest that does not parse raises: coming up on
+    freshly cut split points would orphan every lineage on disk."""
+    try:
+        raw = spec.placement_path.read_text()
+    except FileNotFoundError:
+        return None
+    try:
+        doc = json.loads(raw)
+    except ValueError:
+        doc = None
+    if not isinstance(doc, dict) or not {"splits", "fingerprint"} <= doc.keys():
+        raise WalError(f"{spec.placement_path}: unreadable placement manifest")
+    return doc
+
+
+def store_placement(spec: DurabilitySpec, doc: Dict[str, Any]) -> None:
+    """Write the placement manifest atomically (tmp, fsync, replace)."""
+    path = spec.placement_path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".json.tmp")
+    with open(tmp, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
 def partitioner_fingerprint(partitioner: Any) -> str:

@@ -6,28 +6,31 @@ whole coherence plane at one process.  This module partitions the
 primary copy across N independent :class:`DirectoryManager` *shards*
 while keeping every cache manager oblivious:
 
-- A **partitioner** assigns each cell key to one shard.
-  :class:`HashPartitioner` uses a consistent-hash ring over CRC-32 (so
-  the assignment is stable across process restarts — ``hash()`` is
-  randomized per process and must never leak into routing), and
+- A **partitioner** assigns each cell key to one shard.  The default,
+  :class:`KeyRangePartitioner`, cuts the component's sorted keys into
+  contiguous equal-count ranges, so a view serving a run of adjacent
+  keys — and with it every round of its conflict group — lives on one
+  shard.  :class:`HashPartitioner` uses a consistent-hash ring over
+  CRC-32 (stable across process restarts — ``hash()`` is randomized
+  per process and must never leak into routing), and
   :class:`DomainRangePartitioner` splits by property-domain ranges so
   ``dynConfl`` overlap checks stay shard-local for range-partitioned
   workloads.
 - A CM-side :class:`ShardRouter` (a :class:`Transport` wrapper) resolves
-  REGISTER / ACQUIRE / PUSH / PULL / INIT to the owning shard and fans
-  multi-shard operations out, merging the per-shard replies into the
-  single reply the cache manager expects.  Conflict rounds run
-  **shard-local first** (each shard revokes/fetches independently) and
-  meet at a **merge barrier** in the router only when a view's property
-  set genuinely spans shards.
+  each view to its **footprint** — the shards its slice can touch.  A
+  view on one shard is *forwarded*: its requests are retargeted to that
+  shard and its replies pass through untouched, the unsharded message
+  sequence.  Only a view whose slice genuinely spans shards is fanned
+  out, its per-shard rounds meeting at a **merge barrier** in the
+  router.
 - :class:`ShardedDirectoryPlane` builds the shards (each sees only its
   own key partition via wrapped extract functions plus the directory's
   ``key_filter`` guard) and exposes plane-wide counters and merged
   :class:`~repro.net.stats.MessageStats`.
 
-**N=1 parity guarantee**: with one shard the router binds handlers
-straight through and forwards every send verbatim — no message is
-created, rewritten, or re-ordered — so a single-shard plane is
+**N=1 parity guarantee**: on a one-shard plane every view is a
+one-shard view and the shard's address *is* the directory address, so
+forwarding creates, rewrites and re-orders nothing — the plane is
 byte/message-identical to the unsharded system and all existing
 experiments remain valid.
 """
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import logging
 import threading
 import zlib
 from collections import Counter
@@ -43,6 +47,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -59,16 +64,23 @@ from repro.core.directory import (
     MergeIntoObject,
 )
 from repro.core.domains import DiscreteSet, Domain
-from repro.core.durability import DurabilitySpec, partitioner_fingerprint
+from repro.core.durability import (
+    DurabilitySpec,
+    load_placement,
+    partitioner_fingerprint,
+    store_placement,
+)
 from repro.core.image import DeltaImage, ObjectImage
 from repro.core.messages import TraceLog
-from repro.core.modes import Mode
+from repro.core.property import Property
 from repro.core.property_set import PropertySet
 from repro.core.system import FleccSystem
 from repro.errors import ReproError, TransportError
 from repro.net.message import Message
 from repro.net.stats import MessageStats
 from repro.net.transport import Completion, Endpoint, TimerHandle, Transport
+
+log = logging.getLogger(__name__)
 
 
 def stable_key_hash(key: Any) -> int:
@@ -81,6 +93,62 @@ def stable_key_hash(key: Any) -> int:
     keys well enough for placement.
     """
     return zlib.crc32(str(key).encode("utf-8")) & 0xFFFFFFFF
+
+
+class KeyRangePartitioner:
+    """Order-preserving partition: one contiguous key range per shard.
+
+    ``splits`` are the ``n_shards - 1`` sorted split points; shard ``i``
+    owns the keys ``k`` with ``splits[i-1] <= k < splits[i]`` in plain
+    string order, so every key — including one created after the split
+    points were cut — has exactly one owner and neighbouring keys share
+    it.  That is the placement a coherence plane wants: views serve
+    runs of adjacent keys, views conflict when their runs overlap, so a
+    conflict group's rounds all run on the one shard that owns the run.
+
+    :meth:`from_keys` cuts equal-count ranges from a key population;
+    it is what a :class:`ShardedDirectoryPlane` built without a
+    partitioner uses.  A key-range partition names no partition
+    property: the router finds and verifies, per view, the property
+    that enumerates the view's keys (:meth:`ShardRouter.footprint`) and
+    records the last name it found in ``partition_property`` — a label
+    for result headers, which no routing decision and no fingerprint
+    reads back.
+    """
+
+    def __init__(self, splits: Sequence[str] = ()) -> None:
+        self.splits = [str(s) for s in splits]
+        if self.splits != sorted(self.splits):
+            raise ReproError(f"split points must be sorted, got {self.splits}")
+        self.n_shards = len(self.splits) + 1
+        self.partition_property: Optional[str] = None
+
+    @classmethod
+    def from_keys(cls, keys: Iterable[str], n_shards: int) -> "KeyRangePartitioner":
+        """Cut the sorted distinct ``keys`` into ``n_shards`` contiguous
+        ranges of equal count (to within one key)."""
+        if n_shards < 1:
+            raise ReproError(f"n_shards must be >= 1, got {n_shards}")
+        ordered = sorted({str(k) for k in keys})
+        if n_shards > 1 and not ordered:
+            raise ReproError(
+                f"cannot cut {n_shards} key ranges from a component with "
+                f"no keys; pass a partitioner"
+            )
+        n = len(ordered)
+        return cls([ordered[i * n // n_shards] for i in range(1, n_shards)])
+
+    def shard_of(self, key: Any) -> int:
+        """The shard owning ``key`` (total: any key has one owner)."""
+        return bisect.bisect_right(
+            self.splits, key if isinstance(key, str) else str(key)
+        )
+
+    def fingerprint(self) -> str:
+        """Restart-stable digest of the split points (see
+        :meth:`HashPartitioner.fingerprint`)."""
+        spec = json.dumps({"keyrange": self.splits})
+        return f"{zlib.crc32(spec.encode('utf-8')) & 0xFFFFFFFF:08x}"
 
 
 class HashPartitioner:
@@ -211,7 +279,7 @@ class DomainRangePartitioner:
         return f"{zlib.crc32(spec.encode('utf-8')) & 0xFFFFFFFF:08x}"
 
 
-Partitioner = Union[HashPartitioner, DomainRangePartitioner]
+Partitioner = Union[KeyRangePartitioner, HashPartitioner, DomainRangePartitioner]
 
 
 def _absorb(acc: ObjectImage, part: ObjectImage) -> None:
@@ -232,19 +300,25 @@ class _ViewRoute:
     """Router-side registration state for one view."""
 
     __slots__ = (
-        "view_id", "cm_addr", "properties", "mode", "register_payload",
-        "shards", "shard_since", "serve_seq", "last_served", "inflight",
+        "view_id", "cm_addr", "properties", "register_payload",
+        "shards", "forwarded", "shard_since", "serve_seq", "last_served",
+        "inflight",
     )
 
     def __init__(self, view_id: str, cm_addr: str, properties: PropertySet) -> None:
         self.view_id = view_id
         self.cm_addr = cm_addr
         self.properties = properties
-        self.mode = Mode.WEAK
         # The original REGISTER payload, kept for synthesized
         # registrations when a view's footprint later grows a shard.
         self.register_payload: Dict[str, Any] = {}
         self.shards: List[int] = []
+        # Ids of requests forwarded to the view's only shard and not yet
+        # answered: the first reply to each passes through to the CM, a
+        # duplicate (the shard re-answering a retransmission) does not.
+        self.forwarded: Set[int] = set()
+        # The three cursors below exist only while the view spans
+        # shards; a one-shard view's ``since`` is its shard's own cursor.
         # Per-shard delta cursors: the shard's commit cursor after its
         # last serve to this view.  The CM only ever sees the *merged*
         # cursor below, so shard cursors live here.
@@ -305,15 +379,25 @@ class ShardRouter(Transport):
     """CM-side request router over a partitioned directory plane.
 
     Cache managers bind on this transport and address the plane by its
-    single logical directory address; the router resolves each request
-    to the owning shard(s) on the inner transport, runs the merge
-    barrier for multi-shard operations, and splits CM replies that carry
-    cells owned by other shards (the foreign partitions travel as
-    synthesized PUSHes to their home shards).
+    single logical directory address; the router resolves each view to
+    the shards its slice can touch (its *footprint*) and then applies
+    one of two rules:
 
-    With one shard the router is a pure passthrough: handlers bind
-    straight through and ``send`` forwards verbatim, so the wire is
-    byte/message-identical to the unsharded system.
+    - **forward** — the view's route holds exactly one shard: the
+      request itself is retargeted to that shard (same ``msg_id``) and
+      the shard's replies reach the cache manager untouched, so the view
+      exchanges the unsharded message sequence.  On a one-shard plane
+      every view is such a view and the shard address is the directory
+      address, so the wire is byte/message-identical to the unsharded
+      system.
+    - **fan out** — the route holds several shards: per-shard copies
+      meet at a merge barrier, and CM replies that carry cells owned by
+      other shards are split (the foreign partitions travel as
+      synthesized PUSHes to their home shards).
+
+    Images leaving a cache manager are checked against the partition
+    under both rules; a forwarded view that writes a key another shard
+    owns grows its route and is fanned out from then on.
     """
 
     def __init__(
@@ -337,7 +421,11 @@ class ShardRouter(Transport):
         self.shard_addresses = list(shard_addresses)
         self._shard_index = {a: i for i, a in enumerate(self.shard_addresses)}
         self.partitioner = partitioner
-        self.passthrough = len(self.shard_addresses) == 1
+        # The application's ``extract_from_object`` bound to the
+        # component, set by the plane: what ``footprint`` verifies a
+        # candidate property against.
+        self.extract_slice: Optional[Callable[[PropertySet], ObjectImage]] = None
+        self._key_shard: Dict[str, int] = {}
         self.trace = trace
         self.max_acquire_retries = max_acquire_retries
         self._inner_eps: Dict[str, Endpoint] = {}
@@ -347,7 +435,7 @@ class ShardRouter(Transport):
         self._copies: Dict[int, Tuple[_Fanout, int]] = {}
         self._swallow: Set[int] = set()
         # Router-level per-shard accounting: the logical messages
-        # exchanged with each shard (copies out, replies in).  Merged
+        # exchanged with each shard (requests out, replies in).  Merged
         # into one plane-wide view via MessageStats.merge().
         self.shard_stats: Dict[int, MessageStats] = {
             i: MessageStats() for i in range(len(self.shard_addresses))
@@ -361,16 +449,14 @@ class ShardRouter(Transport):
             "synthesized_pushes": 0,
             "registrations_extended": 0,
             "late_replies": 0,
+            "whole_plane_views": 0,
         }
         self._lock = threading.RLock()
         self._closed = False
 
     # -- binding ---------------------------------------------------------
     def _on_bind(self, ep: Endpoint) -> None:
-        if self.passthrough:
-            handler = ep.handler  # N=1: no interception at all
-        else:
-            handler = lambda m, _ep=ep: self._incoming(_ep, m)  # noqa: E731
+        handler = lambda m, _ep=ep: self._incoming(_ep, m)  # noqa: E731
         self._inner_eps[ep.address] = self.inner.bind(ep.address, handler)
 
     def _on_unbind(self, ep: Endpoint) -> None:
@@ -385,16 +471,15 @@ class ShardRouter(Transport):
     def send(self, msg: Message) -> None:
         if self._closed:
             raise TransportError("shard router closed")
-        if self.passthrough:
-            self.inner.send(msg)
-            return
         with self._lock:
-            if msg.dst == self.directory_address:
-                self._route_request(msg)
-                return
+            # Replies first: on a one-shard plane the shard's address
+            # is the directory address.
             shard = self._shard_index.get(msg.dst)
             if shard is not None and msg.msg_type in M.CM_REPLIES:
                 self._split_cm_reply(msg, shard)
+                return
+            if msg.dst == self.directory_address:
+                self._route_request(msg)
                 return
         self.inner.send(msg)
 
@@ -405,6 +490,70 @@ class ShardRouter(Transport):
     def _trace(self, event: str, **detail: Any) -> None:
         if self.trace is not None:
             self.trace.record(self.inner.now(), "router", event, **detail)
+
+    # -- footprints ------------------------------------------------------
+    def footprint(self, view_id: str, properties: PropertySet) -> List[int]:
+        """Sorted shards the slice of ``view_id`` can touch.
+
+        A partitioner that names its partition property answers from
+        that property's domain.  A :class:`KeyRangePartitioner` names
+        none, so the router looks for a :class:`DiscreteSet` property
+        that enumerates the view's cell keys and *verifies* it: one call
+        of the application's own extract, and a property qualifies only
+        if every extracted key is among its values.  The footprint is
+        then the owners of that property's values — a superset of the
+        owners of the slice, as long as the application keeps its side
+        of the contract (slice keys ⊆ the property's values).  A view
+        whose keys no property enumerates spans the plane, with a
+        warning.
+        """
+        n_shards = len(self.shard_addresses)
+        if n_shards == 1:
+            return [0]
+        part = self.partitioner
+        if isinstance(part, KeyRangePartitioner):
+            prop, why = self._enumerating_property(properties)
+            if prop is not None:
+                part.partition_property = prop.name
+                return sorted({part.shard_of(v) for v in prop.domain.values})
+        else:
+            name = part.partition_property
+            prop = properties.get(name)
+            if prop is None:
+                why = f"it declares no property {name!r}"
+            elif isinstance(prop.domain, DiscreteSet) or isinstance(
+                part, DomainRangePartitioner  # places intervals by overlap
+            ):
+                return part.shards_for(properties)
+            else:
+                why = f"its property {name!r} is not a DiscreteSet"
+        self.counters["whole_plane_views"] += 1
+        log.warning("view %r spans all %d shards: %s", view_id, n_shards, why)
+        return list(range(n_shards))
+
+    def _enumerating_property(
+        self, properties: PropertySet
+    ) -> Tuple[Optional[Property], str]:
+        """The tightest DiscreteSet property whose values contain every
+        key of the view's slice, or ``(None, why not)``."""
+        candidates = [p for p in properties if isinstance(p.domain, DiscreteSet)]
+        if not candidates:
+            return None, "it declares no DiscreteSet property"
+        if self.extract_slice is None:
+            return None, "the router has no extract to verify a property with"
+        keys = list(self.extract_slice(properties).keys())
+        if not keys:
+            return None, "its slice is empty, so no property can be verified"
+        fits = [
+            p for p in candidates
+            if all(k in p.domain.values for k in keys)
+        ]
+        if not fits:
+            return None, (
+                f"none of {[p.name for p in candidates]} lists every slice "
+                f"key (e.g. {keys[0]!r})"
+            )
+        return min(fits, key=lambda p: (len(p.domain), p.name)), ""
 
     # -- request routing -------------------------------------------------
     def _route_request(self, msg: Message) -> None:
@@ -419,28 +568,35 @@ class ShardRouter(Transport):
         mt = msg.msg_type
         if mt == M.REGISTER:
             self._route_register(msg)
-        elif mt in _DATA_OPS:
-            self._route_data(msg)
-        elif mt == M.PUSH:
-            self._route_push(msg)
-        elif mt == M.UNREGISTER:
-            self._route_unregister(msg)
-        elif mt == M.PROP_UPDATE:
-            self._route_prop_update(msg)
-        elif mt in (M.SET_MODE, M.HEARTBEAT):
-            self._route_broadcast(msg)
-        else:
-            self._deliver_error(msg, f"unroutable message type {mt}")
-
-    def _route_of(self, msg: Message) -> Optional[_ViewRoute]:
+            return
         route = self._views.get(msg.payload.get("view_id"))
         if route is None:
             self._deliver_error(
                 msg,
-                f"message {msg.msg_type} from unregistered view "
+                f"message {mt} from unregistered view "
                 f"{msg.payload.get('view_id')!r}",
             )
-        return route
+        elif mt in _DATA_OPS:
+            self._route_data(msg, route)
+        elif mt in (M.PUSH, M.UNREGISTER):
+            self._route_state(msg, route)
+        elif mt == M.PROP_UPDATE:
+            self._route_prop_update(msg, route)
+        elif mt in (M.SET_MODE, M.HEARTBEAT):
+            self._route_broadcast(msg, route)
+        else:
+            self._deliver_error(msg, f"unroutable message type {mt}")
+
+    def _forward(self, msg: Message, route: _ViewRoute) -> None:
+        """The one-shard rule: retarget the request itself and send it.
+
+        No copy, no barrier: the shard answers the CM's own ``msg_id``,
+        and ``_incoming`` hands that reply to the CM as it came.
+        """
+        shard = route.shards[0]
+        msg.dst = self.shard_addresses[shard]
+        route.forwarded.add(msg.msg_id)
+        self._send_to_shard(shard, msg)
 
     def _begin_fanout(
         self, msg: Message, route: _ViewRoute, targets: List[Tuple[int, Message]]
@@ -463,7 +619,7 @@ class ShardRouter(Transport):
         p = msg.payload
         view_id = p.get("view_id")
         properties = p.get("properties") or PropertySet()
-        shards = self.partitioner.shards_for(properties)
+        shards = self.footprint(view_id, properties)
         route = self._views.get(view_id)
         if route is None:
             route = _ViewRoute(view_id, msg.src, properties)
@@ -471,26 +627,30 @@ class ShardRouter(Transport):
         route.cm_addr = msg.src
         self._by_addr[msg.src] = route
         route.properties = properties
-        route.mode = Mode.parse(p.get("mode", Mode.WEAK))
         route.shards = shards
         route.register_payload = dict(p)
-        for s in shards:
-            route.shard_since.setdefault(s, -1)
+        if len(shards) == 1:
+            self._forward(msg, route)
+            return
         targets = [
             (s, Message(M.REGISTER, msg.src, self.shard_addresses[s], dict(p)))
             for s in shards
         ]
         self._begin_fanout(msg, route, targets)
 
-    def _route_data(self, msg: Message) -> None:
-        route = self._route_of(msg)
-        if route is None:
+    def _route_data(self, msg: Message, route: _ViewRoute) -> None:
+        if len(route.shards) == 1:
+            # Local *to one shard of several*: a one-shard plane has no
+            # rounds that could have been anything else.
+            if len(self.shard_addresses) > 1:
+                self.counters["shard_local_rounds"] += 1
+            self._forward(msg, route)
             return
         since = msg.payload.get("since")
         # A cursor the router did not hand out — first contact, a reset
-        # after crash/property change, or an explicit full request —
-        # means the CM's base cannot anchor a merged delta: serve a
-        # complete image from every shard.
+        # after crash/property change, a cursor from the view's one-shard
+        # past, or an explicit full request — means the CM's base cannot
+        # anchor a merged delta: serve a complete image from every shard.
         asked_full = bool(msg.payload.get("full")) or (
             since is not None and (since < 0 or since != route.last_served)
         )
@@ -517,68 +677,46 @@ class ShardRouter(Transport):
                 (shard, Message(fan.orig.msg_type, fan.orig.src,
                                 self.shard_addresses[shard], p))
             )
-        if len(targets) > 1:
-            self.counters["cross_shard_rounds"] += 1
-        else:
-            self.counters["shard_local_rounds"] += 1
+        self.counters["cross_shard_rounds"] += 1
         self._launch(fan, targets)
 
-    def _route_push(self, msg: Message) -> None:
-        route = self._route_of(msg)
-        if route is None:
-            return
+    def _route_state(self, msg: Message, route: _ViewRoute) -> None:
+        """PUSH / UNREGISTER: requests that carry the view's cells."""
         image: ObjectImage = msg.payload.get("image") or ObjectImage()
-        state_seq = msg.payload.get("state_seq")
-        groups = self._group_keys(image)
-        targets: List[Tuple[int, Message]] = []
-        for shard in sorted(groups):
-            if shard not in route.shards:
-                self._extend_route(route, shard)
-            targets.append(
-                (shard, Message(M.PUSH, msg.src, self.shard_addresses[shard],
-                                {"view_id": route.view_id,
-                                 "image": image.restrict(groups[shard]),
-                                 "state_seq": state_seq}))
-            )
-        if not targets:
-            # Empty push: one shard must still ACK (and renew the lease).
-            home = route.shards[0]
-            targets.append(
-                (home, Message(M.PUSH, msg.src, self.shard_addresses[home],
-                               {"view_id": route.view_id,
-                                "image": ObjectImage(),
-                                "state_seq": state_seq}))
-            )
-        self._begin_fanout(msg, route, targets)
-
-    def _route_unregister(self, msg: Message) -> None:
-        route = self._route_of(msg)
-        if route is None:
-            return
-        image: ObjectImage = msg.payload.get("image") or ObjectImage()
-        state_seq = msg.payload.get("state_seq")
         groups = self._group_keys(image)
         for shard in sorted(groups):
             if shard not in route.shards:
                 self._extend_route(route, shard)
+        if len(route.shards) == 1:
+            self._forward(msg, route)
+            return
+        if msg.msg_type == M.UNREGISTER:
+            shards = route.shards
+        else:
+            # A PUSH goes where its cells live; an empty one still needs
+            # one shard to ACK (and renew the lease).
+            shards = sorted(groups) or route.shards[:1]
+        state_seq = msg.payload.get("state_seq")
         targets = [
-            (shard, Message(M.UNREGISTER, msg.src, self.shard_addresses[shard],
+            (shard, Message(msg.msg_type, msg.src, self.shard_addresses[shard],
                             {"view_id": route.view_id,
                              "image": image.restrict(groups.get(shard, [])),
                              "state_seq": state_seq}))
-            for shard in route.shards
+            for shard in shards
         ]
         self._begin_fanout(msg, route, targets)
 
-    def _route_prop_update(self, msg: Message) -> None:
-        route = self._route_of(msg)
-        if route is None:
-            return
+    def _route_prop_update(self, msg: Message, route: _ViewRoute) -> None:
         properties = msg.payload.get("properties")
         if not isinstance(properties, PropertySet):
             self._deliver_error(msg, "properties missing")
             return
-        new_shards = set(self.partitioner.shards_for(properties))
+        new = self.footprint(route.view_id, properties)
+        if len(new) == 1 and new == route.shards:
+            route.properties = properties
+            self._forward(msg, route)
+            return
+        new_shards = set(new)
         old_shards = set(route.shards)
         targets: List[Tuple[int, Message]] = []
         for shard in sorted(new_shards & old_shards):
@@ -607,12 +745,12 @@ class ShardRouter(Transport):
                                  "image": ObjectImage()}))
             )
         fan = self._begin_fanout(msg, route, targets)
-        fan.extra["new_shards"] = sorted(new_shards)
+        fan.extra["new_shards"] = new
         fan.extra["new_properties"] = properties
 
-    def _route_broadcast(self, msg: Message) -> None:
-        route = self._route_of(msg)
-        if route is None:
+    def _route_broadcast(self, msg: Message, route: _ViewRoute) -> None:
+        if len(route.shards) == 1:
+            self._forward(msg, route)
             return
         targets = [
             (shard, Message(msg.msg_type, msg.src,
@@ -630,7 +768,9 @@ class ShardRouter(Transport):
         dropped by its ``key_filter``, so they are re-homed here as
         synthesized PUSHes — sent before the reply, and FIFO per link,
         so a shard always commits its partition before any later round
-        reply from this CM reaches it.
+        reply from this CM reaches it.  A one-shard view's reply has no
+        such cells (unless it wrote outside its footprint, which grows
+        its route) and leaves as it came.
         """
         route = self._by_addr.get(msg.src)
         image = msg.payload.get("image")
@@ -650,14 +790,20 @@ class ShardRouter(Transport):
                 self._swallow.add(push.msg_id)
                 self.counters["synthesized_pushes"] += 1
                 self._send_to_shard(other, push)
-            if len(own_keys) != len(image):
+            if groups:
                 msg.payload["image"] = image.restrict(own_keys)
         self._send_to_shard(shard, msg)
 
     def _group_keys(self, image: ObjectImage) -> Dict[int, List[str]]:
+        """The image's keys by owning shard (key -> shard is memoised:
+        the same few cells leave a cache manager over and over)."""
+        owner = self._key_shard
         groups: Dict[int, List[str]] = {}
         for key in image.keys():
-            groups.setdefault(self.partitioner.shard_of(key), []).append(key)
+            shard = owner.get(key)
+            if shard is None:
+                shard = owner[key] = self.partitioner.shard_of(key)
+            groups.setdefault(shard, []).append(key)
         return groups
 
     def _extend_route(self, route: _ViewRoute, shard: int) -> None:
@@ -673,28 +819,40 @@ class ShardRouter(Transport):
         m = Message(M.REGISTER, route.cm_addr, self.shard_addresses[shard], reg)
         self._swallow.add(m.msg_id)
         self.counters["registrations_extended"] += 1
+        if len(route.shards) == 1:
+            # Leaving the one-shard rule: the CM's cursor is its first
+            # shard's own, which anchors no merged delta — the next
+            # serve must be complete, from every shard.
+            route.shard_since = {}
+            route.last_served = -1
         route.shards = sorted(set(route.shards) | {shard})
-        route.shard_since.setdefault(shard, -1)
         self._send_to_shard(shard, m)
 
     # -- incoming (wrapped CM endpoints) ---------------------------------
     def _incoming(self, ep: Endpoint, msg: Message) -> None:
         with self._lock:
-            if msg.reply_to is not None:
-                entry = self._copies.pop(msg.reply_to, None)
+            reply_to = msg.reply_to
+            if reply_to is not None:
+                entry = self._copies.pop(reply_to, None)
                 if entry is not None:
                     fan, shard = entry
                     self.shard_stats[shard].record(msg)
                     self._on_copy_reply(fan, shard, msg)
                     return
-                if msg.reply_to in self._swallow:
-                    self._swallow.discard(msg.reply_to)
+                if reply_to in self._swallow:
+                    self._swallow.discard(reply_to)
                     return
-                if msg.src in self._shard_index:
-                    # Reply to an abandoned copy (e.g. a duplicate after
-                    # the barrier already closed) — consume it quietly.
-                    self.counters["late_replies"] += 1
-                    return
+                shard = self._shard_index.get(msg.src)
+                if shard is not None:
+                    route = self._by_addr.get(ep.address)
+                    if route is None or reply_to not in route.forwarded:
+                        # Answered already, or a reply to an abandoned
+                        # copy (a duplicate after the barrier closed) —
+                        # consume it quietly.
+                        self.counters["late_replies"] += 1
+                        return
+                    route.forwarded.discard(reply_to)
+                    self.shard_stats[shard].record(msg)
             elif msg.msg_type == M.INVALIDATE:
                 if self._intercept_invalidate(msg):
                     return
@@ -821,7 +979,6 @@ class ShardRouter(Transport):
             self._deliver(fan, M.PROP_UPDATE_ACK, {"view_id": vid})
         elif fan.kind == M.SET_MODE:
             payload = replies[0].payload if replies else {}
-            route.mode = Mode.parse(payload.get("mode", route.mode))
             self._deliver(fan, M.SET_MODE_ACK, dict(payload))
         elif fan.kind == M.HEARTBEAT:
             lease = next(
@@ -955,6 +1112,42 @@ class ShardRouter(Transport):
         # (the plane / the caller) closes it.
 
 
+def _place_keys(
+    n_shards: int,
+    component: Any,
+    extract_from_object: ExtractFromObject,
+    durability: Optional[DurabilitySpec],
+) -> KeyRangePartitioner:
+    """The default placement: the manifest's split points when a durable
+    plane was built here before, else equal-count ranges cut from the
+    component's keys as they are now (and recorded for the next build)."""
+    saved = load_placement(durability) if durability is not None else None
+    if saved is not None:
+        part = KeyRangePartitioner(saved["splits"])
+        if part.n_shards != n_shards:
+            raise ReproError(
+                f"{durability.placement_path}: placed for {part.n_shards} "
+                f"shards, plane built with n_shards={n_shards}"
+            )
+        if part.fingerprint() != saved["fingerprint"]:
+            raise ReproError(
+                f"{durability.placement_path}: split points do not match "
+                f"their fingerprint {saved['fingerprint']!r}"
+            )
+        return part
+    keys = (
+        extract_from_object(component, PropertySet()).keys()
+        if n_shards > 1 else ()
+    )
+    part = KeyRangePartitioner.from_keys(keys, n_shards)
+    if durability is not None and n_shards > 1:
+        store_placement(
+            durability,
+            {"splits": part.splits, "fingerprint": part.fingerprint()},
+        )
+    return part
+
+
 class ShardedDirectoryPlane:
     """N directory shards + the router, presented as one directory.
 
@@ -964,10 +1157,20 @@ class ShardedDirectoryPlane:
     foreign-key commits (a foreign commit would bump versions the owning
     shard never sees and silently fork the version history).
 
+    Built without a ``partitioner`` the plane places keys itself: it
+    enumerates the component's keys once (an extract with the empty
+    property set, the convention directory snapshots use) and cuts them
+    into ``n_shards`` contiguous equal-count ranges
+    (:meth:`KeyRangePartitioner.from_keys`).  Placement that depends on
+    data is state: a durable plane writes the split points to a manifest
+    beside its lineages at first build and *reads them back* on every
+    rebuild, so a component that has grown since cannot shift the
+    routing under lineages already on disk.
+
     With ``n_shards=1`` the plane degenerates to exactly the unsharded
     construction — raw extract functions, no key filter, the original
-    directory address — and the router passes everything through, so
-    the wire is byte/message-identical to a plain DirectoryManager.
+    directory address — and the router forwards everything as it came,
+    so the wire is byte/message-identical to a plain DirectoryManager.
     """
 
     def __init__(
@@ -983,8 +1186,20 @@ class ShardedDirectoryPlane:
         trace: Optional[TraceLog] = None,
         **dm_kwargs: Any,
     ) -> None:
+        # Durable plane: one WAL/snapshot lineage per shard, named by
+        # shard id + partitioner fingerprint — recovering through a
+        # *different* partitioner would re-home cells the new routing
+        # sends elsewhere, so the lineage name pins the partition.
+        durability = dm_kwargs.pop("durability", None)
+        if durability is not None and not isinstance(durability, DurabilitySpec):
+            raise ReproError(
+                "a sharded plane needs a DurabilitySpec (it derives one "
+                f"lineage per shard), got {type(durability).__name__}"
+            )
         if partitioner is None:
-            partitioner = HashPartitioner(n_shards)
+            partitioner = _place_keys(
+                n_shards, component, extract_from_object, durability
+            )
         self.partitioner = partitioner
         self.n_shards = partitioner.n_shards
         self.address = directory_address
@@ -1000,16 +1215,9 @@ class ShardedDirectoryPlane:
             transport, directory_address, self.addresses, partitioner,
             trace=trace,
         )
-        # Durable plane: one WAL/snapshot lineage per shard, named by
-        # shard id + partitioner fingerprint — recovering through a
-        # *different* partitioner would re-home cells the new routing
-        # sends elsewhere, so the lineage name pins the partition.
-        durability = dm_kwargs.pop("durability", None)
-        if durability is not None and not isinstance(durability, DurabilitySpec):
-            raise ReproError(
-                "a sharded plane needs a DurabilitySpec (it derives one "
-                f"lineage per shard), got {type(durability).__name__}"
-            )
+        self.router.extract_slice = (
+            lambda props: extract_from_object(component, props)
+        )
         fingerprint = (
             partitioner_fingerprint(partitioner) if durability is not None else ""
         )

@@ -13,11 +13,13 @@ shards and measures, in *simulated* time on a strict-wire transport:
 
 Two workload shapes bracket the design space:
 
-- **shard-local** — views grouped so every property set falls inside
-  one shard's domain range (the ``DomainRangePartitioner`` answers
-  ``shards_for`` by domain overlap, exactly like ``dynConfl``).  Each
-  shard serializes only its own groups' rounds, so throughput scales
-  with N; this is the point of the sharded plane.
+- **shard-local** — each group of views serves its own run of adjacent
+  cells.  The plane is built with *no partitioner*: its default
+  order-preserving placement cuts the 64 cells into N equal ranges, a
+  group's run falls inside one of them, and the router forwards the
+  group's traffic to that shard.  Each shard serializes only its own
+  groups' rounds, so throughput scales with N; this is the point of
+  the sharded plane.
 - **all-spanning (worst case)** — every view's property set covers the
   whole key space, so every acquire fans out to all N shards and waits
   on the merge barrier.  No parallelism is available and the barrier
@@ -26,7 +28,11 @@ Two workload shapes bracket the design space:
 The ``--check`` gate also replays a mixed-mode Fig-4-style workload on
 the unsharded :class:`~repro.core.system.FleccSystem` and on the plane
 at N=1 and requires byte-for-byte message parity: one shard must be the
-identity configuration.
+identity configuration.  An **airline leg** carries the shard-local
+claim over to a real application's property set: Fig 4's travel agents
+(``make_agent_groups(16, 8)``, property ``Flights``) on
+``build_airline_system(n_shards=4)`` with no partitioner must never fan
+out and must exchange the unsharded system's messages, type for type.
 
 ``python -m repro.experiments.shard_sweep`` writes ``BENCH_shard.json``.
 """
@@ -35,11 +41,17 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import DiscreteSet, DomainRangePartitioner
+from repro.apps.airline.app_spec import build_airline_system
+from repro.apps.airline.travel_agent import lifecycle
+from repro.apps.airline.workload import (
+    generate_flight_database,
+    make_agent_groups,
+    reserve_operations,
+)
 from repro.core.system import FleccSystem, run_all_scripts
 from repro.core.sharding import ShardedFleccSystem
 from repro.experiments.report import Table
@@ -58,30 +70,22 @@ from repro.testing import (
 )
 
 # 8 groups x 8 cells; group g's cells live in exactly one shard for
-# every N in {1, 2, 4, 8} because shard ranges are unions of groups.
+# every N in {1, 2, 4, 8}: the default placement cuts the 64 sorted
+# cells into N equal ranges, each a union of whole groups.
 N_GROUPS = 8
 CELLS_PER_GROUP = 8
 CELLS = [f"c{i:02d}" for i in range(N_GROUPS * CELLS_PER_GROUP)]
+
+# Airline leg: 16 agents, the first 8 sharing one block of 5 flights.
+# 60 flights over 4 shards is 15 a shard — three whole blocks — so no
+# agent's block straddles a split point (the one alignment an
+# equal-count cut cannot promise; tests/core/test_shard_locality.py).
+AIRLINE_AGENTS, AIRLINE_CONFLICTING, AIRLINE_FLIGHTS = 16, 8, 60
 
 
 def _group_cells(group: int) -> List[str]:
     lo = group * CELLS_PER_GROUP
     return CELLS[lo:lo + CELLS_PER_GROUP]
-
-
-def _partitioner(n_shards: int) -> Optional[DomainRangePartitioner]:
-    """Shard i owns the cells of groups [i*8/N, (i+1)*8/N)."""
-    if n_shards == 1:
-        return None
-    per_shard = N_GROUPS // n_shards
-    ranges = [
-        DiscreteSet(
-            {c for g in range(i * per_shard, (i + 1) * per_shard)
-             for c in _group_cells(g)}
-        )
-        for i in range(n_shards)
-    ]
-    return DomainRangePartitioner(ranges)
 
 
 def _percentile(samples: Sequence[float], q: float) -> float:
@@ -113,11 +117,26 @@ class ShardPoint:
 
 
 @dataclass
+class AirlineLeg:
+    """Fig 4's travel agents on a default 4-shard plane vs unsharded."""
+
+    n_shards: int
+    views: int
+    router_fanouts: int
+    shard_local_rounds: int
+    whole_plane_views: int
+    census: Dict[str, int]             # logical messages by type, sharded
+    unsharded_census: Dict[str, int]   # the same script, one directory
+    state_identical: bool              # final flight database
+
+
+@dataclass
 class ShardSweepResult:
     points: List[ShardPoint] = field(default_factory=list)
     # N=1 plane vs unsharded FleccSystem on the Fig-4-style workload.
     n1_state_identical: bool = True
     n1_messages_identical: bool = True
+    airline: Optional[AirlineLeg] = None
 
     def table(self) -> Table:
         t = Table(
@@ -160,8 +179,7 @@ def _run_point(
     store = Store({c: 0 for c in CELLS})
     system = ShardedFleccSystem(
         transport, store, extract_from_object, merge_into_object,
-        n_shards=n_shards, partitioner=_partitioner(n_shards),
-        extract_cells=extract_cells,
+        n_shards=n_shards, extract_cells=extract_cells,
     )
     latencies: List[float] = []
     ops = [0]
@@ -311,6 +329,43 @@ def _n1_parity() -> Tuple[bool, bool]:
     )
 
 
+def _airline_run(n_shards: int) -> Tuple[Dict[str, int], Dict[str, dict], Dict[str, int]]:
+    """Fig 4's agents and script on ``build_airline_system(n_shards)``:
+    (message census by type, final database cells, plane counters)."""
+    reset_message_ids()
+    database = generate_flight_database(AIRLINE_FLIGHTS, seed=0)
+    airline = build_airline_system(database, n_shards=n_shards)
+    scripts = []
+    for i, served in enumerate(
+        make_agent_groups(AIRLINE_AGENTS, AIRLINE_CONFLICTING)
+    ):
+        agent, cm = airline.add_travel_agent(f"ta-{i:03d}", served, mode="strong")
+        ops = reserve_operations(served, 3, seed=0, agent_index=i)
+        scripts.append(lifecycle(cm, agent, ops, think_time=1.0))
+    run_all_scripts(airline.system.transport, scripts)
+    counters = (
+        dict(airline.system.plane.counters) if n_shards > 1 else {}
+    )
+    airline.system.close()
+    cells = {n: f.to_cell() for n, f in database.flights.items()}
+    return dict(sorted(airline.stats.by_type.items())), cells, counters
+
+
+def run_airline_leg(n_shards: int = 4) -> AirlineLeg:
+    base_census, base_cells, _ = _airline_run(1)
+    census, cells, counters = _airline_run(n_shards)
+    return AirlineLeg(
+        n_shards=n_shards,
+        views=AIRLINE_AGENTS,
+        router_fanouts=counters["router_fanouts"],
+        shard_local_rounds=counters["shard_local_rounds"],
+        whole_plane_views=counters["whole_plane_views"],
+        census=census,
+        unsharded_census=base_census,
+        state_identical=cells == base_cells,
+    )
+
+
 def sweep_points(
     shards: Sequence[int] = (1, 2, 4, 8), rounds: int = 4
 ) -> List[Tuple[int, bool, int]]:
@@ -337,6 +392,7 @@ def merge_shard_sweep(
 ) -> ShardSweepResult:
     result = ShardSweepResult(points=list(partials))
     result.n1_state_identical, result.n1_messages_identical = _n1_parity()
+    result.airline = run_airline_leg()
     return result
 
 
@@ -398,6 +454,7 @@ def bench_payload(result: ShardSweepResult) -> Dict[str, object]:
             }
             for p in result.points
         ],
+        "airline": asdict(result.airline),
     }
 
 
@@ -421,6 +478,19 @@ def check_acceptance(payload: Dict[str, object]) -> List[str]:
             problems.append(
                 f"shard-local workload fanned out at N={p['n_shards']}"
             )
+    airline = payload["airline"]
+    if airline["router_fanouts"] or airline["whole_plane_views"]:
+        problems.append(
+            f"airline views left their shard: {airline['router_fanouts']} "
+            f"fan-outs, {airline['whole_plane_views']} whole-plane views"
+        )
+    if airline["census"] != airline["unsharded_census"]:
+        problems.append(
+            f"airline message census {airline['census']} differs from the "
+            f"unsharded system's {airline['unsharded_census']}"
+        )
+    if not airline["state_identical"]:
+        problems.append("airline end state differs from the unsharded system's")
     return problems
 
 
@@ -446,6 +516,13 @@ def main(argv: Optional[Sequence[str]] = None) -> ShardSweepResult:
         f"shard-local speedup at 4 shards: {payload['local_speedup_4_shards']}x, "
         f"spanning (worst case) ratio: {payload['spanning_ratio_4_shards']}x"
     )
+    leg = result.airline
+    print(
+        f"airline, {leg.views} agents on {leg.n_shards} shards: "
+        f"{leg.router_fanouts} fan-outs, {leg.shard_local_rounds} shard-local "
+        f"rounds, {sum(leg.census.values())} messages "
+        f"(unsharded: {sum(leg.unsharded_census.values())})"
+    )
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
     problems = check_acceptance(payload)
@@ -456,7 +533,8 @@ def main(argv: Optional[Sequence[str]] = None) -> ShardSweepResult:
     else:
         print(
             "acceptance: OK (>= 2x rounds/sec at 4 shards on the "
-            "shard-local workload; N=1 plane is message-identical)"
+            "shard-local workload; N=1 plane is message-identical; airline "
+            "views stay shard-local with the unsharded message census)"
         )
     return result
 

@@ -1,0 +1,263 @@
+"""Shard-local by default: a plane built with no partitioner keeps a
+conflict group's rounds on one shard.
+
+The liveness cases are the README's "``acquire … disturbed after 8
+attempts``" workload — strong views sharing one run of flights — which
+on the hash-partitioned default exhausted the router's acquire retries
+because every view spanned every shard.
+"""
+
+import logging
+
+import pytest
+
+from repro.apps.airline.flights import (
+    extract_cells_from_database,
+    extract_from_database,
+    flight_index_property,
+    merge_into_database,
+    seat_conflict_resolver,
+)
+from repro.apps.airline.travel_agent import (
+    TravelAgent,
+    attach_cache_manager,
+    extract_from_agent,
+    lifecycle,
+    merge_into_agent,
+)
+from repro.apps.airline.workload import (
+    generate_flight_database,
+    reserve_operations,
+)
+from repro.core.domains import Interval
+from repro.core.durability import DurabilitySpec
+from repro.core.property import Property
+from repro.core.property_set import PropertySet
+from repro.core.sharding import (
+    HashPartitioner,
+    KeyRangePartitioner,
+    ShardedFleccSystem,
+)
+from repro.core.system import run_all_scripts
+from repro.net.sim_transport import SimTransport
+from repro.sim.kernel import SimKernel
+from repro.testing import (
+    Agent,
+    Store,
+    extract_cells,
+    extract_from_object,
+    extract_from_view,
+    merge_into_object,
+    merge_into_view,
+    props_for,
+)
+
+CAPACITY = 1000
+OPS = 50
+
+
+def _airline(n_flights, partitioner=None):
+    db = generate_flight_database(
+        n_flights, seed=0, capacity_range=(CAPACITY, CAPACITY)
+    )
+    system = ShardedFleccSystem(
+        SimTransport(SimKernel(), default_latency=1.0), db,
+        extract_from_database, merge_into_database, n_shards=4,
+        partitioner=partitioner,
+        conflict_resolver=seat_conflict_resolver,
+        extract_cells=extract_cells_from_database,
+    )
+    return db, system
+
+
+def _contend(n_flights, n_views):
+    """``n_views`` STRONG agents all serving FL0000..FL0004, 50 reserve
+    ops each with no think time; returns (seats lost, plane counters,
+    the shards the views were routed to)."""
+    db, system = _airline(n_flights)
+    served = [f"FL{i:04d}" for i in range(5)]
+    scripts = []
+    for v in range(n_views):
+        agent = TravelAgent(f"ta{v}", served)
+        cm = attach_cache_manager(system, agent, mode="strong")
+        ops = reserve_operations(served, OPS, seed=3, agent_index=v)
+        scripts.append(lifecycle(cm, agent, ops, think_time=0.0))
+    run_all_scripts(system.transport, scripts)  # raises on any failed op
+    system.plane.check_invariants()
+    lost = sum(CAPACITY - f.seats_available for f in db.flights.values())
+    counters = system.plane.counters
+    footprint = sorted({system.plane.partitioner.shard_of(k) for k in served})
+    system.close()
+    return lost, counters, footprint
+
+
+def test_four_strong_views_on_one_slice_all_finish():
+    """20 flights over 4 shards is one 5-flight slice per shard: the
+    quad lives on shard 0 and runs the unsharded protocol there."""
+    lost, counters, footprint = _contend(n_flights=20, n_views=4)
+    assert lost == 4 * OPS
+    assert footprint == [0]
+    assert counters["router_fanouts"] == 0
+    assert counters["cross_shard_rounds"] == 0
+    assert counters["acquire_retries"] == 0
+    assert counters["whole_plane_views"] == 0
+
+
+def test_slice_straddling_a_split_point_spans_exactly_two_shards():
+    """15 flights over 4 shards cuts at FL0003: the slice FL0000..FL0004
+    straddles it.  An equal-count cut cannot promise alignment with the
+    application's slices — what it promises is adjacency, so a straddling
+    slice costs two shards, not four, and stays correct."""
+    lost, counters, footprint = _contend(n_flights=15, n_views=2)
+    assert lost == 2 * OPS
+    assert footprint == [0, 1]
+    assert counters["cross_shard_rounds"] > 0
+    assert counters["shard_local_rounds"] == 0
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 1(c): more than two strong views contending "
+    "across a split point still exhaust the router's acquire retries",
+    strict=True,
+)
+def test_four_strong_views_straddling_a_split_point():
+    lost, _counters, _footprint = _contend(n_flights=15, n_views=4)
+    assert lost == 4 * OPS
+
+
+# -- the loud fallback ---------------------------------------------------------
+
+
+def test_view_no_property_enumerates_spans_the_plane_loudly(caplog):
+    """An interval property cannot be enumerated: the view still works,
+    on every shard, and says so once."""
+    db, system = _airline(20)
+    agent = TravelAgent("by-index", [f"FL{i:04d}" for i in range(5)])
+    cm = system.add_view(
+        "by-index", agent, flight_index_property(0, 4),
+        extract_from_agent, merge_into_agent, mode="weak",
+    )
+
+    def script():
+        yield cm.start()
+        yield cm.init_image()
+        yield cm.kill_image()
+
+    with caplog.at_level(logging.WARNING, logger="repro.core.sharding"):
+        run_all_scripts(system.transport, [script()])
+    counters = system.plane.counters
+    system.close()
+    assert sorted(agent.local) == [f"FL{i:04d}" for i in range(5)]
+    assert counters["whole_plane_views"] == 1
+    warnings = [r for r in caplog.records if r.name == "repro.core.sharding"]
+    assert len(warnings) == 1
+    assert "by-index" in warnings[0].getMessage()
+    assert "DiscreteSet" in warnings[0].getMessage()
+
+
+def test_named_property_that_cannot_be_enumerated_is_loud_too(caplog):
+    """An explicit ``HashPartitioner("cells")`` and a view whose
+    ``cells`` is an interval: the same whole-plane fallback, so the
+    same warning and counter."""
+    system = ShardedFleccSystem(
+        SimTransport(SimKernel(), default_latency=1.0),
+        Store({f"k{i}": 0 for i in range(8)}),
+        extract_from_object, merge_into_object,
+        partitioner=HashPartitioner(4),
+        extract_cells=extract_cells,
+    )
+    router = system.plane.router
+    with caplog.at_level(logging.WARNING, logger="repro.core.sharding"):
+        assert router.footprint("listed", props_for(["k0"])) == [
+            system.plane.partitioner.shard_of("k0")
+        ]
+        assert router.footprint(
+            "ranged", PropertySet([Property("cells", Interval(0, 9))])
+        ) == [0, 1, 2, 3]
+        assert router.footprint("other", flight_index_property(0, 4)) == [0, 1, 2, 3]
+    system.close()
+    assert system.plane.counters["whole_plane_views"] == 2
+    said = [r.getMessage() for r in caplog.records]
+    assert len(said) == 2
+    assert "'ranged'" in said[0] and "not a DiscreteSet" in said[0]
+    assert "'other'" in said[1] and "no property 'cells'" in said[1]
+
+
+def test_inferred_property_is_readable_on_the_partitioner():
+    db, system = _airline(20)
+    part = system.plane.partitioner
+    assert isinstance(part, KeyRangePartitioner)
+    assert part.partition_property is None
+    fingerprint = part.fingerprint()
+    agent = TravelAgent("ta", ["FL0005", "FL0006"])
+    cm = attach_cache_manager(system, agent, mode="weak")
+
+    def script():
+        yield cm.start()
+        yield cm.kill_image()
+
+    run_all_scripts(system.transport, [script()])
+    system.close()
+    assert part.partition_property == "Flights"
+    # A label only: lineage names hang off the fingerprint, and a
+    # second plane over the same partitioner object still infers.
+    assert part.fingerprint() == fingerprint
+    _db, again = _airline(20, partitioner=part)
+    assert again.plane.router.footprint(
+        "tb", TravelAgent("tb", ["FL0018"]).properties()
+    ) == [3]
+    again.close()
+
+
+# -- placement is durable state --------------------------------------------------
+
+
+def _durable_plane(wal_root, store):
+    return ShardedFleccSystem(
+        SimTransport(SimKernel(), default_latency=1.0), store,
+        extract_from_object, merge_into_object, n_shards=4,
+        extract_cells=extract_cells,
+        durability=DurabilitySpec(wal_root, fsync="always", snapshot_every=0),
+    )
+
+
+def test_whole_plane_restarts_from_its_manifest_after_the_component_grew(
+    wal_root,
+):
+    """Every shard dies, the primary copy is wiped, and the component
+    has *more* keys than when the plane first placed them: a rebuild
+    must route by the manifest, not by a fresh cut, or every lineage on
+    disk would be looked for under another shard's name."""
+    cells = [f"k{i:02d}" for i in range(16)]
+    store = Store({c: 0 for c in cells})
+    system = _durable_plane(wal_root, store)
+    splits = list(system.plane.partitioner.splits)
+    agent = Agent()
+    cm = system.add_view("v", agent, props_for(cells + ["k16", "k17"]),
+                         extract_from_view, merge_into_view, mode="weak")
+
+    def script():
+        yield cm.start()
+        yield cm.init_image()
+        for i, c in enumerate(cells):
+            agent.local[c] = 100 + i
+        # New keys past the last split point: the component grows.
+        agent.local["k16"] = 116
+        agent.local["k17"] = 117
+        yield cm.push_image()
+
+    run_all_scripts(system.transport, [script()])
+    acked = dict(store.cells)
+    assert acked["k17"] == 117 and acked["k00"] == 100
+    for shard in range(4):
+        system.plane.crash_shard(shard)
+    store.cells.clear()
+    # A grown component the placement must *not* be re-derived from.
+    store.cells.update({f"a{i}": -1 for i in range(40)})
+
+    rebuilt = _durable_plane(wal_root, store)
+    assert rebuilt.plane.partitioner.splits == splits
+    assert [dm.durability.spec.name for dm in rebuilt.plane.shards] == \
+        [dm.durability.spec.name for dm in system.plane.shards]
+    assert {k: v for k, v in store.cells.items() if k.startswith("k")} == acked
+    rebuilt.close()

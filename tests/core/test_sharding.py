@@ -293,7 +293,9 @@ def test_single_shard_contended_parity():
 def test_single_shard_uses_original_directory_address():
     transport, _store, system = _build(1)
     assert system.plane.addresses == ["dir"]
-    assert system.plane.router.passthrough
+    # The shard's address is the directory address, so forwarding a
+    # request to "its shard" retargets nothing.
+    assert system.plane.router.shard_addresses == ["dir"]
     system.close()
 
 
