@@ -36,7 +36,7 @@ import heapq
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core import messages as M
 from repro.core.conflicts import ConflictPolicy
@@ -870,10 +870,10 @@ class DirectoryManager:
             # queue serializes the re-ACQUIRE behind the revocation.
             self.counters["regrants"] += 1
             self._trace("regrant", view=rec.view_id)
-            payload = self._serve_payload(
+            payload, served = self._serve_payload(
                 _PendingOp("acquire", msg, rec.view_id), rec
             )
-            self._log_cursors(rec)
+            self._log_cursors(rec, served)
             self._reply(msg, M.GRANT, payload)
             self.check_invariants()
             return
@@ -1192,7 +1192,7 @@ class DirectoryManager:
             prof = self.profiler
             t0 = _clock_ns() if prof is not None else 0
             try:
-                payload = self._serve_payload(op, rec)
+                payload, served = self._serve_payload(op, rec)
             except Exception as exc:  # noqa: BLE001 — fence, see _serve_fault
                 self._serve_fault(op, rec, exc)
                 self._pump()
@@ -1208,17 +1208,21 @@ class DirectoryManager:
                 reply_type = M.INIT_DATA
             else:
                 reply_type = M.PULL_DATA
-            # The serve moved this view's delta cursors (seen,
-            # last_served_seq) and its activity flags: persist them so a
-            # restarted directory still serves this view deltas instead
-            # of forcing a full re-sync.
-            self._log_cursors(rec)
+            # The serve moved this view's delta cursors (last_served_seq,
+            # and seen for the cells it shipped) and its activity flags:
+            # persist them so a restarted directory still serves this
+            # view deltas instead of forcing a full re-sync.
+            self._log_cursors(rec, served)
             self._reply(op.request, reply_type, payload)
             self.check_invariants()
         self._pump()
 
-    def _serve_payload(self, op: _PendingOp, rec: ViewRecord) -> Dict[str, Any]:
-        """Build the image payload for a GRANT/INIT_DATA/PULL_DATA reply.
+    def _serve_payload(
+        self, op: _PendingOp, rec: ViewRecord
+    ) -> Tuple[Dict[str, Any], ObjectImage]:
+        """Build the image payload for a GRANT/INIT_DATA/PULL_DATA reply;
+        returns it with the plain image inside it (the cells whose
+        ``seen`` entries this serve stamped).
 
         A requester that attached a ``since`` cursor matching what the
         directory last served it gets a **delta image**: only the cells
@@ -1273,7 +1277,7 @@ class DirectoryManager:
         if not delta_capable:
             # Legacy requester (or delta off): plain image, byte-for-byte
             # the pre-delta wire format.
-            return {"image": image}
+            return {"image": image}, image
         return {
             "image": DeltaImage(
                 image,
@@ -1282,7 +1286,7 @@ class DirectoryManager:
                 complete=not serve_delta,
                 slice_size=slice_size,
             )
-        }
+        }, image
 
     def _extract_slice(self, rec: ViewRecord, keys: List[str]) -> ObjectImage:
         """Materialize just ``keys`` of a view's slice.
@@ -1311,12 +1315,36 @@ class DirectoryManager:
     # ------------------------------------------------------------------
     # Durability: WAL records, snapshots, crash-restart recovery
     # ------------------------------------------------------------------
-    # WAL record payloads are dicts keyed by "k" (kind) — "commit",
-    # "register", "unregister", "cursors", "props", "evict" — with the
-    # lsn ("n") assigned by the DurabilityManager.  Cursor records make
-    # the delta-serve state survive a restart: a recovering directory
-    # that forgot rec.seen / last_served_seq would have to serve every
-    # reconnecting CM a full image.
+    # WAL record payloads are dicts keyed by "k" (kind), with the lsn
+    # ("n") assigned by the DurabilityManager.  Each kind carries what
+    # its event changes and nothing else:
+    #
+    #   "register"    the whole ViewRecord (_view_state) — the only
+    #                 place address and triggers are ever logged
+    #   "props"       view id + the new PropertySet
+    #   "commit"      view id, the cells stamped with the versions they
+    #                 are about to get, the resolver-rewritten keys
+    #                 ("noadv"), the view's state seq, the commit cursor
+    #   "cur"         view id, mode, last_state_seq, last_served_seq,
+    #                 synced, active, exclusive — plus, from a serve,
+    #                 the seen entries of the cells in the served image
+    #   "unregister"  view id
+    #   "evict"       view id + reason
+    #   "cursors"     legacy (read side only): the full _view_state on
+    #                 every serve and revocation, as written before the
+    #                 "cur" record; replay still understands it, pinned
+    #                 by tests/net/legacy_wal_lineage.json
+    #
+    # Registration data is logged where it changes — register, props —
+    # not where the view is merely served: a read-mostly workload must
+    # not write its PropertySet to the log on every read.  Replay
+    # rebuilds every ViewRecord *exactly*: seen feeds write-write
+    # conflict detection in _commit_inner, so a recovered cursor may be
+    # neither behind the truth (a fresh write would be "resolved") nor
+    # ahead of it (a stale one would slip through).  A serve stamps
+    # seen for the keys of the image it ships and no others
+    # (_serve_payload), every other seen change replays from a commit
+    # record, so the serve's own keys are all a "cur" record adds.
 
     def _view_state(self, rec: ViewRecord) -> Dict[str, Any]:
         return {
@@ -1373,9 +1401,23 @@ class DirectoryManager:
             return False
         return self.durability.append(record)
 
-    def _log_cursors(self, rec: ViewRecord) -> None:
-        if self.durability is not None:
-            self.durability.append({"k": "cursors", **self._view_state(rec)})
+    def _log_cursors(
+        self, rec: ViewRecord, served: Optional[ObjectImage] = None
+    ) -> None:
+        """Log what a serve or a revocation can change on ``rec``;
+        ``served`` is the image a serve just shipped."""
+        if self.durability is None:
+            return
+        record = {
+            "k": "cur", "v": rec.view_id, "mode": rec.mode.value,
+            "sseq": rec.last_state_seq, "served": rec.last_served_seq,
+            "synced": rec.synced, "active": rec._active,
+            "excl": rec._exclusive,
+        }
+        if served:
+            seen = rec.seen
+            record["seen"] = {key: seen.get(key) for key in served.keys()}
+        self.durability.append(record)
 
     def _recover_durable_state(self) -> None:
         rs = self.durability.recovered
@@ -1531,10 +1573,15 @@ class DirectoryManager:
             self.quarantined.pop(record["v"], None)
         elif kind == "unregister":
             self._release(record.get("v"))
-        elif kind == "cursors":
+        elif kind in ("cur", "cursors"):
             rec = self.views.get(record.get("v"))
             if rec is not None:
-                rec.seen = record["seen"].copy()
+                if kind == "cursors":
+                    # Legacy full-state record: the whole vector.
+                    rec.seen = record["seen"].copy()
+                else:
+                    for key, version in (record.get("seen") or {}).items():
+                        rec.seen.set(key, version)
                 rec.last_state_seq = int(record.get("sseq", 0))
                 rec.last_served_seq = int(record.get("served", -1))
                 rec.synced = bool(record.get("synced", False))

@@ -312,12 +312,15 @@ class DurabilityManager:
 
     # -- appending -------------------------------------------------------
     def append(self, record: Dict[str, Any]) -> bool:
-        """Persist one record; returns True when it is already durable.
+        """Persist one record; returns True when a completed fsync
+        already covers it.
 
         Assigns the next ``lsn`` (key ``"n"``) — callers pass the
         payload only.  Under ``fsync=always`` the append has been
         fsynced when this returns, so replying to the client after
-        ``append`` is exactly the no-ack-before-durable rule.
+        ``append`` is exactly the no-ack-before-durable rule.  Under
+        ``batch`` it never waits for the disk (the fsync runs on the
+        WAL's log thread) and therefore never returns True.
         """
         record = dict(record)
         if record.get("k") == "commit" and "cseq" in record:
@@ -337,6 +340,7 @@ class DurabilityManager:
         return durable
 
     def sync(self) -> None:
+        """Everything appended so far is durable on return."""
         self._writer.sync()
         self.counters["wal_syncs"] = self._syncs_base + self._writer.syncs
 
@@ -383,7 +387,8 @@ class DurabilityManager:
         self.counters["snapshots_written"] += 1
         self._snapshot_lsn = cut
         self._cells_since_snapshot = 0
-        # Rotate: close the current segment (making its tail durable)
+        # Rotate: close the current segment (which waits for any fsync
+        # the log thread still owes it, then makes its tail durable)
         # and start the post-snapshot segment.
         self._writer.close()
         self._syncs_base += self._writer.syncs

@@ -26,22 +26,45 @@ images inside WAL records reuse the wire codec's fused
 
 Durability model: a *simulated* process kill cannot lose OS page-cache
 contents, so :class:`WalWriter` tracks the byte offset covered by the
-last explicit ``sync()`` and :meth:`WalWriter.simulate_crash` truncates
-the file back to it — exactly the bytes a real kill could lose under
-the configured fsync policy, no more, no less.
+last fsync and :meth:`WalWriter.simulate_crash` truncates the file back
+to it — exactly the bytes a real kill could lose under the configured
+fsync policy, no more, no less.
+
+Thread model: the appender is the transport's loop thread, the one
+thread every handler of the plane runs on, so what it may block on is
+part of the fsync policy's contract.  ``always`` promises "durable
+before the append returns" and fsyncs inline — blocking *is* the
+contract.  ``batch`` promises a bounded loss window, not blocking:
+every ``batch_interval`` records the appender flushes its buffer and
+hands ``(writer, flushed offset)`` to one process-wide daemon **log
+thread**, which runs the fsync and then advances ``durable_size``.
+``sync()``, ``close()`` and ``simulate_crash()`` first wait for the
+writer's outstanding requests, so no descriptor is closed under a
+running fsync, ``sync()`` still means "durable on return", and a
+simulated kill counts an issued fsync as completed (kill-point tests
+stay deterministic and lose exactly the bytes an inline fsync lost).
+An fsync that fails — on either thread — poisons the writer: the error
+is logged once and every later ``append`` / ``sync`` / ``close`` raises
+:class:`WalError`; a log that can no longer be made durable must stop
+taking records, not keep acknowledging them.
 """
 
 from __future__ import annotations
 
 import io
+import logging
 import os
+import queue
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import ReproError
+
+_log = logging.getLogger(__name__)
 
 WAL_MAGIC = b"FLWAL01\n"
 _LEN = struct.Struct(">I")
@@ -137,13 +160,45 @@ def scan_wal(path: Union[str, Path]) -> WalScan:
     return scan
 
 
+# The log thread: one per process, started by the first batch-policy
+# fsync request, shared by every writer (a sharded plane has one writer
+# per shard; their fsyncs queue here in issue order).
+_fsync_requests: "queue.SimpleQueue[Tuple[WalWriter, int, int]]" = (
+    queue.SimpleQueue()
+)
+_log_thread: Optional[threading.Thread] = None
+_log_thread_guard = threading.Lock()
+
+
+def _run_log_thread() -> None:
+    while True:
+        writer, offset, records = _fsync_requests.get()
+        writer._run_fsync(offset, records)
+
+
+def _request_fsync(writer: "WalWriter", offset: int, records: int) -> None:
+    global _log_thread
+    # is_alive(): a forked child inherits the module state but not the
+    # thread.
+    if _log_thread is None or not _log_thread.is_alive():
+        with _log_thread_guard:
+            if _log_thread is None or not _log_thread.is_alive():
+                _log_thread = threading.Thread(
+                    target=_run_log_thread, name="flecc-wal-fsync", daemon=True
+                )
+                _log_thread.start()
+    _fsync_requests.put((writer, offset, records))
+
+
 class WalWriter:
     """Appender for one WAL segment with a pluggable fsync policy.
 
     - ``always`` — every append flushes and fsyncs before returning (no
       acknowledged record can be lost);
-    - ``batch`` — fsync once per ``batch_interval`` appends (bounded
-      loss window, amortized fsync cost);
+    - ``batch`` — one fsync per ``batch_interval`` appends, run on the
+      log thread: the appender only flushes (bounded loss window — at
+      most the records after the last *issued* fsync — and no disk wait
+      on the caller);
     - ``off`` — no fsyncs while running; only :meth:`close` makes the
       segment durable (clean shutdowns lose nothing, kills lose the
       whole unsynced tail).
@@ -163,19 +218,27 @@ class WalWriter:
         self.sync_policy = sync
         self.batch_interval = batch_interval
         self.records_appended = 0
-        self.syncs = 0
-        self._unsynced = 0
+        self.syncs = 0                # fsyncs issued, inline or to the log thread
+        self._issued_records = 0      # records_appended at the last issued fsync
+        self._durable_records = 0     # ... at the last completed one
         self._closed = False
+        # Guards the hand-off with the log thread: requests in flight
+        # and the first fsync failure.
+        self._cond = threading.Condition(threading.Lock())
+        self._inflight = 0
+        self._error: Optional[OSError] = None
         existing = self.path.exists() and self.path.stat().st_size >= _HEADER_SIZE
         self._f = open(self.path, "r+b" if existing else "wb")
+        self._fd = self._f.fileno()
         if existing:
             self._f.seek(0, io.SEEK_END)
         else:
             self._f.write(WAL_MAGIC)
             self._f.flush()
-            os.fsync(self._f.fileno())
+            os.fsync(self._fd)
+        self._size = self._f.tell()   # bytes written, flushed or not
         # Everything on disk at open time survived whatever came before.
-        self._durable_size = self._f.tell()
+        self._durable_size = self._size
 
     @property
     def durable_size(self) -> int:
@@ -184,51 +247,64 @@ class WalWriter:
 
     @property
     def unsynced_records(self) -> int:
-        """Appended records a kill right now would lose."""
-        return self._unsynced
+        """Appended records no completed fsync covers yet."""
+        return self.records_appended - self._durable_records
 
     def append(self, payload: bytes) -> bool:
-        """Append one record; returns True when it is already durable."""
+        """Append one record; returns True when a completed fsync
+        already covers it — under ``always``, never under ``batch``
+        (its fsync has at best been issued) or ``off``."""
         if self._closed:
             raise WalError(f"{self.path}: writer is closed")
-        self._f.write(frame_record(payload))
+        self._raise_if_failed()
+        frame = frame_record(payload)
+        self._f.write(frame)
+        self._size += len(frame)
         self.records_appended += 1
-        self._unsynced += 1
-        if self.sync_policy == SYNC_ALWAYS or (
-            self.sync_policy == SYNC_BATCH
-            and self._unsynced >= self.batch_interval
-        ):
+        if self.sync_policy == SYNC_ALWAYS:
             self.sync()
-        return self._unsynced == 0
+            return True
+        if (
+            self.sync_policy == SYNC_BATCH
+            and self.records_appended - self._issued_records
+            >= self.batch_interval
+        ):
+            self._issue_fsync(on_log_thread=True)
+        return False
 
     def sync(self) -> None:
-        """Flush and fsync: everything appended so far becomes durable."""
+        """Flush and fsync on the caller: everything appended so far is
+        durable on return."""
         if self._closed:
             return
-        self._f.flush()
-        os.fsync(self._f.fileno())
-        self._durable_size = self._f.tell()
-        self._unsynced = 0
-        self.syncs += 1
+        self._drain()
+        self._raise_if_failed()
+        self._issue_fsync(on_log_thread=False)
+        self._raise_if_failed()
 
     def close(self) -> None:
         """Clean shutdown: sync the tail, then close the file."""
         if self._closed:
             return
-        self.sync()
-        self._closed = True
-        self._f.close()
+        try:
+            self.sync()
+        finally:
+            self._closed = True
+            self._f.close()
 
     def simulate_crash(self, torn_tail: bytes = b"") -> None:
         """Die like a killed process under the configured fsync policy.
 
         Truncates the segment back to the last synced offset — the bytes
-        an OS crash could lose — and optionally leaves ``torn_tail``
-        garbage behind it (a record the kill interrupted mid-write).
+        an OS crash could lose; an fsync already handed to the log
+        thread counts as completed — and optionally leaves
+        ``torn_tail`` garbage behind it (a record the kill interrupted
+        mid-write).
         """
         if self._closed:
             raise WalError(f"{self.path}: writer is closed")
         self._f.flush()  # model the page cache: bytes reached the file
+        self._drain()
         self._closed = True
         self._f.close()
         with open(self.path, "r+b") as f:
@@ -236,3 +312,51 @@ class WalWriter:
             if torn_tail:
                 f.seek(0, io.SEEK_END)
                 f.write(torn_tail)
+
+    # -- the fsync hand-off ----------------------------------------------
+    def _issue_fsync(self, on_log_thread: bool) -> None:
+        """Flush, then fsync what was flushed — here or on the log thread."""
+        self._f.flush()
+        self.syncs += 1
+        self._issued_records = self.records_appended
+        with self._cond:
+            self._inflight += 1
+        if on_log_thread:
+            _request_fsync(self, self._size, self.records_appended)
+        else:
+            self._run_fsync(self._size, self.records_appended)
+
+    def _run_fsync(self, offset: int, records: int) -> None:
+        """One issued fsync: make the first ``offset`` bytes (``records``
+        records) durable and publish that, or record why not."""
+        error = self._error
+        if error is None:
+            try:
+                os.fsync(self._fd)
+            except OSError as exc:
+                error = exc
+                _log.error(
+                    "%s: fsync failed, the log can no longer be made "
+                    "durable: %s", self.path, exc,
+                )
+        with self._cond:
+            self._inflight -= 1
+            if error is None:
+                self._durable_size = offset
+                self._durable_records = records
+            else:
+                self._error = error
+            self._cond.notify_all()
+
+    def _drain(self) -> None:
+        """Wait until the log thread holds no request of this writer."""
+        with self._cond:
+            while self._inflight:
+                self._cond.wait()
+
+    def _raise_if_failed(self) -> None:
+        if self._error is not None:
+            raise WalError(
+                f"{self.path}: fsync failed ({self._error}); the segment "
+                f"is fail-stopped"
+            ) from self._error

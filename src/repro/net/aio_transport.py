@@ -79,53 +79,57 @@ DEFAULT_WAIT_TIMEOUT = 30.0
 
 
 class ThreadCompletion(Completion):
-    """Completion backed by ``threading.Event`` (blockable from threads)."""
+    """Completion that threads can block on.
+
+    Most completions are resolved and consumed through ``then`` on the
+    loop thread and never waited on, so the state is a done flag under
+    one lock; the ``threading.Event`` (a Condition and a second lock) is
+    only built by a ``wait()`` that arrives before completion.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name or "completion"
-        self._ev = threading.Event()
         self._lock = threading.Lock()
+        self._done = False
+        self._ev: Optional[threading.Event] = None
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._callbacks: List[Callable[[Completion], None]] = []
 
-    def resolve(self, value: Any = None) -> None:
+    def _complete(self, value: Any, exc: Optional[BaseException]) -> None:
         with self._lock:
-            if self._ev.is_set():
+            if self._done:
                 raise TransportError(f"{self.name} already completed")
             self._value = value
-            callbacks = list(self._callbacks)
-            self._ev.set()
+            self._exc = exc
+            callbacks = self._callbacks
+            self._done = True
+            ev = self._ev
+        if ev is not None:
+            ev.set()
         for cb in callbacks:
             cb(self)
+
+    def resolve(self, value: Any = None) -> None:
+        self._complete(value, None)
 
     def fail(self, exc: BaseException) -> None:
-        with self._lock:
-            if self._ev.is_set():
-                raise TransportError(f"{self.name} already completed")
-            self._exc = exc
-            callbacks = list(self._callbacks)
-            self._ev.set()
-        for cb in callbacks:
-            cb(self)
+        self._complete(None, exc)
 
     def then(self, callback: Callable[[Completion], None]) -> None:
-        run_now = False
         with self._lock:
-            if self._ev.is_set():
-                run_now = True
-            else:
+            if not self._done:
                 self._callbacks.append(callback)
-        if run_now:
-            callback(self)
+                return
+        callback(self)
 
     @property
     def done(self) -> bool:
-        return self._ev.is_set()
+        return self._done
 
     @property
     def value(self) -> Any:
-        if not self._ev.is_set():
+        if not self._done:
             raise TransportError(f"{self.name}: value read before completion")
         if self._exc is not None:
             raise self._exc
@@ -140,7 +144,13 @@ class ThreadCompletion(Completion):
         """
         if timeout is None:
             timeout = DEFAULT_WAIT_TIMEOUT
-        if not self._ev.wait(timeout):
+        with self._lock:
+            ev = None
+            if not self._done:
+                ev = self._ev
+                if ev is None:
+                    ev = self._ev = threading.Event()
+        if ev is not None and not ev.wait(timeout):
             raise TransportError(
                 f"timed out after {timeout}s waiting on {self.name!r} "
                 f"(the reply for this pending message type never arrived)"

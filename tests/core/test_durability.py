@@ -9,6 +9,9 @@ recovered-exclusive views, and never acknowledge before durability
 under ``fsync=always``.
 """
 
+import os
+import threading
+
 import pytest
 
 from repro.core import messages as M
@@ -16,6 +19,8 @@ from repro.core.directory import DirectoryManager
 from repro.core.durability import DurabilityManager, DurabilitySpec
 from repro.core.image import ObjectImage
 from repro.core.sharding import ShardedFleccSystem
+from repro.core.system import FleccSystem, run_all_scripts
+from repro.net import resolve_transport
 from repro.net.message import Message
 from repro.net.sim_transport import SimTransport
 from repro.sim.kernel import SimKernel
@@ -29,7 +34,8 @@ from repro.testing import (
     merge_into_view,
     props_for,
 )
-from repro.core.system import run_all_scripts
+
+from tests.core.durable_rig import wait_for_log_thread
 
 
 def _spec(wal_root, **kw):
@@ -165,15 +171,22 @@ def test_boot_snapshot_preserves_pre_commit_state(wal_root):
 def test_commits_durable_vs_volatile_split(wal_root):
     """fsync=always: every acknowledged commit was durable first (no
     ack-before-durable), so the volatile counter stays zero — and
-    vice versa under fsync=off."""
+    vice versa under fsync=off.  Under batch the fsync is only *issued*
+    when the append returns, so no commit counts as durable at ack time
+    (not even the one that happened to land on a batch boundary)."""
     for policy, durable_cells, volatile_cells in (
-        ("always", 8, 0), ("off", 0, 8),
+        ("always", 8, 0), ("off", 0, 8), ("batch", 0, 8),
     ):
         kernel = SimKernel()
         transport = SimTransport(kernel)
         dm = _dm(transport, Store(),
-                 _spec(wal_root, name=f"split-{policy}", fsync=policy))
+                 _spec(wal_root, name=f"split-{policy}", fsync=policy,
+                       batch_interval=2))   # batch: fsyncs *are* issued
         _push_commits(kernel, transport, 8)
+        # 9 appends (REGISTER + 8 commits); +1: the boot snapshot's
+        # rotation closed, and so synced, the first segment.
+        assert dm.durability.counters["wal_syncs"] == 1 + {
+            "always": 9, "off": 0, "batch": 4}[policy]
         assert dm.counters["commits_durable"] == durable_cells
         assert dm.counters["commits_volatile"] == volatile_cells
         dm.crash()
@@ -304,3 +317,63 @@ def test_reclaim_watchdog_dies_with_the_directory(wal_root, stop):
     getattr(dm2, stop)()
     kernel2.run()  # past the reclaim window
     assert dm2.counters["reclaim_timeouts"] == 0
+
+
+# -- the loop thread never waits for the disk --------------------------------
+
+@pytest.mark.parametrize("stop", ["close", "crash"])
+def test_batch_fsyncs_stay_off_the_transport_loop_thread(
+    wal_root, monkeypatch, stop
+):
+    """200 commits over real sockets under fsync=batch: every handler
+    runs on the aio loop thread, and not one fsync may — the appender
+    flushes, the log thread syncs.  Stopping the directory leaves no
+    fsync request behind."""
+    transport = resolve_transport("aio")
+    store = Store({"a": 0})
+    system = FleccSystem(
+        transport, store, extract_from_object, merge_into_object,
+        durability=_spec(wal_root, name=f"offloop-{stop}", fsync="batch"),
+    )
+    agent = Agent()
+    cm = system.add_view(
+        "v", agent, props_for(["a"]), extract_from_view, merge_into_view,
+    )
+    real_fsync, fsync_tids = os.fsync, []
+
+    def recording_fsync(fd):
+        fsync_tids.append(threading.get_ident())
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)  # boot is behind us
+
+    def script():
+        yield cm.start()
+        yield cm.init_image()
+        for i in range(200):
+            yield cm.start_use_image()
+            agent.local["a"] = i + 1
+            cm.end_use_image()
+            yield cm.push_image()
+
+    run_all_scripts(transport, [script()])
+    dm = system.directory
+    writer = dm.durability._writer
+    assert dm.counters["commits"] == 200
+    assert dm.counters["commits_durable"] == 0       # acked before the fsync
+    assert dm.durability.counters["wal_syncs"] >= 200 // 16
+    wait_for_log_thread(writer)
+    assert len(fsync_tids) == writer.syncs
+    assert transport._loop_tid is not None
+    assert transport._loop_tid not in fsync_tids
+    getattr(dm, stop)()
+    assert writer._inflight == 0
+    transport.close()
+    store2 = Store()
+    dm2 = _dm(SimTransport(SimKernel()), store2,
+              _spec(wal_root, name=f"offloop-{stop}", fsync="batch"))
+    if stop == "close":
+        assert store2.cells["a"] == 200
+    else:   # a kill loses at most the records after the last issued fsync
+        assert 200 - 16 <= store2.cells["a"] <= 200
+    dm2.close()

@@ -5,7 +5,12 @@ Two failure stories matter (see :mod:`repro.core.wal`): a *torn tail*
 versus *mid-log corruption* (acknowledged data vanished — fail stop).
 """
 
+import errno
+import logging
+import os
 import struct
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +25,8 @@ from repro.core.wal import (
     scan_wal,
 )
 from repro.net.binary_codec import decode_value, encode_value
+
+from tests.core.durable_rig import wait_for_log_thread
 
 
 def _write(path, payloads, sync="always", **kw):
@@ -120,10 +127,139 @@ def test_sync_always_every_append_is_durable(wal_root):
 def test_sync_batch_syncs_once_per_interval(wal_root):
     w = WalWriter(wal_root / "w.log", sync="batch", batch_interval=4)
     durable = [w.append(b"x") for _ in range(8)]
-    # Durable exactly when the batch boundary was hit.
-    assert durable == [False, False, False, True] * 2
-    assert w.syncs == 2
+    # The fsync is issued at the batch boundary but runs on the log
+    # thread: no append can report a *completed* fsync at return.
+    assert durable == [False] * 8
+    assert w.syncs == 2            # fsyncs issued
+    w.sync()                       # waits for both, then syncs the tail
+    assert w.unsynced_records == 0
+    assert w.durable_size == (wal_root / "w.log").stat().st_size
     w.close()
+
+
+def test_batch_fsync_runs_off_the_appending_thread(wal_root, monkeypatch):
+    """Under ``batch`` the appender flushes and moves on; the fsync
+    happens on the log thread, and ``unsynced_records`` /
+    ``durable_size`` move only once it has completed."""
+    real_fsync, gate, tids = os.fsync, threading.Event(), []
+
+    def slow_fsync(fd):
+        tids.append(threading.get_ident())
+        gate.wait(5.0)
+        real_fsync(fd)
+
+    w = WalWriter(wal_root / "w.log", sync="batch", batch_interval=4)
+    monkeypatch.setattr(os, "fsync", slow_fsync)
+    for _ in range(6):
+        w.append(b"x")             # returns while the fsync is stuck
+    assert w.syncs == 1 and w.unsynced_records == 6
+    assert w.durable_size == len(WAL_MAGIC)
+    gate.set()
+    wait_for_log_thread(w)
+    assert tids and threading.get_ident() not in tids
+    assert w.unsynced_records == 2     # the four the issued fsync covered
+    assert w.durable_size == len(WAL_MAGIC) + 4 * len(frame_record(b"x"))
+    w.close()
+    assert tids[-1] == threading.get_ident()   # the closing sync is inline
+
+
+@pytest.mark.parametrize("stop", ["sync", "close", "simulate_crash"])
+def test_stopping_a_writer_waits_for_its_outstanding_fsync(
+    wal_root, monkeypatch, stop
+):
+    """No descriptor is closed under a running fsync, and an issued
+    fsync counts as completed for what a simulated kill loses."""
+    real_fsync, release, entered = os.fsync, threading.Event(), threading.Event()
+    closed_under_fsync = []
+
+    def slow_fsync(fd):
+        entered.set()
+        release.wait(5.0)
+        try:
+            real_fsync(fd)
+        except OSError as exc:     # EBADF: the file was closed under us
+            closed_under_fsync.append(exc)
+
+    path = wal_root / "w.log"
+    w = WalWriter(path, sync="batch", batch_interval=2)
+    monkeypatch.setattr(os, "fsync", slow_fsync)
+    for i in range(3):
+        w.append(b"r%d" % i)
+    assert entered.wait(5.0)
+    threading.Timer(0.05, release.set).start()
+    getattr(w, stop)()
+    assert release.is_set() and not closed_under_fsync
+    assert w._inflight == 0
+    monkeypatch.undo()
+    if stop == "sync":
+        w.close()
+    kept = 2 if stop == "simulate_crash" else 3
+    assert scan_wal(path).records == [b"r%d" % i for i in range(kept)]
+
+
+def test_writers_on_many_threads_share_the_log_thread(wal_root):
+    """More appending threads than cores, each with its own writer, one
+    log thread, a 10 us switch interval: a lost update on the hand-off
+    state would leave a request outstanding forever (the final sync
+    would hang) or publish the wrong durable offset."""
+    n_writers, n_records = 6, 300
+    writers = [
+        WalWriter(wal_root / f"w{i}.log", sync="batch", batch_interval=2)
+        for i in range(n_writers)
+    ]
+
+    def work(w):
+        for j in range(n_records):
+            w.append(b"r%d" % j)
+        w.sync()
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in writers]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for w in writers:
+        assert w._inflight == 0 and w.unsynced_records == 0
+        assert w.syncs == n_records // 2 + 1
+        assert w.durable_size == w.path.stat().st_size
+        w.simulate_crash()              # nothing left for a kill to take
+        assert scan_wal(w.path).records == [
+            b"r%d" % j for j in range(n_records)
+        ]
+
+
+def test_fsync_failure_on_the_log_thread_fail_stops_the_writer(
+    wal_root, monkeypatch, caplog
+):
+    """An EIO from the log thread's fsync is kept on the writer, logged
+    once, and raised by its next append / sync / close — never
+    swallowed while the writer keeps taking records."""
+    def eio(fd):
+        raise OSError(errno.EIO, "Input/output error")
+
+    w = WalWriter(wal_root / "w.log", sync="batch", batch_interval=2)
+    monkeypatch.setattr(os, "fsync", eio)
+    with caplog.at_level(logging.ERROR, logger="repro.core.wal"):
+        for _ in range(4):             # two fsyncs issued, both doomed
+            try:
+                w.append(b"x")
+            except WalError:
+                break
+        wait_for_log_thread(w)
+    assert [r.name for r in caplog.records] == ["repro.core.wal"]
+    assert "fsync failed" in caplog.records[0].getMessage()
+    assert w.durable_size == len(WAL_MAGIC)    # nothing became durable
+    monkeypatch.undo()                          # the disk "recovers" ...
+    for call in (lambda: w.append(b"y"), w.sync, w.close):
+        with pytest.raises(WalError, match="fsync failed"):
+            call()                              # ... the writer does not
+    w.close()                                   # idempotent once closed
 
 
 def test_sync_off_only_close_makes_durable(wal_root):

@@ -4,6 +4,7 @@
 Event-loop specifics — multiplexing, coalescing, backpressure — live in
 ``test_aio_transport.py``."""
 
+import sys
 import threading
 import time
 
@@ -174,6 +175,56 @@ def test_thread_completion_then_callback_runs():
     # late registration fires immediately
     c.then(lambda comp: seen.append("late"))
     assert seen == ["v", "late"]
+
+
+def test_thread_completion_event_is_built_only_for_an_early_waiter():
+    c = ThreadCompletion()
+    order = []
+    c.then(lambda comp: order.append("first"))
+    c.then(lambda comp: order.append("second"))
+    c.resolve(1)
+    assert order == ["first", "second"]
+    assert c.wait(1.0) == 1 and c._ev is None   # already done: no Event
+    with pytest.raises(TransportError):
+        c.fail(ValueError("late"))              # double completion, either verb
+
+
+@pytest.mark.parametrize("waiter_first", [True, False])
+def test_thread_completion_two_threads(waiter_first):
+    """2 000 hand-offs between a resolving and a waiting thread, the
+    waiter arriving before / after ``resolve``: every wait returns its
+    round's value and no wake-up is lost."""
+    rounds = 2000
+    comps = [ThreadCompletion(f"r{i}") for i in range(rounds)]
+    got, errors = [], []
+
+    def waiter():
+        try:
+            for c in comps:
+                got.append(c.wait(5.0))
+        except BaseException as exc:  # noqa: BLE001 — reported below
+            errors.append(exc)
+
+    t = threading.Thread(target=waiter)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)         # force switches inside the hand-off
+    try:
+        if waiter_first:
+            t.start()
+            for i, c in enumerate(comps):
+                while c._ev is None and t.is_alive():
+                    time.sleep(0)       # until the waiter has parked on c
+                c.resolve(i)
+        else:
+            for i, c in enumerate(comps):
+                c.resolve(i)
+            t.start()
+        t.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not t.is_alive() and not errors
+    assert got == list(range(rounds))
+    assert all((c._ev is not None) == waiter_first for c in comps)
 
 
 def test_reconnect_after_endpoint_rebound(transport):
