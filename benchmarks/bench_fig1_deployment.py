@@ -4,10 +4,10 @@ Each iteration runs the full pipeline: PSF planning, deployment, WAN
 coherence workload, and the consistency check.
 """
 
-from repro.experiments.fig1_deployment import check_shape, run_fig1
+from repro.experiments.fig1_deployment import gates, run_fig1
 
 
 def test_fig1_three_domains(benchmark):
     result = benchmark(run_fig1, ops_per_domain=3)
-    assert check_shape(result) == []
+    assert gates(result) == []
     assert result.reservations_made == 6

@@ -12,14 +12,14 @@ for the paper-scale table.
 import pytest
 
 from repro.baselines.common import ProtocolName
-from repro.experiments.fig4_efficiency import _run_point, check_shape, run_fig4
+from repro.experiments.fig4_efficiency import _run_point, gates, run_fig4
 
 N_AGENTS = 30
 
 
 def test_fig4_full_sweep(benchmark):
     result = benchmark(run_fig4, n_agents=N_AGENTS, step=10)
-    assert check_shape(result) == []
+    assert gates(result) == []
     fl = result.messages[ProtocolName.FLECC.value]
     mc = result.messages[ProtocolName.MULTICAST.value]
     # At full conflict, Flecc converges to the application-oblivious max.

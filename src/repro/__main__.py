@@ -3,47 +3,38 @@
 Usage::
 
     python -m repro                    # list experiments
-    python -m repro fig4               # run one (fuzzy name match)
-    python -m repro all                # run everything, save results/
+    python -m repro fig4               # run one (fuzzy name match; its own flags follow)
+    python -m repro all --jobs 2       # run everything, save results/ (runner flags follow)
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.experiments import runner
+from repro.experiments.runner import cli, registry
 
 
-def main(argv: list[str]) -> int:
-    if not argv:
+def forward(argv: list[str]) -> int:
+    """Hand the command line to the experiment CLI; returns the exit status."""
+    experiments = registry()
+    target = argv[0].lower() if argv else ""
+    if target == "all":
+        cli(argv=argv[1:])
+        return 0
+    matches = [exp for name, exp in experiments.items() if target in name]
+    if argv and matches:
+        for exp in matches:
+            cli(exp, argv=argv[1:])
+        return 0
+    if argv:
+        print(f"no experiment matches {target!r}; try one of:")
+    else:
         print(__doc__)
         print("available experiments:")
-        for name in runner.EXPERIMENTS:
-            print(f"  {name}")
-        return 0
-    target = argv[0].lower()
-    if target == "all":
-        # Forward any extra flags (--jobs/--out/--seeds) to the runner CLI.
-        runner.main(argv[1:])
-        return 0
-    matches = [n for n in runner.EXPERIMENTS if target in n]
-    if not matches:
-        print(f"no experiment matches {target!r}; try one of:")
-        for name in runner.EXPERIMENTS:
-            print(f"  {name}")
-        return 1
-    for name in matches:
-        print(f"== {name} ==")
-        result = runner.EXPERIMENTS[name]()
-        table = getattr(result, "table", None)
-        if callable(table):
-            print(table())
-        elif hasattr(result, "phase_stats"):
-            print(result.phase_stats())
-        else:
-            print(result)
-    return 0
+    for name in experiments:
+        print(f"  {name}")
+    return 1 if argv else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(forward(sys.argv[1:]))

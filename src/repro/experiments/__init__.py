@@ -1,7 +1,9 @@
 """Experiment harness: one module per paper figure, plus ablations.
 
 Every module exposes a ``run_*`` function returning a structured result
-and a ``__main__`` entry point that prints the paper's rows/series::
+and declares itself as an :class:`~repro.experiments.runner.Experiment`;
+the engine in :mod:`repro.experiments.runner` gives each the same
+command line, record and ``--check`` gate evaluation::
 
     python -m repro.experiments.fig2_trace
     python -m repro.experiments.fig4_efficiency

@@ -32,6 +32,7 @@ from repro.core.static_map import Sharing, StaticSharingMap
 from repro.core.system import run_all_scripts
 from repro.core.triggers import TriggerSet
 from repro.experiments.report import Table
+from repro.experiments.runner import Experiment, cli
 
 
 # ---------------------------------------------------------------------------
@@ -449,26 +450,15 @@ def run_abl4(view_counts: Tuple[int, ...] = (2, 5, 10, 25, 50, 100)) -> Abl4Resu
     return result
 
 
-def main() -> None:
-    a1 = run_abl1()
-    print(a1.table())
-    print(f"false-conflict overhead: {a1.false_conflict_overhead:.0%}")
-    print()
-    a2 = run_abl2()
-    print(a2.table())
-    print()
-    a3 = run_abl3()
-    print(a3.table())
-    print()
-    a4 = run_abl4()
-    print(a4.table())
-    print()
-    a5 = run_abl5()
-    print(a5.table())
-    print()
-    a6 = run_abl6()
-    print(a6.table())
-
+EXPERIMENTS = (
+    Experiment("abl1_static_vs_dynamic", run_abl1, seeded=True),
+    Experiment("abl2_trigger_period", run_abl2, seeded=True),
+    Experiment("abl3_granularity", run_abl3, seeded=True),
+    Experiment("abl4_centralization", run_abl4),
+    Experiment("abl5_rw_semantics", run_abl5),
+    Experiment("abl6_loss_tolerance", run_abl6, seeded=True),
+)
 
 if __name__ == "__main__":
-    main()
+    for experiment in EXPERIMENTS:
+        cli(experiment)

@@ -22,19 +22,16 @@ the logical message profile over the reliable transport must be
 (``parity_ok``), with the sublayer's ACK traffic reported separately.
 
 ``python -m repro.experiments.chaos`` writes ``BENCH_chaos.json``;
-``--check`` exits non-zero unless every gate of
-:func:`check_acceptance` holds.
+``--check`` exits non-zero unless every gate of :func:`gates` holds.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.cache_manager import CacheManager
 from repro.core.directory import DirectoryManager
@@ -42,6 +39,7 @@ from repro.core.durability import DurabilitySpec
 from repro.core.system import run_all_scripts
 from repro.core.triggers import TriggerSet
 from repro.experiments.report import Table
+from repro.experiments.runner import Experiment, Param, cli, point_doc
 from repro.net.reliability import ReliableTransport
 from repro.net.sim_transport import SimTransport
 from repro.sim.faults import DMCrashPlan, FaultInjector, FaultScenario
@@ -387,43 +385,10 @@ def bench_payload(result: ChaosResult) -> Dict[str, object]:
         "parity_with_raw_transport_at_zero_loss": result.parity_ok,
         "faultless_ack_overhead_frames": result.faultless_acks,
         "points": [
-            {
-                "drop_rate": p.drop_rate,
-                "duplicate_rate": p.duplicate_rate,
-                "committed": p.committed,
-                "expected": p.expected,
-                "lost_writes": p.lost_writes,
-                "logical_messages": p.logical_messages,
-                "wire_frames": p.wire_frames,
-                "overhead_ratio": round(p.overhead_ratio, 3),
-                "retransmits": p.retransmits,
-                "duplicates_suppressed": p.duplicates_suppressed,
-                "acks_sent": p.acks_sent,
-                "ack_frames": p.ack_frames,
-                "undelivered": p.undelivered,
-                "injected_drops": p.injected_drops,
-                "injected_duplicates": p.injected_duplicates,
-                "staleness_mean": round(p.staleness_mean, 3),
-                "staleness_max": p.staleness_max,
-                "reader_samples": p.reader_samples,
-            }
+            point_doc(p, overhead_ratio=3, staleness_mean=3)
             for p in result.points
         ],
-        "dm_restart": (
-            {
-                "committed": result.dm_restart.committed,
-                "expected": result.dm_restart.expected,
-                "lost_writes": result.dm_restart.lost_writes,
-                "dm_crashes": result.dm_restart.dm_crashes,
-                "dm_restarts": result.dm_restart.dm_restarts,
-                "recoveries": result.dm_restart.recoveries,
-                "cells_replayed": result.dm_restart.cells_replayed,
-                "state_parity": result.dm_restart.state_parity,
-                "recovered_parity": result.dm_restart.recovered_parity,
-            }
-            if result.dm_restart is not None
-            else None
-        ),
+        "dm_restart": point_doc(result.dm_restart),
     }
 
 
@@ -432,7 +397,7 @@ def bench_payload(result: ChaosResult) -> Dict[str, object]:
 MAX_ZERO_LOSS_OVERHEAD = 1.7
 
 
-def check_acceptance(payload: Dict[str, Any]) -> List[str]:
+def gates(payload: Dict[str, Any]) -> List[str]:
     """The gates ``--check`` arms; returns a list of violations.
 
     Everything runs in simulated time from a fixed seed, so there is no
@@ -472,49 +437,10 @@ def check_acceptance(payload: Dict[str, Any]) -> List[str]:
     return problems
 
 
-def main(argv: Optional[Sequence[str]] = None) -> ChaosResult:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.chaos",
-        description="Run the chaos sweep and write BENCH_chaos.json",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_chaos.json", metavar="FILE",
-        help="output JSON path (default: BENCH_chaos.json)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero when an acceptance gate fails",
-    )
-    args = parser.parse_args(argv)
-    result = run_chaos(seed=args.seed)
-    print(result.table())
-    print(f"parity at 0 loss: {result.parity_ok} "
-          f"(ACK-only overhead: {result.faultless_acks} frames)")
-    if result.dm_restart is not None:
-        d = result.dm_restart
-        print(
-            f"dm restart: lost={d.lost_writes} "
-            f"state_parity={d.state_parity} "
-            f"recovered_parity={d.recovered_parity} "
-            f"(recoveries={d.recoveries}, cells_replayed={d.cells_replayed})"
-        )
-    payload = bench_payload(result)
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    problems = check_acceptance(payload)
-    if problems:
-        print("ACCEPTANCE VIOLATIONS:", *problems, sep="\n  ")
-        if args.check:
-            raise SystemExit(1)
-    else:
-        print(
-            "acceptance: OK (no lost write, nothing undelivered, zero-loss "
-            f"parity at <= {MAX_ZERO_LOSS_OVERHEAD}x wire frames, dm-restart "
-            "parities hold)"
-        )
-    return result
-
+EXPERIMENT = Experiment(
+    "chaos", run_chaos, params=(Param("--seed", 0),), seeded=True,
+    summarize=bench_payload, gates=gates, out="BENCH_chaos.json",
+)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

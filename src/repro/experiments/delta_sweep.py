@@ -18,21 +18,20 @@ What the A/B comparison must show:
   component/view state are *identical* between the two runs: delta
   synchronization changes payload contents, never the protocol.
 
-``python -m repro.experiments.delta_sweep`` writes ``BENCH_delta.json``.
+``python -m repro.experiments.delta_sweep`` writes ``BENCH_delta.json``;
+``--check`` exits non-zero unless every gate of :func:`gates` holds.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core import messages as M
 from repro.core.system import FleccSystem, run_all_scripts
 from repro.experiments.report import Table
+from repro.experiments.runner import Experiment, Param, cli, point_doc
 from repro.net.sim_transport import SimTransport
 from repro.sim.kernel import SimKernel
 from repro.testing import (
@@ -247,52 +246,67 @@ def bench_payload(result: DeltaSweepResult) -> Dict[str, object]:
             p.messages_identical for p in result.points
         ),
         "points": [
-            {
-                "n_cells": p.n_cells,
-                "dirty_per_round": p.dirty_per_round,
-                "rounds": p.rounds,
-                "pulls": p.pulls,
-                "full_bytes_per_pull": round(p.full_bytes_per_pull, 1),
-                "delta_bytes_per_pull": round(p.delta_bytes_per_pull, 1),
-                "bytes_reduction": round(p.bytes_reduction, 2),
-                "full_latency_ms": round(p.full_latency_ms, 4),
-                "delta_latency_ms": round(p.delta_latency_ms, 4),
-                "images_full": p.images_full,
-                "images_delta": p.images_delta,
-                "cells_sent": p.cells_sent,
-                "cells_skipped": p.cells_skipped,
-                "delta_serves": p.delta_serves,
-                "slice_index_hits": p.slice_index_hits,
-                "state_identical": p.state_identical,
-                "messages_identical": p.messages_identical,
-            }
+            point_doc(
+                p, full_bytes_per_pull=1, delta_bytes_per_pull=1,
+                bytes_reduction=2, full_latency_ms=4, delta_latency_ms=4,
+            )
             for p in result.points
         ],
     }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> DeltaSweepResult:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.delta_sweep",
-        description="Run the delta-synchronization sweep and write BENCH_delta.json",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_delta.json", metavar="FILE",
-        help="output JSON path (default: BENCH_delta.json)",
-    )
-    parser.add_argument("--rounds", type=int, default=5)
-    args = parser.parse_args(argv)
-    result = run_delta_sweep(rounds=args.rounds)
-    print(result.table())
-    payload = bench_payload(result)
-    print(
-        f"low-locality reduction: {payload['low_locality_bytes_reduction']}x, "
-        f"all-dirty ratio: {payload['all_dirty_bytes_ratio']}"
-    )
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return result
+#: The wire win the low-locality point must show (full / delta bytes
+#: per pull) and the all-dirty point's allowed distance from parity.
+MIN_LOW_LOCALITY_REDUCTION = 5.0
+ALL_DIRTY_TOLERANCE = 0.05
 
+
+def gates(payload: Dict[str, Any]) -> List[str]:
+    """The gates ``--check`` arms; returns a list of violations.
+
+    Bytes and message counts come from a deterministic simulated run,
+    so there is no noise to allow for: the low-locality point must
+    shrink its pulls by :data:`MIN_LOW_LOCALITY_REDUCTION`, an all-dirty
+    delta must cost what the full image costs, every pull must have
+    been served as a delta, and no point may differ from its full-image
+    twin in end state or logical message counts.
+    """
+    problems: List[str] = []
+    reduction = payload["low_locality_bytes_reduction"]
+    if reduction < MIN_LOW_LOCALITY_REDUCTION:
+        problems.append(
+            f"low-locality pulls shrank only {reduction}x "
+            f"(need >= {MIN_LOW_LOCALITY_REDUCTION}x)"
+        )
+    ratio = payload["all_dirty_bytes_ratio"]
+    if ratio is None:
+        problems.append("no all-dirty point to gate delta/full parity on")
+    elif abs(ratio - 1.0) > ALL_DIRTY_TOLERANCE:
+        problems.append(
+            f"all-dirty delta/full bytes per pull {ratio} "
+            f"(need within 1 +- {ALL_DIRTY_TOLERANCE})"
+        )
+    for p in payload["points"]:
+        point = f"{p['n_cells']} cells / {p['dirty_per_round']} dirty"
+        if not p["state_identical"]:
+            problems.append(f"{point}: end state differs from the full-image run")
+        if not p["messages_identical"]:
+            problems.append(
+                f"{point}: logical message counts differ from the "
+                f"full-image run"
+            )
+        if not p["pulls"] == p["rounds"] == p["images_delta"] == p["delta_serves"]:
+            problems.append(
+                f"{point}: {p['images_delta']} of {p['pulls']} pulls "
+                f"({p['rounds']} rounds) served as deltas"
+            )
+    return problems
+
+
+EXPERIMENT = Experiment(
+    "delta_sweep", run_delta_sweep, params=(Param("--rounds", 5),),
+    summarize=bench_payload, gates=gates, out="BENCH_delta.json",
+)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

@@ -5,9 +5,10 @@ is the wall past a few thousand views, and PR 9's conflict index exists
 to knock that wall down.  This experiment proves it, with the op-path
 profiler (:mod:`repro.core.profiling`) as the measuring instrument:
 
-- **Harness** — a *bare* :class:`~repro.core.directory.DirectoryManager`
-  on a :class:`~repro.net.sim_transport.SimTransport`, driven by one
-  fake cache-manager hub endpoint that auto-acks INVALIDATE/FETCH_REQ.
+- **Harness** — :class:`repro.testing.BareDirectory`: a *bare*
+  :class:`~repro.core.directory.DirectoryManager` on a
+  :class:`~repro.net.sim_transport.SimTransport`, driven by one fake
+  cache-manager hub endpoint that auto-acks INVALIDATE/FETCH_REQ.
   No cache managers, no static map (its numpy row scans are O(V) by
   construction and would mask what the index does), so every measured
   nanosecond belongs to the directory's own op path.
@@ -39,33 +40,35 @@ indexed growth, churn cost bounded by conflict degree not V).
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import DiscreteSet, Property, PropertySet
-from repro.core import messages as M
 from repro.core.conflicts import ConflictPolicy
 from repro.core.directory import DirectoryManager
-from repro.core.image import ObjectImage
 from repro.core.system import FleccSystem, run_all_scripts
 from repro.experiments.report import Table
-from repro.net.message import Message, reset_message_ids
-from repro.net.sim_transport import SimTransport
+from repro.experiments.runner import (
+    Experiment,
+    Param,
+    ShardSpec,
+    capped_ramp,
+    cli,
+    point_doc,
+)
+from repro.net.message import reset_message_ids
 from repro.net.transport import resolve_transport
-from repro.sim import SimKernel
 from repro.testing import (
     Agent,
+    BareDirectory,
     Store,
     extract_cells,
     extract_from_object,
     extract_from_view,
     merge_into_object,
     merge_into_view,
+    pair_group_props,
     props_for,
 )
 
@@ -95,17 +98,6 @@ def _vid(i: int) -> str:
     return f"v{i:05d}"
 
 
-def _props_of(i: int) -> PropertySet:
-    """Disjoint-by-pairs properties: private cell + pair-group cell.
-
-    Views ``2k`` and ``2k+1`` share ``grp{k}`` (conflict degree 1);
-    any other pair of views shares nothing.
-    """
-    return PropertySet([
-        Property("cells", DiscreteSet({f"own{i:05d}", f"grp{i // 2:05d}"}))
-    ])
-
-
 def _churn_props(v_base: int, c: int) -> PropertySet:
     """Properties of the c-th churn view: joins an existing pair group
     (constant conflict degree 2), plus its own private cell."""
@@ -115,103 +107,6 @@ def _churn_props(v_base: int, c: int) -> PropertySet:
     ])
 
 
-def _extract(store: Dict[str, int], props: PropertySet) -> ObjectImage:
-    """O(slice) extract: walks the property's *domain values*, not the
-    store — a register/serve must not cost O(total cells), or the
-    harness itself would be the O(V) term it is trying to measure."""
-    img = ObjectImage()
-    p = props.get("cells") if props is not None else None
-    if p is None:
-        for k, v in store.items():
-            img.cells[k] = v
-        return img
-    for k in p.domain.values:
-        if k in store:
-            img.cells[k] = store[k]
-    return img
-
-
-def _merge(store: Dict[str, int], image: ObjectImage, props: PropertySet) -> None:
-    for k in image.keys():
-        store[k] = image.get(k)
-
-
-class _BareDirHarness:
-    """One directory manager + one fake cache-manager hub endpoint.
-
-    Every view registers from the same hub address, so the directory's
-    INVALIDATE/FETCH fan-out lands on one handler that auto-acks — the
-    protocol sees live cache managers, the profiler sees only the
-    directory.
-    """
-
-    def __init__(self, conflict_index: bool) -> None:
-        self.kernel = SimKernel()
-        self.transport = SimTransport(self.kernel, default_latency=0.01)
-        self.store: Dict[str, int] = {}
-        self.dm = DirectoryManager(
-            transport=self.transport,
-            address="dir",
-            component=self.store,
-            extract_from_object=_extract,
-            merge_into_object=_merge,
-            static_map=None,
-            conflict_index=conflict_index,
-            profile=True,
-        )
-        self.replies: List[Message] = []
-        self._seq: Dict[str, int] = {}
-        self.endpoint = self.transport.bind("cmhub", self._on_message)
-
-    def _on_message(self, msg: Message) -> None:
-        if msg.msg_type == M.INVALIDATE:
-            self.endpoint.send(msg.reply(
-                M.INVALIDATE_ACK, {"view_id": msg.payload.get("view_id")}
-            ))
-        elif msg.msg_type == M.FETCH_REQ:
-            self.endpoint.send(msg.reply(
-                M.FETCH_REPLY,
-                {"view_id": msg.payload.get("view_id"), "image": ObjectImage()},
-            ))
-        else:
-            self.replies.append(msg)
-
-    def drain(self) -> None:
-        self.kernel.run()
-
-    # -- protocol verbs (sent from the hub) -----------------------------
-    def register(self, view_id: str, props: PropertySet) -> None:
-        self.endpoint.send(Message(M.REGISTER, "cmhub", "dir", {
-            "view_id": view_id, "properties": props, "mode": "weak",
-        }))
-
-    def pull(self, view_id: str) -> None:
-        self.endpoint.send(Message(
-            M.PULL_REQ, "cmhub", "dir", {"view_id": view_id}
-        ))
-
-    def acquire(self, view_id: str) -> None:
-        self.endpoint.send(Message(
-            M.ACQUIRE, "cmhub", "dir", {"view_id": view_id}
-        ))
-
-    def push(self, view_id: str, cells: Dict[str, int]) -> None:
-        seq = self._seq.get(view_id, 0) + 1
-        self._seq[view_id] = seq
-        self.endpoint.send(Message(M.PUSH, "cmhub", "dir", {
-            "view_id": view_id, "image": ObjectImage(dict(cells)),
-            "state_seq": seq,
-        }))
-
-    # -- profiler bookkeeping -------------------------------------------
-    def phase_total(self, phases: Sequence[str]) -> int:
-        return self.dm.profiler.total_ns(*phases)
-
-    def state_digest(self) -> str:
-        blob = repr(sorted(self.store.items())).encode()
-        return hashlib.sha1(blob).hexdigest()
-
-
 @dataclass
 class DmProfilePoint:
     """One (leg, view count) measurement."""
@@ -219,11 +114,11 @@ class DmProfilePoint:
     leg: str                       # 'indexed' | 'brute'
     n_views: int
     ops: int                       # queued ops the profiler timed
-    register_mean_ns: float        # ramp registration, per REGISTER
-    pure_op_ns: float              # conflict+targets+fanout+serve, per op
-    pure_phases: Dict[str, float]  # per-op ns by phase
-    commit_mean_ns: float          # push-path commit, per commit sample
-    churn_cycle_ns: float          # REGISTER-into-full-fleet + one op
+    register_mean_us: float        # ramp registration, per REGISTER
+    pure_op_us: float              # conflict+targets+fanout+serve, per op
+    pure_phases_us: Dict[str, float]  # per-op cost by phase
+    commit_mean_us: float          # push-path commit, per commit sample
+    churn_cycle_us: float          # REGISTER-into-full-fleet + one op
     index_candidates: int          # policy counter (0 on the brute leg)
     scoped_invalidations: int      # policy counter (0 on the brute leg)
     conflict_parity: bool          # index answers == brute recomputation
@@ -254,12 +149,12 @@ def _conflict_parity(dm: DirectoryManager, sample: List[str]) -> bool:
 def _run_point(leg: str, n_views: int) -> DmProfilePoint:
     reset_message_ids()
     t_start = time.perf_counter()
-    h = _BareDirHarness(conflict_index=(leg == "indexed"))
+    h = BareDirectory(conflict_index=(leg == "indexed"))
     prof = h.dm.profiler
 
     # Phase 1 — registration ramp: V views join the directory.
     for i in range(n_views):
-        h.register(_vid(i), _props_of(i))
+        h.register(_vid(i), pair_group_props(i))
     h.drain()
     reg_hist = prof.phases.get("register")
     register_mean = reg_hist.mean_ns if reg_hist is not None else 0.0
@@ -268,7 +163,7 @@ def _run_point(leg: str, n_views: int) -> DmProfilePoint:
     # phase totals isolate it from the registration ramp above.
     sample = [_vid(i) for i in _sample_ids(n_views, OP_SAMPLE)]
     acq = sample[:: max(1, len(sample) // ACQ_SAMPLE)][:ACQ_SAMPLE]
-    t0 = h.phase_total(OP_PHASES)
+    t0 = prof.total_ns(*OP_PHASES)
     ops0 = prof.ops
     for _ in range(OP_ROUNDS):
         for vid in sample:
@@ -281,12 +176,12 @@ def _run_point(leg: str, n_views: int) -> DmProfilePoint:
         h.push(vid, {f"own{vid[1:]}": 1})
     h.drain()
     pure_ops = prof.ops - ops0
-    pure_total = h.phase_total(OP_PHASES) - t0
+    pure_total = prof.total_ns(*OP_PHASES) - t0
     pure_phases = {
         p: (
             (prof.phases[p].total_ns if p in prof.phases else 0) / pure_ops
             if pure_ops else 0.0
-        )
+        ) / 1000
         for p in OP_PHASES
     }
     commit_hist = prof.phases.get("commit")
@@ -296,13 +191,13 @@ def _run_point(leg: str, n_views: int) -> DmProfilePoint:
     # immediately operates.  Legacy mode pays a whole-cache invalidation
     # plus an O(V) recomputation per cycle; indexed mode pays O(degree).
     churn_phases = ("register",) + OP_PHASES
-    t1 = h.phase_total(churn_phases)
+    t1 = prof.total_ns(*churn_phases)
     for c in range(CHURN_CYCLES):
         vid = f"churn{c:05d}"
         h.register(vid, _churn_props(n_views, c))
         h.pull(vid)
         h.drain()
-    churn_total = h.phase_total(churn_phases) - t1
+    churn_total = prof.total_ns(*churn_phases) - t1
 
     parity_ids = [_vid(i) for i in _sample_ids(n_views, PARITY_SAMPLE)]
     parity = _conflict_parity(h.dm, parity_ids)
@@ -310,11 +205,11 @@ def _run_point(leg: str, n_views: int) -> DmProfilePoint:
         leg=leg,
         n_views=n_views,
         ops=prof.ops,
-        register_mean_ns=register_mean,
-        pure_op_ns=pure_total / pure_ops if pure_ops else 0.0,
-        pure_phases=pure_phases,
-        commit_mean_ns=commit_mean,
-        churn_cycle_ns=churn_total / CHURN_CYCLES,
+        register_mean_us=register_mean / 1000,
+        pure_op_us=(pure_total / pure_ops if pure_ops else 0.0) / 1000,
+        pure_phases_us=pure_phases,
+        commit_mean_us=commit_mean / 1000,
+        churn_cycle_us=churn_total / CHURN_CYCLES / 1000,
         index_candidates=h.dm.counters["index_candidates"],
         scoped_invalidations=h.dm.counters["scoped_invalidations"],
         conflict_parity=parity,
@@ -322,8 +217,7 @@ def _run_point(leg: str, n_views: int) -> DmProfilePoint:
         state_digest=h.state_digest(),
         elapsed_s=time.perf_counter() - t_start,
     )
-    h.dm.close()
-    h.transport.close()
+    h.close()
     return point
 
 
@@ -411,9 +305,9 @@ class DmProfileResult:
         for p in self.points:
             t.add_row(
                 p.leg, p.n_views,
-                f"{p.register_mean_ns / 1000:.1f}",
-                f"{p.pure_op_ns / 1000:.1f}",
-                f"{p.churn_cycle_ns / 1000:.1f}",
+                f"{p.register_mean_us:.1f}",
+                f"{p.pure_op_us:.1f}",
+                f"{p.churn_cycle_us:.1f}",
                 p.index_candidates, p.scoped_invalidations,
                 "ok" if p.conflict_parity else "DIVERGED",
             )
@@ -449,10 +343,12 @@ def merge_dm_profile(
 
 
 def run_dm_profile(
-    ramp: Optional[Sequence[int]] = None, full: bool = False
+    ramp: Optional[Sequence[int]] = None,
+    full: bool = False,
+    max_views: Optional[int] = None,
 ) -> DmProfileResult:
     if ramp is None:
-        ramp = FULL_RAMP if full else DEFAULT_RAMP
+        ramp = capped_ramp(FULL_RAMP if full else DEFAULT_RAMP, max_views)
     points = sweep_points(ramp)
     return merge_dm_profile(points, [run_sweep_point(p) for p in points])
 
@@ -476,24 +372,10 @@ def _growth(points: List[Dict[str, Any]], key: str) -> float:
 def bench_payload(result: DmProfileResult) -> Dict[str, object]:
     """The ``BENCH_dmprofile.json`` document for one run."""
     points = [
-        {
-            "leg": p.leg,
-            "n_views": p.n_views,
-            "ops": p.ops,
-            "register_mean_us": round(p.register_mean_ns / 1000, 2),
-            "pure_op_us": round(p.pure_op_ns / 1000, 2),
-            "pure_phases_us": {
-                k: round(v / 1000, 2) for k, v in p.pure_phases.items()
-            },
-            "commit_mean_us": round(p.commit_mean_ns / 1000, 2),
-            "churn_cycle_us": round(p.churn_cycle_ns / 1000, 2),
-            "index_candidates": p.index_candidates,
-            "scoped_invalidations": p.scoped_invalidations,
-            "conflict_parity": p.conflict_parity,
-            "by_type": dict(p.by_type),
-            "state_digest": p.state_digest,
-            "elapsed_s": round(p.elapsed_s, 2),
-        }
+        point_doc(
+            p, register_mean_us=2, pure_op_us=2, pure_phases_us=2,
+            commit_mean_us=2, churn_cycle_us=2, elapsed_s=2,
+        )
         for p in result.points
     ]
     indexed = _leg_points(points, "indexed")
@@ -552,7 +434,7 @@ def bench_payload(result: DmProfileResult) -> Dict[str, object]:
     }
 
 
-def check_acceptance(payload: Dict[str, Any]) -> List[str]:
+def gates(payload: Dict[str, Any]) -> List[str]:
     """The PR's acceptance gates; returns a list of violations.
 
     Parity is enforced on every run (any ramp).  The performance gates
@@ -606,63 +488,18 @@ def check_acceptance(payload: Dict[str, Any]) -> List[str]:
     return problems
 
 
-def main(argv: Optional[Sequence[str]] = None) -> DmProfileResult:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.dm_profile",
-        description=(
-            "Profile directory per-op cost vs view count and write "
-            "BENCH_dmprofile.json"
-        ),
-    )
-    parser.add_argument(
-        "--out", default="BENCH_dmprofile.json", metavar="FILE",
-        help="output JSON path (default: BENCH_dmprofile.json)",
-    )
-    parser.add_argument(
-        "--full", action="store_true",
-        help="include the 10k-view point (arms the performance gates)",
-    )
-    parser.add_argument(
-        "--max-views", type=int, default=None, metavar="N",
-        help="cap the ramp at N views (CI smoke uses 2000); N itself is "
-             "appended as the top point when not already in the ramp",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero when an acceptance gate fails",
-    )
-    args = parser.parse_args(argv)
-    ramp: List[int] = list(FULL_RAMP if args.full else DEFAULT_RAMP)
-    if args.max_views is not None:
-        ramp = [n for n in ramp if n <= args.max_views]
-        if args.max_views not in ramp:
-            ramp.append(args.max_views)
-    result = run_dm_profile(ramp=ramp)
-    print(result.table())
-    payload = bench_payload(result)
-    print(
-        f"per-op speedup at {payload['ramp_top']} views: "
-        f"{payload['speedup_at_top']}x (churn "
-        f"{payload['churn_speedup_at_top']}x); indexed growth "
-        f"{payload['indexed_pure_growth']}x vs brute "
-        f"{payload['brute_pure_growth']}x over a {payload['view_ratio']}x ramp"
-    )
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    problems = check_acceptance(payload)
-    if problems:
-        print("ACCEPTANCE VIOLATIONS:", *problems, sep="\n  ")
-        if args.check:
-            raise SystemExit(1)
-    else:
-        print(
-            "acceptance: OK (index == brute force on every conflict "
-            "answer, message count and end state; perf gates "
-            + ("enforced at the 10k point)" if payload["ramp_top"] >= GATE_TOP
-               else "armed only at the 10k ramp point)")
-        )
-    return result
-
+EXPERIMENT = Experiment(
+    "dm_profile", run_dm_profile,
+    params=(
+        Param("--full", False,
+              "include the 10k-view point (arms the performance gates)"),
+        Param("--max-views", None,
+              "cap the ramp at N views (CI smoke uses 2000); N itself is "
+              "the top point"),
+    ),
+    shard=ShardSpec(sweep_points, run_sweep_point, merge_dm_profile),
+    summarize=bench_payload, gates=gates, out="BENCH_dmprofile.json",
+)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

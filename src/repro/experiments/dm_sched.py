@@ -6,10 +6,13 @@ rounds — those whose conflict scopes are disjoint — may overlap their
 ACK waits instead of queueing behind one another.  This experiment
 measures that win and polices the safety story:
 
-- **Harness** — a *bare* :class:`~repro.core.directory.DirectoryManager`
-  on a :class:`~repro.net.sim_transport.SimTransport`, driven by one
-  fake cache-manager hub that *delays* its INVALIDATE/FETCH acks by a
-  full simulated second.  The ack wait dwarfs every other latency, so
+- **Harness** — :class:`repro.testing.BareDirectory`: a *bare*
+  :class:`~repro.core.directory.DirectoryManager` on a
+  :class:`~repro.net.sim_transport.SimTransport`, driven by one fake
+  cache-manager hub that *delays* its INVALIDATE/FETCH acks by a full
+  simulated second (scheduled on the sim kernel, not sent inline — the
+  round holds its op slot for the whole wait).  That wait dwarfs every
+  other latency, so
   the makespan of a burst of rounds is dominated by how many of those
   waits the scheduler can overlap — exactly the quantity the tentpole
   claims to improve.
@@ -42,23 +45,16 @@ unbounded leg over serial, overlap actually witnessed via the
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import random
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import DiscreteSet, Property, PropertySet
-from repro.core import messages as M
-from repro.core.directory import DirectoryManager
-from repro.core.image import ObjectImage
 from repro.experiments.report import Table
-from repro.net.message import Message, reset_message_ids
-from repro.net.sim_transport import SimTransport
-from repro.sim import SimKernel
+from repro.experiments.runner import Experiment, Param, ShardSpec, cli, point_doc
+from repro.net.message import reset_message_ids
+from repro.testing import BareDirectory, pair_group_props
 
 #: Independent conflict groups in the measured burst.  The acceptance
 #: criterion asks for >= 8; 16 keeps the serial-vs-concurrent gap far
@@ -87,132 +83,11 @@ def _vid(i: int) -> str:
     return f"s{i:05d}"
 
 
-def _props_of(i: int) -> PropertySet:
-    """Disjoint-by-pairs properties: private cell + pair-group cell."""
-    return PropertySet([
-        Property("cells", DiscreteSet({f"own{i:05d}", f"grp{i // 2:05d}"}))
-    ])
-
-
 def _churn_props(g: int, c: int) -> PropertySet:
     """The c-th churn view of group g: joins that group's cell."""
     return PropertySet([
         Property("cells", DiscreteSet({f"churn{g:03d}x{c:03d}", f"grp{g:05d}"}))
     ])
-
-
-def _extract(store: Dict[str, int], props: PropertySet) -> ObjectImage:
-    """O(slice) extract over the property domain (mirrors dm_profile)."""
-    img = ObjectImage()
-    p = props.get("cells") if props is not None else None
-    if p is None:
-        for k, v in store.items():
-            img.cells[k] = v
-        return img
-    for k in p.domain.values:
-        if k in store:
-            img.cells[k] = store[k]
-    return img
-
-
-def _merge(store: Dict[str, int], image: ObjectImage, props: PropertySet) -> None:
-    for k in image.keys():
-        store[k] = image.get(k)
-
-
-class _SchedHarness:
-    """One directory manager + one slow fake cache-manager hub.
-
-    Identical to dm_profile's bare harness except that the hub's
-    INVALIDATE/FETCH acks are *delayed* by ``ack_delay`` simulated
-    seconds (scheduled on the sim kernel, not sent inline) — the round
-    holds its op slot for the whole wait, which is what gives the
-    concurrent scheduler something to overlap.
-    """
-
-    def __init__(self, concurrent_rounds: int, ack_delay: float = ACK_DELAY) -> None:
-        self.kernel = SimKernel()
-        self.transport = SimTransport(self.kernel, default_latency=0.01)
-        self.ack_delay = ack_delay
-        self.store: Dict[str, int] = {}
-        self.dm = DirectoryManager(
-            transport=self.transport,
-            address="dir",
-            component=self.store,
-            extract_from_object=_extract,
-            merge_into_object=_merge,
-            static_map=None,
-            profile=True,
-            concurrent_rounds=concurrent_rounds,
-        )
-        self.replies: List[Message] = []
-        self._seq: Dict[str, int] = {}
-        self.endpoint = self.transport.bind("cmhub", self._on_message)
-
-    def _on_message(self, msg: Message) -> None:
-        if msg.msg_type == M.INVALIDATE:
-            reply = msg.reply(
-                M.INVALIDATE_ACK, {"view_id": msg.payload.get("view_id")}
-            )
-            self.transport.schedule(
-                self.ack_delay, lambda r=reply: self.endpoint.send(r)
-            )
-        elif msg.msg_type == M.FETCH_REQ:
-            reply = msg.reply(
-                M.FETCH_REPLY,
-                {"view_id": msg.payload.get("view_id"), "image": ObjectImage()},
-            )
-            self.transport.schedule(
-                self.ack_delay, lambda r=reply: self.endpoint.send(r)
-            )
-        else:
-            self.replies.append(msg)
-
-    def drain(self) -> None:
-        self.kernel.run()
-
-    def now(self) -> float:
-        return self.transport.now()
-
-    # -- protocol verbs (sent from the hub) -----------------------------
-    def register(self, view_id: str, props: PropertySet) -> None:
-        self.endpoint.send(Message(M.REGISTER, "cmhub", "dir", {
-            "view_id": view_id, "properties": props, "mode": "weak",
-        }))
-
-    def pull(self, view_id: str) -> None:
-        self.endpoint.send(Message(
-            M.PULL_REQ, "cmhub", "dir", {"view_id": view_id}
-        ))
-
-    def acquire(self, view_id: str) -> None:
-        self.endpoint.send(Message(
-            M.ACQUIRE, "cmhub", "dir", {"view_id": view_id}
-        ))
-
-    def push(self, view_id: str, cells: Dict[str, int]) -> None:
-        seq = self._seq.get(view_id, 0) + 1
-        self._seq[view_id] = seq
-        self.endpoint.send(Message(M.PUSH, "cmhub", "dir", {
-            "view_id": view_id, "image": ObjectImage(dict(cells)),
-            "state_seq": seq,
-        }))
-
-    def state_digest(self) -> str:
-        blob = repr(sorted(self.store.items())).encode()
-        return hashlib.sha1(blob).hexdigest()
-
-    def conflict_digest(self) -> str:
-        """Fingerprint of every view's conflict answer (parity probe)."""
-        answers = {
-            vid: sorted(self.dm.conflict_set_of(vid))
-            for vid in sorted(self.dm.views)
-        }
-        return hashlib.sha1(repr(answers).encode()).hexdigest()
-
-    def close(self) -> None:
-        self.dm.close()
-        self.transport.close()
 
 
 @dataclass
@@ -227,7 +102,7 @@ class DmSchedPoint:
     concurrent_rounds_hwm: int  # high-water mark of in-flight rounds
     rounds_overlapped: int      # round starts that joined >= 1 in-flight
     sched_conflict_waits: int   # ops that waited on a conflicting round
-    queue_wait_mean_ns: float   # profiler: enqueue -> round start
+    queue_wait_mean_us: float   # profiler: enqueue -> round start
     queue_wait_count: int
     by_type: Dict[str, int]     # Fig-4 message counts for the point
     bytes_sent: int             # wire bytes (informational; msg-id digit
@@ -240,13 +115,13 @@ class DmSchedPoint:
 def _run_point(leg: str, limit: int, n_groups: int = N_GROUPS) -> DmSchedPoint:
     reset_message_ids()
     t_start = time.perf_counter()
-    h = _SchedHarness(concurrent_rounds=limit)
+    h = BareDirectory(ack_delay=ACK_DELAY, concurrent_rounds=limit)
 
     # Setup (drained, unmeasured): register both halves of every pair,
     # then pull each partner active so the leaders' ACQUIREs must run a
     # revocation round against them.
     for i in range(2 * n_groups):
-        h.register(_vid(i), _props_of(i))
+        h.register(_vid(i), pair_group_props(i))
     h.drain()
     for k in range(n_groups):
         h.pull(_vid(2 * k + 1))
@@ -286,7 +161,7 @@ def _run_point(leg: str, limit: int, n_groups: int = N_GROUPS) -> DmSchedPoint:
         concurrent_rounds_hwm=h.dm.counters["concurrent_rounds_hwm"],
         rounds_overlapped=h.dm.counters["rounds_overlapped"],
         sched_conflict_waits=h.dm.counters["sched_conflict_waits"],
-        queue_wait_mean_ns=qw.mean_ns if qw is not None else 0.0,
+        queue_wait_mean_us=qw.mean_ns / 1000 if qw is not None else 0.0,
         queue_wait_count=qw.count if qw is not None else 0,
         by_type=dict(h.transport.stats.by_type),
         bytes_sent=h.transport.stats.bytes_sent,
@@ -330,7 +205,7 @@ def _parity_program(
 
 
 def _replay_program(
-    h: _SchedHarness, program: List[List[Tuple[str, int]]], n_groups: int
+    h: BareDirectory, program: List[List[Tuple[str, int]]], n_groups: int
 ) -> None:
     churn_count: Dict[int, int] = {}
     for batch in program:
@@ -378,9 +253,9 @@ def randomized_parity(
     invariants = True
     for leg, limit in LEGS:
         reset_message_ids()
-        h = _SchedHarness(concurrent_rounds=limit)
+        h = BareDirectory(ack_delay=ACK_DELAY, concurrent_rounds=limit)
         for i in range(2 * n_groups):
-            h.register(_vid(i), _props_of(i))
+            h.register(_vid(i), pair_group_props(i))
         h.drain()
         try:
             _replay_program(h, program, n_groups)
@@ -422,7 +297,7 @@ class DmSchedResult:
                 f"{p.makespan_s:.2f}", f"{p.rounds_per_sec:.2f}",
                 p.concurrent_rounds_hwm, p.rounds_overlapped,
                 p.sched_conflict_waits,
-                f"{p.queue_wait_mean_ns / 1000:.1f}",
+                f"{p.queue_wait_mean_us:.1f}",
             )
         return t
 
@@ -453,9 +328,9 @@ def merge_dm_sched(
 
 
 def run_dm_sched(
-    n_groups: int = N_GROUPS, seed: Optional[int] = None
+    groups: int = N_GROUPS, seed: Optional[int] = None
 ) -> DmSchedResult:
-    points = sweep_points(n_groups)
+    points = sweep_points(groups)
     return merge_dm_sched(
         points, [run_sweep_point(p, seed) for p in points], seed
     )
@@ -464,23 +339,10 @@ def run_dm_sched(
 def bench_payload(result: DmSchedResult) -> Dict[str, object]:
     """The ``BENCH_dmsched.json`` document for one run."""
     points = [
-        {
-            "leg": p.leg,
-            "concurrent_rounds": p.concurrent_rounds,
-            "n_groups": p.n_groups,
-            "makespan_s": round(p.makespan_s, 4),
-            "rounds_per_sec": round(p.rounds_per_sec, 3),
-            "concurrent_rounds_hwm": p.concurrent_rounds_hwm,
-            "rounds_overlapped": p.rounds_overlapped,
-            "sched_conflict_waits": p.sched_conflict_waits,
-            "queue_wait_mean_us": round(p.queue_wait_mean_ns / 1000, 2),
-            "queue_wait_count": p.queue_wait_count,
-            "by_type": dict(p.by_type),
-            "bytes_sent": p.bytes_sent,
-            "state_digest": p.state_digest,
-            "invariants_ok": p.invariants_ok,
-            "elapsed_s": round(p.elapsed_s, 2),
-        }
+        point_doc(
+            p, makespan_s=4, rounds_per_sec=3, queue_wait_mean_us=2,
+            elapsed_s=2,
+        )
         for p in result.points
     ]
     by_leg = {p["leg"]: p for p in points}
@@ -520,7 +382,7 @@ def bench_payload(result: DmSchedResult) -> Dict[str, object]:
     }
 
 
-def check_acceptance(payload: Dict[str, Any]) -> List[str]:
+def gates(payload: Dict[str, Any]) -> List[str]:
     """The PR's acceptance gates; returns a list of violations.
 
     All gates are armed on every run (there is no noise to hide from:
@@ -574,55 +436,17 @@ def check_acceptance(payload: Dict[str, Any]) -> List[str]:
     return problems
 
 
-def main(argv: Optional[Sequence[str]] = None) -> DmSchedResult:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.dm_sched",
-        description=(
-            "Measure concurrent-round scheduler makespan vs the serial "
-            "queue and write BENCH_dmsched.json"
-        ),
-    )
-    parser.add_argument(
-        "--out", default="BENCH_dmsched.json", metavar="FILE",
-        help="output JSON path (default: BENCH_dmsched.json)",
-    )
-    parser.add_argument(
-        "--groups", type=int, default=N_GROUPS, metavar="G",
-        help=f"independent conflict groups in the burst (default {N_GROUPS})",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=PARITY_SEED, metavar="S",
-        help="seed for the randomized-interleaving parity program",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero when an acceptance gate fails",
-    )
-    args = parser.parse_args(argv)
-    result = run_dm_sched(n_groups=args.groups, seed=args.seed)
-    print(result.table())
-    payload = bench_payload(result)
-    print(
-        f"speedup over serial: bounded4 {payload['speedup_bounded4']}x, "
-        f"unbounded {payload['speedup_unbounded']}x "
-        f"(hwm {payload['unbounded_hwm']}) on {payload['n_groups']} "
-        f"independent groups"
-    )
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    problems = check_acceptance(payload)
-    if problems:
-        print("ACCEPTANCE VIOLATIONS:", *problems, sep="\n  ")
-        if args.check:
-            raise SystemExit(1)
-    else:
-        print(
-            "acceptance: OK (>= 2x rounds/sec with overlap witnessed; "
-            "all legs byte-for-byte on counts, state, conflicts and "
-            "invariants; randomized interleavings converge)"
-        )
-    return result
-
+EXPERIMENT = Experiment(
+    "dm_sched", run_dm_sched,
+    params=(
+        Param("--groups", N_GROUPS, "independent conflict groups in the burst"),
+        Param("--seed", PARITY_SEED,
+              "seed for the randomized-interleaving parity program"),
+    ),
+    seeded=True,
+    shard=ShardSpec(sweep_points, run_sweep_point, merge_dm_sched),
+    summarize=bench_payload, gates=gates, out="BENCH_dmsched.json",
+)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

@@ -37,14 +37,12 @@ Three point families exercise the durable directory plane
   fall back to the previous snapshot and pay a longer replay.
 
 ``python -m repro.experiments.durability_sweep`` writes
-``BENCH_durability.json``; ``--check`` exits non-zero when a gate
-fails.
+``BENCH_durability.json``; ``--check`` exits non-zero unless every gate
+of :func:`gates` holds.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import shutil
 import struct
 import tempfile
@@ -60,6 +58,7 @@ from repro.core.image import ObjectImage
 from repro.core.sharding import HashPartitioner, ShardedFleccSystem
 from repro.core.system import FleccSystem, run_all_scripts
 from repro.experiments.report import Table
+from repro.experiments.runner import Experiment, Param, ShardSpec, cli, point_doc
 from repro.experiments.shard_sweep import _fig4_workload
 from repro.net.message import Message, reset_message_ids
 from repro.net.sim_transport import SimTransport
@@ -487,40 +486,15 @@ def bench_payload(result: DurabilitySweepResult) -> Dict[str, object]:
             1 for p in result.kills if p.lost_writes or not p.parity
         ),
         "overhead": [
-            {
-                "policy": p.policy, "commits": p.commits,
-                "fig4_wall_ms": round(p.fig4_wall_ms, 3),
-                "burst_wall_ms": round(p.burst_wall_ms, 3),
-                "us_per_commit": round(p.us_per_commit, 2),
-                "wal_appends": p.wal_appends, "wal_syncs": p.wal_syncs,
-            }
+            point_doc(p, fig4_wall_ms=3, burst_wall_ms=3, us_per_commit=2)
             for p in result.overhead
         ],
-        "recovery": [
-            {
-                "tail_len": p.tail_len,
-                "recovery_ms": round(p.recovery_ms, 3),
-                "cells_replayed": p.cells_replayed,
-            }
-            for p in result.recovery
-        ],
-        "kills": [
-            {
-                "n_shards": p.n_shards, "index": p.index,
-                "kill_at": round(p.kill_at, 2),
-                "downtime": round(p.downtime, 2), "shard": p.shard,
-                "injection": p.injection, "parity": p.parity,
-                "lost_writes": p.lost_writes, "recoveries": p.recoveries,
-                "cells_replayed": p.cells_replayed,
-                "snapshots_skipped": p.snapshots_skipped,
-                "torn_truncated": p.torn_truncated,
-            }
-            for p in result.kills
-        ],
+        "recovery": [point_doc(p, recovery_ms=3) for p in result.recovery],
+        "kills": [point_doc(p, kill_at=2, downtime=2) for p in result.kills],
     }
 
 
-def check_acceptance(payload: Dict[str, object]) -> List[str]:
+def gates(payload: Dict[str, object]) -> List[str]:
     """The PR's acceptance gates; returns a list of violations."""
     problems: List[str] = []
     kills = payload["kills"]
@@ -560,45 +534,12 @@ def check_acceptance(payload: Dict[str, object]) -> List[str]:
     return problems
 
 
-def main(argv: Optional[Sequence[str]] = None) -> DurabilitySweepResult:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.durability_sweep",
-        description=(
-            "Run the durability sweep and write BENCH_durability.json"
-        ),
-    )
-    parser.add_argument(
-        "--out", default="BENCH_durability.json", metavar="FILE",
-        help="output JSON path (default: BENCH_durability.json)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero when an acceptance gate fails",
-    )
-    args = parser.parse_args(argv)
-    result = run_durability_sweep(seed=args.seed)
-    print(result.table())
-    payload = bench_payload(result)
-    print(
-        f"fsync=batch overhead: {payload['batch_overhead_ratio']}x volatile; "
-        f"{payload['kill_points']} kill points, "
-        f"{payload['kill_failures']} failures"
-    )
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    problems = check_acceptance(payload)
-    if problems:
-        print("ACCEPTANCE VIOLATIONS:", *problems, sep="\n  ")
-        if args.check:
-            raise SystemExit(1)
-    else:
-        print(
-            "acceptance: OK (zero lost committed writes and full parity "
-            "across all kill points; batch overhead within 1.5x)"
-        )
-    return result
-
+EXPERIMENT = Experiment(
+    "durability_sweep", run_durability_sweep,
+    params=(Param("--seed", 0),), seeded=True,
+    shard=ShardSpec(sweep_points, run_sweep_point, merge_durability_sweep),
+    summarize=bench_payload, gates=gates, out="BENCH_durability.json",
+)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

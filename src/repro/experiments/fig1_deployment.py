@@ -38,6 +38,7 @@ from repro.psf.planning import Planner
 from repro.psf.qos import QoSRequirement
 from repro.sim.kernel import SimKernel
 from repro.experiments.report import Table
+from repro.experiments.runner import Experiment, cli
 
 
 @dataclass
@@ -150,7 +151,7 @@ def _backbone_crossings(transport: SimTransport, topo) -> int:
     )
 
 
-def check_shape(result: Fig1Result) -> List[str]:
+def gates(result: Fig1Result) -> List[str]:
     problems = []
     if result.service.get("domain1", ("",))[0] != "FlightDatabase":
         problems.append("domain1 client not served by the original component")
@@ -166,21 +167,7 @@ def check_shape(result: Fig1Result) -> List[str]:
     return problems
 
 
-def main() -> None:
-    result = run_fig1()
-    print(result.table())
-    print()
-    print(f"reservations committed across domains: {result.reservations_made}")
-    print(f"one-copy consistency held: {result.seats_consistent}")
-    print(f"total messages: {result.total_messages} "
-          f"({result.backbone_messages} crossed the backbone)")
-    problems = check_shape(result)
-    if problems:
-        print("SHAPE VIOLATIONS:", *problems, sep="\n  ")
-    else:
-        print("shape check: OK (views serve the remote domains within "
-              "budget; coherence holds across the WAN)")
-
+EXPERIMENT = Experiment("fig1_deployment", run_fig1, seeded=True, gates=gates)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

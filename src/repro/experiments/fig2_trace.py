@@ -8,7 +8,7 @@ the data, the directory detects the conflict (the property intersection
 both views announce their intention to stop.
 
 ``run_fig2()`` returns the recorded :class:`TraceLog`; the module entry
-point prints the annotated step-by-step trace.
+point prints it as a sequence chart plus the full event log.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from typing import Dict
 from repro.core import FleccSystem, Mode, ObjectImage, PropertySet, Property
 from repro.core.messages import TraceLog
 from repro.core.system import run_all_scripts
+from repro.core.trace_render import render_sequence
+from repro.experiments.runner import Experiment, cli
 from repro.net.sim_transport import SimTransport
 from repro.sim.kernel import SimKernel
 
@@ -67,6 +69,14 @@ class Fig2Result:
     final_data: Dict[str, int]
     v1_was_invalidated: bool
     v2_saw_v1_update: bool
+
+    def table(self) -> str:
+        return "\n".join([
+            "FIG2 — strong-mode interaction trace (paper Figure 2)", "",
+            render_sequence(self.trace, actors=["cm:V1", "dir", "cm:V2"]), "",
+            "full event log:", self.trace.format(), "",
+            f"final component data: {self.final_data}",
+        ])
 
 
 def run_fig2(latency: float = 1.0) -> Fig2Result:
@@ -123,21 +133,7 @@ def run_fig2(latency: float = 1.0) -> Fig2Result:
     )
 
 
-def main() -> None:
-    from repro.core.trace_render import render_sequence
-
-    result = run_fig2()
-    print("FIG2 — strong-mode interaction trace (paper Figure 2)")
-    print()
-    print(render_sequence(result.trace, actors=["cm:V1", "dir", "cm:V2"]))
-    print()
-    print("full event log:")
-    print(result.trace.format())
-    print()
-    print(f"final component data: {result.final_data}")
-    print(f"V1 invalidated by V2's request: {result.v1_was_invalidated}")
-    print(f"V2 observed V1's update to x:   {result.v2_saw_v1_update}")
-
+EXPERIMENT = Experiment("fig2_trace", run_fig2)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

@@ -36,6 +36,7 @@ from repro.baselines.time_sharing import TimeSharingRunner
 from repro.core.system import run_all_scripts
 from repro.core.triggers import TriggerSet
 from repro.experiments.report import Table
+from repro.experiments.runner import Experiment, ShardSpec, cli
 
 
 @dataclass
@@ -105,18 +106,11 @@ def run_fig4(
     stagger: float = 2.0,
 ) -> Fig4Result:
     """Sweep the conflicting-agent count and measure per-protocol traffic."""
-    sweep = list(range(step, n_agents + 1, step))
-    result = Fig4Result(n_agents=n_agents, conflicting_sweep=sweep)
-    for protocol in ProtocolName:
-        totals = []
-        for n_conflicting in sweep:
-            totals.append(
-                _run_point(
-                    protocol, n_agents, n_conflicting, ops_per_agent, seed, stagger
-                )
-            )
-        result.messages[protocol.value] = totals
-    return result
+    points = sweep_points(n_agents, step)
+    totals = [
+        run_fig4_point(p, seed, n_agents, ops_per_agent, stagger) for p in points
+    ]
+    return merge_fig4(points, totals, n_agents=n_agents)
 
 
 # -- sweep sharding (parallel engine) ---------------------------------------
@@ -163,7 +157,7 @@ def merge_fig4(
     return result
 
 
-def check_shape(result: Fig4Result) -> List[str]:
+def gates(result: Fig4Result) -> List[str]:
     """The paper's qualitative claims; returns a list of violations."""
     problems = []
     fl = result.messages[ProtocolName.FLECC.value]
@@ -183,17 +177,10 @@ def check_shape(result: Fig4Result) -> List[str]:
     return problems
 
 
-def main() -> None:
-    result = run_fig4()
-    print(result.table())
-    print()
-    problems = check_shape(result)
-    if problems:
-        print("SHAPE VIOLATIONS:", *problems, sep="\n  ")
-    else:
-        print("shape check: OK (time-sharing <= flecc <= multicast; "
-              "flecc grows with conflicts; multicast flat)")
-
+EXPERIMENT = Experiment(
+    "fig4_efficiency", run_fig4, seeded=True, gates=gates,
+    shard=ShardSpec(sweep_points, run_fig4_point, merge_fig4),
+)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

@@ -27,6 +27,7 @@ from repro.core.modes import Mode
 from repro.core.quality import QualityProbe
 from repro.core.system import run_all_scripts
 from repro.experiments.report import Table, ascii_series
+from repro.experiments.runner import Experiment, cli
 
 
 @dataclass
@@ -41,10 +42,14 @@ class MethodSample:
 class Fig5Result:
     samples: List[MethodSample] = field(default_factory=list)
 
-    def phase_stats(self) -> Table:
+    def table(self) -> Table:
         t = Table(
             ["phase", "methods", "mean time", "max time", "mean unseen", "max unseen"],
             title="FIG5 — per-phase method execution time and data quality",
+            notes=[
+                ascii_series(self.series("duration"), label="method time  "),
+                ascii_series(self.series("quality"), label="unseen updates"),
+            ],
         )
         for phase in ("weak-1", "strong", "weak-2"):
             chosen = [s for s in self.samples if s.phase == phase]
@@ -130,7 +135,7 @@ def run_fig5(
     return result
 
 
-def check_shape(result: Fig5Result) -> List[str]:
+def gates(result: Fig5Result) -> List[str]:
     """The paper's qualitative claims; returns violations."""
     problems = []
     by_phase = {
@@ -157,22 +162,7 @@ def check_shape(result: Fig5Result) -> List[str]:
     return problems
 
 
-def main() -> None:
-    result = run_fig5()
-    print(result.phase_stats())
-    print()
-    print(ascii_series(result.series("duration"), label="method time  "))
-    print(ascii_series(result.series("quality"), label="unseen updates"))
-    print()
-    problems = check_shape(result)
-    if problems:
-        print("SHAPE VIOLATIONS:", *problems, sep="\n  ")
-    else:
-        print(
-            "shape check: OK (strong slower + quality pinned at 0; "
-            "weak fast + quality decays)"
-        )
-
+EXPERIMENT = Experiment("fig5_adaptability", run_fig5, seeded=True, gates=gates)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

@@ -26,6 +26,7 @@ from repro.core.quality import QualityProbe
 from repro.core.system import run_all_scripts
 from repro.core.triggers import TriggerSet
 from repro.experiments.report import Table, ascii_series
+from repro.experiments.runner import Experiment, cli
 
 
 @dataclass
@@ -41,11 +42,17 @@ class Fig6Result:
     with_triggers: VariantResult
 
     def table(self) -> Table:
+        variants = (self.without_triggers, self.with_triggers)
         t = Table(
             ["variant", "messages", "mean unseen", "max unseen"],
             title="FIG6 — pull triggers: data quality vs message cost",
+            notes=[
+                ascii_series([q for _, q in v.quality_series],
+                             label=f"{v.label:<22}")
+                for v in variants
+            ],
         )
-        for v in (self.without_triggers, self.with_triggers):
+        for v in variants:
             quals = [q for _, q in v.quality_series]
             t.add_row(
                 v.label, v.total_messages,
@@ -144,7 +151,7 @@ def run_fig6(
     )
 
 
-def check_shape(result: Fig6Result) -> List[str]:
+def gates(result: Fig6Result) -> List[str]:
     problems = []
     no_t = result.without_triggers
     with_t = result.with_triggers
@@ -165,23 +172,7 @@ def check_shape(result: Fig6Result) -> List[str]:
     return problems
 
 
-def main() -> None:
-    result = run_fig6()
-    print(result.table())
-    print()
-    for v in (result.without_triggers, result.with_triggers):
-        print(ascii_series([q for _, q in v.quality_series],
-                           label=f"{v.label:<22}"))
-    print()
-    problems = check_shape(result)
-    if problems:
-        print("SHAPE VIOLATIONS:", *problems, sep="\n  ")
-    else:
-        print(
-            "shape check: OK (triggers -> more messages, better data "
-            "quality; paper reported 116 vs 182 messages)"
-        )
-
+EXPERIMENT = Experiment("fig6_flexibility", run_fig6, seeded=True, gates=gates)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

@@ -33,6 +33,7 @@ from repro.apps.airline.workload import generate_flight_database, make_agent_gro
 from repro.core.modes import Mode
 from repro.core.system import run_all_scripts
 from repro.experiments.report import Table
+from repro.experiments.runner import Experiment, cli
 from repro.psf.qos import Operation
 from repro.sim.rng import stream_for
 
@@ -109,7 +110,7 @@ def run_ext1(
     return result
 
 
-def check_shape(result: Ext1Result) -> List[str]:
+def gates(result: Ext1Result) -> List[str]:
     problems = []
     if any(lost != 0 for _, _, _, lost in result.points):
         problems.append("strong-mode buys lost sales")
@@ -122,17 +123,7 @@ def check_shape(result: Ext1Result) -> List[str]:
     return problems
 
 
-def main() -> None:
-    result = run_ext1()
-    print(result.table())
-    print()
-    problems = check_shape(result)
-    if problems:
-        print("SHAPE VIOLATIONS:", *problems, sep="\n  ")
-    else:
-        print("shape check: OK (buying costs messages, never sales; "
-              "browsing is cheap and tolerates staleness)")
-
+EXPERIMENT = Experiment("ext1_mixed_workload", run_ext1, seeded=True, gates=gates)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

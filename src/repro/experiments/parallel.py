@@ -3,7 +3,7 @@
 The serial runner executes every experiment back to back in one
 process.  This engine decomposes the suite into independent *tasks* —
 whole experiments, one per requested seed, and (for experiments that
-register a sweep shard spec) individual sweep points — and executes
+declare a shard spec) individual sweep points — and executes
 them on a :mod:`multiprocessing` pool.  Results are merged and written
 by the parent, ordered by (experiment name, seed), so a parallel run
 produces byte-for-byte the same ``results/*.json`` as a serial run
@@ -24,70 +24,11 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import runner as runner_mod
 from repro.net.message import reset_message_ids
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """How to split one experiment's sweep across workers.
-
-    ``points()`` returns picklable point descriptors; ``run_point(point,
-    seed)`` computes one point's partial result; ``merge(points,
-    partials, seed)`` reassembles the exact object the experiment's
-    serial entry point returns.
-    """
-
-    points: Callable[[], List[Any]]
-    run_point: Callable[[Any, Optional[int]], Any]
-    merge: Callable[[List[Any], List[Any], Optional[int]], Any]
-
-
-def shard_specs() -> Dict[str, ShardSpec]:
-    """Experiments that decompose into independent sweep points."""
-    from repro.experiments import dm_profile as dmp
-    from repro.experiments import dm_sched as dms
-    from repro.experiments import durability_sweep as dura
-    from repro.experiments import fig4_efficiency as f4
-    from repro.experiments import scale_sweep as scale
-    from repro.experiments import shard_sweep as shards
-
-    return {
-        "dm_profile": ShardSpec(
-            points=dmp.sweep_points,
-            run_point=dmp.run_sweep_point,
-            merge=dmp.merge_dm_profile,
-        ),
-        "dm_sched": ShardSpec(
-            points=dms.sweep_points,
-            run_point=dms.run_sweep_point,
-            merge=dms.merge_dm_sched,
-        ),
-        "fig4_efficiency": ShardSpec(
-            points=f4.sweep_points,
-            run_point=f4.run_fig4_point,
-            merge=f4.merge_fig4,
-        ),
-        "shard_sweep": ShardSpec(
-            points=shards.sweep_points,
-            run_point=shards.run_sweep_point,
-            merge=shards.merge_shard_sweep,
-        ),
-        "scale_sweep": ShardSpec(
-            points=scale.sweep_points,
-            run_point=scale.run_sweep_point,
-            merge=scale.merge_scale_sweep,
-        ),
-        "durability_sweep": ShardSpec(
-            points=dura.sweep_points,
-            run_point=dura.run_sweep_point,
-            merge=dura.merge_durability_sweep,
-        ),
-    }
 
 
 # A task is a picklable tuple:
@@ -97,18 +38,22 @@ Task = Tuple[Any, ...]
 
 
 def _run_task(task: Task) -> Tuple[Task, float, Any]:
-    """Worker entry: execute one task, return (task, elapsed, payload)."""
+    """Worker entry: execute one task, return (task, elapsed, payload).
+
+    A whole experiment's payload is its judged ``(result document, gate
+    violations)``; a shard's is the point's partial result, judged by
+    the parent once merged.
+    """
+    exp = runner_mod.registry()[task[1]]
+    kwargs = runner_mod.run_kwargs(exp, task[2])
     reset_message_ids()
     t0 = time.perf_counter()
     if task[0] == "whole":
-        _, name, seed = task
-        fn = runner_mod.EXPERIMENTS[name]
-        result = fn() if seed is None else fn(seed=seed)
-        payload = runner_mod._jsonable(result)
+        payload = runner_mod.judge(exp, exp.run(**kwargs))
     else:
-        _, name, seed, index = task
-        spec = shard_specs()[name]
-        payload = spec.run_point(spec.points()[index], seed)
+        payload = exp.shard.run_point(
+            exp.shard.points()[task[3]], kwargs.get("seed")
+        )
     return task, time.perf_counter() - t0, payload
 
 
@@ -118,15 +63,16 @@ def build_tasks(
     """Decompose the requested runs into worker tasks (shards first,
     so the long sweep points start before the short whole experiments
     and the pool drains evenly)."""
-    sharded = shard_specs()
+    experiments = runner_mod.registry()
     shard_tasks: List[Task] = []
     whole_tasks: List[Task] = []
     for name in names:
-        for seed in runner_mod.seeds_for(name, seeds):
-            if name in sharded:
-                n_points = len(sharded[name].points())
+        exp = experiments[name]
+        for seed in runner_mod.seeds_for(exp, seeds):
+            if exp.shard is not None:
                 shard_tasks.extend(
-                    ("shard", name, seed, i) for i in range(n_points)
+                    ("shard", name, seed, i)
+                    for i in range(len(exp.shard.points()))
                 )
             else:
                 whole_tasks.append(("whole", name, seed))
@@ -135,32 +81,32 @@ def build_tasks(
 
 def _merge_records(
     tasks: List[Task], outcomes: Dict[Task, Tuple[float, Any]]
-) -> List[Dict[str, Any]]:
-    """Fold task payloads into result records, ordered by (name, seed)."""
-    sharded = shard_specs()
+) -> List[Tuple[str, Dict[str, Any]]]:
+    """Fold task payloads into (file stem, record), ordered by (name, seed)."""
+    experiments = runner_mod.registry()
     runs: Dict[Tuple[str, Optional[int]], List[Task]] = {}
     for task in tasks:
         runs.setdefault((task[1], task[2]), []).append(task)
     records = []
     for (name, seed) in sorted(runs, key=lambda k: (k[0], k[1] is not None, k[1])):
+        exp = experiments[name]
+        kwargs = runner_mod.run_kwargs(exp, seed)
         group = runs[(name, seed)]
         if group[0][0] == "whole":
-            elapsed, payload = outcomes[group[0]]
-            records.append(runner_mod.make_record(name, elapsed, payload, seed=seed))
+            elapsed, (result_json, problems) = outcomes[group[0]]
         else:
-            spec = sharded[name]
-            points = spec.points()
             ordered = sorted(group, key=lambda t: t[3])
-            partials = [outcomes[t][1] for t in ordered]
             # wall_seconds = summed point cost (the serial-equivalent time);
             # the field is excluded from result comparisons either way.
             elapsed = sum(outcomes[t][0] for t in ordered)
-            result = spec.merge(points, partials, seed)
-            records.append(
-                runner_mod.make_record(
-                    name, elapsed, runner_mod._jsonable(result), seed=seed
-                )
-            )
+            result_json, problems = runner_mod.judge(exp, exp.shard.merge(
+                exp.shard.points(), [outcomes[t][1] for t in ordered],
+                kwargs.get("seed"),
+            ))
+        records.append((
+            runner_mod.record_key(name, seed),
+            runner_mod.make_record(exp, kwargs, elapsed, result_json, problems),
+        ))
     return records
 
 
@@ -191,7 +137,6 @@ def run_parallel(
                     flush=True,
                 )
     records = _merge_records(tasks, outcomes)
-    out = Path(out_dir)
-    for record in records:
-        runner_mod.save_record(record, out)
-    return records
+    for key, record in records:
+        runner_mod.save_record(record, Path(out_dir) / f"{key}.json")
+    return [record for _, record in records]

@@ -13,9 +13,12 @@ from typing import Any, Iterable, List, Optional, Sequence
 class Table:
     """Fixed-column ASCII table."""
 
-    def __init__(self, columns: Sequence[str], title: str = "") -> None:
+    def __init__(
+        self, columns: Sequence[str], title: str = "", notes: Sequence[str] = ()
+    ) -> None:
         self.title = title
         self.columns = list(columns)
+        self.notes = list(notes)  # lines printed under the rows
         self.rows: List[List[Any]] = []
 
     def add_row(self, *values: Any) -> None:
@@ -40,6 +43,8 @@ class Table:
         lines.append("  ".join("-" * w for w in widths))
         for row in cells[1:]:
             lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+        if self.notes:
+            lines += ["", *self.notes]
         return "\n".join(lines)
 
     @staticmethod
@@ -50,6 +55,15 @@ class Table:
 
     def __str__(self) -> str:
         return self.format()
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (0.0 for no samples)."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
+    return ordered[idx]
 
 
 _BARS = " ▁▂▃▄▅▆▇█"

@@ -1,49 +1,136 @@
-"""Experiment execution utilities: timing, JSON persistence, registry, CLI.
+"""The experiment engine: declaration, registry, record, gates, CLI.
 
-``python -m repro.experiments.runner`` runs every experiment at paper
-scale and writes ``results/<name>.json`` — the artifact EXPERIMENTS.md
-is compiled from.
+An experiment module states what it *is* — an :class:`Experiment`
+named ``EXPERIMENT`` (``ablations`` states a tuple ``EXPERIMENTS``)
+beside its workload — and this module owns everything else: parsing
+the command line, sharding sweeps across workers
+(:mod:`repro.experiments.parallel`), building and writing the record,
+evaluating the declared gates and the exit status.
 
-CLI::
+Every run, through any front door, yields the same record::
+
+    {"schema": "flecc-experiment/1", "experiment": name,
+     "header": {"commit", "dirty", "python", "platform", "cpu_count",
+                "params", "seed"},
+     "wall_seconds": float,
+     "gates": {"declared": bool, "problems": [str]},
+     "result": summarize(result) if declared else the result as JSON}
+
+``results/<name>.json`` and ``BENCH_<x>.json`` are that record at two
+paths.  Front doors::
 
     python -m repro.experiments.runner                  # everything, serial
     python -m repro.experiments.runner --jobs 4         # parallel engine
-    python -m repro.experiments.runner --only fig2_trace --only abl1_static_vs_dynamic
-    python -m repro.experiments.runner --out /tmp/r --seeds 0 1 2
+    python -m repro.experiments.runner --only chaos --check --out /tmp/r
+    python -m repro.experiments.runner --only abl1_static_vs_dynamic --seeds 0 1 2
+    python -m repro.experiments.chaos --check           # one module, its own flags
 
-``--jobs 1`` (the default) is the plain serial path; anything higher
-hands the run to :mod:`repro.experiments.parallel`, which fans whole
-experiments — and sweep shards within an experiment — across worker
-processes and merges the results deterministically.
+``--check`` turns any gate violation into exit status 1; without it
+violations are reported and recorded, not fatal.  ``--jobs 1`` (the
+default) runs in this process; anything higher fans whole experiments
+— and the points of experiments that declare a shard spec — across
+worker processes and merges the results deterministically.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
+import importlib
 import json
+import os
+import platform
+import subprocess
 import time
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments import (
-    ablations,
-    chaos,
-    delta_sweep,
-    dm_profile,
-    dm_sched,
-    durability_sweep,
-    fig1_deployment,
-    fig2_trace,
-    fig4_efficiency,
-    fig5_adaptability,
-    fig6_flexibility,
-    scale_sweep,
-    shard_sweep,
-    wire_sweep,
-)
 from repro.net.message import reset_message_ids
+
+SCHEMA = "flecc-experiment/1"
+
+#: The modules that declare experiments.  The registry lists their
+#: declarations in this order: figures, ablations, extension, sweeps.
+MODULES: Tuple[str, ...] = (
+    "fig1_deployment", "fig2_trace", "fig4_efficiency", "fig5_adaptability",
+    "fig6_flexibility", "ablations", "mixed_workload", "chaos", "delta_sweep",
+    "wire_sweep", "shard_sweep", "scale_sweep", "durability_sweep",
+    "dm_profile", "dm_sched",
+)
+
+
+@dataclass(frozen=True)
+class Param:
+    """One per-experiment command-line flag.
+
+    Its value reaches ``run`` as the keyword named after the flag
+    (``--max-cms`` -> ``max_cms``).  A ``False`` default makes a
+    switch; any other flag takes an int.
+    """
+
+    flag: str
+    default: Any = None
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+@dataclass(frozen=True)
+class ShardSpec:
+    """How to split one experiment's sweep across workers.
+
+    ``points()`` returns picklable point descriptors; ``run_point(point,
+    seed)`` computes one point's partial result; ``merge(points,
+    partials, seed)`` reassembles the exact object ``run`` returns.
+    """
+
+    points: Callable[[], List[Any]]
+    run_point: Callable[[Any, Optional[int]], Any]
+    merge: Callable[[List[Any], List[Any], Optional[int]], Any]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """What an experiment module states about itself.
+
+    ``run(**params)`` is the workload.  ``seeded`` says ``run`` takes a
+    ``seed`` keyword (what ``--seeds`` sweeps).  ``summarize(result)``
+    turns the result into the document that is recorded and gated;
+    without it the result itself is.  ``gates(summary)`` returns the
+    violated acceptance conditions, one string each.  ``out`` is where
+    the module's own command line writes its record by default.
+    """
+
+    name: str
+    run: Callable[..., Any]
+    params: Tuple[Param, ...] = ()
+    seeded: bool = False
+    shard: Optional[ShardSpec] = None
+    summarize: Optional[Callable[[Any], Dict[str, Any]]] = None
+    gates: Optional[Callable[[Any], List[str]]] = None
+    out: Optional[str] = None
+
+
+def registry() -> Dict[str, Experiment]:
+    """Every declared experiment by name, collected from :data:`MODULES`."""
+    found: Dict[str, Experiment] = {}
+    for stem in MODULES:
+        module = importlib.import_module(f"repro.experiments.{stem}")
+        declared = getattr(module, "EXPERIMENTS", None) or (module.EXPERIMENT,)
+        found.update((exp.name, exp) for exp in declared)
+    return found
+
+
+def capped_ramp(ramp: Sequence[int], top: Optional[int]) -> List[int]:
+    """An ascending ramp cut off at ``top``, ``top`` itself the last point
+    (the ``--max-*`` flags of the CI smokes)."""
+    if top is None:
+        return list(ramp)
+    return [n for n in ramp if n < top] + [top]
 
 
 def _jsonable(obj: Any) -> Any:
@@ -72,107 +159,158 @@ def _jsonable(obj: Any) -> Any:
     return str(obj)
 
 
-def record_key(name: str, seed: Optional[int] = None) -> str:
-    """Output-file stem for one (experiment, seed) run."""
-    return name if seed is None else f"{name}.seed{seed}"
+def point_doc(point: Any, **digits: int) -> Dict[str, Any]:
+    """A sweep point as JSON, the named float fields (or dicts of floats)
+    rounded to the given digits — what ``summarize`` records per point."""
+    doc = _jsonable(point)
+    for name, n in digits.items():
+        value = doc[name]
+        doc[name] = (
+            {k: round(v, n) for k, v in value.items()}
+            if isinstance(value, dict) else round(value, n)
+        )
+    return doc
+
+
+# ---------------------------------------------------------------------------
+# The record
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _machine() -> Dict[str, Any]:
+    """Commit and machine fingerprint, once per process.  No load average
+    or timestamp: two runs of one commit on one box record equal headers."""
+    root = Path(__file__).resolve().parents[3]
+
+    def git(*args: str) -> Optional[str]:
+        # Ceiling: never walk up out of the checkout looking for a repository.
+        env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
+        try:
+            out = subprocess.run(
+                ["git", "-C", str(root), *args], env=env, timeout=10,
+                capture_output=True, text=True, check=True,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return out.stdout.strip()
+
+    status = git("status", "--porcelain")
+    return {
+        "commit": git("rev-parse", "HEAD") or "unknown",
+        "dirty": bool(status) if status is not None else None,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def run_kwargs(exp: Experiment, seed: Optional[int] = None) -> Dict[str, Any]:
+    """The keywords a default run passes: every declared parameter at
+    its default, plus ``seed`` when a seed sweep names one."""
+    kwargs = {p.dest: p.default for p in exp.params}
+    if seed is not None:
+        kwargs["seed"] = seed
+    return kwargs
+
+
+def judge(exp: Experiment, result: Any) -> Tuple[Any, List[str]]:
+    """(the recorded ``result`` document, the gate violations)."""
+    summary = exp.summarize(result) if exp.summarize else result
+    problems = list(exp.gates(summary)) if exp.gates else []
+    return _jsonable(summary), problems
 
 
 def make_record(
-    name: str,
+    exp: Experiment,
+    kwargs: Dict[str, Any],
     elapsed: float,
     result_json: Any,
-    seed: Optional[int] = None,
+    problems: List[str],
 ) -> Dict[str, Any]:
-    """The persisted result envelope (shared by serial + parallel paths)."""
-    record: Dict[str, Any] = {
-        "experiment": name,
+    """The one persisted record (serial, parallel and module runs)."""
+    return {
+        "schema": SCHEMA,
+        "experiment": exp.name,
+        "header": {
+            **_machine(),
+            "params": {p.dest: kwargs[p.dest] for p in exp.params},
+            "seed": kwargs.get("seed"),
+        },
         "wall_seconds": round(elapsed, 3),
+        "gates": {"declared": exp.gates is not None, "problems": problems},
         "result": result_json,
     }
-    if seed is not None:
-        record["seed"] = seed
-    return record
 
 
-def save_record(record: Dict[str, Any], out_dir: Path) -> None:
-    key = record_key(record["experiment"], record.get("seed"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{key}.json").write_text(json.dumps(record, indent=2))
+def save_record(record: Dict[str, Any], path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record, indent=2) + "\n")
 
 
-def run_and_save(
-    name: str,
-    fn: Callable[[], Any],
-    out_dir: Path,
-    seed: Optional[int] = None,
+def record_key(name: str, seed: Optional[int] = None) -> str:
+    """Output-file stem for one (experiment, swept seed) run."""
+    return name if seed is None else f"{name}.seed{seed}"
+
+
+def execute(
+    exp: Experiment, kwargs: Dict[str, Any], show: bool = False
 ) -> Dict[str, Any]:
+    """Run one experiment in this process and build its record."""
     # Fresh message-id space per experiment: output stays independent of
     # whatever ran earlier in this process (serial == multiprocess).
     reset_message_ids()
     t0 = time.perf_counter()
-    result = fn()
+    result = exp.run(**kwargs)
     elapsed = time.perf_counter() - t0
-    record = make_record(name, elapsed, _jsonable(result), seed=seed)
-    save_record(record, Path(out_dir))
-    return record
+    result_json, problems = judge(exp, result)
+    if show:
+        table = getattr(result, "table", None)
+        print(table() if callable(table) else result)
+        if isinstance(result_json, dict):
+            for key, value in result_json.items():
+                if key not in ("description", "command") and not isinstance(
+                    value, (list, dict)
+                ):
+                    print(f"  {key}: {value}")
+    return make_record(exp, kwargs, elapsed, result_json, problems)
 
 
-def _late_import_ext1():
-    from repro.experiments.mixed_workload import run_ext1
-
-    return run_ext1()
-
-
-EXPERIMENTS: Dict[str, Callable[[], Any]] = {
-    "fig1_deployment": fig1_deployment.run_fig1,
-    "fig2_trace": fig2_trace.run_fig2,
-    "fig4_efficiency": fig4_efficiency.run_fig4,
-    "fig5_adaptability": fig5_adaptability.run_fig5,
-    "fig6_flexibility": fig6_flexibility.run_fig6,
-    "abl1_static_vs_dynamic": ablations.run_abl1,
-    "abl2_trigger_period": ablations.run_abl2,
-    "abl3_granularity": ablations.run_abl3,
-    "abl4_centralization": ablations.run_abl4,
-    "abl5_rw_semantics": ablations.run_abl5,
-    "abl6_loss_tolerance": ablations.run_abl6,
-    "ext1_mixed_workload": _late_import_ext1,
-    "chaos": chaos.run_chaos,
-    "delta_sweep": delta_sweep.run_delta_sweep,
-    "wire_sweep": wire_sweep.run_wire_sweep,
-    "shard_sweep": shard_sweep.run_shard_sweep,
-    "scale_sweep": scale_sweep.run_scale_sweep,
-    "durability_sweep": durability_sweep.run_durability_sweep,
-    "dm_profile": dm_profile.run_dm_profile,
-    "dm_sched": dm_sched.run_dm_sched,
-}
+def enforce(records: Sequence[Dict[str, Any]], check: bool) -> None:
+    """Report every gate verdict; under ``--check`` a violation is exit 1."""
+    failed = False
+    for record in records:
+        gates = record["gates"]
+        if gates["problems"]:
+            failed = True
+            print(f"{record['experiment']}: GATE VIOLATIONS:",
+                  *gates["problems"], sep="\n  ")
+        elif gates["declared"]:
+            print(f"{record['experiment']}: gates OK")
+    if failed and check:
+        raise SystemExit(1)
 
 
-def accepts_seed(name: str) -> bool:
-    """Whether the experiment function takes a ``seed`` keyword."""
-    try:
-        return "seed" in inspect.signature(EXPERIMENTS[name]).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
-        return False
+# ---------------------------------------------------------------------------
+# The suite
+# ---------------------------------------------------------------------------
 
-
-def seeds_for(name: str, seeds: Optional[Sequence[int]]) -> List[Optional[int]]:
+def seeds_for(exp: Experiment, seeds: Optional[Sequence[int]]) -> List[Optional[int]]:
     """The seed sweep for one experiment (``[None]`` = default run)."""
-    if seeds and accepts_seed(name):
-        return list(seeds)
-    return [None]
+    return list(seeds) if seeds and exp.seeded else [None]
 
 
 def resolve_names(only: Optional[Sequence[str]]) -> List[str]:
     """Validate ``--only`` selections against the registry (keeps registry order)."""
+    names = list(registry())
     if not only:
-        return list(EXPERIMENTS)
-    unknown = [n for n in only if n not in EXPERIMENTS]
+        return names
+    unknown = [n for n in only if n not in names]
     if unknown:
         raise SystemExit(
             f"unknown experiment(s): {', '.join(unknown)}; "
-            f"choose from: {', '.join(EXPERIMENTS)}"
+            f"choose from: {', '.join(names)}"
         )
-    return [n for n in EXPERIMENTS if n in set(only)]
+    return [n for n in names if n in set(only)]
 
 
 def run_serial(
@@ -181,49 +319,95 @@ def run_serial(
     seeds: Optional[Sequence[int]] = None,
 ) -> List[Dict[str, Any]]:
     """Run experiments one after another in this process."""
+    experiments = registry()
     records = []
     for name in resolve_names(names):
-        for seed in seeds_for(name, seeds):
-            fn = EXPERIMENTS[name]
-            call = fn if seed is None else (lambda f=fn, s=seed: f(seed=s))
-            print(f"running {record_key(name, seed)} ...", flush=True)
-            records.append(run_and_save(name, call, Path(out_dir), seed=seed))
+        exp = experiments[name]
+        for seed in seeds_for(exp, seeds):
+            key = record_key(name, seed)
+            print(f"running {key} ...", flush=True)
+            records.append(execute(exp, run_kwargs(exp, seed)))
+            save_record(records[-1], Path(out_dir) / f"{key}.json")
             print(f"  done in {records[-1]['wall_seconds']}s")
     return records
 
 
-def main(argv: Optional[Sequence[str]] = None) -> List[Dict[str, Any]]:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner",
-        description="Run the paper's experiments and save results/<name>.json",
-    )
-    parser.add_argument(
-        "--only", action="append", metavar="NAME",
-        help="run only this experiment (repeatable)",
-    )
-    parser.add_argument(
-        "--out", default="results", metavar="DIR",
-        help="output directory (default: results)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes; 1 = serial (default)",
-    )
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", metavar="SEED",
-        help="seed sweep: run each seed-aware experiment once per seed",
-    )
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.jobs == 1:
-        return run_serial(args.only, args.out, seeds=args.seeds)
-    from repro.experiments.parallel import run_parallel
+def cli(
+    exp: Optional[Experiment] = None, argv: Optional[Sequence[str]] = None
+) -> List[Dict[str, Any]]:
+    """The one command line.
 
-    return run_parallel(
-        names=args.only, out_dir=args.out, jobs=args.jobs, seeds=args.seeds
+    Given an experiment, it is that module's front door: the flags it
+    declares, ``--out FILE`` if it has a default output and ``--check``
+    if it declares gates; the result is printed.  Given none, it is the
+    suite runner over the registry.
+    """
+    parser = argparse.ArgumentParser(
+        description=(
+            f"Run {exp.name}" if exp
+            else "Run the paper's experiments and save results/<name>.json"
+        ),
     )
+    if exp is None:
+        parser.add_argument(
+            "--only", action="append", metavar="NAME",
+            help="run only this experiment (repeatable)",
+        )
+        parser.add_argument(
+            "--out", default="results", metavar="DIR",
+            help="output directory (default: results)",
+        )
+        parser.add_argument(
+            "--jobs", type=int, default=1, metavar="N",
+            help="worker processes; 1 = serial (default)",
+        )
+        parser.add_argument(
+            "--seeds", type=int, nargs="+", metavar="SEED",
+            help="seed sweep: run each seeded experiment once per seed",
+        )
+    elif exp.out:
+        parser.add_argument(
+            "--out", default=exp.out, metavar="FILE",
+            help=f"output JSON path (default: {exp.out})",
+        )
+    for param in exp.params if exp else ():
+        if param.default is False:
+            parser.add_argument(param.flag, action="store_true", help=param.help)
+        else:
+            parser.add_argument(
+                param.flag, type=int, default=param.default, metavar="N",
+                help=f"{param.help} (default: {param.default})".lstrip(),
+            )
+    if exp is None or exp.gates:
+        parser.add_argument(
+            "--check", action="store_true",
+            help="exit non-zero when a declared gate fails",
+        )
+    args = parser.parse_args(argv)
+    if exp is not None:
+        kwargs = {p.dest: getattr(args, p.dest) for p in exp.params}
+        records = [execute(exp, kwargs, show=True)]
+        if exp.out:
+            save_record(records[0], Path(args.out))
+            print(f"wrote {args.out}")
+    elif args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    elif args.jobs == 1:
+        records = run_serial(args.only, args.out, seeds=args.seeds)
+    else:
+        from repro.experiments.parallel import run_parallel
+
+        records = run_parallel(
+            names=args.only, out_dir=args.out, jobs=args.jobs, seeds=args.seeds
+        )
+    enforce(records, check=getattr(args, "check", False))
+    return records
 
 
 if __name__ == "__main__":
-    main()
+    # Hand over to the canonical module: experiment modules import
+    # ``repro.experiments.runner``, and their declarations should be
+    # instances of its classes, not of this ``__main__`` copy's.
+    from repro.experiments.runner import cli as _cli
+
+    _cli()

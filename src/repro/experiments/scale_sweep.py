@@ -48,16 +48,21 @@ core).
 
 from __future__ import annotations
 
-import argparse
-import json
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.system import FleccSystem, run_all_scripts
-from repro.experiments.report import Table
+from repro.experiments.report import Table, percentile
+from repro.experiments.runner import (
+    Experiment,
+    Param,
+    ShardSpec,
+    capped_ramp,
+    cli,
+    point_doc,
+)
 from repro.net.aio_transport import AioTcpTransport
 from repro.net.message import reset_message_ids
 from repro.net.transport import resolve_transport
@@ -99,14 +104,6 @@ def _cell(i: int) -> str:
     return f"cell{i:05d}"
 
 
-def _percentile(samples: Sequence[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx]
-
-
 def point_budget(n_cms: int, cycles: int) -> float:
     """Wall-clock budget for one point (seconds).
 
@@ -128,11 +125,11 @@ class ScalePoint:
     completed: bool                # all CMs finished inside the budget
     sustainable: bool              # completed and zero errors
     reason: str                    # why not sustainable ("" when it is)
-    budget: float
-    elapsed: float
+    budget_s: float
+    elapsed_s: float
     errors: int
-    acquire_p50: float             # wall seconds, initial strong acquire
-    acquire_p99: float
+    acquire_p50_s: float           # wall seconds, initial strong acquire
+    acquire_p99_s: float
     messages: int                  # logical sends (Fig-4 counting)
     frames: int                    # codec encodes = wire frames paid for
     messages_per_sec: float
@@ -300,9 +297,9 @@ def _run_point(spec: str, n_cms: int, cycles: int) -> ScalePoint:
     return ScalePoint(
         transport=spec, n_cms=n_cms, cycles=cycles,
         completed=completed, sustainable=sustainable, reason=reason,
-        budget=budget, elapsed=elapsed, errors=n_errors,
-        acquire_p50=_percentile(latencies, 0.50),
-        acquire_p99=_percentile(latencies, 0.99),
+        budget_s=budget, elapsed_s=elapsed, errors=n_errors,
+        acquire_p50_s=percentile(latencies, 0.50),
+        acquire_p99_s=percentile(latencies, 0.99),
         messages=stats.total, frames=stats.encodes,
         messages_per_sec=stats.total / elapsed if elapsed else 0.0,
         frames_per_sec=stats.encodes / elapsed if elapsed else 0.0,
@@ -399,8 +396,8 @@ class ScaleSweepResult:
             t.add_row(
                 p.transport, p.n_cms,
                 "yes" if p.sustainable else "NO",
-                f"{p.elapsed:.1f}", f"{p.acquire_p50:.3f}",
-                f"{p.acquire_p99:.3f}", f"{p.messages_per_sec:.0f}",
+                f"{p.elapsed_s:.1f}", f"{p.acquire_p50_s:.3f}",
+                f"{p.acquire_p99_s:.3f}", f"{p.messages_per_sec:.0f}",
                 f"{p.frames_per_sec:.0f}", f"{p.coalesced_ratio:.2f}",
                 p.send_queue_hwm, p.reason[:40],
             )
@@ -447,9 +444,10 @@ def run_scale_sweep(
     ramp: Optional[Sequence[int]] = None,
     cycles: int = 2,
     full: bool = False,
+    max_cms: Optional[int] = None,
 ) -> ScaleSweepResult:
     if ramp is None:
-        ramp = FULL_RAMP if full else DEFAULT_RAMP
+        ramp = capped_ramp(FULL_RAMP if full else DEFAULT_RAMP, max_cms)
     points = sweep_points(ramp, cycles)
     return merge_scale_sweep(points, [run_sweep_point(p) for p in points])
 
@@ -457,26 +455,10 @@ def run_scale_sweep(
 def bench_payload(result: ScaleSweepResult) -> Dict[str, object]:
     """The ``BENCH_scale.json`` document for one sweep."""
     points = [
-        {
-            "transport": p.transport,
-            "n_cms": p.n_cms,
-            "cycles": p.cycles,
-            "completed": p.completed,
-            "sustainable": p.sustainable,
-            "reason": p.reason,
-            "budget_s": round(p.budget, 1),
-            "elapsed_s": round(p.elapsed, 2),
-            "errors": p.errors,
-            "acquire_p50_s": round(p.acquire_p50, 4),
-            "acquire_p99_s": round(p.acquire_p99, 4),
-            "messages": p.messages,
-            "frames": p.frames,
-            "messages_per_sec": round(p.messages_per_sec, 1),
-            "frames_per_sec": round(p.frames_per_sec, 1),
-            "coalesced_ratio": round(p.coalesced_ratio, 4),
-            "send_queue_hwm": p.send_queue_hwm,
-            "backpressure_stalls": p.backpressure_stalls,
-        }
+        point_doc(
+            p, budget_s=1, elapsed_s=2, acquire_p50_s=4, acquire_p99_s=4,
+            messages_per_sec=1, frames_per_sec=1, coalesced_ratio=4,
+        )
         for p in result.points
     ]
     return {
@@ -498,7 +480,7 @@ def bench_payload(result: ScaleSweepResult) -> Dict[str, object]:
     }
 
 
-def check_acceptance(payload: Dict[str, Any]) -> List[str]:
+def gates(payload: Dict[str, Any]) -> List[str]:
     """The sweep's acceptance gates; returns a list of violations.
 
     Every point up to the default ramp's top must be sustainable —
@@ -527,53 +509,19 @@ def check_acceptance(payload: Dict[str, Any]) -> List[str]:
     return problems
 
 
-def main(argv: Optional[Sequence[str]] = None) -> ScaleSweepResult:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.scale_sweep",
-        description="Run the connection-scale sweep and write BENCH_scale.json",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_scale.json", metavar="FILE",
-        help="output JSON path (default: BENCH_scale.json)",
-    )
-    parser.add_argument(
-        "--full", action="store_true",
-        help="include the 10k-CM point (manual/nightly; minutes on one core)",
-    )
-    parser.add_argument(
-        "--max-cms", type=int, default=None, metavar="N",
-        help="cap the ramp at N CMs (CI smoke uses ~500); N itself is "
-             "appended as the top point when not already in the ramp",
-    )
-    parser.add_argument("--cycles", type=int, default=2)
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero when an acceptance gate fails",
-    )
-    args = parser.parse_args(argv)
-    ramp: List[int] = list(FULL_RAMP if args.full else DEFAULT_RAMP)
-    if args.max_cms is not None:
-        ramp = [n for n in ramp if n <= args.max_cms]
-        if args.max_cms not in ramp:
-            ramp.append(args.max_cms)
-    result = run_scale_sweep(ramp=ramp, cycles=args.cycles)
-    print(result.table())
-    payload = bench_payload(result)
-    print(f"max sustainable CMs: {payload['aio_max_sustainable_cms']}")
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    problems = check_acceptance(payload)
-    if problems:
-        print("ACCEPTANCE VIOLATIONS:", *problems, sep="\n  ")
-        if args.check:
-            raise SystemExit(1)
-    else:
-        print(
-            "acceptance: OK (every gated point sustains with the exact end "
-            "state; sim and aio reproduce the golden parity census)"
-        )
-    return result
-
+EXPERIMENT = Experiment(
+    "scale_sweep", run_scale_sweep,
+    params=(
+        Param("--full", False,
+              "include the 10k-CM point (manual/nightly; minutes on one core)"),
+        Param("--max-cms", None,
+              "cap the ramp at N CMs (CI smoke uses ~500); N itself is the "
+              "top point"),
+        Param("--cycles", 2),
+    ),
+    shard=ShardSpec(sweep_points, run_sweep_point, merge_scale_sweep),
+    summarize=bench_payload, gates=gates, out="BENCH_scale.json",
+)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

@@ -34,15 +34,13 @@ claim over to a real application's property set: Fig 4's travel agents
 ``build_airline_system(n_shards=4)`` with no partitioner must never fan
 out and must exchange the unsharded system's messages, type for type.
 
-``python -m repro.experiments.shard_sweep`` writes ``BENCH_shard.json``.
+``python -m repro.experiments.shard_sweep`` writes ``BENCH_shard.json``;
+``--check`` exits non-zero unless every gate of :func:`gates` holds.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.airline.app_spec import build_airline_system
@@ -54,7 +52,8 @@ from repro.apps.airline.workload import (
 )
 from repro.core.system import FleccSystem, run_all_scripts
 from repro.core.sharding import ShardedFleccSystem
-from repro.experiments.report import Table
+from repro.experiments.report import Table, percentile
+from repro.experiments.runner import Experiment, Param, ShardSpec, cli, point_doc
 from repro.net.message import reset_message_ids
 from repro.net.sim_transport import SimTransport
 from repro.sim.kernel import SimKernel
@@ -88,20 +87,12 @@ def _group_cells(group: int) -> List[str]:
     return CELLS[lo:lo + CELLS_PER_GROUP]
 
 
-def _percentile(samples: Sequence[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx]
-
-
 @dataclass
 class ShardPoint:
     """One sweep point: a workload shape at one shard count."""
 
-    n_shards: int
     workload: str                  # "shard-local" | "spanning"
+    n_shards: int
     views: int
     rounds_per_view: int
     ops: int                       # completed acquires + pulls
@@ -237,8 +228,8 @@ def _run_point(
         ops=ops[0],
         makespan=makespan,
         rounds_per_sec=ops[0] / makespan if makespan else 0.0,
-        acquire_p50=_percentile(latencies, 0.50),
-        acquire_p99=_percentile(latencies, 0.99),
+        acquire_p50=percentile(latencies, 0.50),
+        acquire_p99=percentile(latencies, 0.99),
         plane_rounds=counters.get("rounds", 0),
         shard_local_rounds=counters.get("shard_local_rounds", 0),
         cross_shard_rounds=counters.get("cross_shard_rounds", 0),
@@ -436,29 +427,16 @@ def bench_payload(result: ShardSweepResult) -> Dict[str, object]:
         "n1_state_identical": result.n1_state_identical,
         "n1_messages_identical": result.n1_messages_identical,
         "points": [
-            {
-                "workload": p.workload,
-                "n_shards": p.n_shards,
-                "views": p.views,
-                "rounds_per_view": p.rounds_per_view,
-                "ops": p.ops,
-                "makespan": round(p.makespan, 2),
-                "rounds_per_sec": round(p.rounds_per_sec, 4),
-                "acquire_p50": round(p.acquire_p50, 2),
-                "acquire_p99": round(p.acquire_p99, 2),
-                "plane_rounds": p.plane_rounds,
-                "shard_local_rounds": p.shard_local_rounds,
-                "cross_shard_rounds": p.cross_shard_rounds,
-                "router_fanouts": p.router_fanouts,
-                "acquire_retries": p.acquire_retries,
-            }
+            point_doc(
+                p, makespan=2, rounds_per_sec=4, acquire_p50=2, acquire_p99=2
+            )
             for p in result.points
         ],
-        "airline": asdict(result.airline),
+        "airline": point_doc(result.airline),
     }
 
 
-def check_acceptance(payload: Dict[str, object]) -> List[str]:
+def gates(payload: Dict[str, object]) -> List[str]:
     """The PR's acceptance gates; returns a list of violations."""
     problems = []
     speedup = payload.get("local_speedup_4_shards") or 0.0
@@ -494,50 +472,11 @@ def check_acceptance(payload: Dict[str, object]) -> List[str]:
     return problems
 
 
-def main(argv: Optional[Sequence[str]] = None) -> ShardSweepResult:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.shard_sweep",
-        description="Run the sharded-directory sweep and write BENCH_shard.json",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_shard.json", metavar="FILE",
-        help="output JSON path (default: BENCH_shard.json)",
-    )
-    parser.add_argument("--rounds", type=int, default=4)
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero when an acceptance gate fails",
-    )
-    args = parser.parse_args(argv)
-    result = run_shard_sweep(rounds=args.rounds)
-    print(result.table())
-    payload = bench_payload(result)
-    print(
-        f"shard-local speedup at 4 shards: {payload['local_speedup_4_shards']}x, "
-        f"spanning (worst case) ratio: {payload['spanning_ratio_4_shards']}x"
-    )
-    leg = result.airline
-    print(
-        f"airline, {leg.views} agents on {leg.n_shards} shards: "
-        f"{leg.router_fanouts} fan-outs, {leg.shard_local_rounds} shard-local "
-        f"rounds, {sum(leg.census.values())} messages "
-        f"(unsharded: {sum(leg.unsharded_census.values())})"
-    )
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    problems = check_acceptance(payload)
-    if problems:
-        print("ACCEPTANCE VIOLATIONS:", *problems, sep="\n  ")
-        if args.check:
-            raise SystemExit(1)
-    else:
-        print(
-            "acceptance: OK (>= 2x rounds/sec at 4 shards on the "
-            "shard-local workload; N=1 plane is message-identical; airline "
-            "views stay shard-local with the unsharded message census)"
-        )
-    return result
-
+EXPERIMENT = Experiment(
+    "shard_sweep", run_shard_sweep, params=(Param("--rounds", 4),),
+    shard=ShardSpec(sweep_points, run_sweep_point, merge_shard_sweep),
+    summarize=bench_payload, gates=gates, out="BENCH_shard.json",
+)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

@@ -25,15 +25,13 @@ What the A/B must show:
   hold under every codec, and delta-on vs delta-off runs stay
   message-count identical per codec.
 
-``python -m repro.experiments.wire_sweep`` writes ``BENCH_wire.json``.
+``python -m repro.experiments.wire_sweep`` writes ``BENCH_wire.json``;
+``--check`` exits non-zero unless every gate of :func:`gates` holds.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.airline.app_spec import build_airline_system
@@ -47,7 +45,9 @@ from repro.apps.airline.workload import (
 from repro.core import messages as M
 from repro.core.system import FleccSystem, run_all_scripts
 from repro.core.triggers import TriggerSet
+from repro.experiments.fig4_efficiency import _staggered
 from repro.experiments.report import Table
+from repro.experiments.runner import Experiment, Param, cli, point_doc
 from repro.net.binary_codec import resolve_codec
 from repro.net.message import Message, reset_message_ids
 from repro.net.sim_transport import SimTransport
@@ -304,13 +304,6 @@ def _run_fig4_workload(
     )
 
 
-def _staggered(script, delay: float):
-    if delay > 0:
-        yield ("sleep", delay)
-    result = yield from script
-    return result
-
-
 def _decoded_identical(
     reference: List[Message], codecs: Sequence[str]
 ) -> bool:
@@ -337,10 +330,11 @@ def run_wire_sweep(
     sweep: Sequence[Tuple[int, int]] = ((64, 64), (512, 4)),
     rounds: int = 5,
     codecs: Sequence[str] = CODECS,
-    fig4_agents: int = 10,
-    fig4_conflicting: int = 5,
+    agents: int = 10,
 ) -> WireSweepResult:
-    """A/B every sweep point and the Fig-4 workload across codecs."""
+    """A/B every sweep point and the Fig-4 workload (``agents`` travel
+    agents, half of them conflicting) across codecs."""
+    fig4_agents, fig4_conflicting = agents, max(1, agents // 2)
     result = WireSweepResult()
     for n_cells, dirty in sweep:
         runs: Dict[str, WorkloadRun] = {}
@@ -491,29 +485,11 @@ def bench_payload(result: WireSweepResult) -> Dict[str, object]:
             "messages_identical": fig4.messages_identical,
             "state_identical": fig4.state_identical,
         },
-        "points": [
-            {
-                "n_cells": p.n_cells,
-                "dirty_per_round": p.dirty_per_round,
-                "rounds": p.rounds,
-                "payload_bytes": p.payload_bytes,
-                "total_bytes": p.total_bytes,
-                "reduction": p.reduction,
-                "frames_compressed": p.frames_compressed,
-                "frames_stored": p.frames_stored,
-                "bytes_saved_compression": p.bytes_saved_compression,
-                "delta_vs_full_payload_ratio": p.delta_vs_full_payload_ratio,
-                "delta_messages_identical": p.delta_messages_identical,
-                "state_identical": p.state_identical,
-                "messages_identical": p.messages_identical,
-                "decoded_identical": p.decoded_identical,
-            }
-            for p in result.points
-        ],
+        "points": [point_doc(p) for p in result.points],
     }
 
 
-def check_acceptance(payload: Dict[str, object]) -> List[str]:
+def gates(payload: Dict[str, object]) -> List[str]:
     """The PR's acceptance gates; returns a list of violations."""
     problems = []
     if not payload["all_points_state_identical"]:
@@ -538,50 +514,14 @@ def check_acceptance(payload: Dict[str, object]) -> List[str]:
     return problems
 
 
-def main(argv: Optional[Sequence[str]] = None) -> WireSweepResult:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.wire_sweep",
-        description="Run the wire-codec sweep and write BENCH_wire.json",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_wire.json", metavar="FILE",
-        help="output JSON path (default: BENCH_wire.json)",
-    )
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument(
-        "--agents", type=int, default=10,
-        help="travel agents in the fig4 workload (default: 10)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero when an acceptance gate fails",
-    )
-    args = parser.parse_args(argv)
-    result = run_wire_sweep(
-        rounds=args.rounds,
-        fig4_agents=args.agents,
-        fig4_conflicting=max(1, args.agents // 2),
-    )
-    print(result.table())
-    payload = bench_payload(result)
-    print(
-        f"push-heavy binary: {payload['push_heavy_reduction_binary']}x, "
-        f"delta-point binary+zlib: {payload['delta_point_reduction_zlib']}x"
-    )
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    problems = check_acceptance(payload)
-    if problems:
-        print("ACCEPTANCE VIOLATIONS:", *problems, sep="\n  ")
-        if args.check:
-            raise SystemExit(1)
-    else:
-        print(
-            "acceptance: OK (identity across codecs; binary >= 2x, "
-            "binary+zlib >= 3x; delta parity preserved per codec)"
-        )
-    return result
-
+EXPERIMENT = Experiment(
+    "wire_sweep", run_wire_sweep,
+    params=(
+        Param("--rounds", 5),
+        Param("--agents", 10, "travel agents in the fig4 workload"),
+    ),
+    summarize=bench_payload, gates=gates, out="BENCH_wire.json",
+)
 
 if __name__ == "__main__":
-    main()
+    cli(EXPERIMENT)

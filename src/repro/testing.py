@@ -24,11 +24,16 @@ Typical use::
 
     fx.run_scripts(script())
     assert fx.store.cells["row"] == 1
+
+:class:`BareDirectory` is the other fixture: one directory manager and
+no cache managers at all, for tests and experiments that measure or
+fault the directory's own op path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+import hashlib
+from typing import Dict, Iterable, List, Optional
 
 from repro.core import (
     DiscreteSet,
@@ -38,10 +43,13 @@ from repro.core import (
     Property,
     PropertySet,
 )
+from repro.core import messages as M
+from repro.core.directory import DirectoryManager
 from repro.core.messages import TraceLog
 from repro.core.system import run_all_scripts, run_view_script
 from repro.core.triggers import TriggerSet
 from repro.net import SimTransport
+from repro.net.message import Message
 from repro.sim import SimKernel
 
 
@@ -158,3 +166,145 @@ class ProtocolFixture:
     @property
     def stats(self):
         return self.transport.stats
+
+
+# ---------------------------------------------------------------------------
+# Bare directory: one DirectoryManager driven by a fake cache-manager hub
+# ---------------------------------------------------------------------------
+
+def pair_group_props(i: int) -> PropertySet:
+    """Disjoint-by-pairs properties: private cell + pair-group cell.
+
+    Views ``2k`` and ``2k+1`` share ``grp{k}`` (conflict degree 1);
+    any other pair of views shares nothing.
+    """
+    return PropertySet([
+        Property("cells", DiscreteSet({f"own{i:05d}", f"grp{i // 2:05d}"}))
+    ])
+
+
+def extract_slice(store: Dict[str, int], props: PropertySet) -> ObjectImage:
+    """O(slice) extract from a plain-dict component: walks the property's
+    *domain values*, not the store — a register/serve must not cost
+    O(total cells), or the harness itself would be the O(V) term a
+    directory profile is trying to measure."""
+    img = ObjectImage()
+    p = props.get("cells") if props is not None else None
+    if p is None:
+        for k, v in store.items():
+            img.cells[k] = v
+        return img
+    for k in p.domain.values:
+        if k in store:
+            img.cells[k] = store[k]
+    return img
+
+
+def merge_slice(store: Dict[str, int], image: ObjectImage, props: PropertySet) -> None:
+    for k in image.keys():
+        store[k] = image.get(k)
+
+
+class BareDirectory:
+    """One directory manager + one fake cache-manager hub endpoint.
+
+    Every view registers from the same hub address, so the directory's
+    INVALIDATE/FETCH fan-out lands on one handler that acks — inline,
+    or ``ack_delay`` simulated seconds later so the round dwells in
+    flight — carrying ``ack_image`` when one is set.  No cache
+    managers and no static map (its numpy row scans are O(V) by
+    construction): the protocol sees live views, the profiler sees only
+    the directory.  ``directory_kwargs`` go to the
+    :class:`~repro.core.directory.DirectoryManager`.
+    """
+
+    def __init__(self, ack_delay: float = 0.0, **directory_kwargs) -> None:
+        self.kernel = SimKernel()
+        self.transport = SimTransport(self.kernel, default_latency=0.01)
+        self.ack_delay = ack_delay
+        self.ack_image: Optional[ObjectImage] = None
+        self.store: Dict[str, int] = {}
+        directory_kwargs.setdefault("extract_from_object", extract_slice)
+        directory_kwargs.setdefault("merge_into_object", merge_slice)
+        self.dm = DirectoryManager(
+            transport=self.transport,
+            address="dir",
+            component=self.store,
+            static_map=None,
+            profile=True,
+            **directory_kwargs,
+        )
+        self.replies: List[Message] = []
+        self._seq: Dict[str, int] = {}
+        self.endpoint = self.transport.bind("cmhub", self._on_message)
+
+    def _on_message(self, msg: Message) -> None:
+        if msg.msg_type not in (M.INVALIDATE, M.FETCH_REQ):
+            self.replies.append(msg)
+            return
+        # An INVALIDATE_ACK with nothing to hand over carries no image at
+        # all (the directory reads a missing one as empty), so the wire
+        # bytes of a plain run do not depend on this fixture's options.
+        payload = {"view_id": msg.payload.get("view_id")}
+        if self.ack_image is not None:
+            payload["image"] = self.ack_image
+        elif msg.msg_type == M.FETCH_REQ:
+            payload["image"] = ObjectImage()
+        reply = msg.reply(
+            M.INVALIDATE_ACK if msg.msg_type == M.INVALIDATE else M.FETCH_REPLY,
+            payload,
+        )
+        if self.ack_delay:
+            self.transport.schedule(
+                self.ack_delay, lambda: self.endpoint.send(reply)
+            )
+        else:
+            self.endpoint.send(reply)
+
+    def drain(self) -> None:
+        self.kernel.run()
+
+    def now(self) -> float:
+        return self.transport.now()
+
+    # -- protocol verbs (sent from the hub; each returns its request) ----
+    def _send(self, msg_type: str, payload: Dict[str, object]) -> Message:
+        msg = Message(msg_type, "cmhub", "dir", payload)
+        self.endpoint.send(msg)
+        return msg
+
+    def register(self, view_id: str, props: PropertySet) -> Message:
+        return self._send(M.REGISTER, {
+            "view_id": view_id, "properties": props, "mode": "weak",
+        })
+
+    def pull(self, view_id: str) -> Message:
+        return self._send(M.PULL_REQ, {"view_id": view_id})
+
+    def acquire(self, view_id: str) -> Message:
+        return self._send(M.ACQUIRE, {"view_id": view_id})
+
+    def push(self, view_id: str, cells: Dict[str, int]) -> Message:
+        seq = self._seq.get(view_id, 0) + 1
+        self._seq[view_id] = seq
+        return self._send(M.PUSH, {
+            "view_id": view_id, "image": ObjectImage(dict(cells)),
+            "state_seq": seq,
+        })
+
+    # -- fingerprints -----------------------------------------------------
+    def state_digest(self) -> str:
+        blob = repr(sorted(self.store.items())).encode()
+        return hashlib.sha1(blob).hexdigest()
+
+    def conflict_digest(self) -> str:
+        """Fingerprint of every view's conflict answer (parity probe)."""
+        answers = {
+            vid: sorted(self.dm.conflict_set_of(vid))
+            for vid in sorted(self.dm.views)
+        }
+        return hashlib.sha1(repr(answers).encode()).hexdigest()
+
+    def close(self) -> None:
+        self.dm.close()
+        self.transport.close()

@@ -15,12 +15,13 @@ from repro.core.directory import DirectoryManager
 from repro.core.profiling import PHASES, DirectoryProfiler, PhaseHistogram
 from repro.core.property_set import PropertySet
 from repro.core.sharding import ShardedFleccSystem
-from repro.experiments.dm_profile import _BareDirHarness, _props_of, _vid
+from repro.experiments.dm_profile import _vid
 from repro.net.sim_transport import SimTransport
 from repro.net.stats import MessageStats
 from repro.sim import SimKernel
 from repro.testing import (
     Agent,
+    BareDirectory,
     ProtocolFixture,
     Store,
     extract_cells,
@@ -28,6 +29,7 @@ from repro.testing import (
     extract_from_view,
     merge_into_object,
     merge_into_view,
+    pair_group_props,
 )
 
 
@@ -245,10 +247,10 @@ def _settle(h, sim_seconds=1.0):
 
 
 def _lease_harness(n_views, lease_duration):
-    h = _BareDirHarness(conflict_index=True)
+    h = BareDirectory(conflict_index=True)
     h.dm.lease_duration = lease_duration
     for i in range(n_views):
-        h.register(_vid(i), _props_of(i))
+        h.register(_vid(i), pair_group_props(i))
     _settle(h)
     return h
 
@@ -300,9 +302,9 @@ def test_check_invariants_cost_tracks_exclusive_degree():
     """At N views with no exclusive owner the invariant check touches
     nothing; with one owner it evaluates only that owner's conflict
     neighborhood — never O(V^2) pairs."""
-    h = _BareDirHarness(conflict_index=True)
+    h = BareDirectory(conflict_index=True)
     for i in range(N_SCALE):
-        h.register(_vid(i), _props_of(i))
+        h.register(_vid(i), pair_group_props(i))
     h.drain()
     dm = h.dm
     evals0 = dm.policy.dynamic_evals
@@ -318,8 +320,8 @@ def test_check_invariants_cost_tracks_exclusive_degree():
 
 
 def test_activity_sets_follow_direct_flag_mutation():
-    h = _BareDirHarness(conflict_index=True)
-    h.register(_vid(0), _props_of(0))
+    h = BareDirectory(conflict_index=True)
+    h.register(_vid(0), pair_group_props(0))
     h.drain()
     rec = h.dm.views[_vid(0)]
     rec.active = True

@@ -2,9 +2,9 @@
 
 PR 10 replaces the directory's single in-flight op slot with a
 scheduler that may run *independent* rounds (disjoint conflict scopes)
-concurrently.  These tests drive a bare directory through a slow fake
-cache-manager hub whose INVALIDATE/FETCH acks arrive after a simulated
-delay — so rounds genuinely dwell in flight — and assert:
+concurrently.  These tests drive :class:`repro.testing.BareDirectory` — a bare
+directory behind a slow fake cache-manager hub whose INVALIDATE/FETCH
+acks arrive after a simulated delay — so rounds genuinely dwell in flight — and assert:
 
 - serial mode (``concurrent_rounds=1``, the default) keeps the one-op
   FIFO discipline exactly;
@@ -24,8 +24,6 @@ delay — so rounds genuinely dwell in flight — and assert:
   intersecting scopes.
 """
 
-from typing import Dict, Optional
-
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -43,12 +41,16 @@ from repro.net.stats import MessageStats
 from repro.sim import SimKernel
 from repro.testing import (
     Agent,
+    BareDirectory,
     Store,
     extract_cells,
     extract_from_object,
     extract_from_view,
+    extract_slice,
     merge_into_object,
     merge_into_view,
+    merge_slice,
+    pair_group_props,
 )
 
 ACK_DELAY = 1.0
@@ -58,131 +60,20 @@ def _vid(i: int) -> str:
     return f"w{i:05d}"
 
 
-def _props(i: int) -> PropertySet:
-    """Pair groups: views 2k and 2k+1 share grp{k}, nothing else."""
-    return PropertySet([
-        Property("cells", DiscreteSet({f"own{i:05d}", f"grp{i // 2:05d}"}))
-    ])
+def _grants_for(h: BareDirectory, *requests: Message):
+    """GRANT replies matched to the given requests, in arrival order."""
+    ids = {m.msg_id for m in requests}
+    return [
+        r for r in h.replies
+        if r.msg_type == M.GRANT and r.reply_to in ids
+    ]
 
 
-def _extract(store: Dict[str, int], props: PropertySet) -> ObjectImage:
-    img = ObjectImage()
-    p = props.get("cells") if props is not None else None
-    if p is None:
-        for k, v in store.items():
-            img.cells[k] = v
-        return img
-    for k in p.domain.values:
-        if k in store:
-            img.cells[k] = store[k]
-    return img
-
-
-def _merge(store: Dict[str, int], image: ObjectImage, props: PropertySet) -> None:
-    for k in image.keys():
-        store[k] = image.get(k)
-
-
-class _Harness:
-    """Bare directory + one hub endpoint with delayed, fault-injectable
-    round acks (mirrors the dm_sched experiment harness)."""
-
-    def __init__(
-        self,
-        concurrent_rounds: int = 0,
-        ack_delay: float = 0.0,
-        merge_fn=None,
-        extract_fn=None,
-    ) -> None:
-        self.kernel = SimKernel()
-        self.transport = SimTransport(self.kernel, default_latency=0.01)
-        self.ack_delay = ack_delay
-        self.ack_image: Optional[ObjectImage] = None
-        self.store: Dict[str, int] = {}
-        self.dm = DirectoryManager(
-            transport=self.transport,
-            address="dir",
-            component=self.store,
-            extract_from_object=extract_fn or _extract,
-            merge_into_object=merge_fn or _merge,
-            static_map=None,
-            profile=True,
-            concurrent_rounds=concurrent_rounds,
-        )
-        self.replies = []
-        self._seq: Dict[str, int] = {}
-        self.endpoint = self.transport.bind("cmhub", self._on_message)
-
-    def _on_message(self, msg: Message) -> None:
-        if msg.msg_type in (M.INVALIDATE, M.FETCH_REQ):
-            kind = (
-                M.INVALIDATE_ACK if msg.msg_type == M.INVALIDATE
-                else M.FETCH_REPLY
-            )
-            image = self.ack_image if self.ack_image is not None else ObjectImage()
-            reply = msg.reply(
-                kind, {"view_id": msg.payload.get("view_id"), "image": image}
-            )
-            if self.ack_delay:
-                self.transport.schedule(
-                    self.ack_delay, lambda r=reply: self.endpoint.send(r)
-                )
-            else:
-                self.endpoint.send(reply)
-        else:
-            self.replies.append(msg)
-
-    def drain(self) -> None:
-        self.kernel.run()
-
-    def now(self) -> float:
-        return self.transport.now()
-
-    def register(self, view_id: str, props: PropertySet) -> Message:
-        m = Message(M.REGISTER, "cmhub", "dir", {
-            "view_id": view_id, "properties": props, "mode": "weak",
-        })
-        self.endpoint.send(m)
-        return m
-
-    def pull(self, view_id: str) -> Message:
-        m = Message(M.PULL_REQ, "cmhub", "dir", {"view_id": view_id})
-        self.endpoint.send(m)
-        return m
-
-    def acquire(self, view_id: str) -> Message:
-        m = Message(M.ACQUIRE, "cmhub", "dir", {"view_id": view_id})
-        self.endpoint.send(m)
-        return m
-
-    def push(self, view_id: str, cells: Dict[str, int]) -> Message:
-        seq = self._seq.get(view_id, 0) + 1
-        self._seq[view_id] = seq
-        m = Message(M.PUSH, "cmhub", "dir", {
-            "view_id": view_id, "image": ObjectImage(dict(cells)),
-            "state_seq": seq,
-        })
-        self.endpoint.send(m)
-        return m
-
-    def grants_for(self, *requests: Message):
-        """GRANT replies matched to the given requests, in arrival order."""
-        ids = {m.msg_id for m in requests}
-        return [
-            r for r in self.replies
-            if r.msg_type == M.GRANT and r.reply_to in ids
-        ]
-
-    def close(self) -> None:
-        self.dm.close()
-        self.transport.close()
-
-
-def _paired_fleet(h: _Harness, n_groups: int) -> None:
+def _paired_fleet(h: BareDirectory, n_groups: int) -> None:
     """Register G pair groups and pull every partner (odd view) active,
     so each leader's ACQUIRE must run a revocation round."""
     for i in range(2 * n_groups):
-        h.register(_vid(i), _props(i))
+        h.register(_vid(i), pair_group_props(i))
     h.drain()
     for k in range(n_groups):
         h.pull(_vid(2 * k + 1))
@@ -196,7 +87,7 @@ def _paired_fleet(h: _Harness, n_groups: int) -> None:
 
 def test_serial_default_keeps_one_op_discipline():
     assert DirectoryManager.__init__.__defaults__ is not None
-    h = _Harness(concurrent_rounds=1, ack_delay=ACK_DELAY)
+    h = BareDirectory(concurrent_rounds=1, ack_delay=ACK_DELAY)
     assert h.dm.concurrent_rounds == 1
     _paired_fleet(h, 3)
     t0 = h.now()
@@ -205,13 +96,13 @@ def test_serial_default_keeps_one_op_discipline():
     assert h.now() - t0 > 2.5 * ACK_DELAY  # three ack waits, serialized
     assert h.dm.counters["concurrent_rounds_hwm"] == 1
     assert h.dm.counters["rounds_overlapped"] == 0
-    grants = h.grants_for(*reqs)
+    grants = _grants_for(h, *reqs)
     assert [g.reply_to for g in grants] == [m.msg_id for m in reqs]  # FIFO
     h.close()
 
 
 def test_independent_rounds_overlap():
-    h = _Harness(concurrent_rounds=0, ack_delay=ACK_DELAY)
+    h = BareDirectory(concurrent_rounds=0, ack_delay=ACK_DELAY)
     _paired_fleet(h, 3)
     t0 = h.now()
     reqs = [h.acquire(_vid(2 * k)) for k in range(3)]
@@ -221,13 +112,13 @@ def test_independent_rounds_overlap():
     assert h.dm.counters["concurrent_rounds_hwm"] == 3
     assert h.dm.counters["rounds_overlapped"] == 2
     assert h.transport.stats.concurrent_rounds_hwm == 3  # gauge mirrored
-    assert len(h.grants_for(*reqs)) == 3
+    assert len(_grants_for(h, *reqs)) == 3
     h.dm.check_invariants()
     h.close()
 
 
 def test_bounded_limit_respected():
-    h = _Harness(concurrent_rounds=2, ack_delay=ACK_DELAY)
+    h = BareDirectory(concurrent_rounds=2, ack_delay=ACK_DELAY)
     _paired_fleet(h, 4)
     for k in range(4):
         h.acquire(_vid(2 * k))
@@ -237,14 +128,14 @@ def test_bounded_limit_respected():
 
 
 def test_conflicting_ops_wait_fifo():
-    h = _Harness(concurrent_rounds=0, ack_delay=ACK_DELAY)
+    h = BareDirectory(concurrent_rounds=0, ack_delay=ACK_DELAY)
     _paired_fleet(h, 1)
     r1 = h.acquire(_vid(0))   # revokes the partner; round in flight
     r2 = h.acquire(_vid(1))   # same group: must wait for r1
     h.drain()
     assert h.dm.counters["concurrent_rounds_hwm"] == 1  # never overlapped
     assert h.dm.counters["sched_conflict_waits"] >= 1
-    grants = h.grants_for(r1, r2)
+    grants = _grants_for(h, r1, r2)
     assert [g.reply_to for g in grants] == [r1.msg_id, r2.msg_id]
     # The second acquire won in the end: the partner holds exclusivity.
     assert h.dm.views[_vid(1)].exclusive
@@ -253,13 +144,13 @@ def test_conflicting_ops_wait_fifo():
 
 
 def test_independent_op_overtakes_blocked_op():
-    h = _Harness(concurrent_rounds=0, ack_delay=ACK_DELAY)
+    h = BareDirectory(concurrent_rounds=0, ack_delay=ACK_DELAY)
     _paired_fleet(h, 2)
     ra = h.acquire(_vid(0))   # group 0: round in flight
     rb = h.acquire(_vid(1))   # group 0: blocked behind ra (no barging)
     rc = h.acquire(_vid(2))   # group 1: independent — starts immediately
     h.drain()
-    grants = h.grants_for(ra, rb, rc)
+    grants = _grants_for(h, ra, rb, rc)
     order = [g.reply_to for g in grants]
     # The independent round finished before the blocked same-group op
     # (under the old FIFO it would have queued behind both of group 0's).
@@ -275,7 +166,7 @@ def test_independent_op_overtakes_blocked_op():
 
 def test_queue_wait_phase_recorded_and_excluded_from_total():
     assert "queue_wait" in PHASES
-    h = _Harness(concurrent_rounds=1, ack_delay=ACK_DELAY)
+    h = BareDirectory(concurrent_rounds=1, ack_delay=ACK_DELAY)
     _paired_fleet(h, 2)
     h.acquire(_vid(0))
     h.acquire(_vid(2))        # independent, but serial mode queues it
@@ -364,9 +255,9 @@ def test_commit_fault_mid_round_quarantines_and_releases_slot():
     def poisoned_merge(store, image, props):
         if "poison" in image.keys():
             raise ValueError("merge hook exploded")
-        _merge(store, image, props)
+        merge_slice(store, image, props)
 
-    h = _Harness(concurrent_rounds=1, merge_fn=poisoned_merge)
+    h = BareDirectory(concurrent_rounds=1, merge_into_object=poisoned_merge)
     _paired_fleet(h, 2)
     h.ack_image = ObjectImage({"poison": 1})  # the partner's dying handover
     r1 = h.acquire(_vid(0))
@@ -374,13 +265,13 @@ def test_commit_fault_mid_round_quarantines_and_releases_slot():
     # The fault was fenced: recorded, offender quarantined, round done.
     assert h.dm.counters["round_faults"] == 1
     assert _vid(1) in h.dm.quarantined
-    assert len(h.grants_for(r1)) == 1       # the round still finalized
+    assert len(_grants_for(h, r1)) == 1       # the round still finalized
     assert not h.dm._running                # the slot was released
     # The slot is usable: an unrelated group's round proceeds untouched.
     h.ack_image = None
     r2 = h.acquire(_vid(2))
     h.drain()
-    assert len(h.grants_for(r2)) == 1
+    assert len(_grants_for(h, r2)) == 1
     assert h.dm.counters["round_faults"] == 1
     h.dm.check_invariants()
     h.close()
@@ -396,9 +287,9 @@ def test_serve_fault_replies_error_and_next_op_proceeds():
         if armed["shots"] > 0:
             armed["shots"] -= 1
             raise RuntimeError("extract exploded")
-        return _extract(store, props)
+        return extract_slice(store, props)
 
-    h = _Harness(concurrent_rounds=1, extract_fn=bomb_extract)
+    h = BareDirectory(concurrent_rounds=1, extract_from_object=bomb_extract)
     _paired_fleet(h, 2)
     armed["shots"] = 1
     r1 = h.acquire(_vid(0))   # full revocation round, then serve blows up
@@ -413,7 +304,7 @@ def test_serve_fault_replies_error_and_next_op_proceeds():
     assert not h.dm._running
     r2 = h.acquire(_vid(2))
     h.drain()
-    assert len(h.grants_for(r2)) == 1       # not wedged
+    assert len(_grants_for(h, r2)) == 1       # not wedged
     h.close()
 
 
@@ -468,10 +359,10 @@ class SchedulerParityMachine(RuleBasedStateMachine):
         super().__init__()
         self.harnesses = []
         for limit in LEG_LIMITS:
-            h = _Harness(concurrent_rounds=limit, ack_delay=0.5)
+            h = BareDirectory(concurrent_rounds=limit, ack_delay=0.5)
             _install_scope_check(h.dm)
             for i in range(2 * N_PAIRS):
-                h.register(_vid(i), _props(i))
+                h.register(_vid(i), pair_group_props(i))
             h.drain()
             self.harnesses.append(h)
         self.churn_next = 0

@@ -1,6 +1,8 @@
 """The delta sweep's acceptance properties (ISSUE acceptance criteria)."""
 
-from repro.experiments.delta_sweep import bench_payload, run_delta_sweep
+import copy
+
+from repro.experiments.delta_sweep import bench_payload, gates, run_delta_sweep
 
 
 def _sweep():
@@ -48,3 +50,28 @@ def test_bench_payload_shape():
     assert payload["all_points_state_identical"]
     assert payload["all_points_messages_identical"]
     assert len(payload["points"]) == 2
+
+
+def test_gates_pass_on_the_sweep_and_fire_on_each_violation():
+    """The thresholds the tests above assert are the declared gates, so
+    the CI step's ``--check`` can fail."""
+    payload = bench_payload(_sweep())
+    assert gates(payload) == []
+
+    def broken(edit):
+        doc = copy.deepcopy(payload)
+        edit(doc)
+        return gates(doc)
+
+    assert "message counts differ" in broken(
+        lambda d: d["points"][0].update(messages_identical=False))[0]
+    assert "end state differs" in broken(
+        lambda d: d["points"][1].update(state_identical=False))[0]
+    assert "need >= 5.0x" in broken(
+        lambda d: d.update(low_locality_bytes_reduction=4.9))[0]
+    assert "within 1 +- 0.05" in broken(
+        lambda d: d.update(all_dirty_bytes_ratio=1.06))[0]
+    assert "no all-dirty point" in broken(
+        lambda d: d.update(all_dirty_bytes_ratio=None))[0]
+    assert "served as deltas" in broken(
+        lambda d: d["points"][0].update(images_delta=3))[0]

@@ -10,8 +10,7 @@ import copy
 import pytest
 
 from repro.experiments import dm_profile as dmp
-from repro.experiments import runner
-from repro.experiments.parallel import shard_specs
+from repro.experiments.runner import registry
 
 RAMP = (20, 40)
 
@@ -35,9 +34,9 @@ def test_runs_both_legs_over_the_ramp(result):
 def test_every_point_carries_a_profile(result):
     for p in result.points:
         assert p.ops > 0
-        assert p.pure_op_ns > 0
-        assert p.churn_cycle_ns > 0
-        assert set(p.pure_phases) == set(dmp.OP_PHASES)
+        assert p.pure_op_us > 0
+        assert p.churn_cycle_us > 0
+        assert set(p.pure_phases_us) == set(dmp.OP_PHASES)
 
 
 def test_conflict_parity_on_every_point(result):
@@ -92,14 +91,14 @@ def test_acceptance_passes_below_gate_top(payload):
     # Parity gates apply at any ramp; the perf gates stay disarmed
     # below GATE_TOP, so a healthy tiny run is clean.
     assert payload["ramp_top"] < dmp.GATE_TOP
-    assert dmp.check_acceptance(payload) == []
+    assert dmp.gates(payload) == []
 
 
 def test_acceptance_flags_parity_break(payload):
     bad = copy.deepcopy(payload)
     bad["conflict_parity"] = False
     bad["leg_state_identical"] = False
-    problems = dmp.check_acceptance(bad)
+    problems = dmp.gates(bad)
     assert any("brute-force recomputation" in p for p in problems)
     assert any("different end state" in p for p in problems)
 
@@ -111,7 +110,7 @@ def test_acceptance_arms_perf_gates_at_full_ramp(payload):
     bad["speedup_at_top"] = 1.0        # needs >= 5x
     bad["indexed_pure_growth"] = 80.0  # needs <= 0.5 * view_ratio
     bad["indexed_churn_growth"] = 50.0  # needs <= max(8, 0.1 * view_ratio)
-    problems = dmp.check_acceptance(bad)
+    problems = dmp.gates(bad)
     assert len(problems) == 3
     assert any("need >= 5x" in p for p in problems)
     assert any("sub-linear" in p for p in problems)
@@ -125,7 +124,7 @@ def test_good_perf_numbers_clear_the_armed_gates(payload):
     good["speedup_at_top"] = 9.0
     good["indexed_pure_growth"] = 2.0
     good["indexed_churn_growth"] = 3.0
-    assert dmp.check_acceptance(good) == []
+    assert dmp.gates(good) == []
 
 
 def test_sweep_shards_reassemble_the_serial_result(result):
@@ -138,6 +137,5 @@ def test_sweep_shards_reassemble_the_serial_result(result):
 
 
 def test_registered_with_runner_and_parallel_engine():
-    assert "dm_profile" in runner.EXPERIMENTS
-    spec = shard_specs()["dm_profile"]
+    spec = registry()["dm_profile"].shard
     assert len(spec.points()) == len(dmp.LEGS) * len(dmp.DEFAULT_RAMP)

@@ -10,15 +10,14 @@ import copy
 import pytest
 
 from repro.experiments import dm_sched as dms
-from repro.experiments import runner
-from repro.experiments.parallel import shard_specs
+from repro.experiments.runner import registry
 
 GROUPS = 8
 
 
 @pytest.fixture(scope="module")
 def result():
-    return dms.run_dm_sched(n_groups=GROUPS, seed=99)
+    return dms.run_dm_sched(groups=GROUPS, seed=99)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,7 @@ def test_legs_agree_on_messages_and_state(payload):
 def test_queue_wait_measured_on_serial_leg(result):
     serial = result.points[0]
     assert serial.queue_wait_count > 0
-    assert serial.queue_wait_mean_ns > 0
+    assert serial.queue_wait_mean_us > 0
 
 
 def test_randomized_parity_converges(payload):
@@ -78,7 +77,7 @@ def test_randomized_parity_other_seed():
 
 
 def test_acceptance_passes_on_real_run(payload):
-    assert dms.check_acceptance(payload) == []
+    assert dms.gates(payload) == []
 
 
 def test_acceptance_catches_violations(payload):
@@ -93,11 +92,11 @@ def test_acceptance_catches_violations(payload):
     bad["randomized_parity"]["counts_identical"] = False
     bad["randomized_parity"]["conflicts_identical"] = False
     bad["randomized_parity"]["invariants_ok"] = False
-    problems = dms.check_acceptance(bad)
+    problems = dms.gates(bad)
     assert len(problems) == 10
     bad2 = copy.deepcopy(payload)
     bad2["n_groups"] = 4
-    assert any("conflict groups" in p for p in dms.check_acceptance(bad2))
+    assert any("conflict groups" in p for p in dms.gates(bad2))
 
 
 def test_sweep_point_roundtrip(result):
@@ -110,7 +109,6 @@ def test_sweep_point_roundtrip(result):
 
 
 def test_registered_with_runner_and_parallel_engine():
-    assert "dm_sched" in runner.EXPERIMENTS
-    assert runner.accepts_seed("dm_sched")
-    spec = shard_specs()["dm_sched"]
-    assert [p[:2] for p in spec.points()] == list(dms.LEGS)
+    declared = registry()["dm_sched"]
+    assert declared.seeded
+    assert [p[:2] for p in declared.shard.points()] == list(dms.LEGS)

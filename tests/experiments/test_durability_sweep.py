@@ -7,7 +7,7 @@ from repro.experiments.durability_sweep import (
     KILL_POINTS,
     RECOVERY_TAILS,
     bench_payload,
-    check_acceptance,
+    gates,
     merge_durability_sweep,
     run_kill_point,
     run_overhead_point,
@@ -81,36 +81,36 @@ def _passing_payload():
 
 
 def test_check_acceptance_passes_a_clean_payload():
-    assert check_acceptance(_passing_payload()) == []
+    assert gates(_passing_payload()) == []
 
 
 def test_check_acceptance_flags_each_gate():
     lost = _passing_payload()
     lost["kills"][3]["lost_writes"] = 2
-    assert any("lost committed write" in p for p in check_acceptance(lost))
+    assert any("lost committed write" in p for p in gates(lost))
 
     split = _passing_payload()
     split["kills"][7]["parity"] = False
-    assert any("differs from crash-free" in p for p in check_acceptance(split))
+    assert any("differs from crash-free" in p for p in gates(split))
 
     slow = _passing_payload()
     slow["batch_overhead_ratio"] = 2.0
-    assert any("overhead" in p for p in check_acceptance(slow))
+    assert any("overhead" in p for p in gates(slow))
 
     few = _passing_payload()
     few["kills"] = few["kills"][:10]
-    assert any("kill points" in p for p in check_acceptance(few))
+    assert any("kill points" in p for p in gates(few))
 
     single = _passing_payload()
     for k in single["kills"]:
         k["n_shards"] = 1
-    assert any("N=4" in p for p in check_acceptance(single))
+    assert any("N=4" in p for p in gates(single))
 
     uninjected = _passing_payload()
     for k in uninjected["kills"]:
         k["injection"] = "none"
         k["torn_truncated"] = False
         k["snapshots_skipped"] = 0
-    problems = check_acceptance(uninjected)
+    problems = gates(uninjected)
     assert any("'torn'" in p for p in problems)
     assert any("'snap'" in p for p in problems)

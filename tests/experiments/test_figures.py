@@ -15,20 +15,20 @@ from repro.experiments.ablations import (
     run_abl6,
 )
 from repro.experiments.fig2_trace import run_fig2
-from repro.experiments.fig4_efficiency import check_shape as check_fig4
+from repro.experiments.fig4_efficiency import gates as check_fig4
 from repro.experiments.fig4_efficiency import run_fig4
-from repro.experiments.fig5_adaptability import check_shape as check_fig5
+from repro.experiments.fig5_adaptability import gates as check_fig5
 from repro.experiments.fig5_adaptability import run_fig5
-from repro.experiments.fig6_flexibility import check_shape as check_fig6
+from repro.experiments.fig6_flexibility import gates as check_fig6
 from repro.experiments.fig6_flexibility import run_fig6
 
 
 class TestFig1:
     def test_shape(self):
-        from repro.experiments.fig1_deployment import check_shape, run_fig1
+        from repro.experiments.fig1_deployment import gates, run_fig1
 
         result = run_fig1(ops_per_domain=2)
-        assert check_shape(result) == []
+        assert gates(result) == []
         # Both remote domains got views; domain1 is served directly.
         kinds = {d: k for d, (k, _, _) in result.service.items()}
         assert kinds == {
@@ -91,7 +91,7 @@ class TestFig5:
 
     def test_phase_stats_table(self):
         result = run_fig5(n_agents=4, ops_per_phase=3)
-        out = result.phase_stats().format()
+        out = result.table().format()
         assert "strong" in out and "weak-1" in out
 
 
@@ -113,10 +113,10 @@ class TestFig6:
 
 class TestExt1:
     def test_mixed_workload_shape(self):
-        from repro.experiments.mixed_workload import check_shape, run_ext1
+        from repro.experiments.mixed_workload import gates, run_ext1
 
         r = run_ext1(buy_fractions=(0.0, 0.5), n_clients=5, n_ops=4)
-        assert check_shape(r) == []
+        assert gates(r) == []
         assert all(lost == 0 for _, _, _, lost in r.points)
 
 

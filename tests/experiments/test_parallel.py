@@ -9,8 +9,8 @@ from repro.experiments.fig4_efficiency import (
     merge_fig4,
     sweep_points,
 )
-from repro.experiments.parallel import build_tasks, run_parallel, shard_specs
-from repro.experiments.runner import run_serial
+from repro.experiments.parallel import build_tasks, run_parallel
+from repro.experiments.runner import registry, run_serial
 
 
 def _load_without_timing(out_dir):
@@ -23,7 +23,9 @@ def _load_without_timing(out_dir):
 
 
 def test_serial_and_parallel_results_identical(tmp_path):
-    names = ["fig2_trace", "abl1_static_vs_dynamic"]
+    # shard_sweep declares a shard spec (and records simulated time
+    # only): its record is reassembled from per-point worker results.
+    names = ["fig2_trace", "abl1_static_vs_dynamic", "shard_sweep"]
     run_serial(names, tmp_path / "serial")
     run_parallel(names, tmp_path / "parallel", jobs=2)
     serial = _load_without_timing(tmp_path / "serial")
@@ -62,7 +64,7 @@ def test_build_tasks_shards_fig4_and_orders_shards_first():
 
 
 def test_shard_specs_cover_fig4():
-    assert "fig4_efficiency" in shard_specs()
+    assert registry()["fig4_efficiency"].shard is not None
 
 
 def test_merge_fig4_reassembles_serial_result_shape():

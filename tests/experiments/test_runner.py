@@ -8,11 +8,13 @@ import pytest
 
 from repro.core.messages import TraceLog
 from repro.experiments.runner import (
-    EXPERIMENTS,
+    Experiment,
     _jsonable,
-    main,
+    cli,
+    execute,
+    registry,
     resolve_names,
-    run_and_save,
+    save_record,
 )
 
 
@@ -63,7 +65,8 @@ def test_jsonable_falls_back_to_str():
 
 
 def test_run_and_save_writes_json(tmp_path):
-    record = run_and_save("fake", lambda: FakeResult(7), tmp_path)
+    record = execute(Experiment("fake", lambda: FakeResult(7)), {})
+    save_record(record, tmp_path / "fake.json")
     assert record["experiment"] == "fake"
     assert record["wall_seconds"] >= 0
     on_disk = json.loads((tmp_path / "fake.json").read_text())
@@ -71,7 +74,7 @@ def test_run_and_save_writes_json(tmp_path):
 
 
 def test_cli_runs_selected_experiment(tmp_path, capsys):
-    records = main(["--only", "fig2_trace", "--out", str(tmp_path)])
+    records = cli(argv=["--only", "fig2_trace", "--out", str(tmp_path)])
     assert [r["experiment"] for r in records] == ["fig2_trace"]
     assert (tmp_path / "fig2_trace.json").exists()
     assert "running fig2_trace" in capsys.readouterr().out
@@ -79,25 +82,25 @@ def test_cli_runs_selected_experiment(tmp_path, capsys):
 
 def test_cli_rejects_unknown_experiment(tmp_path):
     with pytest.raises(SystemExit):
-        main(["--only", "no_such_experiment", "--out", str(tmp_path)])
+        cli(argv=["--only", "no_such_experiment", "--out", str(tmp_path)])
 
 
 def test_cli_rejects_bad_jobs(tmp_path):
     with pytest.raises(SystemExit):
-        main(["--jobs", "0", "--out", str(tmp_path)])
+        cli(argv=["--jobs", "0", "--out", str(tmp_path)])
 
 
 def test_cli_seed_sweep_writes_per_seed_files(tmp_path):
-    records = main(
-        ["--only", "fig2_trace", "--seeds", "0", "1", "--out", str(tmp_path)]
+    records = cli(
+        argv=["--only", "fig2_trace", "--seeds", "0", "1", "--out", str(tmp_path)]
     )
-    # fig2 takes no seed parameter: the sweep collapses to one default run.
+    # fig2 is not seeded: the sweep collapses to one default run.
     assert len(records) == 1
-    records = main(
-        ["--only", "abl1_static_vs_dynamic", "--seeds", "0", "1",
-         "--out", str(tmp_path)]
+    records = cli(
+        argv=["--only", "abl1_static_vs_dynamic", "--seeds", "0", "1",
+              "--out", str(tmp_path)]
     )
-    assert [r.get("seed") for r in records] == [0, 1]
+    assert [r["header"]["seed"] for r in records] == [0, 1]
     assert (tmp_path / "abl1_static_vs_dynamic.seed0.json").exists()
     assert (tmp_path / "abl1_static_vs_dynamic.seed1.json").exists()
 
@@ -106,7 +109,7 @@ def test_resolve_names_keeps_registry_order():
     assert resolve_names(["fig2_trace", "fig1_deployment"]) == [
         "fig1_deployment", "fig2_trace",
     ]
-    assert resolve_names(None) == list(EXPERIMENTS)
+    assert resolve_names(None) == list(registry())
 
 
 def test_registry_names_are_stable():
@@ -120,4 +123,4 @@ def test_registry_names_are_stable():
         "shard_sweep", "scale_sweep", "durability_sweep", "dm_profile",
         "dm_sched",
     }
-    assert set(EXPERIMENTS) == expected
+    assert set(registry()) == expected

@@ -13,7 +13,7 @@ from repro.experiments.scale_sweep import (
     GOLDEN_PARITY,
     ScaleSweepResult,
     bench_payload,
-    check_acceptance,
+    gates,
     point_budget,
     run_scale_sweep,
     sweep_points,
@@ -32,7 +32,7 @@ def test_all_small_points_sustain(result):
     for p in result.points:
         assert p.sustainable, (p.transport, p.n_cms, p.reason)
         assert p.errors == 0
-        assert p.elapsed < p.budget
+        assert p.elapsed_s < p.budget_s
 
 
 def test_paired_point_is_directory_bound_and_sustains(result):
@@ -64,7 +64,7 @@ def test_aio_coalesces_and_bounds_queues(result):
 
 def test_latency_percentiles_are_recorded(result):
     for p in result.points:
-        assert p.acquire_p99 >= p.acquire_p50 > 0.0
+        assert p.acquire_p99_s >= p.acquire_p50_s > 0.0
 
 
 def test_three_transport_parity(result):
@@ -85,7 +85,7 @@ def test_bench_payload_shape_and_acceptance(result):
         assert {"transport", "n_cms", "sustainable", "acquire_p99_s",
                 "frames_per_sec", "coalesced_ratio",
                 "backpressure_stalls"} <= set(point)
-    assert check_acceptance(payload) == []
+    assert gates(payload) == []
 
 
 def test_point_budget_is_bounded():
@@ -103,10 +103,10 @@ def test_sweep_points_cover_ramp_and_paired_point():
 
 def test_check_acceptance_flags_failures():
     base = bench_payload(ScaleSweepResult(points=[]))
-    assert check_acceptance(base) == []
+    assert gates(base) == []
     base["parity_state_identical"] = False
     base["parity_counts_identical"] = False
-    problems = check_acceptance(base)
+    problems = gates(base)
     assert any("end states differ" in p for p in problems)
     assert any("message counts differ" in p for p in problems)
 
@@ -118,10 +118,10 @@ def test_check_acceptance_flags_failures():
     # directory-bound paired point included.
     ramped = bench_payload(ScaleSweepResult(points=[]))
     ramped["points"] = [point("aio", DEFAULT_RAMP[-1]), point("aio+paired", 20)]
-    problems = check_acceptance(ramped)
+    problems = gates(ramped)
     assert any("aio point (3000 CMs) not sustainable" in p for p in problems)
     assert any("aio+paired point (20 CMs) not sustainable" in p for p in problems)
 
     # The --full 10k point records how far the box gets; it is no gate.
     ramped["points"] = [point("aio", FULL_RAMP[-1])]
-    assert check_acceptance(ramped) == []
+    assert gates(ramped) == []

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.shard_sweep import (
     bench_payload,
-    check_acceptance,
+    gates,
     run_shard_sweep,
 )
 
@@ -51,4 +51,4 @@ def test_n1_plane_is_identical_to_unsharded(result):
 def test_bench_payload_passes_acceptance(result):
     payload = bench_payload(result)
     assert payload["local_speedup_4_shards"] >= 2.0
-    assert check_acceptance(payload) == []
+    assert gates(payload) == []

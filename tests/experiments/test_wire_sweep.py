@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.experiments.runner import EXPERIMENTS
+from repro.experiments.runner import registry
 from repro.experiments.wire_sweep import (
     bench_payload,
-    check_acceptance,
+    gates,
     run_wire_sweep,
 )
 
@@ -15,7 +15,7 @@ def result():
     # Small but representative: the PUSH-heavy all-dirty point and a
     # large-view low-locality delta point, plus a tiny fig4 workload.
     return run_wire_sweep(
-        sweep=((48, 48), (256, 4)), rounds=3, fig4_agents=6, fig4_conflicting=3
+        sweep=((48, 48), (256, 4)), rounds=3, agents=6
     )
 
 
@@ -88,17 +88,17 @@ def test_bench_payload_shape_and_acceptance(payload):
         "json", "binary", "binary+zlib"
     }
     assert payload["fig4"]["messages_identical"] is True
-    assert check_acceptance(payload) == []
+    assert gates(payload) == []
 
 
 def test_check_acceptance_flags_failures(payload):
     bad = dict(payload)
     bad["push_heavy_reduction_binary"] = 1.5
     bad["all_points_state_identical"] = False
-    problems = check_acceptance(bad)
+    problems = gates(bad)
     assert any("1.5x < 2x" in p for p in problems)
     assert any("end state" in p for p in problems)
 
 
 def test_registered_in_runner():
-    assert EXPERIMENTS["wire_sweep"] is run_wire_sweep
+    assert registry()["wire_sweep"].run is run_wire_sweep
