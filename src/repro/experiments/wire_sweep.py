@@ -25,12 +25,21 @@ What the A/B must show:
   hold under every codec, and delta-on vs delta-off runs stay
   message-count identical per codec.
 
+One more point is recorded and not gated on its timings: a **control
+frame** shaped like the composed stack's steady state (one write flush
+of 4 x ``R_DATA{PULL_REQ}`` + one ``R_ACK`` vector in a ``BATCH``
+envelope), encoded with its sub-messages spelled as dicts and as native
+records, raw and deflated — the bytes and the encode + decode time
+behind ``binary_codec.SEGMENT_BYTES``: such a frame fits one segment
+either way, so deflating it buys no packet and costs the loop thread.
+
 ``python -m repro.experiments.wire_sweep`` writes ``BENCH_wire.json``;
 ``--check`` exits non-zero unless every gate of :func:`gates` holds.
 """
 
 from __future__ import annotations
 
+import timeit
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -48,8 +57,14 @@ from repro.core.triggers import TriggerSet
 from repro.experiments.fig4_efficiency import _staggered
 from repro.experiments.report import Table
 from repro.experiments.runner import Experiment, Param, cli, point_doc
-from repro.net.binary_codec import resolve_codec
-from repro.net.message import Message, reset_message_ids
+from repro.net.binary_codec import (
+    MAGIC_RAW,
+    SEGMENT_BYTES,
+    BinaryCodec,
+    resolve_codec,
+)
+from repro.net.message import BATCH, Message, make_batch, reset_message_ids, split_batch
+from repro.net.reliability import R_ACK, R_DATA
 from repro.net.sim_transport import SimTransport
 from repro.sim.kernel import SimKernel
 from repro.testing import (
@@ -132,11 +147,41 @@ class Fig4WireResult:
 
 
 @dataclass
+class ControlFramePoint:
+    """One steady-state control flush under the binary codec."""
+
+    sub_messages: int
+    segment_bytes: int
+    # spelling ("dict" | "native") -> form ("raw" | "deflated") ->
+    # {"bytes", "encode_us", "decode_us"}; times are best-of-5 means.
+    frames: Dict[str, Dict[str, Dict[str, float]]]
+    # resolve_codec("binary+zlib") leaves the native frame undeflated.
+    stored_by_default: bool
+    # Both spellings, both forms, split into the same sub-messages.
+    splits_identical: bool
+
+
+@dataclass
 class WireSweepResult:
     points: List[WirePoint] = field(default_factory=list)
     fig4: Optional[Fig4WireResult] = None
+    control: Optional[ControlFramePoint] = None
 
-    def table(self) -> Table:
+    def _control_table(self) -> Table:
+        c = self.control
+        assert c is not None
+        t = Table(
+            ["sub-messages as", "form", "bytes", "encode us", "decode us"],
+            title=f"WIRE — one control flush, {c.sub_messages} sub-messages "
+                  f"(one segment = {c.segment_bytes} B)",
+        )
+        for spelling, forms in c.frames.items():
+            for form, m in forms.items():
+                t.add_row(spelling, form, m["bytes"],
+                          f"{m['encode_us']:.1f}", f"{m['decode_us']:.1f}")
+        return t
+
+    def table(self) -> str:
         t = Table(
             [
                 "workload", "payload json", "payload binary", "payload b+z",
@@ -167,7 +212,9 @@ class WireSweepResult:
                 f.state_identical and f.messages_identical
                 and f.decoded_identical,
             )
-        return t
+        if self.control is None:
+            return t.format()
+        return f"{t.format()}\n\n{self._control_table().format()}"
 
 
 def _run_store_workload(
@@ -304,6 +351,69 @@ def _run_fig4_workload(
     )
 
 
+def _control_flush() -> List[Message]:
+    """What one write flush of the composed e2e stack carries between
+    ops of a read-mostly load: four cache managers' PULL_REQs, each in
+    its R_DATA envelope, and the ACK vector for the replies just read."""
+    subs = [
+        Message(R_DATA, f"cm:ta{v:04d}", f"shard:{v % 4}", {
+            "seq": 2100 + v, "ctl": "rel-ctl:0", "t": M.PULL_REQ,
+            "p": {"need_fresh": False, "since": 5300 + 7 * v,
+                  "view_id": f"ta{v:04d}"},
+            "i": 91000 + 3 * v, "r": None,
+        }, msg_id=91001 + 3 * v)
+        for v in range(4)
+    ]
+    subs.append(Message(R_ACK, "rel-ctl:0", "rel-ctl:0", {
+        "acks": [[f"shard:{v % 4}", f"cm:ta{v:04d}", [2040 + v]]
+                 for v in range(4)],
+    }, msg_id=91013))
+    return subs
+
+
+def _time_us(fn: Any, arg: Any, loops: int = 200, repeats: int = 5) -> float:
+    """Best-of-``repeats`` mean microseconds of ``fn(arg)``."""
+    best = min(timeit.repeat(lambda: fn(arg), number=loops, repeat=repeats))
+    return round(best / loops * 1e6, 1)
+
+
+def run_control_frame() -> ControlFramePoint:
+    subs = _control_flush()
+    native = make_batch(subs[0].src, subs[0].dst, subs)
+    native.msg_id = 91014  # make_batch mints it from the process-wide counter
+    spellings = {
+        "dict": Message(BATCH, native.src, native.dst,
+                        {"messages": [m.to_dict() for m in subs]},
+                        msg_id=native.msg_id),
+        "native": native,
+    }
+    forms = {
+        "raw": BinaryCodec(),
+        "deflated": BinaryCodec(compress_level=6, compress_min_bytes=1),
+    }
+    frames: Dict[str, Dict[str, Dict[str, float]]] = {}
+    splits = []
+    for spelling, msg in spellings.items():
+        frames[spelling] = {}
+        for form, codec in forms.items():
+            raw = codec.encode(msg)
+            splits.append(split_batch(codec.decode(raw)))
+            frames[spelling][form] = {
+                "bytes": len(raw),
+                "encode_us": _time_us(codec.encode, msg),
+                "decode_us": _time_us(codec.decode, raw),
+            }
+    return ControlFramePoint(
+        sub_messages=len(subs),
+        segment_bytes=SEGMENT_BYTES,
+        frames=frames,
+        stored_by_default=(
+            resolve_codec("binary+zlib").encode(native)[0] == MAGIC_RAW
+        ),
+        splits_identical=all(s == subs for s in splits),
+    )
+
+
 def _decoded_identical(
     reference: List[Message], codecs: Sequence[str]
 ) -> bool:
@@ -423,6 +533,7 @@ def run_wire_sweep(
         ),
         decoded_identical=_decoded_identical(fbase.captured, codecs),
     )
+    result.control = run_control_frame()
     return result
 
 
@@ -485,6 +596,9 @@ def bench_payload(result: WireSweepResult) -> Dict[str, object]:
             "messages_identical": fig4.messages_identical,
             "state_identical": fig4.state_identical,
         },
+        "control_frame": (
+            None if result.control is None else point_doc(result.control)
+        ),
         "points": [point_doc(p) for p in result.points],
     }
 
@@ -511,6 +625,9 @@ def gates(payload: Dict[str, object]) -> List[str]:
     for codec, parity in payload.get("delta_parity_by_codec", {}).items():
         if not parity["messages_identical"]:
             problems.append(f"delta on/off message counts differ under {codec}")
+    control = payload.get("control_frame")
+    if control is not None and not control["splits_identical"]:
+        problems.append("control-frame batch splits differ by spelling or form")
     return problems
 
 

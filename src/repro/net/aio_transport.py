@@ -52,6 +52,7 @@ simulated runs.
 from __future__ import annotations
 
 import asyncio
+import logging
 import struct
 import threading
 import time
@@ -63,6 +64,8 @@ from repro.net.codec import JsonCodec
 from repro.net.message import BATCH, Message, make_batch, split_batch
 from repro.net.transport import Completion, Endpoint, TimerHandle, Transport
 
+_log = logging.getLogger(__name__)
+
 _LEN = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024
 
@@ -71,6 +74,10 @@ _MAX_FRAME = 64 * 1024 * 1024
 # the transport itself — endpoint handlers never see them.
 CODEC_HELLO = "CODEC_HELLO"
 CODEC_WELCOME = "CODEC_WELCOME"
+
+# What ``handler_errors`` lists in place of a message type for an
+# inbound frame no message could be read from.
+BAD_FRAME = "<bad frame>"
 
 # Default for ThreadCompletion.wait: long enough for any test or demo
 # round-trip, finite so a lost reply surfaces as a clear TransportError
@@ -227,7 +234,9 @@ class AioTcpTransport(Transport):
         self._gate.set()
         #: (msg_type, exception) pairs from handlers that raised — a bad
         #: handler must not kill the shared mux connection, but the
-        #: failure has to stay observable.
+        #: failure has to stay observable.  A frame that could not be
+        #: decoded (or was oversized) is listed under :data:`BAD_FRAME`;
+        #: that one does cost the inbound connection it arrived on.
         self.handler_errors: List[Tuple[str, BaseException]] = []
         self.set_codec(codec)
 
@@ -353,8 +362,15 @@ class AioTcpTransport(Transport):
                 self._dispatch(msg)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass
-        except (TransportError, CodecError):
-            pass
+        except (TransportError, CodecError) as exc:
+            # The stream cannot be re-synchronised after a bad frame, so
+            # the connection goes — and with it everything multiplexed
+            # on it, which is why it must not go quietly.
+            self.handler_errors.append((BAD_FRAME, exc))
+            _log.warning(
+                "dropping connection from %s: %s",
+                writer.get_extra_info("peername"), exc,
+            )
         finally:
             self._server_writers.discard(writer)
             try:

@@ -22,7 +22,10 @@ trades the ASCII JSON format for a length-friendly binary one:
 Adaptive compression rides on top: when ``compress_level`` is set,
 frames at least ``compress_min_bytes`` long are zlib-compressed, and
 the compressed form is kept only when it is actually smaller.  The
-decision is recorded per frame on the attached
+floor defaults to :data:`SEGMENT_BYTES`: a frame that already fits one
+TCP segment cannot save a packet on any link, and ``zlib.compress``
+builds and zeroes a ~270 KB deflate state per call to find that out.
+The decision is recorded per frame on the attached
 :class:`~repro.net.stats.MessageStats` (``frames_compressed`` /
 ``frames_stored`` / ``bytes_saved_compression``).
 
@@ -46,6 +49,15 @@ Value encoding (one tag byte, then data)::
     0x0B vvec    VersionVector fast path
     0x0C pset    PropertySet fast path
     0x0D delta   DeltaImage fast path
+    0x0E message nested Message: type, src, dst as strings, msg_id as a
+                 zigzag varint, reply_to as varint 0 (none) or zigzag+1,
+                 then the payload value
+
+A ``Message`` inside a payload — the sub-messages of a ``BATCH``
+envelope — is a record of its own, walked off its attributes and
+decoded straight back into a ``Message``.  The tag is additive: frames
+written before it existed spell each sub-message as a six-key dict,
+and still decode (``split_batch`` takes either spelling).
 
 Decoded results are equal to what :class:`JsonCodec` decodes from the
 same message (the cross-codec property tests assert exactly that), with
@@ -81,6 +93,12 @@ _T_IMAGE = 0x0A
 _T_VVEC = 0x0B
 _T_PSET = 0x0C
 _T_DELTA = 0x0D
+_T_MSG = 0x0E
+
+# Payload bytes of one TCP segment on a 1500-byte-MTU path, less
+# headers and options with room to spare.  A frame under this leaves in
+# one packet whether or not it is deflated, so compression can only cost.
+SEGMENT_BYTES = 1400
 
 _DOUBLE = struct.Struct(">d")
 
@@ -187,6 +205,9 @@ def _enc_value(obj: Any, out: bytearray, strings: Dict[str, int],
     if cls is list:
         _enc_list(obj, out, strings, sdef)
         return
+    if cls is Message:
+        _enc_message(obj, out, strings, sdef)
+        return
     entry = codec_mod._dispatch_for(cls)
     if entry is not None:
         tag, to_jsonable = entry
@@ -244,6 +265,23 @@ def _enc_list(obj: Any, out: bytearray, strings: Dict[str, int],
     _write_uvarint(out, len(obj))
     for v in obj:
         _enc_value(v, out, strings, sdef)
+
+
+def _enc_message(m: Message, out: bytearray, strings: Dict[str, int],
+                 sdef: Dict[str, bytes]) -> None:
+    msg_type, src, dst = m.msg_type, m.src, m.dst
+    msg_id, reply_to = m.msg_id, m.reply_to
+    if not (isinstance(msg_type, str) and isinstance(src, str)
+            and isinstance(dst, str) and isinstance(msg_id, int)
+            and (reply_to is None or isinstance(reply_to, int))):
+        raise CodecError(f"nested message is malformed: {m!r}")
+    out.append(_T_MSG)
+    _enc_str(msg_type, out, strings, sdef)
+    _enc_str(src, out, strings, sdef)
+    _enc_str(dst, out, strings, sdef)
+    _write_uvarint(out, _zigzag(msg_id))
+    _write_uvarint(out, 0 if reply_to is None else _zigzag(reply_to) + 1)
+    _enc_value(m.payload, out, strings, sdef)
 
 
 def _enc_image(img: Any, out: bytearray, strings: Dict[str, int],
@@ -384,6 +422,17 @@ def _dec_value(buf: bytes, pos: int, strings: List[str]) -> Tuple[Any, int]:
         return True, pos
     if tag == _T_FALSE:
         return False, pos
+    if tag == _T_MSG:
+        msg_type, pos = _dec_str(buf, pos, strings)
+        src, pos = _dec_str(buf, pos, strings)
+        dst, pos = _dec_str(buf, pos, strings)
+        msg_id, pos = _dec_uvarint(buf, pos)
+        reply_to, pos = _dec_uvarint(buf, pos)
+        payload, pos = _dec_value(buf, pos, strings)
+        return Message(
+            msg_type, src, dst, payload, _unzigzag(msg_id),
+            _unzigzag(reply_to - 1) if reply_to else None,
+        ), pos
     if tag == _T_IMAGE:
         return _dec_image(buf, pos, strings)
     if tag == _T_VVEC:
@@ -455,7 +504,8 @@ class BinaryCodec:
 
     ``compress_level``: zlib level 1-9 enables adaptive per-frame
     compression (``None``/0 disables it).  ``compress_min_bytes``:
-    frames shorter than this are stored raw without sampling.  ``stats``
+    frames shorter than this are stored raw without sampling; the
+    default is one TCP segment (:data:`SEGMENT_BYTES`).  ``stats``
     (attached by the owning transport) receives the per-frame
     compression decisions.
     """
@@ -465,7 +515,7 @@ class BinaryCodec:
     def __init__(
         self,
         compress_level: Optional[int] = None,
-        compress_min_bytes: int = 200,
+        compress_min_bytes: int = SEGMENT_BYTES,
     ) -> None:
         if compress_level is not None and not 0 <= compress_level <= 9:
             raise CodecError(f"compress_level must be 0-9: {compress_level}")
@@ -481,29 +531,30 @@ class BinaryCodec:
     # -- encoding --------------------------------------------------------
     def encode(self, msg: Message) -> bytes:
         try:
-            body = bytearray()
+            frame = bytearray((MAGIC_RAW,))
             strings: Dict[str, int] = {}
             sdef = self._sdef
-            _enc_value(msg.msg_type, body, strings, sdef)
-            _enc_value(msg.src, body, strings, sdef)
-            _enc_value(msg.dst, body, strings, sdef)
-            _enc_value(msg.msg_id, body, strings, sdef)
-            _enc_value(msg.reply_to, body, strings, sdef)
-            _enc_value(msg.payload, body, strings, sdef)
+            _enc_value(msg.msg_type, frame, strings, sdef)
+            _enc_value(msg.src, frame, strings, sdef)
+            _enc_value(msg.dst, frame, strings, sdef)
+            _enc_value(msg.msg_id, frame, strings, sdef)
+            _enc_value(msg.reply_to, frame, strings, sdef)
+            _enc_value(msg.payload, frame, strings, sdef)
         except CodecError:
             raise
         except (TypeError, ValueError, struct.error) as exc:
             raise CodecError(f"cannot encode {msg}: {exc}") from exc
-        return self._finish_frame(body)
+        return self._finish_frame(frame)
 
-    def _finish_frame(self, body: bytearray) -> bytes:
-        """Apply the adaptive compression decision and prepend the magic."""
+    def _finish_frame(self, frame: bytearray) -> bytes:
+        """Apply the adaptive compression decision to a raw frame (magic
+        byte already in place, body behind it)."""
         level = self.compress_level
-        stats = self.stats
         if level:
-            size = len(body)
+            stats = self.stats
+            size = len(frame) - 1
             if size >= self.compress_min_bytes:
-                packed = zlib.compress(bytes(body), level)
+                packed = zlib.compress(memoryview(frame)[1:], level)
                 if len(packed) < size:
                     if stats is not None:
                         stats.record_compression(size - len(packed))
@@ -511,27 +562,27 @@ class BinaryCodec:
             # Below the threshold, or the sample did not shrink: store.
             if stats is not None:
                 stats.record_stored()
-        return bytes((MAGIC_RAW,)) + bytes(body)
+        return bytes(frame)
 
     # -- decoding --------------------------------------------------------
     def decode(self, raw: bytes) -> Message:
         if not raw:
             raise CodecError("cannot decode empty frame")
         magic = raw[0]
-        if magic == MAGIC_ZLIB:
+        if magic == MAGIC_RAW:
+            body, pos = raw, 1
+        elif magic == MAGIC_ZLIB:
             try:
-                body = zlib.decompress(raw[1:])
+                body, pos = zlib.decompress(memoryview(raw)[1:]), 0
             except zlib.error as exc:
                 raise CodecError(f"cannot decompress frame: {exc}") from exc
-        elif magic == MAGIC_RAW:
-            body = raw[1:]
         elif magic == 0x7B:  # '{' — a JSON frame on a mixed link
             return self._json.decode(raw)
         else:
             raise CodecError(f"unknown binary frame magic: {magic:#x}")
         strings: List[str] = []
         try:
-            msg_type, pos = _dec_value(body, 0, strings)
+            msg_type, pos = _dec_value(body, pos, strings)
             src, pos = _dec_value(body, pos, strings)
             dst, pos = _dec_value(body, pos, strings)
             msg_id, pos = _dec_value(body, pos, strings)
@@ -543,8 +594,15 @@ class BinaryCodec:
             raise CodecError(_TRUNCATED) from None
         except _DECODE_ERRORS as exc:
             raise CodecError(f"cannot decode frame: {exc}") from exc
-        if not isinstance(msg_type, str):
-            raise CodecError(f"frame is not a message: bad msg_type {msg_type!r}")
+        if pos != len(body):
+            raise CodecError(
+                f"trailing bytes after message: {len(body) - pos}")
+        if not (msg_type.__class__ is str and src.__class__ is str
+                and dst.__class__ is str and msg_id.__class__ is int
+                and (reply_to is None or reply_to.__class__ is int)):
+            raise CodecError(
+                "frame is not a message: bad header "
+                f"{(msg_type, src, dst, msg_id, reply_to)!r}")
         return Message(msg_type, src, dst, payload, msg_id, reply_to)
 
 

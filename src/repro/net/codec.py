@@ -213,6 +213,11 @@ class JsonCodec:
                 self._encode_into(v, out)
             out.append("]")
             return
+        if cls is Message:
+            # A message inside a payload (a BATCH envelope's
+            # sub-messages) is spelled as its plain dict.
+            self._encode_dict(obj.to_dict(), out)
+            return
         if isinstance(obj, (bool, int, float, str)):
             # Scalar subclasses (IntEnum, str subclasses, ...) — rare;
             # format through json.dumps like the reference pass does.
@@ -278,6 +283,8 @@ class JsonCodec:
             return lowered
         if isinstance(obj, (list, tuple)):
             return [self._lower(v) for v in obj]
+        if isinstance(obj, Message):
+            return self._lower(obj.to_dict())
         if obj is None or isinstance(obj, (bool, int, float, str)):
             return obj
         raise CodecError(

@@ -84,6 +84,15 @@ class Message:
             reply_to=d.get("reply_to"),
         )
 
+    def __getitem__(self, name: str) -> Any:
+        """Field access the way the ``to_dict()`` spelling offers it: a
+        BATCH envelope's sub-messages are ``Message`` objects in process
+        and off a binary frame, dicts off a JSON one, and code that
+        peeks into an envelope without ``split_batch`` reads both."""
+        if name not in self.__dataclass_fields__:
+            raise KeyError(name)
+        return getattr(self, name)
+
     def __str__(self) -> str:
         corr = f" re:{self.reply_to}" if self.reply_to is not None else ""
         return f"[{self.msg_id}{corr}] {self.src} -> {self.dst} {self.msg_type}"
@@ -97,7 +106,11 @@ class Message:
 # The sender pays one send (one codec pass, one frame, one latency) for
 # the whole group; the receiving transport splits the envelope and
 # dispatches each sub-message to its own endpoint handler, so protocol
-# engines never see BATCH itself.
+# engines never see BATCH itself.  The envelope carries the sub-messages
+# as they are: BinaryCodec writes each as a native record and decodes it
+# straight back to a Message; JsonCodec spells each as its ``to_dict()``
+# dict, which is also what binary frames written before the native
+# record held, so a received envelope may carry either.
 
 BATCH = "BATCH"
 
@@ -115,7 +128,7 @@ def make_batch(src: str, dst: str, messages: Sequence[Message]) -> Message:
         msg_type=BATCH,
         src=src,
         dst=dst,
-        payload={"messages": [m.to_dict() for m in messages]},
+        payload={"messages": list(messages)},
     )
 
 
@@ -130,4 +143,6 @@ def split_batch(msg: Message) -> List[Message]:
     subs = msg.payload.get("messages")
     if not subs:
         raise ValueError("empty BATCH frame")
-    return [Message.from_dict(d) for d in subs]
+    return [
+        m if m.__class__ is Message else Message.from_dict(m) for m in subs
+    ]

@@ -78,6 +78,26 @@ def test_delta_parity_preserved_under_every_codec(result):
         assert 0.9 <= ratio <= 1.3, (codec, ratio)
 
 
+def test_control_frame_point_records_what_the_segment_floor_rests_on(result, payload):
+    c = result.control
+    frames = c.frames
+    assert c.splits_identical and c.sub_messages == 5
+    assert set(frames) == {"dict", "native"}
+    for forms in frames.values():
+        assert set(forms) == {"raw", "deflated"}
+        # Deflate does shrink a control frame — inside one segment, so
+        # it saves bytes and no packet.
+        assert forms["deflated"]["bytes"] < forms["raw"]["bytes"] < c.segment_bytes
+        assert all(m["encode_us"] > 0 and m["decode_us"] > 0 for m in forms.values())
+    assert frames["native"]["raw"]["bytes"] < frames["dict"]["raw"]["bytes"]
+    assert c.stored_by_default
+    assert payload["control_frame"]["frames"] == frames
+    assert "one control flush" in result.table()
+    bad = dict(payload, control_frame=dict(payload["control_frame"],
+                                           splits_identical=False))
+    assert any("control-frame" in p for p in gates(bad))
+
+
 def test_bench_payload_shape_and_acceptance(payload):
     assert payload["all_points_state_identical"] is True
     assert payload["all_points_messages_identical"] is True

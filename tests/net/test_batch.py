@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.messages import BATCH as CORE_BATCH
+from repro.net.binary_codec import BinaryCodec
 from repro.net.codec import JsonCodec
 from repro.net.message import (
     BATCH,
@@ -36,6 +37,43 @@ def test_make_and_split_batch_preserves_messages():
     assert is_batch(batch)
     out = split_batch(batch)
     assert [m.to_dict() for m in out] == [m.to_dict() for m in subs]
+
+
+def test_batch_carries_the_messages_themselves():
+    subs = _subs()
+    batch = make_batch("dir", "cm:a", subs)
+    assert all(a is b for a, b in zip(batch.payload["messages"], subs))
+    assert split_batch(batch) == subs
+    # Field access works on either spelling of a sub-message.
+    assert [m["msg_id"] for m in batch.payload["messages"]] == [
+        m.to_dict()["msg_id"] for m in subs]
+    with pytest.raises(KeyError):
+        subs[0]["nope"]
+
+
+def test_split_batch_reads_dict_and_native_spellings_alike():
+    subs = _subs()
+    spelled = Message(BATCH, "dir", "cm:a",
+                      {"messages": [m.to_dict() for m in subs[:2]] + subs[2:]})
+    assert split_batch(spelled) == subs
+
+
+def test_json_frame_of_a_batch_is_the_dict_spelling_byte_for_byte():
+    subs = _subs()
+    batch = make_batch("dir", "cm:a", subs)
+    spelled = Message(BATCH, "dir", "cm:a",
+                      {"messages": [m.to_dict() for m in subs]},
+                      msg_id=batch.msg_id)
+    assert JsonCodec().encode(batch) == JsonCodec().encode(spelled)
+    assert JsonCodec()._lower(batch.to_dict()) == JsonCodec()._lower(spelled.to_dict())
+
+
+def test_binary_batch_decodes_straight_to_messages():
+    subs = _subs()
+    decoded = BinaryCodec().decode(BinaryCodec().encode(make_batch("dir", "cm:a", subs)))
+    assert decoded.payload["messages"] == subs
+    assert all(type(m) is Message for m in decoded.payload["messages"])
+    assert split_batch(decoded) == subs
 
 
 def test_empty_batch_rejected():

@@ -2,6 +2,7 @@
 compression, and codec resolution."""
 
 import threading
+import zlib
 
 import pytest
 
@@ -16,7 +17,13 @@ from repro.core import (
 from repro.core.image import DeltaImage
 from repro.errors import CodecError
 from repro.net import BinaryCodec, JsonCodec, Message, codec_name, resolve_codec
-from repro.net.binary_codec import MAGIC_RAW, MAGIC_ZLIB, decode_value, encode_value
+from repro.net.binary_codec import (
+    MAGIC_RAW,
+    MAGIC_ZLIB,
+    SEGMENT_BYTES,
+    decode_value,
+    encode_value,
+)
 from repro.net.stats import MessageStats
 
 
@@ -143,6 +150,7 @@ def test_every_truncation_of_a_frame_is_a_codec_error():
         "props": PropertySet([Property("p", Interval(-5, 5))]),
         "vv": VersionVector({"a": 1}),
         "big": 2**70, "s": "x" * 200, "t": True,
+        "sub": Message("S", "x", "y", {"k": [1]}, msg_id=2**40, reply_to=3),
     }
     raw = BinaryCodec().encode(Message("T", "a", "b", payload, reply_to=7))
     assert BinaryCodec().decode(raw).payload["big"] == 2**70
@@ -174,6 +182,66 @@ def test_corrupt_bodies_raise_codec_error():
         decode_value(bytes((0x07,)) + b"\xff" * 9 + b"\x7f")
     with pytest.raises(CodecError, match="missing image"):
         decode_value(bytes((0x0D, 0x00)))
+
+
+def _frame(*six):
+    """A raw frame whose six header values are whatever the caller says."""
+    return bytes((MAGIC_RAW,)) + b"".join(encode_value(v) for v in six)
+
+
+def test_frame_decoder_rejects_leftovers_and_mistyped_headers():
+    codec = BinaryCodec()
+    m = Message("T", "a", "b", {"n": 1}, msg_id=5, reply_to=4)
+    raw = codec.encode(m)
+    assert codec.decode(_frame("T", "a", "b", 5, 4, {"n": 1})) == m
+    with pytest.raises(CodecError, match="trailing bytes"):
+        codec.decode(raw + b"junk")
+    packed = bytes((MAGIC_ZLIB,)) + zlib.compress(raw[1:] + b"\x00")
+    with pytest.raises(CodecError, match="trailing bytes"):
+        codec.decode(packed)
+    for header in [
+        (7, "a", "b", 5, None),      # msg_type
+        ("T", 7, "b", 5, None),      # src
+        ("T", "a", None, 5, None),   # dst
+        ("T", "a", "b", "5", None),  # msg_id
+        ("T", "a", "b", None, None),
+        ("T", "a", "b", True, None),
+        ("T", "a", "b", 5, "4"),     # reply_to
+    ]:
+        with pytest.raises(CodecError, match="not a message"):
+            codec.decode(_frame(*header, {"n": 1}))
+
+
+def test_nested_message_is_a_native_record():
+    sub = Message("PULL_REQ", "cm:a", "dir", {"view_id": "a", "keys": [1, 2]},
+                  msg_id=2**35, reply_to=None)
+    reply = Message("PULL_DATA", "dir", "cm:a", {}, msg_id=0, reply_to=2**35)
+    m = Message("T", "cm:a", "dir", {"one": sub, "more": [reply, {"deep": sub}]})
+    out = _rt(m)
+    assert out == m
+    assert type(out.payload["one"]) is Message
+    assert out.payload["more"][0].reply_to == 2**35
+    assert out.payload["more"][0].msg_id == 0
+    assert out.payload["more"][1]["deep"].reply_to is None
+    # ... and costs less than its six-key dict spelling.
+    spelled = Message("T", "cm:a", "dir", {"one": sub.to_dict()}, msg_id=m.msg_id)
+    native = Message("T", "cm:a", "dir", {"one": sub}, msg_id=m.msg_id)
+    assert len(BinaryCodec().encode(native)) < len(BinaryCodec().encode(spelled))
+    # JSON has no such record: a nested message is its plain dict.
+    assert JsonCodec().encode(native) == JsonCodec().encode(spelled)
+    assert encode_value(decode_value(encode_value(sub))) == encode_value(sub)
+
+
+def test_malformed_nested_message_is_refused_at_encode():
+    for bad in [
+        Message("T", 7, "b"),
+        Message("T", "a", None),
+        Message(None, "a", "b"),
+        Message("T", "a", "b", msg_id="x"),
+        Message("T", "a", "b", reply_to="x"),
+    ]:
+        with pytest.raises(CodecError, match="malformed"):
+            BinaryCodec().encode(Message("T", "a", "b", {"sub": bad}))
 
 
 def test_decode_json_frame_falls_back():
@@ -220,11 +288,45 @@ def test_incompressible_frames_stored():
     codec.stats = stats
     # Already-compressed bytes cannot shrink again: the adaptive check
     # must keep the raw form and count the frame as stored.
-    body = bytearray(zlib.compress(os.urandom(600), 9))
-    raw = codec._finish_frame(body)
+    body = zlib.compress(os.urandom(600), 9)
+    raw = codec._finish_frame(bytearray((MAGIC_RAW,)) + body)
     assert raw[0] == MAGIC_RAW
-    assert raw[1:] == bytes(body)
+    assert raw[1:] == body
     assert stats.frames_stored == 1 and stats.frames_compressed == 0
+
+
+def test_default_floor_is_one_segment():
+    """A frame that fits one TCP segment is never sampled; from the
+    segment size up it is deflated iff that shrinks it."""
+    import os
+
+    def message_with_body(size):
+        empty = len(BinaryCodec().encode(Message("T", "a", "b", {"blob": ""}, msg_id=1)))
+        # the blob's length varint grows from one byte to two at 128
+        m = Message("T", "a", "b", {"blob": "x" * (size - empty)}, msg_id=1)
+        raw = BinaryCodec().encode(m)
+        assert len(raw) - 1 == size
+        return m, raw
+
+    stats = MessageStats()
+    codec = BinaryCodec(compress_level=6)
+    codec.stats = stats
+    assert codec.compress_min_bytes == SEGMENT_BYTES == 1400
+    # one byte under the segment: stored, however compressible
+    m, raw = message_with_body(SEGMENT_BYTES - 1)
+    assert codec.encode(m) == raw and raw[0] == MAGIC_RAW
+    assert (stats.frames_stored, stats.frames_compressed) == (1, 0)
+    # at the segment and compressible: deflated
+    m, raw = message_with_body(SEGMENT_BYTES)
+    packed = codec.encode(m)
+    assert packed[0] == MAGIC_ZLIB and len(packed) < len(raw)
+    assert (stats.frames_stored, stats.frames_compressed) == (1, 1)
+    assert stats.bytes_saved_compression == len(raw) - len(packed)
+    assert codec.decode(packed) == m
+    # at the segment and incompressible: sampled, then stored
+    noise = bytearray((MAGIC_RAW,)) + os.urandom(SEGMENT_BYTES)
+    assert codec._finish_frame(noise) == bytes(noise)
+    assert (stats.frames_stored, stats.frames_compressed) == (2, 1)
 
 
 def test_compression_disabled_by_default():

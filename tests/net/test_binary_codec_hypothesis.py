@@ -5,6 +5,9 @@ every registered Flecc domain type, non-finite floats, and unicode keys
     binary.decode(binary.encode(m)) == json.decode(json.encode(m))
 
 which is the contract that lets a negotiated link pick either format.
+A ``Message`` nested in a payload is the one place the two differ in
+spelling: binary hands back a ``Message``, JSON its ``to_dict()`` dict
+(``split_batch`` reads both), so ``_eq`` compares them field by field.
 """
 
 import math
@@ -22,6 +25,7 @@ from repro.core import (
 )
 from repro.core.image import DeltaImage
 from repro.net import BinaryCodec, JsonCodec, Message
+from repro.net.message import make_batch, split_batch
 
 scalars = st.one_of(
     st.none(),
@@ -75,11 +79,24 @@ domain_objects = st.one_of(
     props, property_sets(), version_vectors, images(), delta_images()
 )
 
+def nested_messages(children):
+    return st.builds(
+        Message,
+        msg_type=st.sampled_from(["PULL_REQ", "R_DATA", "INVALIDATE"]),
+        src=st.text(max_size=8),
+        dst=st.sampled_from(["dir", "cm:a", "shard:3"]),
+        payload=st.dictionaries(st.text(min_size=1, max_size=6), children, max_size=3),
+        msg_id=st.integers(min_value=-(2**63), max_value=2**63),
+        reply_to=st.one_of(st.none(), st.integers(min_value=-(2**63), max_value=2**63)),
+    )
+
+
 payload_values = st.recursive(
     st.one_of(scalars, domain_objects),
     lambda children: st.one_of(
         st.lists(children, max_size=3),
         st.dictionaries(st.text(min_size=1, max_size=6), children, max_size=3),
+        nested_messages(children),
     ),
     max_leaves=12,
 )
@@ -89,8 +106,13 @@ payloads = st.dictionaries(st.text(min_size=1, max_size=8), payload_values, max_
 
 def _eq(a, b):
     """Structural equality: tuples==lists, NaN==NaN, zero-default
-    version vectors (how decoded payloads may legally differ in spelling
-    while being the same value)."""
+    version vectors, a nested Message == its dict spelling (how decoded
+    payloads may legally differ in spelling while being the same
+    value)."""
+    if isinstance(a, Message):
+        a = a.to_dict()
+    if isinstance(b, Message):
+        b = b.to_dict()
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         return len(a) == len(b) and all(_eq(x, y) for x, y in zip(a, b))
     if isinstance(a, dict) and isinstance(b, dict):
@@ -130,6 +152,22 @@ def test_compressed_roundtrip_equals_raw_binary(payload):
         packed.decode(packed.encode(m)).payload,
         raw.decode(raw.encode(m)).payload,
     )
+
+
+@given(st.lists(nested_messages(payload_values), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_batch_envelope_splits_alike_under_every_codec(subs):
+    """BATCH: Messages in, Messages out — whichever codec and whether or
+    not the frame was deflated."""
+    batch = make_batch("dir", subs[0].dst, subs)
+    header = lambda m: (m.msg_type, m.src, m.dst, m.msg_id, m.reply_to)
+    via_json = split_batch(JsonCodec().decode(JsonCodec().encode(batch)))
+    assert [header(m) for m in via_json] == [header(m) for m in subs]
+    for codec in (BinaryCodec(),
+                  BinaryCodec(compress_level=9, compress_min_bytes=1)):
+        decoded = codec.decode(codec.encode(batch))
+        assert all(type(m) is Message for m in decoded.payload["messages"])
+        assert _eq(split_batch(decoded), via_json)
 
 
 @given(st.dictionaries(

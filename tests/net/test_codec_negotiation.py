@@ -17,7 +17,7 @@ from repro.net import (
     SimTransport,
     resolve_transport,
 )
-from repro.net.aio_transport import CODEC_HELLO, CODEC_WELCOME
+from repro.net.aio_transport import BAD_FRAME, CODEC_HELLO, CODEC_WELCOME
 from repro.sim.kernel import SimKernel
 
 _LEN = struct.Struct(">I")
@@ -147,6 +147,42 @@ def test_unknown_codec_preference_falls_back_to_json(transport):
         _send_frame(sock, json_codec.encode(Message("DATA", "ext", "dir", {})))
         assert done.wait(5.0)
     assert got[0].msg_type == "DATA"
+
+
+def test_undecodable_frame_is_recorded_and_logged_not_swallowed(transport, caplog):
+    """A corrupt frame costs the inbound connection (the stream cannot
+    be re-synchronised) — loudly: ``handler_errors`` and one warning."""
+    got = []
+    done = threading.Event()
+    transport.bind("dir", lambda m: (got.append(m), done.set()))
+    json_codec, binary_codec = JsonCodec(), BinaryCodec()
+    good = binary_codec.encode(Message("DATA", "ext", "dir", {"i": 9}))
+    with caplog.at_level("WARNING", logger="repro.net.aio_transport"):
+        with socket.create_connection(
+            ("127.0.0.1", transport.port), timeout=5.0
+        ) as sock:
+            hello = Message(CODEC_HELLO, "ext", "dir",
+                            {"supported": ["binary"], "prefer": "binary"})
+            _send_frame(sock, json_codec.encode(hello))
+            assert json_codec.decode(_recv_frame(sock)).payload["use"] == "binary"
+            _send_frame(sock, good)
+            assert done.wait(5.0)
+            _send_frame(sock, good + b"junk")
+            assert sock.recv(1) == b"", "server keeps a desynchronised stream"
+    assert [m.payload for m in got] == [{"i": 9}]
+    assert [kind for kind, _ in transport.handler_errors] == [BAD_FRAME]
+    assert "trailing bytes" in str(transport.handler_errors[0][1])
+    (record,) = [r for r in caplog.records
+                 if r.name == "repro.net.aio_transport"]
+    assert "127.0.0.1" in record.getMessage()
+    assert "trailing bytes" in record.getMessage()
+    # The transport itself is unharmed: a fresh connection is served.
+    done.clear()
+    with socket.create_connection(
+        ("127.0.0.1", transport.port), timeout=5.0
+    ) as sock:
+        _send_frame(sock, json_codec.encode(Message("DATA", "ext", "dir", {})))
+        assert done.wait(5.0)
 
 
 def test_handler_never_sees_handshake_messages(transport):
