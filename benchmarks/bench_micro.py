@@ -53,30 +53,32 @@ def test_trigger_evaluate_interpreted(benchmark):
 
 
 def _conflict_views(n: int = 100):
-    """n views with staggered overlapping intervals (~20 conflicts each)."""
+    """A policy over n registered views with staggered overlapping
+    intervals (~20 conflicts each)."""
     props = {
         f"v{i:03d}": PropertySet([Property("cells", Interval(i, i + 10))])
         for i in range(n)
     }
-    return props, list(props)
+    pol = ConflictPolicy(None, props.get)
+    for vid, p in props.items():
+        pol.register_view(vid, p)
+    return pol
 
 
 def test_conflict_set_cached(benchmark):
     """100 views, repeated conflict_set — the memoized directory path."""
-    props, views = _conflict_views()
-    pol = ConflictPolicy(None, props.get)
-    result = benchmark(pol.conflict_set, "v050", views)
+    pol = _conflict_views()
+    result = benchmark(pol.conflict_set, "v050")
     assert len(result) == 20  # intervals within +/-10 of v050, minus itself
 
 
 def test_conflict_set_uncached(benchmark):
     """Same query with the cache defeated: the pre-memoization cost."""
-    props, views = _conflict_views()
-    pol = ConflictPolicy(None, props.get)
+    pol = _conflict_views()
 
     def run():
         pol.invalidate()
-        return pol.conflict_set("v050", views)
+        return pol.conflict_set("v050")
 
     assert len(benchmark(run)) == 20
 

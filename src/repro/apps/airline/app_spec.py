@@ -13,6 +13,7 @@ Two entry points:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.apps.airline.flights import (
@@ -125,12 +126,11 @@ def build_airline_system(
     use_conflict_resolver: bool = True,
     trace: Optional[TraceLog] = None,
     strict_wire: bool = True,
-    delta: Optional[bool] = None,
     codec: Optional[object] = None,
     n_shards: int = 1,
     partitioner: Optional[Partitioner] = None,
     transport: object = "sim",
-    durability: Optional[object] = None,
+    **directory_options: object,
 ) -> AirlineSystem:
     """The paper's LAN testbed as a simulated system.
 
@@ -146,6 +146,10 @@ def build_airline_system(
     ``"aio"`` the same system runs over real sockets —
     there is no topology to place endpoints on (everything is
     localhost), and ``kernel`` on the returned system is ``None``.
+
+    ``directory_options`` (``delta``, ``durability``,
+    ``concurrent_rounds``, ...) reach the system builder, and through
+    it every directory, unchanged.
     """
     from repro.net.transport import resolve_transport
 
@@ -171,39 +175,27 @@ def build_airline_system(
             f"protocol {protocol!r} cannot be sharded"
         )
     if sharded:
-        system: FleccSystem | ShardedFleccSystem = ShardedFleccSystem(
-            transport,
-            database,
-            extract_from_database,
-            merge_into_database,
-            n_shards=n_shards,
-            partitioner=partitioner,
-            conflict_resolver=(
-                seat_conflict_resolver if use_conflict_resolver else None
-            ),
-            trace=trace,
-            delta=delta,
-            extract_cells=extract_cells_from_database,
-            durability=durability,
+        build = partial(
+            ShardedFleccSystem, n_shards=n_shards, partitioner=partitioner
         )
-        if getattr(transport, "topology", None) is not None:
-            for address in system.plane.addresses:
-                transport.place(address, "db-server")
     else:
-        system = make_system(
-            protocol,
-            transport,
-            database,
-            extract_from_database,
-            merge_into_database,
-            conflict_resolver=(
-                seat_conflict_resolver if use_conflict_resolver else None
-            ),
-            trace=trace,
-            delta=delta,
-            extract_cells=extract_cells_from_database,
-            durability=durability,
-        )
-        if getattr(transport, "topology", None) is not None:
-            transport.place(system.directory.address, "db-server")
+        build = partial(make_system, protocol)
+    system: FleccSystem = build(
+        transport,
+        database,
+        extract_from_database,
+        merge_into_database,
+        conflict_resolver=(
+            seat_conflict_resolver if use_conflict_resolver else None
+        ),
+        trace=trace,
+        extract_cells=extract_cells_from_database,
+        **directory_options,
+    )
+    if getattr(transport, "topology", None) is not None:
+        # Every shard lives with the database; an unsharded directory
+        # is its one address.
+        directory = system.directory
+        for address in getattr(directory, "addresses", [directory.address]):
+            transport.place(address, "db-server")
     return AirlineSystem(kernel, transport, system, database)

@@ -8,19 +8,15 @@ can sweep ``for protocol in ProtocolName: ...`` with no other changes.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any
 
 from repro.baselines.multicast import MulticastDirectory
 from repro.core.directory import (
     DirectoryManager,
-    ExtractCells,
     ExtractFromObject,
     MergeIntoObject,
 )
-from repro.core.messages import TraceLog
-from repro.core.static_map import StaticSharingMap
 from repro.core.system import FleccSystem
-from repro.errors import ReproError
 from repro.net.transport import Transport
 
 
@@ -47,34 +43,17 @@ def make_system(
     component: Any,
     extract_from_object: ExtractFromObject,
     merge_into_object: MergeIntoObject,
-    directory_address: str = "dir",
-    static_map: Optional[StaticSharingMap] = None,
-    conflict_resolver: Optional[Callable[[str, Any, Any], Any]] = None,
-    trace: Optional[TraceLog] = None,
-    delta: Optional[bool] = None,
-    extract_cells: Optional[ExtractCells] = None,
-    durability: Any = None,
+    **system_options: Any,
 ) -> FleccSystem:
-    """Build a FleccSystem running the requested protocol's directory."""
-    protocol = ProtocolName(protocol)
-    if durability is not None and _DIRECTORY_CLASSES[protocol] is not DirectoryManager:
-        # Baseline directory classes predate the durable plane and do
-        # not accept the kwarg; failing here beats a TypeError deep in
-        # the constructor.
-        raise ReproError(
-            f"durability is not supported by the {protocol.value} directory"
-        )
+    """Build a FleccSystem running the requested protocol's directory.
+
+    ``system_options`` are :class:`~repro.core.system.FleccSystem`'s
+    (and through it the directory's) keyword options, unchanged."""
     return FleccSystem(
         transport,
         component,
         extract_from_object,
         merge_into_object,
-        directory_address=directory_address,
-        static_map=static_map,
-        conflict_resolver=conflict_resolver,
-        trace=trace,
-        directory_cls=_DIRECTORY_CLASSES[protocol],
-        delta=delta,
-        extract_cells=extract_cells,
-        durability=durability,
+        directory_cls=_DIRECTORY_CLASSES[ProtocolName(protocol)],
+        **system_options,
     )

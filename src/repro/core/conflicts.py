@@ -6,35 +6,27 @@ to the *dynamic set of data properties* — ``dynConfl`` (Definition 1).
 
 Hot-path note (paper §4.1, Fig. 4): the static map exists precisely to
 short-circuit repeated ``dynConfl`` computation.  :class:`ConflictPolicy`
-extends that idea with memoization in two flavors:
-
-* **Legacy (indexed=False)** — generation-stamped caches: pairwise
-  answers and whole per-view conflict sets are remembered until the
-  directory reports *any* membership or property change via
-  :meth:`ConflictPolicy.invalidate`, which bumps a single generation
-  counter and so drops the whole cache.  Cheap to invalidate, but a
-  churning fleet repays O(V) recomputation per view after every event,
-  and the ``conflict_set`` cache key is a ``tuple(candidates)`` whose
-  construction alone costs O(V) per query even on a hit.
-
-* **Indexed (indexed=True)** — an incremental :class:`ConflictIndex`
-  (property-key inverted index: property name / discrete value →
-  posting list of views) supplies a view's conflict *candidates* in
-  O(degree) instead of scanning the registry, and invalidation is
-  *scoped*: a membership or property change for view ``v`` evicts only
-  the cached pairs involving ``v`` and bumps a per-view membership
-  stamp on ``v``'s index neighborhood (plus static-map partners), so
-  unrelated views keep their cached conflict sets.  The per-view set
-  cache is keyed by ``(generation, stamp)`` — an O(1) check, no tuple
-  build.  The directory drives this through
-  :meth:`ConflictPolicy.register_view` /
-  :meth:`ConflictPolicy.unregister_view` /
-  :meth:`ConflictPolicy.update_properties`.
+extends that idea with an incremental :class:`ConflictIndex`
+(property-key inverted index: property name / discrete value → posting
+list of views) that supplies a view's conflict *candidates* in
+O(degree) instead of scanning the registry, and with memoization whose
+invalidation is *scoped*: a membership or property change for view
+``v`` evicts only the cached pairs involving ``v`` and bumps a per-view
+membership stamp on ``v``'s index neighborhood (plus static-map
+partners), so unrelated views keep their cached conflict sets.  The
+per-view set cache is keyed by ``(generation, stamp)`` — an O(1) check.
+The directory drives this through :meth:`ConflictPolicy.register_view` /
+:meth:`ConflictPolicy.unregister_view` /
+:meth:`ConflictPolicy.update_properties`.
 
 Candidate lists from the index are a *superset* of the true conflict
 set (postings over-approximate domain overlap; static SHARED partners
-are unioned in); every candidate is confirmed with :meth:`conflicts`,
-so answers are identical to brute force over the full registry.
+are unioned in); every candidate is confirmed with
+:meth:`ConflictPolicy.conflicts`, so answers are identical to brute
+force over the full registry —
+:func:`repro.testing.brute_force_conflict_set` is that reference, and
+``experiments/dm_profile.py`` freezes the message census and end state
+the pre-index brute-force directory produced.
 """
 
 from __future__ import annotations
@@ -176,20 +168,22 @@ class ConflictPolicy:
     are honored without re-wiring.
 
     Results are memoized per unordered pair and per conflict-set query.
-    In legacy mode (``indexed=False``) the owner of the live registry
-    must call :meth:`invalidate` on every membership/property/map
-    change; in indexed mode it reports changes per view through
+    The owner of the live registry reports changes per view through
     :meth:`register_view` / :meth:`unregister_view` /
     :meth:`update_properties` and invalidation stays scoped to the
     changed view's conflict neighborhood.  :meth:`invalidate` always
     remains a correct (if blunt) fallback.
     """
 
+    # Always true.  Kept only because benchmarks/e2e/stack.py
+    # (``Stack.knobs``) reads ``dm.policy.indexed`` and sits under the
+    # benchmark's frozen paths; goes when that line does.
+    indexed = True
+
     def __init__(
         self,
         static_map: Optional[StaticSharingMap],
         properties_of: Callable[[str], Optional[PropertySet]],
-        indexed: bool = False,
     ) -> None:
         self.static_map = static_map
         self.properties_of = properties_of
@@ -199,42 +193,33 @@ class ConflictPolicy:
         self.static_hits = 0
         self.dynamic_evals = 0
         self.cache_hits = 0
-        # Indexed-mode instrumentation: candidates the inverted index
-        # yielded (vs. full-registry scans), and membership events
-        # absorbed without a whole-cache generation bump.
+        # Candidates the inverted index yielded (vs. full-registry
+        # scans), and membership events absorbed without a whole-cache
+        # generation bump.
         self.index_candidates = 0
         self.scoped_invalidations = 0
         # Generation-stamped memoization: entries tagged with an older
         # generation than the current one are treated as absent.
         self._generation = 0
         self._pair_cache: Dict[Tuple[str, str], Tuple[int, bool]] = {}
-        self._set_cache: Dict[Tuple[str, Tuple[str, ...]], Tuple[int, List[str]]] = {}
-        # Incremental index + scoped-invalidation state (indexed mode).
-        self.index: Optional[ConflictIndex] = ConflictIndex() if indexed else None
+        # Incremental index + scoped-invalidation state.
+        self.index = ConflictIndex()
         # Per-view membership stamp: bumped whenever an event touches
         # the view's conflict neighborhood; the per-view set cache is
         # valid only while both the generation and the stamp match.
         self._stamps: Dict[str, int] = {}
-        self._iset_cache: Dict[str, Tuple[int, int, List[str]]] = {}
+        self._set_cache: Dict[str, Tuple[int, int, List[str]]] = {}
         # Reverse index of cached pair keys per view, for O(cached-deg)
         # pair eviction when that view changes.
         self._pairs_of: Dict[str, Set[Tuple[str, str]]] = {}
-
-    @property
-    def indexed(self) -> bool:
-        return self.index is not None
 
     # -- cache control --------------------------------------------------
     def invalidate(self) -> None:
         """Drop all memoized answers (membership/property/map change)."""
         self._generation += 1
-        if (
-            len(self._pair_cache) + len(self._set_cache) + len(self._iset_cache)
-            > _CACHE_SWEEP_LIMIT
-        ):
+        if len(self._pair_cache) + len(self._set_cache) > _CACHE_SWEEP_LIMIT:
             self._pair_cache.clear()
             self._set_cache.clear()
-            self._iset_cache.clear()
             self._pairs_of.clear()
 
     @property
@@ -246,7 +231,7 @@ class ConflictPolicy:
         """Membership stamp of a view (exposed for tests/probes)."""
         return self._stamps.get(view_id, 0)
 
-    # -- scoped invalidation (indexed mode) -----------------------------
+    # -- scoped invalidation ---------------------------------------------
     def _bump(self, views: Iterable[str]) -> None:
         stamps = self._stamps
         for v in views:
@@ -276,28 +261,22 @@ class ConflictPolicy:
         self, view_id: str, properties: Optional[PropertySet]
     ) -> None:
         """A view joined (or re-joined): index it, invalidate its scope."""
-        if self.index is None:
-            self.invalidate()
-            return
         affected = self.index.candidates_for(properties)
         self.index.add(view_id, properties)
         affected.update(self._static_partners(view_id))
         affected.add(view_id)
         self._evict_pairs(view_id)
-        self._iset_cache.pop(view_id, None)
+        self._set_cache.pop(view_id, None)
         self._bump(affected)
         self.scoped_invalidations += 1
 
     def unregister_view(self, view_id: str) -> None:
         """A view left: drop its postings, invalidate its scope."""
-        if self.index is None:
-            self.invalidate()
-            return
         affected = self.index.candidates(view_id)
         affected.update(self._static_partners(view_id))
         self.index.remove(view_id)
         self._evict_pairs(view_id)
-        self._iset_cache.pop(view_id, None)
+        self._set_cache.pop(view_id, None)
         self._stamps.pop(view_id, None)
         self._bump(affected)
         self.scoped_invalidations += 1
@@ -306,23 +285,17 @@ class ConflictPolicy:
         self, view_id: str, properties: Optional[PropertySet]
     ) -> None:
         """A view's properties changed: re-index, invalidate old+new scope."""
-        if self.index is None:
-            self.invalidate()
-            return
         affected = self.index.candidates(view_id)       # old neighborhood
         self.index.add(view_id, properties)             # drops old postings
         affected |= self.index.candidates(view_id)      # new neighborhood
         affected.add(view_id)
         self._evict_pairs(view_id)
-        self._iset_cache.pop(view_id, None)
+        self._set_cache.pop(view_id, None)
         self._bump(affected)
         self.scoped_invalidations += 1
 
     def invalidate_pair(self, a: str, b: str) -> None:
         """A static-map cell changed for one pair: scoped eviction."""
-        if self.index is None:
-            self.invalidate()
-            return
         key = (a, b) if a <= b else (b, a)
         self._pair_cache.pop(key, None)
         self._bump((a, b))
@@ -332,10 +305,9 @@ class ConflictPolicy:
         self, props_by_view: Dict[str, Optional[PropertySet]]
     ) -> None:
         """Rebuild the index from scratch (directory recovery path)."""
-        if self.index is not None:
-            self.index.clear()
-            for vid, props in props_by_view.items():
-                self.index.add(vid, props)
+        self.index.clear()
+        for vid, props in props_by_view.items():
+            self.index.add(vid, props)
         self.invalidate()
 
     # -- queries --------------------------------------------------------
@@ -349,11 +321,10 @@ class ConflictPolicy:
             return hit[1]
         result = self._compute(a, b)
         self._pair_cache[key] = (self._generation, result)
-        if self.index is not None:
-            # Reverse index so a later change to either view can evict
-            # exactly this entry instead of bumping the generation.
-            self._pairs_of.setdefault(a, set()).add(key)
-            self._pairs_of.setdefault(b, set()).add(key)
+        # Reverse index so a later change to either view can evict
+        # exactly this entry instead of bumping the generation.
+        self._pairs_of.setdefault(a, set()).add(key)
+        self._pairs_of.setdefault(b, set()).add(key)
         return result
 
     def _compute(self, a: str, b: str) -> bool:
@@ -371,61 +342,17 @@ class ConflictPolicy:
             return True
         return p.conflicts_with(q)
 
-    def conflict_set(
-        self, view_id: str, candidates: Optional[Iterable[str]] = None
-    ) -> List[str]:
-        """All candidates (excluding ``view_id``) that conflict with it.
+    def conflict_set(self, view_id: str) -> List[str]:
+        """Every registered view that conflicts with ``view_id``.
 
-        With explicit ``candidates`` (legacy path) the result keeps the
-        candidates' order and whole lists are cached per ``(view_id,
-        tuple(candidates))`` — an O(V) key build per call.  With
-        ``candidates=None`` (indexed mode only) candidates come from
-        the inverted index, the result is name-sorted, and the cache
-        key is the view's ``(generation, membership-stamp)`` pair — an
-        O(1) hit between scoped invalidations.
+        Candidates come from the inverted index (plus static-SHARED
+        partners) and are confirmed pairwise; the result is name-sorted
+        and a private copy.  The cache key is the view's ``(generation,
+        membership-stamp)`` pair — an O(1) hit between scoped
+        invalidations.
         """
-        if candidates is None:
-            return self._indexed_conflict_set(view_id)
-        key = (view_id, tuple(candidates))
-        hit = self._set_cache.get(key)
-        if hit is not None and hit[0] == self._generation:
-            self.cache_hits += 1
-            return list(hit[1])
-        result = [
-            c for c in key[1] if c != view_id and self.conflicts(view_id, c)
-        ]
-        self._set_cache[key] = (self._generation, result)
-        return list(result)
-
-    def op_scope(
-        self, view_id: str, candidates: Optional[Iterable[str]] = None
-    ) -> frozenset:
-        """In-flight independence footprint of a round for ``view_id``.
-
-        The scope is the view itself plus its whole conflict set —
-        index candidates confirmed pairwise, static-SHARED partners,
-        and therefore every exclusive holder or active view the round
-        could target.  Two rounds may run concurrently iff their scopes
-        are :meth:`independent` (disjoint): a round only ever sends to,
-        or changes the activity of, views inside its own scope, and any
-        view registering *after* a round started lands in the *new*
-        op's freshly-computed scope, so disjointness remains sound
-        against membership churn while a round is in flight.
-        """
-        return frozenset((view_id, *self.conflict_set(view_id, candidates)))
-
-    @staticmethod
-    def independent(scope_a: frozenset, scope_b: frozenset) -> bool:
-        """May two in-flight rounds with these scopes overlap in time?"""
-        return scope_a.isdisjoint(scope_b)
-
-    def _indexed_conflict_set(self, view_id: str) -> List[str]:
-        if self.index is None:
-            raise ValueError(
-                "conflict_set without candidates requires indexed=True"
-            )
         stamp = self._stamps.get(view_id, 0)
-        hit = self._iset_cache.get(view_id)
+        hit = self._set_cache.get(view_id)
         if hit is not None and hit[0] == self._generation and hit[1] == stamp:
             self.cache_hits += 1
             return list(hit[2])
@@ -436,5 +363,5 @@ class ConflictPolicy:
             cand.discard(view_id)
         self.index_candidates += len(cand)
         result = sorted(c for c in cand if self.conflicts(view_id, c))
-        self._iset_cache[view_id] = (self._generation, stamp, result)
+        self._set_cache[view_id] = (self._generation, stamp, result)
         return list(result)

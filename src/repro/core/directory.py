@@ -63,6 +63,9 @@ MergeIntoObject = Callable[[Any, ObjectImage, PropertySet], None]
 # the changed keys (correct, but pays the full materialization cost).
 ExtractCells = Callable[[Any, PropertySet, List[str]], ObjectImage]
 
+#: Replies kept for duplicate-request replay (at-least-once delivery).
+DEDUP_WINDOW = 256
+
 
 class ViewRecord:
     """Directory-side registration state for one view.
@@ -207,14 +210,12 @@ class DirectoryManager:
         trace: Optional[TraceLog] = None,
         on_commit: Optional[Callable[[str, int], None]] = None,
         round_timeout: Optional[float] = None,
-        dedup_window: int = 256,
         coalesce_rounds: bool = False,
         lease_duration: Optional[float] = None,
         delta: bool = True,
         extract_cells: Optional[ExtractCells] = None,
         key_filter: Optional[Callable[[str], bool]] = None,
         durability: Optional["DurabilitySpec | DurabilityManager"] = None,
-        conflict_index: bool = True,
         profile: bool = False,
         concurrent_rounds: int = 1,
     ) -> None:
@@ -269,7 +270,7 @@ class DirectoryManager:
         # At-least-once delivery tolerance: replies to the most recent
         # requests are cached by msg_id and re-sent verbatim when a
         # duplicate request arrives (instead of re-executing it).
-        self._dedup_window = dedup_window
+        self._dedup_window = DEDUP_WINDOW
         self._reply_cache: "OrderedDict[int, Message]" = OrderedDict()
         # Invoked as on_commit(cell_key, new_version) for every locally
         # committed cell update (used by the two-level extension).
@@ -296,13 +297,9 @@ class DirectoryManager:
         # introduces a cell key the index has never seen.
         self._slice_index: Dict[str, tuple] = {}
         self._known_keys: set = set()
-        # Conflict policy: indexed mode (the default) maintains the
-        # property-key inverted index and scoped invalidation; off, the
-        # pre-index brute-force path (full-registry candidate scans +
-        # whole-cache generation bumps) is preserved as the A/B baseline.
-        self.policy = ConflictPolicy(
-            static_map, self._properties_of, indexed=conflict_index
-        )
+        # Conflict policy: maintains the property-key inverted index
+        # and scoped invalidation over this registry.
+        self.policy = ConflictPolicy(static_map, self._properties_of)
         # Maintained activity sets, updated by ViewRecord's notifying
         # flag setters (see _note_activity): who is active, and who
         # holds strong-mode exclusivity, without registry scans.
@@ -472,16 +469,14 @@ class DirectoryManager:
     def conflict_set_of(self, view_id: str) -> List[str]:
         """Registered views conflicting with ``view_id`` (any activity).
 
-        Indexed policy: candidates come from the inverted index and the
-        result is cached per (generation, membership-stamp) — no
-        registry scan, no O(V) tuple key.  Brute-force policy (the A/B
-        baseline): the legacy full-candidate-list path.
+        Candidates come from the policy's inverted index and the result
+        is cached per (generation, membership-stamp) — no registry scan.
+        Subclasses may override this to change the relation; the round
+        scheduler's scopes follow it (see :meth:`_op_scope`).
         """
-        if self.policy.indexed:
-            result = self.policy.conflict_set(view_id)
-            self.counters["index_candidates"] = self.policy.index_candidates
-            return result
-        return self.policy.conflict_set(view_id, self.views.keys())
+        result = self.policy.conflict_set(view_id)
+        self.counters["index_candidates"] = self.policy.index_candidates
+        return result
 
     def _sync_policy_counters(self) -> None:
         """Mirror the policy's index instrumentation into counters."""
@@ -755,7 +750,7 @@ class DirectoryManager:
         if self.static_map is not None and not self.static_map.has_view(view_id):
             self.static_map.add_view(view_id)
         # Scoped invalidation: only this view's conflict neighborhood
-        # is re-stamped (a whole-cache bump in brute-force mode).
+        # is re-stamped.
         self.policy.register_view(view_id, rec.properties)
         self._sync_policy_counters()
         self.invalidate_slice_index(view_id)  # properties may differ
@@ -819,7 +814,7 @@ class DirectoryManager:
             return
         rec.properties = props
         # Conflict relationships may have moved: invalidate the view's
-        # old and new index neighborhoods (scoped in indexed mode).
+        # old and new index neighborhoods.
         self.policy.update_properties(rec.view_id, props)
         self._sync_policy_counters()
         self.invalidate_slice_index(rec.view_id)
@@ -971,12 +966,17 @@ class DirectoryManager:
         """Independence footprint of one round: the requesting view plus
         its whole conflict set (index candidates, static-SHARED
         partners, exclusive holders — every view the round could target
-        or race with)."""
-        if self.policy.indexed:
-            scope = self.policy.op_scope(op.view_id)
-            self.counters["index_candidates"] = self.policy.index_candidates
-            return scope
-        return self.policy.op_scope(op.view_id, self.views.keys())
+        or race with).
+
+        Built from :meth:`conflict_set_of`, the same relation
+        :meth:`_start_op` draws its targets from, so a round only ever
+        sends to, or changes the activity of, views inside its own
+        scope.  Two rounds may run concurrently iff their scopes are
+        disjoint; a view registering *after* a round started lands in
+        the *new* op's freshly-computed scope, so disjointness remains
+        sound against membership churn while a round is in flight.
+        """
+        return frozenset((op.view_id, *self.conflict_set_of(op.view_id)))
 
     def _start_running(self, op: _PendingOp) -> None:
         self._op_seq += 1
@@ -1465,9 +1465,9 @@ class DirectoryManager:
                 rec.view_id
             ):
                 self.static_map.add_view(rec.view_id)
-        # Membership-derived caches start cold; in indexed mode the
-        # inverted index is rebuilt from the recovered registry in one
-        # pass (replay never queried it, so nothing stale survives).
+        # Membership-derived caches start cold; the inverted index is
+        # rebuilt from the recovered registry in one pass (replay never
+        # queried it, so nothing stale survives).
         self.policy.reset_index(
             {vid: r.properties for vid, r in self.views.items()}
         )

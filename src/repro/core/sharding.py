@@ -374,6 +374,10 @@ class _Fanout:
 _DATA_OPS = frozenset({M.ACQUIRE, M.PULL_REQ, M.INIT_REQ})
 _DATA_REPLY = {M.ACQUIRE: M.GRANT, M.INIT_REQ: M.INIT_DATA, M.PULL_REQ: M.PULL_DATA}
 
+#: Times a disturbed multi-shard ACQUIRE is released and re-issued
+#: before the requester is told it failed.
+MAX_ACQUIRE_RETRIES = 8
+
 
 class ShardRouter(Transport):
     """CM-side request router over a partitioned directory plane.
@@ -407,7 +411,6 @@ class ShardRouter(Transport):
         shard_addresses: Sequence[str],
         partitioner: Partitioner,
         trace: Optional[TraceLog] = None,
-        max_acquire_retries: int = 8,
     ) -> None:
         super().__init__()
         if not shard_addresses:
@@ -427,7 +430,6 @@ class ShardRouter(Transport):
         self.extract_slice: Optional[Callable[[PropertySet], ObjectImage]] = None
         self._key_shard: Dict[str, int] = {}
         self.trace = trace
-        self.max_acquire_retries = max_acquire_retries
         self._inner_eps: Dict[str, Endpoint] = {}
         self._views: Dict[str, _ViewRoute] = {}
         self._by_addr: Dict[str, _ViewRoute] = {}
@@ -1004,7 +1006,7 @@ class ShardRouter(Transport):
             _absorb(fan.acc, part)
         fan.replies = []
         if fan.kind == M.ACQUIRE and fan.disturbed and not fan.errors:
-            if fan.attempts < self.max_acquire_retries:
+            if fan.attempts < MAX_ACQUIRE_RETRIES:
                 # A higher-priority contender stole a shard token while
                 # the barrier was open: the merged grant would split
                 # ownership.  Release anything held (those shards' next

@@ -10,19 +10,17 @@ case study single-sourced across both backends.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple, Union
 
 from repro.core.cache_manager import CacheManager, ExtractFromView, MergeIntoView
 from repro.core.directory import (
     DirectoryManager,
-    ExtractCells,
     ExtractFromObject,
     MergeIntoObject,
 )
 from repro.core.messages import TraceLog
 from repro.core.modes import Mode
 from repro.core.property_set import PropertySet
-from repro.core.static_map import StaticSharingMap
 from repro.core.triggers import TriggerSet
 from repro.errors import ReproError
 from repro.net.sim_transport import SimTransport
@@ -30,7 +28,12 @@ from repro.net.transport import Completion, Transport, resolve_transport
 
 
 class FleccSystem:
-    """Convenience builder for one original component and its views."""
+    """Convenience builder for one original component and its views.
+
+    ``directory_options`` go to ``directory_cls`` unchanged:
+    :class:`~repro.core.directory.DirectoryManager`'s constructor is the
+    one list of directory options and their defaults.
+    """
 
     def __init__(
         self,
@@ -39,20 +42,11 @@ class FleccSystem:
         extract_from_object: ExtractFromObject,
         merge_into_object: MergeIntoObject,
         directory_address: str = "dir",
-        static_map: Optional[StaticSharingMap] = None,
-        conflict_resolver: Optional[Callable[[str, Any, Any], Any]] = None,
         trace: Optional[TraceLog] = None,
         directory_cls: type = DirectoryManager,
-        coalesce_rounds: bool = False,
-        round_timeout: Optional[float] = None,
-        lease_duration: Optional[float] = None,
-        delta: Optional[bool] = None,
-        extract_cells: Optional[ExtractCells] = None,
+        delta: bool = True,
         codec: Any = None,
-        durability: Any = None,
-        conflict_index: Optional[bool] = None,
-        profile: bool = False,
-        concurrent_rounds: Optional[int] = None,
+        **directory_options: Any,
     ) -> None:
         # `transport` may be an instance or a resolve_transport spec
         # string ("sim" | "aio"): the backends are interchangeable
@@ -70,38 +64,10 @@ class FleccSystem:
                     f"selection (no set_codec method)"
                 )
             set_codec(codec)
-        # Delta synchronization A/B switch: None keeps the directory's
-        # and cache managers' own defaults (delta on); True/False forces
-        # it for the whole system — the experiments' baseline toggle.
+        # Delta synchronization is named here because both ends of a
+        # serve must agree on it: the directory and every cache manager
+        # :meth:`add_view` builds get the same value.
         self.delta = delta
-        directory_kwargs: Dict[str, Any] = {}
-        # Passed only when set: baseline directory classes predate the
-        # fault-tolerance options and need not accept them.
-        if round_timeout is not None:
-            directory_kwargs["round_timeout"] = round_timeout
-        if lease_duration is not None:
-            directory_kwargs["lease_duration"] = lease_duration
-        if delta is not None:
-            directory_kwargs["delta"] = delta
-        if extract_cells is not None:
-            directory_kwargs["extract_cells"] = extract_cells
-        if durability is not None:
-            # A DurabilitySpec (or pre-built DurabilityManager): the
-            # directory recovers its lineage before binding.
-            directory_kwargs["durability"] = durability
-        if conflict_index is not None:
-            # Conflict-index A/B switch: None keeps the directory's own
-            # default (indexed on); False forces the pre-index
-            # brute-force paths — the dm_profile experiment's baseline.
-            directory_kwargs["conflict_index"] = conflict_index
-        if profile:
-            # Op-path profiler (core/profiling.py): off by default.
-            directory_kwargs["profile"] = True
-        if concurrent_rounds is not None:
-            # Round-scheduler concurrency: None keeps the directory's
-            # own default (1 = the serial queue); N > 1 bounds the
-            # in-flight op table, 0 = unbounded independent rounds.
-            directory_kwargs["concurrent_rounds"] = concurrent_rounds
         self.directory = self._build_directory(
             directory_cls,
             transport=transport,
@@ -109,11 +75,9 @@ class FleccSystem:
             component=component,
             extract_from_object=extract_from_object,
             merge_into_object=merge_into_object,
-            static_map=static_map,
-            conflict_resolver=conflict_resolver,
             trace=trace,
-            coalesce_rounds=coalesce_rounds,
-            **directory_kwargs,
+            delta=delta,
+            **directory_options,
         )
         self.cache_managers: Dict[str, CacheManager] = {}
 
@@ -139,9 +103,6 @@ class FleccSystem:
         """Create (but do not yet start) the cache manager for a view."""
         if view_id in self.cache_managers:
             raise ReproError(f"view id already in system: {view_id}")
-        cm_kwargs: Dict[str, Any] = {}
-        if self.delta is not None:
-            cm_kwargs["delta"] = self.delta
         cm = CacheManager(
             transport=self.transport,
             directory_address=self.directory.address,
@@ -157,7 +118,7 @@ class FleccSystem:
             request_timeout=request_timeout,
             max_retries=max_retries,
             heartbeat_period=heartbeat_period,
-            **cm_kwargs,
+            delta=self.delta,
         )
         self.cache_managers[view_id] = cm
         return cm

@@ -68,11 +68,9 @@ def run_abl1(n_agents: int = 16, seed: int = 0) -> Abl1Result:
         if conservative:
             ids = [f"ta-{i:03d}" for i in range(n_agents)]
             static_map = StaticSharingMap(ids, default=Sharing.SHARED)
-        airline = build_airline_system(database, strict_wire=False)
-        if static_map is not None:
-            airline.directory.static_map = static_map
-            airline.directory.policy.static_map = static_map
-            airline.directory.policy.invalidate()  # conflict inputs replaced
+        airline = build_airline_system(
+            database, strict_wire=False, static_map=static_map
+        )
         groups = make_agent_groups(n_agents, n_conflicting)
         scripts = []
         for i, served in enumerate(groups):

@@ -156,16 +156,12 @@ def _workload(
     one-element list holding the current directory instance (restarts
     replace it in place).
     """
-    dm_kwargs: Dict[str, object] = {}
-    if durability is not None:
-        dm_kwargs["durability"] = durability
-
     def build_dm() -> DirectoryManager:
         return DirectoryManager(
             transport=transport, address="dir", component=store,
             extract_from_object=extract_from_object,
             merge_into_object=merge_into_object,
-            **dm_kwargs,
+            durability=durability,
         )
 
     dm_box = [build_dm()]

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import messages as M
 from repro.core.system import FleccSystem, run_all_scripts
 from repro.experiments.report import Table
 from repro.experiments.runner import Experiment, Param, cli, point_doc
+from repro.net.message import Message
 from repro.net.sim_transport import SimTransport
+from repro.net.stats import MessageStats
 from repro.sim.kernel import SimKernel
 from repro.testing import (
     Agent,
@@ -96,18 +98,50 @@ class DeltaSweepResult:
         return t
 
 
-def _run_workload(
-    n_cells: int, dirty_per_round: int, rounds: int, delta: bool,
-) -> Tuple[Store, Agent, Dict[str, int], Dict[str, int], List[float], Dict[str, int], Dict[str, int]]:
+@dataclass
+class StoreRun:
+    """What one writer/reader run left behind."""
+
+    store: Store
+    reader_agent: Agent
+    stats: MessageStats
+    counters: Dict[str, int]        # the directory's
+    pull_wall: List[float]          # wall seconds around each pull
+    captured: List[Message]         # every message sent, with ``capture``
+
+
+def run_store_workload(
+    n_cells: int,
+    dirty_per_round: int,
+    rounds: int,
+    delta: bool,
+    codec: Optional[str] = None,
+    capture: bool = False,
+) -> StoreRun:
     """One serial run; returns final state and wire/latency measurements.
 
     The writer commits ``dirty_per_round`` rotating cells per round and
     the reader pulls once per round, offset into the writer's quiet
     period so the wall time around each ``pull_image`` measures the
     serve path (extract, encode, decode, apply) and nothing else.
+    ``codec`` picks the wire codec (the transport's default when
+    ``None``); the wire sweep runs this same workload per codec.
     """
     kernel = SimKernel()
-    transport = SimTransport(kernel, default_latency=1.0, strict_wire=True)
+    captured: List[Message] = []
+    fault_policy = None
+    if capture:
+        def fault_policy(msg: Message) -> str:
+            captured.append(msg)
+            return "deliver"
+
+    transport = SimTransport(
+        kernel,
+        default_latency=1.0,
+        strict_wire=True,
+        fault_policy=fault_policy,
+        codec=codec,
+    )
     store = Store({f"c{i:04d}": i for i in range(n_cells)})
     system = FleccSystem(
         transport,
@@ -156,23 +190,9 @@ def _run_workload(
         yield reader.kill_image()
 
     run_all_scripts(transport, [writer_script(), reader_script()])
-    stats = transport.stats
-    image_stats = {
-        "images_full": stats.images_full,
-        "images_delta": stats.images_delta,
-        "cells_sent": stats.cells_sent,
-        "cells_skipped": stats.cells_skipped,
-        "delta_serves": system.directory.counters["delta_serves"],
-        "slice_index_hits": system.directory.counters["slice_index_hits"],
-    }
-    return (
-        store,
-        reader_agent,
-        dict(stats.by_type),
-        dict(stats.bytes_by_type),
-        pull_wall,
-        image_stats,
-        {"pulls": stats.by_type.get(M.PULL_DATA, 0)},
+    return StoreRun(
+        store, reader_agent, transport.stats, system.directory.counters,
+        pull_wall, captured,
     )
 
 
@@ -187,13 +207,15 @@ def run_delta_sweep(
     """A/B every sweep point: ``(n_cells, dirty_per_round)`` pairs."""
     result = DeltaSweepResult()
     for n_cells, dirty in sweep:
-        full = _run_workload(n_cells, dirty, rounds, delta=False)
-        dlt = _run_workload(n_cells, dirty, rounds, delta=True)
-        f_store, f_reader, f_types, f_bytes, f_wall, _f_img, f_pulls = full
-        d_store, d_reader, d_types, d_bytes, d_wall, d_img, d_pulls = dlt
-        pulls = d_pulls["pulls"]
-        full_per_pull = f_bytes.get(M.PULL_DATA, 0) / pulls if pulls else 0.0
-        delta_per_pull = d_bytes.get(M.PULL_DATA, 0) / pulls if pulls else 0.0
+        full = run_store_workload(n_cells, dirty, rounds, delta=False)
+        dlt = run_store_workload(n_cells, dirty, rounds, delta=True)
+        pulls = dlt.stats.by_type.get(M.PULL_DATA, 0)
+        full_per_pull = (
+            full.stats.bytes_by_type.get(M.PULL_DATA, 0) / pulls if pulls else 0.0
+        )
+        delta_per_pull = (
+            dlt.stats.bytes_by_type.get(M.PULL_DATA, 0) / pulls if pulls else 0.0
+        )
         result.points.append(
             DeltaPoint(
                 n_cells=n_cells,
@@ -205,19 +227,19 @@ def run_delta_sweep(
                 bytes_reduction=(
                     full_per_pull / delta_per_pull if delta_per_pull else 0.0
                 ),
-                full_latency_ms=_mean_ms(f_wall),
-                delta_latency_ms=_mean_ms(d_wall),
-                images_full=d_img["images_full"],
-                images_delta=d_img["images_delta"],
-                cells_sent=d_img["cells_sent"],
-                cells_skipped=d_img["cells_skipped"],
-                delta_serves=d_img["delta_serves"],
-                slice_index_hits=d_img["slice_index_hits"],
+                full_latency_ms=_mean_ms(full.pull_wall),
+                delta_latency_ms=_mean_ms(dlt.pull_wall),
+                images_full=dlt.stats.images_full,
+                images_delta=dlt.stats.images_delta,
+                cells_sent=dlt.stats.cells_sent,
+                cells_skipped=dlt.stats.cells_skipped,
+                delta_serves=dlt.counters["delta_serves"],
+                slice_index_hits=dlt.counters["slice_index_hits"],
                 state_identical=(
-                    f_store.cells == d_store.cells
-                    and f_reader.local == d_reader.local
+                    full.store.cells == dlt.store.cells
+                    and full.reader_agent.local == dlt.reader_agent.local
                 ),
-                messages_identical=f_types == d_types,
+                messages_identical=full.stats.by_type == dlt.stats.by_type,
             )
         )
     return result

@@ -239,13 +239,13 @@ def _run_point(spec: str, n_cms: int, cycles: int) -> ScalePoint:
     transport = AioTcpTransport(max_queue=2 * n_cms + 1024, wrap_batches=True)
     n_cells = n_cms // 2 if paired else n_cms
     store = Store({_cell(i): 0 for i in range(n_cells)})
+    # The paired point is the directory-bound leg: unbounded concurrent
+    # rounds, so independent pairs' revocation rounds overlap.  The
+    # other points keep the directory's own (serial) default.
+    scheduler = {"concurrent_rounds": 0} if paired else {}
     system = FleccSystem(
         transport, store, extract_from_object, merge_into_object,
-        extract_cells=extract_cells,
-        # The paired point is the directory-bound leg: unbounded
-        # concurrent rounds, so independent pairs' revocation rounds
-        # overlap.  None keeps the serial default elsewhere.
-        concurrent_rounds=0 if paired else None,
+        extract_cells=extract_cells, **scheduler,
     )
     lock = threading.Lock()
     done = threading.Event()

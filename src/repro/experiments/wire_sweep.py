@@ -52,8 +52,9 @@ from repro.apps.airline.workload import (
     reserve_operations,
 )
 from repro.core import messages as M
-from repro.core.system import FleccSystem, run_all_scripts
+from repro.core.system import run_all_scripts
 from repro.core.triggers import TriggerSet
+from repro.experiments.delta_sweep import run_store_workload
 from repro.experiments.fig4_efficiency import _staggered
 from repro.experiments.report import Table
 from repro.experiments.runner import Experiment, Param, cli, point_doc
@@ -65,18 +66,7 @@ from repro.net.binary_codec import (
 )
 from repro.net.message import BATCH, Message, make_batch, reset_message_ids, split_batch
 from repro.net.reliability import R_ACK, R_DATA
-from repro.net.sim_transport import SimTransport
-from repro.sim.kernel import SimKernel
-from repro.testing import (
-    Agent,
-    Store,
-    extract_cells,
-    extract_from_object,
-    extract_from_view,
-    merge_into_object,
-    merge_into_view,
-    props_for,
-)
+from repro.net.stats import MessageStats
 
 #: Codec specs swept by default (resolve_codec spellings).
 CODECS: Tuple[str, ...] = ("json", "binary", "binary+zlib")
@@ -92,17 +82,12 @@ class WorkloadRun:
 
     state: Dict[str, Any]            # final primary-copy cells
     view_state: Dict[str, Any]       # final reader/agent-side cells
-    by_type: Dict[str, int]          # logical message counts (Fig 4)
-    bytes_by_type: Dict[str, int]    # encoded frame bytes per type
-    total_messages: int
-    frames_compressed: int
-    frames_stored: int
-    bytes_saved_compression: int
+    stats: MessageStats              # the run's transport ledger
     captured: List[Message] = field(default_factory=list, repr=False)
 
     @property
     def payload_bytes(self) -> int:
-        return sum(self.bytes_by_type.get(t, 0) for t in PAYLOAD_TYPES)
+        return sum(self.stats.bytes_by_type.get(t, 0) for t in PAYLOAD_TYPES)
 
 
 @dataclass
@@ -232,77 +217,12 @@ def _run_store_workload(
     produce equal :class:`Message` streams — ids included.
     """
     reset_message_ids()
-    kernel = SimKernel()
-    captured: List[Message] = []
-    fault_policy = None
-    if capture:
-        def fault_policy(msg: Message) -> str:
-            captured.append(msg)
-            return "deliver"
-
-    transport = SimTransport(
-        kernel,
-        default_latency=1.0,
-        strict_wire=True,
-        fault_policy=fault_policy,
-        codec=codec,
+    run = run_store_workload(
+        n_cells, dirty_per_round, rounds, delta, codec=codec, capture=capture
     )
-    store = Store({f"c{i:04d}": i for i in range(n_cells)})
-    system = FleccSystem(
-        transport,
-        store,
-        extract_from_object,
-        merge_into_object,
-        delta=delta,
-        extract_cells=extract_cells,
-    )
-    keys = sorted(store.cells)
-    writer_agent = Agent()
-    writer = system.add_view(
-        "writer", writer_agent, props_for(keys),
-        extract_from_view, merge_into_view,
-    )
-    reader_agent = Agent()
-    reader = system.add_view(
-        "reader", reader_agent, props_for(keys),
-        extract_from_view, merge_into_view,
-    )
-    period = 10.0
-
-    def writer_script():
-        yield writer.start()
-        yield writer.init_image()
-        for r in range(rounds):
-            yield writer.start_use_image()
-            for j in range(dirty_per_round):
-                key = keys[(r * dirty_per_round + j) % n_cells]
-                writer_agent.local[key] = (r + 1) * 1_000_000 + j
-            writer.end_use_image()
-            yield writer.push_image()
-            yield ("sleep", period)
-        yield writer.kill_image()
-
-    def reader_script():
-        yield reader.start()
-        yield reader.init_image()
-        yield ("sleep", period / 2.0)
-        for _ in range(rounds):
-            yield reader.pull_image()
-            yield ("sleep", period)
-        yield reader.kill_image()
-
-    run_all_scripts(transport, [writer_script(), reader_script()])
-    stats = transport.stats
     return WorkloadRun(
-        state=dict(store.cells),
-        view_state=dict(reader_agent.local),
-        by_type=dict(stats.by_type),
-        bytes_by_type=dict(stats.bytes_by_type),
-        total_messages=stats.total,
-        frames_compressed=stats.frames_compressed,
-        frames_stored=stats.frames_stored,
-        bytes_saved_compression=stats.bytes_saved_compression,
-        captured=captured,
+        dict(run.store.cells), dict(run.reader_agent.local),
+        run.stats, run.captured,
     )
 
 
@@ -337,17 +257,9 @@ def _run_fig4_workload(
             _staggered(lifecycle(cm, agent, ops, think_time=1.0), i * stagger)
         )
     run_all_scripts(airline.transport, scripts)
-    stats = airline.stats
     return WorkloadRun(
-        state={num: f.to_cell() for num, f in database.flights.items()},
-        view_state={},
-        by_type=dict(stats.by_type),
-        bytes_by_type=dict(stats.bytes_by_type),
-        total_messages=stats.total,
-        frames_compressed=stats.frames_compressed,
-        frames_stored=stats.frames_stored,
-        bytes_saved_compression=stats.bytes_saved_compression,
-        captured=captured,
+        {num: f.to_cell() for num, f in database.flights.items()}, {},
+        airline.stats, captured,
     )
 
 
@@ -462,7 +374,8 @@ def run_wire_sweep(
             for r in runs.values()
         )
         messages_identical = all(
-            r.by_type == base.by_type and _streams_equal(r.captured, base.captured)
+            r.stats.by_type == base.stats.by_type
+            and _streams_equal(r.captured, base.captured)
             for r in runs.values()
         )
         decoded_identical = _decoded_identical(base.captured, codecs)
@@ -473,7 +386,7 @@ def run_wire_sweep(
                 rounds=rounds,
                 payload_bytes={c: runs[c].payload_bytes for c in codecs},
                 total_bytes={
-                    c: sum(runs[c].bytes_by_type.values()) for c in codecs
+                    c: sum(runs[c].stats.bytes_by_type.values()) for c in codecs
                 },
                 reduction={
                     c: round(
@@ -482,10 +395,12 @@ def run_wire_sweep(
                     )
                     for c in codecs
                 },
-                frames_compressed={c: runs[c].frames_compressed for c in codecs},
-                frames_stored={c: runs[c].frames_stored for c in codecs},
+                frames_compressed={
+                    c: runs[c].stats.frames_compressed for c in codecs
+                },
+                frames_stored={c: runs[c].stats.frames_stored for c in codecs},
                 bytes_saved_compression={
-                    c: runs[c].bytes_saved_compression for c in codecs
+                    c: runs[c].stats.bytes_saved_compression for c in codecs
                 },
                 delta_vs_full_payload_ratio={
                     c: round(
@@ -495,7 +410,8 @@ def run_wire_sweep(
                     for c in codecs
                 },
                 delta_messages_identical={
-                    c: runs[c].by_type == full_runs[c].by_type for c in codecs
+                    c: runs[c].stats.by_type == full_runs[c].stats.by_type
+                    for c in codecs
                 },
                 state_identical=state_identical,
                 messages_identical=messages_identical,
@@ -512,10 +428,10 @@ def run_wire_sweep(
     result.fig4 = Fig4WireResult(
         n_agents=fig4_agents,
         n_conflicting=fig4_conflicting,
-        total_messages={c: fig4_runs[c].total_messages for c in codecs},
+        total_messages={c: fig4_runs[c].stats.total for c in codecs},
         payload_bytes={c: fig4_runs[c].payload_bytes for c in codecs},
         total_bytes={
-            c: sum(fig4_runs[c].bytes_by_type.values()) for c in codecs
+            c: sum(fig4_runs[c].stats.bytes_by_type.values()) for c in codecs
         },
         reduction={
             c: round(
@@ -527,7 +443,7 @@ def run_wire_sweep(
             r.state == fbase.state for r in fig4_runs.values()
         ),
         messages_identical=all(
-            r.by_type == fbase.by_type
+            r.stats.by_type == fbase.stats.by_type
             and _streams_equal(r.captured, fbase.captured)
             for r in fig4_runs.values()
         ),

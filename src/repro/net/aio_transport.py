@@ -69,6 +69,9 @@ _log = logging.getLogger(__name__)
 _LEN = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024
 
+# Most messages the writer coalesces into one ``drain()``.
+MAX_FLUSH = 128
+
 # Codec-negotiation handshake message types.  Both frames are always
 # JSON-encoded (the one format every peer speaks) and are consumed by
 # the transport itself — endpoint handlers never see them.
@@ -193,7 +196,6 @@ class AioTcpTransport(Transport):
     always kept as the negotiation fallback.
     ``max_queue`` bounds the mux send queue (full queue ⇒ the send is
     refused with ``TransportError`` + a ``backpressure_stalls`` tick).
-    ``max_flush`` caps frames coalesced into one ``drain()``.
     ``wrap_batches`` additionally wraps each multi-frame flush in a
     single ``BATCH`` envelope: one codec pass and one frame per flush,
     with logical per-message counts (the Fig-4 metric) unchanged —
@@ -206,13 +208,11 @@ class AioTcpTransport(Transport):
         time_scale: float = 1000.0,
         codec: Any = None,
         max_queue: int = 4096,
-        max_flush: int = 128,
         wrap_batches: bool = False,
     ) -> None:
         super().__init__()
         self.time_scale = time_scale
         self.max_queue = max_queue
-        self.max_flush = max_flush
         self.wrap_batches = wrap_batches
         self._t0 = time.monotonic()
         self._closed = False
@@ -474,7 +474,7 @@ class AioTcpTransport(Transport):
                 await self._gate.wait()
                 msgs: List[Message] = []
                 with link.lock:
-                    while link.queue and len(msgs) < self.max_flush:
+                    while link.queue and len(msgs) < MAX_FLUSH:
                         msgs.append(link.queue.popleft())
                 if not msgs:
                     continue

@@ -80,6 +80,11 @@ Link = Tuple[str, str]  # (sender address, receiver address)
 _LATE_FIRE = 0.1
 _LATE_DEFER = 0.25
 
+# Message ids remembered per receiving link for duplicate suppression,
+# and the ceiling (transport time units) on one retransmission delay.
+DEDUP_WINDOW = 1024
+MAX_BACKOFF = 200.0
+
 
 class _Outgoing:
     """Sender-side state for one envelope; ``envelope`` is dropped
@@ -156,8 +161,6 @@ class ReliableTransport(Transport):
         backoff: float = 1.5,
         jitter: float = 0.1,
         seed: int = 0,
-        dedup_window: int = 1024,
-        max_backoff: float = 200.0,
     ) -> None:
         super().__init__()
         if ack_timeout <= 0:
@@ -173,8 +176,6 @@ class ReliableTransport(Transport):
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.jitter = jitter
-        self.max_backoff = max_backoff
-        self._dedup_window = dedup_window
         from repro.sim.rng import stream_for
 
         self._jitter_rng = stream_for(seed, "reliability-jitter")
@@ -271,7 +272,7 @@ class ReliableTransport(Transport):
 
     def _retry_delay(self, sender: _LinkSender, attempt: int) -> float:
         delay = min(sender.rto(self.ack_timeout) * self.backoff ** (attempt - 1),
-                    self.max_backoff)
+                    MAX_BACKOFF)
         if self.jitter > 0.0:
             delay *= 1.0 + self.jitter * (2.0 * self._jitter_rng.random() - 1.0)
         return delay
@@ -409,7 +410,7 @@ class ReliableTransport(Transport):
                 self.stats.record_duplicate_suppressed(frame)
                 return
             recv.seen_ids[frame.msg_id] = None
-            while len(recv.seen_ids) > self._dedup_window:
+            while len(recv.seen_ids) > DEDUP_WINDOW:
                 recv.seen_ids.popitem(last=False)
             recv.pending[seq] = Message(
                 p["t"], frame.src, frame.dst, p["p"], p["i"], p["r"]

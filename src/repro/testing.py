@@ -33,7 +33,7 @@ fault the directory's own op path.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.core import (
     DiscreteSet,
@@ -46,6 +46,7 @@ from repro.core import (
 from repro.core import messages as M
 from repro.core.directory import DirectoryManager
 from repro.core.messages import TraceLog
+from repro.core.static_map import Sharing, StaticSharingMap
 from repro.core.system import run_all_scripts, run_view_script
 from repro.core.triggers import TriggerSet
 from repro.net import SimTransport
@@ -105,6 +106,26 @@ def merge_into_view(agent: Agent, image: ObjectImage, props: PropertySet) -> Non
 
 def props_for(cells: Iterable[str]) -> PropertySet:
     return PropertySet([Property("cells", DiscreteSet(set(cells)))])
+
+
+def brute_force_conflict_set(
+    view_id: str,
+    properties: Mapping[str, Optional[PropertySet]],
+    static_map: Optional[StaticSharingMap] = None,
+) -> List[str]:
+    """Reference answer to "which views conflict with ``view_id``?":
+    paper §4.1 over every registered view — the static sharing cell
+    when it decides, else ``dynConfl`` (unknown properties conflict
+    with everyone) — with no index and no cache."""
+    def conflicts(other: str) -> bool:
+        if static_map is not None:
+            cell = static_map.get_if_present(view_id, other)
+            if cell is not None and cell is not Sharing.DYNAMIC:
+                return cell is Sharing.SHARED
+        p, q = properties[view_id], properties[other]
+        return p is None or q is None or p.conflicts_with(q)
+
+    return sorted(v for v in properties if v != view_id and conflicts(v))
 
 
 class ProtocolFixture:

@@ -17,7 +17,10 @@ from tests.core.harness import ProtocolFixture, props_for
 
 
 def _policy(registry):
-    return ConflictPolicy(None, registry.get)
+    pol = ConflictPolicy(None, registry.get)
+    for vid, props in registry.items():
+        pol.register_view(vid, props)
+    return pol
 
 
 def _interval_props(**kw):
@@ -57,25 +60,18 @@ def test_invalidate_forces_recompute():
 
 def test_conflict_set_caches_whole_result():
     pol = _policy(_interval_props(a=(0, 10), b=(5, 15), c=(100, 110)))
-    views = ["a", "b", "c"]
-    assert pol.conflict_set("a", views) == ["b"]
+    assert pol.conflict_set("a") == ["b"]
     evals = pol.dynamic_evals
-    assert pol.conflict_set("a", views) == ["b"]
+    assert pol.conflict_set("a") == ["b"]
     assert pol.dynamic_evals == evals  # second call answered from cache
     assert pol.cache_hits >= 1
 
 
 def test_conflict_set_result_is_a_private_copy():
     pol = _policy(_interval_props(a=(0, 10), b=(5, 15)))
-    first = pol.conflict_set("a", ["a", "b"])
+    first = pol.conflict_set("a")
     first.append("tampered")
-    assert pol.conflict_set("a", ["a", "b"]) == ["b"]
-
-
-def test_conflict_set_distinguishes_candidate_lists():
-    pol = _policy(_interval_props(a=(0, 10), b=(5, 15), c=(7, 20)))
-    assert pol.conflict_set("a", ["a", "b"]) == ["b"]
-    assert pol.conflict_set("a", ["a", "b", "c"]) == ["b", "c"]
+    assert pol.conflict_set("a") == ["b"]
 
 
 def test_static_map_cell_change_honored_after_invalidate():

@@ -10,11 +10,9 @@ Two obligations, tested separately:
 2. *Scope*: invalidation stays local.  A membership event for view v
    must not evict cached answers of views outside v's conflict
    neighborhood, and the per-view set cache must be keyed by the
-   membership epoch — no O(V) ``tuple(candidates)`` key on the indexed
-   path.
+   membership epoch.
 """
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -29,6 +27,7 @@ from repro.core import (
 from repro.core.conflicts import ConflictIndex, ConflictPolicy
 from repro.core.domains import EMPTY_DOMAIN
 from repro.core.static_map import Sharing
+from repro.testing import brute_force_conflict_set
 from tests.core.harness import ProtocolFixture
 
 
@@ -119,7 +118,7 @@ def test_remove_cleans_empty_postings():
 
 
 def _indexed_policy(registry, static_map=None):
-    pol = ConflictPolicy(static_map, registry.get, indexed=True)
+    pol = ConflictPolicy(static_map, registry.get)
     for vid, props in registry.items():
         pol.register_view(vid, props)
     return pol
@@ -133,15 +132,9 @@ def test_indexed_conflict_set_needs_no_candidate_list():
     }
     pol = _indexed_policy(registry)
     assert pol.conflict_set("a") == ["b"]
-    # The legacy tuple-key cache is untouched: the indexed path keys by
-    # (generation, membership stamp), not tuple(candidates).
-    assert pol._set_cache == {}
-
-
-def test_unindexed_policy_rejects_indexless_query():
-    pol = ConflictPolicy(None, {}.get, indexed=False)
-    with pytest.raises(ValueError):
-        pol.conflict_set("a")
+    # One cache entry per queried view, keyed by the view id alone and
+    # validated by (generation, membership stamp).
+    assert list(pol._set_cache) == ["a"]
 
 
 def test_unrelated_register_keeps_cached_set():
@@ -254,7 +247,7 @@ def test_global_invalidate_still_works_as_fallback():
 
 
 def test_reset_index_rebuilds_from_scratch():
-    pol = ConflictPolicy(None, {}.get, indexed=True)
+    pol = ConflictPolicy(None, {}.get)
     registry = {
         "a": _ps(cells=DiscreteSet({1})),
         "b": _ps(cells=DiscreteSet({1})),
@@ -280,7 +273,6 @@ def test_external_writer_slice_invalidation_with_index():
 
     fx.run_scripts(setup())
     directory = fx.system.directory
-    assert directory.policy.indexed
     assert directory.slice_keys_of("v1") == ["a"]
     # An external writer (anti-entropy absorb) introduces cell "b".
     fx.store.cells["b"] = 42
@@ -314,9 +306,7 @@ class ConflictChurnMachine(RuleBasedStateMachine):
         super().__init__()
         self.static_map = StaticSharingMap()
         self.registry = {}
-        self.policy = ConflictPolicy(
-            self.static_map, self.registry.get, indexed=True
-        )
+        self.policy = ConflictPolicy(self.static_map, self.registry.get)
 
     @rule(view=st.sampled_from(VIEW_POOL), props=PROPS_POOL)
     def register(self, view, props):
@@ -363,13 +353,9 @@ class ConflictChurnMachine(RuleBasedStateMachine):
 
     @invariant()
     def matches_brute_force(self):
-        views = sorted(self.registry)
-        brute = ConflictPolicy(
-            self.static_map, self.registry.get, indexed=False
-        )
-        for vid in views:
-            assert set(self.policy.conflict_set(vid)) == set(
-                brute.conflict_set(vid, views)
+        for vid in self.registry:
+            assert self.policy.conflict_set(vid) == brute_force_conflict_set(
+                vid, self.registry, self.static_map
             ), f"conflict set of {vid} diverged from brute force"
         assert self.policy.generation == 0  # always scoped, never global
 

@@ -69,8 +69,11 @@ def test_view_never_conflicts_with_itself():
 
 
 def test_conflict_set_excludes_self_and_nonconflicting():
-    pol = ConflictPolicy(None, _props(a=(0, 10), b=(5, 15), c=(20, 30)))
-    assert pol.conflict_set("a", ["a", "b", "c"]) == ["b"]
+    properties_of = _props(a=(0, 10), b=(5, 15), c=(20, 30))
+    pol = ConflictPolicy(None, properties_of)
+    for vid in ("a", "b", "c"):
+        pol.register_view(vid, properties_of(vid))
+    assert pol.conflict_set("a") == ["b"]
 
 
 def test_conflicts_symmetric():

@@ -185,12 +185,6 @@ def test_directory_profiles_real_lifecycle():
 def test_profiling_off_by_default():
     fx = ProtocolFixture()
     assert fx.system.directory.profiler is None
-    assert fx.system.directory.policy.indexed  # index is the default
-
-
-def test_conflict_index_opt_out_preserves_brute_force():
-    fx = ProtocolFixture(conflict_index=False)
-    assert not fx.system.directory.policy.indexed
 
 
 def test_sharded_plane_merges_shard_profiles():
@@ -247,7 +241,7 @@ def _settle(h, sim_seconds=1.0):
 
 
 def _lease_harness(n_views, lease_duration):
-    h = BareDirectory(conflict_index=True)
+    h = BareDirectory()
     h.dm.lease_duration = lease_duration
     for i in range(n_views):
         h.register(_vid(i), pair_group_props(i))
@@ -302,7 +296,7 @@ def test_check_invariants_cost_tracks_exclusive_degree():
     """At N views with no exclusive owner the invariant check touches
     nothing; with one owner it evaluates only that owner's conflict
     neighborhood — never O(V^2) pairs."""
-    h = BareDirectory(conflict_index=True)
+    h = BareDirectory()
     for i in range(N_SCALE):
         h.register(_vid(i), pair_group_props(i))
     h.drain()
@@ -320,7 +314,7 @@ def test_check_invariants_cost_tracks_exclusive_degree():
 
 
 def test_activity_sets_follow_direct_flag_mutation():
-    h = BareDirectory(conflict_index=True)
+    h = BareDirectory()
     h.register(_vid(0), pair_group_props(0))
     h.drain()
     rec = h.dm.views[_vid(0)]

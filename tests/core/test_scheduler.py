@@ -24,17 +24,20 @@ acks arrive after a simulated delay — so rounds genuinely dwell in flight — 
   intersecting scopes.
 """
 
+import random
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.baselines.multicast import MulticastDirectory
 from repro.core import DiscreteSet, Property, PropertySet
 from repro.core import messages as M
 from repro.core.directory import DirectoryManager
 from repro.core.image import ObjectImage
 from repro.core.profiling import PHASES
 from repro.core.sharding import ShardedFleccSystem
-from repro.core.system import FleccSystem
+from repro.core.system import FleccSystem, run_all_scripts
 from repro.net.message import Message
 from repro.net.sim_transport import SimTransport
 from repro.net.stats import MessageStats
@@ -51,6 +54,7 @@ from repro.testing import (
     merge_into_view,
     merge_slice,
     pair_group_props,
+    props_for,
 )
 
 ACK_DELAY = 1.0
@@ -205,8 +209,6 @@ def test_sharded_plane_surfaces_queue_wait_and_concurrency():
         yield cm.start()
         yield cm.init_image()
 
-    from repro.core.system import run_all_scripts
-
     run_all_scripts(transport, [script()])
     merged = system.plane.merged_profile()
     assert merged is not None
@@ -222,7 +224,7 @@ def test_system_builder_passthrough():
     )
     assert system.directory.concurrent_rounds == 0
     system.close()
-    # None keeps the directory's own serial default.
+    # Unset keeps the directory's own serial default.
     transport2 = SimTransport(SimKernel(), default_latency=1.0)
     system2 = FleccSystem(
         transport2, Store({"a": 1}), extract_from_object, merge_into_object,
@@ -230,6 +232,56 @@ def test_system_builder_passthrough():
     )
     assert system2.directory.concurrent_rounds == 1
     system2.close()
+
+
+def _strong_fleet_overlap(directory_cls, n_views, views_per_cell):
+    """``rounds_overlapped`` after ``n_views`` strong views, each sharing
+    its cell with ``views_per_cell - 1`` others, ran ten use-windows at
+    seeded think times under unbounded round concurrency."""
+    transport = SimTransport(SimKernel(), default_latency=1.0)
+    store = Store({f"c{i}": 0 for i in range(n_views)})
+    system = FleccSystem(
+        transport, store, extract_from_object, merge_into_object,
+        extract_cells=extract_cells, directory_cls=directory_cls,
+        concurrent_rounds=0,
+    )
+    rng = random.Random(7)
+
+    def script(cm, agent, cell, thinks):
+        yield cm.start()
+        yield cm.init_image()
+        for think in thinks:
+            yield ("sleep", think)
+            yield cm.start_use_image()
+            agent.local[cell] = agent.local.get(cell, 0) + 1
+            cm.end_use_image()
+        yield cm.kill_image()
+
+    scripts = []
+    for i in range(n_views):
+        cell, agent = f"c{i // views_per_cell}", Agent()
+        cm = system.add_view(
+            f"v{i}", agent, props_for([cell]),
+            extract_from_view, merge_into_view, mode="strong",
+        )
+        thinks = [rng.uniform(0, 5) for _ in range(10)]
+        scripts.append(script(cm, agent, cell, thinks))
+    run_all_scripts(transport, scripts)
+    system.directory.check_invariants()
+    overlapped = system.directory.counters["rounds_overlapped"]
+    system.close()
+    return overlapped
+
+
+def test_round_scopes_follow_an_overridden_conflict_relation():
+    """The scheduler asks the relation the round asks: under
+    ``MulticastDirectory`` every pair of views conflicts, so no two
+    rounds may overlap even on disjoint cells (scopes taken from the
+    policy let them, up to a strong-mode violation at 8 views), while
+    the stock directory still overlaps rounds of disjoint pairs."""
+    for n_views in (2, 4, 8):
+        assert _strong_fleet_overlap(MulticastDirectory, n_views, 1) == 0
+    assert _strong_fleet_overlap(DirectoryManager, 8, 2) > 0
 
 
 def test_stats_concurrent_rounds_gauge():

@@ -1,6 +1,6 @@
-"""The dm_profile experiment: A/B legs, parity checks, acceptance gates.
+"""The dm_profile experiment: one leg, golden parity, acceptance gates.
 
-One tiny-ramp run (module-scoped) backs the structural assertions; the
+One short-ramp run (module-scoped) backs the structural assertions; the
 gate logic is additionally exercised against a doctored payload so the
 failure paths are covered without a 10k-view run in CI.
 """
@@ -10,9 +10,10 @@ import copy
 import pytest
 
 from repro.experiments import dm_profile as dmp
-from repro.experiments.runner import registry
+from repro.experiments.runner import cli, registry
 
-RAMP = (20, 40)
+# The two smallest pinned points: every one has a golden to be held to.
+RAMP = (100, 300)
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +26,8 @@ def payload(result):
     return dmp.bench_payload(result)
 
 
-def test_runs_both_legs_over_the_ramp(result):
-    assert len(result.points) == len(dmp.LEGS) * len(RAMP)
-    seen = {(p.leg, p.n_views) for p in result.points}
-    assert seen == {(leg, n) for leg in dmp.LEGS for n in RAMP}
+def test_runs_one_leg_over_the_ramp(result):
+    assert [p.n_views for p in result.points] == list(RAMP)
 
 
 def test_every_point_carries_a_profile(result):
@@ -43,21 +42,18 @@ def test_conflict_parity_on_every_point(result):
     assert all(p.conflict_parity for p in result.points)
 
 
-def test_index_counters_split_by_leg(result):
+def test_index_counters_tick_on_every_point(result):
     for p in result.points:
-        if p.leg == "indexed":
-            assert p.index_candidates > 0
-        else:
-            assert p.index_candidates == 0
-            assert p.scoped_invalidations == 0
+        assert p.index_candidates > 0
+        # One scoped invalidation per REGISTER, never a whole-cache bump.
+        assert p.scoped_invalidations == p.n_views + dmp.CHURN_CYCLES
 
 
-def test_legs_agree_on_messages_and_state(result):
-    by_key = {(p.leg, p.n_views): p for p in result.points}
-    for n in RAMP:
-        indexed, brute = by_key[("indexed", n)], by_key[("brute", n)]
-        assert indexed.by_type == brute.by_type
-        assert indexed.state_digest == brute.state_digest
+def test_points_agree_with_the_golden_on_messages_and_state(result):
+    for p in result.points:
+        digest, by_type = dmp.GOLDEN_POINTS[p.n_views]
+        assert p.by_type == by_type
+        assert p.state_digest == digest
 
 
 def test_fig4_system_parity(result):
@@ -69,21 +65,18 @@ def test_fig4_system_parity(result):
 def test_table_renders(result):
     text = str(result.table())
     assert "DM PROFILE" in text
-    assert "indexed" in text and "brute" in text
+    assert all(str(n) in text for n in RAMP)
 
 
 def test_bench_payload_shape(payload):
     assert payload["ramp_top"] == max(RAMP)
     assert payload["ramp_bottom"] == min(RAMP)
     assert payload["conflict_parity"] is True
-    assert payload["leg_counts_identical"] is True
-    assert payload["leg_state_identical"] is True
-    assert len(payload["points"]) == len(dmp.LEGS) * len(RAMP)
-    for key in (
-        "speedup_at_top", "churn_speedup_at_top",
-        "indexed_pure_growth", "brute_pure_growth",
-        "indexed_churn_growth", "brute_churn_growth",
-    ):
+    assert payload["golden_points"] == len(RAMP)
+    assert payload["golden_counts_identical"] is True
+    assert payload["golden_state_identical"] is True
+    assert len(payload["points"]) == len(RAMP)
+    for key in ("pure_growth", "churn_growth"):
         assert isinstance(payload[key], float), key
 
 
@@ -97,22 +90,39 @@ def test_acceptance_passes_below_gate_top(payload):
 def test_acceptance_flags_parity_break(payload):
     bad = copy.deepcopy(payload)
     bad["conflict_parity"] = False
-    bad["leg_state_identical"] = False
+    bad["golden_state_identical"] = False
     problems = dmp.gates(bad)
-    assert any("brute-force recomputation" in p for p in problems)
-    assert any("different end state" in p for p in problems)
+    assert any("brute-force reference" in p for p in problems)
+    assert any("end state differs from the golden" in p for p in problems)
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda digest, by_type: ("0" * 40, by_type),
+    lambda digest, by_type: (digest, {**by_type, "INVALIDATE": 0}),
+], ids=["digest", "census"])
+def test_check_exits_1_when_a_point_leaves_the_golden(
+    monkeypatch, tmp_path, doctor
+):
+    # The run is healthy; the golden is moved away from it instead.
+    golden = dict(dmp.GOLDEN_POINTS)
+    golden[100] = doctor(*golden[100])
+    monkeypatch.setattr(dmp, "GOLDEN_POINTS", golden)
+    argv = ["--max-views", "100", "--out", str(tmp_path / "bench.json")]
+    [record] = cli(dmp.EXPERIMENT, argv=argv)
+    assert len(record["gates"]["problems"]) == 1
+    with pytest.raises(SystemExit) as exit_info:
+        cli(dmp.EXPERIMENT, argv=argv + ["--check"])
+    assert exit_info.value.code == 1
 
 
 def test_acceptance_arms_perf_gates_at_full_ramp(payload):
     bad = copy.deepcopy(payload)
     bad["ramp_top"] = dmp.GATE_TOP
     bad["view_ratio"] = 100.0
-    bad["speedup_at_top"] = 1.0        # needs >= 5x
-    bad["indexed_pure_growth"] = 80.0  # needs <= 0.5 * view_ratio
-    bad["indexed_churn_growth"] = 50.0  # needs <= max(8, 0.1 * view_ratio)
+    bad["pure_growth"] = 80.0   # needs <= 0.5 * view_ratio
+    bad["churn_growth"] = 50.0  # needs <= max(8, 0.1 * view_ratio)
     problems = dmp.gates(bad)
-    assert len(problems) == 3
-    assert any("need >= 5x" in p for p in problems)
+    assert len(problems) == 2
     assert any("sub-linear" in p for p in problems)
     assert any("conflict degree" in p for p in problems)
 
@@ -121,21 +131,20 @@ def test_good_perf_numbers_clear_the_armed_gates(payload):
     good = copy.deepcopy(payload)
     good["ramp_top"] = dmp.GATE_TOP
     good["view_ratio"] = 100.0
-    good["speedup_at_top"] = 9.0
-    good["indexed_pure_growth"] = 2.0
-    good["indexed_churn_growth"] = 3.0
+    good["pure_growth"] = 2.0
+    good["churn_growth"] = 3.0
     assert dmp.gates(good) == []
 
 
 def test_sweep_shards_reassemble_the_serial_result(result):
     points = dmp.sweep_points(RAMP)
-    assert len(points) == len(dmp.LEGS) * len(RAMP)
+    assert points == list(RAMP)
     partials = [dmp.run_sweep_point(p) for p in points]
     merged = dmp.merge_dm_profile(points, partials)
-    assert [(p.leg, p.n_views) for p in merged.points] == points
+    assert [p.n_views for p in merged.points] == points
     assert merged.fig4_counts_identical == result.fig4_counts_identical
 
 
 def test_registered_with_runner_and_parallel_engine():
     spec = registry()["dm_profile"].shard
-    assert len(spec.points()) == len(dmp.LEGS) * len(dmp.DEFAULT_RAMP)
+    assert spec.points() == list(dmp.DEFAULT_RAMP)

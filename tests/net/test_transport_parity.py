@@ -21,7 +21,7 @@ from repro.net.message import reset_message_ids
 BACKENDS = ("sim", "aio")
 
 
-def _lifecycle_run(spec: str, concurrent_rounds=None):
+def _lifecycle_run(spec: str, **directory_options):
     """One deterministic two-phase workload; returns (end state, by_type,
     per-view results).  Phases are sequential single-actor lifecycles, so
     message counts cannot depend on wall-clock races — that is what
@@ -35,7 +35,7 @@ def _lifecycle_run(spec: str, concurrent_rounds=None):
         testing.extract_from_object,
         testing.merge_into_object,
         extract_cells=testing.extract_cells,
-        concurrent_rounds=concurrent_rounds,
+        **directory_options,
     )
     weak_agent, strong_agent = testing.Agent(), testing.Agent()
     weak = system.add_view(
