@@ -14,7 +14,7 @@ Two entry points:
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.apps.airline.flights import (
     extract_cells_from_database,
@@ -28,10 +28,8 @@ from repro.apps.airline.travel_agent import TravelAgent, attach_cache_manager
 from repro.baselines.common import ProtocolName, make_system
 from repro.core.cache_manager import CacheManager
 from repro.core.messages import TraceLog
-from repro.core.modes import Mode
 from repro.core.sharding import Partitioner, ShardedFleccSystem
 from repro.core.system import FleccSystem
-from repro.core.triggers import TriggerSet
 from repro.net.sim_transport import SimTransport
 from repro.net.topology import lan_topology
 from repro.psf.component import ComponentType, Interface
@@ -93,16 +91,14 @@ class AirlineSystem:
         self,
         agent_id: str,
         served_flights: Iterable[str],
-        mode: Mode | str = Mode.WEAK,
-        triggers: Optional[TriggerSet] = None,
-        trigger_poll_period: float = 100.0,
         node: Optional[str] = None,
+        **view_options: Any,
     ) -> Tuple[TravelAgent, CacheManager]:
+        """A travel agent and its cache manager, placed on ``node`` when
+        the transport has a topology; ``view_options`` go to
+        :class:`CacheManager` unchanged."""
         agent = TravelAgent(agent_id, served_flights)
-        cm = attach_cache_manager(
-            self.system, agent, mode=mode, triggers=triggers,
-            trigger_poll_period=trigger_poll_period,
-        )
+        cm = attach_cache_manager(self.system, agent, **view_options)
         if node is not None and getattr(self.transport, "topology", None) is not None:
             self.transport.place(cm.address, node)
         self.agents[agent_id] = agent

@@ -9,15 +9,13 @@ manager, init, loop of pull/use/confirm/push, kill).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from repro.apps.airline.flights import Flight, ReservationError, flights_property
 from repro.core.cache_manager import CacheManager
 from repro.core.image import ObjectImage
-from repro.core.modes import Mode
 from repro.core.property_set import PropertySet
 from repro.core.system import FleccSystem
-from repro.core.triggers import TriggerSet
 
 
 class TravelAgent:
@@ -85,22 +83,17 @@ def merge_into_agent(
 
 
 def attach_cache_manager(
-    system: FleccSystem,
-    agent: TravelAgent,
-    mode: Mode | str = Mode.WEAK,
-    triggers: Optional[TriggerSet] = None,
-    trigger_poll_period: float = 100.0,
+    system: FleccSystem, agent: TravelAgent, **view_options: Any
 ) -> CacheManager:
-    """Create the agent's cache manager inside a FleccSystem."""
+    """Create the agent's cache manager inside a FleccSystem;
+    ``view_options`` go to :class:`CacheManager` unchanged."""
     return system.add_view(
         agent.agent_id,
         agent,
         agent.properties(),
         extract_from_agent,
         merge_into_agent,
-        mode=mode,
-        triggers=triggers,
-        trigger_poll_period=trigger_poll_period,
+        **view_options,
     )
 
 

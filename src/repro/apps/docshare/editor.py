@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from repro.apps.docshare.document import DocumentError, sections_property
 from repro.core.cache_manager import CacheManager
 from repro.core.image import ObjectImage
-from repro.core.modes import Mode
 from repro.core.property_set import PropertySet
 from repro.core.system import FleccSystem
-from repro.core.triggers import TriggerSet
 
 
 class EditorView:
@@ -70,18 +68,20 @@ def merge_into_editor(
 def attach_editor(
     system: FleccSystem,
     editor: EditorView,
-    mode: Mode | str = Mode.WEAK,
-    triggers: Optional[TriggerSet] = None,
     trigger_poll_period: float = 50.0,
+    **view_options: Any,
 ) -> CacheManager:
-    """Wire an editor into a Flecc system (one call, like Fig 3)."""
+    """Wire an editor into a Flecc system (one call, like Fig 3).
+
+    Editors poll their triggers twice as often as the cache manager's
+    default; every other keyword goes to :class:`CacheManager` unchanged.
+    """
     return system.add_view(
         editor.editor_id,
         editor,
         editor.properties(),
         extract_from_editor,
         merge_into_editor,
-        mode=mode,
-        triggers=triggers,
         trigger_poll_period=trigger_poll_period,
+        **view_options,
     )

@@ -201,7 +201,7 @@ class CacheManager:
 
         # Instrumentation.
         self.counters: Dict[str, int] = {
-            "pushes": 0, "pulls": 0, "acquires": 0,
+            "pushes": 0, "pulls": 0, "acquires": 0, "local_grants": 0,
             "invalidations": 0, "fetches": 0, "trigger_fires": 0,
             "retries": 0, "heartbeats": 0, "degradations": 0,
             "recoveries": 0, "stale_serves": 0,
@@ -620,6 +620,10 @@ class CacheManager:
                     on_state=entered,
                 )
             else:
+                if self.owner:
+                    # A still-held owner token: granted locally, with
+                    # no round at the directory.
+                    self.counters["local_grants"] += 1
                 self._in_use = True
                 comp.resolve(self)
 

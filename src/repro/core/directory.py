@@ -21,10 +21,10 @@ exclusive holders) — is disjoint from every running round's scope and
 from every conflicting op queued ahead of it (no barging: ops of one
 conflict group never reorder, so each group still sees the serial
 order).  Waiting ops hold no slot and rounds always terminate (CM ACKs
-or the round watchdog), so there are no wait cycles — the same
-strictly-decreasing-priority argument the ShardRouter's INVALIDATE
-hold/disturb protocol makes.  Commits stay linearized: every committed
-cell passes through ``_commit`` under the directory lock, so
+or the round watchdog), so there are no wait cycles inside a shard;
+across shards the ShardRouter rules them out by taking a spanning
+view's shards in ascending index.  Commits stay linearized: every
+committed cell passes through ``_commit`` under the directory lock, so
 ``commit_seq`` (and the WAL's per-lineage commit order) remains a
 single monotone sequence.  Single-message operations (REGISTER, PUSH,
 SET_MODE, ...) are handled immediately, as before.

@@ -170,6 +170,7 @@ class RWCacheManager(CacheManager):
                 # access subsumes reading (a read ACQUIRE here would
                 # pull the stale primary copy over our own uncommitted
                 # writes): free local access.
+                self.counters["local_grants"] += 1
                 self._in_use = True
                 comp.resolve(self)
                 return

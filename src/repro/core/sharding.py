@@ -326,7 +326,8 @@ class _ViewRoute:
         # Merged-serve cursor handed to the CM (its ``since`` echoes it).
         self.serve_seq = 0
         self.last_served = -1
-        # In-flight ACQUIRE fan-outs, for cross-shard disturbance checks.
+        # Open ACQUIRE barriers: a revocation from a shard one of them
+        # has already been granted by is held (``_intercept_invalidate``).
         self.inflight: List["_Fanout"] = []
 
 
@@ -334,9 +335,8 @@ class _Fanout:
     """One CM request fanned out to several shards, awaiting the barrier."""
 
     __slots__ = (
-        "orig", "ep", "route", "kind", "pending", "replies", "errors",
-        "acc", "plain", "slice_total", "since", "asked_full",
-        "attempts", "disturbed", "held", "extra",
+        "orig", "ep", "route", "kind", "pending", "queue", "replies",
+        "errors", "since", "asked_full", "held", "extra",
     )
 
     def __init__(self, orig: Message, ep: Optional[Endpoint], route: _ViewRoute) -> None:
@@ -348,35 +348,21 @@ class _Fanout:
         # retransmission (same orig msg_id) re-sends the *same* copies
         # and the shards' reply caches stay dedup-correct.
         self.pending: Dict[int, Tuple[int, Message]] = {}
+        # An ordered ACQUIRE's copies not yet sent, in ascending shard
+        # order: the next goes out when the current shard has granted.
+        self.queue: List[Tuple[int, Message]] = []
         self.replies: List[Tuple[int, Message]] = []
         self.errors: List[str] = []
-        # Data-op accumulator: survives ACQUIRE retries, because each
-        # attempt advances the shards' seen-cursors — discarding an
-        # attempt's cells would lose them from every later delta.
-        self.acc = ObjectImage()
-        self.plain = False
-        self.slice_total: Dict[int, int] = {}
         self.since: Optional[int] = None
         self.asked_full = False
-        self.attempts = 1
-        # Set when a shard that already granted inside this barrier
-        # revoked us again on behalf of a *higher-priority* contender:
-        # the merged grant would be missing that shard's token, so the
-        # barrier must re-acquire instead of delivering.
-        self.disturbed = False
-        # Revocations from already-granted shards on behalf of
-        # *lower-priority* contenders, held until the merged grant is
-        # delivered (see ShardRouter._incoming for the ordering rule).
+        # Revocations from shards that already granted inside this
+        # barrier, held until the merged grant is delivered.
         self.held: List[Message] = []
         self.extra: Dict[str, Any] = {}
 
 
 _DATA_OPS = frozenset({M.ACQUIRE, M.PULL_REQ, M.INIT_REQ})
 _DATA_REPLY = {M.ACQUIRE: M.GRANT, M.INIT_REQ: M.INIT_DATA, M.PULL_REQ: M.PULL_DATA}
-
-#: Times a disturbed multi-shard ACQUIRE is released and re-issued
-#: before the requester is told it failed.
-MAX_ACQUIRE_RETRIES = 8
 
 
 class ShardRouter(Transport):
@@ -410,7 +396,6 @@ class ShardRouter(Transport):
         directory_address: str,
         shard_addresses: Sequence[str],
         partitioner: Partitioner,
-        trace: Optional[TraceLog] = None,
     ) -> None:
         super().__init__()
         if not shard_addresses:
@@ -429,7 +414,6 @@ class ShardRouter(Transport):
         # candidate property against.
         self.extract_slice: Optional[Callable[[PropertySet], ObjectImage]] = None
         self._key_shard: Dict[str, int] = {}
-        self.trace = trace
         self._inner_eps: Dict[str, Endpoint] = {}
         self._views: Dict[str, _ViewRoute] = {}
         self._by_addr: Dict[str, _ViewRoute] = {}
@@ -446,8 +430,6 @@ class ShardRouter(Transport):
             "router_fanouts": 0,
             "cross_shard_rounds": 0,
             "shard_local_rounds": 0,
-            "acquire_retries": 0,
-            "invalidates_held": 0,
             "synthesized_pushes": 0,
             "registrations_extended": 0,
             "late_replies": 0,
@@ -488,10 +470,6 @@ class ShardRouter(Transport):
     def _send_to_shard(self, shard: int, msg: Message) -> None:
         self.shard_stats[shard].record(msg)
         self.inner.send(msg)
-
-    def _trace(self, event: str, **detail: Any) -> None:
-        if self.trace is not None:
-            self.trace.record(self.inner.now(), "router", event, **detail)
 
     # -- footprints ------------------------------------------------------
     def footprint(self, view_id: str, properties: PropertySet) -> List[int]:
@@ -605,6 +583,8 @@ class ShardRouter(Transport):
     ) -> _Fanout:
         fan = _Fanout(msg, self._endpoints.get(msg.src), route)
         self._orig[msg.msg_id] = fan
+        if len(targets) > 1:
+            self.counters["router_fanouts"] += 1
         self._launch(fan, targets)
         return fan
 
@@ -612,8 +592,6 @@ class ShardRouter(Transport):
         for shard, copy in targets:
             fan.pending[copy.msg_id] = (shard, copy)
             self._copies[copy.msg_id] = (fan, shard)
-        if len(targets) > 1:
-            self.counters["router_fanouts"] += 1
         for shard, copy in targets:
             self._send_to_shard(shard, copy)
 
@@ -660,26 +638,28 @@ class ShardRouter(Transport):
         fan.since = since
         fan.asked_full = asked_full
         self._orig[msg.msg_id] = fan
-        if msg.msg_type == M.ACQUIRE:
-            route.inflight.append(fan)
-        self._send_data_copies(fan)
-
-    def _send_data_copies(self, fan: _Fanout) -> None:
-        route = fan.route
         targets: List[Tuple[int, Message]] = []
         for shard in route.shards:
-            p = dict(fan.orig.payload)
-            if fan.since is not None:
+            p = dict(msg.payload)
+            if since is not None:
                 p["since"] = route.shard_since.get(shard, -1)
-                if fan.asked_full:
+                if asked_full:
                     p["full"] = True
                 else:
                     p.pop("full", None)
             targets.append(
-                (shard, Message(fan.orig.msg_type, fan.orig.src,
+                (shard, Message(msg.msg_type, msg.src,
                                 self.shard_addresses[shard], p))
             )
+        if msg.msg_type == M.ACQUIRE:
+            # Ordered acquisition: the shards grant one at a time, in
+            # ascending index (see ``_intercept_invalidate``).  The
+            # order is frozen here, so a route that grows mid-barrier
+            # cannot shift it.
+            route.inflight.append(fan)
+            targets, fan.queue = targets[:1], targets[1:]
         self.counters["cross_shard_rounds"] += 1
+        self.counters["router_fanouts"] += 1
         self._launch(fan, targets)
 
     def _route_state(self, msg: Message, route: _ViewRoute) -> None:
@@ -867,28 +847,21 @@ class ShardRouter(Transport):
         (it is not in its critical section yet), silently surrendering
         any shard token the open barrier already collected — the merged
         grant the router is about to deliver would then claim ownership
-        a shard has already given away (a lost-update hole), and two
-        contending spanning views can revoke each other's half-collected
-        barriers forever (livelock).
+        a shard has already given away (a lost-update hole).  So a
+        revocation from a shard that already granted inside an open
+        barrier is held until the merged grant is delivered, then
+        released: the CM is in (or past) its critical section by then,
+        and its ACK carries the section's writes.
 
-        Resolution, per revocation from a shard that already granted
-        inside the open barrier:
-
-        - requester has **lower priority** (greater view id): hold the
-          INVALIDATE until the merged grant is delivered, then release
-          it — the CM is then in (or past) its critical section, so the
-          ACK carries the critical section's writes.  Holding blocks
-          only that shard's next round, which nothing in this barrier
-          waits on; cycles would need priority to strictly decrease
-          around a loop, so none form.
-        - requester has **higher priority** (smaller view id): let it
-          through (the CM yields the token) and mark the barrier
-          disturbed — it re-acquires after closing instead of
-          delivering a grant with a stolen token.
+        Holding cannot deadlock, because a spanning ACQUIRE takes its
+        shards in ascending index, one at a time (``_route_data``): a
+        barrier that holds shard *k*'s revocation waits only on a shard
+        above *k*, so every wait points to a higher shard and no cycle
+        closes.
 
         A revocation from a shard that has *not* yet granted in this
-        barrier costs nothing (no token to lose — the shard's grant
-        will come from a later round) and passes straight through.
+        barrier costs nothing (no token to lose — the shard's grant will
+        come from a later round) and passes straight through.
 
         Returns True when the message was consumed (held).
         """
@@ -897,14 +870,9 @@ class ShardRouter(Transport):
         if route is None or shard is None:
             return False
         for fan in route.inflight:
-            if not any(s == shard for s, _ in fan.replies):
-                continue
-            requester = msg.payload.get("requested_by")
-            if requester is not None and str(requester) > str(route.view_id):
+            if any(s == shard for s, _ in fan.replies):
                 fan.held.append(msg)
-                self.counters["invalidates_held"] += 1
                 return True
-            fan.disturbed = True
         return False
 
     def _release_held(self, fan: _Fanout) -> None:
@@ -926,26 +894,36 @@ class ShardRouter(Transport):
             fan.errors.append(msg.payload.get("error", "shard error"))
         else:
             fan.replies.append((shard, msg))
-        if not fan.pending:
+        if fan.pending:
+            return
+        if fan.queue and not fan.errors:
+            self._launch(fan, [fan.queue.pop(0)])
+        else:
             self._finalize(fan)
 
     # -- barrier merges --------------------------------------------------
     def _finalize(self, fan: _Fanout) -> None:
+        route = fan.route
+        vid = route.view_id
+        self._orig.pop(fan.orig.msg_id, None)
+        if fan in route.inflight:
+            route.inflight.remove(fan)
+        if fan.errors:
+            error = "; ".join(fan.errors)
+            log.warning("%s from view %r failed on the shard plane: %s",
+                        fan.kind, vid, error)
+            self._deliver(fan, M.ERROR, {"error": error})
+            self._release_held(fan)
+            return
         if fan.kind in _DATA_OPS:
             self._finalize_data(fan)
             return
-        self._orig.pop(fan.orig.msg_id, None)
-        if fan.errors:
-            self._deliver(fan, M.ERROR, {"error": "; ".join(fan.errors)})
-            return
-        route = fan.route
-        vid = route.view_id
         replies = [m for _, m in fan.replies]
+        lease = next(
+            (m.payload.get("lease") for m in replies
+             if m.payload.get("lease") is not None), None,
+        )
         if fan.kind == M.REGISTER:
-            lease = next(
-                (m.payload.get("lease") for m in replies
-                 if m.payload.get("lease") is not None), None,
-            )
             self._deliver(fan, M.REGISTER_ACK, {
                 "view_id": vid,
                 "recovered": any(m.payload.get("recovered") for m in replies),
@@ -983,65 +961,35 @@ class ShardRouter(Transport):
             payload = replies[0].payload if replies else {}
             self._deliver(fan, M.SET_MODE_ACK, dict(payload))
         elif fan.kind == M.HEARTBEAT:
-            lease = next(
-                (m.payload.get("lease") for m in replies
-                 if m.payload.get("lease") is not None), None,
-            )
             self._deliver(fan, M.HEARTBEAT_ACK, {"view_id": vid, "lease": lease})
         else:  # pragma: no cover - routing covers every request type
             self._deliver(fan, M.ERROR, {"error": f"unmergeable {fan.kind}"})
 
     def _finalize_data(self, fan: _Fanout) -> None:
         route = fan.route
+        acc = ObjectImage()
+        plain = False
+        slice_size = 0
         for shard, msg in fan.replies:
             image = msg.payload.get("image")
             if isinstance(image, DeltaImage):
                 route.shard_since[shard] = image.as_of
-                fan.slice_total[shard] = image.slice_size
+                slice_size += image.slice_size
                 part = image.image
             else:
-                fan.plain = True
+                plain = True
                 part = image if image is not None else ObjectImage()
-                fan.slice_total[shard] = len(part)
-            _absorb(fan.acc, part)
-        fan.replies = []
-        if fan.kind == M.ACQUIRE and fan.disturbed and not fan.errors:
-            if fan.attempts < MAX_ACQUIRE_RETRIES:
-                # A higher-priority contender stole a shard token while
-                # the barrier was open: the merged grant would split
-                # ownership.  Release anything held (those shards' next
-                # rounds must run before our fresh copies reach them),
-                # then re-acquire — shards still holding our token
-                # answer from the regrant fast path.
-                fan.attempts += 1
-                fan.disturbed = False
-                self.counters["acquire_retries"] += 1
-                self._trace("acquire-retry", view=route.view_id,
-                            attempt=fan.attempts)
-                self._release_held(fan)
-                self._send_data_copies(fan)
-                return
-            fan.errors.append(
-                f"acquire for {route.view_id} disturbed after "
-                f"{fan.attempts} attempts"
-            )
-        self._orig.pop(fan.orig.msg_id, None)
-        if fan in route.inflight:
-            route.inflight.remove(fan)
-        if fan.errors:
-            self._deliver(fan, M.ERROR, {"error": "; ".join(fan.errors)})
-            self._release_held(fan)
-            return
-        if fan.plain or fan.since is None:
-            payload: Dict[str, Any] = {"image": fan.acc}
+            _absorb(acc, part)
+        if plain or fan.since is None:
+            payload: Dict[str, Any] = {"image": acc}
         else:
             route.serve_seq += 1
             payload = {"image": DeltaImage(
-                fan.acc,
+                acc,
                 base_seq=-1 if fan.asked_full else fan.since,
                 as_of=route.serve_seq,
                 complete=fan.asked_full,
-                slice_size=sum(fan.slice_total.values()),
+                slice_size=slice_size,
             )}
             route.last_served = route.serve_seq
         self._deliver(fan, _DATA_REPLY[fan.kind], payload)
@@ -1214,8 +1162,7 @@ class ShardedDirectoryPlane:
                 f"{directory_address}#{i}" for i in range(self.n_shards)
             ]
         self.router = ShardRouter(
-            transport, directory_address, self.addresses, partitioner,
-            trace=trace,
+            transport, directory_address, self.addresses, partitioner
         )
         self.router.extract_slice = (
             lambda props: extract_from_object(component, props)
@@ -1359,9 +1306,9 @@ class ShardedFleccSystem(FleccSystem):
     conflict index over the views registered with it, its own profiler
     (fold with ``plane.merged_profile()``) and its own conflict-aware
     round scheduler, overlapping rounds for independent conflict groups
-    of *its* partition.  The router's INVALIDATE hold/disturb protocol
-    is per-view, so a held revocation blocks only its own conflict
-    group's round, not the shard's whole queue.
+    of *its* partition.  The router holds a revocation only inside one
+    view's ordered acquire barrier, so a held revocation blocks only its
+    own conflict group's round, not the shard's whole queue.
     """
 
     def __init__(

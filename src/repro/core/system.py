@@ -19,9 +19,7 @@ from repro.core.directory import (
     MergeIntoObject,
 )
 from repro.core.messages import TraceLog
-from repro.core.modes import Mode
 from repro.core.property_set import PropertySet
-from repro.core.triggers import TriggerSet
 from repro.errors import ReproError
 from repro.net.sim_transport import SimTransport
 from repro.net.transport import Completion, Transport, resolve_transport
@@ -93,14 +91,14 @@ class FleccSystem:
         properties: PropertySet,
         extract_from_view: ExtractFromView,
         merge_into_view: MergeIntoView,
-        mode: Union[Mode, str] = Mode.WEAK,
-        triggers: Optional[TriggerSet] = None,
-        trigger_poll_period: float = 100.0,
-        request_timeout: Optional[float] = None,
-        max_retries: int = 3,
-        heartbeat_period: Optional[float] = None,
+        **view_options: Any,
     ) -> CacheManager:
-        """Create (but do not yet start) the cache manager for a view."""
+        """Create (but do not yet start) the cache manager for a view.
+
+        ``view_options`` (``mode``, ``triggers``, ``request_timeout``,
+        ...) go to :class:`CacheManager` unchanged: its constructor is
+        the one list of view options and their defaults.
+        """
         if view_id in self.cache_managers:
             raise ReproError(f"view id already in system: {view_id}")
         cm = CacheManager(
@@ -111,14 +109,9 @@ class FleccSystem:
             properties=properties,
             extract_from_view=extract_from_view,
             merge_into_view=merge_into_view,
-            mode=mode,
-            triggers=triggers,
-            trigger_poll_period=trigger_poll_period,
             trace=self.trace,
-            request_timeout=request_timeout,
-            max_retries=max_retries,
-            heartbeat_period=heartbeat_period,
             delta=self.delta,
+            **view_options,
         )
         self.cache_managers[view_id] = cm
         return cm

@@ -21,9 +21,10 @@ Two workload shapes bracket the design space:
   groups' rounds, so throughput scales with N; this is the point of
   the sharded plane.
 - **all-spanning (worst case)** — every view's property set covers the
-  whole key space, so every acquire fans out to all N shards and waits
-  on the merge barrier.  No parallelism is available and the barrier
-  plus cross-shard conflict handling make N > 1 at best break even.
+  whole key space, so every acquire takes all N shards, one at a time
+  in ascending index, and every pull fans out to all N and waits on the
+  merge barrier.  No parallelism is available, and an acquire costs one
+  hop per shard, so N > 1 is slower than one shard.
 
 The ``--check`` gate also replays a mixed-mode Fig-4-style workload on
 the unsharded :class:`~repro.core.system.FleccSystem` and on the plane
@@ -103,8 +104,7 @@ class ShardPoint:
     plane_rounds: int              # per-shard DM conflict rounds, summed
     shard_local_rounds: int
     cross_shard_rounds: int
-    router_fanouts: int
-    acquire_retries: int
+    router_fanouts: int            # an ordered ACQUIRE counts once
 
 
 @dataclass
@@ -133,7 +133,7 @@ class ShardSweepResult:
         t = Table(
             [
                 "workload", "shards", "views", "ops", "makespan",
-                "rounds/s", "p50", "p99", "x-shard", "retries",
+                "rounds/s", "p50", "p99", "x-shard",
             ],
             title="SHARD — conflict-round throughput and acquire latency vs shard count",
         )
@@ -142,7 +142,7 @@ class ShardSweepResult:
                 p.workload, p.n_shards, p.views, p.ops,
                 f"{p.makespan:.1f}", f"{p.rounds_per_sec:.3f}",
                 f"{p.acquire_p50:.1f}", f"{p.acquire_p99:.1f}",
-                p.cross_shard_rounds, p.acquire_retries,
+                p.cross_shard_rounds,
             )
         return t
 
@@ -234,7 +234,6 @@ def _run_point(
         shard_local_rounds=counters.get("shard_local_rounds", 0),
         cross_shard_rounds=counters.get("cross_shard_rounds", 0),
         router_fanouts=counters.get("router_fanouts", 0),
-        acquire_retries=counters.get("acquire_retries", 0),
     )
 
 

@@ -38,7 +38,6 @@ from typing import Dict, Iterable, List, Mapping, Optional
 from repro.core import (
     DiscreteSet,
     FleccSystem,
-    Mode,
     ObjectImage,
     Property,
     PropertySet,
@@ -48,7 +47,6 @@ from repro.core.directory import DirectoryManager
 from repro.core.messages import TraceLog
 from repro.core.static_map import Sharing, StaticSharingMap
 from repro.core.system import run_all_scripts, run_view_script
-from repro.core.triggers import TriggerSet
 from repro.net import SimTransport
 from repro.net.message import Message
 from repro.sim import SimKernel
@@ -157,9 +155,7 @@ class ProtocolFixture:
         self,
         view_id: str,
         cells: Iterable[str],
-        mode: Mode | str = Mode.WEAK,
-        triggers: Optional[TriggerSet] = None,
-        trigger_poll_period: float = 100.0,
+        **view_options,
     ):
         agent = Agent()
         self.agents[view_id] = agent
@@ -169,9 +165,7 @@ class ProtocolFixture:
             props_for(cells),
             extract_from_view,
             merge_into_view,
-            mode=mode,
-            triggers=triggers,
-            trigger_poll_period=trigger_poll_period,
+            **view_options,
         )
         return cm, agent
 

@@ -24,6 +24,46 @@ def test_acquire_grants_exclusive_ownership():
     assert fx.system.directory.exclusive_views() == ["v1"]
 
 
+def test_a_lone_strong_views_second_use_is_a_local_grant():
+    """The owner token outlives the critical section: with nobody to
+    revoke it, the second ``start_use_image`` sends no ACQUIRE."""
+    fx = ProtocolFixture()
+    cm, _ = fx.add_agent("v1", ["a"], mode=Mode.STRONG)
+
+    def script():
+        yield cm.start()
+        yield cm.init_image()
+        for _ in range(2):
+            yield cm.start_use_image()
+            cm.end_use_image()
+
+    fx.run_scripts(script())
+    assert cm.counters["acquires"] == 1
+    assert cm.counters["local_grants"] == 1
+    assert fx.stats.by_type[M.ACQUIRE] == 1
+
+
+def test_a_contended_strong_views_uses_are_never_local_grants():
+    """Two strong views taking turns on one cell revoke each other's
+    token between uses, so every use is a directory round."""
+    fx = ProtocolFixture()
+    cms = [fx.add_agent(v, ["a"], mode=Mode.STRONG)[0] for v in ("v1", "v2")]
+
+    def script(cm, offset):
+        yield cm.start()
+        yield cm.init_image()
+        yield ("sleep", offset)
+        for _ in range(3):
+            yield cm.start_use_image()
+            cm.end_use_image()
+            yield ("sleep", 20.0)
+
+    fx.run_scripts(script(cms[0], 0.0), script(cms[1], 10.0))
+    for cm in cms:
+        assert cm.counters["acquires"] == 3
+        assert cm.counters["local_grants"] == 0
+
+
 def test_second_acquire_invalidates_first(paper_fig2=True):
     """The Fig 2 scenario: V2's request revokes V1's control."""
     fx = ProtocolFixture(store_cells={"x": 1, "y": 2, "z": 3})

@@ -1,15 +1,18 @@
 """Shard-local by default: a plane built with no partitioner keeps a
 conflict group's rounds on one shard.
 
-The liveness cases are the README's "``acquire … disturbed after 8
-attempts``" workload — strong views sharing one run of flights — which
-on the hash-partitioned default exhausted the router's acquire retries
-because every view spanned every shard.
+The liveness cases are strong views sharing runs of flights.  On the
+hash-partitioned default every such view spanned every shard; on the
+key-range default a run that straddles a split point still spans two.
+A spanning acquire takes its shards in ascending index, so any number
+of them, on any split points, on any scheduler setting, must finish
+with the single-dict outcome: one seat gone per reserve.
 """
 
 import logging
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.airline.flights import (
     extract_cells_from_database,
@@ -29,6 +32,7 @@ from repro.apps.airline.workload import (
     generate_flight_database,
     reserve_operations,
 )
+from repro.core import messages as M
 from repro.core.domains import Interval
 from repro.core.durability import DurabilitySpec
 from repro.core.property import Property
@@ -39,6 +43,9 @@ from repro.core.sharding import (
     ShardedFleccSystem,
 )
 from repro.core.system import run_all_scripts
+from repro.errors import ProtocolError
+from repro.net.aio_transport import AioTcpTransport
+from repro.net.reliability import ReliableTransport
 from repro.net.sim_transport import SimTransport
 from repro.sim.kernel import SimKernel
 from repro.testing import (
@@ -56,18 +63,38 @@ CAPACITY = 1000
 OPS = 50
 
 
-def _airline(n_flights, partitioner=None):
+def _airline(n_flights, partitioner=None, transport=None, n_shards=4,
+             **options):
     db = generate_flight_database(
         n_flights, seed=0, capacity_range=(CAPACITY, CAPACITY)
     )
     system = ShardedFleccSystem(
-        SimTransport(SimKernel(), default_latency=1.0), db,
-        extract_from_database, merge_into_database, n_shards=4,
+        transport or SimTransport(SimKernel(), default_latency=1.0), db,
+        extract_from_database, merge_into_database, n_shards=n_shards,
         partitioner=partitioner,
         conflict_resolver=seat_conflict_resolver,
         extract_cells=extract_cells_from_database,
+        **options,
     )
     return db, system
+
+
+def _reserve_all(system, db, slices, n_ops, think_time=0.0):
+    """One STRONG agent per slice, ``n_ops`` one-seat reserves each
+    (``think_time`` inside every critical section); returns the seats
+    lost.  Raises if any op failed or a shard's invariants broke."""
+    scripts = []
+    for v, served in enumerate(slices):
+        agent = TravelAgent(f"ta{v}", served)
+        cm = attach_cache_manager(system, agent, mode="strong")
+        ops = reserve_operations(served, n_ops, seed=3, agent_index=v)
+        scripts.append(lifecycle(cm, agent, ops, think_time=think_time))
+    run_all_scripts(system.transport, scripts)  # raises on any failed op
+    system.plane.check_invariants()
+    return sum(CAPACITY - f.seats_available for f in db.flights.values())
+
+
+SLICE = [f"FL{i:04d}" for i in range(5)]
 
 
 def _contend(n_flights, n_views):
@@ -75,18 +102,9 @@ def _contend(n_flights, n_views):
     ops each with no think time; returns (seats lost, plane counters,
     the shards the views were routed to)."""
     db, system = _airline(n_flights)
-    served = [f"FL{i:04d}" for i in range(5)]
-    scripts = []
-    for v in range(n_views):
-        agent = TravelAgent(f"ta{v}", served)
-        cm = attach_cache_manager(system, agent, mode="strong")
-        ops = reserve_operations(served, OPS, seed=3, agent_index=v)
-        scripts.append(lifecycle(cm, agent, ops, think_time=0.0))
-    run_all_scripts(system.transport, scripts)  # raises on any failed op
-    system.plane.check_invariants()
-    lost = sum(CAPACITY - f.seats_available for f in db.flights.values())
+    lost = _reserve_all(system, db, [SLICE] * n_views, OPS)
     counters = system.plane.counters
-    footprint = sorted({system.plane.partitioner.shard_of(k) for k in served})
+    footprint = sorted({system.plane.partitioner.shard_of(k) for k in SLICE})
     system.close()
     return lost, counters, footprint
 
@@ -99,7 +117,6 @@ def test_four_strong_views_on_one_slice_all_finish():
     assert footprint == [0]
     assert counters["router_fanouts"] == 0
     assert counters["cross_shard_rounds"] == 0
-    assert counters["acquire_retries"] == 0
     assert counters["whole_plane_views"] == 0
 
 
@@ -115,13 +132,59 @@ def test_slice_straddling_a_split_point_spans_exactly_two_shards():
     assert counters["shard_local_rounds"] == 0
 
 
-@pytest.mark.xfail(
-    reason="ROADMAP item 1(c): more than two strong views contending "
-    "across a split point still exhaust the router's acquire retries",
-    strict=True,
-)
 def test_four_strong_views_straddling_a_split_point():
     lost, _counters, _footprint = _contend(n_flights=15, n_views=4)
+    assert lost == 4 * OPS
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n_shards=st.integers(2, 4),
+    slices=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(2, 8)),
+        min_size=2, max_size=6,
+    ),
+    think_time=st.sampled_from([0.0, 1.5]),
+    concurrent_rounds=st.sampled_from([1, 0]),
+    coalesce_and_delta=st.booleans(),
+)
+def test_strong_views_on_random_split_points_all_finish(
+    n_shards, slices, think_time, concurrent_rounds, coalesce_and_delta
+):
+    """2-6 strong views, each on a run of 2-8 of 16 flights starting
+    anywhere, so runs straddle split points in every arrangement and
+    overlap their neighbours' runs: every reserve completes and costs
+    exactly one seat, as on one dict."""
+    db, system = _airline(
+        16, n_shards=n_shards, concurrent_rounds=concurrent_rounds,
+        coalesce_rounds=coalesce_and_delta, delta=coalesce_and_delta,
+    )
+    flights = sorted(db.flights)
+    served = [flights[start:start + width] for start, width in slices]
+    try:
+        lost = _reserve_all(system, db, served, 8, think_time=think_time)
+    finally:
+        system.close()
+    assert lost == 8 * len(served)
+
+
+def test_four_straddling_strong_views_on_the_composed_aio_stack(wal_root):
+    """The composed configuration on real sockets: reliable delivery,
+    binary+zlib frames, delta serves, coalesced and unbounded concurrent
+    rounds, and a WAL behind every shard."""
+    wire = AioTcpTransport(wrap_batches=True)
+    top = ReliableTransport(wire)
+    db, system = _airline(
+        15, transport=top, codec="binary+zlib", delta=True,
+        coalesce_rounds=True, concurrent_rounds=0,
+        durability=DurabilitySpec(wal_root, fsync="batch"),
+    )
+    try:
+        lost = _reserve_all(system, db, [SLICE] * 4, OPS)
+    finally:
+        system.close()
+        top.close()
+        wire.close()
     assert lost == 4 * OPS
 
 
@@ -181,6 +244,46 @@ def test_named_property_that_cannot_be_enumerated_is_loud_too(caplog):
     assert len(said) == 2
     assert "'ranged'" in said[0] and "not a DiscreteSet" in said[0]
     assert "'other'" in said[1] and "no property 'cells'" in said[1]
+
+
+def test_a_shard_error_inside_a_barrier_is_loud(caplog):
+    """A shard that refuses its copy turns the merged reply into an
+    ERROR, and the router says so once: the view, the request type and
+    what the shard said."""
+    shots = {"left": 0}
+
+    def exploding_extract(store, props):
+        if shots["left"]:
+            shots["left"] -= 1
+            raise RuntimeError("extract exploded")
+        return extract_from_object(store, props)
+
+    cells = [f"k{i}" for i in range(8)]
+    system = ShardedFleccSystem(
+        SimTransport(SimKernel(), default_latency=1.0),
+        Store({c: 0 for c in cells}), exploding_extract, merge_into_object,
+        n_shards=2, extract_cells=extract_cells,
+    )
+    cm = system.add_view("spanning", Agent(), props_for(cells),
+                         extract_from_view, merge_into_view)
+
+    def script():
+        yield cm.start()
+        shots["left"] = 1  # one shard's serve fails, the other's does not
+        try:
+            yield cm.init_image()
+        except ProtocolError as exc:
+            return str(exc)
+
+    with caplog.at_level(logging.WARNING, logger="repro.core.sharding"):
+        [refused] = run_all_scripts(system.transport, [script()])
+    system.close()
+    assert refused == "extract exploded"
+    said = [r.getMessage() for r in caplog.records
+            if r.name == "repro.core.sharding"]
+    assert len(said) == 1
+    assert "'spanning'" in said[0] and M.INIT_REQ in said[0]
+    assert "extract exploded" in said[0]
 
 
 def test_inferred_property_is_readable_on_the_partitioner():
