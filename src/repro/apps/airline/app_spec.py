@@ -28,7 +28,7 @@ from repro.apps.airline.travel_agent import TravelAgent, attach_cache_manager
 from repro.baselines.common import ProtocolName, make_system
 from repro.core.cache_manager import CacheManager
 from repro.core.messages import TraceLog
-from repro.core.sharding import Partitioner, ShardedFleccSystem
+from repro.core.sharding import KeyRangePartitioner, ShardedFleccSystem
 from repro.core.system import FleccSystem
 from repro.net.sim_transport import SimTransport
 from repro.net.topology import lan_topology
@@ -124,7 +124,7 @@ def build_airline_system(
     strict_wire: bool = True,
     codec: Optional[object] = None,
     n_shards: int = 1,
-    partitioner: Optional[Partitioner] = None,
+    partitioner: Optional[KeyRangePartitioner] = None,
     transport: object = "sim",
     **directory_options: object,
 ) -> AirlineSystem:

@@ -29,8 +29,6 @@ from repro.core.directory import DirectoryManager
 from repro.core.cache_manager import CacheManager
 from repro.core.system import FleccSystem
 from repro.core.sharding import (
-    DomainRangePartitioner,
-    HashPartitioner,
     KeyRangePartitioner,
     ShardedDirectoryPlane,
     ShardedFleccSystem,
@@ -59,9 +57,7 @@ __all__ = [
     "DirectoryManager",
     "CacheManager",
     "FleccSystem",
-    "HashPartitioner",
     "KeyRangePartitioner",
-    "DomainRangePartitioner",
     "ShardRouter",
     "ShardedDirectoryPlane",
     "ShardedFleccSystem",

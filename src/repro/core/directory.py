@@ -9,19 +9,21 @@ application's merge function, and stamps every committed cell update
 with a version (the basis of the data-quality metric).
 
 Concurrency discipline: operations that require a multi-message round
-(ACQUIRE, and PULL/INIT that must first revoke or fetch) go through a
-**conflict-aware round scheduler**.  In the default serial mode
-(``concurrent_rounds=1``) that is exactly the paper's discipline — one
-op at a time through a FIFO queue, the centralized primary copy as the
-natural serialization point.  With ``concurrent_rounds`` > 1 (or 0 =
-unbounded) the scheduler keeps an in-flight op table and starts a new
-round immediately whenever its *scope* — the requesting view plus its
+(ACQUIRE, PULL/INIT that must first revoke or fetch, and the recovery
+reclaim of a restarted durable directory) go through one
+**conflict-aware round scheduler**.  It keeps an in-flight op table of
+at most ``concurrent_rounds`` rounds (0 = unbounded) and starts a
+queued round whenever its *scope* — the requesting view plus its
 conflict set (``ConflictIndex`` candidates, static-SHARED partners,
 exclusive holders) — is disjoint from every running round's scope and
 from every conflicting op queued ahead of it (no barging: ops of one
 conflict group never reorder, so each group still sees the serial
-order).  Waiting ops hold no slot and rounds always terminate (CM ACKs
-or the round watchdog), so there are no wait cycles inside a shard;
+order).  Serial is bound 1 of the same scan: with one slot, a full
+table keeps the FIFO, which is exactly the paper's discipline — one op
+at a time, the centralized primary copy as the natural serialization
+point.  Every running round owns its watchdog.  Waiting ops hold no
+slot and rounds always terminate (CM ACKs or the watchdog), so there
+are no wait cycles inside a shard;
 across shards the ShardRouter rules them out by taking a spanning
 view's shards in ascending index.  Commits stay linearized: every
 committed cell passes through ``_commit`` under the directory lock, so
@@ -50,7 +52,7 @@ from repro.core.static_map import StaticSharingMap
 from repro.core.versioning import VersionVector
 from repro.errors import ProtocolError, TransportError
 from repro.net.message import Message, make_batch
-from repro.net.transport import Transport
+from repro.net.transport import TimerHandle, Transport
 
 # Application-facing function signatures (paper Fig 3):
 #   extract_from_object(component, view_property_list) -> ObjectImage
@@ -178,19 +180,29 @@ class QuarantinedView:
 
 @dataclass
 class _PendingOp:
-    """A queued multi-message operation."""
+    """A queued multi-message operation.
 
-    kind: str  # 'acquire' | 'pull' | 'init'
-    request: Message
-    view_id: str
+    A ``reclaim`` op has no request and serves no one: ``view_id`` is
+    None and ``conflicts`` holds the recovered-exclusive owners it
+    fetches from.
+    """
+
+    kind: str  # 'acquire' | 'pull' | 'init' | 'reclaim'
+    request: Optional[Message]
+    view_id: Optional[str]
     awaiting: Dict[int, str] = field(default_factory=dict)  # msg_id -> view_id
     need_fresh: bool = False
     # Scheduler bookkeeping: ``seq`` keys the in-flight op table (0 =
     # never started), ``scope`` is the independence footprint frozen at
-    # round start, ``enqueued_ns`` feeds the queue_wait profiler phase,
-    # and ``waited`` dedups the sched_conflict_waits counter per op.
+    # round start, ``conflicts`` the conflict list the admitting scan
+    # computed it from (a list: target order must not depend on
+    # PYTHONHASHSEED), ``timer`` the running round's watchdog,
+    # ``enqueued_ns`` feeds the queue_wait profiler phase, and
+    # ``waited`` dedups the sched_conflict_waits counter per op.
     seq: int = 0
     scope: Optional[frozenset] = None
+    conflicts: List[str] = field(default_factory=list)
+    timer: Optional[TimerHandle] = None
     enqueued_ns: int = 0
     waited: bool = False
 
@@ -220,11 +232,11 @@ class DirectoryManager:
         concurrent_rounds: int = 1,
     ) -> None:
         self.transport = transport
-        # Round-scheduler concurrency: 1 (the default) is the paper's
-        # serial discipline — one multi-message round at a time through
-        # the FIFO, behavior-identical to the pre-scheduler directory.
-        # N > 1 bounds the in-flight op table at N rounds; 0 means
-        # unbounded (every independent round starts immediately).
+        # Round-scheduler concurrency: the in-flight op table holds at
+        # most N rounds; 0 means unbounded (every independent round
+        # starts immediately).  1 (the default) is the paper's serial
+        # discipline — one multi-message round at a time through the
+        # FIFO.
         self.concurrent_rounds = concurrent_rounds
         # Sharded-plane guard: when this directory is one shard of a
         # partitioned primary copy, only cells the predicate accepts are
@@ -347,29 +359,28 @@ class DirectoryManager:
             "serve_faults": 0,
         }
         self._lock = threading.RLock()  # no-op contention in sim; needed on TCP
-        # Recovery ownership reclaim: views recovered holding strong-mode
-        # exclusivity may hold dirty state newer than anything in the WAL
-        # (their handoff rides an INVALIDATE_ACK that can die with the
-        # directory process).  Until each answers a full-slice fetch (or
-        # the reclaim window expires), queued ops stay blocked.
-        self._reclaim_needed: List[str] = []
-        self._reclaim_fetches: Dict[int, str] = {}
-        self._reclaim_timer = None
         # Durable primary copy: opening the lineage performs recovery
         # (snapshot + WAL tail), which must land before the endpoint
         # binds — a request that raced recovery could read the blank
         # pre-replay state.
         self.durability: Optional[DurabilityManager] = None
+        owners: List[str] = []
         if durability is not None:
             self.durability = (
                 durability
                 if isinstance(durability, DurabilityManager)
                 else DurabilityManager(durability)
             )
-            self._recover_durable_state()
+            owners = self._recover_durable_state()
         self.endpoint = transport.bind(address, self._on_message)
-        if self._reclaim_needed:
-            self._start_recovery_reclaim()
+        if owners:
+            # Recovered strong owners may hold dirty state newer than
+            # anything in the WAL (their handoff rides an INVALIDATE_ACK
+            # that can die with the directory process).  The reclaim
+            # round fetches each one's full slice; until it finishes (or
+            # its watchdog expires) nobody in their conflict groups is
+            # served from the unreconciled copy.
+            self._enqueue(_PendingOp("reclaim", None, None, conflicts=owners))
 
     # ------------------------------------------------------------------
     # Introspection used by experiments / QualityProbe
@@ -587,18 +598,29 @@ class DirectoryManager:
             op_context=op_context,
         )
 
-    def _evict_view(self, view_id: str, reason: str) -> None:
-        """Presume a view dead: quarantine it and release its holds.
+    def _presume_dead(self, rec: ViewRecord, reason: str, op: _PendingOp) -> None:
+        """The one fence for a view a round gave up on (silent past the
+        watchdog, or an application hook raised on its behalf): stash
+        its reconciliation state, then deactivate it and log that."""
+        try:
+            self._quarantine_view(
+                rec, reason=reason,
+                op_context={"op_kind": op.kind, "requested_by": op.view_id},
+            )
+        except Exception:  # noqa: BLE001 — best-effort, see below
+            # Quarantine runs the application's extract hook — after a
+            # fault, possibly the very hook that just failed; the stash
+            # is best-effort, the deactivation is not.
+            self._trace(f"{reason}-quarantine-failed", view=rec.view_id)
+        rec.active = False
+        rec.exclusive = False
+        self._log_cursors(rec)
 
-        Reclaims strong-mode exclusivity (the evicted owner's token
-        returns to the directory), invalidates the conflict index, and
-        removes the view from any in-flight round so the requester is
-        not blocked by a corpse.
-        """
-        rec = self.views.get(view_id)
-        if rec is None:
-            return
-        self._quarantine_view(rec, reason=reason)
+    def _drop_view(self, view_id: str) -> None:
+        """Take a view out of the registry, the static map, the conflict
+        and slice indexes, and every in-flight round (so no requester
+        is blocked by a view that is gone).  Dropping a strong owner
+        returns its token to the directory."""
         # Scoped invalidation precedes the static-map removal: the
         # policy still needs the map row to find SHARED partners.
         self.policy.unregister_view(view_id)
@@ -608,6 +630,14 @@ class DirectoryManager:
         self._sync_policy_counters()
         self.invalidate_slice_index(view_id)
         self._forget_in_rounds(view_id)
+
+    def _evict_view(self, view_id: str, reason: str) -> None:
+        """Presume a view dead: quarantine it and release its holds."""
+        rec = self.views.get(view_id)
+        if rec is None:
+            return
+        self._quarantine_view(rec, reason=reason)
+        self._drop_view(view_id)
         self._log({"k": "evict", "v": view_id, "reason": reason})
 
     # ------------------------------------------------------------------
@@ -830,16 +860,8 @@ class DirectoryManager:
         if not image.is_empty():
             self._commit(rec, image, seq=msg.payload.get("state_seq"))
         view_id = rec.view_id
-        # Scoped invalidation needs the static-map row: run it before
-        # removing the view from the registry and the map.
-        self.policy.unregister_view(view_id)
-        self._release(view_id)
+        self._drop_view(view_id)
         self.counters["unregisters"] += 1
-        if self.static_map is not None and self.static_map.has_view(view_id):
-            self.static_map.remove_view(view_id)
-        self._sync_policy_counters()
-        self.invalidate_slice_index(view_id)
-        self._forget_in_rounds(view_id)
         self._log({"k": "unregister", "v": view_id})
         self._reply(msg, M.UNREGISTER_ACK, {"view_id": view_id})
 
@@ -850,19 +872,17 @@ class DirectoryManager:
             rec.view_id in op.awaiting.values()
             for op in self._running.values()
         )
-        if (
-            rec.exclusive and rec.active and not being_revoked
-            and not self._reclaim_fetches  # reclaim first: state unreconciled
-        ):
+        if rec.exclusive and rec.active and not being_revoked:
             # Re-ACQUIRE from the current exclusive holder — a delta
             # fallback retry (full=True) or a retransmission.  The token
             # did not move and, by the strong-mode invariant, every
             # conflicting view is already inactive, so a conflict round
             # would be an empty no-op: serve directly from current state
             # instead of queueing a redundant round.  Not taken while an
-            # in-flight round is revoking this holder — granting then
-            # would race the INVALIDATE and could split ownership; the
-            # queue serializes the re-ACQUIRE behind the revocation.
+            # in-flight round is revoking (or reclaiming from) this
+            # holder — granting then would race the round and could
+            # split ownership or serve unreconciled state; the queue
+            # serializes the re-ACQUIRE behind it.
             self.counters["regrants"] += 1
             self._trace("regrant", view=rec.view_id)
             payload, served = self._serve_payload(
@@ -918,19 +938,6 @@ class DirectoryManager:
             self._pumping = False
 
     def _schedule_ready(self) -> None:
-        if self._reclaim_fetches:
-            return  # recovery reclaim in progress: hold every op
-        if self.concurrent_rounds == 1:
-            # Serial passthrough: the paper's one-op-at-a-time queue,
-            # kept as its own branch so the default path never pays a
-            # scope computation.
-            while not self._running and self._op_queue:
-                op = self._op_queue.popleft()
-                if op.view_id not in self.views:
-                    # The view unregistered while queued; drop it.
-                    continue
-                self._start_running(op)
-            return
         queue = self._op_queue
         if not queue:
             return
@@ -944,10 +951,12 @@ class DirectoryManager:
         queue.clear()
         blocked: List[frozenset] = []
         for op in scan:
-            if op.view_id not in self.views:
-                continue
+            if op.view_id not in self.views and op.kind != "reclaim":
+                continue  # the requester unregistered while queued
             if limit and len(self._running) >= limit:
-                queue.append(op)  # table full: keep FIFO order
+                # Table full: keep FIFO order.  At bound 1 this is the
+                # paper's one-op-at-a-time queue.
+                queue.append(op)
                 continue
             scope = self._op_scope(op)
             if any(
@@ -975,8 +984,25 @@ class DirectoryManager:
         disjoint; a view registering *after* a round started lands in
         the *new* op's freshly-computed scope, so disjointness remains
         sound against membership churn while a round is in flight.
+
+        The conflict list is kept on the op: scope and start are one
+        synchronous scan step, so :meth:`_start_op` targets from it
+        instead of asking again.  A reclaim round's scope is the union
+        of its owners' scopes.  The profiler's ``conflict`` phase times
+        this computation.
         """
-        return frozenset((op.view_id, *self.conflict_set_of(op.view_id)))
+        prof = self.profiler
+        t0 = _clock_ns() if prof is not None else 0
+        if op.kind == "reclaim":
+            scope = frozenset(op.conflicts).union(
+                *(self.conflict_set_of(v) for v in op.conflicts)
+            )
+        else:
+            op.conflicts = self.conflict_set_of(op.view_id)
+            scope = frozenset((op.view_id, *op.conflicts))
+        if prof is not None:
+            prof.record("conflict", _clock_ns() - t0)
+        return scope
 
     def _start_running(self, op: _PendingOp) -> None:
         self._op_seq += 1
@@ -995,17 +1021,22 @@ class DirectoryManager:
 
     def _start_op(self, op: _PendingOp) -> None:
         prof = self.profiler
-        t0 = _clock_ns() if prof is not None else 0
-        conflicts = self.conflict_set_of(op.view_id)
         if prof is not None:
             prof.note_op()
             t1 = _clock_ns()
-            prof.record("conflict", t1 - t0)
         else:
             t1 = 0
+        conflicts = op.conflicts
+        extra: Dict[str, Any] = {"requested_by": op.view_id}
         # Target selection intersects the conflict set with the
         # maintained activity sets — O(conflict degree), never O(V).
-        if op.kind == "acquire":
+        if op.kind == "reclaim":
+            # Every recovered owner hands back its whole slice.
+            targets = {v: M.FETCH_REQ for v in conflicts}
+            extra = {"full": True}
+            self.counters["recovery_reclaims"] += len(targets)
+            self._trace("recovery-reclaim", views=conflicts)
+        elif op.kind == "acquire":
             # Revoke every conflicting view that is currently active.
             active = self._active_set
             targets = {v: M.INVALIDATE for v in conflicts if v in active}
@@ -1025,7 +1056,7 @@ class DirectoryManager:
         outgoing: List[Message] = []
         for v, mtype in targets.items():
             out = Message(mtype, self.address, self.views[v].address,
-                          {"view_id": v, "requested_by": op.view_id})
+                          {"view_id": v, **extra})
             op.awaiting[out.msg_id] = v
             self._round_ops[out.msg_id] = op
             if mtype == M.INVALIDATE:
@@ -1041,13 +1072,18 @@ class DirectoryManager:
         self._send_round(outgoing)
         if prof is not None:
             prof.record("fanout", _clock_ns() - t2)
-        if op.awaiting:
-            self.counters["rounds"] += 1
         if not op.awaiting:
             self._finalize_op(op)
-        elif self.round_timeout is not None:
-            self.transport.schedule(
-                self.round_timeout, lambda: self._expire_round(op)
+            return
+        self.counters["rounds"] += 1
+        timeout = self.round_timeout
+        if op.kind == "reclaim":
+            # Without a configured round/lease window, a fixed one keeps
+            # a dead owner from holding its conflict groups forever.
+            timeout = timeout or self.lease_duration or 60.0
+        if timeout is not None:
+            op.timer = self.transport.schedule(
+                timeout, lambda: self._expire_round(op)
             )
 
     def _send_round(self, outgoing: List[Message]) -> None:
@@ -1084,38 +1120,29 @@ class DirectoryManager:
         blocked forever by a dead or wedged cache manager — but their
         context (last committed image, dedup cursors, the operation
         they were blocking) is quarantined first, so a recovering CM
-        can reconcile instead of silently losing its dirty state.
+        can reconcile instead of silently losing its dirty state.  A
+        reclaim round's owners that never answered are quarantined as
+        ``reclaim-timeout``.
         """
         with self._lock:
             if op.seq not in self._running or not op.awaiting:
                 return  # the round completed in time
             dropped = list(op.awaiting.values())
-            self.counters["round_timeouts"] += 1
-            self._trace("round-timeout", dropped=dropped)
+            reclaim = op.kind == "reclaim"
+            reason = "reclaim-timeout" if reclaim else "round-timeout"
+            self.counters["reclaim_timeouts" if reclaim else "round_timeouts"] += 1
+            self._trace(reason, dropped=dropped)
             for view_id in dropped:
                 rec = self.views.get(view_id)
                 if rec is not None:
                     self.counters["rounds_quarantined"] += 1
-                    self._quarantine_view(
-                        rec,
-                        reason="round-timeout",
-                        op_context={
-                            "op_kind": op.kind,
-                            "requested_by": op.view_id,
-                        },
-                    )
-                    rec.active = False
-                    rec.exclusive = False
-                    self._log_cursors(rec)
+                    self._presume_dead(rec, reason, op)
             for mid in op.awaiting:
                 self._round_ops.pop(mid, None)
             op.awaiting.clear()
             self._finalize_op(op)
 
     def _h_round_reply(self, msg: Message) -> None:
-        if msg.reply_to in self._reclaim_fetches:
-            self._h_reclaim_reply(msg)
-            return
         op = self._round_ops.pop(msg.reply_to, None)
         if op is None or msg.reply_to not in op.awaiting:
             # Late/duplicate reply from a finished round — harmless.
@@ -1126,75 +1153,46 @@ class DirectoryManager:
         image: ObjectImage = msg.payload.get("image") or ObjectImage()
         if rec is not None:
             self._renew_lease(rec)  # the view answered: it is alive
-            faulted = False
-            if not image.is_empty():
-                try:
+            try:
+                if not image.is_empty():
                     self._commit(rec, image, seq=msg.payload.get("state_seq"))
-                except Exception as exc:  # noqa: BLE001 — fence, see below
-                    # A merge/resolver hook blowing up mid-round used to
-                    # propagate out of the handler and wedge the op slot
-                    # forever (the ACK was consumed but the round never
-                    # finalized).  Fence it: record the loss, quarantine
-                    # the offending view, and let the round finish.
-                    faulted = True
-                    self._round_fault(op, rec, exc)
-            if not faulted and msg.msg_type == M.INVALIDATE_ACK:
-                rec.active = False
-                rec.exclusive = False
-                self._log_cursors(rec)
+            except Exception as exc:  # noqa: BLE001 — fence, see below
+                # A merge/resolver hook blowing up mid-round used to
+                # propagate out of the handler and wedge the op slot
+                # forever (the ACK was consumed but the round never
+                # finalized).  Fence it: the view's handed-over state is
+                # recorded as lost, the view quarantined, and the round
+                # finishes.
+                self.counters["round_faults"] += 1
+                self._trace("round-fault", view=rec.view_id, error=str(exc))
+                self._presume_dead(rec, "round-fault", op)
+            else:
+                if msg.msg_type == M.INVALIDATE_ACK:
+                    rec.active = False
+                    rec.exclusive = False
+                    self._log_cursors(rec)
         if not op.awaiting:
             self._finalize_op(op)
 
-    def _round_fault(self, op: _PendingOp, rec: ViewRecord, exc: Exception) -> None:
-        """Fence a handler fault while absorbing a round reply: the
-        view's handed-over state is recorded as lost (quarantined for
-        reconciliation) instead of wedging the op's slot."""
-        self.counters["round_faults"] += 1
-        self._trace("round-fault", view=rec.view_id, error=str(exc))
-        try:
-            self._quarantine_view(
-                rec,
-                reason="round-fault",
-                op_context={"op_kind": op.kind, "requested_by": op.view_id},
-            )
-        except Exception:
-            # Quarantine runs the same application hooks that just
-            # failed; the stash is best-effort during a fault.
-            self._trace("round-fault-quarantine-failed", view=rec.view_id)
-        rec.active = False
-        rec.exclusive = False
-        self._log_cursors(rec)
-
-    def _serve_fault(self, op: _PendingOp, rec: ViewRecord, exc: Exception) -> None:
-        """Fence a serve-side fault (application extract hook raised):
-        record the loss, quarantine the offender, answer ERROR — the
-        op's slot has already been released, so unrelated rounds keep
-        flowing instead of wedging behind the failure."""
-        self.counters["serve_faults"] += 1
-        self._trace("serve-fault", view=rec.view_id, error=str(exc))
-        try:
-            self._quarantine_view(
-                rec,
-                reason="serve-fault",
-                op_context={"op_kind": op.kind, "requested_by": op.view_id},
-            )
-        except Exception:
-            self._trace("serve-fault-quarantine-failed", view=rec.view_id)
-        rec.active = False
-        rec.exclusive = False
-        self._log_cursors(rec)
-        self._reply(op.request, M.ERROR, {"error": str(exc)})
-
     def _finalize_op(self, op: _PendingOp) -> None:
         self._running.pop(op.seq, None)
+        if op.timer is not None:
+            op.timer.cancel()
         rec = self.views.get(op.view_id)
         if rec is not None:
             prof = self.profiler
             t0 = _clock_ns() if prof is not None else 0
             try:
                 payload, served = self._serve_payload(op, rec)
-            except Exception as exc:  # noqa: BLE001 — fence, see _serve_fault
-                self._serve_fault(op, rec, exc)
+            except Exception as exc:  # noqa: BLE001 — fence, see below
+                # An application extract hook raised: record the loss,
+                # quarantine the requester and answer ERROR.  The op's
+                # slot is already released, so unrelated rounds keep
+                # flowing instead of wedging behind the failure.
+                self.counters["serve_faults"] += 1
+                self._trace("serve-fault", view=rec.view_id, error=str(exc))
+                self._presume_dead(rec, "serve-fault", op)
+                self._reply(op.request, M.ERROR, {"error": str(exc)})
                 self._pump()
                 return
             if prof is not None:
@@ -1419,14 +1417,15 @@ class DirectoryManager:
             record["seen"] = {key: seen.get(key) for key in served.keys()}
         self.durability.append(record)
 
-    def _recover_durable_state(self) -> None:
+    def _recover_durable_state(self) -> List[str]:
+        """Replay the lineage; returns the recovered exclusive owners."""
         rs = self.durability.recovered
         if rs.empty:
             # First boot of this lineage: snapshot the initial primary
             # copy.  State that predates the first commit is in no WAL
             # record, so without this a crash would lose it.
             self.durability.snapshot(self._durable_state())
-            return
+            return []
         cells = 0
         snap = rs.snapshot
         if snap is not None:
@@ -1474,77 +1473,9 @@ class DirectoryManager:
         self.invalidate_slice_index()
         self._arm_lease_checker()
         # Surviving strong owners may hold dirty state the WAL never saw
-        # (a handoff lost with the dead process); reclaim before serving.
-        self._reclaim_needed = [
-            vid for vid, rec in sorted(self.views.items()) if rec.exclusive
-        ]
-
-    def _start_recovery_reclaim(self) -> None:
-        """Fetch the authoritative slice from recovered exclusive owners.
-
-        The WAL cannot contain dirty state a strong owner had not yet
-        handed over when the directory died, so the recovered primary
-        copy may be behind the owner's view.  Every recovered-exclusive
-        view is sent a full-slice FETCH_REQ; queued operations stay
-        blocked (:meth:`_pump`) until all replies arrive or the reclaim
-        window expires — serving anyone from the unreconciled copy
-        could leak a stale read.
-        """
-        for view_id in self._reclaim_needed:
-            rec = self.views[view_id]
-            out = Message(
-                M.FETCH_REQ, self.address, rec.address,
-                {"view_id": view_id, "full": True},
-            )
-            self._reclaim_fetches[out.msg_id] = view_id
-            self.counters["fetches_sent"] += 1
-            self.counters["recovery_reclaims"] += 1
-            self._trace("recovery-reclaim", view=view_id)
-            self._send(out)
-        self._reclaim_needed = []
-        if self._reclaim_fetches:
-            # Without a configured round/lease window, a fixed one keeps
-            # a dead owner from wedging the queue forever.
-            timeout = self.round_timeout or self.lease_duration or 60.0
-            self._reclaim_timer = self.transport.schedule(
-                timeout, self._expire_reclaim
-            )
-
-    def _h_reclaim_reply(self, msg: Message) -> None:
-        view_id = self._reclaim_fetches.pop(msg.reply_to)
-        rec = self.views.get(view_id)
-        image: ObjectImage = msg.payload.get("image") or ObjectImage()
-        if rec is not None:
-            self._renew_lease(rec)
-            if not image.is_empty():
-                self._commit(rec, image, seq=msg.payload.get("state_seq"))
-                self._log_cursors(rec)
-        self._trace("recovery-reclaim-done", view=view_id)
-        if not self._reclaim_fetches:
-            self._pump()
-
-    def _expire_reclaim(self) -> None:
-        """Watchdog: stop waiting on owners that died with the crash.
-
-        Mirrors :meth:`_expire_round`: the silent views are quarantined
-        (their recovered context kept for reconciliation) and their
-        exclusivity reclaimed so the queue can drain.
-        """
-        with self._lock:
-            if not self._reclaim_fetches:
-                return
-            dropped = sorted(self._reclaim_fetches.values())
-            self._reclaim_fetches.clear()
-            self.counters["reclaim_timeouts"] += 1
-            self._trace("recovery-reclaim-timeout", dropped=dropped)
-            for view_id in dropped:
-                rec = self.views.get(view_id)
-                if rec is not None:
-                    self._quarantine_view(rec, reason="reclaim-timeout")
-                    rec.active = False
-                    rec.exclusive = False
-                    self._log_cursors(rec)
-            self._pump()
+        # (a handoff lost with the dead process): the constructor
+        # reclaims from them before serving their conflict groups.
+        return [vid for vid, rec in sorted(self.views.items()) if rec.exclusive]
 
     def _replay(self, record: Dict[str, Any]) -> int:
         """Apply one WAL record to blank post-restart state; returns the
@@ -1721,11 +1652,12 @@ class DirectoryManager:
     # ------------------------------------------------------------------
     def _cancel_timers(self) -> None:
         # A timer outliving the directory would act on torn-down state
-        # (the reclaim watchdog logs cursors to a closed WAL).
-        for timer in (self._lease_timer, self._reclaim_timer):
+        # (a round watchdog logs cursors to a closed WAL).
+        timers = [op.timer for op in self._running.values()]
+        for timer in (self._lease_timer, *timers):
             if timer is not None:
                 timer.cancel()
-        self._lease_timer = self._reclaim_timer = None
+        self._lease_timer = None
 
     def close(self) -> None:
         self._cancel_timers()

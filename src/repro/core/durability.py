@@ -174,30 +174,6 @@ def store_placement(spec: DurabilitySpec, doc: Dict[str, Any]) -> None:
     os.replace(tmp, path)
 
 
-def partitioner_fingerprint(partitioner: Any) -> str:
-    """A stable fingerprint of a partitioner's key-routing function.
-
-    Hashes the class name plus the routing-relevant configuration; two
-    partitioners that route keys identically fingerprint identically
-    across process restarts (CRC-32 over a canonical JSON spelling —
-    never ``hash()``, which is salted per process).
-    """
-    fp = getattr(partitioner, "fingerprint", None)
-    if callable(fp):
-        return fp()
-    spec: Dict[str, Any] = {"cls": type(partitioner).__name__}
-    for attr in ("n_shards", "replicas", "partition_property"):
-        if hasattr(partitioner, attr):
-            spec[attr] = getattr(partitioner, attr)
-    ranges = getattr(partitioner, "ranges", None)
-    if ranges is not None:
-        spec["ranges"] = [r.to_jsonable() for r in ranges]
-    digest = zlib.crc32(
-        json.dumps(spec, sort_keys=True, default=str).encode("utf-8")
-    )
-    return f"{digest & 0xFFFFFFFF:08x}"
-
-
 class DurabilityManager:
     """One directory's WAL + snapshot lineage.
 

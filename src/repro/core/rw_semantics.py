@@ -78,13 +78,10 @@ class RWDirectoryManager(DirectoryManager):
             return
         # READ acquire: only a conflicting *writer* must be revoked;
         # co-existing readers are fine (the message saving).  Writers
-        # come from the maintained exclusive set — O(conflict degree).
+        # come from the maintained exclusive set — O(conflict degree),
+        # over the conflict list the scheduler admitted the op with.
         exclusive = self._exclusive_set
-        targets = {
-            v: M.INVALIDATE
-            for v in self.conflict_set_of(op.view_id)
-            if v in exclusive
-        }
+        targets = {v: M.INVALIDATE for v in op.conflicts if v in exclusive}
         for v, mtype in targets.items():
             out = Message(mtype, self.address, self.views[v].address,
                           {"view_id": v, "requested_by": op.view_id})

@@ -6,23 +6,18 @@ whole coherence plane at one process.  This module partitions the
 primary copy across N independent :class:`DirectoryManager` *shards*
 while keeping every cache manager oblivious:
 
-- A **partitioner** assigns each cell key to one shard.  The default,
-  :class:`KeyRangePartitioner`, cuts the component's sorted keys into
-  contiguous equal-count ranges, so a view serving a run of adjacent
-  keys — and with it every round of its conflict group — lives on one
-  shard.  :class:`HashPartitioner` uses a consistent-hash ring over
-  CRC-32 (stable across process restarts — ``hash()`` is randomized
-  per process and must never leak into routing), and
-  :class:`DomainRangePartitioner` splits by property-domain ranges so
-  ``dynConfl`` overlap checks stay shard-local for range-partitioned
-  workloads.
+- One **placement**, :class:`KeyRangePartitioner`, assigns each cell
+  key to one shard: the component's sorted keys cut into contiguous
+  ranges, so a view serving a run of adjacent keys — and with it every
+  round of its conflict group — lives on one shard.
 - A CM-side :class:`ShardRouter` (a :class:`Transport` wrapper) resolves
-  each view to its **footprint** — the shards its slice can touch.  A
-  view on one shard is *forwarded*: its requests are retargeted to that
-  shard and its replies pass through untouched, the unsharded message
-  sequence.  Only a view whose slice genuinely spans shards is fanned
-  out, its per-shard rounds meeting at a **merge barrier** in the
-  router.
+  each view to its **footprint** — the shards its slice can touch — by
+  one rule: the owners of the values of the property that enumerates,
+  verifiably, the view's keys.  A view on one shard is *forwarded*: its
+  requests are retargeted to that shard and its replies pass through
+  untouched, the unsharded message sequence.  Only a view whose slice
+  genuinely spans shards is fanned out, its per-shard rounds meeting
+  at a **merge barrier** in the router.
 - :class:`ShardedDirectoryPlane` builds the shards (each sees only its
   own key partition via wrapped extract functions plus the directory's
   ``key_filter`` guard) and exposes plane-wide counters and merged
@@ -53,7 +48,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.core import messages as M
@@ -63,13 +57,8 @@ from repro.core.directory import (
     ExtractFromObject,
     MergeIntoObject,
 )
-from repro.core.domains import DiscreteSet, Domain
-from repro.core.durability import (
-    DurabilitySpec,
-    load_placement,
-    partitioner_fingerprint,
-    store_placement,
-)
+from repro.core.domains import DiscreteSet
+from repro.core.durability import DurabilitySpec, load_placement, store_placement
 from repro.core.image import DeltaImage, ObjectImage
 from repro.core.messages import TraceLog
 from repro.core.property import Property
@@ -81,18 +70,6 @@ from repro.net.stats import MessageStats
 from repro.net.transport import Completion, Endpoint, TimerHandle, Transport
 
 log = logging.getLogger(__name__)
-
-
-def stable_key_hash(key: Any) -> int:
-    """Process-restart-stable hash for routing decisions.
-
-    Python's builtin ``hash`` is salted per process (PYTHONHASHSEED), so
-    using it would scatter a view's cells differently on every restart
-    and desynchronize recovering cache managers from the shard that
-    holds their state.  CRC-32 is stable, fast, and spreads short cell
-    keys well enough for placement.
-    """
-    return zlib.crc32(str(key).encode("utf-8")) & 0xFFFFFFFF
 
 
 class KeyRangePartitioner:
@@ -145,141 +122,16 @@ class KeyRangePartitioner:
         )
 
     def fingerprint(self) -> str:
-        """Restart-stable digest of the split points (see
-        :meth:`HashPartitioner.fingerprint`)."""
+        """Restart-stable digest of the split points.
+
+        Names per-shard durability lineages: a plane restarted with
+        *different* split points must not recover a shard from a
+        lineage whose key partition disagrees with where the new
+        placement routes those keys.  CRC-32 over a canonical JSON
+        spelling — never ``hash()``, which is salted per process.
+        """
         spec = json.dumps({"keyrange": self.splits})
         return f"{zlib.crc32(spec.encode('utf-8')) & 0xFFFFFFFF:08x}"
-
-
-class HashPartitioner:
-    """Consistent-hash ring over cell keys.
-
-    Each shard owns ``replicas`` virtual points on a CRC-32 ring; a key
-    belongs to the shard owning the first ring point at or after the
-    key's hash.  Virtual points keep the per-shard load balanced and the
-    assignment stable when the shard count changes (only ~1/N of keys
-    move), though this plane never resizes a live ring.
-
-    ``shards_for(properties)`` maps a view's property set to the shards
-    its slice can touch: a :class:`DiscreteSet` domain on the partition
-    property enumerates exactly the owning shards; an interval (or a
-    missing partition property) cannot be enumerated, so the view is
-    treated as spanning every shard.
-    """
-
-    def __init__(
-        self,
-        n_shards: int,
-        replicas: int = 64,
-        partition_property: str = "cells",
-    ) -> None:
-        if n_shards < 1:
-            raise ReproError(f"n_shards must be >= 1, got {n_shards}")
-        if replicas < 1:
-            raise ReproError(f"replicas must be >= 1, got {replicas}")
-        self.n_shards = n_shards
-        self.replicas = replicas
-        self.partition_property = partition_property
-        ring: List[Tuple[int, int]] = []
-        for shard in range(n_shards):
-            for rep in range(replicas):
-                ring.append((stable_key_hash(f"shard:{shard}:rep:{rep}"), shard))
-        ring.sort()
-        self._points = [point for point, _ in ring]
-        self._owners = [shard for _, shard in ring]
-
-    def shard_of(self, key: Any) -> int:
-        """The shard owning ``key``."""
-        if self.n_shards == 1:
-            return 0
-        idx = bisect.bisect_right(self._points, stable_key_hash(key))
-        return self._owners[idx % len(self._owners)]
-
-    def fingerprint(self) -> str:
-        """Restart-stable digest of this partitioner's key routing.
-
-        Names per-shard durability lineages: a plane restarted with a
-        *different* routing function must not recover a shard from a
-        lineage whose key partition disagrees with where the new
-        partitioner routes those keys.
-        """
-        spec = f"hash:{self.n_shards}:{self.replicas}:{self.partition_property}"
-        return f"{zlib.crc32(spec.encode('utf-8')) & 0xFFFFFFFF:08x}"
-
-    def shards_for(self, properties: Optional[PropertySet]) -> List[int]:
-        """Sorted shards a view with ``properties`` can touch."""
-        if self.n_shards == 1:
-            return [0]
-        prop = (
-            properties.get(self.partition_property)
-            if properties is not None
-            else None
-        )
-        if prop is None or not isinstance(prop.domain, DiscreteSet):
-            # Interval (or absent) domains cannot be enumerated: the
-            # view may touch any key, so it spans the whole plane.
-            return list(range(self.n_shards))
-        return sorted({self.shard_of(v) for v in prop.domain.values})
-
-
-class DomainRangePartitioner:
-    """Partition by explicit property-domain ranges.
-
-    One :class:`~repro.core.domains.Domain` per shard; a key belongs to
-    the first range that contains it (CRC-32 fallback for keys outside
-    every range).  Because the ranges are domains, ``shards_for`` can
-    answer by *domain overlap* — the same operation ``dynConfl`` uses —
-    so a workload partitioned along its conflict structure keeps every
-    overlap check, and therefore every conflict round, shard-local.
-    """
-
-    def __init__(
-        self,
-        ranges: Sequence[Domain],
-        partition_property: str = "cells",
-    ) -> None:
-        if not ranges:
-            raise ReproError("DomainRangePartitioner needs at least one range")
-        self.ranges: List[Domain] = list(ranges)
-        self.n_shards = len(self.ranges)
-        self.partition_property = partition_property
-
-    def shard_of(self, key: Any) -> int:
-        for shard, dom in enumerate(self.ranges):
-            if dom.contains(key):
-                return shard
-        return stable_key_hash(key) % self.n_shards
-
-    def shards_for(self, properties: Optional[PropertySet]) -> List[int]:
-        prop = (
-            properties.get(self.partition_property)
-            if properties is not None
-            else None
-        )
-        if prop is None:
-            return list(range(self.n_shards))
-        dom = prop.domain
-        if isinstance(dom, DiscreteSet):
-            return sorted({self.shard_of(v) for v in dom.values})
-        overlapping = [
-            shard for shard, r in enumerate(self.ranges) if r.overlaps(dom)
-        ]
-        return overlapping or [0]
-
-    def fingerprint(self) -> str:
-        """Restart-stable digest of the range routing (see
-        :meth:`HashPartitioner.fingerprint`)."""
-        spec = json.dumps(
-            {
-                "ranges": [r.to_jsonable() for r in self.ranges],
-                "partition_property": self.partition_property,
-            },
-            sort_keys=True,
-        )
-        return f"{zlib.crc32(spec.encode('utf-8')) & 0xFFFFFFFF:08x}"
-
-
-Partitioner = Union[KeyRangePartitioner, HashPartitioner, DomainRangePartitioner]
 
 
 def _absorb(acc: ObjectImage, part: ObjectImage) -> None:
@@ -395,7 +247,7 @@ class ShardRouter(Transport):
         inner: Transport,
         directory_address: str,
         shard_addresses: Sequence[str],
-        partitioner: Partitioner,
+        partitioner: KeyRangePartitioner,
     ) -> None:
         super().__init__()
         if not shard_addresses:
@@ -475,38 +327,23 @@ class ShardRouter(Transport):
     def footprint(self, view_id: str, properties: PropertySet) -> List[int]:
         """Sorted shards the slice of ``view_id`` can touch.
 
-        A partitioner that names its partition property answers from
-        that property's domain.  A :class:`KeyRangePartitioner` names
-        none, so the router looks for a :class:`DiscreteSet` property
-        that enumerates the view's cell keys and *verifies* it: one call
-        of the application's own extract, and a property qualifies only
-        if every extracted key is among its values.  The footprint is
-        then the owners of that property's values — a superset of the
-        owners of the slice, as long as the application keeps its side
-        of the contract (slice keys ⊆ the property's values).  A view
-        whose keys no property enumerates spans the plane, with a
-        warning.
+        The router looks for a :class:`DiscreteSet` property that
+        enumerates the view's cell keys and *verifies* it: one call of
+        the application's own extract, and a property qualifies only if
+        every extracted key is among its values.  The footprint is then
+        the owners of that property's values — a superset of the owners
+        of the slice, as long as the application keeps its side of the
+        contract (slice keys ⊆ the property's values).  A view whose
+        keys no property enumerates spans the plane, with a warning.
         """
         n_shards = len(self.shard_addresses)
         if n_shards == 1:
             return [0]
         part = self.partitioner
-        if isinstance(part, KeyRangePartitioner):
-            prop, why = self._enumerating_property(properties)
-            if prop is not None:
-                part.partition_property = prop.name
-                return sorted({part.shard_of(v) for v in prop.domain.values})
-        else:
-            name = part.partition_property
-            prop = properties.get(name)
-            if prop is None:
-                why = f"it declares no property {name!r}"
-            elif isinstance(prop.domain, DiscreteSet) or isinstance(
-                part, DomainRangePartitioner  # places intervals by overlap
-            ):
-                return part.shards_for(properties)
-            else:
-                why = f"its property {name!r} is not a DiscreteSet"
+        prop, why = self._enumerating_property(properties)
+        if prop is not None:
+            part.partition_property = prop.name
+            return sorted({part.shard_of(v) for v in prop.domain.values})
         self.counters["whole_plane_views"] += 1
         log.warning("view %r spans all %d shards: %s", view_id, n_shards, why)
         return list(range(n_shards))
@@ -1130,7 +967,7 @@ class ShardedDirectoryPlane:
         extract_from_object: ExtractFromObject,
         merge_into_object: MergeIntoObject,
         n_shards: int = 1,
-        partitioner: Optional[Partitioner] = None,
+        partitioner: Optional[KeyRangePartitioner] = None,
         directory_address: str = "dir",
         directory_cls: type = DirectoryManager,
         trace: Optional[TraceLog] = None,
@@ -1167,9 +1004,7 @@ class ShardedDirectoryPlane:
         self.router.extract_slice = (
             lambda props: extract_from_object(component, props)
         )
-        fingerprint = (
-            partitioner_fingerprint(partitioner) if durability is not None else ""
-        )
+        fingerprint = partitioner.fingerprint()
         self.shards: List[DirectoryManager] = []
         self._shard_factories: List[Callable[[], DirectoryManager]] = []
         for i, addr in enumerate(self.addresses):
@@ -1318,7 +1153,7 @@ class ShardedFleccSystem(FleccSystem):
         extract_from_object: ExtractFromObject,
         merge_into_object: MergeIntoObject,
         n_shards: int = 1,
-        partitioner: Optional[Partitioner] = None,
+        partitioner: Optional[KeyRangePartitioner] = None,
         *args: Any,
         **kwargs: Any,
     ) -> None:

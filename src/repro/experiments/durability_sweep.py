@@ -5,7 +5,8 @@ Three point families exercise the durable directory plane
 
 - **overhead** — the Fig-4-style mixed-mode workload plus a 256-commit
   push burst, run per fsync policy (volatile / ``off`` / ``batch`` /
-  ``always``), each timed separately (min over repeats).  The gate:
+  ``always``), the policies timed in alternation inside one point
+  (min over repeats).  The gate:
   ``fsync=batch`` must cost at most 1.5x the volatile baseline on the
   fig4 workload.  The batch policy amortizes with ``batch_interval=64``
   (the bounded-loss window it trades for throughput); the burst leg
@@ -53,9 +54,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import messages as M
 from repro.core.directory import DirectoryManager
-from repro.core.durability import DurabilitySpec, partitioner_fingerprint
+from repro.core.durability import DurabilitySpec
 from repro.core.image import ObjectImage
-from repro.core.sharding import HashPartitioner, ShardedFleccSystem
+from repro.core.sharding import ShardedDirectoryPlane, ShardedFleccSystem
 from repro.core.system import FleccSystem, run_all_scripts
 from repro.experiments.report import Table
 from repro.experiments.runner import Experiment, Param, ShardSpec, cli, point_doc
@@ -165,50 +166,66 @@ def _commit_burst(kernel: SimKernel, transport: SimTransport, n: int) -> None:
     ep.close()
 
 
-def run_overhead_point(
-    policy: Optional[str], repeats: int = 7, burst: int = 256
-) -> OverheadPoint:
-    best_fig4 = best_burst = float("inf")
-    commits = appends = syncs = 0
+def _overhead_leg(policy: Optional[str], burst: int) -> Tuple[float, float, int, int, int]:
+    """One timed run under ``policy``: (fig4 seconds, burst seconds,
+    commits, WAL appends, WAL syncs)."""
+    reset_message_ids()
+    root = Path(tempfile.mkdtemp(prefix="flecc-wal-"))
+    try:
+        kernel = SimKernel()
+        transport = SimTransport(kernel, default_latency=1.0, strict_wire=True)
+        store = Store({f"c{i:02d}": i for i in range(8)})
+        dur = (
+            DurabilitySpec(root=root, fsync=policy, batch_interval=64,
+                           snapshot_every=256)
+            if policy is not None else None
+        )
+        system = FleccSystem(
+            transport, store, extract_from_object, merge_into_object,
+            extract_cells=extract_cells, durability=dur,
+        )
+        t0 = time.perf_counter()
+        _fig4_workload(system, sorted(store.cells))
+        t1 = time.perf_counter()
+        _commit_burst(kernel, transport, burst)
+        t2 = time.perf_counter()
+        d = system.directory.durability
+        wal = (d.counters["wal_appends"], d.counters["wal_syncs"]) if d else (0, 0)
+        commits = system.directory.counters["commits"]
+        system.close()
+        return t1 - t0, t2 - t1, commits, *wal
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def run_overhead_points(repeats: int = 7, burst: int = 256) -> List[OverheadPoint]:
+    """Every fsync policy, min over ``repeats``, timed in alternation.
+
+    Each repeat runs one leg per policy back to back, so the windows a
+    policy ratio divides come from the same stretch of the same
+    process: two ~2 ms minima taken minutes apart (or in different
+    workers) drift more than the overhead being gated.
+    """
+    legs: Dict[Optional[str], List[Tuple[float, float, int, int, int]]] = {
+        policy: [] for policy in FSYNC_POLICIES
+    }
     for _ in range(repeats):
-        reset_message_ids()
-        root = Path(tempfile.mkdtemp(prefix="flecc-wal-"))
-        try:
-            kernel = SimKernel()
-            transport = SimTransport(kernel, default_latency=1.0, strict_wire=True)
-            store = Store({f"c{i:02d}": i for i in range(8)})
-            dur = (
-                DurabilitySpec(root=root, fsync=policy, batch_interval=64,
-                               snapshot_every=256)
-                if policy is not None else None
-            )
-            system = FleccSystem(
-                transport, store, extract_from_object, merge_into_object,
-                extract_cells=extract_cells, durability=dur,
-            )
-            t0 = time.perf_counter()
-            _fig4_workload(system, sorted(store.cells))
-            t1 = time.perf_counter()
-            _commit_burst(kernel, transport, burst)
-            t2 = time.perf_counter()
-            best_fig4 = min(best_fig4, t1 - t0)
-            best_burst = min(best_burst, t2 - t1)
-            commits = system.directory.counters["commits"]
-            d = system.directory.durability
-            if d is not None:
-                appends, syncs = d.counters["wal_appends"], d.counters["wal_syncs"]
-            system.close()
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-    return OverheadPoint(
-        policy=policy or "volatile",
-        commits=commits,
-        fig4_wall_ms=best_fig4 * 1000.0,
-        burst_wall_ms=best_burst * 1000.0,
-        us_per_commit=best_burst * 1e6 / burst,
-        wal_appends=appends,
-        wal_syncs=syncs,
-    )
+        for policy in FSYNC_POLICIES:
+            legs[policy].append(_overhead_leg(policy, burst))
+    points = []
+    for policy, runs in legs.items():
+        best_burst = min(r[1] for r in runs)
+        _, _, commits, appends, syncs = runs[-1]
+        points.append(OverheadPoint(
+            policy=policy or "volatile",
+            commits=commits,
+            fig4_wall_ms=min(r[0] for r in runs) * 1000.0,
+            burst_wall_ms=best_burst * 1000.0,
+            us_per_commit=best_burst * 1e6 / burst,
+            wal_appends=appends,
+            wal_syncs=syncs,
+        ))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -301,26 +318,25 @@ def _kill_workload(
 
 def _build_kill_system(
     root: Path, n_shards: int
-) -> Tuple[SimKernel, ShardedFleccSystem, Store, HashPartitioner]:
+) -> Tuple[SimKernel, ShardedFleccSystem, Store]:
     reset_message_ids()
     kernel = SimKernel()
     transport = SimTransport(kernel, default_latency=1.0, strict_wire=True)
     store = Store({c: 0 for c in KILL_CELLS})
-    partitioner = HashPartitioner(n_shards)
     system = ShardedFleccSystem(
         transport, store, extract_from_object, merge_into_object,
-        n_shards=n_shards, partitioner=partitioner,
-        extract_cells=extract_cells,
+        n_shards=n_shards, extract_cells=extract_cells,
         durability=DurabilitySpec(root=root, fsync="always", snapshot_every=4),
     )
-    return kernel, system, store, partitioner
+    return kernel, system, store
 
 
-def _wipe_owned(store: Store, partitioner: HashPartitioner, shard: int) -> None:
+def _wipe_owned(store: Store, plane: ShardedDirectoryPlane, shard: int) -> None:
     """Drop the shard's owned cells from the shared in-process component
     — the volatile state a real process kill would lose.  Without this
     the surviving Python object would mask every recovery bug."""
-    for key in [k for k in store.cells if partitioner.shard_of(k) == shard]:
+    owner = plane.partitioner.shard_of
+    for key in [k for k in store.cells if owner(k) == shard]:
         del store.cells[key]
 
 
@@ -354,7 +370,7 @@ def run_kill_point(point: Tuple[str, int, int], seed: int = 0) -> KillPoint:
     # Crash-free baseline: the same deterministic workload untouched.
     base_root = Path(tempfile.mkdtemp(prefix="flecc-wal-"))
     try:
-        _, base_system, base_store, _ = _build_kill_system(base_root, n_shards)
+        _, base_system, base_store = _build_kill_system(base_root, n_shards)
         _kill_workload(base_system, None)
         baseline = dict(base_store.cells)
         base_system.close()
@@ -363,7 +379,7 @@ def run_kill_point(point: Tuple[str, int, int], seed: int = 0) -> KillPoint:
 
     root = Path(tempfile.mkdtemp(prefix="flecc-wal-"))
     try:
-        kernel, system, store, partitioner = _build_kill_system(root, n_shards)
+        kernel, system, store = _build_kill_system(root, n_shards)
         plane = system.plane
         injected = {"applied": injection}
 
@@ -371,7 +387,7 @@ def run_kill_point(point: Tuple[str, int, int], seed: int = 0) -> KillPoint:
             torn = TORN_GARBAGE if injection == "torn" else b""
             lineage = plane.shards[shard].durability.spec.directory
             plane.crash_shard(shard, torn_tail=torn)
-            _wipe_owned(store, partitioner, shard)
+            _wipe_owned(store, plane, shard)
             if injection == "snap" and not _truncate_newest_snapshot(lineage):
                 injected["applied"] = "none"  # no fallback generation yet
 
@@ -421,7 +437,7 @@ def sweep_points(
     kill_points: Sequence[Tuple[int, int]] = KILL_POINTS,
 ) -> List[Tuple[Any, ...]]:
     """Picklable point descriptors for the parallel runner."""
-    points: List[Tuple[Any, ...]] = [("overhead", p) for p in FSYNC_POLICIES]
+    points: List[Tuple[Any, ...]] = [("overhead",)]
     points += [("recovery", t) for t in RECOVERY_TAILS]
     for n_shards, count in kill_points:
         points += [("kill", n_shards, i) for i in range(count)]
@@ -431,7 +447,7 @@ def sweep_points(
 def run_sweep_point(point: Tuple[Any, ...], seed: int = 0) -> Any:
     family = point[0]
     if family == "overhead":
-        return run_overhead_point(point[1])
+        return run_overhead_points()
     if family == "recovery":
         return run_recovery_point(point[1])
     return run_kill_point(point, seed=seed)
@@ -444,8 +460,8 @@ def merge_durability_sweep(
 ) -> DurabilitySweepResult:
     result = DurabilitySweepResult()
     for p in partials:
-        if isinstance(p, OverheadPoint):
-            result.overhead.append(p)
+        if isinstance(p, list):
+            result.overhead.extend(p)
         elif isinstance(p, RecoveryPoint):
             result.recovery.append(p)
         elif isinstance(p, KillPoint):

@@ -319,6 +319,132 @@ def test_reclaim_watchdog_dies_with_the_directory(wal_root, stop):
     assert dm2.counters["reclaim_timeouts"] == 0
 
 
+@pytest.mark.parametrize("stop", ["close", "crash"])
+def test_round_watchdog_dies_with_the_directory(wal_root, stop):
+    """Regression: a round stuck on a silent view, on a durable
+    directory with a round watchdog, when the directory is closed (or
+    crashes) before the timeout — fired afterwards, the watchdog logged
+    cursors to the closed WAL and raised."""
+    kernel = SimKernel()
+    transport = SimTransport(kernel)
+    dm = DirectoryManager(
+        transport, "dir", Store({"a": 0}), extract_from_object,
+        merge_into_object, durability=_spec(wal_root, name="round-dog"),
+        round_timeout=30.0,
+    )
+    ep = transport.bind("cm", lambda m: None)  # never answers INVALIDATE
+    for vid in ("w", "r"):
+        ep.send(Message(M.REGISTER, "cm", "dir",
+                        {"view_id": vid, "properties": props_for(["a"]),
+                         "mode": "strong"}))
+    ep.send(Message(M.ACQUIRE, "cm", "dir", {"view_id": "w"}))
+    kernel.run()
+    assert dm.views["w"].exclusive
+    ep.send(Message(M.ACQUIRE, "cm", "dir", {"view_id": "r"}))
+    kernel.run(until=kernel.now + 5.0)  # the revocation of w is in flight
+    assert dm._running
+    getattr(dm, stop)()
+    kernel.run()  # past the round timeout
+    assert dm.counters["round_timeouts"] == 0
+
+
+def _recovered_owner(wal_root, name, **options):
+    """A durable directory whose strong view ``w`` (cell ``a``) holds
+    exclusivity when it crashes; returns the lineage spec."""
+    kernel = SimKernel()
+    transport = SimTransport(kernel)
+    spec = _spec(wal_root, name=name)
+    dm = DirectoryManager(
+        transport, "dir", Store({"a": 0, "b": 0}), extract_from_object,
+        merge_into_object, durability=spec, **options,
+    )
+    ep = transport.bind("cm", lambda m: None)
+    ep.send(Message(M.REGISTER, "cm", "dir",
+                    {"view_id": "w", "properties": props_for(["a"]),
+                     "mode": "strong"}))
+    ep.send(Message(M.ACQUIRE, "cm", "dir", {"view_id": "w"}))
+    kernel.run()
+    assert dm.views["w"].exclusive
+    dm.crash()
+    ep.close()
+    return spec
+
+
+def test_reclaim_reply_whose_merge_raises_is_fenced(wal_root):
+    """The reclaim is a round, so its replies pass the round-fault
+    fence: a merge hook that raises on the owner's handed-back slice
+    quarantines the owner and finishes the round instead of raising
+    out of the event loop."""
+    spec = _recovered_owner(wal_root, "reclaim-fault")
+
+    def poisoned_merge(store, image, props):
+        if "poison" in image.keys():
+            raise RuntimeError("merge hook exploded")
+        merge_into_object(store, image, props)
+
+    kernel = SimKernel()
+    transport = SimTransport(kernel)
+    replies = []
+
+    def owner(msg):
+        if msg.msg_type == M.FETCH_REQ:
+            assert msg.payload == {"view_id": "w", "full": True}
+            ep.send(msg.reply(M.FETCH_REPLY, {
+                "view_id": "w", "image": ObjectImage({"poison": 1}),
+            }))
+        else:
+            replies.append(msg)
+
+    ep = transport.bind("cm", owner)
+    dm = DirectoryManager(
+        transport, "dir", Store(), extract_from_object, poisoned_merge,
+        durability=spec,
+    )
+    kernel.run()
+    assert dm.counters["recovery_reclaims"] == 1
+    assert dm.counters["round_faults"] == 1
+    assert dm.quarantined["w"].reason == "round-fault"
+    assert not dm.views["w"].exclusive and not dm.views["w"].active
+    assert not dm._running  # the round finished
+    ep.send(Message(M.PULL_REQ, "cm", "dir", {"view_id": "w"}))
+    kernel.run()
+    assert [m.msg_type for m in replies] == [M.PULL_DATA]
+    dm.close()
+
+
+def test_reclaim_blocks_only_the_owners_conflict_groups(wal_root):
+    """With unbounded rounds the reclaim round holds its owners'
+    conflict groups and nothing else: a pull on an unrelated cell is
+    served inside the reclaim window, a pull on the owner's cell waits
+    until the silent owner's reclaim times out."""
+    spec = _recovered_owner(wal_root, "reclaim-scope", concurrent_rounds=0)
+    kernel = SimKernel()
+    transport = SimTransport(kernel, default_latency=1.0)
+    answered = {}
+
+    def hub(msg):  # the owner is silent; everyone else records replies
+        if msg.msg_type == M.PULL_DATA:
+            answered[msg.reply_to] = transport.now()
+
+    ep = transport.bind("cm", hub)
+    dm = DirectoryManager(
+        transport, "dir", Store(), extract_from_object, merge_into_object,
+        durability=spec, concurrent_rounds=0,
+    )
+    pulls = {}
+    for vid, cell in (("x", "b"), ("y", "a")):
+        ep.send(Message(M.REGISTER, "cm", "dir",
+                        {"view_id": vid, "properties": props_for([cell]),
+                         "mode": "weak"}))
+        pulls[vid] = Message(M.PULL_REQ, "cm", "dir", {"view_id": vid})
+        ep.send(pulls[vid])
+    kernel.run()
+    assert dm.counters["reclaim_timeouts"] == 1  # the 60 s window
+    assert answered[pulls["x"].msg_id] < 5.0     # outside: not held
+    assert answered[pulls["y"].msg_id] >= 60.0   # inside: waited
+    dm.close()
+
+
 # -- the loop thread never waits for the disk --------------------------------
 
 @pytest.mark.parametrize("stop", ["close", "crash"])

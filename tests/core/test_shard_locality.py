@@ -33,15 +33,8 @@ from repro.apps.airline.workload import (
     reserve_operations,
 )
 from repro.core import messages as M
-from repro.core.domains import Interval
 from repro.core.durability import DurabilitySpec
-from repro.core.property import Property
-from repro.core.property_set import PropertySet
-from repro.core.sharding import (
-    HashPartitioner,
-    KeyRangePartitioner,
-    ShardedFleccSystem,
-)
+from repro.core.sharding import KeyRangePartitioner, ShardedFleccSystem
 from repro.core.system import run_all_scripts
 from repro.errors import ProtocolError
 from repro.net.aio_transport import AioTcpTransport
@@ -216,34 +209,6 @@ def test_view_no_property_enumerates_spans_the_plane_loudly(caplog):
     assert len(warnings) == 1
     assert "by-index" in warnings[0].getMessage()
     assert "DiscreteSet" in warnings[0].getMessage()
-
-
-def test_named_property_that_cannot_be_enumerated_is_loud_too(caplog):
-    """An explicit ``HashPartitioner("cells")`` and a view whose
-    ``cells`` is an interval: the same whole-plane fallback, so the
-    same warning and counter."""
-    system = ShardedFleccSystem(
-        SimTransport(SimKernel(), default_latency=1.0),
-        Store({f"k{i}": 0 for i in range(8)}),
-        extract_from_object, merge_into_object,
-        partitioner=HashPartitioner(4),
-        extract_cells=extract_cells,
-    )
-    router = system.plane.router
-    with caplog.at_level(logging.WARNING, logger="repro.core.sharding"):
-        assert router.footprint("listed", props_for(["k0"])) == [
-            system.plane.partitioner.shard_of("k0")
-        ]
-        assert router.footprint(
-            "ranged", PropertySet([Property("cells", Interval(0, 9))])
-        ) == [0, 1, 2, 3]
-        assert router.footprint("other", flight_index_property(0, 4)) == [0, 1, 2, 3]
-    system.close()
-    assert system.plane.counters["whole_plane_views"] == 2
-    said = [r.getMessage() for r in caplog.records]
-    assert len(said) == 2
-    assert "'ranged'" in said[0] and "not a DiscreteSet" in said[0]
-    assert "'other'" in said[1] and "no property 'cells'" in said[1]
 
 
 def test_a_shard_error_inside_a_barrier_is_loud(caplog):

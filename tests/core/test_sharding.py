@@ -1,10 +1,8 @@
-"""Sharded directory plane: partitioners, router, parity, cross-shard rounds.
+"""Sharded directory plane: router, parity, cross-shard rounds.
 
-The load-bearing guarantees under test:
+The load-bearing guarantees under test (placement itself — one owner
+per key, restart stability — is held in ``test_placement_hypothesis``):
 
-- partitioning is *process-restart stable* (CRC-32, never builtin
-  ``hash``), so a recovering cache manager finds its state on the same
-  shard that held it before the restart;
 - ``n_shards=1`` is message-identical to the unsharded system (same
   sends, same order, same ids, same bytes);
 - a spanning property set run across N shards converges to exactly the
@@ -12,26 +10,10 @@ The load-bearing guarantees under test:
   cross-shard conflict rounds lose no updates).
 """
 
-import os
-import subprocess
-import sys
-import zlib
-
 import pytest
 
-from repro.core import (
-    DiscreteSet,
-    DomainRangePartitioner,
-    FleccSystem,
-    HashPartitioner,
-    Interval,
-    Property,
-    PropertySet,
-    ShardedFleccSystem,
-)
-from repro.core.sharding import stable_key_hash
+from repro.core import FleccSystem, ShardedFleccSystem
 from repro.core.system import run_all_scripts
-from repro.errors import ReproError
 from repro.net import SimTransport
 from repro.net.message import reset_message_ids
 from repro.sim import SimKernel
@@ -47,106 +29,12 @@ from repro.testing import (
 )
 
 
-# -- partitioners ------------------------------------------------------------
-
-
-def test_stable_key_hash_is_crc32():
-    assert stable_key_hash("row:7") == zlib.crc32(b"row:7") & 0xFFFFFFFF
-    assert stable_key_hash(42) == zlib.crc32(b"42") & 0xFFFFFFFF
-
-
-def test_hash_partitioner_deterministic_and_in_range():
-    part = HashPartitioner(4)
-    keys = [f"cell{i}" for i in range(200)]
-    owners = {k: part.shard_of(k) for k in keys}
-    assert owners == {k: HashPartitioner(4).shard_of(k) for k in keys}
-    assert set(owners.values()) == {0, 1, 2, 3}  # every shard owns keys
-
-
-def test_hash_partitioner_stable_across_process_restarts():
-    """Routing must survive a restart: builtin hash() is salted per
-    process, so a partitioner built on it would scatter a recovering
-    view's cells onto different shards than the ones holding its state.
-    Run the same assignment in two subprocesses with different hash
-    seeds and require identical answers."""
-    prog = (
-        "from repro.core import HashPartitioner\n"
-        "p = HashPartitioner(8)\n"
-        "print([p.shard_of(f'k{i}') for i in range(64)])\n"
-    )
-    outs = []
-    for seed in ("0", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (
-                os.path.join(os.path.dirname(__file__), "..", "..", "src"),
-                env.get("PYTHONPATH"),
-            ) if p
-        )
-        outs.append(
-            subprocess.run(
-                [sys.executable, "-c", prog], env=env,
-                capture_output=True, text=True, check=True,
-            ).stdout
-        )
-    assert outs[0] == outs[1]
-    here = HashPartitioner(8)
-    assert outs[0].strip() == str([here.shard_of(f"k{i}") for i in range(64)])
-
-
-def test_hash_partitioner_shards_for():
-    part = HashPartitioner(4)
-    keys = ["a", "b", "c"]
-    expected = sorted({part.shard_of(k) for k in keys})
-    assert part.shards_for(props_for(keys)) == expected
-    # Interval domains cannot be enumerated: the view spans the plane.
-    iv = PropertySet([Property("cells", Interval(0, 100))])
-    assert part.shards_for(iv) == [0, 1, 2, 3]
-    assert part.shards_for(None) == [0, 1, 2, 3]
-    assert part.shards_for(PropertySet()) == [0, 1, 2, 3]
-    assert HashPartitioner(1).shards_for(None) == [0]
-
-
-def test_hash_partitioner_validation():
-    with pytest.raises(ReproError):
-        HashPartitioner(0)
-    with pytest.raises(ReproError):
-        HashPartitioner(2, replicas=0)
-
-
-def test_domain_range_partitioner_routes_by_range():
-    part = DomainRangePartitioner([Interval(0, 9), Interval(10, 19)])
-    assert part.n_shards == 2
-    assert part.shard_of(3) == 0
-    assert part.shard_of(15) == 1
-    # Outside every range: stable CRC-32 fallback, never builtin hash.
-    assert part.shard_of("stray") == stable_key_hash("stray") % 2
-
-
-def test_domain_range_partitioner_shards_for_overlap():
-    part = DomainRangePartitioner([Interval(0, 9), Interval(10, 19)])
-    lo = PropertySet([Property("cells", Interval(2, 5))])
-    hi = PropertySet([Property("cells", Interval(12, 14))])
-    span = PropertySet([Property("cells", Interval(5, 15))])
-    assert part.shards_for(lo) == [0]
-    assert part.shards_for(hi) == [1]
-    assert part.shards_for(span) == [0, 1]
-    assert part.shards_for(None) == [0, 1]
-    discrete = PropertySet([Property("cells", DiscreteSet({3, 12}))])
-    assert part.shards_for(discrete) == [0, 1]
-
-
-def test_domain_range_partitioner_validation():
-    with pytest.raises(ReproError):
-        DomainRangePartitioner([])
-
-
 # -- workload helpers --------------------------------------------------------
 
 CELLS = [f"k{i:02d}" for i in range(8)]
 
 
-def _build(n_shards, cells=CELLS, partitioner=None, record=None):
+def _build(n_shards, cells=CELLS, record=None):
     reset_message_ids()
     kernel = SimKernel()
     transport = SimTransport(kernel, default_latency=1.0)
@@ -164,8 +52,7 @@ def _build(n_shards, cells=CELLS, partitioner=None, record=None):
     else:
         system = ShardedFleccSystem(
             transport, store, extract_from_object, merge_into_object,
-            n_shards=n_shards, partitioner=partitioner,
-            extract_cells=extract_cells,
+            n_shards=n_shards, extract_cells=extract_cells,
         )
     return transport, store, system
 
@@ -342,19 +229,14 @@ def test_fig4_workload_converges_across_shards():
 def test_shard_local_views_never_fan_out_data_ops():
     """Views whose property sets map to a single shard run their rounds
     entirely shard-local: no data-op fan-out, no cross-shard rounds."""
-    cells = [str(i) for i in range(8)]
-    part = DomainRangePartitioner([Interval(0, 3), Interval(4, 9)])
-    # DiscreteSet of string keys routes via the CRC fallback; use the
-    # numeric keys directly so each view sits inside one range.
-    transport, store, system = _build(
-        2, cells=cells, partitioner=part,
-    )
+    # Two shards over k00..k07 cut at k04: each DiscreteSet slice below
+    # enumerates keys of one range only.
+    transport, store, system = _build(2)
+    assert system.plane.partitioner.splits == ["k04"]
     lo, hi = Agent(), Agent()
-    lo_props = PropertySet([Property("cells", Interval(0, 3))])
-    hi_props = PropertySet([Property("cells", Interval(4, 9))])
-    system.add_view("lo", lo, lo_props, extract_from_view,
+    system.add_view("lo", lo, props_for(CELLS[:4]), extract_from_view,
                     merge_into_view, mode="strong")
-    system.add_view("hi", hi, hi_props, extract_from_view,
+    system.add_view("hi", hi, props_for(CELLS[4:]), extract_from_view,
                     merge_into_view, mode="strong")
 
     def script(cm, agent, keys):
@@ -373,6 +255,7 @@ def test_shard_local_views_never_fan_out_data_ops():
     counters = system.plane.counters
     system.close()
     assert counters["cross_shard_rounds"] == 0
+    assert counters["router_fanouts"] == 0
     assert counters["shard_local_rounds"] > 0
 
 

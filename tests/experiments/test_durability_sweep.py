@@ -10,7 +10,7 @@ from repro.experiments.durability_sweep import (
     gates,
     merge_durability_sweep,
     run_kill_point,
-    run_overhead_point,
+    run_overhead_points,
     run_recovery_point,
     run_sweep_point,
     sweep_points,
@@ -19,7 +19,8 @@ from repro.experiments.durability_sweep import (
 
 def test_sweep_points_cover_all_families():
     points = sweep_points()
-    assert len(points) == len(FSYNC_POLICIES) + len(RECOVERY_TAILS) + sum(
+    # One overhead point times every fsync policy in alternation.
+    assert len(points) == 1 + len(RECOVERY_TAILS) + sum(
         count for _, count in KILL_POINTS
     )
     assert sum(1 for p in points if p[0] == "kill") >= 50
@@ -49,17 +50,21 @@ def test_kill_point_deterministic_per_seed():
 
 
 def test_overhead_point_volatile_has_no_wal_traffic():
-    p = run_overhead_point(None, repeats=1, burst=16)
+    points = run_overhead_points(repeats=1, burst=16)
+    assert [p.policy for p in points] == [
+        p or "volatile" for p in FSYNC_POLICIES
+    ]
+    p = points[0]
     assert p.policy == "volatile"
     assert p.wal_appends == 0 and p.wal_syncs == 0
     assert p.commits > 0
 
 
 def test_merge_routes_partials_by_type():
-    points = [("overhead", None), ("recovery", 16), ("kill", 1, 0)]
+    points = [("overhead",), ("recovery", 16), ("kill", 1, 0)]
     partials = [run_sweep_point(p, seed=0) for p in points]
     result = merge_durability_sweep(points, partials)
-    assert len(result.overhead) == 1
+    assert len(result.overhead) == len(FSYNC_POLICIES)
     assert len(result.recovery) == 1
     assert len(result.kills) == 1
     payload = bench_payload(result)
