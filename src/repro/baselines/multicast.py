@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.directory import DirectoryManager, _PendingOp
+from repro.core.directory import DirectoryManager
+from repro.net.message import Message
 
 
 class MulticastDirectory(DirectoryManager):
@@ -26,12 +27,7 @@ class MulticastDirectory(DirectoryManager):
         """Everyone (except the requester) conflicts — worst case."""
         return sorted(v for v in self.views if v != view_id)
 
-    def _h_pull(self, msg) -> None:
-        rec = self._record_for(msg)
+    def _need_fresh(self, msg: Message) -> bool:
         # Freshness cannot be assumed without application knowledge:
-        # every pull collects updates from every registered view.
-        self._enqueue(_PendingOp("pull", msg, rec.view_id, need_fresh=True))
-
-    def _h_init(self, msg) -> None:
-        rec = self._record_for(msg)
-        self._enqueue(_PendingOp("init", msg, rec.view_id, need_fresh=True))
+        # every pull/init collects updates from every registered view.
+        return True

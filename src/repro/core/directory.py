@@ -29,7 +29,14 @@ view's shards in ascending index.  Commits stay linearized: every
 committed cell passes through ``_commit`` under the directory lock, so
 ``commit_seq`` (and the WAL's per-lineage commit order) remains a
 single monotone sequence.  Single-message operations (REGISTER, PUSH,
-SET_MODE, ...) are handled immediately, as before.
+SET_MODE, ...) are handled immediately.
+
+One path per operation: ``_start_op`` launches every round, ``_serve``
+answers every requester and ``_commit`` commits every cell; subclasses
+override decisions (``_round_targets``, ``_need_fresh``), never a path.
+Commits are all or nothing: the application's resolver and merge hooks
+run before anything the directory owns moves (cursors, versions,
+``commit_seq``, the WAL), and a ``WalError`` always fail-stops.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from repro.core.profiling import DirectoryProfiler, clock_ns as _clock_ns
 from repro.core.property_set import PropertySet
 from repro.core.static_map import StaticSharingMap
 from repro.core.versioning import VersionVector
+from repro.core.wal import WalError
 from repro.errors import ProtocolError, TransportError
 from repro.net.message import Message, make_batch
 from repro.net.transport import TimerHandle, Transport
@@ -157,13 +165,13 @@ class ViewRecord:
 class QuarantinedView:
     """Reconciliation state stashed when a view is presumed dead.
 
-    Instead of silently discarding a silent/crashed view's context (the
-    old ``_expire_round`` behavior), the directory quarantines it: the
-    last committed image of the view's slice, its seen-versions and
-    state sequence cursor, and — for round timeouts — the operation it
-    was blocking.  A recovering cache manager that re-REGISTERs with
-    the same view id reconciles against this entry instead of starting
-    from a blank record (which would mis-classify its retransmissions).
+    Instead of silently discarding a silent/crashed view's context, the
+    directory quarantines it: the last committed image of the view's
+    slice, its seen-versions and state sequence cursor, and — for round
+    timeouts — the operation it was blocking.  A recovering cache
+    manager that re-REGISTERs with the same view id reconciles against
+    this entry instead of starting from a blank record (which would
+    mis-classify its retransmissions).
     """
 
     view_id: str
@@ -176,6 +184,26 @@ class QuarantinedView:
     reason: str                      # 'round-timeout' | 'lease-expired'
     time: float
     op_context: Optional[Dict[str, Any]] = None
+
+    def to_record(self) -> Dict[str, Any]:
+        """The snapshot's form of this entry (read by :meth:`from_record`)."""
+        return {
+            "v": self.view_id, "addr": self.address, "props": self.properties,
+            "mode": self.mode.value, "seen": self.seen.copy(),
+            "sseq": self.last_state_seq, "img": self.image,
+            "reason": self.reason, "time": self.time, "op": self.op_context,
+        }
+
+    @classmethod
+    def from_record(cls, qd: Dict[str, Any]) -> "QuarantinedView":
+        return cls(
+            view_id=qd["v"], address=qd["addr"],
+            properties=qd.get("props") or PropertySet(),
+            mode=Mode.parse(qd.get("mode", Mode.WEAK)),
+            seen=qd["seen"], last_state_seq=int(qd.get("sseq", 0)),
+            image=qd["img"], reason=qd.get("reason", "recovered"),
+            time=float(qd.get("time", 0.0)), op_context=qd.get("op"),
+        )
 
 
 @dataclass
@@ -303,7 +331,7 @@ class DirectoryManager:
         self.commit_seq = 0
         # Slice key index: view_id -> tuple of live cell keys in that
         # view's property slice.  Built lazily from one full extract,
-        # then consulted by delta serves, live_keys/slice_keys_of and
+        # then consulted by delta serves, slice_keys_of and
         # register replies; invalidated per view on (re)register /
         # PROP_UPDATE / unregister / evict, and globally when a commit
         # introduces a cell key the index has never seen.
@@ -352,11 +380,11 @@ class DirectoryManager:
             # Round-scheduler instrumentation: high-water mark of
             # simultaneously running rounds, rounds that started while
             # another was already in flight, ops that had to wait on a
-            # conflicting round, and handler faults fenced off by the
-            # per-op slot release (satellite of the scheduler work).
+            # conflicting round, and application-hook faults fenced at
+            # a round reply, a serve and a PUSH/UNREGISTER commit.
             "concurrent_rounds_hwm": 0, "rounds_overlapped": 0,
             "sched_conflict_waits": 0, "round_faults": 0,
-            "serve_faults": 0,
+            "serve_faults": 0, "commit_faults": 0,
         }
         self._lock = threading.RLock()  # no-op contention in sim; needed on TCP
         # Durable primary copy: opening the lineage performs recovery
@@ -399,10 +427,6 @@ class DirectoryManager:
         if rec is None:
             return None
         return list(self._slice_keys(view_id))
-
-    def live_keys(self, view_id: str) -> Optional[List[str]]:
-        """Live cell keys of a view's slice, served from the index."""
-        return self.slice_keys_of(view_id)
 
     # ------------------------------------------------------------------
     # Slice key index
@@ -553,8 +577,7 @@ class DirectoryManager:
         Pops only entries whose recorded time has passed: an idle tick
         against V live views inspects one heap head and stops —
         O(1) — while each actual expiry or stale entry costs one
-        O(log V) pop.  The old implementation rescanned every record
-        on every half-lease tick.
+        O(log V) pop.
         """
         with self._lock:
             self._lease_timer_armed = False
@@ -581,8 +604,10 @@ class DirectoryManager:
     def _quarantine_view(
         self, rec: ViewRecord, reason: str,
         op_context: Optional[Dict[str, Any]] = None,
+        time: Optional[float] = None,
     ) -> None:
-        """Stash a presumed-dead view's reconciliation state."""
+        """Stash a presumed-dead view's reconciliation state (``time``
+        defaults to now; replay passes 0.0)."""
         self.quarantined[rec.view_id] = QuarantinedView(
             view_id=rec.view_id,
             address=rec.address,
@@ -594,7 +619,7 @@ class DirectoryManager:
             # copy holds for it — the recovery baseline for re-sync.
             image=self.extract_from_object(self.component, rec.properties),
             reason=reason,
-            time=self.transport.now(),
+            time=self.transport.now() if time is None else time,
             op_context=op_context,
         )
 
@@ -671,8 +696,8 @@ class DirectoryManager:
             del self._reply_cache[msg.msg_id]
         handler = {
             M.REGISTER: self._h_register,
-            M.INIT_REQ: self._h_init,
-            M.PULL_REQ: self._h_pull,
+            M.INIT_REQ: self._h_sync,
+            M.PULL_REQ: self._h_sync,
             M.PUSH: self._h_push,
             M.ACQUIRE: self._h_acquire,
             M.SET_MODE: self._h_set_mode,
@@ -815,10 +840,28 @@ class DirectoryManager:
 
     def _h_push(self, msg: Message) -> None:
         rec = self._record_for(msg)
-        image: ObjectImage = msg.payload.get("image") or ObjectImage()
         self.counters["pushes"] += 1
-        committed = self._commit(rec, image, seq=msg.payload.get("state_seq"))
-        self._reply(msg, M.PUSH_ACK, {"committed": committed})
+        committed = self._commit_request(msg, rec)
+        if committed is not None:
+            self._reply(msg, M.PUSH_ACK, {"committed": committed})
+
+    def _commit_request(self, msg: Message, rec: ViewRecord) -> Optional[int]:
+        """Commit a PUSH / UNREGISTER image: the cells committed, or None
+        when a hook raised.  The fault is answered ERROR (replayed to a
+        retransmission from the reply cache: refused, never lost and
+        acked) without quarantine — the pusher may still hold its token."""
+        image: ObjectImage = msg.payload.get("image") or ObjectImage()
+        if image.is_empty():
+            return 0
+        try:
+            return self._commit(rec, image, seq=msg.payload.get("state_seq"))
+        except WalError:
+            raise
+        except Exception as exc:  # noqa: BLE001 — fence, see above
+            self.counters["commit_faults"] += 1
+            self._trace("commit-fault", view=rec.view_id, error=str(exc))
+            self._reply(msg, M.ERROR, {"error": str(exc)})
+            return None
 
     def _h_set_mode(self, msg: Message) -> None:
         rec = self._record_for(msg)
@@ -856,9 +899,8 @@ class DirectoryManager:
 
     def _h_unregister(self, msg: Message) -> None:
         rec = self._record_for(msg)
-        image: ObjectImage = msg.payload.get("image") or ObjectImage()
-        if not image.is_empty():
-            self._commit(rec, image, seq=msg.payload.get("state_seq"))
+        if self._commit_request(msg, rec) is None:
+            return  # refused: the view stays registered
         view_id = rec.view_id
         self._drop_view(view_id)
         self.counters["unregisters"] += 1
@@ -885,32 +927,22 @@ class DirectoryManager:
             # serializes the re-ACQUIRE behind it.
             self.counters["regrants"] += 1
             self._trace("regrant", view=rec.view_id)
-            payload, served = self._serve_payload(
-                _PendingOp("acquire", msg, rec.view_id), rec
-            )
-            self._log_cursors(rec, served)
-            self._reply(msg, M.GRANT, payload)
-            self.check_invariants()
+            self._serve(_PendingOp("acquire", msg, rec.view_id), rec)
             return
         self._enqueue(_PendingOp("acquire", msg, rec.view_id))
 
-    def _h_init(self, msg: Message) -> None:
+    def _h_sync(self, msg: Message) -> None:
+        """INIT_REQ / PULL_REQ: one queued op, served once its round ends."""
         rec = self._record_for(msg)
+        kind = "init" if msg.msg_type == M.INIT_REQ else "pull"
         self._enqueue(
-            _PendingOp(
-                "init", msg, rec.view_id,
-                need_fresh=bool(msg.payload.get("need_fresh", False)),
-            )
+            _PendingOp(kind, msg, rec.view_id, need_fresh=self._need_fresh(msg))
         )
 
-    def _h_pull(self, msg: Message) -> None:
-        rec = self._record_for(msg)
-        self._enqueue(
-            _PendingOp(
-                "pull", msg, rec.view_id,
-                need_fresh=bool(msg.payload.get("need_fresh", False)),
-            )
-        )
+    def _need_fresh(self, msg: Message) -> bool:
+        """Decision: must a PULL/INIT first fetch from the other active
+        views?  When the requester's validity trigger fired."""
+        return bool(msg.payload.get("need_fresh", False))
 
     def _enqueue(self, op: _PendingOp) -> None:
         if self.profiler is not None:
@@ -978,7 +1010,7 @@ class DirectoryManager:
         or race with).
 
         Built from :meth:`conflict_set_of`, the same relation
-        :meth:`_start_op` draws its targets from, so a round only ever
+        :meth:`_round_targets` draws its targets from, so a round only ever
         sends to, or changes the activity of, views inside its own
         scope.  Two rounds may run concurrently iff their scopes are
         disjoint; a view registering *after* a round started lands in
@@ -986,7 +1018,7 @@ class DirectoryManager:
         sound against membership churn while a round is in flight.
 
         The conflict list is kept on the op: scope and start are one
-        synchronous scan step, so :meth:`_start_op` targets from it
+        synchronous scan step, so :meth:`_round_targets` targets from it
         instead of asking again.  A reclaim round's scope is the union
         of its owners' scopes.  The profiler's ``conflict`` phase times
         this computation.
@@ -1019,40 +1051,49 @@ class DirectoryManager:
             prof.record("queue_wait", _clock_ns() - op.enqueued_ns)
         self._start_op(op)
 
+    def _round_targets(
+        self, op: _PendingOp
+    ) -> Tuple[Dict[str, str], Dict[str, Any]]:
+        """Decision: view id -> INVALIDATE / FETCH_REQ, drawn from
+        ``op.conflicts``, and the fields every request carries.  The
+        conflict set meets the maintained activity sets — O(conflict
+        degree), never O(V)."""
+        conflicts = op.conflicts
+        if op.kind == "reclaim":
+            # Every recovered owner hands back its whole slice.
+            return {v: M.FETCH_REQ for v in conflicts}, {"full": True}
+        extra = {"requested_by": op.view_id}
+        if op.kind == "acquire":
+            # Revoke every conflicting view that is currently active.
+            active = self._active_set
+            return {v: M.INVALIDATE for v in conflicts if v in active}, extra
+        targets: Dict[str, str] = {}  # pull / init
+        exclusive = self._exclusive_set
+        active = self._active_set
+        for v in conflicts:
+            if v in exclusive:
+                # A conflicting strong owner must always be revoked
+                # before data is served (one-copy semantics).
+                targets[v] = M.INVALIDATE
+            elif op.need_fresh and v in active:
+                # Validity trigger fired: collect fresh state from
+                # the other active views before serving.
+                targets[v] = M.FETCH_REQ
+        return targets, extra
+
     def _start_op(self, op: _PendingOp) -> None:
+        """Launch one admitted round: build, track, count, coalesce and
+        arm it (or serve at once when nobody needs asking)."""
         prof = self.profiler
         if prof is not None:
             prof.note_op()
             t1 = _clock_ns()
         else:
             t1 = 0
-        conflicts = op.conflicts
-        extra: Dict[str, Any] = {"requested_by": op.view_id}
-        # Target selection intersects the conflict set with the
-        # maintained activity sets — O(conflict degree), never O(V).
+        targets, extra = self._round_targets(op)
         if op.kind == "reclaim":
-            # Every recovered owner hands back its whole slice.
-            targets = {v: M.FETCH_REQ for v in conflicts}
-            extra = {"full": True}
             self.counters["recovery_reclaims"] += len(targets)
-            self._trace("recovery-reclaim", views=conflicts)
-        elif op.kind == "acquire":
-            # Revoke every conflicting view that is currently active.
-            active = self._active_set
-            targets = {v: M.INVALIDATE for v in conflicts if v in active}
-        else:  # pull / init
-            targets = {}
-            exclusive = self._exclusive_set
-            active = self._active_set
-            for v in conflicts:
-                if v in exclusive:
-                    # A conflicting strong owner must always be revoked
-                    # before data is served (one-copy semantics).
-                    targets[v] = M.INVALIDATE
-                elif op.need_fresh and v in active:
-                    # Validity trigger fired: collect fresh state from
-                    # the other active views before serving.
-                    targets[v] = M.FETCH_REQ
+            self._trace("recovery-reclaim", views=op.conflicts)
         outgoing: List[Message] = []
         for v, mtype in targets.items():
             out = Message(mtype, self.address, self.views[v].address,
@@ -1156,11 +1197,12 @@ class DirectoryManager:
             try:
                 if not image.is_empty():
                     self._commit(rec, image, seq=msg.payload.get("state_seq"))
+            except WalError:
+                raise  # the log failed, not the view: fail-stop
             except Exception as exc:  # noqa: BLE001 — fence, see below
-                # A merge/resolver hook blowing up mid-round used to
-                # propagate out of the handler and wedge the op slot
-                # forever (the ACK was consumed but the round never
-                # finalized).  Fence it: the view's handed-over state is
+                # A merge/resolver hook raised: propagated, it would
+                # wedge the op slot (the ACK is consumed, the round
+                # never finalizes).  The view's handed-over state is
                 # recorded as lost, the view quarantined, and the round
                 # finishes.
                 self.counters["round_faults"] += 1
@@ -1179,41 +1221,42 @@ class DirectoryManager:
         if op.timer is not None:
             op.timer.cancel()
         rec = self.views.get(op.view_id)
-        if rec is not None:
-            prof = self.profiler
-            t0 = _clock_ns() if prof is not None else 0
-            try:
-                payload, served = self._serve_payload(op, rec)
-            except Exception as exc:  # noqa: BLE001 — fence, see below
-                # An application extract hook raised: record the loss,
-                # quarantine the requester and answer ERROR.  The op's
-                # slot is already released, so unrelated rounds keep
-                # flowing instead of wedging behind the failure.
-                self.counters["serve_faults"] += 1
-                self._trace("serve-fault", view=rec.view_id, error=str(exc))
-                self._presume_dead(rec, "serve-fault", op)
-                self._reply(op.request, M.ERROR, {"error": str(exc)})
-                self._pump()
-                return
-            if prof is not None:
-                prof.record("serve", _clock_ns() - t0)
-            rec.active = True
-            if op.kind == "acquire":
-                rec.exclusive = True
-                self.counters["grants"] += 1
-                reply_type = M.GRANT
-            elif op.kind == "init":
-                reply_type = M.INIT_DATA
-            else:
-                reply_type = M.PULL_DATA
-            # The serve moved this view's delta cursors (last_served_seq,
-            # and seen for the cells it shipped) and its activity flags:
-            # persist them so a restarted directory still serves this
-            # view deltas instead of forcing a full re-sync.
-            self._log_cursors(rec, served)
-            self._reply(op.request, reply_type, payload)
-            self.check_invariants()
+        # The op's slot is released before the serve, so a serve fault
+        # cannot wedge unrelated rounds behind it.
+        if rec is not None and self._serve(op, rec) and op.kind == "acquire":
+            self.counters["grants"] += 1
         self._pump()
+
+    def _serve(self, op: _PendingOp, rec: ViewRecord) -> bool:
+        """Answer ``op``'s requester from the primary copy; False when
+        the extract hook raised — the one serve fence: the requester is
+        quarantined as ``serve-fault`` and answered ERROR."""
+        prof = self.profiler
+        t0 = _clock_ns() if prof is not None else 0
+        try:
+            payload, served = self._serve_payload(op, rec)
+        except Exception as exc:  # noqa: BLE001 — fence, see above
+            self.counters["serve_faults"] += 1
+            self._trace("serve-fault", view=rec.view_id, error=str(exc))
+            self._presume_dead(rec, "serve-fault", op)
+            self._reply(op.request, M.ERROR, {"error": str(exc)})
+            return False
+        if prof is not None:
+            prof.record("serve", _clock_ns() - t0)
+        rec.active = True
+        if op.kind == "acquire":
+            rec.exclusive = True
+            reply_type = M.GRANT
+        else:
+            reply_type = M.INIT_DATA if op.kind == "init" else M.PULL_DATA
+        # The serve moved this view's delta cursors (last_served_seq,
+        # and seen for the cells it shipped) and its activity flags:
+        # persist them so a restarted directory still serves this
+        # view deltas instead of forcing a full re-sync.
+        self._log_cursors(rec, served)
+        self._reply(op.request, reply_type, payload)
+        self.check_invariants()
+        return True
 
     def _serve_payload(
         self, op: _PendingOp, rec: ViewRecord
@@ -1382,15 +1425,7 @@ class DirectoryManager:
             # component (the same convention CM recovery relies on).
             "image": self.extract_from_object(self.component, PropertySet()),
             "views": [self._view_state(r) for r in self.views.values()],
-            "quarantined": [
-                {
-                    "v": q.view_id, "addr": q.address, "props": q.properties,
-                    "mode": q.mode.value, "seen": q.seen.copy(),
-                    "sseq": q.last_state_seq, "img": q.image,
-                    "reason": q.reason, "time": q.time, "op": q.op_context,
-                }
-                for q in self.quarantined.values()
-            ],
+            "quarantined": [q.to_record() for q in self.quarantined.values()],
         }
 
     def _log(self, record: Dict[str, Any]) -> bool:
@@ -1436,15 +1471,7 @@ class DirectoryManager:
             for vd in snap.get("views") or []:
                 self._restore_view(vd)
             for qd in snap.get("quarantined") or []:
-                self.quarantined[qd["v"]] = QuarantinedView(
-                    view_id=qd["v"], address=qd["addr"],
-                    properties=qd.get("props") or PropertySet(),
-                    mode=Mode.parse(qd.get("mode", Mode.WEAK)),
-                    seen=qd["seen"], last_state_seq=int(qd.get("sseq", 0)),
-                    image=qd["img"], reason=qd.get("reason", "recovered"),
-                    time=float(qd.get("time", 0.0)),
-                    op_context=qd.get("op"),
-                )
+                self.quarantined[qd["v"]] = QuarantinedView.from_record(qd)
         for record in rs.records:
             cells += self._replay(record)
         self.counters["wal_recoveries"] += 1
@@ -1527,15 +1554,8 @@ class DirectoryManager:
         elif kind == "evict":
             rec = self._release(record.get("v"))
             if rec is not None:
-                self.quarantined[rec.view_id] = QuarantinedView(
-                    view_id=rec.view_id, address=rec.address,
-                    properties=rec.properties, mode=rec.mode,
-                    seen=rec.seen, last_state_seq=rec.last_state_seq,
-                    image=self.extract_from_object(
-                        self.component, rec.properties
-                    ),
-                    reason=record.get("reason", "recovered"),
-                    time=0.0, op_context=None,
+                self._quarantine_view(
+                    rec, record.get("reason", "recovered"), time=0.0
                 )
         else:
             self._trace("replay-unknown-record", kind=kind)
@@ -1571,14 +1591,15 @@ class DirectoryManager:
                 image = image.restrict(owned)
         if image.is_empty():
             return 0
-        if seq is not None:
-            if seq <= rec.last_state_seq:
-                # A delayed retransmission carrying a snapshot older
-                # than state this view already handed over — committing
-                # it would resurrect stale data.  Drop the image.
-                self._trace("stale-state-seq", view=rec.view_id, seq=seq)
-                return 0
-            rec.last_state_seq = seq
+        if seq is not None and seq <= rec.last_state_seq:
+            # A delayed retransmission carrying a snapshot older than
+            # state this view already handed over — committing it would
+            # resurrect stale data.  Drop the image.
+            self._trace("stale-state-seq", view=rec.view_id, seq=seq)
+            return 0
+        # All or nothing: the resolver and merge hooks run before
+        # anything the directory owns moves, so a hook that raises
+        # leaves no cursor, version, commit_seq or WAL record behind.
         resolved: set = set()
         if self.conflict_resolver is not None:
             # Write-write conflict: the pusher had not seen the latest
@@ -1602,14 +1623,17 @@ class DirectoryManager:
                         image.cells[k] = merged
                         if changed:
                             resolved.add(k)
+        self.merge_into_object(self.component, image, rec.properties)
+        if seq is not None:
+            rec.last_state_seq = seq
         if self.durability is not None:
-            # Write-ahead: the record carries the cells stamped with the
-            # versions the bump loop below is about to assign, so replay
-            # can restore master_versions without re-running the bumps.
-            # Appended *before* the in-memory merge and commit_seq
-            # advance — under fsync=always the append has synced when it
-            # returns, so no ACK built from post-commit state can leave
-            # before the record is durable.
+            # The record carries the cells stamped with the versions the
+            # bump loop below is about to assign, so replay can restore
+            # master_versions without re-running the bumps.  Appended
+            # after the merge returned (a merge that raises logs no
+            # commit) and before commit_seq advances or any reply
+            # leaves — under fsync=always the append has synced when it
+            # returns, so no ACK can overtake the record.
             wal_image = ObjectImage(image.cells)
             for key in wal_image.keys():
                 wal_image.versions.set(key, self.master_versions.get(key) + 1)
@@ -1626,7 +1650,6 @@ class DirectoryManager:
             ] += len(image)
         else:
             self.counters["commits_volatile"] += len(image)
-        self.merge_into_object(self.component, image, rec.properties)
         self.counters["commits"] += len(image)
         for key in image.keys():
             newv = self.master_versions.bump(key)

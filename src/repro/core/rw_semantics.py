@@ -24,9 +24,11 @@ Everything else — properties, triggers, images — is unchanged.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Any, Dict, Tuple
+
 from repro.core import messages as M
 from repro.core.cache_manager import CacheManager
-from repro.core.directory import DirectoryManager, _PendingOp
+from repro.core.directory import DirectoryManager, ViewRecord, _PendingOp
 from repro.core.modes import Mode
 from repro.net.message import Message
 from repro.net.transport import Completion
@@ -48,88 +50,60 @@ class Access(str, Enum):
             raise ValueError(f"unknown access {value!r}; use 'read' or 'write'") from None
 
 
+def _reads(op: _PendingOp) -> bool:
+    return op.kind == "acquire" and Access.parse(
+        op.request.payload.get("access", Access.WRITE)
+    ) is Access.READ
+
+
 class RWDirectoryManager(DirectoryManager):
     """Directory that distinguishes read sharers from the write owner.
 
     State extension: ``ViewRecord.exclusive`` keeps its meaning (write
-    ownership); read sharers are tracked in ``read_sharers`` per view
-    id.  Invariants: a write owner excludes all conflicting activity;
-    read sharers may overlap each other but not a conflicting writer.
+    ownership); a read sharer is a view whose latest serve was a READ
+    acquire and that is still active — revocation, eviction and
+    unregistration all end sharing by deactivating it.  Invariants: a
+    write owner excludes all conflicting activity; read sharers may
+    overlap each other but not a conflicting writer.
+
+    Only decisions change: whom a READ round revokes and how a READ is
+    served.  READ rounds run through the base launcher, so they get the
+    watchdog, the round counters and coalescing like any other round.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.read_sharers: set[str] = set()
+        self._readers: set[str] = set()
 
-    # -- acquisition ------------------------------------------------------
-    def _h_acquire(self, msg: Message) -> None:
-        rec = self._record_for(msg)
-        access = Access.parse(msg.payload.get("access", Access.WRITE))
-        op = _PendingOp("acquire", msg, rec.view_id)
-        op.access = access  # type: ignore[attr-defined]
-        self._enqueue(op)
+    @property
+    def read_sharers(self) -> set[str]:
+        return self._readers & self._active_set  # active => registered
 
-    def _start_op(self, op: _PendingOp) -> None:
-        access: Access = getattr(op, "access", Access.WRITE)
-        if op.kind != "acquire" or access is Access.WRITE:
-            # Writes (and pulls/inits) behave exactly as in the base
-            # protocol, except a write must also flush read sharers.
-            super()._start_op(op)
-            return
+    def _round_targets(
+        self, op: _PendingOp
+    ) -> Tuple[Dict[str, str], Dict[str, Any]]:
+        if not _reads(op):
+            return super()._round_targets(op)
         # READ acquire: only a conflicting *writer* must be revoked;
-        # co-existing readers are fine (the message saving).  Writers
-        # come from the maintained exclusive set — O(conflict degree),
-        # over the conflict list the scheduler admitted the op with.
+        # co-existing readers are fine (the message saving).
         exclusive = self._exclusive_set
         targets = {v: M.INVALIDATE for v in op.conflicts if v in exclusive}
-        for v, mtype in targets.items():
-            out = Message(mtype, self.address, self.views[v].address,
-                          {"view_id": v, "requested_by": op.view_id})
-            op.awaiting[out.msg_id] = v
-            self._round_ops[out.msg_id] = op
-            self._send(out)
-        if not op.awaiting:
-            self._finalize_op(op)
+        return targets, {"requested_by": op.view_id}
 
-    def _finalize_op(self, op: _PendingOp) -> None:
-        access: Access = getattr(op, "access", Access.WRITE)
-        if op.kind == "acquire" and access is Access.READ:
-            # Serve like a pull (active but NOT exclusive), then mark
-            # the view as a read sharer.
+    def _serve(self, op: _PendingOp, rec: ViewRecord) -> bool:
+        if _reads(op):
+            # Served like a pull: active but NOT exclusive.
             op.kind = "pull"
-            rec = self.views.get(op.view_id)
-            super()._finalize_op(op)
-            if rec is not None:
-                self.read_sharers.add(op.view_id)
-            return
-        if op.kind == "acquire":
-            # A write acquire revokes conflicting read sharers that the
-            # base invalidation round already handled (they were
-            # active); drop them from the sharer set.
-            for v in self.conflict_set_of(op.view_id):
-                self.read_sharers.discard(v)
-        super()._finalize_op(op)
-
-    def _h_unregister(self, msg: Message) -> None:
-        view_id = msg.payload.get("view_id")
-        if view_id is not None:
-            self.read_sharers.discard(view_id)
-        super()._h_unregister(msg)
-
-    def _h_round_reply(self, msg: Message) -> None:
-        # An invalidated view loses read-sharer status too.
-        op = self._round_ops.get(msg.reply_to)
-        if op is not None and msg.reply_to in op.awaiting:
-            self.read_sharers.discard(op.awaiting[msg.reply_to])
-        super()._h_round_reply(msg)
+            self._readers.add(rec.view_id)
+        else:
+            self._readers.discard(rec.view_id)
+        return super()._serve(op, rec)
 
     def check_invariants(self) -> None:
         super().check_invariants()
         from repro.errors import ProtocolError
 
         for vid in self.read_sharers:
-            if vid not in self.views:
-                continue
             for other in self.conflict_set_of(vid):
                 if other in self._exclusive_set:
                     raise ProtocolError(

@@ -10,7 +10,7 @@ while keeping every cache manager oblivious:
   key to one shard: the component's sorted keys cut into contiguous
   ranges, so a view serving a run of adjacent keys — and with it every
   round of its conflict group — lives on one shard.
-- A CM-side :class:`ShardRouter` (a :class:`Transport` wrapper) resolves
+- A CM-side :class:`ShardRouter` (a ``LayeredTransport``) resolves
   each view to its **footprint** — the shards its slice can touch — by
   one rule: the owners of the values of the property that enumerates,
   verifiably, the view's keys.  A view on one shard is *forwarded*: its
@@ -67,7 +67,7 @@ from repro.core.system import FleccSystem
 from repro.errors import ReproError, TransportError
 from repro.net.message import Message
 from repro.net.stats import MessageStats
-from repro.net.transport import Completion, Endpoint, TimerHandle, Transport
+from repro.net.transport import Endpoint, LayeredTransport, Transport
 
 log = logging.getLogger(__name__)
 
@@ -217,7 +217,7 @@ _DATA_OPS = frozenset({M.ACQUIRE, M.PULL_REQ, M.INIT_REQ})
 _DATA_REPLY = {M.ACQUIRE: M.GRANT, M.INIT_REQ: M.INIT_DATA, M.PULL_REQ: M.PULL_DATA}
 
 
-class ShardRouter(Transport):
+class ShardRouter(LayeredTransport):
     """CM-side request router over a partitioned directory plane.
 
     Cache managers bind on this transport and address the plane by its
@@ -249,10 +249,9 @@ class ShardRouter(Transport):
         shard_addresses: Sequence[str],
         partitioner: KeyRangePartitioner,
     ) -> None:
-        super().__init__()
+        super().__init__(inner)
         if not shard_addresses:
             raise ReproError("ShardRouter needs at least one shard address")
-        self.inner = inner
         # One wire, one ledger: the router performs no sends of its own
         # account — everything it ships rides the inner transport, so
         # the plane-wide wire view *is* the inner transport's stats.
@@ -863,34 +862,6 @@ class ShardRouter(Transport):
         for st in self.shard_stats.values():
             total.merge(st)
         return total
-
-    # -- delegated backend services --------------------------------------
-    def node_of(self, address: str) -> Optional[str]:
-        fn = getattr(self.inner, "node_of", None)
-        return fn(address) if fn is not None else None
-
-    def place(self, address: str, node: str) -> None:
-        fn = getattr(self.inner, "place", None)
-        if fn is None:
-            raise TransportError(f"{type(self.inner).__name__} has no placement")
-        fn(address, node)
-
-    def set_codec(self, codec: Any) -> None:
-        fn = getattr(self.inner, "set_codec", None)
-        if fn is None:
-            raise TransportError(
-                f"{type(self.inner).__name__} has no codec selection"
-            )
-        fn(codec)
-
-    def now(self) -> float:
-        return self.inner.now()
-
-    def schedule(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
-        return self.inner.schedule(delay, fn)
-
-    def completion(self, name: str = "") -> Completion:
-        return self.inner.completion(name)
 
     def close(self) -> None:
         self._closed = True

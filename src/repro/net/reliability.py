@@ -60,11 +60,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net.message import BATCH, Message, split_batch
-from repro.net.transport import Completion, Endpoint, TimerHandle, Transport
+from repro.net.transport import Endpoint, LayeredTransport, TimerHandle, Transport
 
 # Envelope vocabulary of the sublayer.  Protocol engines never see
 # either type: R_DATA is unwrapped before handoff, R_ACK terminates at
@@ -143,13 +143,15 @@ class _LinkReceiver:
         self.seen_ids: "OrderedDict[int, None]" = OrderedDict()
 
 
-class ReliableTransport(Transport):
+class ReliableTransport(LayeredTransport):
     """ACK/retransmit + dedup + in-order handoff over an inner transport.
 
     Endpoints bind on this transport exactly as on a raw one; each bind
     is mirrored onto the inner transport, where the sublayer's frames
-    actually travel.  ``now``/``schedule``/``completion`` delegate to
-    the inner backend, so the same engine code runs on both.
+    actually travel.  Clock, timers, completions, placement and codec
+    selection are the inner backend's (:class:`LayeredTransport`):
+    R_DATA/R_ACK envelopes are ordinary messages on the inner transport,
+    so they ride whatever codec the underlying link negotiated.
     ``ack_timeout`` is the initial and minimum retransmission timeout.
     """
 
@@ -162,7 +164,7 @@ class ReliableTransport(Transport):
         jitter: float = 0.1,
         seed: int = 0,
     ) -> None:
-        super().__init__()
+        super().__init__(inner)
         if ack_timeout <= 0:
             raise TransportError("ack_timeout must be > 0")
         if max_attempts < 1:
@@ -171,7 +173,6 @@ class ReliableTransport(Transport):
             raise TransportError("backoff must be >= 1.0")
         if not 0.0 <= jitter < 1.0:
             raise TransportError("jitter must be in [0, 1)")
-        self.inner = inner
         self.ack_timeout = ack_timeout
         self.max_attempts = max_attempts
         self.backoff = backoff
@@ -460,38 +461,6 @@ class ReliableTransport(Transport):
         with self._lock:
             sender = self._senders.get((src, dst))
             return sender.rto(self.ack_timeout) if sender else self.ack_timeout
-
-    def node_of(self, address: str) -> Optional[str]:
-        """Topology placement passthrough (round coalescing support)."""
-        fn = self._inner_node_of
-        return fn(address) if fn is not None else None
-
-    def place(self, address: str, node: str) -> None:
-        fn = getattr(self.inner, "place", None)
-        if fn is None:
-            raise TransportError(f"{type(self.inner).__name__} has no placement")
-        fn(address, node)
-
-    def set_codec(self, codec: Any) -> None:
-        """Codec passthrough: R_DATA/R_ACK envelopes are ordinary
-        messages on the inner transport, so they automatically ride
-        whatever codec the underlying link negotiated."""
-        fn = getattr(self.inner, "set_codec", None)
-        if fn is None:
-            raise TransportError(
-                f"{type(self.inner).__name__} has no codec selection"
-            )
-        fn(codec)
-
-    # -- delegated backend services --------------------------------------
-    def now(self) -> float:
-        return self.inner.now()
-
-    def schedule(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
-        return self.inner.schedule(delay, fn)
-
-    def completion(self, name: str = "") -> Completion:
-        return self.inner.completion(name)
 
     def close(self) -> None:
         with self._lock:

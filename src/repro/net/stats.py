@@ -10,8 +10,8 @@ experiment can count messages for one phase of a run.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Optional, Tuple
 
 from repro.net.message import BATCH, Message
 
@@ -39,40 +39,30 @@ class StatsSnapshot:
     bytes_saved_compression: int = 0
 
     def delta(self, earlier: "StatsSnapshot") -> "StatsSnapshot":
-        """Counters accumulated since ``earlier``."""
-        return StatsSnapshot(
-            total=self.total - earlier.total,
-            by_type={
-                k: v - earlier.by_type.get(k, 0)
-                for k, v in self.by_type.items()
-                if v - earlier.by_type.get(k, 0)
-            },
-            by_pair={
-                k: v - earlier.by_pair.get(k, 0)
-                for k, v in self.by_pair.items()
-                if v - earlier.by_pair.get(k, 0)
-            },
-            bytes_sent=self.bytes_sent - earlier.bytes_sent,
-            bytes_by_type={
-                k: v - earlier.bytes_by_type.get(k, 0)
-                for k, v in self.bytes_by_type.items()
-                if v - earlier.bytes_by_type.get(k, 0)
-            },
-            images_full=self.images_full - earlier.images_full,
-            images_delta=self.images_delta - earlier.images_delta,
-            cells_sent=self.cells_sent - earlier.cells_sent,
-            cells_skipped=self.cells_skipped - earlier.cells_skipped,
-            frames_compressed=self.frames_compressed - earlier.frames_compressed,
-            frames_stored=self.frames_stored - earlier.frames_stored,
-            bytes_saved_compression=(
-                self.bytes_saved_compression - earlier.bytes_saved_compression
-            ),
-        )
+        """Counters accumulated since ``earlier`` (keyed counters keep
+        only the keys that moved)."""
+        moved: Dict[str, Any] = {}
+        for f in fields(self):
+            now, then = getattr(self, f.name), getattr(earlier, f.name)
+            if isinstance(now, dict):
+                moved[f.name] = {
+                    k: v - then.get(k, 0) for k, v in now.items()
+                    if v - then.get(k, 0)
+                }
+            else:
+                moved[f.name] = now - then
+        return StatsSnapshot(**moved)
 
 
 @dataclass
 class MessageStats:
-    """Mutable counters attached to a transport."""
+    """Mutable counters attached to a transport.
+
+    Every field is a scalar counter, a keyed ``Counter``, or a *gauge*
+    (a peak value, marked ``gauge`` in its field metadata): ``merge``
+    sums the first two — per key for a ``Counter`` — and keeps the
+    larger gauge.
+    """
 
     total: int = 0
     bytes_sent: int = 0
@@ -84,7 +74,7 @@ class MessageStats:
     # time spent in the encoder (ns), and the largest frame seen.
     encodes: int = 0
     encode_ns: int = 0
-    max_message_bytes: int = 0
+    max_message_bytes: int = field(default=0, metadata={"gauge": True})
     # Round coalescing: BATCH frames sent, and how many sub-messages
     # rode inside them (each coalesced sub-message is one frame the
     # sender did NOT pay for separately).
@@ -117,13 +107,13 @@ class MessageStats:
     frames_stored: int = 0
     bytes_saved_compression: int = 0
     # Event-loop transport (net/aio_transport.py): peak depth any
-    # bounded per-link send queue ever reached (a gauge — merge keeps
-    # the max), frames that rode another frame's flush instead of
-    # paying for their own drain, and sends refused because the
-    # bounded queue was at its high-water mark (the refusal surfaces
-    # as a TransportError, which pushes back into ReliableTransport's
-    # retransmit path instead of buffering unboundedly).
-    send_queue_hwm: int = 0
+    # bounded per-link send queue ever reached, frames that rode
+    # another frame's flush instead of paying for their own drain, and
+    # sends refused because the bounded queue was at its high-water
+    # mark (the refusal surfaces as a TransportError, which pushes back
+    # into ReliableTransport's retransmit path instead of buffering
+    # unboundedly).
+    send_queue_hwm: int = field(default=0, metadata={"gauge": True})
     flushes_coalesced: int = 0
     backpressure_stalls: int = 0
     # Durable directory plane (core/durability.py): crash-restart
@@ -132,10 +122,10 @@ class MessageStats:
     recoveries: int = 0
     cells_replayed: int = 0
     # Conflict-aware round scheduler (core/directory.py): peak number
-    # of directory rounds ever in flight simultaneously (a gauge —
-    # merge keeps the max).  Stays 1 on a serial (concurrent_rounds=1)
-    # directory and 0 when no round ever started.
-    concurrent_rounds_hwm: int = 0
+    # of directory rounds ever in flight simultaneously.  Stays 1 on a
+    # serial (concurrent_rounds=1) directory and 0 when no round ever
+    # started.
+    concurrent_rounds_hwm: int = field(default=0, metadata={"gauge": True})
     # Directory op-path profiling (core/profiling.py): cumulative time
     # and sample count per op phase, mirrored here by DirectoryProfiler
     # so phase totals ride the same merge/summary pipeline as message
@@ -248,49 +238,17 @@ class MessageStats:
         self.op_phase_count[phase] += 1
 
     def merge(self, other: "MessageStats") -> "MessageStats":
-        """Fold ``other``'s counters into this one (returns ``self``).
-
-        Sums every scalar counter and every per-type/per-pair dict —
-        including ``bytes_by_type`` — and keeps the larger
-        ``max_message_bytes``.  This is how per-shard stats roll up into
-        one plane-wide view; callers previously hand-summed a subset.
-        """
-        self.total += other.total
-        self.bytes_sent += other.bytes_sent
-        self.by_type.update(other.by_type)
-        self.by_pair.update(other.by_pair)
-        self.bytes_by_type.update(other.bytes_by_type)
-        self.dropped += other.dropped
-        self.duplicated += other.duplicated
-        self.encodes += other.encodes
-        self.encode_ns += other.encode_ns
-        self.max_message_bytes = max(
-            self.max_message_bytes, other.max_message_bytes
-        )
-        self.batches_sent += other.batches_sent
-        self.messages_coalesced += other.messages_coalesced
-        self.retransmits += other.retransmits
-        self.duplicates_suppressed += other.duplicates_suppressed
-        self.acks_sent += other.acks_sent
-        self.ack_frames_sent += other.ack_frames_sent
-        self.images_full += other.images_full
-        self.images_delta += other.images_delta
-        self.cells_sent += other.cells_sent
-        self.cells_skipped += other.cells_skipped
-        self.frames_compressed += other.frames_compressed
-        self.frames_stored += other.frames_stored
-        self.bytes_saved_compression += other.bytes_saved_compression
-        # hwms are gauges: the merged peak is the larger of the two.
-        self.send_queue_hwm = max(self.send_queue_hwm, other.send_queue_hwm)
-        self.concurrent_rounds_hwm = max(
-            self.concurrent_rounds_hwm, other.concurrent_rounds_hwm
-        )
-        self.flushes_coalesced += other.flushes_coalesced
-        self.backpressure_stalls += other.backpressure_stalls
-        self.recoveries += other.recoveries
-        self.cells_replayed += other.cells_replayed
-        self.op_phase_ns.update(other.op_phase_ns)
-        self.op_phase_count.update(other.op_phase_count)
+        """Fold ``other``'s counters into this one (returns ``self``):
+        sums, per-key sums, and the larger of each gauge.  This is how
+        per-shard stats roll up into one plane-wide view."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.metadata.get("gauge"):
+                setattr(self, f.name, max(mine, theirs))
+            elif isinstance(mine, Counter):
+                mine.update(theirs)
+            else:
+                setattr(self, f.name, mine + theirs)
         return self
 
     def count_for_types(self, *msg_types: str) -> int:
@@ -304,53 +262,20 @@ class MessageStats:
         )
 
     def snapshot(self) -> StatsSnapshot:
-        return StatsSnapshot(
-            total=self.total,
-            by_type=dict(self.by_type),
-            by_pair=dict(self.by_pair),
-            bytes_sent=self.bytes_sent,
-            bytes_by_type=dict(self.bytes_by_type),
-            images_full=self.images_full,
-            images_delta=self.images_delta,
-            cells_sent=self.cells_sent,
-            cells_skipped=self.cells_skipped,
-            frames_compressed=self.frames_compressed,
-            frames_stored=self.frames_stored,
-            bytes_saved_compression=self.bytes_saved_compression,
-        )
+        """Copy of the counters :class:`StatsSnapshot` declares."""
+        taken: Dict[str, Any] = {}
+        for f in fields(StatsSnapshot):
+            value = getattr(self, f.name)
+            taken[f.name] = dict(value) if isinstance(value, Counter) else value
+        return StatsSnapshot(**taken)
 
     def reset(self) -> None:
-        self.total = 0
-        self.bytes_sent = 0
-        self.dropped = 0
-        self.duplicated = 0
-        self.encodes = 0
-        self.encode_ns = 0
-        self.max_message_bytes = 0
-        self.batches_sent = 0
-        self.messages_coalesced = 0
-        self.retransmits = 0
-        self.duplicates_suppressed = 0
-        self.acks_sent = 0
-        self.ack_frames_sent = 0
-        self.images_full = 0
-        self.images_delta = 0
-        self.cells_sent = 0
-        self.cells_skipped = 0
-        self.frames_compressed = 0
-        self.frames_stored = 0
-        self.bytes_saved_compression = 0
-        self.send_queue_hwm = 0
-        self.concurrent_rounds_hwm = 0
-        self.flushes_coalesced = 0
-        self.backpressure_stalls = 0
-        self.recoveries = 0
-        self.cells_replayed = 0
-        self.by_type.clear()
-        self.by_pair.clear()
-        self.bytes_by_type.clear()
-        self.op_phase_ns.clear()
-        self.op_phase_count.clear()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Counter):
+                value.clear()
+            else:
+                setattr(self, f.name, 0)
 
     def summary(self) -> str:
         """Human-readable one-block summary (used by experiment reports)."""

@@ -156,6 +156,45 @@ class Transport(abc.ABC):
             self._endpoints[addr].close()
 
 
+class LayeredTransport(Transport):
+    """A transport stacked on another (``inner``): the clock, timers,
+    completions, topology placement and codec selection are the inner
+    backend's, so the same engine code runs on the stack as on the
+    backend alone.  ``inner`` is also how tools walk a stack down."""
+
+    def __init__(self, inner: Transport) -> None:
+        super().__init__()
+        self.inner = inner
+
+    def now(self) -> float:
+        return self.inner.now()
+
+    def schedule(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
+        return self.inner.schedule(delay, fn)
+
+    def completion(self, name: str = "") -> Completion:
+        return self.inner.completion(name)
+
+    def node_of(self, address: str) -> Optional[str]:
+        """Topology placement passthrough (round coalescing support)."""
+        fn = getattr(self.inner, "node_of", None)
+        return fn(address) if fn is not None else None
+
+    def place(self, address: str, node: str) -> None:
+        fn = getattr(self.inner, "place", None)
+        if fn is None:
+            raise TransportError(f"{type(self.inner).__name__} has no placement")
+        fn(address, node)
+
+    def set_codec(self, codec: Any) -> None:
+        fn = getattr(self.inner, "set_codec", None)
+        if fn is None:
+            raise TransportError(
+                f"{type(self.inner).__name__} has no codec selection"
+            )
+        fn(codec)
+
+
 # ---------------------------------------------------------------------------
 # Transport factory
 # ---------------------------------------------------------------------------

@@ -349,7 +349,7 @@ def test_slice_index_hit_and_invalidation():
     builds = d.counters["slice_index_builds"]
     hits = d.counters["slice_index_hits"]
     assert d.slice_keys_of("v") == ["a", "b"]
-    assert d.live_keys("v") == ["a", "b"]
+    assert d.slice_keys_of("v") == ["a", "b"]
     assert d.counters["slice_index_builds"] == builds  # cached
     assert d.counters["slice_index_hits"] == hits + 2
 

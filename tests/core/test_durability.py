@@ -9,6 +9,7 @@ recovered-exclusive views, and never acknowledge before durability
 under ``fsync=always``.
 """
 
+import errno
 import os
 import threading
 
@@ -17,6 +18,7 @@ import pytest
 from repro.core import messages as M
 from repro.core.directory import DirectoryManager
 from repro.core.durability import DurabilityManager, DurabilitySpec
+from repro.core.wal import WalError
 from repro.core.image import ObjectImage
 from repro.core.sharding import ShardedFleccSystem
 from repro.core.system import FleccSystem, run_all_scripts
@@ -35,7 +37,7 @@ from repro.testing import (
     props_for,
 )
 
-from tests.core.durable_rig import wait_for_log_thread
+from tests.core.durable_rig import wait_for_log_thread, wal_records
 
 
 def _spec(wal_root, **kw):
@@ -410,6 +412,100 @@ def test_reclaim_reply_whose_merge_raises_is_fenced(wal_root):
     kernel.run()
     assert [m.msg_type for m in replies] == [M.PULL_DATA]
     dm.close()
+
+
+def _revoke_with_handover(transport, image):
+    """Two strong views on {a, b, c}: ``w1`` takes the token, then
+    ``w2``'s ACQUIRE is sent to revoke it, and ``w1`` will hand
+    ``image`` over on its INVALIDATE_ACK.  Returns the hub endpoint and
+    the list every other reply lands in."""
+    replies = []
+
+    def hub(msg):
+        if msg.msg_type == M.INVALIDATE:
+            ep.send(msg.reply(M.INVALIDATE_ACK, {
+                "view_id": msg.payload["view_id"], "image": image,
+                "state_seq": 1,
+            }))
+        else:
+            replies.append(msg)
+
+    ep = transport.bind("cm", hub)
+    for vid in ("w1", "w2"):
+        ep.send(Message(M.REGISTER, "cm", "dir",
+                        {"view_id": vid, "properties": props_for(["a", "b", "c"]),
+                         "mode": "strong"}))
+    ep.send(Message(M.ACQUIRE, "cm", "dir", {"view_id": "w1"}))
+    transport.kernel.run()
+    ep.send(Message(M.ACQUIRE, "cm", "dir", {"view_id": "w2"}))
+    return ep, replies
+
+
+def _merge_refusing_666(store, image, props):
+    if 666 in image.cells.values():
+        raise RuntimeError("merge hook exploded")
+    merge_into_object(store, image, props)
+
+
+@pytest.mark.parametrize("fsync", ["always", "batch"])
+def test_round_merge_fault_logs_no_commit(wal_root, fsync):
+    """A commit is all or nothing: a merge hook that raises on a round
+    reply's hand-over leaves no WAL commit record, so the next commit's
+    cursor follows on and a restart has nothing it cannot replay."""
+    spec = _spec(wal_root, name=f"merge-fault-{fsync}", fsync=fsync)
+    kernel = SimKernel()
+    transport = SimTransport(kernel)
+    store = Store({"a": 0, "b": 0, "c": 0})
+    dm = DirectoryManager(
+        transport, "dir", store, extract_from_object, _merge_refusing_666,
+        durability=spec,
+    )
+    ep, replies = _revoke_with_handover(
+        transport, ObjectImage({"a": 666, "b": 3})
+    )
+    kernel.run()
+    assert dm.counters["round_faults"] == 1
+    assert dm.commit_seq == 0 and store.cells == {"a": 0, "b": 0, "c": 0}
+    dm.durability.sync()
+    assert [r for r in wal_records(spec.directory) if r["k"] == "commit"] == []
+    push = Message(M.PUSH, "cm", "dir", {
+        "view_id": "w2", "image": ObjectImage({"c": 7}), "state_seq": 1,
+    })
+    ep.send(push)
+    kernel.run()
+    [ack] = [m for m in replies if m.reply_to == push.msg_id]
+    assert (ack.msg_type, ack.payload["committed"]) == (M.PUSH_ACK, 1)
+    dm.close()
+    restarted_store = Store()
+    restarted = DirectoryManager(
+        SimTransport(SimKernel()), "dir", restarted_store, extract_from_object,
+        _merge_refusing_666, durability=spec,
+    )
+    assert restarted.commit_seq == 1
+    assert restarted_store.cells == {"a": 0, "b": 0, "c": 7}
+    restarted.close()
+
+
+def test_wal_failure_in_a_round_is_not_a_round_fault(wal_root, monkeypatch):
+    """A log that cannot sync the hand-over's commit record fail-stops
+    the directory: the WalError leaves the handler, and the view that
+    handed over is not blamed — no round fault, no quarantine."""
+    kernel = SimKernel()
+    transport = SimTransport(kernel)
+    dm = _dm(transport, Store({"a": 0, "b": 0, "c": 0}),
+             _spec(wal_root, name="round-eio"))
+    _revoke_with_handover(transport, ObjectImage({"a": 5}))
+
+    def eio(fd):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, "fsync", eio)
+    with pytest.raises(WalError, match="fsync failed"):
+        kernel.run()
+    monkeypatch.undo()
+    assert dm.counters["round_faults"] == 0
+    assert dm.quarantined == {}
+    dm.crash()
 
 
 def test_reclaim_blocks_only_the_owners_conflict_groups(wal_root):

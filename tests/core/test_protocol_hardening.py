@@ -1,5 +1,7 @@
 """Protocol hardening: at-least-once request dedup and round watchdog."""
 
+import pytest
+
 from repro.core import Mode, ObjectImage
 from repro.core import messages as M
 from repro.core.cache_manager import CacheManager
@@ -7,6 +9,7 @@ from repro.core.system import run_all_scripts
 from repro.net import Message, SimTransport, ThreadCompletion, Transport
 from repro.net.transport import TimerHandle
 from repro.sim import SimKernel
+from repro.testing import BareDirectory, merge_slice
 
 from tests.core.harness import (
     Agent,
@@ -108,6 +111,38 @@ class TestRequestDedup:
 
         fx.run_scripts(script())
         assert len(fx.system.directory._reply_cache) <= 4
+
+
+@pytest.mark.parametrize(
+    "verb", [M.PUSH, M.UNREGISTER], ids=["push", "unregister"]
+)
+def test_commit_fault_is_refused_not_acked(verb):
+    """A merge hook that raises on a PUSH / UNREGISTER commit is
+    answered ERROR — and so is the CM's retransmission, from the
+    reply cache — with nothing the directory owns moved: the write
+    is refused, never lost and acknowledged."""
+    def poisoned_merge(store, image, props):
+        if 666 in image.cells.values():
+            raise RuntimeError("merge hook exploded")
+        merge_slice(store, image, props)
+
+    h = BareDirectory(merge_into_object=poisoned_merge)
+    h.store["a"] = 1
+    h.register("v", props_for(["a"]))
+    h.drain()
+    request = Message(verb, "cmhub", "dir", {
+        "view_id": "v", "image": ObjectImage({"a": 666}), "state_seq": 1,
+    })
+    for _ in range(2):  # the original and the CM's retransmission
+        h.endpoint.send(request)
+        h.drain()
+    answers = [r.msg_type for r in h.replies if r.reply_to == request.msg_id]
+    assert answers == [M.ERROR, M.ERROR]
+    assert h.store == {"a": 1}
+    assert h.dm.views["v"].last_state_seq == 0  # still registered
+    assert h.dm.counters["commit_faults"] == 1
+    assert h.dm.quarantined == {}  # the pusher may still hold its token
+    h.close()
 
 
 class TestRoundWatchdog:

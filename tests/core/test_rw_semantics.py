@@ -6,7 +6,7 @@ from repro.core import Mode
 from repro.core import messages as M
 from repro.core.rw_semantics import Access, RWCacheManager, RWDirectoryManager
 from repro.core.system import run_all_scripts
-from repro.net import SimTransport
+from repro.net import Message, SimTransport
 from repro.sim import SimKernel
 
 from tests.core.harness import (
@@ -223,6 +223,38 @@ def test_weak_mode_ignores_access_annotation():
 
     [delta] = fx.run_scripts(script())
     assert delta == 0  # weak-mode use stays local regardless of intent
+
+
+def test_read_round_on_a_silent_writer_times_out():
+    """A READ round runs through the base launcher: a writer that never
+    answers its INVALIDATE is dropped by the round watchdog, and the
+    round is counted like any other."""
+    kernel = SimKernel()
+    transport = SimTransport(kernel, default_latency=1.0)
+    directory = RWDirectoryManager(
+        transport=transport, address="dir", component=Store({"a": 10}),
+        extract_from_object=extract_from_object,
+        merge_into_object=merge_into_object, round_timeout=10.0,
+    )
+    replies = []
+    ep = transport.bind("cm", replies.append)  # answers no INVALIDATE
+    for vid in ("w", "r"):
+        ep.send(Message(M.REGISTER, "cm", "dir", {
+            "view_id": vid, "properties": props_for(["a"]), "mode": "strong",
+        }))
+    ep.send(Message(M.ACQUIRE, "cm", "dir", {"view_id": "w", "access": "write"}))
+    kernel.run()
+    read = Message(M.ACQUIRE, "cm", "dir", {"view_id": "r", "access": "read"})
+    ep.send(read)
+    kernel.run(until=kernel.now + 100.0)
+    assert [m.msg_type for m in replies if m.reply_to == read.msg_id] == [
+        M.PULL_DATA
+    ]
+    assert directory.quarantined["w"].reason == "round-timeout"
+    c = directory.counters
+    assert (c["rounds"], c["invalidates_sent"], c["round_timeouts"]) == (1, 1, 1)
+    assert directory.read_sharers == {"r"}
+    directory.check_invariants()
 
 
 def test_unregister_clears_read_sharer():

@@ -360,6 +360,40 @@ def test_serve_fault_replies_error_and_next_op_proceeds():
     h.close()
 
 
+def test_regrant_serve_fault_is_fenced():
+    """A re-ACQUIRE from the current holder is served at once (a
+    regrant), through the same serve fence as a round's serve: ERROR,
+    the holder quarantined, and the next op served."""
+    armed = {"shots": 0}
+
+    def bomb_extract(store, props):
+        if armed["shots"] > 0:
+            armed["shots"] -= 1
+            raise RuntimeError("extract exploded")
+        return extract_slice(store, props)
+
+    h = BareDirectory(extract_from_object=bomb_extract)
+    _paired_fleet(h, 1)
+    h.acquire(_vid(0))
+    h.drain()
+    assert h.dm.views[_vid(0)].exclusive
+    armed["shots"] = 1
+    again = Message(M.ACQUIRE, "cmhub", "dir", {"view_id": _vid(0), "full": True})
+    h.endpoint.send(again)
+    h.drain()
+    assert [r.msg_type for r in h.replies if r.reply_to == again.msg_id] == [
+        M.ERROR
+    ]
+    assert h.dm.counters["regrants"] == 1
+    assert h.dm.counters["serve_faults"] == 1
+    assert h.dm.quarantined[_vid(0)].reason == "serve-fault"
+    r2 = h.acquire(_vid(1))
+    h.drain()
+    assert len(_grants_for(h, r2)) == 1
+    h.dm.check_invariants()
+    h.close()
+
+
 # ---------------------------------------------------------------------------
 # Randomized interleavings: serial / bounded / unbounded must converge
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Unit tests for repro.net.stats."""
 
+from collections import Counter
+from dataclasses import fields
+
 from repro.net import Message, MessageStats
+from repro.net.stats import StatsSnapshot
 
 
 def _msg(t="PING", src="a", dst="b"):
@@ -62,6 +66,50 @@ def test_summary_lists_types_by_count():
     out = s.summary()
     assert "total messages: 3" in out
     assert out.index("A") < out.index("B")
+
+
+GAUGES = {"max_message_bytes", "send_queue_hwm", "concurrent_rounds_hwm"}
+
+
+def _populated(base: int) -> MessageStats:
+    """Every field set: scalars to distinct values, keyed counters to
+    one shared and one private key."""
+    s = MessageStats()
+    for i, f in enumerate(fields(s)):
+        value = getattr(s, f.name)
+        if isinstance(value, Counter):
+            value.update({"shared": base + i, f"only{base}": 1})
+        else:
+            setattr(s, f.name, base + i)
+    return s
+
+
+def test_every_field_merges_resets_and_snapshots():
+    a, b = _populated(10), _populated(100)
+    assert {f.name for f in fields(a) if f.metadata.get("gauge")} == GAUGES
+    earlier = a.snapshot()
+    a.merge(b)
+    for i, f in enumerate(fields(a)):
+        merged = getattr(a, f.name)
+        if isinstance(merged, Counter):
+            assert merged == {"shared": 110 + 2 * i, "only10": 1, "only100": 1}
+        elif f.name in GAUGES:
+            assert merged == 100 + i
+        else:
+            assert merged == 110 + 2 * i
+    # Every snapshot field moves by exactly what b added.
+    moved = a.snapshot().delta(earlier)
+    for f in fields(StatsSnapshot):
+        i = [g.name for g in fields(MessageStats)].index(f.name)
+        expected = (
+            {"shared": 100 + i, "only100": 1}
+            if isinstance(getattr(a, f.name), Counter) else 100 + i
+        )
+        assert getattr(moved, f.name) == expected, f.name
+    a.reset()
+    for f in fields(a):
+        value = getattr(a, f.name)
+        assert (not value) if isinstance(value, Counter) else value == 0
 
 
 def test_reliability_counters_merge_reset_and_summarise():
