@@ -21,13 +21,22 @@ The view-facing API mirrors the paper's Fig 3 listing::
 Every method returns a :class:`~repro.net.transport.Completion`; sim
 code yields ``completion.sim_event()``, threaded code calls
 ``completion.wait()`` (the examples show both styles).
+
+Each operation has one path.  Every reply is unwrapped by one rule
+(:meth:`CacheManager._unwrap`, behind ``_call`` and the data requests);
+every critical section is entered through :meth:`CacheManager._enter`,
+which takes a *decision* — :meth:`CacheManager._use_request` here, the
+READ decision in :class:`~repro.core.rw_semantics.RWCacheManager`; and
+every hand-off of dirty cells (PUSH, INVALIDATE_ACK, FETCH_REPLY) is one
+extract of the view (:meth:`CacheManager._take_dirty`), undone when the
+directory refuses a push.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core import messages as M
 from repro.core.image import DeltaImage, ObjectImage
@@ -46,6 +55,11 @@ from repro.net.transport import Completion, Transport
 ExtractFromView = Callable[[Any, PropertySet], ObjectImage]
 MergeIntoView = Callable[[Any, ObjectImage, PropertySet], None]
 
+# A use decision: the request that admits a view to its critical section
+# (message type, payload, and the state to take once it is served), or
+# None to enter locally.
+UseRequest = Optional[Tuple[str, Dict[str, Any], Optional[Callable[[], None]]]]
+
 
 class _CompletionLock:
     """FIFO lock built on completions — works on both transport backends.
@@ -62,10 +76,6 @@ class _CompletionLock:
         self._queue: Deque[Completion] = deque()
         self._lock = threading.Lock()
 
-    @property
-    def held(self) -> bool:
-        return self._held
-
     def acquire(self) -> Completion:
         comp = self._transport.completion(f"{self.name}.acquire")
         grant_now = False
@@ -78,13 +88,6 @@ class _CompletionLock:
         if grant_now:
             comp.resolve(None)
         return comp
-
-    def try_acquire(self) -> bool:
-        with self._lock:
-            if self._held:
-                return False
-            self._held = True
-            return True
 
     def release(self) -> None:
         nxt: Optional[Completion] = None
@@ -167,18 +170,13 @@ class CacheManager:
         self._synced: Optional[ObjectImage] = None
         self._since: int = -1
         self._pending: Dict[int, Completion] = {}
-        # Invalidations deferred while the view is inside its critical
-        # section.  A list (not a slot): on a sharded directory plane,
-        # several shards can concurrently revoke one spanning view, and
-        # every revoker must be answered *after* the critical section —
-        # acking any of them early would let a contending view be
-        # granted that shard's partition while we are still writing it.
-        self._pending_invalidates: List[Message] = []
-        # Full-slice fetches (a recovering directory reclaiming the
-        # authoritative image from its exclusive owner) deferred for the
-        # same reason: answering mid-critical-section would hand the
-        # directory a half-edited view.
-        self._pending_fetches: List[Message] = []
+        # Directory commands deferred while the view is inside its
+        # critical section, in arrival order: INVALIDATEs and full-slice
+        # FETCH_REQs (see ``_h_command``).  A list, not a slot: on a
+        # sharded directory plane several shards can concurrently revoke
+        # one spanning view, and every revoker must be answered *after*
+        # the critical section.
+        self._deferred: List[Message] = []
         self._use_lock = _CompletionLock(transport, f"{view_id}.use")
         self._in_use = False
         self._lock = threading.RLock()
@@ -247,6 +245,39 @@ class CacheManager:
             self._arm_retry(msg, comp, timeout, attempts_left=self.max_retries)
         return comp
 
+    @staticmethod
+    def _unwrap(
+        on_fail: Callable[[BaseException], None], on_ok: Callable[[Any], None]
+    ) -> Callable[[Completion], None]:
+        """The one reply rule: a completion callback that hands a failure
+        to ``on_fail`` and a value to ``on_ok``."""
+        def settle(done: Completion) -> None:
+            try:
+                value = done.value
+            except Exception as exc:
+                on_fail(exc)
+                return
+            on_ok(value)
+
+        return settle
+
+    def _call(
+        self,
+        msg_type: str,
+        payload: Dict[str, Any],
+        on_ok: Callable[[Message], Any],
+        comp: Optional[Completion] = None,
+    ) -> Completion:
+        """Send one request; ``comp`` (a new completion by default) fails
+        with the request, else resolves to ``on_ok(reply)``."""
+        if comp is None:
+            comp = self.transport.completion(f"{self.view_id}.{msg_type}")
+        self._request(
+            msg_type, payload,
+            self._unwrap(comp.fail, lambda reply: comp.resolve(on_ok(reply))),
+        )
+        return comp
+
     def _arm_retry(
         self, msg: Message, comp: Completion, timeout: float, attempts_left: int
     ) -> None:
@@ -296,36 +327,43 @@ class CacheManager:
                         self._trace("degradation-cleared")
                     comp.resolve(msg)
                 return
-            if msg.msg_type == M.INVALIDATE:
-                self._h_invalidate(msg)
-            elif msg.msg_type == M.FETCH_REQ:
-                self._h_fetch(msg)
+            if msg.msg_type in (M.INVALIDATE, M.FETCH_REQ):
+                self._h_command(msg)
             else:
                 self._trace("unexpected-message", type=msg.msg_type)
 
     # -- directory-initiated commands ------------------------------------
-    def _h_invalidate(self, msg: Message) -> None:
-        self.counters["invalidations"] += 1
-        if self._in_use:
+    def _h_command(self, msg: Message) -> None:
+        invalidate = msg.msg_type == M.INVALIDATE
+        self.counters["invalidations" if invalidate else "fetches"] += 1
+        if self._in_use and (invalidate or msg.payload.get("full")):
             # The view is inside startUse/endUse — defer until it exits
             # the critical section (mutual exclusion, Fig 2 steps 6-7).
-            # A duplicate delivery of an already-deferred invalidate
-            # (injected fault or retransmission: same msg_id) collapses
-            # into the original; distinct msg_ids are distinct revokers
-            # (e.g. several shards of a partitioned directory plane) and
-            # each gets its own ACK at end-of-use.
-            if all(m.msg_id != msg.msg_id for m in self._pending_invalidates):
-                self._pending_invalidates.append(msg)
+            # Acking a revocation now would let a contending view be
+            # granted the data while we are still writing it; answering
+            # a recovering directory's full fetch now would hand it a
+            # half-edited view.  A duplicate delivery (injected fault or
+            # retransmission: same msg_id) collapses into the original;
+            # distinct msg_ids are distinct commands (e.g. from several
+            # shards of a partitioned directory plane) and each gets its
+            # own answer at end-of-use.
+            if all(m.msg_id != msg.msg_id for m in self._deferred):
+                self._deferred.append(msg)
             return
-        self._complete_invalidate(msg)
+        self._answer(msg)
+
+    def _answer(self, msg: Message) -> None:
+        if msg.msg_type == M.INVALIDATE:
+            self._complete_invalidate(msg)
+        else:
+            self._complete_fetch(msg)
 
     def _next_state_seq(self) -> int:
         self._state_seq += 1
         return self._state_seq
 
     def _complete_invalidate(self, msg: Message) -> None:
-        dirty = self._extract_dirty()
-        self._absorb_dirty(dirty)
+        dirty = self._take_dirty()
         self.owner = False
         self.invalidated = True
         self._trace(f"send:{M.INVALIDATE_ACK}", dst=msg.src)
@@ -336,27 +374,16 @@ class CacheManager:
                  "state_seq": self._next_state_seq()},
             )
         )
-        # The dirty cells were handed to the directory; our base now
-        # reflects the view (nothing left dirty).
-        self._rebase()
-
-    def _h_fetch(self, msg: Message) -> None:
-        self.counters["fetches"] += 1
-        full = bool(msg.payload.get("full"))
-        if full and self._in_use:
-            # A recovering directory is reclaiming the authoritative
-            # slice from us; answer after the critical section so it
-            # cannot capture a half-edited view.
-            if all(m.msg_id != msg.msg_id for m in self._pending_fetches):
-                self._pending_fetches.append(msg)
-            return
-        self._complete_fetch(msg)
 
     def _complete_fetch(self, msg: Message) -> None:
-        full = bool(msg.payload.get("full"))
-        dirty = ObjectImage() if self._in_use else self._extract_dirty()
-        self._absorb_dirty(dirty)
-        image = self._extract_current() if full else dirty
+        if self._in_use:
+            # A plain fetch mid-section hands over nothing (a full one
+            # was deferred to end-of-use).
+            image = ObjectImage()
+        else:
+            image = self._take_dirty()
+            if msg.payload.get("full"):
+                image = self._base.copy()  # the sync point is the view now
         self._trace(f"send:{M.FETCH_REPLY}", dst=msg.src)
         self.endpoint.send(
             msg.reply(
@@ -365,31 +392,53 @@ class CacheManager:
                  "state_seq": self._next_state_seq()},
             )
         )
-        if not self._in_use:
-            self._rebase()
 
     # -- dirty tracking ------------------------------------------------------
     def _extract_current(self) -> ObjectImage:
         return self.extract_from_view(self.view, self.properties)
 
-    def _extract_dirty(self) -> ObjectImage:
-        """Cells whose value changed since the last sync point."""
+    def _extract_dirty(self) -> Tuple[ObjectImage, ObjectImage]:
+        """One extract of the view: its image, and the cells whose value
+        changed since the last sync point."""
         current = self._extract_current()
+        base = self._base.cells
         dirty = ObjectImage()
-        for key in current.keys():
-            if key not in self._base or self._base.get(key) != current.get(key):
-                dirty.cells[key] = current.get(key)
+        for key, value in current.cells.items():
+            if key not in base or base[key] != value:
+                dirty.cells[key] = value
+        return current, dirty
+
+    def _take_dirty(self) -> ObjectImage:
+        """Hand the dirty cells to the directory: one extract is both the
+        diff and the new sync point, and the cells join the delta base.
+
+        The directory advances our seen-cursor when it commits them, so
+        later deltas will not echo them back; without the join a later
+        full-apply of ``_synced`` would revert the view's own writes.
+        Versions stay as last served — safe, since a newer committed
+        value for these keys always carries a strictly higher version.
+        """
+        self._base, dirty = self._extract_dirty()
+        if self._synced is not None and not dirty.is_empty():
+            self._synced.cells.update(dirty.cells)
         return dirty
 
-    def _rebase(self) -> None:
-        self._base = self._extract_current()
+    def _refused(self, dirty: ObjectImage) -> None:
+        """Undo a hand-off the directory refused: its cells leave the
+        sync point, so they are dirty again, and the delta base — which
+        holds them — goes, so the next serve is complete and overwrites
+        what no delta would ever correct."""
+        with self._lock:
+            for key in dirty.keys():
+                self._base.cells.pop(key, None)
+            self._drop_delta_base()
 
     def has_dirty_data(self) -> bool:
-        return not self._extract_dirty().is_empty()
+        return not self._extract_dirty()[1].is_empty()
 
     def _apply_image(self, image: ObjectImage) -> None:
         self.merge_into_view(self.view, image, self.properties)
-        self._rebase()
+        self._base = self._extract_current()
         self.invalidated = False
 
     # -- delta synchronization -----------------------------------------------
@@ -407,8 +456,7 @@ class CacheManager:
         re-request with ``full=True``).  Call with ``self._lock`` held.
         """
         if not isinstance(served, DeltaImage):
-            self._synced = None
-            self._since = -1
+            self._drop_delta_base()
             self._apply_image(served)
             return served
         if served.complete:
@@ -425,17 +473,10 @@ class CacheManager:
         self._apply_image(self._synced)
         return self._synced.copy()
 
-    def _absorb_dirty(self, dirty: ObjectImage) -> None:
-        """Fold cells we hand to the directory into the sync base.
-
-        The directory advances our seen-cursor when it commits them, so
-        later deltas will not echo them back; without this a later
-        full-apply of ``_synced`` would revert the view's own writes.
-        Versions stay as last served — safe, since a newer committed
-        value for these keys always carries a strictly higher version.
-        """
-        if self._synced is not None and not dirty.is_empty():
-            self._synced.cells.update(dirty.cells)
+    def _drop_delta_base(self) -> None:
+        """Forget the delta base: the next serve must be complete."""
+        self._synced = None
+        self._since = -1
 
     def _request_data(
         self,
@@ -460,12 +501,7 @@ class CacheManager:
             if full:
                 req["full"] = True
 
-        def on_reply(reply: Completion) -> None:
-            try:
-                msg = reply.value
-            except BaseException as exc:
-                on_fail(exc)
-                return
+        def apply(msg: Message) -> None:
             with self._lock:
                 image = self._apply_served(msg.payload["image"])
                 if image is not None and on_state is not None:
@@ -485,47 +521,50 @@ class CacheManager:
                 msg_type, payload, on_fail, on_done, on_state, full=True
             )
 
-        self._request(msg_type, req, on_reply)
+        self._request(msg_type, req, self._unwrap(on_fail, apply))
 
     # ------------------------------------------------------------------
     # View-facing API (Fig 3)
     # ------------------------------------------------------------------
+    def _registration(self, recover: bool = False) -> Dict[str, Any]:
+        """The REGISTER payload; ``recover`` asks for the idempotent
+        re-REGISTER of a restarted view."""
+        payload: Dict[str, Any] = {
+            "properties": self.properties,
+            "mode": self.mode.value,
+            "triggers": self.triggers.to_jsonable(),
+        }
+        if recover:
+            payload["recover"] = True
+        return payload
+
+    def _registered(self, reply: Message) -> "CacheManager":
+        with self._lock:
+            self.registered = True
+            # Resume state-seq numbering above the directory's cursor: a
+            # fresh process restarting at 0 would have every push dropped
+            # as a stale retransmission (a first registration reads 0).
+            self._state_seq = max(
+                self._state_seq, reply.payload.get("last_state_seq") or 0
+            )
+        self._start_trigger_poller()
+        self._start_heartbeats()
+        return self
+
     def start(self) -> Completion:
         """Register with the directory manager; starts the trigger poller."""
-        comp = self.transport.completion(f"{self.view_id}.start")
-
-        def on_ack(reply: Completion) -> None:
-            try:
-                reply.value
-            except BaseException as exc:
-                comp.fail(exc)
-                return
-            self.registered = True
-            self._start_trigger_poller()
-            self._start_heartbeats()
-            comp.resolve(self)
-
-        self._request(
-            M.REGISTER,
-            {
-                "properties": self.properties,
-                "mode": self.mode.value,
-                "triggers": self.triggers.to_jsonable(),
-            },
-            on_ack,
-        )
-        return comp
+        return self._call(M.REGISTER, self._registration(), self._registered)
 
     def init_image(self) -> Completion:
         """First data acquisition (Fig 2 steps 3-5); resolves to the image."""
-        return self._sync_request(M.INIT_REQ, count_as="pulls")
+        return self._sync_request(M.INIT_REQ)
 
     def pull_image(self) -> Completion:
         """Refresh the view from the primary copy; resolves to the image."""
-        return self._sync_request(M.PULL_REQ, count_as="pulls")
+        return self._sync_request(M.PULL_REQ)
 
-    def _sync_request(self, msg_type: str, count_as: str) -> Completion:
-        self.counters[count_as] += 1
+    def _sync_request(self, msg_type: str) -> Completion:
+        self.counters["pulls"] += 1
         comp = self.transport.completion(f"{self.view_id}.{msg_type}")
         self._request_data(
             msg_type,
@@ -536,26 +575,22 @@ class CacheManager:
         return comp
 
     def push_image(self) -> Completion:
-        """Commit dirty cells to the primary copy; resolves to #committed."""
+        """Commit dirty cells to the primary copy; resolves to #committed.
+
+        A push the directory refuses (an ERROR reply, or no reply within
+        the retry budget) fails, and its cells stay dirty: the next push
+        carries them again, and the next serve is complete.
+        """
         self.counters["pushes"] += 1
-        comp = self.transport.completion(f"{self.view_id}.push")
-        dirty = self._extract_dirty()
-        self._absorb_dirty(dirty)
-
-        def on_ack(reply: Completion) -> None:
-            try:
-                msg = reply.value
-            except BaseException as exc:
-                comp.fail(exc)
-                return
-            comp.resolve(msg.payload.get("committed", 0))
-
-        self._request(
+        dirty = self._take_dirty()
+        pushed = self._call(
             M.PUSH, {"image": dirty, "state_seq": self._next_state_seq()},
-            on_ack,
+            lambda reply: reply.payload.get("committed", 0),
         )
-        self._rebase()
-        return comp
+        pushed.then(self._unwrap(
+            lambda _exc: self._refused(dirty), lambda _committed: None
+        ))
+        return pushed
 
     def start_use_image(self) -> Completion:
         """Enter the critical section; in strong mode, acquire ownership.
@@ -563,20 +598,39 @@ class CacheManager:
         Resolves once the view may touch the shared data.  The returned
         value is ``self`` for chaining.
         """
+        return self._enter(self._use_request)
+
+    def _use_request(self) -> UseRequest:
+        """Decision: a strong view without the token acquires it, a view
+        with invalidated data pulls, anything else enters locally."""
+        if self.mode is Mode.STRONG and not self.owner:
+            return M.ACQUIRE, {}, self._take_token
+        if self.invalidated:
+            return M.PULL_REQ, {"need_fresh": self._evaluate_validity()}, None
+        return None
+
+    def _take_token(self) -> None:
+        self.owner = True
+
+    def _enter(self, decide: Callable[[], UseRequest]) -> Completion:
+        """The one way into the critical section: take the use lock, apply
+        the degraded rule, then do what ``decide()`` asks (see
+        :data:`UseRequest`).  A failed request releases the lock."""
         comp = self.transport.completion(f"{self.view_id}.start_use")
+
+        def fail(exc: BaseException) -> None:
+            self._use_lock.release()
+            comp.fail(exc)
 
         def locked(_lk: Completion) -> None:
             if self.degraded:
                 if self.mode is Mode.STRONG:
                     # No directory, no ownership: strong-mode semantics
                     # cannot be honored while degraded.
-                    self._use_lock.release()
-                    comp.fail(
-                        ProtocolError(
-                            f"{self.view_id}: degraded (directory silent); "
-                            f"strong-mode use refused"
-                        )
-                    )
+                    fail(ProtocolError(
+                        f"{self.view_id}: degraded (directory silent); "
+                        f"strong-mode use refused"
+                    ))
                     return
                 # Weak mode: serve the possibly-stale local copy rather
                 # than block on a silent directory (reads only — pushes
@@ -586,96 +640,73 @@ class CacheManager:
                 self._in_use = True
                 comp.resolve(self)
                 return
-            if self.mode is Mode.STRONG and not self.owner:
-                self.counters["acquires"] += 1
-
-                def fail_locked(exc: BaseException) -> None:
-                    self._use_lock.release()
-                    comp.fail(exc)
-
-                def granted() -> None:
-                    self.owner = True
-                    self._in_use = True
-
-                self._request_data(
-                    M.ACQUIRE, {},
-                    on_fail=fail_locked,
-                    on_done=lambda _img: comp.resolve(self),
-                    on_state=granted,
-                )
-            elif self.invalidated:
-                def fail_locked(exc: BaseException) -> None:
-                    self._use_lock.release()
-                    comp.fail(exc)
-
-                def entered() -> None:
-                    self._in_use = True
-
-                self.counters["pulls"] += 1
-                self._request_data(
-                    M.PULL_REQ,
-                    {"need_fresh": self._evaluate_validity()},
-                    on_fail=fail_locked,
-                    on_done=lambda _img: comp.resolve(self),
-                    on_state=entered,
-                )
-            else:
-                if self.owner:
-                    # A still-held owner token: granted locally, with
-                    # no round at the directory.
+            request = decide()
+            if request is None:
+                if self.mode is Mode.STRONG:
+                    # A still-held token (owner, or read sharer): granted
+                    # locally, with no round at the directory.
                     self.counters["local_grants"] += 1
                 self._in_use = True
                 comp.resolve(self)
+                return
+            msg_type, payload, take = request
+            self.counters["acquires" if msg_type == M.ACQUIRE else "pulls"] += 1
+
+            def served() -> None:
+                if take is not None:
+                    take()
+                self._in_use = True
+
+            self._request_data(
+                msg_type, payload,
+                on_fail=fail,
+                on_done=lambda _img: comp.resolve(self),
+                on_state=served,
+            )
 
         self._use_lock.acquire().then(locked)
         return comp
 
     def end_use_image(self) -> None:
-        """Leave the critical section; honors a deferred invalidation."""
+        """Leave the critical section; answers the deferred commands."""
         with self._lock:
             if not self._in_use:
                 raise ProtocolError(f"{self.view_id}: end_use without start_use")
             self._in_use = False
-            deferred = self._pending_invalidates
-            self._pending_invalidates = []
-            fetches = self._pending_fetches
-            self._pending_fetches = []
-            # Answer every deferred revoker in arrival order.  The first
-            # ACK carries all dirty cells (and rebases); the rest are
-            # empty — on a sharded plane the router re-homes any cells
-            # the first revoker's shard does not own.
+            deferred, self._deferred = self._deferred, []
+            # Answer every deferred command in arrival order.  The first
+            # hand-off carries all dirty cells; the rest are empty — on a
+            # sharded plane the router re-homes any cells the first
+            # revoker's shard does not own.
             for msg in deferred:
-                self._complete_invalidate(msg)
-            for msg in fetches:
-                self._complete_fetch(msg)
+                self._answer(msg)
         self._use_lock.release()
 
     def set_mode(self, mode: Mode | str) -> Completion:
-        """Switch consistency mode at run time (paper §4, Fig 5)."""
+        """Switch consistency mode at run time (paper §4, Fig 5).
+
+        An owner leaving strong mode surrenders its dirty state first,
+        and SET_MODE goes out only once that push has committed: a
+        refused surrender fails ``set_mode`` with the push's error, and
+        the view keeps its token (and its dirty cells).
+        """
         new_mode = Mode.parse(mode)
         comp = self.transport.completion(f"{self.view_id}.set_mode")
 
-        def send_set_mode(_prev: Optional[Completion] = None) -> None:
-            def on_ack(reply: Completion) -> None:
-                try:
-                    reply.value
-                except BaseException as exc:
-                    comp.fail(exc)
-                    return
-                with self._lock:
-                    self.mode = new_mode
-                    if new_mode is Mode.WEAK:
-                        self.owner = False
-                comp.resolve(new_mode)
+        def switched(_reply: Message) -> Mode:
+            with self._lock:
+                self.mode = new_mode
+                if new_mode is Mode.WEAK:
+                    self.owner = False
+            return new_mode
 
-            self._request(M.SET_MODE, {"mode": new_mode.value}, on_ack)
+        def send(_committed: Any = None) -> None:
+            self._call(M.SET_MODE, {"mode": new_mode.value}, switched, comp)
 
         if self.mode is Mode.STRONG and new_mode is Mode.WEAK and self.owner:
-            # Leaving strong mode: surrender dirty state first so the
-            # primary copy stays authoritative.
-            self.push_image().then(send_set_mode)
+            self.push_image().then(self._unwrap(comp.fail, send))
         else:
-            send_set_mode()
+            send()
         return comp
 
     def set_triggers(self, triggers: TriggerSet) -> None:
@@ -685,61 +716,42 @@ class CacheManager:
 
     def update_properties(self, properties: PropertySet) -> Completion:
         """Change the view's data properties at run time (paper §4.1)."""
-        comp = self.transport.completion(f"{self.view_id}.prop_update")
-
-        def on_ack(reply: Completion) -> None:
-            try:
-                reply.value
-            except BaseException as exc:
-                comp.fail(exc)
-                return
+        def updated(_reply: Message) -> PropertySet:
             with self._lock:
                 self.properties = properties
                 self.invalidated = True  # slice changed; re-pull before use
-                self._synced = None      # old slice's delta base is void
-                self._since = -1
-            comp.resolve(properties)
+                self._drop_delta_base()  # old slice's delta base is void
+            return properties
 
-        self._request(M.PROP_UPDATE, {"properties": properties}, on_ack)
-        return comp
+        return self._call(M.PROP_UPDATE, {"properties": properties}, updated)
 
     def kill_image(self) -> Completion:
         """Final push + unregister + release resources (Fig 2 steps 20-21)."""
-        comp = self.transport.completion(f"{self.view_id}.kill")
         with self._lock:
             # Silence the trigger poller and heartbeats immediately: a
             # pull or lease renewal racing the unregister would arrive
             # at the directory as an unregistered view.
-            self._triggers_stopped = True
-            if self._trigger_timer is not None:
-                self._trigger_timer.cancel()
-                self._trigger_timer = None
-            self._stop_heartbeats()
-        dirty = self._extract_dirty()
-
-        def on_ack(reply: Completion) -> None:
-            try:
-                reply.value
-            except BaseException as exc:
-                comp.fail(exc)
-                return
-            self._shutdown()
-            comp.resolve(None)
-
-        self._request(
+            self._stop_timers()
+        _, dirty = self._extract_dirty()
+        return self._call(
             M.UNREGISTER, {"image": dirty, "state_seq": self._next_state_seq()},
-            on_ack,
+            lambda _reply: self._shutdown(),
         )
-        return comp
+
+    def _stop_timers(self) -> None:
+        self._triggers_stopped = True
+        if self._trigger_timer is not None:
+            self._trigger_timer.cancel()
+            self._trigger_timer = None
+        if self._heartbeat_timer is not None:
+            self._heartbeat_timer.cancel()
+            self._heartbeat_timer = None
 
     def _shutdown(self) -> None:
         with self._lock:
             self._closed = True
             self.registered = False
-            if self._trigger_timer is not None:
-                self._trigger_timer.cancel()
-                self._trigger_timer = None
-            self._stop_heartbeats()
+            self._stop_timers()
         self.endpoint.close()
 
     # ------------------------------------------------------------------
@@ -763,18 +775,12 @@ class CacheManager:
             self.registered = False
             self.owner = False
             self.invalidated = True
-            self._triggers_stopped = True
-            if self._trigger_timer is not None:
-                self._trigger_timer.cancel()
-                self._trigger_timer = None
-            self._stop_heartbeats()
+            self._stop_timers()
             self._pending.clear()  # a dead process answers nothing
-            self._pending_invalidates = []
-            self._pending_fetches = []
+            self._deferred = []
             self._in_use = False
             self._base = ObjectImage()
-            self._synced = None  # delta base is volatile state too
-            self._since = -1
+            self._drop_delta_base()  # delta base is volatile state too
             self._trace("crash")
         self.endpoint.close()
 
@@ -800,41 +806,18 @@ class CacheManager:
             self.endpoint = self.transport.bind(self.address, self._on_message)
             self._trace("recover")
 
-        def on_ack(reply: Completion) -> None:
-            try:
-                msg = reply.value
-            except BaseException as exc:
-                comp.fail(exc)
-                return
-            with self._lock:
-                self.registered = True
-                # Resume state-seq numbering above the directory's
-                # cursor: a fresh process restarting at 0 would have
-                # every push dropped as a stale retransmission.
-                self._state_seq = max(
-                    self._state_seq, msg.payload.get("last_state_seq") or 0
-                )
-            self._start_trigger_poller()
-            self._start_heartbeats()
-
+        def resync(reply: Message) -> None:
+            self._registered(reply)
             # Full re-sync from the primary copy (the crash dropped our
             # delta base, so the cursor is -1 and the serve is complete).
             self._request_data(
-                M.INIT_REQ,
-                {"need_fresh": False},
-                on_fail=comp.fail,
-                on_done=comp.resolve,
+                M.INIT_REQ, {"need_fresh": False},
+                on_fail=comp.fail, on_done=comp.resolve,
             )
 
         self._request(
-            M.REGISTER,
-            {
-                "properties": self.properties,
-                "mode": self.mode.value,
-                "triggers": self.triggers.to_jsonable(),
-                "recover": True,
-            },
-            on_ack,
+            M.REGISTER, self._registration(recover=True),
+            self._unwrap(comp.fail, resync),
         )
         return comp
 
@@ -852,11 +835,6 @@ class CacheManager:
         self._heartbeat_timer = self.transport.schedule(
             self.heartbeat_period, self._send_heartbeat
         )
-
-    def _stop_heartbeats(self) -> None:
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-            self._heartbeat_timer = None
 
     def _send_heartbeat(self) -> None:
         if self._closed or self._crashed or not self.registered:

@@ -348,7 +348,7 @@ class DirectoryManager:
         # Op-path profiler (core/profiling.py): None unless profile=True,
         # so the hot paths pay one `is None` test when off.
         self.profiler: Optional[DirectoryProfiler] = (
-            DirectoryProfiler(stats=transport.stats) if profile else None
+            DirectoryProfiler() if profile else None
         )
         # Conflict-aware round scheduler state.  Waiting ops sit in one
         # FIFO (per-conflict-group order falls out of the no-barging

@@ -25,7 +25,7 @@ plenty for "did per-op cost grow with fleet size" questions.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 # Canonical op phases, in pipeline order (phases are open-ended: a
 # profiler accepts any label, these are the ones the directory emits).
@@ -104,28 +104,20 @@ class PhaseHistogram:
 
 
 class DirectoryProfiler:
-    """Per-phase op timing for one directory manager.
+    """Per-phase op timing for one directory manager (fold several with
+    :meth:`merge`; a sharded plane's ``merged_profile()`` does)."""
 
-    Optionally mirrors every sample into a transport's
-    :class:`~repro.net.stats.MessageStats` (``op_phase_ns`` /
-    ``op_phase_count``) so phase totals surface through the same
-    ``summary()`` / ``merge()`` pipeline the experiments already use.
-    """
+    __slots__ = ("phases", "ops")
 
-    __slots__ = ("phases", "ops", "stats")
-
-    def __init__(self, stats=None) -> None:
+    def __init__(self) -> None:
         self.phases: Dict[str, PhaseHistogram] = {}
         self.ops = 0
-        self.stats = stats
 
     def record(self, phase: str, ns: int) -> None:
         hist = self.phases.get(phase)
         if hist is None:
             hist = self.phases[phase] = PhaseHistogram()
         hist.record(ns)
-        if self.stats is not None:
-            self.stats.record_op_phase(phase, ns)
 
     def note_op(self) -> None:
         """Count one queued operation (acquire/pull/init) started."""

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Any, Dict, Tuple
 
 from repro.core import messages as M
-from repro.core.cache_manager import CacheManager
+from repro.core.cache_manager import CacheManager, UseRequest
 from repro.core.directory import DirectoryManager, ViewRecord, _PendingOp
 from repro.core.modes import Mode
 from repro.net.message import Message
@@ -120,6 +120,11 @@ class RWCacheManager(CacheManager):
     - ``READ`` acquires shared (non-exclusive) access: fresh data is
       pulled, but conflicting readers are not invalidated — repeated
       reads by the sharer set cost no invalidation rounds.
+
+    Only the decision changes: a READ enters through the base
+    ``_enter`` with :meth:`_read_request`, so the use lock, the degraded
+    rule (a degraded READ is refused like any strong use) and the
+    counters are the base class's.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -132,38 +137,19 @@ class RWCacheManager(CacheManager):
             if access is Access.WRITE:
                 self.read_shared = False
             return super().start_use_image()
+        return self._enter(self._read_request)
 
-        comp = self.transport.completion(f"{self.view_id}.start_use_read")
+    def _read_request(self) -> UseRequest:
+        """Decision for a strong READ: already a sharer — or the write
+        owner, whose exclusive access subsumes reading (a read ACQUIRE
+        here would pull the stale primary copy over our own uncommitted
+        writes) — enters locally; anyone else acquires shared access."""
+        if (self.read_shared or self.owner) and not self.invalidated:
+            return None
+        return M.ACQUIRE, {"access": Access.READ.value}, self._share
 
-        def locked(_lk: Completion) -> None:
-            if (self.read_shared or self.owner) and not self.invalidated:
-                # Already a sharer — or the write owner, whose exclusive
-                # access subsumes reading (a read ACQUIRE here would
-                # pull the stale primary copy over our own uncommitted
-                # writes): free local access.
-                self.counters["local_grants"] += 1
-                self._in_use = True
-                comp.resolve(self)
-                return
-            self.counters["acquires"] += 1
-
-            def fail_locked(exc: BaseException) -> None:
-                self._use_lock.release()
-                comp.fail(exc)
-
-            def shared() -> None:
-                self.read_shared = True
-                self._in_use = True
-
-            self._request_data(
-                M.ACQUIRE, {"access": access.value},
-                on_fail=fail_locked,
-                on_done=lambda _img: comp.resolve(self),
-                on_state=shared,
-            )
-
-        self._use_lock.acquire().then(locked)
-        return comp
+    def _share(self) -> None:
+        self.read_shared = True
 
     def _complete_invalidate(self, msg: Message) -> None:
         self.read_shared = False

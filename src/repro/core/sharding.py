@@ -187,13 +187,12 @@ class _Fanout:
     """One CM request fanned out to several shards, awaiting the barrier."""
 
     __slots__ = (
-        "orig", "ep", "route", "kind", "pending", "queue", "replies",
+        "orig", "route", "kind", "pending", "queue", "replies",
         "errors", "since", "asked_full", "held", "extra",
     )
 
-    def __init__(self, orig: Message, ep: Optional[Endpoint], route: _ViewRoute) -> None:
+    def __init__(self, orig: Message, route: _ViewRoute) -> None:
         self.orig = orig
-        self.ep = ep
         self.route = route
         self.kind = orig.msg_type
         # copy msg_id -> (shard, copy message); copies are kept so a CM
@@ -387,11 +386,10 @@ class ShardRouter(LayeredTransport):
             return
         route = self._views.get(msg.payload.get("view_id"))
         if route is None:
-            self._deliver_error(
-                msg,
+            self._deliver(msg.reply(M.ERROR, {"error": (
                 f"message {mt} from unregistered view "
-                f"{msg.payload.get('view_id')!r}",
-            )
+                f"{msg.payload.get('view_id')!r}"
+            )}))
         elif mt in _DATA_OPS:
             self._route_data(msg, route)
         elif mt in (M.PUSH, M.UNREGISTER):
@@ -401,7 +399,9 @@ class ShardRouter(LayeredTransport):
         elif mt in (M.SET_MODE, M.HEARTBEAT):
             self._route_broadcast(msg, route)
         else:
-            self._deliver_error(msg, f"unroutable message type {mt}")
+            self._deliver(msg.reply(
+                M.ERROR, {"error": f"unroutable message type {mt}"}
+            ))
 
     def _forward(self, msg: Message, route: _ViewRoute) -> None:
         """The one-shard rule: retarget the request itself and send it.
@@ -417,7 +417,7 @@ class ShardRouter(LayeredTransport):
     def _begin_fanout(
         self, msg: Message, route: _ViewRoute, targets: List[Tuple[int, Message]]
     ) -> _Fanout:
-        fan = _Fanout(msg, self._endpoints.get(msg.src), route)
+        fan = _Fanout(msg, route)
         self._orig[msg.msg_id] = fan
         if len(targets) > 1:
             self.counters["router_fanouts"] += 1
@@ -470,7 +470,7 @@ class ShardRouter(LayeredTransport):
         asked_full = bool(msg.payload.get("full")) or (
             since is not None and (since < 0 or since != route.last_served)
         )
-        fan = _Fanout(msg, self._endpoints.get(msg.src), route)
+        fan = _Fanout(msg, route)
         fan.since = since
         fan.asked_full = asked_full
         self._orig[msg.msg_id] = fan
@@ -527,7 +527,7 @@ class ShardRouter(LayeredTransport):
     def _route_prop_update(self, msg: Message, route: _ViewRoute) -> None:
         properties = msg.payload.get("properties")
         if not isinstance(properties, PropertySet):
-            self._deliver_error(msg, "properties missing")
+            self._deliver(msg.reply(M.ERROR, {"error": "properties missing"}))
             return
         new = self.footprint(route.view_id, properties)
         if len(new) == 1 and new == route.shards:
@@ -714,15 +714,8 @@ class ShardRouter(LayeredTransport):
     def _release_held(self, fan: _Fanout) -> None:
         """Deliver held revocations to the CM (after grant or on abort)."""
         held, fan.held = fan.held, []
-        if not held:
-            return
-        ep = fan.ep if fan.ep is not None else self._endpoints.get(fan.orig.src)
-        if ep is None or ep.closed:
-            for m in held:
-                self.stats.record_drop(m)
-            return
         for m in held:
-            ep.handler(m)
+            self._deliver(m)
 
     def _on_copy_reply(self, fan: _Fanout, shard: int, msg: Message) -> None:
         fan.pending.pop(msg.reply_to, None)
@@ -738,6 +731,9 @@ class ShardRouter(LayeredTransport):
             self._finalize(fan)
 
     # -- barrier merges --------------------------------------------------
+    # A merged reply is handed to the CM's endpoint locally (``_deliver``):
+    # the per-shard replies already paid their wire latency and
+    # accounting; the merge itself is local to the router.
     def _finalize(self, fan: _Fanout) -> None:
         route = fan.route
         vid = route.view_id
@@ -748,7 +744,7 @@ class ShardRouter(LayeredTransport):
             error = "; ".join(fan.errors)
             log.warning("%s from view %r failed on the shard plane: %s",
                         fan.kind, vid, error)
-            self._deliver(fan, M.ERROR, {"error": error})
+            self._deliver(fan.orig.reply(M.ERROR, {"error": error}))
             self._release_held(fan)
             return
         if fan.kind in _DATA_OPS:
@@ -760,7 +756,7 @@ class ShardRouter(LayeredTransport):
              if m.payload.get("lease") is not None), None,
         )
         if fan.kind == M.REGISTER:
-            self._deliver(fan, M.REGISTER_ACK, {
+            self._deliver(fan.orig.reply(M.REGISTER_ACK, {
                 "view_id": vid,
                 "recovered": any(m.payload.get("recovered") for m in replies),
                 "last_state_seq": max(
@@ -771,17 +767,17 @@ class ShardRouter(LayeredTransport):
                 "slice_size": sum(
                     m.payload.get("slice_size") or 0 for m in replies
                 ),
-            })
+            }))
         elif fan.kind == M.PUSH:
-            self._deliver(fan, M.PUSH_ACK, {
+            self._deliver(fan.orig.reply(M.PUSH_ACK, {
                 "committed": sum(
                     m.payload.get("committed", 0) for m in replies
                 ),
-            })
+            }))
         elif fan.kind == M.UNREGISTER:
             self._views.pop(vid, None)
             self._by_addr.pop(route.cm_addr, None)
-            self._deliver(fan, M.UNREGISTER_ACK, {"view_id": vid})
+            self._deliver(fan.orig.reply(M.UNREGISTER_ACK, {"view_id": vid}))
         elif fan.kind == M.PROP_UPDATE:
             route.properties = fan.extra["new_properties"]
             route.shards = fan.extra["new_shards"]
@@ -792,14 +788,18 @@ class ShardRouter(LayeredTransport):
             # The slice changed shape: the CM resets its cursor to -1,
             # and the next serve must be complete.
             route.last_served = -1
-            self._deliver(fan, M.PROP_UPDATE_ACK, {"view_id": vid})
+            self._deliver(fan.orig.reply(M.PROP_UPDATE_ACK, {"view_id": vid}))
         elif fan.kind == M.SET_MODE:
             payload = replies[0].payload if replies else {}
-            self._deliver(fan, M.SET_MODE_ACK, dict(payload))
+            self._deliver(fan.orig.reply(M.SET_MODE_ACK, dict(payload)))
         elif fan.kind == M.HEARTBEAT:
-            self._deliver(fan, M.HEARTBEAT_ACK, {"view_id": vid, "lease": lease})
+            self._deliver(fan.orig.reply(
+                M.HEARTBEAT_ACK, {"view_id": vid, "lease": lease}
+            ))
         else:  # pragma: no cover - routing covers every request type
-            self._deliver(fan, M.ERROR, {"error": f"unmergeable {fan.kind}"})
+            self._deliver(fan.orig.reply(
+                M.ERROR, {"error": f"unmergeable {fan.kind}"}
+            ))
 
     def _finalize_data(self, fan: _Fanout) -> None:
         route = fan.route
@@ -828,7 +828,7 @@ class ShardRouter(LayeredTransport):
                 slice_size=slice_size,
             )}
             route.last_served = route.serve_seq
-        self._deliver(fan, _DATA_REPLY[fan.kind], payload)
+        self._deliver(fan.orig.reply(_DATA_REPLY[fan.kind], payload))
         if fan.held:
             # Release held revocations once the grant has taken effect.
             # Triggered completions run ahead of same-time timers, so a
@@ -836,24 +836,6 @@ class ShardRouter(LayeredTransport):
             # grant (entered — possibly already left — its critical
             # section); its ACK then carries the section's writes.
             self.inner.schedule(0.0, lambda: self._release_held(fan))
-
-    # -- delivery back to the CM ----------------------------------------
-    def _deliver(self, fan: _Fanout, msg_type: str, payload: Dict[str, Any]) -> None:
-        reply = fan.orig.reply(msg_type, payload)
-        ep = fan.ep if fan.ep is not None else self._endpoints.get(fan.orig.src)
-        if ep is None or ep.closed:
-            self.stats.record_drop(reply)
-            return
-        # Handed to the endpoint directly: the per-shard replies already
-        # paid their wire latency and accounting; the merge itself is
-        # local to the router.
-        ep.handler(reply)
-
-    def _deliver_error(self, msg: Message, error: str) -> None:
-        ep = self._endpoints.get(msg.src)
-        if ep is None or ep.closed:
-            return
-        ep.handler(msg.reply(M.ERROR, {"error": error}))
 
     # -- plane-wide views ------------------------------------------------
     def merged_shard_stats(self) -> MessageStats:

@@ -61,7 +61,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import CodecError, TransportError
 from repro.net.codec import JsonCodec
-from repro.net.message import BATCH, Message, make_batch, split_batch
+from repro.net.message import Message, make_batch
 from repro.net.transport import Completion, Endpoint, TimerHandle, Transport
 
 _log = logging.getLogger(__name__)
@@ -359,7 +359,7 @@ class AioTcpTransport(Transport):
                         continue
                 else:
                     msg = codec.decode(body)
-                self._dispatch(msg)
+                self._deliver(msg)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass
         except (TransportError, CodecError) as exc:
@@ -404,22 +404,9 @@ class AioTcpTransport(Transport):
         writer.write(_LEN.pack(len(raw)) + raw)
         return None, self._codecs[chosen]
 
-    def _dispatch(self, msg: Message) -> None:
-        """Deliver one inbound message on the loop thread.
-
-        BATCH frames (protocol-level coalescing or ``wrap_batches``
-        envelopes) are split recursively so handlers never see them.
-        Handler exceptions are recorded, not propagated — one bad
-        handler must not tear down the shared mux connection.
-        """
-        if msg.msg_type == BATCH:
-            for sub in split_batch(msg):
-                self._dispatch(sub)
-            return
-        ep = self._endpoints.get(msg.dst)
-        if ep is None or ep.closed:
-            self.stats.record_drop(msg)
-            return
+    def _invoke(self, ep: Endpoint, msg: Message) -> None:
+        """Handler exceptions are recorded, not propagated — one bad
+        handler must not tear down the shared mux connection."""
         try:
             ep.handler(msg)
         except Exception as exc:  # noqa: BLE001 - observability list

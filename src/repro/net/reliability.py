@@ -63,7 +63,7 @@ from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
-from repro.net.message import BATCH, Message, split_batch
+from repro.net.message import Message
 from repro.net.transport import Endpoint, LayeredTransport, TimerHandle, Transport
 
 # Envelope vocabulary of the sublayer.  Protocol engines never see
@@ -356,7 +356,7 @@ class ReliableTransport(LayeredTransport):
         elif frame.msg_type == R_ACK:
             self._on_ack(frame)
         else:  # a raw message that bypassed the sublayer — hand off as-is
-            self._handoff(frame)
+            self._deliver(frame)
 
     def _on_ack(self, frame: Message) -> None:
         with self._lock:
@@ -421,7 +421,7 @@ class ReliableTransport(LayeredTransport):
                 recv.delivered_upto += 1
                 ready.append(recv.pending.pop(recv.delivered_upto))
         for msg in ready:
-            self._handoff(msg)
+            self._deliver(msg)
 
     def _flush_acks(self) -> None:
         """Send everything owed: one vector per peer control address
@@ -436,19 +436,6 @@ class ReliableTransport(LayeredTransport):
             self._wire_send(Message(R_ACK, ours, theirs, {
                 "acks": [[src, dst, seqs] for (src, dst), seqs in by_link.items()]
             }))
-
-    def _handoff(self, msg: Message) -> None:
-        if msg.msg_type == BATCH:
-            # Coalesced frame: fan out locally so protocol handlers
-            # never see BATCH itself (same contract as the raw backends).
-            for sub in split_batch(msg):
-                self._handoff(sub)
-            return
-        ep = self._endpoints.get(msg.dst)
-        if ep is None or ep.closed:
-            self.stats.record_drop(msg)
-            return
-        ep.handler(msg)
 
     # -- introspection ---------------------------------------------------
     def in_flight_count(self) -> int:

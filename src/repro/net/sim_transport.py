@@ -19,7 +19,7 @@ from time import perf_counter_ns
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import TransportError
-from repro.net.message import BATCH, Message, split_batch
+from repro.net.message import Message
 from repro.net.topology import Topology
 from repro.net.transport import Completion, TimerHandle, Transport
 from repro.sim.kernel import SimKernel
@@ -202,21 +202,6 @@ class SimTransport(Transport):
         delay = self.delivery_delay(msg, frame_bytes) + extra_delay
         for _ in range(copies):
             self.kernel.call_in(delay, lambda m=wire_msg: self._deliver(m))
-
-    def _deliver(self, msg: Message) -> None:
-        if msg.msg_type == BATCH:
-            # Coalesced frame: one delivery fans out to each sub-message's
-            # own endpoint, so protocol handlers never see BATCH itself.
-            for sub in split_batch(msg):
-                self._deliver(sub)
-            return
-        ep = self._endpoints.get(msg.dst)
-        if ep is None or ep.closed:
-            # Destination vanished (e.g. view killed) — message is lost,
-            # mirroring a connection refused on the TCP backend.
-            self.stats.record_drop(msg)
-            return
-        ep.handler(msg)
 
     def now(self) -> float:
         return self.kernel.now

@@ -126,12 +126,6 @@ class MessageStats:
     # serial (concurrent_rounds=1) directory and 0 when no round ever
     # started.
     concurrent_rounds_hwm: int = field(default=0, metadata={"gauge": True})
-    # Directory op-path profiling (core/profiling.py): cumulative time
-    # and sample count per op phase, mirrored here by DirectoryProfiler
-    # so phase totals ride the same merge/summary pipeline as message
-    # counters.  Empty unless a directory runs with profile=True.
-    op_phase_ns: Counter = field(default_factory=Counter)
-    op_phase_count: Counter = field(default_factory=Counter)
 
     def record(self, msg: Message, size: Optional[int] = None) -> None:
         """Count one sent message (``size`` in bytes when known)."""
@@ -232,11 +226,6 @@ class MessageStats:
         if depth > self.concurrent_rounds_hwm:
             self.concurrent_rounds_hwm = depth
 
-    def record_op_phase(self, phase: str, ns: int) -> None:
-        """Account one profiled directory op phase (duration in ns)."""
-        self.op_phase_ns[phase] += ns
-        self.op_phase_count[phase] += 1
-
     def merge(self, other: "MessageStats") -> "MessageStats":
         """Fold ``other``'s counters into this one (returns ``self``):
         sums, per-key sums, and the larger of each gauge.  This is how
@@ -323,11 +312,4 @@ class MessageStats:
                 f"  (scheduler: concurrent_rounds_hwm="
                 f"{self.concurrent_rounds_hwm})"
             )
-        if self.op_phase_count:
-            for phase in sorted(self.op_phase_count):
-                n = self.op_phase_count[phase]
-                mean_us = (self.op_phase_ns[phase] / n) / 1000.0 if n else 0.0
-                lines.append(
-                    f"  (op phase {phase}: n={n} mean={mean_us:.1f}us)"
-                )
         return "\n".join(lines)

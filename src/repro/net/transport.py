@@ -18,7 +18,7 @@ import abc
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import TransportError
-from repro.net.message import Message
+from repro.net.message import BATCH, Message, split_batch
 from repro.net.stats import MessageStats
 
 MessageHandler = Callable[[Message], None]
@@ -132,6 +132,29 @@ class Transport(abc.ABC):
     def _on_bind(self, ep: Endpoint) -> None: ...
 
     def _on_unbind(self, ep: Endpoint) -> None: ...
+
+    # -- local hand-off -----------------------------------------------------
+    def _deliver(self, msg: Message) -> None:
+        """Hand one arrived message to its endpoint's handler.
+
+        A BATCH is split here (recursively), so protocol handlers never
+        see one.  A message whose endpoint has vanished (e.g. a view
+        killed) is lost and recorded as a drop, as a refused connection
+        would be on a socket.
+        """
+        if msg.msg_type == BATCH:
+            for sub in split_batch(msg):
+                self._deliver(sub)
+            return
+        ep = self._endpoints.get(msg.dst)
+        if ep is None or ep.closed:
+            self.stats.record_drop(msg)
+            return
+        self._invoke(ep, msg)
+
+    def _invoke(self, ep: Endpoint, msg: Message) -> None:
+        """Run the handler; a backend overrides this only to fence it."""
+        ep.handler(msg)
 
     # -- abstract services ------------------------------------------------
     @abc.abstractmethod

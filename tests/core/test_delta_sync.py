@@ -5,12 +5,14 @@ pull must land the receiver in the *same* state — delta synchronization
 changes what crosses the wire, never what the protocol computes.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import VersionVector
 from repro.core import messages as M
 from repro.core.image import DeltaImage, ObjectImage
+from repro.errors import ProtocolError
 from repro.net import Message
 from repro.net.codec import roundtrip
 
@@ -358,3 +360,59 @@ def test_slice_index_hit_and_invalidation():
 
     fx.run_scripts(retarget())
     assert sorted(d.slice_keys_of("v")) == ["a", "z"]
+
+
+def _refused_push(delta):
+    """A weak view on {a: 1, b: 2} writes a = 666 and pushes; the merge
+    hook raises on 666, so the directory answers the PUSH with ERROR."""
+    fx = ProtocolFixture(store_cells={"a": 1, "b": 2}, delta=delta)
+    heal = fx.system.directory.merge_into_object
+
+    def poisoned(store, image, props):
+        if 666 in image.cells.values():
+            raise RuntimeError("merge hook exploded")
+        heal(store, image, props)
+
+    fx.system.directory.merge_into_object = poisoned
+    cm, agent = fx.add_agent("v", ["a", "b"])
+
+    def write_and_push():
+        yield cm.start()
+        yield cm.init_image()
+        yield cm.start_use_image()
+        agent.local["a"] = 666
+        cm.end_use_image()
+        try:
+            yield cm.push_image()
+        except ProtocolError as exc:
+            return str(exc)
+
+    [error] = fx.run_scripts(write_and_push())
+    assert "merge hook exploded" in error
+    assert fx.store.cells == {"a": 1, "b": 2}
+    return fx, cm, agent, heal
+
+
+@pytest.mark.parametrize("delta", [True, False], ids=["delta", "full"])
+def test_refused_push_stays_dirty_and_converges(delta):
+    """A push the directory refuses is undone, not forgotten: its cells
+    are dirty again (a retry commits them), and the delta base that had
+    absorbed them is dropped, so a pull instead of a retry lands the view
+    on the primary copy — never on the refused value."""
+    fx, cm, agent, heal = _refused_push(delta)
+    assert cm.has_dirty_data()
+    fx.system.directory.merge_into_object = heal
+
+    def retry():
+        return (yield cm.push_image())
+
+    assert fx.run_scripts(retry()) == [1]
+    assert fx.store.cells == {"a": 666, "b": 2}
+
+    fx, cm, agent, _ = _refused_push(delta)
+
+    def pull():
+        yield cm.pull_image()
+
+    fx.run_scripts(pull())
+    assert agent.local == fx.store.cells == {"a": 1, "b": 2}

@@ -1,7 +1,6 @@
 """The directory op-path profiler (PR 9) and its scale guarantees.
 
-Covers the pure pieces (histograms, profiler arithmetic, MessageStats
-mirroring), the wiring (``profile=True`` through FleccSystem and the
+Covers the pure pieces (histograms, profiler arithmetic), the wiring (``profile=True`` through FleccSystem and the
 sharded plane), and the two work-bound satellites: the lease-expiry
 heap does per-expiry work — not per-tick registry scans — and
 ``check_invariants`` is driven by the exclusive set and the conflict
@@ -17,7 +16,6 @@ from repro.core.property_set import PropertySet
 from repro.core.sharding import ShardedFleccSystem
 from repro.experiments.dm_profile import _vid
 from repro.net.sim_transport import SimTransport
-from repro.net.stats import MessageStats
 from repro.sim import SimKernel
 from repro.testing import (
     Agent,
@@ -139,24 +137,6 @@ def test_profiler_as_dict_orders_canonical_phases_first():
     assert keys[-1] == "zz-custom"
 
 
-def test_profiler_mirrors_into_message_stats():
-    stats = MessageStats()
-    p = DirectoryProfiler(stats=stats)
-    p.record("conflict", 100)
-    p.record("conflict", 300)
-    assert stats.op_phase_ns["conflict"] == 400
-    assert stats.op_phase_count["conflict"] == 2
-    assert "op phase conflict" in stats.summary()
-    other = MessageStats()
-    other.record_op_phase("conflict", 100)
-    other.record_op_phase("serve", 7)
-    stats.merge(other)
-    assert stats.op_phase_ns["conflict"] == 500
-    assert stats.op_phase_count["serve"] == 1
-    stats.reset()
-    assert not stats.op_phase_ns and not stats.op_phase_count
-
-
 # -- wiring: system / directory / sharded plane --------------------------
 
 
@@ -178,8 +158,6 @@ def test_directory_profiles_real_lifecycle():
     assert prof.ops >= 2  # init + acquire
     for phase in ("register", "conflict", "serve", "commit"):
         assert phase in prof.phases, phase
-    # Samples surfaced through the transport's stats as well.
-    assert fx.stats.op_phase_count["conflict"] == prof.phases["conflict"].count
 
 
 def test_profiling_off_by_default():

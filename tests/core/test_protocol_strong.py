@@ -3,6 +3,7 @@ serializability, deferred invalidation, mode switching (paper §4, Fig 2)."""
 
 from repro.core import Mode
 from repro.core import messages as M
+from repro.errors import ProtocolError
 
 from tests.core.harness import ProtocolFixture
 
@@ -271,3 +272,84 @@ def test_weak_pull_revokes_conflicting_strong_owner():
     assert weak_saw == 555     # one-copy: weak reader saw the owner's write
     assert not owner_after     # owner was revoked by the weak pull
     fx.system.directory.check_invariants()
+
+
+def test_refused_surrender_fails_set_mode_and_keeps_the_token():
+    """Leaving strong mode surrenders dirty state first; when the
+    directory refuses that push, SET_MODE is never sent: ``set_mode``
+    fails with the push's error, and the view keeps its token and its
+    write instead of dropping both."""
+    fx = ProtocolFixture(store_cells={"a": 1})
+    heal = fx.system.directory.merge_into_object
+
+    def poisoned(store, image, props):
+        if 666 in image.cells.values():
+            raise RuntimeError("merge hook exploded")
+        heal(store, image, props)
+
+    fx.system.directory.merge_into_object = poisoned
+    cm, agent = fx.add_agent("v1", ["a"], mode=Mode.STRONG)
+
+    def script():
+        yield cm.start()
+        yield cm.init_image()
+        yield cm.start_use_image()
+        agent.local["a"] = 666
+        cm.end_use_image()
+        try:
+            yield cm.set_mode(Mode.WEAK)
+        except ProtocolError as exc:
+            return str(exc)
+
+    [error] = fx.run_scripts(script())
+    assert "merge hook exploded" in error
+    assert M.SET_MODE not in fx.stats.by_type
+    assert cm.mode is Mode.STRONG and cm.owner
+    d = fx.system.directory
+    assert d.exclusive_views() == ["v1"]
+    assert d.views["v1"].mode is Mode.STRONG
+    assert cm.has_dirty_data()
+    assert fx.store.cells["a"] == 1
+    d.check_invariants()
+
+
+def test_a_push_and_an_invalidate_ack_each_extract_the_view_once():
+    """One extract per hand-off: the diff and the new sync point come
+    from the same ``extract_from_view`` call."""
+    fx = ProtocolFixture(store_cells={"a": 1})
+    cm, agent = fx.add_agent("v1", ["a"], mode=Mode.STRONG)
+    other, _ = fx.add_agent("v2", ["a"], mode=Mode.STRONG)
+    extracts = []
+    extract = cm.extract_from_view
+
+    def counted(view, props):
+        extracts.append(1)
+        return extract(view, props)
+
+    cm.extract_from_view = counted
+
+    def owner():
+        yield cm.start()
+        yield cm.init_image()
+        yield cm.start_use_image()
+        agent.local["a"] = 2
+        cm.end_use_image()
+        extracts.clear()
+        yield cm.push_image()
+        pushed = len(extracts)
+        extracts.clear()
+        yield ("sleep", 20.0)  # v2 revokes the token meanwhile
+        return pushed, len(extracts)
+
+    def contender():
+        yield other.start()
+        yield other.init_image()
+        yield ("sleep", 15.0)
+        yield other.start_use_image()
+        other.end_use_image()
+
+    [(pushed, revoked), _] = fx.run_scripts(owner(), contender())
+    assert pushed == 1
+    assert revoked == 1
+    assert cm.counters["invalidations"] == 1 and not cm.owner
+    assert fx.store.cells["a"] == 2

@@ -6,6 +6,7 @@ from repro.core import Mode
 from repro.core import messages as M
 from repro.core.rw_semantics import Access, RWCacheManager, RWDirectoryManager
 from repro.core.system import run_all_scripts
+from repro.errors import ProtocolError
 from repro.net import Message, SimTransport
 from repro.sim import SimKernel
 
@@ -34,7 +35,7 @@ class RWFixture:
         )
         self.agents = {}
 
-    def add(self, view_id, cells=("a",), mode=Mode.STRONG):
+    def add(self, view_id, cells=("a",), mode=Mode.STRONG, **view_options):
         agent = Agent()
         cm = RWCacheManager(
             transport=self.transport,
@@ -45,6 +46,7 @@ class RWFixture:
             extract_from_view=extract_from_view,
             merge_into_view=merge_into_view,
             mode=mode,
+            **view_options,
         )
         self.agents[view_id] = agent
         return cm, agent
@@ -271,3 +273,34 @@ def test_unregister_clears_read_sharer():
     fx.run_scripts(script())
     assert fx.directory.read_sharers == set()
     assert fx.directory.registered_views() == []
+
+
+def test_degraded_strong_read_is_refused_locally():
+    """A READ is strong-mode use: once the directory has gone silent
+    and the CM has degraded, it is refused at once, like any strong use,
+    instead of sending an ACQUIRE nobody will answer."""
+    fx = RWFixture()
+    cm, _ = fx.add("r", request_timeout=20, max_retries=1)
+
+    def script():
+        yield cm.start()
+        yield cm.init_image()
+        fx.transport.fault_policy = (
+            lambda m: "drop" if m.dst == "dir" else "deliver"
+        )
+        try:
+            yield cm.pull_image()
+        except ProtocolError:
+            pass
+        assert cm.degraded
+        before = (fx.transport.stats.total, cm.counters["acquires"], fx.kernel.now)
+        try:
+            yield cm.start_use_image(access=Access.READ)
+        except ProtocolError as exc:
+            after = (fx.transport.stats.total, cm.counters["acquires"], fx.kernel.now)
+            return str(exc), before, after
+
+    [(error, before, after)] = fx.run_scripts(script())
+    assert "strong-mode use refused" in error
+    assert after == before  # no message, no acquire, no wait
+    assert not cm.read_shared

@@ -13,8 +13,9 @@ per key, restart stability — is held in ``test_placement_hypothesis``):
 import pytest
 
 from repro.core import FleccSystem, ShardedFleccSystem
+from repro.core import messages as M
 from repro.core.system import run_all_scripts
-from repro.net import SimTransport
+from repro.net import Message, SimTransport
 from repro.net.message import reset_message_ids
 from repro.sim import SimKernel
 from repro.testing import (
@@ -306,3 +307,15 @@ def test_registered_views_union_and_unregister():
     run_all_scripts(system.transport, [script()])
     assert system.plane.registered_views() == []
     system.close()
+
+
+def test_router_error_to_a_vanished_view_is_a_recorded_drop():
+    """The router's refusals reach cache managers through the one local
+    hand-off, so one addressed to an endpoint that is gone is counted
+    as a drop, like a merged reply or a held revocation would be."""
+    _, _, system = _build(n_shards=2)
+    router = system.plane.router
+    before = router.stats.dropped
+    router.send(Message(M.PUSH, "cm:gone", router.directory_address,
+                        {"view_id": "gone"}))
+    assert router.stats.dropped == before + 1
