@@ -29,9 +29,11 @@ One more point is recorded and not gated on its timings: a **control
 frame** shaped like the composed stack's steady state (one write flush
 of 4 x ``R_DATA{PULL_REQ}`` + one ``R_ACK`` vector in a ``BATCH``
 envelope), encoded with its sub-messages spelled as dicts and as native
-records, raw and deflated — the bytes and the encode + decode time
-behind ``binary_codec.SEGMENT_BYTES``: such a frame fits one segment
-either way, so deflating it buys no packet and costs the loop thread.
+records — the ``R_DATA`` / ``R_ACK`` envelope records, whose payload
+keys the tag implies — raw and deflated: the bytes and the encode +
+decode time behind ``binary_codec.SEGMENT_BYTES``.  Such a frame fits
+one segment either way, so deflating it buys no packet and costs the
+loop thread.
 
 ``python -m repro.experiments.wire_sweep`` writes ``BENCH_wire.json``;
 ``--check`` exits non-zero unless every gate of :func:`gates` holds.

@@ -184,6 +184,15 @@ class _Link:
         self.error: Optional[BaseException] = None
 
 
+def _link_read_done(read: asyncio.Future, link: _Link) -> None:
+    """Done-callback of a link's watch read: wake its writer (which then
+    sees the connection gone) and consume the read's outcome, so a reset
+    connection is not reported again as an unretrieved exception."""
+    if not read.cancelled():
+        read.exception()
+    link.wake.set()
+
+
 class AioTcpTransport(Transport):
     """Asyncio localhost TCP backend with a process-local address book.
 
@@ -451,14 +460,22 @@ class AioTcpTransport(Transport):
         except OSError as exc:
             link.error = exc
             return
+        closed: Optional[asyncio.Future] = None
         try:
             link.codec_name = await self._client_handshake(reader, writer)
             codec = self._codecs.get(link.codec_name, self.json_codec)
+            # The server writes nothing after its welcome, so a read that
+            # returns means the connection is gone: wake the writer to
+            # retire the link before it writes into a dead socket.
+            closed = asyncio.ensure_future(reader.read(1))
+            closed.add_done_callback(lambda f: _link_read_done(f, link))
             while True:
-                while not link.queue:
+                while not link.queue and not closed.done():
                     link.wake.clear()
                     await link.wake.wait()
                 await self._gate.wait()
+                if closed.done():
+                    raise ConnectionResetError("connection closed by the server")
                 msgs: List[Message] = []
                 with link.lock:
                     while link.queue and len(msgs) < MAX_FLUSH:
@@ -474,6 +491,8 @@ class AioTcpTransport(Transport):
         except (ConnectionError, OSError, CodecError, TransportError) as exc:
             link.error = exc
         finally:
+            if closed is not None and not closed.done():
+                closed.cancel()
             try:
                 writer.close()
             except Exception:
@@ -512,15 +531,29 @@ class AioTcpTransport(Transport):
         return b"".join(parts)
 
     def _link_for(self) -> _Link:
+        """The live mux link; a link whose writer has died (connection
+        refused, reset or closed by the server) is replaced here, by the
+        next send, and what was still queued on it counts as dropped."""
         link = self._link
-        if link is not None:
+        if link is not None and link.error is None:
             return link
         with self._lifecycle_lock:
-            link = self._link
-            if link is not None:
-                return link
+            dead = self._link
+            if dead is not None and dead.error is None:
+                return dead
             link = _Link(self.max_queue)
             self._link = link
+        if dead is not None:
+            with dead.lock:
+                stranded = list(dead.queue)
+                dead.queue.clear()
+            for m in stranded:
+                self.stats.record(m)
+                self.stats.record_drop(m)
+            _log.warning(
+                "mux link lost (%s): reconnecting, %d queued message(s) "
+                "dropped", dead.error, len(stranded),
+            )
         loop = self._loop
         assert loop is not None  # _ensure_loop ran first
         asyncio.run_coroutine_threadsafe(self._run_link(link), loop)

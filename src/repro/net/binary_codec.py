@@ -33,7 +33,10 @@ Frame layout::
 
     byte 0   magic: 0xF1 raw binary | 0xF2 zlib-compressed body
     body     msg_type, src, dst, msg_id, reply_to, payload — six
-             values in the generic encoding below
+             values in the generic encoding below — or one R_DATA /
+             R_ACK envelope record (0x0F / 0x10); the decoder tells the
+             two apart by the first tag, a string tag in the six-value
+             layout
 
 Value encoding (one tag byte, then data)::
 
@@ -52,12 +55,27 @@ Value encoding (one tag byte, then data)::
     0x0E message nested Message: type, src, dst as strings, msg_id as a
                  zigzag varint, reply_to as varint 0 (none) or zigzag+1,
                  then the payload value
+    0x0F r_data  R_DATA envelope: src, dst, msg_id (zigzag), seq
+                 (uvarint), ctl, attempt (uvarint, 0 = no "n" key), t,
+                 i (zigzag), r (0 = none, else zigzag+1), then p
+    0x10 r_ack   R_ACK envelope: src, dst, msg_id (zigzag), entry
+                 count; per entry src, dst, a count, then one uvarint
+                 ``seq << 1 | has_attempt`` per sequence number, followed
+                 by the attempt (uvarint) when that bit is set
 
 A ``Message`` inside a payload — the sub-messages of a ``BATCH``
 envelope — is a record of its own, walked off its attributes and
-decoded straight back into a ``Message``.  The tag is additive: frames
-written before it existed spell each sub-message as a six-key dict,
-and still decode (``split_batch`` takes either spelling).
+decoded straight back into a ``Message``.  The reliable sublayer's
+envelopes get tighter records still, top-level or nested: their
+payload keys are implied by the tag, so an ``R_DATA`` costs its scalars
+and the logical payload, not a dict of six keys around them.  Each
+record decodes to exactly the ``Message`` the generic spelling decodes
+to; an envelope that does not have exactly the sublayer's shape (a key
+extra, missing or out of order, a wrong type, a negative ``seq``, an
+``"n"`` below 1, a ``reply_to``) is written the generic way.  The tags
+are additive: frames written before them spell sub-messages as six-key
+dicts or ``0x0E`` records and envelopes as six values, and still decode
+(``split_batch`` takes either spelling).
 
 Decoded results are equal to what :class:`JsonCodec` decodes from the
 same message (the cross-codec property tests assert exactly that), with
@@ -74,7 +92,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import CodecError
 from repro.net import codec as codec_mod
 from repro.net.codec import JsonCodec
-from repro.net.message import Message
+from repro.net.message import R_ACK, R_DATA, Message
 
 MAGIC_RAW = 0xF1
 MAGIC_ZLIB = 0xF2
@@ -94,6 +112,13 @@ _T_VVEC = 0x0B
 _T_PSET = 0x0C
 _T_DELTA = 0x0D
 _T_MSG = 0x0E
+_T_RDATA = 0x0F
+_T_RACK = 0x10
+
+# The R_DATA payload keys, in the order ReliableTransport builds them (a
+# retransmission appends "n"); the record decodes them in this order.
+_RDATA_KEYS = ("seq", "ctl", "t", "p", "i", "r")
+_RDATA_KEYS_N = _RDATA_KEYS + ("n",)
 
 # Payload bytes of one TCP segment on a 1500-byte-MTU path, less
 # headers and options with room to spare.  A frame under this leaves in
@@ -269,6 +294,8 @@ def _enc_list(obj: Any, out: bytearray, strings: Dict[str, int],
 
 def _enc_message(m: Message, out: bytearray, strings: Dict[str, int],
                  sdef: Dict[str, bytes]) -> None:
+    if _enc_envelope(m, out, strings, sdef):
+        return
     msg_type, src, dst = m.msg_type, m.src, m.dst
     msg_id, reply_to = m.msg_id, m.reply_to
     if not (isinstance(msg_type, str) and isinstance(src, str)
@@ -282,6 +309,84 @@ def _enc_message(m: Message, out: bytearray, strings: Dict[str, int],
     _write_uvarint(out, _zigzag(msg_id))
     _write_uvarint(out, 0 if reply_to is None else _zigzag(reply_to) + 1)
     _enc_value(m.payload, out, strings, sdef)
+
+
+def _enc_envelope(m: Message, out: bytearray, strings: Dict[str, int],
+                  sdef: Dict[str, bytes]) -> bool:
+    """Write ``m`` as an R_DATA (0x0F) or R_ACK (0x10) record if it has
+    exactly the reliable sublayer's shape; False, with nothing written,
+    if it does not (the caller then spells it the generic way)."""
+    msg_type = m.msg_type
+    if msg_type != R_DATA and msg_type != R_ACK:
+        return False
+    src, dst, msg_id, p = m.src, m.dst, m.msg_id, m.payload
+    if not (src.__class__ is str and dst.__class__ is str
+            and msg_id.__class__ is int and m.reply_to is None
+            and p.__class__ is dict):
+        return False
+    if msg_type == R_DATA:
+        keys = tuple(p)
+        if keys == _RDATA_KEYS:
+            n = 0
+        elif keys == _RDATA_KEYS_N:
+            n = p["n"]
+            if n.__class__ is not int or n < 1:
+                return False
+        else:
+            return False
+        seq, ctl, t, i, r = p["seq"], p["ctl"], p["t"], p["i"], p["r"]
+        if not (seq.__class__ is int and seq >= 0 and ctl.__class__ is str
+                and t.__class__ is str and i.__class__ is int
+                and (r is None or r.__class__ is int)):
+            return False
+        out.append(_T_RDATA)
+        _enc_str(src, out, strings, sdef)
+        _enc_str(dst, out, strings, sdef)
+        _write_uvarint(out, _zigzag(msg_id))
+        _write_uvarint(out, seq)
+        _enc_str(ctl, out, strings, sdef)
+        _write_uvarint(out, n)
+        _enc_str(t, out, strings, sdef)
+        _write_uvarint(out, _zigzag(i))
+        _write_uvarint(out, 0 if r is None else _zigzag(r) + 1)
+        _enc_value(p["p"], out, strings, sdef)
+        return True
+    if len(p) != 1:
+        return False
+    acks = p.get("acks")
+    if acks.__class__ is not list:
+        return False
+    for entry in acks:
+        if entry.__class__ is not list or len(entry) != 3:
+            return False
+        a, b, seqs = entry
+        if not (a.__class__ is str and b.__class__ is str
+                and seqs.__class__ is list):
+            return False
+        for s in seqs:
+            if s.__class__ is int:
+                if s < 0:
+                    return False
+            elif not (s.__class__ is list and len(s) == 2
+                      and s[0].__class__ is int and s[0] >= 0
+                      and s[1].__class__ is int and s[1] >= 0):
+                return False
+    out.append(_T_RACK)
+    _enc_str(src, out, strings, sdef)
+    _enc_str(dst, out, strings, sdef)
+    _write_uvarint(out, _zigzag(msg_id))
+    _write_uvarint(out, len(acks))
+    for a, b, seqs in acks:
+        _enc_str(a, out, strings, sdef)
+        _enc_str(b, out, strings, sdef)
+        _write_uvarint(out, len(seqs))
+        for s in seqs:
+            if s.__class__ is int:
+                _write_uvarint(out, s << 1)
+            else:
+                _write_uvarint(out, s[0] << 1 | 1)
+                _write_uvarint(out, s[1])
+    return True
 
 
 def _enc_image(img: Any, out: bytearray, strings: Dict[str, int],
@@ -414,6 +519,10 @@ def _dec_value(buf: bytes, pos: int, strings: List[str]) -> Tuple[Any, int]:
             v, pos = _dec_value(buf, pos, strings)
             append(v)
         return items, pos
+    if tag == _T_RDATA:
+        return _dec_rdata(buf, pos, strings)
+    if tag == _T_RACK:
+        return _dec_rack(buf, pos, strings)
     if tag == _T_FLOAT:
         return _DOUBLE.unpack_from(buf, pos)[0], pos + 8
     if tag == _T_NULL:
@@ -470,6 +579,69 @@ def _dec_value(buf: bytes, pos: int, strings: List[str]) -> Tuple[Any, int]:
         data, pos = _dec_value(buf, pos, strings)
         return _from_registry(type_tag)(data), pos
     raise CodecError(f"unknown value tag in binary frame: {tag:#x}")
+
+
+def _dec_rdata(buf: bytes, pos: int, strings: List[str]) -> Tuple[Message, int]:
+    src, pos = _dec_str(buf, pos, strings)
+    dst, pos = _dec_str(buf, pos, strings)
+    msg_id, pos = _dec_uvarint(buf, pos)
+    seq, pos = _dec_uvarint(buf, pos)
+    ctl, pos = _dec_str(buf, pos, strings)
+    n, pos = _dec_uvarint(buf, pos)
+    t, pos = _dec_str(buf, pos, strings)
+    i, pos = _dec_uvarint(buf, pos)
+    r, pos = _dec_uvarint(buf, pos)
+    p, pos = _dec_value(buf, pos, strings)
+    payload = {"seq": seq, "ctl": ctl, "t": t, "p": p, "i": _unzigzag(i),
+               "r": _unzigzag(r - 1) if r else None}
+    if n:
+        payload["n"] = n
+    return Message(R_DATA, src, dst, payload, _unzigzag(msg_id)), pos
+
+
+def _dec_rack(buf: bytes, pos: int, strings: List[str]) -> Tuple[Message, int]:
+    src, pos = _dec_str(buf, pos, strings)
+    dst, pos = _dec_str(buf, pos, strings)
+    msg_id, pos = _dec_uvarint(buf, pos)
+    count, pos = _dec_uvarint(buf, pos)
+    acks: List[Any] = []
+    for _ in range(count):
+        a, pos = _dec_str(buf, pos, strings)
+        b, pos = _dec_str(buf, pos, strings)
+        k, pos = _dec_uvarint(buf, pos)
+        seqs: List[Any] = []
+        for _ in range(k):
+            v, pos = _dec_uvarint(buf, pos)
+            if v & 1:
+                attempt, pos = _dec_uvarint(buf, pos)
+                seqs.append([v >> 1, attempt])
+            else:
+                seqs.append(v >> 1)
+        acks.append([a, b, seqs])
+    return Message(R_ACK, src, dst, {"acks": acks}, _unzigzag(msg_id)), pos
+
+
+def _dec_frame_body(buf: bytes, pos: int) -> Tuple[Message, int]:
+    """A frame body: one envelope record, or the six header values."""
+    strings: List[str] = []
+    tag = buf[pos]
+    if tag == _T_RDATA:
+        return _dec_rdata(buf, pos + 1, strings)
+    if tag == _T_RACK:
+        return _dec_rack(buf, pos + 1, strings)
+    msg_type, pos = _dec_value(buf, pos, strings)
+    src, pos = _dec_value(buf, pos, strings)
+    dst, pos = _dec_value(buf, pos, strings)
+    msg_id, pos = _dec_value(buf, pos, strings)
+    reply_to, pos = _dec_value(buf, pos, strings)
+    payload, pos = _dec_value(buf, pos, strings)
+    if not (msg_type.__class__ is str and src.__class__ is str
+            and dst.__class__ is str and msg_id.__class__ is int
+            and (reply_to is None or reply_to.__class__ is int)):
+        raise CodecError(
+            "frame is not a message: bad header "
+            f"{(msg_type, src, dst, msg_id, reply_to)!r}")
+    return Message(msg_type, src, dst, payload, msg_id, reply_to), pos
 
 
 def _dec_image(buf: bytes, pos: int, strings: List[str]) -> Tuple[Any, int]:
@@ -534,12 +706,13 @@ class BinaryCodec:
             frame = bytearray((MAGIC_RAW,))
             strings: Dict[str, int] = {}
             sdef = self._sdef
-            _enc_value(msg.msg_type, frame, strings, sdef)
-            _enc_value(msg.src, frame, strings, sdef)
-            _enc_value(msg.dst, frame, strings, sdef)
-            _enc_value(msg.msg_id, frame, strings, sdef)
-            _enc_value(msg.reply_to, frame, strings, sdef)
-            _enc_value(msg.payload, frame, strings, sdef)
+            if not _enc_envelope(msg, frame, strings, sdef):
+                _enc_value(msg.msg_type, frame, strings, sdef)
+                _enc_value(msg.src, frame, strings, sdef)
+                _enc_value(msg.dst, frame, strings, sdef)
+                _enc_value(msg.msg_id, frame, strings, sdef)
+                _enc_value(msg.reply_to, frame, strings, sdef)
+                _enc_value(msg.payload, frame, strings, sdef)
         except CodecError:
             raise
         except (TypeError, ValueError, struct.error) as exc:
@@ -580,14 +753,8 @@ class BinaryCodec:
             return self._json.decode(raw)
         else:
             raise CodecError(f"unknown binary frame magic: {magic:#x}")
-        strings: List[str] = []
         try:
-            msg_type, pos = _dec_value(body, pos, strings)
-            src, pos = _dec_value(body, pos, strings)
-            dst, pos = _dec_value(body, pos, strings)
-            msg_id, pos = _dec_value(body, pos, strings)
-            reply_to, pos = _dec_value(body, pos, strings)
-            payload, pos = _dec_value(body, pos, strings)
+            msg, pos = _dec_frame_body(body, pos)
         except CodecError:
             raise
         except IndexError:
@@ -597,13 +764,7 @@ class BinaryCodec:
         if pos != len(body):
             raise CodecError(
                 f"trailing bytes after message: {len(body) - pos}")
-        if not (msg_type.__class__ is str and src.__class__ is str
-                and dst.__class__ is str and msg_id.__class__ is int
-                and (reply_to is None or reply_to.__class__ is int)):
-            raise CodecError(
-                "frame is not a message: bad header "
-                f"{(msg_type, src, dst, msg_id, reply_to)!r}")
-        return Message(msg_type, src, dst, payload, msg_id, reply_to)
+        return msg
 
 
 # ---------------------------------------------------------------------------

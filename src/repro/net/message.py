@@ -114,6 +114,12 @@ class Message:
 
 BATCH = "BATCH"
 
+# The reliable-delivery sublayer's envelopes (net/reliability.py), named
+# here beside BATCH because the binary codec spells both as records of
+# their own.
+R_DATA = "R_DATA"
+R_ACK = "R_ACK"
+
 
 def make_batch(src: str, dst: str, messages: Sequence[Message]) -> Message:
     """Wrap ``messages`` into one BATCH frame addressed to ``dst``.

@@ -23,7 +23,10 @@ per flight:
   ``(link, seq[, attempt])`` as owed and flushes once per loop turn:
   one ``R_ACK`` per peer control address, payload ``{"acks": [[src,
   dst, [seq | [seq, attempt], ...]], ...]}``.  Every ACK crosses the
-  inner transport, local senders included.
+  inner transport, local senders included.  On a binary link both
+  envelopes travel as records of their own (``0x0F`` / ``0x10`` in
+  :mod:`repro.net.binary_codec`) that imply these keys instead of
+  spelling them, so keep their shape or they fall back to generic dicts.
 - **At-most-once**: the receiver keeps a per-link cursor of the last
   in-order sequence delivered plus a bounded window of seen envelope
   msg_ids; duplicate frames (retransmissions whose ACK was lost, or
@@ -63,14 +66,12 @@ from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
-from repro.net.message import Message
+from repro.net.message import R_ACK, R_DATA, Message
 from repro.net.transport import Endpoint, LayeredTransport, TimerHandle, Transport
 
-# Envelope vocabulary of the sublayer.  Protocol engines never see
-# either type: R_DATA is unwrapped before handoff, R_ACK terminates at
-# the sublayer.
-R_DATA = "R_DATA"
-R_ACK = "R_ACK"
+# R_DATA and R_ACK are the sublayer's envelope vocabulary.  Protocol
+# engines never see either type: R_DATA is unwrapped before handoff,
+# R_ACK terminates at the sublayer.
 
 Link = Tuple[str, str]  # (sender address, receiver address)
 

@@ -313,6 +313,83 @@ def test_stacked_reliable_transport_recovers_stalled_frames():
 
 
 # ---------------------------------------------------------------------------
+# A dead mux link is replaced
+# ---------------------------------------------------------------------------
+
+
+def _drop_server_connections(tr):
+    """Close every inbound connection from the server side, as the
+    server does after a frame it cannot decode."""
+    tr._loop.call_soon_threadsafe(
+        lambda: [w.close() for w in list(tr._server_writers)]
+    )
+
+
+def _wait_for(pred, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not pred():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_send_after_the_server_drops_the_link_reconnects(transport, caplog):
+    got = []
+    transport.bind("a", lambda m: None)
+    transport.bind("b", lambda m: got.append(m.payload["i"]))
+    transport.send(Message("PING", "a", "b", {"i": 0}))
+    assert _wait_for(lambda: got == [0])
+    _drop_server_connections(transport)
+    assert _wait_for(lambda: transport._link.error is not None)
+    with caplog.at_level("WARNING", logger="repro.net.aio_transport"):
+        transport.send(Message("PING", "a", "b", {"i": 1}))
+        assert _wait_for(lambda: got == [0, 1])
+    lost = [r for r in caplog.records if "mux link lost" in r.getMessage()]
+    assert len(lost) == 1 and "0 queued" in lost[0].getMessage()
+    assert transport.stats.dropped == 0
+
+
+def test_messages_stranded_on_a_dead_link_count_as_drops(transport, caplog):
+    got = []
+    transport.bind("a", lambda m: None)
+    transport.bind("b", lambda m: got.append(m.payload["i"]))
+    transport.send(Message("PING", "a", "b", {"i": 0}))
+    assert _wait_for(lambda: got == [0])
+    transport.pause_writes()
+    for i in (1, 2, 3):
+        transport.send(Message("PING", "a", "b", {"i": i}))
+    _drop_server_connections(transport)
+    time.sleep(0.1)
+    transport.resume_writes()  # the writer finds the connection gone
+    assert _wait_for(lambda: transport._link.error is not None)
+    with caplog.at_level("WARNING", logger="repro.net.aio_transport"):
+        transport.send(Message("PING", "a", "b", {"i": 4}))
+        assert _wait_for(lambda: got == [0, 4])
+    assert transport.stats.dropped == 3
+    assert any("3 queued" in r.getMessage() for r in caplog.records)
+
+
+def test_reliable_send_survives_the_server_dropping_the_link():
+    from repro.net.reliability import ReliableTransport
+
+    tr = AioTcpTransport(codec="binary")
+    rel = ReliableTransport(tr, ack_timeout=20.0)
+    try:
+        got = []
+        rel.bind("src", lambda m: None)
+        rel.bind("dst", lambda m: got.append(m.payload["i"]))
+        rel.send(Message("SEQ", "src", "dst", {"i": 0}))
+        assert _wait_for(lambda: got == [0])
+        _drop_server_connections(tr)
+        rel.send(Message("SEQ", "src", "dst", {"i": 1}))
+        assert _wait_for(lambda: got == [0, 1])
+        assert _wait_for(lambda: rel.in_flight_count() == 0)
+    finally:
+        rel.close()
+
+
+# ---------------------------------------------------------------------------
 # Factory
 # ---------------------------------------------------------------------------
 

@@ -8,9 +8,13 @@ their magic and their decompressed body: the deflate stream itself
 belongs to whichever zlib the interpreter links.
 
 A format change regenerates only the entries it means to move: ``batch``
-moved once, when nested messages became native ``0x0E`` records.  What
-the codec wrote before that is kept as ``legacy.batch`` — bytes no
-encoder produces any more and every decoder must still read.
+moved once, when nested messages became native ``0x0E`` records, and
+``r_data`` once, when the reliable sublayer's envelopes became ``0x0F``
+/ ``0x10`` records.  What the codec wrote before each is kept as
+``legacy.batch`` and ``legacy.r_data`` — bytes no encoder produces any
+more and every decoder must still read — and ``legacy.reliable_flush``
+is ``reliable_flush`` as the encoder before the envelope records wrote
+it, every sub-message a ``0x0E`` record.
 """
 
 import json
@@ -28,7 +32,7 @@ from repro.core import (
     VersionVector,
 )
 from repro.core.image import DeltaImage
-from repro.net import BinaryCodec, Message
+from repro.net import BinaryCodec, JsonCodec, Message
 from repro.net.binary_codec import MAGIC_RAW, MAGIC_ZLIB, decode_value, encode_value
 from repro.net.message import make_batch, split_batch
 
@@ -41,6 +45,28 @@ def _image(n, start=0):
         img.put(f"flight:{i:04d}", {"seats": 180 - i, "price": 99.5 + i,
                                     "open": i % 2 == 0})
     return img
+
+
+def _reliable_flush():
+    """One write flush of the composed stack: 8 R_DATA{PUSH} envelopes,
+    the fourth a retransmission, and the ACK vector for the replies."""
+    subs = []
+    for v in range(8):
+        payload = {"seq": 300 + v, "ctl": "rel-ctl", "t": "PUSH",
+                   "p": {"view_id": f"ta{v:04d}", "image": _image(2, start=2 * v)},
+                   "i": 9000 + 2 * v, "r": None}
+        if v == 3:
+            payload["n"] = 2
+        subs.append(Message("R_DATA", f"cm:ta{v:04d}", f"shard:{v % 4}",
+                            payload, msg_id=9001 + 2 * v))
+    subs.append(Message("R_ACK", "rel-ctl", "rel-ctl", {"acks": [
+        [f"shard:{k}", f"cm:ta{k:04d}", [290 + k, [291 + k, 3]] if k == 2
+         else [290 + k]]
+        for k in range(4)
+    ]}, msg_id=9020))
+    batch = make_batch("cm:ta0000", "shard:0", subs)
+    batch.msg_id = 9021
+    return batch
 
 
 def _messages():
@@ -90,6 +116,7 @@ def _messages():
              "p": {"view_id": "ta0001", "image": _image(2)},
              "i": 88, "r": None},
             msg_id=89, reply_to=None),
+        "reliable_flush": _reliable_flush(),
         "many_strings": Message(
             "T", "a", "b", {f"key-{i:03d}": f"key-{(i * 7) % 200:03d}"
                             for i in range(200)},
@@ -121,6 +148,9 @@ def _corpus():
             out[f"zstored.{name}"] = packed
     for name, value in _values().items():
         out[f"value.{name}"] = encode_value(value)
+    # JSON has no envelope records: the flush is pinned to what JsonCodec
+    # wrote before BinaryCodec had them.
+    out["json.reliable_flush"] = JsonCodec().encode(_reliable_flush())
     return out
 
 
@@ -160,6 +190,42 @@ def test_dict_form_batch_from_older_encoders_still_splits(magic):
     assert split_batch(decoded) == split_batch(expected)
     assert (decoded.msg_type, decoded.src, decoded.dst, decoded.msg_id) == (
         expected.msg_type, expected.src, expected.dst, expected.msg_id)
+    native = BinaryCodec().encode(expected)
+    assert split_batch(BinaryCodec().decode(native)) == split_batch(expected)
+    assert len(native) < len(legacy)
+
+
+@pytest.mark.parametrize("magic", [MAGIC_RAW, MAGIC_ZLIB])
+def test_six_value_r_data_from_older_encoders_still_decodes(magic):
+    """``legacy.r_data`` spells the envelope as the generic six values."""
+    legacy = bytes.fromhex(json.loads(GOLDEN.read_text())["legacy.r_data"])
+    assert legacy[0] == MAGIC_RAW and legacy[1] in (0x05, 0x06)
+    frame = legacy
+    if magic == MAGIC_ZLIB:
+        frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
+    decoded = BinaryCodec().decode(frame)
+    expected = _messages()["r_data"]
+    assert decoded == expected
+    assert list(decoded.payload) == list(expected.payload)
+    native = BinaryCodec().encode(expected)
+    assert native[1] == 0x0F and len(native) < len(legacy)
+
+
+@pytest.mark.parametrize("magic", [MAGIC_RAW, MAGIC_ZLIB])
+def test_message_record_envelopes_from_older_encoders_still_split(magic):
+    """``legacy.reliable_flush`` spells every R_DATA/R_ACK sub-message
+    as a ``0x0E`` record with a generic payload."""
+    legacy = bytes.fromhex(json.loads(GOLDEN.read_text())["legacy.reliable_flush"])
+    assert legacy[0] == MAGIC_RAW
+    frame = legacy
+    if magic == MAGIC_ZLIB:
+        frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
+    expected = _messages()["reliable_flush"]
+    decoded = BinaryCodec().decode(frame)
+    assert split_batch(decoded) == split_batch(expected)
+    assert [list(m.payload) for m in split_batch(decoded)] == [
+        list(m.payload) for m in split_batch(expected)]
+    assert decoded.msg_id == expected.msg_id
     native = BinaryCodec().encode(expected)
     assert split_batch(BinaryCodec().decode(native)) == split_batch(expected)
     assert len(native) < len(legacy)

@@ -170,6 +170,125 @@ def test_batch_envelope_splits_alike_under_every_codec(subs):
         assert _eq(split_batch(decoded), via_json)
 
 
+# -- the reliable sublayer's envelopes --------------------------------------
+# R_DATA and R_ACK have records of their own (0x0F / 0x10) when they have
+# exactly ReliableTransport's shape, and the generic spelling otherwise.
+# The strategies below draw that shape and near misses of it; every one
+# must decode to what the JSON codec decodes, records or not.
+
+ints = st.integers(min_value=-(2**63), max_value=2**63)
+not_ints = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                     st.floats(allow_nan=False), st.lists(st.integers(0, 9), max_size=2))
+not_strs = st.one_of(st.none(), st.booleans(), ints, st.lists(st.text(max_size=2), max_size=2))
+
+
+@st.composite
+def r_data_payloads(draw):
+    p = {
+        "seq": draw(st.integers(0, 2**40)),
+        "ctl": draw(st.sampled_from(["rel-ctl", "rel-ctl@n1", ""])),
+        "t": draw(st.sampled_from(["PUSH", "PULL_REQ", "INVALIDATE_ACK"])),
+        "p": draw(payloads),
+        "i": draw(ints),
+        "r": draw(st.one_of(st.none(), ints)),
+    }
+    if draw(st.booleans()):
+        p["n"] = draw(st.integers(1, 2**20))
+    miss = draw(st.sampled_from([
+        None, "n", "extra", "missing", "seq", "neg_seq", "ctl", "t", "r",
+        "reorder",
+    ]))
+    if miss == "n":
+        p["n"] = draw(st.one_of(st.integers(-2, 1), not_ints))
+    elif miss == "extra":
+        p[draw(st.sampled_from(["x", "N", "seq2"]))] = draw(scalars)
+    elif miss == "missing":
+        del p[draw(st.sampled_from(sorted(p)))]
+    elif miss == "seq":
+        p["seq"] = draw(not_ints)
+    elif miss == "neg_seq":
+        p["seq"] = draw(st.integers(-(2**40), -1))
+    elif miss in ("ctl", "t"):
+        p[miss] = draw(not_strs)
+    elif miss == "r":
+        p["r"] = draw(not_ints.filter(lambda v: v is not None))
+    elif miss == "reorder":
+        p = dict(reversed(list(p.items())))
+    return p
+
+
+ack_seqs = st.one_of(
+    st.integers(0, 2**40),
+    st.lists(st.integers(0, 2**20), min_size=2, max_size=2),
+)
+ack_near_seqs = st.one_of(
+    ack_seqs,
+    st.integers(-(2**20), -1),
+    not_ints,
+    st.lists(st.integers(-3, 2**20), max_size=3),  # wrong arity or sign
+)
+
+
+ack_entries = st.tuples(
+    st.text(max_size=6), st.text(max_size=6), st.lists(ack_seqs, max_size=4)
+).map(list)
+ack_near_entries = st.one_of(
+    st.tuples(st.text(max_size=6), st.text(max_size=6),
+              st.lists(ack_near_seqs, max_size=4)).map(list),
+    st.lists(st.text(max_size=4), max_size=4),  # wrong arity
+    st.tuples(not_strs, st.text(max_size=4),    # a non-str address
+              st.lists(ack_seqs, max_size=2)).map(list),
+)
+
+
+@st.composite
+def r_ack_payloads(draw):
+    near = draw(st.booleans())
+    p = {"acks": draw(st.lists(ack_near_entries if near else ack_entries,
+                               max_size=4))}
+    if near and draw(st.booleans()):
+        p[draw(st.sampled_from(["x", "acks2"]))] = draw(scalars)
+    return p
+
+
+envelopes = st.one_of(
+    st.builds(Message, st.just("R_DATA"), st.text(max_size=8),
+              st.sampled_from(["dir", "shard:3"]), r_data_payloads(),
+              msg_id=ints, reply_to=st.one_of(st.none(), ints)),
+    st.builds(Message, st.just("R_ACK"), st.text(max_size=8),
+              st.sampled_from(["rel-ctl", "rel-ctl@n2"]), r_ack_payloads(),
+              msg_id=ints, reply_to=st.one_of(st.none(), ints)),
+)
+
+
+@given(envelopes)
+@settings(max_examples=300, deadline=None)
+def test_envelopes_and_near_misses_round_trip_top_level_and_nested(m):
+    j = JsonCodec()
+    via_json = j.decode(j.encode(m))
+    nested = make_batch("dir", m.dst, [m])
+    for codec in (BinaryCodec(),
+                  BinaryCodec(compress_level=9, compress_min_bytes=1)):
+        top = codec.decode(codec.encode(m))
+        assert _eq(top, via_json)
+        assert list(top.payload) == list(m.payload)
+        (sub,) = split_batch(codec.decode(codec.encode(nested)))
+        assert type(sub) is Message and _eq(sub, via_json)
+        assert list(sub.payload) == list(m.payload)
+
+
+@given(st.lists(envelopes, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_json_spells_envelopes_as_their_dicts(subs):
+    """JSON has no envelope records: a flush encodes to the bytes of its
+    sub-messages' ``to_dict()`` spelling, as it always did."""
+    batch = make_batch("dir", subs[0].dst, subs)
+    spelled = Message(batch.msg_type, batch.src, batch.dst,
+                      {"messages": [m.to_dict() for m in subs]},
+                      msg_id=batch.msg_id)
+    assert JsonCodec().encode(batch) == JsonCodec().encode(spelled)
+
+
 @given(st.dictionaries(
     st.text(min_size=1, max_size=10),
     st.floats(width=64),  # includes NaN and both infinities
