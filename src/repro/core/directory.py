@@ -80,18 +80,18 @@ DEDUP_WINDOW = 256
 class ViewRecord:
     """Directory-side registration state for one view.
 
-    ``active`` and ``exclusive`` are notifying properties: once a
-    directory adopts the record (``_owner``), every flag assignment —
-    including direct mutation from tests or subclasses — updates the
-    directory's maintained activity sets, so ``active_views`` /
-    ``exclusive_views`` / ``check_invariants`` never need a registry
-    scan.
+    :meth:`to_record` / :meth:`from_record` are its one spelling — the
+    ``register`` WAL record, the snapshot's ``views`` and
+    ``quarantined`` entries — and :meth:`apply` replays a ``cur``
+    record onto it.  A registered view's ``active`` / ``exclusive``
+    flags are written by :meth:`DirectoryManager._set_activity` only,
+    which keeps the directory's activity sets in step.
     """
 
     __slots__ = (
         "view_id", "address", "properties", "mode", "triggers",
-        "_active", "_exclusive", "seen", "last_state_seq",
-        "lease_expires", "synced", "last_served_seq", "_owner",
+        "active", "exclusive", "seen", "last_state_seq",
+        "lease_expires", "synced", "last_served_seq",
     )
 
     def __init__(
@@ -101,64 +101,80 @@ class ViewRecord:
         properties: PropertySet,
         mode: Mode,
         triggers: Optional[Dict[str, Optional[str]]] = None,
-        active: bool = False,
-        exclusive: bool = False,
-        seen: Optional[VersionVector] = None,
-        last_state_seq: int = 0,
-        lease_expires: float = float("inf"),
-        synced: bool = False,
-        last_served_seq: int = -1,
     ) -> None:
         self.view_id = view_id
         self.address = address
         self.properties = properties
         self.mode = mode
         self.triggers = {} if triggers is None else triggers
-        self._owner: Optional["DirectoryManager"] = None
-        self._active = bool(active)
-        self._exclusive = bool(exclusive)
-        self.seen = VersionVector() if seen is None else seen
+        self.active = False
+        self.exclusive = False
+        self.seen = VersionVector()
         # Highest state sequence number committed from this view; images
         # stamped with an older/equal seq are stale retransmissions.
-        self.last_state_seq = last_state_seq
+        self.last_state_seq = 0
         # Lease-based failure detection: transport time after which the
         # view is presumed crashed (inf when leases are disabled).  Renewed
         # by HEARTBEAT and by every message carrying the view's id.
-        self.lease_expires = lease_expires
+        self.lease_expires = float("inf")
         # Delta synchronization cursors: ``synced`` flips true once this
         # view has received a complete slice image (first contact and
         # recovery re-sync always serve full); ``last_served_seq`` is the
         # directory commit cursor echoed to the view on its last serve — a
         # request whose ``since`` cursor does not match is served a full
         # image (the requester's base can no longer be trusted).
-        self.synced = synced
-        self.last_served_seq = last_served_seq
+        self.synced = False
+        self.last_served_seq = -1
 
-    @property
-    def active(self) -> bool:
-        return self._active
+    def to_record(self) -> Dict[str, Any]:
+        """The record's one spelling.  It holds the live ``seen`` and
+        triggers: encode it, or copy it with :meth:`from_record`, before
+        the view moves on."""
+        return {
+            "v": self.view_id, "addr": self.address,
+            "props": self.properties, "mode": self.mode.value,
+            "trig": self.triggers, "seen": self.seen,
+            "sseq": self.last_state_seq, "served": self.last_served_seq,
+            "synced": self.synced, "active": self.active,
+            "excl": self.exclusive,
+        }
 
-    @active.setter
-    def active(self, value: bool) -> None:
-        self._active = bool(value)
-        if self._owner is not None:
-            self._owner._note_activity(self)
+    @classmethod
+    def from_record(cls, vd: Dict[str, Any]) -> "ViewRecord":
+        """A new record, owning its ``seen`` and triggers, from
+        :meth:`to_record`'s form; a key an older writer left out takes
+        its default."""
+        rec = cls(vd["v"], vd["addr"], vd.get("props") or PropertySet(),
+                  Mode.WEAK, dict(vd.get("trig") or {}))
+        rec.apply(vd)
+        return rec
 
-    @property
-    def exclusive(self) -> bool:
-        return self._exclusive
-
-    @exclusive.setter
-    def exclusive(self, value: bool) -> None:
-        self._exclusive = bool(value)
-        if self._owner is not None:
-            self._owner._note_activity(self)
+    def apply(self, vd: Dict[str, Any]) -> None:
+        """Set the cursor and activity fields ``vd`` carries.  A whole
+        ``seen`` vector replaces this one; a ``cur`` record's entries
+        (the cells its serve shipped) merge into it."""
+        seen = vd.get("seen")
+        if isinstance(seen, VersionVector):
+            self.seen = seen.copy()
+        else:
+            for key, version in (seen or {}).items():
+                self.seen.set(key, version)
+        self.mode = Mode.parse(vd.get("mode", self.mode))
+        self.last_state_seq = int(vd.get("sseq", 0))
+        self.last_served_seq = int(vd.get("served", -1))
+        self.synced = bool(vd.get("synced", False))
+        self.active = bool(vd.get("active", False))
+        self.exclusive = bool(vd.get("excl", False))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ViewRecord({self.view_id!r}, mode={self.mode}, "
-            f"active={self._active}, exclusive={self._exclusive})"
+            f"active={self.active}, exclusive={self.exclusive})"
         )
+
+
+#: The fields of :meth:`ViewRecord.to_record` a ``cur`` record carries.
+_CUR_FIELDS = ("v", "mode", "sseq", "served", "synced", "active", "excl")
 
 
 @dataclass
@@ -166,44 +182,26 @@ class QuarantinedView:
     """Reconciliation state stashed when a view is presumed dead.
 
     Instead of silently discarding a silent/crashed view's context, the
-    directory quarantines it: the last committed image of the view's
-    slice, its seen-versions and state sequence cursor, and — for round
-    timeouts — the operation it was blocking.  A recovering cache
-    manager that re-REGISTERs with the same view id reconciles against
-    this entry instead of starting from a blank record (which would
-    mis-classify its retransmissions).
+    directory quarantines it: a copy of the view's record taken at the
+    quarantine (its fields — ``view_id``, ``address``, ``properties``,
+    ``mode``, ``seen``, ``last_state_seq`` — read through), the last
+    committed image of the view's slice, and — for a round the view
+    stalled or faulted — the operation it was blocking.  A recovering
+    cache manager that re-REGISTERs with the same view id reconciles
+    against this entry instead of starting from a blank record (which
+    would mis-classify its retransmissions).
     """
 
-    view_id: str
-    address: str
-    properties: PropertySet
-    mode: Mode
-    seen: VersionVector
-    last_state_seq: int
+    record: ViewRecord
     image: ObjectImage
-    reason: str                      # 'round-timeout' | 'lease-expired'
+    reason: str                      # 'round-timeout' | 'lease-expired' | ...
     time: float
     op_context: Optional[Dict[str, Any]] = None
 
-    def to_record(self) -> Dict[str, Any]:
-        """The snapshot's form of this entry (read by :meth:`from_record`)."""
-        return {
-            "v": self.view_id, "addr": self.address, "props": self.properties,
-            "mode": self.mode.value, "seen": self.seen.copy(),
-            "sseq": self.last_state_seq, "img": self.image,
-            "reason": self.reason, "time": self.time, "op": self.op_context,
-        }
-
-    @classmethod
-    def from_record(cls, qd: Dict[str, Any]) -> "QuarantinedView":
-        return cls(
-            view_id=qd["v"], address=qd["addr"],
-            properties=qd.get("props") or PropertySet(),
-            mode=Mode.parse(qd.get("mode", Mode.WEAK)),
-            seen=qd["seen"], last_state_seq=int(qd.get("sseq", 0)),
-            image=qd["img"], reason=qd.get("reason", "recovered"),
-            time=float(qd.get("time", 0.0)), op_context=qd.get("op"),
-        )
+    def __getattr__(self, name: str) -> Any:
+        if name == "record":  # not set yet (copy/pickle): no recursion
+            raise AttributeError(name)
+        return getattr(self.record, name)
 
 
 @dataclass
@@ -340,9 +338,9 @@ class DirectoryManager:
         # Conflict policy: maintains the property-key inverted index
         # and scoped invalidation over this registry.
         self.policy = ConflictPolicy(static_map, self._properties_of)
-        # Maintained activity sets, updated by ViewRecord's notifying
-        # flag setters (see _note_activity): who is active, and who
-        # holds strong-mode exclusivity, without registry scans.
+        # Maintained activity sets, kept in step with the flags by
+        # _set_activity: who is active, and who holds strong-mode
+        # exclusivity, without registry scans.
         self._active_set: set = set()
         self._exclusive_set: set = set()
         # Op-path profiler (core/profiling.py): None unless profile=True,
@@ -464,33 +462,35 @@ class DirectoryManager:
     # ------------------------------------------------------------------
     # Maintained activity sets
     # ------------------------------------------------------------------
-    def _adopt(self, rec: ViewRecord) -> None:
-        """Install a record in the registry and start tracking its
-        activity flags in the maintained sets."""
-        self.views[rec.view_id] = rec
-        rec._owner = self
-        self._note_activity(rec)
+    def _set_activity(
+        self, rec: ViewRecord, active: bool, exclusive: bool,
+        served: Optional[ObjectImage] = None,
+    ) -> None:
+        """The one writer of a registered view's activity flags: sets
+        them, keeps the activity sets in step and logs the ``cur``
+        record (the view's cursors too; ``served`` is the image a serve
+        just shipped, whose cells' ``seen`` entries the record adds)."""
+        rec.active = active
+        rec.exclusive = exclusive
+        vid = rec.view_id
+        (self._active_set.add if active else self._active_set.discard)(vid)
+        (self._exclusive_set.add if exclusive else self._exclusive_set.discard)(vid)
+        if self.durability is None:
+            return
+        full = rec.to_record()
+        record = {"k": "cur", **{key: full[key] for key in _CUR_FIELDS}}
+        if served:
+            seen = rec.seen
+            record["seen"] = {key: seen.get(key) for key in served.keys()}
+        self.durability.append(record)
 
     def _release(self, view_id: str) -> Optional[ViewRecord]:
         """Remove a record from the registry and the activity sets."""
         rec = self.views.pop(view_id, None)
         if rec is not None:
-            rec._owner = None
             self._active_set.discard(view_id)
             self._exclusive_set.discard(view_id)
         return rec
-
-    def _note_activity(self, rec: ViewRecord) -> None:
-        """ViewRecord flag-setter callback: sync the maintained sets."""
-        vid = rec.view_id
-        if rec._active:
-            self._active_set.add(vid)
-        else:
-            self._active_set.discard(vid)
-        if rec._exclusive:
-            self._exclusive_set.add(vid)
-        else:
-            self._exclusive_set.discard(vid)
 
     def active_views(self) -> List[str]:
         return sorted(self._active_set)
@@ -607,14 +607,10 @@ class DirectoryManager:
         time: Optional[float] = None,
     ) -> None:
         """Stash a presumed-dead view's reconciliation state (``time``
-        defaults to now; replay passes 0.0)."""
+        defaults to now; replay passes 0.0).  The stash lives until the
+        view id registers again or unregisters cleanly."""
         self.quarantined[rec.view_id] = QuarantinedView(
-            view_id=rec.view_id,
-            address=rec.address,
-            properties=rec.properties,
-            mode=rec.mode,
-            seen=rec.seen,
-            last_state_seq=rec.last_state_seq,
+            ViewRecord.from_record(rec.to_record()),
             # Last committed image of the view's slice: what the primary
             # copy holds for it — the recovery baseline for re-sync.
             image=self.extract_from_object(self.component, rec.properties),
@@ -626,20 +622,19 @@ class DirectoryManager:
     def _presume_dead(self, rec: ViewRecord, reason: str, op: _PendingOp) -> None:
         """The one fence for a view a round gave up on (silent past the
         watchdog, or an application hook raised on its behalf): stash
-        its reconciliation state, then deactivate it and log that."""
+        and log its reconciliation state, then deactivate it."""
+        op_context = {"op_kind": op.kind, "requested_by": op.view_id}
         try:
-            self._quarantine_view(
-                rec, reason=reason,
-                op_context={"op_kind": op.kind, "requested_by": op.view_id},
-            )
+            self._quarantine_view(rec, reason, op_context)
         except Exception:  # noqa: BLE001 — best-effort, see below
             # Quarantine runs the application's extract hook — after a
             # fault, possibly the very hook that just failed; the stash
             # is best-effort, the deactivation is not.
             self._trace(f"{reason}-quarantine-failed", view=rec.view_id)
-        rec.active = False
-        rec.exclusive = False
-        self._log_cursors(rec)
+        else:
+            self._log({"k": "quarantine", "v": rec.view_id,
+                       "reason": reason, "op": op_context})
+        self._set_activity(rec, False, False)
 
     def _drop_view(self, view_id: str) -> None:
         """Take a view out of the registry, the static map, the conflict
@@ -779,27 +774,21 @@ class DirectoryManager:
             mode=Mode.parse(p.get("mode", Mode.WEAK)),
             triggers=p.get("triggers") or {},
         )
-        recovered = False
-        if recovering:
-            # Idempotent re-REGISTER after a crash: reconcile against
-            # the live record (lease not yet expired) or the quarantine
-            # entry (evicted/round-dropped), so the directory's dedup
-            # cursors survive the restart instead of mis-classifying
-            # the recovered CM's traffic as stale retransmissions.
-            prior = self.views.get(view_id)
-            stash = self.quarantined.pop(view_id, None)
-            if prior is not None:
-                rec.seen = prior.seen
-                rec.last_state_seq = prior.last_state_seq
-                recovered = True
-            elif stash is not None:
-                rec.seen = stash.seen
-                rec.last_state_seq = stash.last_state_seq
-                recovered = True
-            if recovered:
-                self.counters["recoveries"] += 1
-                self._trace("view-recovered", view=view_id)
-        self._adopt(rec)
+        # A registration ends any quarantine of the view id.  Only a
+        # recovering re-REGISTER (after a crash) reconciles against the
+        # live record (lease not yet expired) or the stash
+        # (evicted/round-dropped), so the directory's dedup cursors
+        # survive the restart instead of mis-classifying the recovered
+        # CM's traffic as stale retransmissions.
+        stash = self.quarantined.pop(view_id, None)
+        prior = self._release(view_id) or stash
+        recovered = recovering and prior is not None
+        if recovered:
+            rec.seen = prior.seen
+            rec.last_state_seq = prior.last_state_seq
+            self.counters["recoveries"] += 1
+            self._trace("view-recovered", view=view_id)
+        self.views[view_id] = rec
         self._renew_lease(rec)
         self.counters["registers"] += 1
         if self.static_map is not None and not self.static_map.has_view(view_id):
@@ -810,7 +799,7 @@ class DirectoryManager:
         self._sync_policy_counters()
         self.invalidate_slice_index(view_id)  # properties may differ
         self._arm_lease_checker()
-        self._log({"k": "register", **self._view_state(rec)})
+        self._log({"k": "register", **rec.to_record()})
         if prof is not None:
             prof.record("register", _clock_ns() - t0)
         self._reply(
@@ -868,11 +857,11 @@ class DirectoryManager:
         new_mode = Mode.parse(msg.payload["mode"])
         old_mode = rec.mode
         rec.mode = new_mode
-        if new_mode is Mode.WEAK and rec.exclusive:
-            # Leaving strong mode releases exclusivity; dirty state was
-            # pushed by the cache manager before it sent SET_MODE.
-            rec.exclusive = False
-        self._log_cursors(rec)
+        # Leaving strong mode releases exclusivity; dirty state was
+        # pushed by the cache manager before it sent SET_MODE.
+        self._set_activity(
+            rec, rec.active, rec.exclusive and new_mode is not Mode.WEAK
+        )
         self._reply(
             msg,
             M.SET_MODE_ACK,
@@ -903,6 +892,7 @@ class DirectoryManager:
             return  # refused: the view stays registered
         view_id = rec.view_id
         self._drop_view(view_id)
+        self.quarantined.pop(view_id, None)
         self.counters["unregisters"] += 1
         self._log({"k": "unregister", "v": view_id})
         self._reply(msg, M.UNREGISTER_ACK, {"view_id": view_id})
@@ -1210,9 +1200,7 @@ class DirectoryManager:
                 self._presume_dead(rec, "round-fault", op)
             else:
                 if msg.msg_type == M.INVALIDATE_ACK:
-                    rec.active = False
-                    rec.exclusive = False
-                    self._log_cursors(rec)
+                    self._set_activity(rec, False, False)
         if not op.awaiting:
             self._finalize_op(op)
 
@@ -1243,17 +1231,17 @@ class DirectoryManager:
             return False
         if prof is not None:
             prof.record("serve", _clock_ns() - t0)
-        rec.active = True
         if op.kind == "acquire":
-            rec.exclusive = True
             reply_type = M.GRANT
         else:
             reply_type = M.INIT_DATA if op.kind == "init" else M.PULL_DATA
         # The serve moved this view's delta cursors (last_served_seq,
         # and seen for the cells it shipped) and its activity flags:
-        # persist them so a restarted directory still serves this
-        # view deltas instead of forcing a full re-sync.
-        self._log_cursors(rec, served)
+        # the cur record persists them so a restarted directory still
+        # serves this view deltas instead of forcing a full re-sync.
+        self._set_activity(
+            rec, True, rec.exclusive or op.kind == "acquire", served
+        )
         self._reply(op.request, reply_type, payload)
         self.check_invariants()
         return True
@@ -1360,18 +1348,21 @@ class DirectoryManager:
     # ("n") assigned by the DurabilityManager.  Each kind carries what
     # its event changes and nothing else:
     #
-    #   "register"    the whole ViewRecord (_view_state) — the only
-    #                 place address and triggers are ever logged
+    #   "register"    the whole ViewRecord (ViewRecord.to_record) — the
+    #                 only place address and triggers are ever logged
     #   "props"       view id + the new PropertySet
     #   "commit"      view id, the cells stamped with the versions they
     #                 are about to get, the resolver-rewritten keys
     #                 ("noadv"), the view's state seq, the commit cursor
     #   "cur"         view id, mode, last_state_seq, last_served_seq,
-    #                 synced, active, exclusive — plus, from a serve,
-    #                 the seen entries of the cells in the served image
+    #                 synced, active, exclusive (_CUR_FIELDS) — plus,
+    #                 from a serve, the seen entries of the cells in the
+    #                 served image; written by _set_activity only
     #   "unregister"  view id
-    #   "evict"       view id + reason
-    #   "cursors"     legacy (read side only): the full _view_state on
+    #   "evict"       view id + reason (a lease expiry's quarantine)
+    #   "quarantine"  view id + reason + op context: a round gave up on
+    #                 a view that stays registered (_presume_dead)
+    #   "cursors"     legacy (read side only): the full ViewRecord on
     #                 every serve and revocation, as written before the
     #                 "cur" record; replay still understands it, pinned
     #                 by tests/net/legacy_wal_lineage.json
@@ -1387,33 +1378,6 @@ class DirectoryManager:
     # (_serve_payload), every other seen change replays from a commit
     # record, so the serve's own keys are all a "cur" record adds.
 
-    def _view_state(self, rec: ViewRecord) -> Dict[str, Any]:
-        return {
-            "v": rec.view_id, "addr": rec.address,
-            "props": rec.properties, "mode": rec.mode.value,
-            "trig": dict(rec.triggers), "seen": rec.seen.copy(),
-            "sseq": rec.last_state_seq, "served": rec.last_served_seq,
-            "synced": rec.synced, "active": rec.active,
-            "excl": rec.exclusive,
-        }
-
-    def _restore_view(self, vd: Dict[str, Any]) -> ViewRecord:
-        rec = ViewRecord(
-            view_id=vd["v"],
-            address=vd["addr"],
-            properties=vd.get("props") or PropertySet(),
-            mode=Mode.parse(vd.get("mode", Mode.WEAK)),
-            triggers=dict(vd.get("trig") or {}),
-            active=bool(vd.get("active", False)),
-            exclusive=bool(vd.get("excl", False)),
-            seen=vd["seen"].copy() if vd.get("seen") is not None else VersionVector(),
-            last_state_seq=int(vd.get("sseq", 0)),
-            synced=bool(vd.get("synced", False)),
-            last_served_seq=int(vd.get("served", -1)),
-        )
-        self._adopt(rec)
-        return rec
-
     def _durable_state(self) -> Dict[str, Any]:
         """Snapshot payload: the full primary-copy image plus every
         piece of directory bookkeeping recovery needs (commit cursor,
@@ -1424,8 +1388,12 @@ class DirectoryManager:
             # Convention: the empty property set extracts the complete
             # component (the same convention CM recovery relies on).
             "image": self.extract_from_object(self.component, PropertySet()),
-            "views": [self._view_state(r) for r in self.views.values()],
-            "quarantined": [q.to_record() for q in self.quarantined.values()],
+            "views": [r.to_record() for r in self.views.values()],
+            "quarantined": [
+                {**q.record.to_record(), "img": q.image, "reason": q.reason,
+                 "time": q.time, "op": q.op_context}
+                for q in self.quarantined.values()
+            ],
         }
 
     def _log(self, record: Dict[str, Any]) -> bool:
@@ -1433,24 +1401,6 @@ class DirectoryManager:
         if self.durability is None:
             return False
         return self.durability.append(record)
-
-    def _log_cursors(
-        self, rec: ViewRecord, served: Optional[ObjectImage] = None
-    ) -> None:
-        """Log what a serve or a revocation can change on ``rec``;
-        ``served`` is the image a serve just shipped."""
-        if self.durability is None:
-            return
-        record = {
-            "k": "cur", "v": rec.view_id, "mode": rec.mode.value,
-            "sseq": rec.last_state_seq, "served": rec.last_served_seq,
-            "synced": rec.synced, "active": rec._active,
-            "excl": rec._exclusive,
-        }
-        if served:
-            seen = rec.seen
-            record["seen"] = {key: seen.get(key) for key in served.keys()}
-        self.durability.append(record)
 
     def _recover_durable_state(self) -> List[str]:
         """Replay the lineage; returns the recovered exclusive owners."""
@@ -1469,9 +1419,13 @@ class DirectoryManager:
             self.master_versions = snap["versions"].copy()
             self.commit_seq = int(snap["cseq"])
             for vd in snap.get("views") or []:
-                self._restore_view(vd)
+                self.views[vd["v"]] = ViewRecord.from_record(vd)
             for qd in snap.get("quarantined") or []:
-                self.quarantined[qd["v"]] = QuarantinedView.from_record(qd)
+                self.quarantined[qd["v"]] = QuarantinedView(
+                    ViewRecord.from_record(qd), qd["img"],
+                    qd.get("reason", "recovered"), float(qd.get("time", 0.0)),
+                    qd.get("op"),
+                )
         for record in rs.records:
             cells += self._replay(record)
         self.counters["wal_recoveries"] += 1
@@ -1483,10 +1437,15 @@ class DirectoryManager:
             snapshot_lsn=rs.snapshot_lsn,
         )
         # Post-replay bookkeeping: recovered views get fresh leases (the
-        # downtime must not count against them), membership-derived
-        # caches start cold, and the lease sweep re-arms.
+        # downtime must not count against them), the activity sets are
+        # rebuilt from the replayed flags, membership-derived caches
+        # start cold, and the lease sweep re-arms.
         for rec in self.views.values():
             self._renew_lease(rec)
+            if rec.active:
+                self._active_set.add(rec.view_id)
+            if rec.exclusive:
+                self._exclusive_set.add(rec.view_id)
             if self.static_map is not None and not self.static_map.has_view(
                 rec.view_id
             ):
@@ -1527,36 +1486,29 @@ class DirectoryManager:
             self.commit_seq = max(self.commit_seq, int(record.get("cseq", 0)))
             return len(img)
         if kind == "register":
-            self._restore_view(record)
+            self.views[record["v"]] = ViewRecord.from_record(record)
             self.quarantined.pop(record["v"], None)
         elif kind == "unregister":
-            self._release(record.get("v"))
+            self.views.pop(record.get("v"), None)
+            self.quarantined.pop(record.get("v"), None)
         elif kind in ("cur", "cursors"):
             rec = self.views.get(record.get("v"))
             if rec is not None:
-                if kind == "cursors":
-                    # Legacy full-state record: the whole vector.
-                    rec.seen = record["seen"].copy()
-                else:
-                    for key, version in (record.get("seen") or {}).items():
-                        rec.seen.set(key, version)
-                rec.last_state_seq = int(record.get("sseq", 0))
-                rec.last_served_seq = int(record.get("served", -1))
-                rec.synced = bool(record.get("synced", False))
-                rec.active = bool(record.get("active", False))
-                rec.exclusive = bool(record.get("excl", False))
-                rec.mode = Mode.parse(record.get("mode", rec.mode.value))
+                rec.apply(record)
         elif kind == "props":
             rec = self.views.get(record.get("v"))
             if rec is not None:
                 rec.properties = record.get("props") or PropertySet()
                 rec.synced = False
-        elif kind == "evict":
-            rec = self._release(record.get("v"))
+        elif kind in ("evict", "quarantine"):
+            rec = self.views.get(record.get("v"))
             if rec is not None:
                 self._quarantine_view(
-                    rec, record.get("reason", "recovered"), time=0.0
+                    rec, record.get("reason", "recovered"),
+                    record.get("op"), time=0.0,
                 )
+                if kind == "evict":
+                    del self.views[rec.view_id]
         else:
             self._trace("replay-unknown-record", kind=kind)
         return 0

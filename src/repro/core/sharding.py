@@ -20,8 +20,8 @@ while keeping every cache manager oblivious:
   at a **merge barrier** in the router.
 - :class:`ShardedDirectoryPlane` builds the shards (each sees only its
   own key partition via wrapped extract functions plus the directory's
-  ``key_filter`` guard) and exposes plane-wide counters and merged
-  :class:`~repro.net.stats.MessageStats`.
+  ``key_filter`` guard) and exposes plane-wide counters; the wire's
+  :class:`~repro.net.stats.MessageStats` are the inner transport's.
 
 **N=1 parity guarantee**: on a one-shard plane every view is a
 one-shard view and the shard's address *is* the directory address, so
@@ -66,7 +66,6 @@ from repro.core.property_set import PropertySet
 from repro.core.system import FleccSystem
 from repro.errors import ReproError, TransportError
 from repro.net.message import Message
-from repro.net.stats import MessageStats
 from repro.net.transport import Endpoint, LayeredTransport, Transport
 
 log = logging.getLogger(__name__)
@@ -270,12 +269,6 @@ class ShardRouter(LayeredTransport):
         self._orig: Dict[int, _Fanout] = {}
         self._copies: Dict[int, Tuple[_Fanout, int]] = {}
         self._swallow: Set[int] = set()
-        # Router-level per-shard accounting: the logical messages
-        # exchanged with each shard (requests out, replies in).  Merged
-        # into one plane-wide view via MessageStats.merge().
-        self.shard_stats: Dict[int, MessageStats] = {
-            i: MessageStats() for i in range(len(self.shard_addresses))
-        }
         self.counters: Dict[str, int] = {
             "router_fanouts": 0,
             "cross_shard_rounds": 0,
@@ -315,10 +308,6 @@ class ShardRouter(LayeredTransport):
             if msg.dst == self.directory_address:
                 self._route_request(msg)
                 return
-        self.inner.send(msg)
-
-    def _send_to_shard(self, shard: int, msg: Message) -> None:
-        self.shard_stats[shard].record(msg)
         self.inner.send(msg)
 
     # -- footprints ------------------------------------------------------
@@ -377,8 +366,8 @@ class ShardRouter(LayeredTransport):
             # CM retransmission (same msg_id): re-send the unanswered
             # copies with their original ids so shard reply caches and
             # round dedup keep working.
-            for shard, copy in list(fan.pending.values()):
-                self._send_to_shard(shard, copy)
+            for _, copy in list(fan.pending.values()):
+                self.inner.send(copy)
             return
         mt = msg.msg_type
         if mt == M.REGISTER:
@@ -412,7 +401,7 @@ class ShardRouter(LayeredTransport):
         shard = route.shards[0]
         msg.dst = self.shard_addresses[shard]
         route.forwarded.add(msg.msg_id)
-        self._send_to_shard(shard, msg)
+        self.inner.send(msg)
 
     def _begin_fanout(
         self, msg: Message, route: _ViewRoute, targets: List[Tuple[int, Message]]
@@ -428,8 +417,8 @@ class ShardRouter(LayeredTransport):
         for shard, copy in targets:
             fan.pending[copy.msg_id] = (shard, copy)
             self._copies[copy.msg_id] = (fan, shard)
-        for shard, copy in targets:
-            self._send_to_shard(shard, copy)
+        for _, copy in targets:
+            self.inner.send(copy)
 
     def _route_register(self, msg: Message) -> None:
         p = msg.payload
@@ -546,15 +535,8 @@ class ShardRouter(LayeredTransport):
             )
         for shard in sorted(new_shards - old_shards):
             # The slice now reaches a shard that has never seen this
-            # view: synthesize its registration inside the same barrier
-            # (recover=True keeps it idempotent against stale state).
-            reg = dict(route.register_payload)
-            reg["properties"] = properties
-            reg["recover"] = True
-            targets.append(
-                (shard, Message(M.REGISTER, msg.src,
-                                self.shard_addresses[shard], reg))
-            )
+            # view: register it there inside the same barrier.
+            targets.append((shard, self._shard_register(route, shard, properties)))
         for shard in sorted(old_shards - new_shards):
             targets.append(
                 (shard, Message(M.UNREGISTER, msg.src,
@@ -607,10 +589,10 @@ class ShardRouter(LayeredTransport):
                 )
                 self._swallow.add(push.msg_id)
                 self.counters["synthesized_pushes"] += 1
-                self._send_to_shard(other, push)
+                self.inner.send(push)
             if groups:
                 msg.payload["image"] = image.restrict(own_keys)
-        self._send_to_shard(shard, msg)
+        self.inner.send(msg)
 
     def _group_keys(self, image: ObjectImage) -> Dict[int, List[str]]:
         """The image's keys by owning shard (key -> shard is memoised:
@@ -630,11 +612,7 @@ class ShardRouter(LayeredTransport):
         FIFO per link guarantees the REGISTER lands before anything this
         method's callers send to the same shard right after.
         """
-        reg = dict(route.register_payload) or {"view_id": route.view_id}
-        reg.setdefault("view_id", route.view_id)
-        reg["properties"] = route.properties
-        reg["recover"] = True
-        m = Message(M.REGISTER, route.cm_addr, self.shard_addresses[shard], reg)
+        m = self._shard_register(route, shard, route.properties)
         self._swallow.add(m.msg_id)
         self.counters["registrations_extended"] += 1
         if len(route.shards) == 1:
@@ -644,7 +622,16 @@ class ShardRouter(LayeredTransport):
             route.shard_since = {}
             route.last_served = -1
         route.shards = sorted(set(route.shards) | {shard})
-        self._send_to_shard(shard, m)
+        self.inner.send(m)
+
+    def _shard_register(
+        self, route: _ViewRoute, shard: int, properties: PropertySet
+    ) -> Message:
+        """A REGISTER, synthesized from the view's own, for a shard its
+        slice newly reaches (recover=True keeps it idempotent against
+        stale state there)."""
+        reg = dict(route.register_payload, properties=properties, recover=True)
+        return Message(M.REGISTER, route.cm_addr, self.shard_addresses[shard], reg)
 
     # -- incoming (wrapped CM endpoints) ---------------------------------
     def _incoming(self, ep: Endpoint, msg: Message) -> None:
@@ -654,14 +641,12 @@ class ShardRouter(LayeredTransport):
                 entry = self._copies.pop(reply_to, None)
                 if entry is not None:
                     fan, shard = entry
-                    self.shard_stats[shard].record(msg)
                     self._on_copy_reply(fan, shard, msg)
                     return
                 if reply_to in self._swallow:
                     self._swallow.discard(reply_to)
                     return
-                shard = self._shard_index.get(msg.src)
-                if shard is not None:
+                if msg.src in self._shard_index:
                     route = self._by_addr.get(ep.address)
                     if route is None or reply_to not in route.forwarded:
                         # Answered already, or a reply to an abandoned
@@ -670,7 +655,6 @@ class ShardRouter(LayeredTransport):
                         self.counters["late_replies"] += 1
                         return
                     route.forwarded.discard(reply_to)
-                    self.shard_stats[shard].record(msg)
             elif msg.msg_type == M.INVALIDATE:
                 if self._intercept_invalidate(msg):
                     return
@@ -836,14 +820,6 @@ class ShardRouter(LayeredTransport):
             # grant (entered — possibly already left — its critical
             # section); its ACK then carries the section's writes.
             self.inner.schedule(0.0, lambda: self._release_held(fan))
-
-    # -- plane-wide views ------------------------------------------------
-    def merged_shard_stats(self) -> MessageStats:
-        """All per-shard routing stats merged into one plane-wide view."""
-        total = MessageStats()
-        for st in self.shard_stats.values():
-            total.merge(st)
-        return total
 
     def close(self) -> None:
         self._closed = True
@@ -1032,10 +1008,6 @@ class ShardedDirectoryPlane:
             total.update(dm.counters)
         total.update(self.router.counters)
         return dict(total)
-
-    def merged_stats(self) -> MessageStats:
-        """Per-shard routing stats merged into one plane-wide view."""
-        return self.router.merged_shard_stats()
 
     def merged_profile(self):
         """Per-shard op-path profiles folded into one plane-wide

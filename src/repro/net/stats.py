@@ -58,10 +58,8 @@ class StatsSnapshot:
 class MessageStats:
     """Mutable counters attached to a transport.
 
-    Every field is a scalar counter, a keyed ``Counter``, or a *gauge*
-    (a peak value, marked ``gauge`` in its field metadata): ``merge``
-    sums the first two — per key for a ``Counter`` — and keeps the
-    larger gauge.
+    Every field is a scalar counter, a keyed ``Counter``, or a peak
+    value (``max_message_bytes`` and the ``*_hwm`` fields).
     """
 
     total: int = 0
@@ -74,7 +72,7 @@ class MessageStats:
     # time spent in the encoder (ns), and the largest frame seen.
     encodes: int = 0
     encode_ns: int = 0
-    max_message_bytes: int = field(default=0, metadata={"gauge": True})
+    max_message_bytes: int = 0
     # Round coalescing: BATCH frames sent, and how many sub-messages
     # rode inside them (each coalesced sub-message is one frame the
     # sender did NOT pay for separately).
@@ -113,7 +111,7 @@ class MessageStats:
     # mark (the refusal surfaces as a TransportError, which pushes back
     # into ReliableTransport's retransmit path instead of buffering
     # unboundedly).
-    send_queue_hwm: int = field(default=0, metadata={"gauge": True})
+    send_queue_hwm: int = 0
     flushes_coalesced: int = 0
     backpressure_stalls: int = 0
     # Durable directory plane (core/durability.py): crash-restart
@@ -125,7 +123,7 @@ class MessageStats:
     # of directory rounds ever in flight simultaneously.  Stays 1 on a
     # serial (concurrent_rounds=1) directory and 0 when no round ever
     # started.
-    concurrent_rounds_hwm: int = field(default=0, metadata={"gauge": True})
+    concurrent_rounds_hwm: int = 0
 
     def record(self, msg: Message, size: Optional[int] = None) -> None:
         """Count one sent message (``size`` in bytes when known)."""
@@ -225,20 +223,6 @@ class MessageStats:
         """Track the peak number of simultaneously running rounds."""
         if depth > self.concurrent_rounds_hwm:
             self.concurrent_rounds_hwm = depth
-
-    def merge(self, other: "MessageStats") -> "MessageStats":
-        """Fold ``other``'s counters into this one (returns ``self``):
-        sums, per-key sums, and the larger of each gauge.  This is how
-        per-shard stats roll up into one plane-wide view."""
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if f.metadata.get("gauge"):
-                setattr(self, f.name, max(mine, theirs))
-            elif isinstance(mine, Counter):
-                mine.update(theirs)
-            else:
-                setattr(self, f.name, mine + theirs)
-        return self
 
     def count_for_types(self, *msg_types: str) -> int:
         """Total messages across the given message types."""

@@ -7,7 +7,8 @@ when — and can crash and restart the directory between any two of
 them.  :func:`directory_state` flattens everything recovery promises to
 rebuild into plain JSON values.
 
-Shared by ``test_wal_replay.py`` (replay equivalence) and
+Shared by ``test_wal_replay.py`` (replay equivalence),
+``test_view_record.py`` (the record's one spelling) and
 ``gen_legacy_wal_lineage.py`` (which runs it against an *older*
 checkout's ``src`` to freeze that commit's on-disk format), so it uses
 nothing but the public protocol surface.
@@ -15,6 +16,8 @@ nothing but the public protocol surface.
 
 from __future__ import annotations
 
+import base64
+import json
 import random
 import time
 from pathlib import Path
@@ -56,6 +59,17 @@ def wal_records(lineage: Path) -> List[Dict[str, Any]]:
     ]
 
 
+def unpack_fixture(fixture: Path, wal_root: Path):
+    """Write a frozen lineage (``gen_legacy_wal_lineage.py``'s JSON)
+    under ``wal_root``; returns the document and the lineage dir."""
+    doc = json.loads(fixture.read_text())
+    lineage = wal_root / doc["spec"]["name"]
+    lineage.mkdir()
+    for name, blob in doc["files"].items():
+        (lineage / name).write_bytes(base64.b64decode(blob))
+    return doc, lineage
+
+
 def wait_for_log_thread(writer, timeout: float = 5.0) -> None:
     """Bounded wait until the WAL's log thread owes ``writer`` nothing."""
     deadline = time.monotonic() + timeout
@@ -85,9 +99,20 @@ def directory_state(dm: DirectoryManager, store: Store) -> Dict[str, Any]:
             }
             for vid, rec in sorted(dm.views.items())
         },
+        # Every QuarantinedView field but ``time`` (replay stamps 0.0).
         "quarantined": {
-            vid: {"seen": q.seen.to_jsonable(),
-                  "last_state_seq": q.last_state_seq}
+            vid: {
+                "address": q.address,
+                "properties": q.properties.to_jsonable(),
+                "mode": q.mode.value,
+                "seen": q.seen.to_jsonable(),
+                "last_state_seq": q.last_state_seq,
+                # An extract stamps no versions (a snapshot's copy
+                # decodes them as 0, which a VersionVector equates).
+                "image": dict(sorted(q.image.cells.items())),
+                "reason": q.reason,
+                "op_context": q.op_context,
+            }
             for vid, q in sorted(dm.quarantined.items())
         },
     }
@@ -102,10 +127,13 @@ class FakeCm:
         self.since = -1                   # delta cursor, as a fresh CM's
         self.state_seq = 0
         self.dirty: Dict[str, int] = {}   # written under a grant, not pushed
+        self.silent = False               # ignores INVALIDATE / FETCH_REQ
         self.endpoint = rig.transport.bind(self.address, self._on_message)
 
     def _on_message(self, msg: Message) -> None:
         if msg.msg_type in (M.INVALIDATE, M.FETCH_REQ):
+            if self.silent:
+                return
             payload: Dict[str, Any] = {"view_id": self.view_id}
             if self.dirty:
                 self.state_seq += 1
@@ -141,9 +169,11 @@ class DurableRig:
 
     def __init__(self, wal_root, cells: Optional[Dict[str, int]] = None,
                  lease_duration: Optional[float] = None,
+                 round_timeout: Optional[float] = None,
                  **spec_kw: Any) -> None:
         self.spec = DurabilitySpec(root=wal_root, **spec_kw)
         self.lease_duration = lease_duration
+        self.round_timeout = round_timeout
         self.kernel = SimKernel()
         self.transport = SimTransport(self.kernel, default_latency=1.0)
         self.cms: Dict[str, FakeCm] = {}
@@ -156,7 +186,8 @@ class DurableRig:
             self.transport, "dir", self.store,
             extract_from_object, merge_into_object,
             conflict_resolver=resolve_max, extract_cells=extract_cells,
-            lease_duration=self.lease_duration, durability=self.spec,
+            lease_duration=self.lease_duration,
+            round_timeout=self.round_timeout, durability=self.spec,
         )
 
     def cm(self, view_id: str) -> FakeCm:
@@ -188,6 +219,8 @@ class DurableRig:
     def register(self, view_id: str, cells: Iterable[str], mode: str = "weak",
                  triggers: Optional[Dict[str, Optional[str]]] = None,
                  recover: bool = False) -> None:
+        """REGISTER from the view's CM, restarted: it answers rounds."""
+        self.cm(view_id).silent = False
         self.cm(view_id).send(
             M.REGISTER, properties=props_for(cells), mode=mode,
             triggers=triggers or {}, recover=recover,
@@ -205,7 +238,9 @@ def random_step(rig: DurableRig, rng: random.Random) -> str:
         rig.register(
             vid, cells, mode=rng.choice(["weak", "strong"]),
             triggers={"push": "t % 10 == 0"} if rng.random() < 0.5 else None,
-            recover=vid in rig.dm.views or vid in rig.dm.quarantined,
+            # Half of the re-registrations after a quarantine are fresh.
+            recover=vid in rig.dm.views
+            or (vid in rig.dm.quarantined and rng.random() < 0.5),
         )
         return f"register {vid} {cells}"
     vid = rng.choice(registered)
@@ -215,36 +250,48 @@ def random_step(rig: DurableRig, rng: random.Random) -> str:
     if roll < 0.20:
         cm.serve_request(M.INIT_REQ)
         return f"init {vid}"
-    if roll < 0.40:
+    if roll < 0.38:
         cm.serve_request(M.PULL_REQ, need_fresh=rng.random() < 0.3,
                          full=rng.random() < 0.15)
         return f"pull {vid}"
-    if roll < 0.60:
+    if roll < 0.56:
         cm.serve_request(M.ACQUIRE, full=rng.random() < 0.1)
         if rng.random() < 0.7:
             # Written under the grant; handed over by the next
             # INVALIDATE_ACK / FETCH_REPLY, or pushed.
             cm.dirty[rng.choice(slice_)] = rng.randrange(100)
         return f"acquire {vid}"
-    if roll < 0.80:
+    if roll < 0.74:
         cells = cm.dirty or {rng.choice(slice_): rng.randrange(100)}
         cm.dirty = {}
         cm.push(cells)
         return f"push {vid} {cells}"
-    if roll < 0.87:
+    if roll < 0.80:
         mode = rng.choice(["weak", "strong"])
         cm.send(M.SET_MODE, mode=mode)
         return f"set_mode {vid} {mode}"
-    if roll < 0.93:
+    if roll < 0.86:
         lo = rng.randrange(len(CELLS) - 2)
         cells = CELLS[lo:lo + rng.randrange(2, 5)]
         cm.send(M.PROP_UPDATE, properties=props_for(cells))
         return f"prop_update {vid} {cells}"
-    if roll < 0.96:
-        cm.send(M.UNREGISTER)
+    if roll < 0.90:
+        # Half the time a view a round gave up on: still registered,
+        # and quarantined.
+        stashed = [v for v in registered if v in rig.dm.quarantined]
+        if stashed and rng.random() < 0.5:
+            vid = rng.choice(stashed)
+        rig.cm(vid).send(M.UNREGISTER)
         return f"unregister {vid}"
-    if roll < 0.98:
+    if roll < 0.94:
         cm.send(M.HEARTBEAT)
         return f"heartbeat {vid}"
+    holders = [v for v in registered if rig.dm.views[v].exclusive]
+    if roll < 0.97 and holders:
+        # The token holder's CM goes quiet: the next round that revokes
+        # it times out and quarantines it (with a round timeout set).
+        vid = rng.choice(holders)
+        rig.cm(vid).silent = True
+        return f"silence {vid}"
     rig.settle(45.0)    # long enough for a short lease to run out
     return "idle"

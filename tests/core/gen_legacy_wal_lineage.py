@@ -3,7 +3,7 @@
 Run against a checkout of the commit whose format is to be pinned::
 
     PYTHONPATH=<that checkout>/src:<this repo> \\
-        python tests/core/gen_legacy_wal_lineage.py <commit> OUT.json
+        python tests/core/gen_legacy_wal_lineage.py <commit> OUT.json [snapshot]
 
 It drives a fixed script through :class:`tests.core.durable_rig.DurableRig`
 (registrations, delta and full serves, revocation rounds, a
@@ -17,6 +17,14 @@ frames: both pin bytes an older commit wrote) was produced this way at
 commit 0c3d384, the last one whose ``_log_cursors`` wrote full-state
 ``cursors`` records: it is what licenses keeping that record kind's
 replay branch after its write side was deleted.
+
+With ``snapshot`` it drives :func:`snapshot_script` instead, which ends
+in a snapshot with no WAL record behind it, so recovery decodes nothing
+but that commit's snapshot: every view flag, and quarantine entries
+from both a lease eviction and a round timeout.
+``tests/net/legacy_snapshot.json`` was produced this way at commit
+b6474d9, the last one whose snapshot spelled a quarantine entry with
+six view fields of its own.
 """
 
 import base64
@@ -79,25 +87,62 @@ def script(rig: DurableRig) -> None:
     rig.settle()
 
 
-def main(commit: str, out: str) -> None:
+def snapshot_script(rig: DurableRig) -> None:
+    a, b, r, idle = (rig.cm(v) for v in ("a", "b", "r", "idle"))
+    rig.register("a", ["c0", "c1", "c2"], mode="strong",
+                 triggers={"push": "t % 10 == 0"})
+    rig.register("b", ["c1", "c2", "c3"], mode="strong")
+    rig.register("r", ["c0", "c1", "c2", "c3", "c4"], mode="weak",
+                 triggers={"pull": "t % 10 == 0", "push": None})
+    rig.register("idle", ["c7"], mode="weak")
+    rig.settle()
+    for cm in (r, idle):
+        cm.serve_request(M.INIT_REQ)
+    a.serve_request(M.ACQUIRE)
+    rig.settle()
+    a.dirty = {"c1": 11}
+    r.push({"c4": 44})
+    r.serve_request(M.PULL_REQ)                 # revokes a: a delta serve
+    rig.settle()
+    b.serve_request(M.ACQUIRE)
+    rig.settle()
+    b.silent = True
+    a.serve_request(M.ACQUIRE)                  # b never answers: quarantined
+    for _ in range(6):
+        for cm in (a, b, r):
+            cm.send(M.HEARTBEAT)
+        rig.settle(50.0)                        # idle's lease runs out
+    rig.dm.durability.snapshot(rig.dm._durable_state())
+
+
+def main(commit: str, out: str, kind: str = "wal") -> None:
+    snapshot = kind == "snapshot"
+    spec = ({"name": "legacy", "fsync": "always", "snapshot_every": 0}
+            if snapshot else
+            {"name": "legacy", "fsync": "always",
+             "snapshot_every": 5, "keep_snapshots": 2})
     with tempfile.TemporaryDirectory() as root:
-        rig = DurableRig(root, lease_duration=200.0, name="legacy",
-                         fsync="always", snapshot_every=5, keep_snapshots=2)
-        script(rig)
+        rig = DurableRig(root, lease_duration=200.0,
+                         round_timeout=30.0 if snapshot else None, **spec)
+        (snapshot_script if snapshot else script)(rig)
         live = rig.state()
         counters = rig.dm.counters
-        assert counters["delta_serves"] and counters["full_serves"]
-        assert counters["regrants"] and counters["leases_expired"]
+        if snapshot:
+            assert counters["round_timeouts"] and counters["leases_expired"]
+            assert {"b", "idle"} <= set(live["quarantined"])
+        else:
+            assert counters["delta_serves"] and counters["full_serves"]
+            assert counters["regrants"] and counters["leases_expired"]
+            assert "idle" in live["quarantined"] and "gone" not in live["views"]
         recovered = rig.crash_restart()
         assert recovered == live, "the writer's own recovery is not exact"
-        assert "idle" in live["quarantined"] and "gone" not in live["views"]
+        assert not snapshot or not rig.dm.durability.recovered.records
         rig.dm.crash()
         lineage = Path(root) / "legacy"
         kinds = sorted({record["k"] for record in wal_records(lineage)})
         doc = {
             "commit": commit,
-            "spec": {"name": "legacy", "fsync": "always",
-                     "snapshot_every": 5, "keep_snapshots": 2},
+            "spec": spec,
             "record_kinds_in_tail": kinds,
             "files": {
                 p.name: base64.b64encode(p.read_bytes()).decode("ascii")
@@ -110,4 +155,4 @@ def main(commit: str, out: str) -> None:
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:3])
+    main(*sys.argv[1:4])

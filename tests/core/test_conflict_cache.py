@@ -192,8 +192,7 @@ def test_strong_mode_invariant_after_property_change():
 
     # Forcing a stale view of the world would break the invariant:
     # verify check_invariants still has teeth against the live index.
-    directory.views["v1"].exclusive = True
-    directory.views["v1"].active = True
-    directory.views["v2"].active = True
+    directory._set_activity(directory.views["v1"], True, True)
+    directory._set_activity(directory.views["v2"], True, False)
     with pytest.raises(ProtocolError):
         directory.check_invariants()

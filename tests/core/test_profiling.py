@@ -282,9 +282,8 @@ def test_check_invariants_cost_tracks_exclusive_degree():
     evals0 = dm.policy.dynamic_evals
     dm.check_invariants()  # no exclusive views: zero conflict work
     assert dm.policy.dynamic_evals == evals0
-    # Direct flag mutation (the notifying-property path): one owner.
-    dm.views[_vid(0)].active = True
-    dm.views[_vid(0)].exclusive = True
+    # One owner, made through the flag writer.
+    dm._set_activity(dm.views[_vid(0)], True, True)
     dm.check_invariants()
     evals = dm.policy.dynamic_evals - evals0
     assert evals <= 4, evals  # the owner's pair neighborhood only
@@ -296,11 +295,11 @@ def test_activity_sets_follow_direct_flag_mutation():
     h.register(_vid(0), pair_group_props(0))
     h.drain()
     rec = h.dm.views[_vid(0)]
-    rec.active = True
-    rec.exclusive = True
+    h.dm._set_activity(rec, True, True)
     assert h.dm.active_views() == [_vid(0)]
     assert h.dm.exclusive_views() == [_vid(0)]
-    rec.exclusive = False
+    h.dm._set_activity(rec, True, False)
+    assert rec.active and not rec.exclusive
     assert h.dm.exclusive_views() == []
     h.dm._release(_vid(0))
     assert h.dm.active_views() == []

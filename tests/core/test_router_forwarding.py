@@ -148,11 +148,16 @@ def test_single_shard_views_exchange_the_unsharded_message_sequence():
     # The router minted no message of its own: the same ids were used.
     assert sorted(m[3] for m in sharded.sent) == sorted(m[3] for m in plain.sent)
     assert sharded.store.cells == plain.store.cells
-    # The per-shard ledger still sees forwarded traffic, both directions.
-    stats = sharded.router.shard_stats
-    assert stats[0].by_type[M.ACQUIRE] == stats[0].by_type[M.GRANT] > 0
-    assert stats[3].by_type[M.PUSH] == stats[3].by_type[M.PUSH_ACK] == 1
-    assert stats[1].total == stats[2].total == 0
+    # The one ledger, the inner transport's, sees the forwarded traffic
+    # in both directions, and only on the two shards the views live on.
+    pairs = sharded.transport.stats.by_pair
+    to, back = (
+        [sum(n for pair, n in pairs.items() if pair[end] == shard)
+         for shard in sharded.router.shard_addresses]
+        for end in (1, 0)
+    )
+    assert to[0] == back[0] > 0 and to[3] == back[3] > 0
+    assert to[1] == to[2] == back[1] == back[2] == 0
 
 
 def _foreign_push_script(run):

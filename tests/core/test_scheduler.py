@@ -289,9 +289,7 @@ def test_stats_concurrent_rounds_gauge():
     s.record_concurrent_rounds(3)
     s.record_concurrent_rounds(2)   # gauge keeps the high-water mark
     assert s.concurrent_rounds_hwm == 3
-    other = MessageStats()
-    other.record_concurrent_rounds(5)
-    s.merge(other)
+    s.record_concurrent_rounds(5)
     assert s.concurrent_rounds_hwm == 5
     assert "concurrent_rounds_hwm=5" in s.summary()
     s.reset()

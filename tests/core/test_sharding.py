@@ -263,21 +263,6 @@ def test_shard_local_views_never_fan_out_data_ops():
 # -- plane-wide accounting ---------------------------------------------------
 
 
-def test_per_shard_stats_merge_into_plane_view():
-    transport, store, system = _build(4)
-    run_all_scripts(system.transport, _contended_scripts(system))
-    router = system.plane.router
-    merged = system.plane.merged_stats()
-    per_shard_totals = sum(st.total for st in router.shard_stats.values())
-    assert merged.total == per_shard_totals > 0
-    # Per-type counters survive the merge (sum over shards).
-    for msg_type, count in merged.by_type.items():
-        assert count == sum(
-            st.by_type.get(msg_type, 0) for st in router.shard_stats.values()
-        )
-    system.close()
-
-
 def test_plane_counters_include_router_and_shards():
     transport, store, system = _build(2)
     run_all_scripts(system.transport, _contended_scripts(system))

@@ -8,15 +8,15 @@ write-write conflict detection, so it may not drift in either
 direction: a cursor behind the truth resolves a write that was not
 stale, one ahead of it lets a stale write through.
 
-(a) seeded random scripts over a durable directory sync, crash and
-restart at random points and compare every recovered field with the
-live directory's at the sync point; (b) a lineage frozen from the last
+(a) seeded random scripts over a durable directory — token holders
+that go silent until a round gives up on them, fresh re-registrations
+after an eviction, unregistrations of quarantined views — sync, crash
+and restart at random points and compare every recovered view and
+quarantine field with the live directory's at the sync point; (b) a lineage frozen from the last
 commit that wrote full-state ``cursors`` records must still recover to
 the state that commit recovered from it.
 """
 
-import base64
-import json
 import random
 from pathlib import Path
 
@@ -24,7 +24,12 @@ import pytest
 
 from repro.core import messages as M
 
-from tests.core.durable_rig import DurableRig, random_step, wal_records
+from tests.core.durable_rig import (
+    DurableRig,
+    random_step,
+    unpack_fixture,
+    wal_records,
+)
 
 LEGACY = Path(__file__).parents[1] / "net" / "legacy_wal_lineage.json"
 
@@ -41,6 +46,7 @@ def test_recovered_views_equal_live_views_at_the_sync_point(wal_root, seed):
     rig = DurableRig(
         wal_root, name=f"eq{seed}",
         lease_duration=rng.choice([None, 40.0, 120.0]),
+        round_timeout=rng.choice([15.0, 30.0]),
         fsync=rng.choice(["always", "batch", "off"]),
         batch_interval=rng.choice([2, 16]),
         snapshot_every=rng.choice([0, 3, 9]),
@@ -121,12 +127,7 @@ def test_serve_records_carry_only_the_served_keys(wal_root):
 # -- (b) a lineage the parent commit wrote ----------------------------------
 
 def _unpack_legacy(wal_root):
-    doc = json.loads(LEGACY.read_text())
-    lineage = wal_root / doc["spec"]["name"]
-    lineage.mkdir()
-    for name, blob in doc["files"].items():
-        (lineage / name).write_bytes(base64.b64decode(blob))
-    return doc, lineage
+    return unpack_fixture(LEGACY, wal_root)
 
 
 def test_legacy_lineage_recovers_to_its_frozen_state(wal_root):
