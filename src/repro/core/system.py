@@ -21,6 +21,7 @@ from repro.core.directory import (
 from repro.core.messages import TraceLog
 from repro.core.property_set import PropertySet
 from repro.errors import ReproError
+from repro.net.aio_transport import TIME_SCALE
 from repro.net.sim_transport import SimTransport
 from repro.net.transport import Completion, Transport, resolve_transport
 
@@ -52,7 +53,7 @@ class FleccSystem:
         self.transport = transport = resolve_transport(transport)
         self.trace = trace
         # Wire-codec selection ("json" | "binary" | "binary+zlib" |
-        # instance): forwarded to the transport, which owns negotiation.
+        # instance): forwarded to the transport, which owns the wire.
         # None keeps the transport's current codec.
         if codec is not None:
             set_codec = getattr(transport, "set_codec", None)
@@ -219,7 +220,6 @@ class _ThreadScriptHandle(ScriptHandle):
         self._result: Any = None
         self._exc: Optional[BaseException] = None
         self._finished = threading.Event()
-        self._time_scale = getattr(transport, "time_scale", 1000.0)
 
         def run() -> None:
             import time as _time
@@ -235,7 +235,7 @@ class _ThreadScriptHandle(ScriptHandle):
                         step = script.send(value_to_send)
                     value_to_send = None
                     if isinstance(step, tuple) and step and step[0] == "sleep":
-                        _time.sleep(step[1] / self._time_scale)
+                        _time.sleep(step[1] / TIME_SCALE)
                     elif isinstance(step, Completion):
                         try:
                             value_to_send = step.wait(timeout=30.0)

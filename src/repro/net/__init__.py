@@ -11,11 +11,12 @@ Two interchangeable transports are provided (see
   discrete-event delivery over a :class:`~repro.net.topology.Topology`
   (per-link latencies), used by all benchmarks.
 - :class:`~repro.net.aio_transport.AioTcpTransport` — real TCP sockets on
-  localhost with length-prefixed frames and per-connection codec
-  negotiation (JSON fallback), matching the paper's "prototype with
-  sockets" character, on one asyncio event loop: endpoints multiplex
-  one socket pair, writes coalesce into single flushes, and bounded
-  send queues push back on senders instead of buffering unboundedly.
+  localhost with length-prefixed frames, each connection speaking the
+  transport's codec from its first frame, matching the paper's
+  "prototype with sockets" character, on one asyncio event loop:
+  endpoints multiplex one socket pair, writes coalesce into single
+  flushes, and bounded send queues push back on senders instead of
+  buffering unboundedly.
 
 Two wire codecs share one type registry:
 :class:`~repro.net.codec.JsonCodec` (text, always available) and
@@ -38,7 +39,6 @@ from repro.net.transport import (
     Endpoint,
     Transport,
     resolve_transport,
-    transport_name,
 )
 from repro.net.sim_transport import SimCompletion, SimTransport
 from repro.net.aio_transport import AioTcpTransport, ThreadCompletion
@@ -64,5 +64,4 @@ __all__ = [
     "AioTcpTransport",
     "ReliableTransport",
     "resolve_transport",
-    "transport_name",
 ]

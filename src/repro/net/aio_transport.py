@@ -7,15 +7,12 @@ staying inside the single-threaded handler model the protocol engines
 assume.
 
 Wire contract: each frame is a 4-byte big-endian length followed by the
-encoded message.  The first frame a client writes on a fresh connection
-is a JSON-encoded ``CODEC_HELLO`` advertising the codecs it supports
-and the one it prefers; the server answers with a JSON-encoded
-``CODEC_WELCOME`` naming the codec every later frame on that connection
-will use — the client's preference if the server has it, else the first
-advertised codec the server shares, else ``"json"``.  A peer whose
-first frame is *not* a hello (a legacy JSON speaker) gets its message
-delivered normally and the connection stays on JSON, so mixed-version
-links degrade instead of breaking.
+encoded message.  A connection speaks the transport's codec from its
+first frame: the client (the mux link's writer) takes ``self.codec``
+when it opens the connection and the server takes it at accept.  Both
+ends are this one object, so there is nothing to negotiate, and a
+connection opened before :meth:`AioTcpTransport.set_codec` finishes on
+the codec it opened with.
 
 Machinery:
 
@@ -45,8 +42,8 @@ loop thread, one at a time — the same one-at-a-time semantics the sim
 kernel provides — so engine code runs unchanged.
 
 Time: ``now()`` is wall-clock seconds since transport creation, scaled
-by ``time_scale`` so tests can use the same trigger expressions as the
-simulated runs.
+by :data:`TIME_SCALE` so tests can use the same trigger expressions as
+the simulated runs.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import CodecError, TransportError
-from repro.net.codec import JsonCodec
+from repro.net.binary_codec import codec_name, resolve_codec
 from repro.net.message import Message, make_batch
 from repro.net.transport import Completion, Endpoint, TimerHandle, Transport
 
@@ -72,11 +69,10 @@ _MAX_FRAME = 64 * 1024 * 1024
 # Most messages the writer coalesces into one ``drain()``.
 MAX_FLUSH = 128
 
-# Codec-negotiation handshake message types.  Both frames are always
-# JSON-encoded (the one format every peer speaks) and are consumed by
-# the transport itself — endpoint handlers never see them.
-CODEC_HELLO = "CODEC_HELLO"
-CODEC_WELCOME = "CODEC_WELCOME"
+# Transport time units per wall-clock second: one unit ~= 1 ms, so
+# trigger expressions like ``t > 1500`` mean "after 1.5 s" on sockets
+# while being pure numbers in simulation.
+TIME_SCALE = 1000.0
 
 # What ``handler_errors`` lists in place of a message type for an
 # inbound frame no message could be read from.
@@ -180,7 +176,6 @@ class _Link:
         # it and via call_soon_threadsafe by every other thread.
         self.wake = asyncio.Event()
         self.task: Optional[asyncio.Task] = None
-        self.codec_name: Optional[str] = None
         self.error: Optional[BaseException] = None
 
 
@@ -196,13 +191,8 @@ def _link_read_done(read: asyncio.Future, link: _Link) -> None:
 class AioTcpTransport(Transport):
     """Asyncio localhost TCP backend with a process-local address book.
 
-    ``time_scale``: transport time units per wall-clock second.  The
-    default (1000) makes one time unit ~= 1 ms, so trigger expressions
-    like ``t > 1500`` mean "after 1.5 s" on sockets while being pure
-    numbers in simulation.
-    ``codec``: preferred wire codec — ``"json"`` (default),
-    ``"binary"``, ``"binary+zlib"``, or a codec instance.  JSON is
-    always kept as the negotiation fallback.
+    ``codec``: the wire codec — ``"json"`` (default), ``"binary"``,
+    ``"binary+zlib"``, or a codec instance.
     ``max_queue`` bounds the mux send queue (full queue ⇒ the send is
     refused with ``TransportError`` + a ``backpressure_stalls`` tick).
     ``wrap_batches`` additionally wraps each multi-frame flush in a
@@ -214,13 +204,11 @@ class AioTcpTransport(Transport):
 
     def __init__(
         self,
-        time_scale: float = 1000.0,
         codec: Any = None,
         max_queue: int = 4096,
         wrap_batches: bool = False,
     ) -> None:
         super().__init__()
-        self.time_scale = time_scale
         self.max_queue = max_queue
         self.wrap_batches = wrap_batches
         self._t0 = time.monotonic()
@@ -244,58 +232,25 @@ class AioTcpTransport(Transport):
         #: (msg_type, exception) pairs from handlers that raised — a bad
         #: handler must not kill the shared mux connection, but the
         #: failure has to stay observable.  A frame that could not be
-        #: decoded (or was oversized) is listed under :data:`BAD_FRAME`;
-        #: that one does cost the inbound connection it arrived on.
+        #: decoded (or was oversized, or a BATCH that could not be
+        #: split) is listed under :data:`BAD_FRAME`; that one does cost
+        #: the inbound connection it arrived on.
         self.handler_errors: List[Tuple[str, BaseException]] = []
         self.set_codec(codec)
 
-    # -- codec selection & negotiation ------------------------------------
+    # -- codec selection --------------------------------------------------
     def set_codec(self, codec: Any) -> None:
-        """Swap the preferred wire codec; the mux link is dropped so the
-        next send renegotiates.  Quiesce traffic first: frames still
-        queued on the old link are discarded with it."""
-        from repro.net.binary_codec import codec_name, resolve_codec
-
-        preferred = resolve_codec(codec)
-        preferred.stats = self.stats
-        name = codec_name(preferred)
-        if name == "json":
-            json_codec = preferred
-        else:
-            json_codec = getattr(self, "json_codec", None) or JsonCodec()
-        self.json_codec = json_codec
-        self._codecs: Dict[str, Any] = {"json": json_codec, name: preferred}
-        self._preferred_name = name
-        self.codec = preferred
+        """Swap the wire codec; the mux link is dropped so the next send
+        opens a connection on the new one.  Quiesce traffic first:
+        frames still queued on the old link are discarded with it."""
+        self.codec = resolve_codec(codec)
+        self.codec.stats = self.stats
         self._reset_link()
 
     @property
     def preferred_codec(self) -> str:
-        return self._preferred_name
-
-    @property
-    def supported_codecs(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._codecs))
-
-    def negotiated_codec(self, src: str, dst: str) -> Optional[str]:
-        """Codec name the mux link agreed on (all (src, dst) pairs share
-        the one link; None before any send established it)."""
-        link = self._link
-        return link.codec_name if link is not None else None
-
-    def _choose_codec(self, payload: Any) -> str:
-        """Server-side pick from a hello payload: the client's stated
-        preference if we speak it, else the first advertised codec we
-        share, else JSON."""
-        if not isinstance(payload, dict):
-            return "json"
-        prefer = payload.get("prefer")
-        if isinstance(prefer, str) and prefer in self._codecs:
-            return prefer
-        for name in payload.get("supported") or ():
-            if isinstance(name, str) and name in self._codecs:
-                return name
-        return "json"
+        """The wire name of :attr:`codec` (``"json"`` or ``"binary"``)."""
+        return codec_name(self.codec)
 
     # -- loop lifecycle ---------------------------------------------------
     def _ensure_loop(self) -> None:
@@ -351,23 +306,14 @@ class AioTcpTransport(Transport):
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._server_writers.add(writer)
-        codec: Any = self.json_codec
-        negotiated = False
+        codec = self.codec
         try:
             while True:
                 header = await reader.readexactly(_LEN.size)
                 (length,) = _LEN.unpack(header)
                 if length > _MAX_FRAME:
                     raise TransportError(f"frame too large: {length}")
-                body = await reader.readexactly(length)
-                if not negotiated:
-                    negotiated = True
-                    msg, codec = self._first_frame(writer, body, codec)
-                    if msg is None:  # hello consumed, welcome written
-                        await writer.drain()
-                        continue
-                else:
-                    msg = codec.decode(body)
+                msg = codec.decode(await reader.readexactly(length))
                 self._deliver(msg)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass
@@ -387,32 +333,6 @@ class AioTcpTransport(Transport):
             except Exception:
                 pass
 
-    def _first_frame(
-        self, writer: asyncio.StreamWriter, body: bytes, codec: Any
-    ) -> Tuple[Optional[Message], Any]:
-        """Handle the first frame of an inbound connection.
-
-        A CODEC_HELLO is answered with a CODEC_WELCOME and consumed
-        (returns ``(None, negotiated_codec)``); anything else is a
-        legacy peer's ordinary message, delivered as-is on JSON.
-        """
-        try:
-            msg = self.json_codec.decode(body)
-        except CodecError:
-            return codec.decode(body), codec
-        if msg.msg_type != CODEC_HELLO:
-            return msg, codec
-        chosen = self._choose_codec(msg.payload)
-        welcome = Message(
-            CODEC_WELCOME,
-            src="aio-server",
-            dst=msg.src,
-            payload={"use": chosen, "supported": sorted(self._codecs)},
-        )
-        raw = self.json_codec.encode(welcome)
-        writer.write(_LEN.pack(len(raw)) + raw)
-        return None, self._codecs[chosen]
-
     def _invoke(self, ep: Endpoint, msg: Message) -> None:
         """Handler exceptions are recorded, not propagated — one bad
         handler must not tear down the shared mux connection."""
@@ -422,37 +342,9 @@ class AioTcpTransport(Transport):
             self.handler_errors.append((msg.msg_type, exc))
 
     # -- client (writer) side ---------------------------------------------
-    async def _client_handshake(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> str:
-        hello = Message(
-            CODEC_HELLO,
-            src="aio-mux",
-            dst="aio-server",
-            payload={
-                "supported": sorted(self._codecs),
-                "prefer": self._preferred_name,
-            },
-        )
-        raw = self.json_codec.encode(hello)
-        writer.write(_LEN.pack(len(raw)) + raw)
-        await writer.drain()
-        try:
-            header = await reader.readexactly(_LEN.size)
-            (length,) = _LEN.unpack(header)
-            if length > _MAX_FRAME:
-                return "json"
-            body = await reader.readexactly(length)
-            welcome = self.json_codec.decode(body)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError, CodecError):
-            return "json"
-        if welcome.msg_type != CODEC_WELCOME:
-            return "json"
-        use = welcome.payload.get("use") if welcome.payload else None
-        return use if isinstance(use, str) and use in self._codecs else "json"
-
     async def _run_link(self, link: _Link) -> None:
         link.task = asyncio.current_task()
+        codec = self.codec
         try:
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", self._port
@@ -462,11 +354,9 @@ class AioTcpTransport(Transport):
             return
         closed: Optional[asyncio.Future] = None
         try:
-            link.codec_name = await self._client_handshake(reader, writer)
-            codec = self._codecs.get(link.codec_name, self.json_codec)
-            # The server writes nothing after its welcome, so a read that
-            # returns means the connection is gone: wake the writer to
-            # retire the link before it writes into a dead socket.
+            # The server never writes, so a read that returns means the
+            # connection is gone: wake the writer to retire the link
+            # before it writes into a dead socket.
             closed = asyncio.ensure_future(reader.read(1))
             closed.add_done_callback(lambda f: _link_read_done(f, link))
             while True:
@@ -623,7 +513,7 @@ class AioTcpTransport(Transport):
             pass  # loop shut down under us; close() owns cleanup
 
     def now(self) -> float:
-        return (time.monotonic() - self._t0) * self.time_scale
+        return (time.monotonic() - self._t0) * TIME_SCALE
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
         self._ensure_loop()
@@ -644,7 +534,7 @@ class AioTcpTransport(Transport):
         def create() -> None:
             if not state["cancelled"]:
                 state["handle"] = (
-                    loop.call_later(delay / self.time_scale, run)
+                    loop.call_later(delay / TIME_SCALE, run)
                     if delay > 0 else loop.call_soon(run)
                 )
 

@@ -693,9 +693,6 @@ class BinaryCodec:
             raise CodecError(f"compress_level must be 0-9: {compress_level}")
         self.compress_level = compress_level or None
         self.compress_min_bytes = compress_min_bytes
-        # Fallback for mixed links: a JSON frame handed to this codec
-        # (e.g. a pre-negotiation peer) still decodes.
-        self._json = JsonCodec()
         # string -> its pre-built SDEF record (see _enc_str); a pure
         # memo, so sharing the codec between threads stays race-free.
         self._sdef: Dict[str, bytes] = {}
@@ -749,8 +746,6 @@ class BinaryCodec:
                 body, pos = zlib.decompress(memoryview(raw)[1:]), 0
             except zlib.error as exc:
                 raise CodecError(f"cannot decompress frame: {exc}") from exc
-        elif magic == 0x7B:  # '{' — a JSON frame on a mixed link
-            return self._json.decode(raw)
         else:
             raise CodecError(f"unknown binary frame magic: {magic:#x}")
         try:
@@ -818,9 +813,8 @@ def decode_value(raw: bytes) -> Any:
 # ---------------------------------------------------------------------------
 # Codec selection
 # ---------------------------------------------------------------------------
-# The negotiable codec universe.  Spec strings are what SystemConfig-level
-# callers pass (``codec="binary"``) and what TCP peers advertise in their
-# hello frames; instances pass through untouched.
+# Spec strings are what system-level callers pass (``codec="binary"``);
+# instances pass through untouched.
 
 CODEC_JSON = "json"
 CODEC_BINARY = "binary"
@@ -854,7 +848,7 @@ def resolve_codec(spec: Any = None) -> Any:
 
 
 def codec_name(codec: Any) -> str:
-    """The negotiation name a codec instance answers to.
+    """The wire name a codec instance answers to.
 
     Compressed and raw binary share one wire name — the frame magic
     distinguishes them, so any binary decoder handles both.

@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.errors import CodecError
+
 _msg_ids = itertools.count(1)
 
 
@@ -143,12 +145,21 @@ def is_batch(msg: Message) -> bool:
 
 
 def split_batch(msg: Message) -> List[Message]:
-    """Unwrap a BATCH frame into its sub-messages (delivery order)."""
+    """Unwrap a BATCH frame into its sub-messages (delivery order).
+
+    An envelope that holds no sub-messages, or anything but messages,
+    cannot be read and raises :class:`CodecError`, as an undecodable
+    frame does.
+    """
     if msg.msg_type != BATCH:
         raise ValueError(f"not a BATCH message: {msg.msg_type}")
-    subs = msg.payload.get("messages")
+    try:
+        subs = [
+            m if m.__class__ is Message else Message.from_dict(m)
+            for m in msg.payload["messages"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise CodecError(f"malformed BATCH frame: {exc!r}") from None
     if not subs:
-        raise ValueError("empty BATCH frame")
-    return [
-        m if m.__class__ is Message else Message.from_dict(m) for m in subs
-    ]
+        raise CodecError("empty BATCH frame")
+    return subs

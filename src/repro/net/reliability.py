@@ -17,8 +17,8 @@ per flight:
   the attempt number).  Unacknowledged envelopes sit in one deadline
   heap served by a single inner timer; an expired one is retransmitted
   with exponential backoff (plus seeded jitter, so synchronized retry
-  storms de-correlate deterministically) up to ``max_attempts`` times,
-  then given up like a raw transport's loss.
+  storms de-correlate deterministically) up to :data:`MAX_ATTEMPTS`
+  times, then given up like a raw transport's loss.
 - **ACK vectors**: the receiver does not answer each frame.  It notes
   ``(link, seq[, attempt])`` as owed and flushes once per loop turn:
   one ``R_ACK`` per peer control address, payload ``{"acks": [[src,
@@ -86,6 +86,13 @@ _LATE_DEFER = 0.25
 DEDUP_WINDOW = 1024
 MAX_BACKOFF = 200.0
 
+# Transmissions of one envelope before it is given up, the factor each
+# retransmission multiplies the timeout by, and the seeded spread of a
+# retransmission delay (a uniform factor in [1 - JITTER, 1 + JITTER]).
+MAX_ATTEMPTS = 12
+BACKOFF = 1.5
+JITTER = 0.1
+
 
 class _Outgoing:
     """Sender-side state for one envelope; ``envelope`` is dropped
@@ -152,32 +159,21 @@ class ReliableTransport(LayeredTransport):
     actually travel.  Clock, timers, completions, placement and codec
     selection are the inner backend's (:class:`LayeredTransport`):
     R_DATA/R_ACK envelopes are ordinary messages on the inner transport,
-    so they ride whatever codec the underlying link negotiated.
-    ``ack_timeout`` is the initial and minimum retransmission timeout.
+    so they ride whatever codec the inner transport speaks.
+    ``ack_timeout`` is the initial and minimum retransmission timeout;
+    ``seed`` seeds the retransmission jitter.
     """
 
     def __init__(
         self,
         inner: Transport,
         ack_timeout: float = 10.0,
-        max_attempts: int = 12,
-        backoff: float = 1.5,
-        jitter: float = 0.1,
         seed: int = 0,
     ) -> None:
         super().__init__(inner)
         if ack_timeout <= 0:
             raise TransportError("ack_timeout must be > 0")
-        if max_attempts < 1:
-            raise TransportError("max_attempts must be >= 1")
-        if backoff < 1.0:
-            raise TransportError("backoff must be >= 1.0")
-        if not 0.0 <= jitter < 1.0:
-            raise TransportError("jitter must be in [0, 1)")
         self.ack_timeout = ack_timeout
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.jitter = jitter
         from repro.sim.rng import stream_for
 
         self._jitter_rng = stream_for(seed, "reliability-jitter")
@@ -273,11 +269,9 @@ class ReliableTransport(LayeredTransport):
             self.inner.stats.record_drop(frame)
 
     def _retry_delay(self, sender: _LinkSender, attempt: int) -> float:
-        delay = min(sender.rto(self.ack_timeout) * self.backoff ** (attempt - 1),
+        delay = min(sender.rto(self.ack_timeout) * BACKOFF ** (attempt - 1),
                     MAX_BACKOFF)
-        if self.jitter > 0.0:
-            delay *= 1.0 + self.jitter * (2.0 * self._jitter_rng.random() - 1.0)
-        return delay
+        return delay * (1.0 + JITTER * (2.0 * self._jitter_rng.random() - 1.0))
 
     # -- the retransmit timer (lock held in _push/_arm) --------------------
     def _push(self, out: _Outgoing, deadline: float) -> None:
@@ -325,7 +319,7 @@ class ReliableTransport(LayeredTransport):
                     continue  # acknowledged or abandoned meanwhile
                 sender = self._senders[out.link]
                 attempt = len(out.sent_at)
-                if attempt >= self.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     # Out of attempts: behave like a raw transport
                     # losing the message (the protocol's own watchdogs
                     # take over).

@@ -1,10 +1,12 @@
 """Deterministic simulated transport over the discrete-event kernel.
 
-Delivery latency comes from a :class:`~repro.net.topology.Topology`
-(minimum-latency path between the nodes the endpoints are placed on) or
-a uniform default.  Optional *strict wire* mode round-trips every
-message through the JSON codec so that anything that would break on the
-TCP transport also breaks (loudly) in simulation.
+A delivery waits for the path latency — from a
+:class:`~repro.net.topology.Topology` (minimum-latency path between the
+nodes the endpoints are placed on) or a uniform default — plus any
+extra time the fault policy asks for, and nothing else.  *Strict wire*
+mode (the default) round-trips every message through the transport's
+codec so that anything that would break on the TCP transport also
+breaks (loudly) in simulation.
 
 Fault injection: a ``fault_policy(msg) -> "deliver" | "drop" |
 "duplicate" | ("delay", extra)`` hook supports the failure-injection
@@ -19,6 +21,7 @@ from time import perf_counter_ns
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import TransportError
+from repro.net.binary_codec import resolve_codec
 from repro.net.message import Message
 from repro.net.topology import Topology
 from repro.net.transport import Completion, TimerHandle, Transport
@@ -63,37 +66,16 @@ class SimTransport(Transport):
         default_latency: float = 1.0,
         strict_wire: bool = True,
         fault_policy: Optional[Callable[[Message], str]] = None,
-        model_bandwidth: bool = False,
-        jitter: float = 0.0,
-        jitter_seed: int = 0,
         codec: Any = None,
     ) -> None:
         super().__init__()
         if default_latency < 0:
             raise TransportError("default_latency must be >= 0")
-        if not 0.0 <= jitter < 1.0:
-            raise TransportError("jitter must be in [0, 1)")
-        if model_bandwidth and not strict_wire:
-            raise TransportError(
-                "model_bandwidth needs strict_wire (message sizes come "
-                "from the encoded frame)"
-            )
         self.kernel = kernel
         self.topology = topology
         self.default_latency = default_latency
         self.strict_wire = strict_wire
         self.fault_policy = fault_policy
-        # When enabled, delivery delay = path latency + frame_bytes /
-        # bottleneck_bandwidth along the min-latency path (bandwidth in
-        # bytes per time unit, from the topology's link attributes).
-        self.model_bandwidth = model_bandwidth
-        # Per-message latency jitter: delay is scaled by a seeded
-        # uniform factor in [1-jitter, 1+jitter].  Deterministic (own
-        # substream) so jittered runs still replay exactly.
-        self.jitter = jitter
-        from repro.sim.rng import stream_for
-
-        self._jitter_rng = stream_for(jitter_seed, "transport-jitter")
         # logical endpoint address -> topology node it is placed on
         self._placement: Dict[str, str] = {}
         self.set_codec(codec)
@@ -107,12 +89,9 @@ class SimTransport(Transport):
     def set_codec(self, codec: Any) -> None:
         """Swap the wire codec (``"json"`` | ``"binary"`` | instance).
 
-        The sim transport has no peer to negotiate with — both “ends”
-        share this object — so the chosen codec simply applies to every
-        strict-wire round-trip.
+        Both “ends” share this object, so the chosen codec simply
+        applies to every strict-wire round-trip.
         """
-        from repro.net.binary_codec import resolve_codec
-
         self._codec = resolve_codec(codec)
         # Route per-frame compression accounting into this transport's
         # counters (no-op for codecs that never compress).
@@ -142,44 +121,19 @@ class SimTransport(Transport):
             return self.default_latency if src != dst else 0.0
         return self.topology.latency(a, b)
 
-    def bottleneck_bandwidth(self, src: str, dst: str) -> float:
-        """Minimum link bandwidth along the min-latency path."""
-        a, b = self.node_of(src), self.node_of(dst)
-        if self.topology is None or a is None or b is None or a == b:
-            return float("inf")
-        _, nodes = self.topology.path(a, b)
-        return min(
-            (
-                self.topology.link_attrs(x, y).get("bandwidth", float("inf"))
-                for x, y in zip(nodes, nodes[1:])
-            ),
-            default=float("inf"),
-        )
-
-    def delivery_delay(self, msg: Message, frame_bytes: int) -> float:
-        delay = self.latency_between(msg.src, msg.dst)
-        if self.model_bandwidth:
-            bw = self.bottleneck_bandwidth(msg.src, msg.dst)
-            if bw != float("inf") and bw > 0:
-                delay += frame_bytes / bw
-        if self.jitter > 0.0 and delay > 0.0:
-            delay *= 1.0 + self.jitter * (2.0 * self._jitter_rng.random() - 1.0)
-        return delay
-
     # -- Transport API --------------------------------------------------------
     def send(self, msg: Message) -> None:
-        frame_bytes = 0
+        size = None
+        wire_msg = msg
         if self.strict_wire:
             t0 = perf_counter_ns()
             raw = self._codec.encode(msg)
             # Size from the returned bytes — codecs keep no per-encode
             # state, so a shared codec stays race-free.
-            frame_bytes = len(raw)
-            self.stats.record_encode(frame_bytes, perf_counter_ns() - t0)
+            size = len(raw)
+            self.stats.record_encode(size, perf_counter_ns() - t0)
             wire_msg = self._codec.decode(raw)
-        else:
-            wire_msg = msg
-        self.stats.record(msg, size=frame_bytes if self.strict_wire else None)
+        self.stats.record(msg, size=size)
         action = self.fault_policy(msg) if self.fault_policy else "deliver"
         extra_delay = 0.0
         if isinstance(action, tuple):
@@ -199,7 +153,7 @@ class SimTransport(Transport):
             copies = 2
         elif action != "deliver":
             raise TransportError(f"fault policy returned {action!r}")
-        delay = self.delivery_delay(msg, frame_bytes) + extra_delay
+        delay = self.latency_between(msg.src, msg.dst) + extra_delay
         for _ in range(copies):
             self.kernel.call_in(delay, lambda m=wire_msg: self._deliver(m))
 

@@ -33,14 +33,13 @@ class Topology:
         a: str,
         b: str,
         latency: float = 1.0,
-        bandwidth: float = float("inf"),
         secure: bool = True,
         **attrs: Any,
     ) -> None:
         """Add a bidirectional link; ``latency`` is one-way per message."""
         if latency < 0:
             raise TransportError(f"negative latency on link {a}-{b}")
-        self._g.add_edge(a, b, latency=latency, bandwidth=bandwidth, secure=secure, **attrs)
+        self._g.add_edge(a, b, latency=latency, secure=secure, **attrs)
         self._path_cache.clear()
 
     # -- queries -----------------------------------------------------------

@@ -250,10 +250,8 @@ def _make_aio(**kwargs: Any) -> "Transport":
 _TRANSPORT_SPECS: Dict[str, Callable[..., "Transport"]] = {
     TRANSPORT_SIM: _make_sim,
     TRANSPORT_AIO: _make_aio,
-    # Aliases: "tcp" names the wire, not a threading model.
+    # Alias: "tcp" names the wire, not a threading model.
     "tcp": _make_aio,
-    "asyncio": _make_aio,
-    "aio-tcp": _make_aio,
 }
 
 
@@ -268,8 +266,7 @@ def resolve_transport(spec: Any, **kwargs: Any) -> "Transport":
     - ``"sim"`` — a :class:`~repro.net.sim_transport.SimTransport`; a
       fresh :class:`~repro.sim.kernel.SimKernel` is created unless one
       is passed as ``kernel=``;
-    - ``"aio"`` (aliases ``"tcp"``, ``"asyncio"``, ``"aio-tcp"``) — the
-      socket backend, an event-loop
+    - ``"aio"`` (alias ``"tcp"``) — the socket backend, an event-loop
       :class:`~repro.net.aio_transport.AioTcpTransport`.
 
     Extra ``kwargs`` are forwarded to the backend constructor.
@@ -291,14 +288,3 @@ def resolve_transport(spec: Any, **kwargs: Any) -> "Transport":
         return factory(**kwargs)
     raise TransportError(f"not a transport: {spec!r}")
 
-
-def transport_name(transport: "Transport") -> str:
-    """The spec name a transport instance answers to (best effort)."""
-    from repro.net.aio_transport import AioTcpTransport
-    from repro.net.sim_transport import SimTransport
-
-    if isinstance(transport, SimTransport):
-        return TRANSPORT_SIM
-    if isinstance(transport, AioTcpTransport):
-        return TRANSPORT_AIO
-    return type(transport).__name__

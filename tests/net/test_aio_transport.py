@@ -1,24 +1,29 @@
 """Unit tests for repro.net.aio_transport (event-loop TCP on localhost).
 
-The asyncio backend must honour the Transport contract — framing, codec
-negotiation, completion semantics — plus the three things its event
+The asyncio backend must honour the Transport contract — framing, the
+transport's codec on the wire, completion semantics — plus the three things its event
 loop adds: connection multiplexing, write coalescing, and bounded-queue
 backpressure.
 """
 
+import socket
+import struct
 import threading
 import time
 
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import CodecError, TransportError
 from repro.net import (
     AioTcpTransport,
+    BinaryCodec,
+    JsonCodec,
     Message,
     ThreadCompletion,
     resolve_transport,
-    transport_name,
 )
+from repro.net.aio_transport import BAD_FRAME
+from repro.net.message import BATCH
 
 
 @pytest.fixture()
@@ -107,9 +112,12 @@ def test_binary_codec_negotiates_like_tcp():
         done = threading.Event()
         tr.bind("x", lambda m: None)
         tr.bind("y", lambda m: done.set())
-        tr.send(Message("PING", "x", "y", {}))
+        msg = Message("PING", "x", "y", {})
+        tr.send(msg)
         assert done.wait(5.0)
-        assert tr.negotiated_codec("x", "y") == "binary"
+        assert tr.preferred_codec == "binary"
+        # The one frame on the wire is the binary encoding, nothing else.
+        assert tr.stats.bytes_sent == len(BinaryCodec().encode(msg))
     finally:
         tr.close()
 
@@ -118,9 +126,11 @@ def test_json_is_the_default_codec(transport):
     done = threading.Event()
     transport.bind("x", lambda m: None)
     transport.bind("y", lambda m: done.set())
-    transport.send(Message("PING", "x", "y", {}))
+    msg = Message("PING", "x", "y", {})
+    transport.send(msg)
     assert done.wait(5.0)
-    assert transport.negotiated_codec("x", "y") == "json"
+    assert transport.preferred_codec == "json"
+    assert transport.stats.bytes_sent == len(JsonCodec().encode(msg))
 
 
 def test_completion_bridges_loop_to_caller_thread(transport):
@@ -282,11 +292,13 @@ def test_full_send_queue_refuses_and_counts_stalls():
         tr.close()
 
 
-def test_stacked_reliable_transport_recovers_stalled_frames():
+def test_stacked_reliable_transport_recovers_stalled_frames(monkeypatch):
+    from repro.net import reliability
     from repro.net.reliability import ReliableTransport
 
+    monkeypatch.setattr(reliability, "MAX_ATTEMPTS", 20)
     tr = AioTcpTransport(max_queue=4)
-    rel = ReliableTransport(tr, ack_timeout=50.0, max_attempts=20)
+    rel = ReliableTransport(tr, ack_timeout=50.0)
     try:
         got = []
         done = threading.Event()
@@ -389,6 +401,28 @@ def test_reliable_send_survives_the_server_dropping_the_link():
         rel.close()
 
 
+def test_a_batch_that_cannot_be_split_is_a_bad_frame(transport, caplog):
+    """A malformed BATCH from a socket is refused like an undecodable
+    frame — recorded, logged once, its connection dropped — instead of
+    escaping the server's connection callback."""
+    got = []
+    transport.bind("dir", got.append)
+    codec = JsonCodec()
+    with caplog.at_level("WARNING"):
+        for subs in ([], [{"src": "x"}], "nope"):
+            raw = codec.encode(Message(BATCH, "ext", "dir", {"messages": subs}))
+            with socket.create_connection(
+                ("127.0.0.1", transport.port), timeout=5.0
+            ) as sock:
+                sock.sendall(struct.pack(">I", len(raw)) + raw)
+                assert sock.recv(1) == b"", "server keeps a bad connection"
+    assert got == []
+    assert [kind for kind, _ in transport.handler_errors] == [BAD_FRAME] * 3
+    assert all(isinstance(exc, CodecError)
+               for _, exc in transport.handler_errors)
+    assert [r.name for r in caplog.records] == ["repro.net.aio_transport"] * 3
+
+
 # ---------------------------------------------------------------------------
 # Factory
 # ---------------------------------------------------------------------------
@@ -396,11 +430,10 @@ def test_reliable_send_survives_the_server_dropping_the_link():
 
 def test_resolve_transport_specs():
     # "tcp" names the wire, not a threading model: one socket backend.
-    for spec in ("aio", "tcp", "asyncio", "aio-tcp"):
+    for spec in ("aio", "tcp"):
         tr = resolve_transport(spec)
         try:
             assert isinstance(tr, AioTcpTransport)
-            assert transport_name(tr) == "aio"
         finally:
             tr.close()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import CodecError
 from repro.core.messages import BATCH as CORE_BATCH
 from repro.net.binary_codec import BinaryCodec
 from repro.net.codec import JsonCodec
@@ -79,8 +80,10 @@ def test_binary_batch_decodes_straight_to_messages():
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         make_batch("dir", "cm:a", [])
-    with pytest.raises(ValueError):
-        split_batch(Message(BATCH, "dir", "cm:a", {"messages": []}))
+    # An envelope off the wire that holds no messages is a bad frame.
+    for subs in ([], [{"src": "x"}], "nope"):
+        with pytest.raises(CodecError):
+            split_batch(Message(BATCH, "dir", "cm:a", {"messages": subs}))
     with pytest.raises(ValueError):
         split_batch(Message("PUSH", "dir", "cm:a", {}))  # not a batch
 

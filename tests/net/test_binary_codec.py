@@ -245,12 +245,13 @@ def test_malformed_nested_message_is_refused_at_encode():
 
 
 def test_decode_json_frame_falls_back():
-    """A mixed link can hand a JSON frame to the binary decoder (the
-    pre-negotiation hello, or a legacy peer); magic 0x7b routes it to
-    the JSON fallback."""
-    m = Message("T", "a", "b", {"x": 1})
-    raw = JsonCodec().encode(m)
-    assert BinaryCodec().decode(raw) == m
+    """Nothing falls back: a link speaks one codec from its first frame,
+    so a JSON frame handed to the binary decoder is refused like any
+    other unknown magic byte."""
+    raw = JsonCodec().encode(Message("T", "a", "b", {"x": 1}))
+    assert raw[0] == 0x7B
+    with pytest.raises(CodecError, match="magic"):
+        BinaryCodec().decode(raw)
 
 
 def test_raw_frame_magic():

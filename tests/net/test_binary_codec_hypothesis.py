@@ -4,7 +4,7 @@ every registered Flecc domain type, non-finite floats, and unicode keys
 
     binary.decode(binary.encode(m)) == json.decode(json.encode(m))
 
-which is the contract that lets a negotiated link pick either format.
+which is the contract that lets a transport speak either format.
 A ``Message`` nested in a payload is the one place the two differ in
 spelling: binary hands back a ``Message``, JSON its ``to_dict()`` dict
 (``split_batch`` reads both), so ``_eq`` compares them field by field.

@@ -15,7 +15,7 @@ from repro import testing
 from repro.core.sharding import ShardedFleccSystem
 from repro.core.system import FleccSystem, run_all_scripts
 from repro.experiments.scale_sweep import GOLDEN_PARITY
-from repro.net import resolve_transport, transport_name
+from repro.net import AioTcpTransport, resolve_transport
 from repro.net.message import reset_message_ids
 
 BACKENDS = ("sim", "aio")
@@ -184,7 +184,7 @@ def test_sharded_plane_runs_on_aio():
         extract_cells=testing.extract_cells,
     )
     transport = system.transport  # the ShardRouter, riding the aio backend
-    assert transport_name(transport.inner) == "aio"
+    assert isinstance(transport.inner, AioTcpTransport)
     _strong_increment_workload(system, transport, n_agents=3)
     assert store.cells["a"] == 9
     system.close()
