@@ -169,7 +169,10 @@ class CacheManager:
         # be complete.
         self._synced: Optional[ObjectImage] = None
         self._since: int = -1
-        self._pending: Dict[int, Completion] = {}
+        # msg_id -> (completion, on_reply) of each unanswered request.
+        self._pending: Dict[
+            int, Tuple[Completion, Optional[Callable[[Completion], None]]]
+        ] = {}
         # Directory commands deferred while the view is inside its
         # critical section, in arrival order: INVALIDATEs and full-slice
         # FETCH_REQs (see ``_h_command``).  A list, not a slot: on a
@@ -224,20 +227,20 @@ class CacheManager:
     ) -> Completion:
         """Send one request; the returned completion resolves to the reply.
 
-        ``on_reply`` is attached *before* the send: a reply can be
-        delivered on the transport's thread before ``send`` returns to
-        ours, and a callback attached afterwards would then apply it
-        (say, a GRANT) behind a later message the handler has already
-        answered (the INVALIDATE revoking that grant).
+        ``on_reply`` is not a callback of that completion: the handler
+        that settles the request (:meth:`_settle`) runs it right away,
+        under the CM lock, so a reply is applied where it arrives.  As a
+        completion callback it would run later on the sim (a kernel
+        event of its own), behind a message handed off in the same
+        instant, and a GRANT would be applied after the handler had
+        already answered the INVALIDATE revoking it.
         """
         payload = dict(payload)
         payload["view_id"] = self.view_id
         msg = Message(msg_type, self.address, self.directory_address, payload)
         comp = self.transport.completion(f"{self.view_id}.{msg_type}")
-        if on_reply is not None:
-            comp.then(on_reply)
         with self._lock:
-            self._pending[msg.msg_id] = comp
+            self._pending[msg.msg_id] = (comp, on_reply)
         self._trace(f"send:{msg_type}", dst=self.directory_address)
         self.endpoint.send(msg)
         timeout = timeout if timeout is not None else self.request_timeout
@@ -287,17 +290,14 @@ class CacheManager:
                 if not still_pending or self._closed:
                     return
                 if attempts_left <= 0:
-                    self._pending.pop(msg.msg_id, None)
                     # The directory stayed silent through the whole
                     # retry budget: degrade rather than flail (weak
                     # reads keep working from the local copy).
                     self._mark_degraded(msg.msg_type)
-                    comp.fail(
-                        ProtocolError(
-                            f"{self.view_id}: {msg.msg_type} unanswered after "
-                            f"{self.max_retries} retries"
-                        )
-                    )
+                    self._settle(msg.msg_id, error=ProtocolError(
+                        f"{self.view_id}: {msg.msg_type} unanswered after "
+                        f"{self.max_retries} retries"
+                    ))
                     return
                 self._trace(f"retry:{msg.msg_type}", attempts_left=attempts_left)
                 self.counters["retries"] = self.counters.get("retries", 0) + 1
@@ -313,19 +313,31 @@ class CacheManager:
             self.counters["degradations"] += 1
             self._trace("degraded", cause=cause)
 
+    def _settle(self, msg_id: int, reply: Optional[Message] = None,
+                error: Optional[BaseException] = None) -> None:
+        """Settle a pending request (CM lock held): resolve or fail its
+        completion, then apply it through its ``on_reply``."""
+        comp, on_reply = self._pending.pop(msg_id)
+        if error is not None:
+            comp.fail(error)
+        else:
+            comp.resolve(reply)
+        if on_reply is not None:
+            on_reply(comp)
+
     def _on_message(self, msg: Message) -> None:
         with self._lock:
             self._trace(f"recv:{msg.msg_type}")
             if msg.reply_to is not None and msg.reply_to in self._pending:
-                comp = self._pending.pop(msg.reply_to)
                 if msg.msg_type == M.ERROR:
-                    comp.fail(ProtocolError(msg.payload.get("error", "directory error")))
-                else:
-                    if self.degraded:
-                        # The directory answered: the link is back.
-                        self.degraded = False
-                        self._trace("degradation-cleared")
-                    comp.resolve(msg)
+                    self._settle(msg.reply_to, error=ProtocolError(
+                        msg.payload.get("error", "directory error")))
+                    return
+                if self.degraded:
+                    # The directory answered: the link is back.
+                    self.degraded = False
+                    self._trace("degradation-cleared")
+                self._settle(msg.reply_to, msg)
                 return
             if msg.msg_type in (M.INVALIDATE, M.FETCH_REQ):
                 self._h_command(msg)

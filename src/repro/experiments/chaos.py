@@ -389,7 +389,8 @@ def bench_payload(result: ChaosResult) -> Dict[str, object]:
 
 
 #: Wire frames per logical message the zero-loss leg may cost: one
-#: envelope each plus the ACK vectors (2.0 with one ACK per message).
+#: flight each (the sim frames every send on its own) plus the ACK
+#: vectors (2.0 with one ACK per message).
 MAX_ZERO_LOSS_OVERHEAD = 1.7
 
 

@@ -26,12 +26,12 @@ What the A/B must show:
   message-count identical per codec.
 
 One more point is recorded and not gated on its timings: a **control
-frame** shaped like the composed stack's steady state (one write flush
-of 4 x ``R_DATA{PULL_REQ}`` + one ``R_ACK`` vector in a ``BATCH``
-envelope), encoded with its sub-messages spelled as dicts and as native
-records — the ``R_DATA`` / ``R_ACK`` envelope records, whose payload
-keys the tag implies — raw and deflated: the bytes and the encode +
-decode time behind ``binary_codec.SEGMENT_BYTES``.  Such a frame fits
+frame** shaped like the composed stack's steady state (one write flush:
+an ``R_DATA`` flight of 4 ``PULL_REQ`` + one ``R_ACK`` vector in a
+``BATCH`` envelope), encoded with its sub-messages spelled as dicts and
+as native records — the flight / ``R_ACK`` envelope records, whose
+payload keys the tag implies — raw and deflated: the bytes and the
+encode + decode time behind ``binary_codec.SEGMENT_BYTES``.  Such a frame fits
 one segment either way, so deflating it buys no packet and costs the
 loop thread.
 
@@ -267,22 +267,24 @@ def _run_fig4_workload(
 
 def _control_flush() -> List[Message]:
     """What one write flush of the composed e2e stack carries between
-    ops of a read-mostly load: four cache managers' PULL_REQs, each in
-    its R_DATA envelope, and the ACK vector for the replies just read."""
-    subs = [
-        Message(R_DATA, f"cm:ta{v:04d}", f"shard:{v % 4}", {
-            "seq": 2100 + v, "ctl": "rel-ctl:0", "t": M.PULL_REQ,
-            "p": {"need_fresh": False, "since": 5300 + 7 * v,
-                  "view_id": f"ta{v:04d}"},
-            "i": 91000 + 3 * v, "r": None,
-        }, msg_id=91001 + 3 * v)
+    ops of a read-mostly load: four cache managers' PULL_REQs in one
+    R_DATA flight, and the ACK vector for the flight of replies just
+    read."""
+    reqs = [
+        Message(M.PULL_REQ, f"cm:ta{v:04d}", f"shard:{v % 4}", {
+            "need_fresh": False, "since": 5300 + 7 * v,
+            "view_id": f"ta{v:04d}",
+        }, msg_id=91000 + 3 * v)
         for v in range(4)
     ]
-    subs.append(Message(R_ACK, "rel-ctl:0", "rel-ctl:0", {
-        "acks": [[f"shard:{v % 4}", f"cm:ta{v:04d}", [2040 + v]]
-                 for v in range(4)],
-    }, msg_id=91013))
-    return subs
+    return [
+        Message(R_DATA, reqs[0].src, "rel-ctl", {
+            "seq": 2100, "ctl": "rel-ctl", "f": 2100, "m": reqs,
+        }, msg_id=91012),
+        Message(R_ACK, reqs[0].src, "rel-ctl", {
+            "acks": [["rel-ctl", "rel-ctl", [2040]]],
+        }, msg_id=91013),
+    ]
 
 
 def _time_us(fn: Any, arg: Any, loops: int = 200, repeats: int = 5) -> float:

@@ -24,7 +24,12 @@ Machinery:
   queued since the last flush and ships it in one ``write()`` +
   ``drain()``; with ``wrap_batches=True`` adjacent messages are
   additionally wrapped in one ``BATCH`` envelope, paying one codec
-  pass and one frame for the whole flush.
+  pass and one frame for the whole flush.  Just before it drains, the
+  writer runs the hooks :meth:`AioTcpTransport.at_flush` collected, so
+  a layer above can hand everything it gathered in the loop turn to
+  that same flush.  Hooks are the transport's, not a connection's: a
+  link that dies with hooks pending is replaced at once, and its
+  successor runs them.
 - **Backpressure** — the send queue is bounded (``max_queue``).  A
   send against a full queue is *refused* with a ``TransportError``
   and counted in ``stats.backpressure_stalls``; stacked layers that
@@ -224,6 +229,10 @@ class AioTcpTransport(Transport):
         self._server_writers: set = set()
         self._port: Optional[int] = None
         self._link: Optional[_Link] = None
+        # at_flush hooks the live link's writer runs before its next
+        # drain (guarded by _hooks_lock: any thread may add one).
+        self._hooks: List[Callable[[], None]] = []
+        self._hooks_lock = threading.Lock()
         # Writer gate for deterministic backpressure tests: cleared by
         # pause_writes(), the writer coroutine parks before its next
         # flush until resume_writes().
@@ -360,12 +369,17 @@ class AioTcpTransport(Transport):
             closed = asyncio.ensure_future(reader.read(1))
             closed.add_done_callback(lambda f: _link_read_done(f, link))
             while True:
-                while not link.queue and not closed.done():
+                while not link.queue and not self._hooks and not closed.done():
                     link.wake.clear()
                     await link.wake.wait()
                 await self._gate.wait()
                 if closed.done():
                     raise ConnectionResetError("connection closed by the server")
+                if self._hooks:
+                    with self._hooks_lock:
+                        hooks, self._hooks = self._hooks, []
+                    for fn in hooks:
+                        fn()
                 msgs: List[Message] = []
                 with link.lock:
                     while link.queue and len(msgs) < MAX_FLUSH:
@@ -380,6 +394,9 @@ class AioTcpTransport(Transport):
             raise
         except (ConnectionError, OSError, CodecError, TransportError) as exc:
             link.error = exc
+            if self._hooks and not self._closed:
+                # Nothing else may send soon: the hooks get a link now.
+                self._wake(self._link_for())
         finally:
             if closed is not None and not closed.done():
                 closed.cancel()
@@ -504,6 +521,18 @@ class AioTcpTransport(Transport):
             link.queue.append(msg)
             depth = len(link.queue)
         self.stats.record_queue_depth(depth)
+        self._wake(link)
+
+    def at_flush(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` in the link writer, just before its next drain."""
+        if self._closed:
+            raise TransportError("transport closed")
+        self._ensure_loop()
+        with self._hooks_lock:
+            self._hooks.append(fn)
+        self._wake(self._link_for())
+
+    def _wake(self, link: _Link) -> None:
         if threading.get_ident() == self._loop_tid:
             link.wake.set()
             return

@@ -33,10 +33,10 @@ Frame layout::
 
     byte 0   magic: 0xF1 raw binary | 0xF2 zlib-compressed body
     body     msg_type, src, dst, msg_id, reply_to, payload — six
-             values in the generic encoding below — or one R_DATA /
-             R_ACK envelope record (0x0F / 0x10); the decoder tells the
-             two apart by the first tag, a string tag in the six-value
-             layout
+             values in the generic encoding below — or one envelope
+             record of the reliable sublayer (0x11 flight, 0x10 r_ack;
+             0x0F read only); the decoder tells the two apart by the
+             first tag, a string tag in the six-value layout
 
 Value encoding (one tag byte, then data)::
 
@@ -55,27 +55,33 @@ Value encoding (one tag byte, then data)::
     0x0E message nested Message: type, src, dst as strings, msg_id as a
                  zigzag varint, reply_to as varint 0 (none) or zigzag+1,
                  then the payload value
-    0x0F r_data  R_DATA envelope: src, dst, msg_id (zigzag), seq
-                 (uvarint), ctl, attempt (uvarint, 0 = no "n" key), t,
-                 i (zigzag), r (0 = none, else zigzag+1), then p
+    0x0F r_data  one-message R_DATA envelope, read only: src, dst,
+                 msg_id (zigzag), seq (uvarint), ctl, attempt (uvarint,
+                 0 = no "n" key), t, i (zigzag), r (0 = none, else
+                 zigzag+1), then p
     0x10 r_ack   R_ACK envelope: src, dst, msg_id (zigzag), entry
                  count; per entry src, dst, a count, then one uvarint
                  ``seq << 1 | has_attempt`` per sequence number, followed
                  by the attempt (uvarint) when that bit is set
+    0x11 flight  R_DATA flight: src, dst, msg_id (zigzag), seq
+                 (uvarint), ctl, floor (uvarint), attempt (uvarint, 0 =
+                 no "n" key), a count, then that many nested message
+                 records
 
 A ``Message`` inside a payload — the sub-messages of a ``BATCH``
 envelope — is a record of its own, walked off its attributes and
 decoded straight back into a ``Message``.  The reliable sublayer's
 envelopes get tighter records still, top-level or nested: their
-payload keys are implied by the tag, so an ``R_DATA`` costs its scalars
-and the logical payload, not a dict of six keys around them.  Each
-record decodes to exactly the ``Message`` the generic spelling decodes
-to; an envelope that does not have exactly the sublayer's shape (a key
-extra, missing or out of order, a wrong type, a negative ``seq``, an
-``"n"`` below 1, a ``reply_to``) is written the generic way.  The tags
-are additive: frames written before them spell sub-messages as six-key
-dicts or ``0x0E`` records and envelopes as six values, and still decode
-(``split_batch`` takes either spelling).
+payload keys are implied by the tag, so a flight costs its scalars and
+its messages' records, not a dict of keys around them.  Each record
+decodes to exactly the ``Message`` the generic spelling decodes to; an
+envelope that does not have exactly the sublayer's shape (a key extra,
+missing or out of order, a wrong type, a negative ``seq``, an ``"n"``
+below 1, a ``reply_to``, a flight's ``"m"`` not a list of messages) is
+written the generic way.  The tags are additive: frames written before
+them spell sub-messages as six-key dicts or ``0x0E`` records and
+envelopes as six values or one-message ``0x0F`` records, and still
+decode (``split_batch`` takes either spelling).
 
 Decoded results are equal to what :class:`JsonCodec` decodes from the
 same message (the cross-codec property tests assert exactly that), with
@@ -114,11 +120,12 @@ _T_DELTA = 0x0D
 _T_MSG = 0x0E
 _T_RDATA = 0x0F
 _T_RACK = 0x10
+_T_FLIGHT = 0x11
 
-# The R_DATA payload keys, in the order ReliableTransport builds them (a
+# A flight's payload keys, in the order ReliableTransport builds them (a
 # retransmission appends "n"); the record decodes them in this order.
-_RDATA_KEYS = ("seq", "ctl", "t", "p", "i", "r")
-_RDATA_KEYS_N = _RDATA_KEYS + ("n",)
+_FLIGHT_KEYS = ("seq", "ctl", "f", "m")
+_FLIGHT_KEYS_N = _FLIGHT_KEYS + ("n",)
 
 # Payload bytes of one TCP segment on a 1500-byte-MTU path, less
 # headers and options with room to spare.  A frame under this leaves in
@@ -294,9 +301,11 @@ def _enc_list(obj: Any, out: bytearray, strings: Dict[str, int],
 
 def _enc_message(m: Message, out: bytearray, strings: Dict[str, int],
                  sdef: Dict[str, bytes]) -> None:
-    if _enc_envelope(m, out, strings, sdef):
+    msg_type = m.msg_type
+    if ((msg_type == R_DATA or msg_type == R_ACK)
+            and _enc_envelope(m, out, strings, sdef)):
         return
-    msg_type, src, dst = m.msg_type, m.src, m.dst
+    src, dst = m.src, m.dst
     msg_id, reply_to = m.msg_id, m.reply_to
     if not (isinstance(msg_type, str) and isinstance(src, str)
             and isinstance(dst, str) and isinstance(msg_id, int)
@@ -313,7 +322,7 @@ def _enc_message(m: Message, out: bytearray, strings: Dict[str, int],
 
 def _enc_envelope(m: Message, out: bytearray, strings: Dict[str, int],
                   sdef: Dict[str, bytes]) -> bool:
-    """Write ``m`` as an R_DATA (0x0F) or R_ACK (0x10) record if it has
+    """Write ``m`` as a flight (0x11) or R_ACK (0x10) record if it has
     exactly the reliable sublayer's shape; False, with nothing written,
     if it does not (the caller then spells it the generic way)."""
     msg_type = m.msg_type
@@ -326,30 +335,33 @@ def _enc_envelope(m: Message, out: bytearray, strings: Dict[str, int],
         return False
     if msg_type == R_DATA:
         keys = tuple(p)
-        if keys == _RDATA_KEYS:
+        if keys == _FLIGHT_KEYS:
             n = 0
-        elif keys == _RDATA_KEYS_N:
+        elif keys == _FLIGHT_KEYS_N:
             n = p["n"]
             if n.__class__ is not int or n < 1:
                 return False
         else:
             return False
-        seq, ctl, t, i, r = p["seq"], p["ctl"], p["t"], p["i"], p["r"]
+        seq, ctl, floor, msgs = p["seq"], p["ctl"], p["f"], p["m"]
         if not (seq.__class__ is int and seq >= 0 and ctl.__class__ is str
-                and t.__class__ is str and i.__class__ is int
-                and (r is None or r.__class__ is int)):
+                and floor.__class__ is int and floor >= 0
+                and msgs.__class__ is list):
             return False
-        out.append(_T_RDATA)
+        for sub in msgs:
+            if sub.__class__ is not Message:
+                return False
+        out.append(_T_FLIGHT)
         _enc_str(src, out, strings, sdef)
         _enc_str(dst, out, strings, sdef)
         _write_uvarint(out, _zigzag(msg_id))
         _write_uvarint(out, seq)
         _enc_str(ctl, out, strings, sdef)
+        _write_uvarint(out, floor)
         _write_uvarint(out, n)
-        _enc_str(t, out, strings, sdef)
-        _write_uvarint(out, _zigzag(i))
-        _write_uvarint(out, 0 if r is None else _zigzag(r) + 1)
-        _enc_value(p["p"], out, strings, sdef)
+        _write_uvarint(out, len(msgs))
+        for sub in msgs:
+            _enc_message(sub, out, strings, sdef)
         return True
     if len(p) != 1:
         return False
@@ -519,10 +531,12 @@ def _dec_value(buf: bytes, pos: int, strings: List[str]) -> Tuple[Any, int]:
             v, pos = _dec_value(buf, pos, strings)
             append(v)
         return items, pos
-    if tag == _T_RDATA:
-        return _dec_rdata(buf, pos, strings)
+    if tag == _T_FLIGHT:
+        return _dec_flight(buf, pos, strings)
     if tag == _T_RACK:
         return _dec_rack(buf, pos, strings)
+    if tag == _T_RDATA:
+        return _dec_rdata(buf, pos, strings)
     if tag == _T_FLOAT:
         return _DOUBLE.unpack_from(buf, pos)[0], pos + 8
     if tag == _T_NULL:
@@ -532,16 +546,7 @@ def _dec_value(buf: bytes, pos: int, strings: List[str]) -> Tuple[Any, int]:
     if tag == _T_FALSE:
         return False, pos
     if tag == _T_MSG:
-        msg_type, pos = _dec_str(buf, pos, strings)
-        src, pos = _dec_str(buf, pos, strings)
-        dst, pos = _dec_str(buf, pos, strings)
-        msg_id, pos = _dec_uvarint(buf, pos)
-        reply_to, pos = _dec_uvarint(buf, pos)
-        payload, pos = _dec_value(buf, pos, strings)
-        return Message(
-            msg_type, src, dst, payload, _unzigzag(msg_id),
-            _unzigzag(reply_to - 1) if reply_to else None,
-        ), pos
+        return _dec_message(buf, pos, strings)
     if tag == _T_IMAGE:
         return _dec_image(buf, pos, strings)
     if tag == _T_VVEC:
@@ -579,6 +584,41 @@ def _dec_value(buf: bytes, pos: int, strings: List[str]) -> Tuple[Any, int]:
         data, pos = _dec_value(buf, pos, strings)
         return _from_registry(type_tag)(data), pos
     raise CodecError(f"unknown value tag in binary frame: {tag:#x}")
+
+
+def _dec_message(buf: bytes, pos: int, strings: List[str]) -> Tuple[Message, int]:
+    msg_type, pos = _dec_str(buf, pos, strings)
+    src, pos = _dec_str(buf, pos, strings)
+    dst, pos = _dec_str(buf, pos, strings)
+    msg_id, pos = _dec_uvarint(buf, pos)
+    reply_to, pos = _dec_uvarint(buf, pos)
+    payload, pos = _dec_value(buf, pos, strings)
+    return Message(
+        msg_type, src, dst, payload, _unzigzag(msg_id),
+        _unzigzag(reply_to - 1) if reply_to else None,
+    ), pos
+
+
+def _dec_flight(buf: bytes, pos: int, strings: List[str]) -> Tuple[Message, int]:
+    src, pos = _dec_str(buf, pos, strings)
+    dst, pos = _dec_str(buf, pos, strings)
+    msg_id, pos = _dec_uvarint(buf, pos)
+    seq, pos = _dec_uvarint(buf, pos)
+    ctl, pos = _dec_str(buf, pos, strings)
+    floor, pos = _dec_uvarint(buf, pos)
+    n, pos = _dec_uvarint(buf, pos)
+    count, pos = _dec_uvarint(buf, pos)
+    msgs: List[Any] = []
+    for _ in range(count):
+        if buf[pos] == _T_MSG:
+            sub, pos = _dec_message(buf, pos + 1, strings)
+        else:
+            sub, pos = _dec_value(buf, pos, strings)
+        msgs.append(sub)
+    payload: Dict[str, Any] = {"seq": seq, "ctl": ctl, "f": floor, "m": msgs}
+    if n:
+        payload["n"] = n
+    return Message(R_DATA, src, dst, payload, _unzigzag(msg_id)), pos
 
 
 def _dec_rdata(buf: bytes, pos: int, strings: List[str]) -> Tuple[Message, int]:
@@ -625,10 +665,12 @@ def _dec_frame_body(buf: bytes, pos: int) -> Tuple[Message, int]:
     """A frame body: one envelope record, or the six header values."""
     strings: List[str] = []
     tag = buf[pos]
-    if tag == _T_RDATA:
-        return _dec_rdata(buf, pos + 1, strings)
+    if tag == _T_FLIGHT:
+        return _dec_flight(buf, pos + 1, strings)
     if tag == _T_RACK:
         return _dec_rack(buf, pos + 1, strings)
+    if tag == _T_RDATA:
+        return _dec_rdata(buf, pos + 1, strings)
     msg_type, pos = _dec_value(buf, pos, strings)
     src, pos = _dec_value(buf, pos, strings)
     dst, pos = _dec_value(buf, pos, strings)

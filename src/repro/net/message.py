@@ -118,7 +118,8 @@ BATCH = "BATCH"
 
 # The reliable-delivery sublayer's envelopes (net/reliability.py), named
 # here beside BATCH because the binary codec spells both as records of
-# their own.
+# their own.  An R_DATA is a flight: it carries its logical messages
+# under "m" the way a BATCH carries them under "messages".
 R_DATA = "R_DATA"
 R_ACK = "R_ACK"
 
@@ -154,12 +155,17 @@ def split_batch(msg: Message) -> List[Message]:
     if msg.msg_type != BATCH:
         raise ValueError(f"not a BATCH message: {msg.msg_type}")
     try:
-        subs = [
-            m if m.__class__ is Message else Message.from_dict(m)
-            for m in msg.payload["messages"]
-        ]
+        subs = read_messages(msg.payload["messages"])
     except (KeyError, TypeError) as exc:
         raise CodecError(f"malformed BATCH frame: {exc!r}") from None
     if not subs:
         raise CodecError("empty BATCH frame")
     return subs
+
+
+def read_messages(entries: Any) -> List[Message]:
+    """The messages an envelope carries: ``Message`` objects in process
+    and off a binary frame, their ``to_dict()`` dicts off a JSON one.
+    Anything else raises ``KeyError``/``TypeError``."""
+    return [m if m.__class__ is Message else Message.from_dict(m)
+            for m in entries]

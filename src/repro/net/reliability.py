@@ -1,5 +1,5 @@
-"""Reliable-delivery sublayer: ACK vectors + one retransmit timer over
-any transport.
+"""Reliable-delivery sublayer: flights, ACK vectors and one retransmit
+timer over any transport.
 
 The Flecc FSMs (paper §4.2) assume reliable, ordered delivery between
 the directory manager and the cache managers.  The raw transports do
@@ -10,33 +10,56 @@ inner :class:`~repro.net.transport.Transport` and restores the FSMs'
 assumptions at TCP's cost model — bookkeeping per segment, messages
 per flight:
 
-- **At-least-once**: every protocol message rides one ``R_DATA``
-  envelope ``{"seq", "ctl", "t", "p", "i", "r"}`` — per-link sequence
-  number, the sender's control address, then the logical message's
-  type, payload, id and reply_to, flat (retransmissions add ``"n"``,
-  the attempt number).  Unacknowledged envelopes sit in one deadline
-  heap served by a single inner timer; an expired one is retransmitted
-  with exponential backoff (plus seeded jitter, so synchronized retry
-  storms de-correlate deterministically) up to :data:`MAX_ATTEMPTS`
-  times, then given up like a raw transport's loss.
-- **ACK vectors**: the receiver does not answer each frame.  It notes
-  ``(link, seq[, attempt])`` as owed and flushes once per loop turn:
-  one ``R_ACK`` per peer control address, payload ``{"acks": [[src,
-  dst, [seq | [seq, attempt], ...]], ...]}``.  Every ACK crosses the
-  inner transport, local senders included.  On a binary link both
-  envelopes travel as records of their own (``0x0F`` / ``0x10`` in
-  :mod:`repro.net.binary_codec`) that imply these keys instead of
-  spelling them, so keep their shape or they fall back to generic dicts.
-- **At-most-once**: the receiver keeps a per-link cursor of the last
-  in-order sequence delivered plus a bounded window of seen envelope
-  msg_ids; duplicate frames (retransmissions whose ACK was lost, or
+- **Connections**: the sublayer binds one control endpoint per
+  topology node its senders sit on (a single one, ``rel-ctl``, where
+  the inner transport has no placement).  A connection is the pair
+  (sending control endpoint, receiving control endpoint): one per node
+  pair under a sim topology, a single one on a socket stack.
+- **Flights**: the sublayer does not frame each logical message.  It
+  gathers them per connection until the inner transport is about to
+  put frames on the wire (:meth:`~repro.net.transport.Transport.at_flush`)
+  and sends each connection's gathering as one ``R_DATA`` flight
+  ``{"seq", "ctl", "f", "m"}``: the connection's sequence number, the
+  sender's control address, the floor (see below) and the logical
+  messages in send order, each keeping its own ``msg_id`` and
+  ``reply_to``.  A flight leaves from its first message's source and
+  goes to the receiving control endpoint, which is always bound, so the
+  inner transport charges the path latency of its messages and a
+  vanished destination cannot strand the rest of the flight.  The sim
+  frames every send on the spot, so there a flight is one message; on
+  aio it is whatever the loop turn sent.
+- **At-least-once**: unacknowledged flights sit in one deadline heap
+  served by a single inner timer; an expired one is retransmitted (with
+  ``"n"``, the attempt number) with exponential backoff (plus seeded
+  jitter, so synchronized retry storms de-correlate deterministically)
+  up to :data:`MAX_ATTEMPTS` times, then given up like a raw
+  transport's loss.
+- **ACK vectors**: the receiver does not answer each flight.  It notes
+  ``seq[, attempt]`` as owed on the connection and flushes once per
+  loop turn: one ``R_ACK`` per connection, payload ``{"acks": [[sender
+  ctl, receiver ctl, [seq | [seq, attempt], ...]]]}``.  Every ACK
+  crosses the inner transport, local senders included.  On a binary
+  link both envelopes travel as records of their own (``0x11`` /
+  ``0x10`` in :mod:`repro.net.binary_codec`) that imply these keys
+  instead of spelling them, so keep their shape or they fall back to
+  generic dicts.
+- **At-most-once**: the receiver keeps a per-connection cursor of the
+  last in-order flight delivered plus a bounded window of seen flight
+  msg_ids; duplicate flights (retransmissions whose ACK was lost, or
   duplicates injected below the sublayer) are suppressed and owed an
   ACK again, every time they arrive.
-- **In-order handoff**: out-of-order arrivals are buffered and handed
-  to the destination endpoint in send order, so delayed/reordered
-  frames cannot interleave a round's replies.
-- **Learned timeout**: per link, ``RTO = max(ack_timeout, srtt +
-  4*rttvar)``.  The ACK echoes the attempt number it answers, so every
+- **In-order handoff**: out-of-order flights are buffered and their
+  messages handed to their endpoints in send order, per connection, so
+  delayed/reordered frames cannot interleave a round's replies.
+- **No stranded connection**: unbinding an address takes its messages
+  out of the flights still unacknowledged and out of the gathering; a
+  flight left empty is abandoned (never sent again, not counted as
+  given up).  A flight's floor ``"f"`` is the lowest sequence number
+  its sender still retransmits, so every flight below it was
+  acknowledged, abandoned or given up: the receiver hands off what it
+  buffered below the floor and stops waiting for the rest.
+- **Learned timeout**: per connection, ``RTO = max(ack_timeout, srtt
+  + 4*rttvar)``.  The ACK echoes the attempt number it answers, so every
   ACK is an unambiguous round-trip sample — including the slow
   originals whose retransmission was spurious, which is exactly what
   the estimator has to see.  A retransmit timer that itself fires late
@@ -45,17 +68,19 @@ per flight:
   anything is declared lost.
 
 Threads: ``send`` may be called from any thread while the inner
-transport's delivery thread runs the ACK and timer paths; one lock
-guards the sublayer's state and is never held across ``inner.send`` or
-a handler hand-off.
+transport's delivery thread runs the flush, ACK and timer paths; one
+lock guards the sublayer's state and is never held across
+``inner.send``, ``inner.at_flush`` or a handler hand-off.
 
 Accounting: ``self.stats`` records the *logical* messages the protocol
 sent — exactly what a raw transport would record for the same run, so
 the paper's Fig 4 efficiency metric is unchanged by the sublayer.  The
 wire overhead is visible separately in ``inner.stats`` and in this
-layer's counters: ``acks_sent`` (sequence numbers acknowledged, one per
-data frame received), ``ack_frames_sent`` (``R_ACK`` vectors that
-carried them), ``retransmits`` and ``duplicates_suppressed``.
+layer's counters, which count flights: ``acks_sent`` (sequence numbers
+acknowledged, one per flight received), ``ack_frames_sent`` (``R_ACK``
+vectors that carried them), ``retransmits``, ``duplicates_suppressed``
+and ``dropped`` (flights given up).  On the sim a flight is one
+message, so there they count messages as well.
 """
 
 from __future__ import annotations
@@ -66,14 +91,14 @@ from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
-from repro.net.message import R_ACK, R_DATA, Message
+from repro.net.message import R_ACK, R_DATA, Message, read_messages
 from repro.net.transport import Endpoint, LayeredTransport, TimerHandle, Transport
 
 # R_DATA and R_ACK are the sublayer's envelope vocabulary.  Protocol
-# engines never see either type: R_DATA is unwrapped before handoff,
+# engines never see either type: a flight is unpacked before handoff,
 # R_ACK terminates at the sublayer.
 
-Link = Tuple[str, str]  # (sender address, receiver address)
+Conn = Tuple[str, str]  # (sending control address, receiving control address)
 
 # A timer that fires later than this share of ack_timeout past its
 # deadline ran behind a busy thread; the scan is then put off, once, by
@@ -81,12 +106,13 @@ Link = Tuple[str, str]  # (sender address, receiver address)
 _LATE_FIRE = 0.1
 _LATE_DEFER = 0.25
 
-# Message ids remembered per receiving link for duplicate suppression,
-# and the ceiling (transport time units) on one retransmission delay.
+# Flight ids remembered per receiving connection for duplicate
+# suppression, and the ceiling (transport time units) on one
+# retransmission delay.
 DEDUP_WINDOW = 1024
 MAX_BACKOFF = 200.0
 
-# Transmissions of one envelope before it is given up, the factor each
+# Transmissions of one flight before it is given up, the factor each
 # retransmission multiplies the timeout by, and the seeded spread of a
 # retransmission delay (a uniform factor in [1 - JITTER, 1 + JITTER]).
 MAX_ATTEMPTS = 12
@@ -94,21 +120,35 @@ BACKOFF = 1.5
 JITTER = 0.1
 
 
+def _flight(src: str, dst: str, seq: int, ctl: str, floor: int,
+            msgs: List[Message], attempt: int = 1,
+            msg_id: Optional[int] = None) -> Message:
+    """An R_DATA flight, its keys in the order the binary record reads
+    them (a retransmission's ``"n"`` last)."""
+    payload: Dict[str, Any] = {"seq": seq, "ctl": ctl, "f": floor, "m": msgs}
+    if attempt > 1:
+        payload["n"] = attempt
+    if msg_id is None:
+        return Message(R_DATA, src, dst, payload)
+    return Message(R_DATA, src, dst, payload, msg_id)
+
+
 class _Outgoing:
-    """Sender-side state for one envelope; ``envelope`` is dropped
-    (None) once it is acknowledged, abandoned or given up."""
+    """Sender-side state for one flight; ``flight`` is dropped (None)
+    once it is acknowledged, abandoned or given up."""
 
-    __slots__ = ("link", "seq", "envelope", "sent_at")
+    __slots__ = ("conn", "seq", "flight", "sent_at")
 
-    def __init__(self, link: Link, seq: int, envelope: Message, now: float) -> None:
-        self.link = link
+    def __init__(self, conn: Conn, seq: int, flight: Message, now: float) -> None:
+        self.conn = conn
         self.seq = seq
-        self.envelope: Optional[Message] = envelope
+        self.flight: Optional[Message] = flight
         self.sent_at = [now]  # transmission time of attempt 1, 2, ...
 
 
-class _LinkSender:
-    """Sender-side state for one directed link."""
+class _ConnSender:
+    """Sender-side state for one connection.  ``unacked`` holds its
+    flights in sequence order, so its first key is the floor."""
 
     __slots__ = ("next_seq", "unacked", "srtt", "rttvar")
 
@@ -117,6 +157,11 @@ class _LinkSender:
         self.unacked: Dict[int, _Outgoing] = {}
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
+
+    def floor(self) -> int:
+        """The lowest sequence number still retransmitted (the next one
+        to be sent when none is)."""
+        return next(iter(self.unacked), self.next_seq + 1)
 
     def rto(self, floor: float) -> float:
         if self.srtt is None:
@@ -140,28 +185,29 @@ class _LinkSender:
             self.rttvar += (dev - self.rttvar) / 16.0
 
 
-class _LinkReceiver:
-    """Receiver-side state for one directed link."""
+class _ConnReceiver:
+    """Receiver-side state for one connection."""
 
     __slots__ = ("delivered_upto", "pending", "seen_ids")
 
     def __init__(self) -> None:
-        self.delivered_upto = 0            # highest contiguously delivered seq
-        self.pending: Dict[int, Message] = {}  # out-of-order buffer
+        self.delivered_upto = 0  # highest contiguously delivered seq
+        self.pending: Dict[int, List[Message]] = {}  # out-of-order flights
         self.seen_ids: "OrderedDict[int, None]" = OrderedDict()
 
 
 class ReliableTransport(LayeredTransport):
-    """ACK/retransmit + dedup + in-order handoff over an inner transport.
+    """Flights + ACK/retransmit + dedup + in-order handoff over an inner
+    transport.
 
-    Endpoints bind on this transport exactly as on a raw one; each bind
-    is mirrored onto the inner transport, where the sublayer's frames
-    actually travel.  Clock, timers, completions, placement and codec
-    selection are the inner backend's (:class:`LayeredTransport`):
-    R_DATA/R_ACK envelopes are ordinary messages on the inner transport,
-    so they ride whatever codec the inner transport speaks.
-    ``ack_timeout`` is the initial and minimum retransmission timeout;
-    ``seed`` seeds the retransmission jitter.
+    Endpoints bind on this transport exactly as on a raw one; only the
+    sublayer's control endpoints bind on the inner transport, where its
+    frames actually travel.  Clock, timers, completions, placement,
+    codec selection and the flush boundary are the inner backend's
+    (:class:`LayeredTransport`): R_DATA/R_ACK envelopes are ordinary
+    messages on the inner transport, so they ride whatever codec the
+    inner transport speaks.  ``ack_timeout`` is the initial and minimum
+    retransmission timeout; ``seed`` seeds the retransmission jitter.
     """
 
     def __init__(
@@ -179,16 +225,17 @@ class ReliableTransport(LayeredTransport):
         self._jitter_rng = stream_for(seed, "reliability-jitter")
         self._inner_node_of = getattr(inner, "node_of", None)
         self._lock = threading.Lock()
-        self._inner_eps: Dict[str, Endpoint] = {}
-        # Control endpoints ACK vectors are addressed to, one per
-        # topology node senders sit on (a single one, keyed None, where
-        # the inner transport has no placement), so under a sim topology
-        # a vector sees the latency of the links it covers.
+        # Control endpoint per topology node (one, keyed None, where the
+        # inner transport has no placement).
         self._ctl: Dict[Optional[str], Endpoint] = {}
-        self._senders: Dict[Link, _LinkSender] = {}
-        self._receivers: Dict[Link, _LinkReceiver] = {}
+        self._senders: Dict[Conn, _ConnSender] = {}
+        self._receivers: Dict[Conn, _ConnReceiver] = {}
+        # Messages sent since the last flush, per connection, and
+        # whether a flush hook is pending on the inner transport.
+        self._outbox: Dict[Conn, List[Message]] = {}
+        self._flush_armed = False
         self._unacked = 0
-        # (deadline, push order, envelope state), head = next to expire.
+        # (deadline, push order, flight state), head = next to expire.
         # Acknowledged entries stay until the timer pops them.
         self._heap: List[Tuple[float, int, _Outgoing]] = []
         self._pushes = 0
@@ -196,68 +243,102 @@ class ReliableTransport(LayeredTransport):
         self._timer_at = 0.0
         self._timer_gen = 0
         self._deferred = False
-        # (peer control address, our node) -> (an address of ours the
-        # vector leaves from, link -> sequence numbers owed)
-        self._owed: Dict[
-            Tuple[str, Optional[str]], Tuple[str, Dict[Link, List[Any]]]
-        ] = {}
-        self._flush_armed = False
+        # connection -> (an address of ours the vector leaves from, the
+        # sequence numbers owed)
+        self._owed: Dict[Conn, Tuple[str, List[Any]]] = {}
+        self._acks_armed = False
         self._closed = False
 
-    # -- binding ---------------------------------------------------------
-    def _on_bind(self, ep: Endpoint) -> None:
-        self._inner_eps[ep.address] = self.inner.bind(ep.address, self._on_frame)
+    # -- control endpoints -------------------------------------------------
+    @staticmethod
+    def _ctl_name(node: Optional[str]) -> str:
+        return "rel-ctl" if node is None else f"rel-ctl@{node}"
 
-    def _on_unbind(self, ep: Endpoint) -> None:
-        inner_ep = self._inner_eps.pop(ep.address, None)
-        if inner_ep is not None:
-            inner_ep.close()
-        # Abandon retransmissions originating from the closed address.
-        with self._lock:
-            for link, sender in self._senders.items():
-                if link[0] == ep.address and sender.unacked:
-                    self._unacked -= len(sender.unacked)
-                    for out in sender.unacked.values():
-                        out.envelope = None
-                    sender.unacked.clear()
+    def _node(self, address: str) -> Optional[str]:
+        return self._inner_node_of(address) if self._inner_node_of else None
 
     def _ctl_for(self, address: str) -> str:
-        """The control address serving ``address`` (lock held)."""
-        node = self._inner_node_of(address) if self._inner_node_of else None
+        """The control address serving ``address``, bound on first use
+        (lock held)."""
+        node = self._node(address)
         ep = self._ctl.get(node)
         if ep is None:
-            base = "rel-ctl" if node is None else f"rel-ctl@{node}"
-            name, n = base, 1
-            while self.inner.is_bound(name):  # another sublayer, same inner
-                n += 1
-                name = f"{base}#{n}"
+            name = self._ctl_name(node)
             ep = self._ctl[node] = self.inner.bind(name, self._on_frame)
-            place = getattr(self.inner, "place", None)
-            if node is not None and place is not None:
-                place(name, node)
+            if node is not None:
+                self.inner.place(name, node)
         return ep.address
+
+    def _on_unbind(self, ep: Endpoint) -> None:
+        """Take the closed address's messages out of the gathering and
+        out of unacknowledged flights; an emptied flight is abandoned."""
+        addr = ep.address
+        with self._lock:
+            for conn, box in list(self._outbox.items()):
+                kept = [m for m in box if m.src != addr]
+                if not kept:
+                    del self._outbox[conn]
+                elif len(kept) != len(box):
+                    self._outbox[conn] = kept
+            for sender in self._senders.values():
+                for seq, out in list(sender.unacked.items()):
+                    flight = out.flight
+                    msgs = flight.payload["m"]
+                    kept = [m for m in msgs if m.src != addr]
+                    if len(kept) == len(msgs):
+                        continue
+                    if kept:
+                        # A new envelope: the old one may still be in
+                        # flight below, sharing its payload.
+                        p = flight.payload
+                        out.flight = _flight(
+                            kept[0].src, flight.dst, seq, p["ctl"], p["f"],
+                            kept, p.get("n", 1), flight.msg_id)
+                    else:
+                        out.flight = None
+                        del sender.unacked[seq]
+                        self._unacked -= 1
 
     # -- sending ---------------------------------------------------------
     def send(self, msg: Message) -> None:
         if self._closed:
             raise TransportError("reliable transport closed")
-        link = (msg.src, msg.dst)
         with self._lock:
             # Logical accounting: what the protocol sent, envelope-free.
             self.stats.record(msg)
-            sender = self._senders.get(link)
-            if sender is None:
-                sender = self._senders[link] = _LinkSender()
-            sender.next_seq = seq = sender.next_seq + 1
-            envelope = Message(R_DATA, msg.src, msg.dst, {
-                "seq": seq, "ctl": self._ctl_for(msg.src), "t": msg.msg_type,
-                "p": msg.payload, "i": msg.msg_id, "r": msg.reply_to,
-            })
+            conn = (self._ctl_for(msg.src), self._ctl_for(msg.dst))
+            box = self._outbox.get(conn)
+            if box is None:
+                self._outbox[conn] = [msg]
+            else:
+                box.append(msg)
+            if self._flush_armed:
+                return
+            self._flush_armed = True
+        self.inner.at_flush(self._flush)
+
+    def _flush(self) -> None:
+        """Send what was gathered: one flight per connection."""
+        flights: List[Message] = []
+        with self._lock:
+            self._flush_armed = False
+            outbox, self._outbox = self._outbox, {}
+            if self._closed:
+                return
             now = self.inner.now()
-            out = sender.unacked[seq] = _Outgoing(link, seq, envelope, now)
-            self._unacked += 1
-            self._push(out, now + self._retry_delay(sender, 1))
-        self._wire_send(envelope)
+            for conn, msgs in outbox.items():
+                sender = self._senders.get(conn)
+                if sender is None:
+                    sender = self._senders[conn] = _ConnSender()
+                floor = sender.floor()
+                sender.next_seq = seq = sender.next_seq + 1
+                flight = _flight(msgs[0].src, conn[1], seq, conn[0], floor, msgs)
+                out = sender.unacked[seq] = _Outgoing(conn, seq, flight, now)
+                self._unacked += 1
+                self._push(out, now + self._retry_delay(sender, 1))
+                flights.append(flight)
+        for flight in flights:
+            self._wire_send(flight)
 
     def _wire_send(self, frame: Message) -> None:
         try:
@@ -268,7 +349,7 @@ class ReliableTransport(LayeredTransport):
             # path, for an ACK vector the sender's is.
             self.inner.stats.record_drop(frame)
 
-    def _retry_delay(self, sender: _LinkSender, attempt: int) -> float:
+    def _retry_delay(self, sender: _ConnSender, attempt: int) -> float:
         delay = min(sender.rto(self.ack_timeout) * BACKOFF ** (attempt - 1),
                     MAX_BACKOFF)
         return delay * (1.0 + JITTER * (2.0 * self._jitter_rng.random() - 1.0))
@@ -311,30 +392,30 @@ class ReliableTransport(LayeredTransport):
             heap = self._heap
             while heap:
                 deadline, _, out = heap[0]
-                envelope = out.envelope
-                if envelope is not None and deadline > now:
+                flight = out.flight
+                if flight is not None and deadline > now:
                     break
                 heappop(heap)
-                if envelope is None:
+                if flight is None:
                     continue  # acknowledged or abandoned meanwhile
-                sender = self._senders[out.link]
+                sender = self._senders[out.conn]
                 attempt = len(out.sent_at)
                 if attempt >= MAX_ATTEMPTS:
                     # Out of attempts: behave like a raw transport
-                    # losing the message (the protocol's own watchdogs
-                    # take over).
-                    out.envelope = None
+                    # losing the flight (the protocol's own watchdogs
+                    # take over; later flights carry a floor past it).
+                    out.flight = None
                     del sender.unacked[out.seq]
                     self._unacked -= 1
-                    self.stats.record_drop(envelope)
+                    self.stats.record_drop(flight)
                     continue
                 attempt += 1
                 out.sent_at.append(now)
-                self.stats.record_retransmit(envelope)
-                resend.append(Message(
-                    R_DATA, envelope.src, envelope.dst,
-                    {**envelope.payload, "n": attempt}, msg_id=envelope.msg_id,
-                ))
+                self.stats.record_retransmit(flight)
+                p = flight.payload
+                resend.append(_flight(
+                    flight.src, flight.dst, out.seq, p["ctl"], sender.floor(),
+                    p["m"], attempt, flight.msg_id))
                 self._pushes += 1
                 heappush(heap, (now + self._retry_delay(sender, attempt), self._pushes, out))
             if self._unacked == 0:
@@ -350,8 +431,8 @@ class ReliableTransport(LayeredTransport):
             self._on_data(frame)
         elif frame.msg_type == R_ACK:
             self._on_ack(frame)
-        else:  # a raw message that bypassed the sublayer — hand off as-is
-            self._deliver(frame)
+        else:  # the control endpoints speak nothing else
+            self.inner.stats.record_drop(frame)
 
     def _on_ack(self, frame: Message) -> None:
         with self._lock:
@@ -368,80 +449,87 @@ class ReliableTransport(LayeredTransport):
                     if 1 <= attempt <= len(out.sent_at):
                         sender.observe(now - out.sent_at[attempt - 1])
                     # The heap entry stays until the timer pops it; the
-                    # envelope it pins does not.
-                    out.envelope = None
+                    # flight it pins does not.
+                    out.flight = None
                     self._unacked -= 1
 
     def _on_data(self, frame: Message) -> None:
-        link = (frame.src, frame.dst)
         p = frame.payload
+        conn = (p["ctl"], frame.dst)
         seq = p["seq"]
-        ready: List[Message] = []
+        msgs = read_messages(p["m"])
+        ready: List[List[Message]] = []
         with self._lock:
             if self._closed:
                 return
             # Always owe an ACK — the previous one may have been lost.
-            # One vector per sender control address and receiving node:
-            # it leaves from an endpoint it acknowledges for, so the
-            # inner transport routes it over the links it covers.
-            node = self._inner_node_of(frame.dst) if self._inner_node_of else None
-            group = self._owed.get((p["ctl"], node))
-            if group is None:
-                group = self._owed[(p["ctl"], node)] = (frame.dst, {})
-            group[1].setdefault(link, []).append(
-                [seq, p["n"]] if "n" in p else seq
-            )
+            # The vector leaves from an address its flights were for,
+            # so the inner transport charges it their path latency.
+            owed = self._owed.get(conn)
+            if owed is None:
+                owed = self._owed[conn] = (
+                    msgs[0].dst if msgs else frame.dst, [])
+            owed[1].append([seq, p["n"]] if "n" in p else seq)
             self.stats.record_ack(frame)
-            if not self._flush_armed:
-                self._flush_armed = True
+            if not self._acks_armed:
+                self._acks_armed = True
                 self.inner.schedule(0.0, self._flush_acks)
-            recv = self._receivers.get(link)
+            recv = self._receivers.get(conn)
             if recv is None:
-                recv = self._receivers[link] = _LinkReceiver()
+                recv = self._receivers[conn] = _ConnReceiver()
             if (
                 seq <= recv.delivered_upto
                 or seq in recv.pending
                 or frame.msg_id in recv.seen_ids
             ):
                 self.stats.record_duplicate_suppressed(frame)
-                return
-            recv.seen_ids[frame.msg_id] = None
-            while len(recv.seen_ids) > DEDUP_WINDOW:
-                recv.seen_ids.popitem(last=False)
-            recv.pending[seq] = Message(
-                p["t"], frame.src, frame.dst, p["p"], p["i"], p["r"]
-            )
+            else:
+                recv.seen_ids[frame.msg_id] = None
+                while len(recv.seen_ids) > DEDUP_WINDOW:
+                    recv.seen_ids.popitem(last=False)
+                recv.pending[seq] = msgs
+            # Below the floor nothing more is coming: hand off what is
+            # buffered there, in order, and stop waiting for the rest
+            # (a duplicate's floor counts too: it may be newer).
+            floor = p["f"]
+            if floor > recv.delivered_upto + 1:
+                for below in sorted(s for s in recv.pending if s < floor):
+                    ready.append(recv.pending.pop(below))
+                recv.delivered_upto = floor - 1
             # In-order handoff: the contiguous prefix is ready.
             while recv.delivered_upto + 1 in recv.pending:
                 recv.delivered_upto += 1
                 ready.append(recv.pending.pop(recv.delivered_upto))
-        for msg in ready:
-            self._deliver(msg)
+        for flight in ready:
+            for msg in flight:
+                self._deliver(msg)
 
     def _flush_acks(self) -> None:
-        """Send everything owed: one vector per peer control address
-        (and receiving node), however many frames and links it covers."""
+        """Send everything owed: one vector per connection, however many
+        flights it acknowledges."""
         with self._lock:
-            self._flush_armed = False
+            self._acks_armed = False
             owed, self._owed = self._owed, {}
             if self._closed:
                 return
             self.stats.record_ack_frames(len(owed))
-        for (theirs, _node), (ours, by_link) in owed.items():
-            self._wire_send(Message(R_ACK, ours, theirs, {
-                "acks": [[src, dst, seqs] for (src, dst), seqs in by_link.items()]
+        for (theirs, ours), (src, seqs) in owed.items():
+            self._wire_send(Message(R_ACK, src, theirs, {
+                "acks": [[theirs, ours, seqs]]
             }))
 
     # -- introspection ---------------------------------------------------
     def in_flight_count(self) -> int:
-        """Envelopes awaiting acknowledgement (for tests/monitoring)."""
+        """Flights awaiting acknowledgement (for tests/monitoring)."""
         return self._unacked
 
     def rto(self, src: str, dst: str) -> float:
-        """The link's current retransmission timeout, before backoff
-        and jitter: ``ack_timeout`` until its round trips say more."""
+        """The current retransmission timeout of the connection src→dst
+        traffic uses, before backoff and jitter: ``ack_timeout`` until
+        its round trips say more."""
+        conn = (self._ctl_name(self._node(src)), self._ctl_name(self._node(dst)))
         with self._lock:
-            sender = self._senders.get((src, dst))
+            sender = self._senders.get(conn)
             return sender.rto(self.ack_timeout) if sender else self.ack_timeout
 
     def close(self) -> None:
@@ -452,10 +540,11 @@ class ReliableTransport(LayeredTransport):
                 self._timer = None
             self._heap.clear()
             self._senders.clear()
+            self._outbox.clear()
             self._owed.clear()
             self._unacked = 0
             ctl, self._ctl = self._ctl, {}
-        super().close()  # closes reliable endpoints -> unbinds inner ones
+        super().close()  # closes this transport's endpoints
         for ep in ctl.values():
             ep.close()
         self.inner.close()

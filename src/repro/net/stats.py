@@ -78,11 +78,12 @@ class MessageStats:
     # sender did NOT pay for separately).
     batches_sent: int = 0
     messages_coalesced: int = 0
-    # Reliable-delivery sublayer (net/reliability.py): data frames
-    # retransmitted after an ACK timeout, incoming frames suppressed as
+    # Reliable-delivery sublayer (net/reliability.py), per flight (one
+    # R_DATA per connection per flush; one message on the sim): flights
+    # retransmitted after an ACK timeout, incoming flights suppressed as
     # duplicates by the receiver's dedup window, sequence numbers
-    # acknowledged (one per data frame received, duplicates included)
-    # and the R_ACK vector frames that carried them.
+    # acknowledged (one per flight received, duplicates included) and
+    # the R_ACK vector frames that carried them.
     # These live on the *reliable* transport's stats, so the logical
     # message counters above stay comparable to a raw-transport run.
     retransmits: int = 0

@@ -353,3 +353,65 @@ def test_a_push_and_an_invalidate_ack_each_extract_the_view_once():
     assert revoked == 1
     assert cm.counters["invalidations"] == 1 and not cm.owner
     assert fx.store.cells["a"] == 2
+
+
+def _carries(frame, msg_type):
+    """Whether an R_DATA frame carries a logical ``msg_type`` (a flight
+    lists its messages under "m"; a one-message envelope names the
+    type under "t")."""
+    p = frame.payload
+    if "m" in p:
+        return any(sub.msg_type == msg_type for sub in p["m"])
+    return p.get("t") == msg_type
+
+
+def test_a_late_grant_loses_no_write():
+    """Every GRANT-carrying frame is held 0.5 behind: the INVALIDATE
+    revoking a grant then arrives right behind it, in the same instant.
+    The cache manager applies the GRANT in the handler it arrives in, so
+    the view is already inside the use the grant opened when the
+    INVALIDATE is handled: it is deferred to the end of that use and
+    carries the increment with it."""
+    from repro.core.system import FleccSystem, run_all_scripts
+    from repro.net import ReliableTransport, SimTransport
+    from repro.net.message import R_DATA
+    from repro.sim import SimKernel
+    from repro.testing import (
+        Agent,
+        Store,
+        extract_cells,
+        extract_from_object,
+        extract_from_view,
+        merge_into_object,
+        merge_into_view,
+        props_for,
+    )
+
+    kernel = SimKernel()
+    inner = SimTransport(kernel, default_latency=1.0, fault_policy=lambda f: (
+        ("delay", 0.5) if f.msg_type == R_DATA and _carries(f, M.GRANT)
+        else "deliver"))
+    rel = ReliableTransport(inner)
+    store = Store({"a": 0})
+    system = FleccSystem(rel, store, extract_from_object, merge_into_object,
+                         extract_cells=extract_cells)
+    views = []
+    for i in range(3):
+        agent = Agent()
+        cm = system.add_view(f"v{i}", agent, props_for(["a"]),
+                             extract_from_view, merge_into_view,
+                             mode=Mode.STRONG)
+        views.append((cm, agent))
+
+    def script(cm, agent):
+        yield cm.start()
+        yield cm.init_image()
+        for _ in range(3):
+            yield cm.start_use_image()
+            agent.local["a"] += 1
+            cm.end_use_image()
+        yield cm.kill_image()
+
+    run_all_scripts(rel, [script(cm, agent) for cm, agent in views])
+    assert store.cells["a"] == 9
+    system.directory.check_invariants()

@@ -401,6 +401,57 @@ def test_reliable_send_survives_the_server_dropping_the_link():
         rel.close()
 
 
+def test_a_flush_hook_pending_on_a_dead_link_runs_on_its_replacement(transport):
+    got, ran = [], []
+    transport.bind("a", lambda m: None)
+    transport.bind("b", lambda m: got.append(m.payload["i"]))
+    transport.send(Message("PING", "a", "b", {"i": 0}))
+    assert _wait_for(lambda: got == [0])
+    first = transport._link
+    transport.pause_writes()
+    transport.at_flush(lambda: ran.append(transport._link))
+    _drop_server_connections(transport)
+    time.sleep(0.1)
+    transport.resume_writes()  # the writer finds the connection gone
+    assert _wait_for(lambda: ran)
+    assert first.error is not None
+    assert ran[0] is transport._link and ran[0] is not first
+
+
+def test_one_loop_turns_reliable_sends_leave_as_one_flight():
+    """Eight sends in one loop turn: the writer runs the sublayer's flush
+    hook before it drains, so they leave as one R_DATA, in send order."""
+    from repro.net.message import R_DATA
+    from repro.net.reliability import ReliableTransport
+
+    tr = AioTcpTransport(codec="binary")
+    rel = ReliableTransport(tr, ack_timeout=50.0)
+    try:
+        got = []
+        done = threading.Event()
+
+        def handler(m):
+            got.append(m.payload["i"])
+            if len(got) == 8:
+                done.set()
+
+        rel.bind("src", lambda m: None)
+        rel.bind("dst", handler)
+
+        def burst():
+            for i in range(8):
+                rel.send(Message("SEQ", "src", "dst", {"i": i}))
+
+        rel.schedule(0.0, burst)  # on the loop thread: one turn
+        assert done.wait(5.0)
+        assert got == list(range(8))
+        assert tr.stats.by_type[R_DATA] == 1
+        assert rel.stats.total == 8 and rel.stats.retransmits == 0
+        assert _wait_for(lambda: rel.in_flight_count() == 0)
+    finally:
+        rel.close()
+
+
 def test_a_batch_that_cannot_be_split_is_a_bad_frame(transport, caplog):
     """A malformed BATCH from a socket is refused like an undecodable
     frame — recorded, logged once, its connection dropped — instead of

@@ -14,7 +14,13 @@ moved once, when nested messages became native ``0x0E`` records, and
 ``legacy.batch`` and ``legacy.r_data`` — bytes no encoder produces any
 more and every decoder must still read — and ``legacy.reliable_flush``
 is ``reliable_flush`` as the encoder before the envelope records wrote
-it, every sub-message a ``0x0E`` record.
+it, every sub-message a ``0x0E`` record.  When the sublayer began
+sending one ``R_DATA`` flight (``0x11``) per connection and flush
+instead of one envelope per message, the one-message ``0x0F`` spellings
+left the encoder: ``legacy.r_data_record`` and
+``legacy.reliable_flush_record`` are what it wrote for ``r_data`` and
+``reliable_flush`` until then, and ``flight`` pins the record that
+replaced them.
 """
 
 import json
@@ -48,8 +54,9 @@ def _image(n, start=0):
 
 
 def _reliable_flush():
-    """One write flush of the composed stack: 8 R_DATA{PUSH} envelopes,
-    the fourth a retransmission, and the ACK vector for the replies."""
+    """One write flush of the composed stack before flights: 8
+    R_DATA{PUSH} envelopes, the fourth a retransmission, and the ACK
+    vector for the replies."""
     subs = []
     for v in range(8):
         payload = {"seq": 300 + v, "ctl": "rel-ctl", "t": "PUSH",
@@ -67,6 +74,34 @@ def _reliable_flush():
     batch = make_batch("cm:ta0000", "shard:0", subs)
     batch.msg_id = 9021
     return batch
+
+
+def _flight():
+    """One write flush of the composed stack: its 8 PUSHes in one flight
+    to the receiving control endpoint."""
+    msgs = [
+        Message("PUSH", f"cm:ta{v:04d}", f"shard:{v % 4}",
+                {"view_id": f"ta{v:04d}", "image": _image(2, start=2 * v),
+                 "state_seq": 40 + v},
+                msg_id=9000 + 2 * v)
+        for v in range(8)
+    ]
+    return Message("R_DATA", "cm:ta0000", "rel-ctl",
+                   {"seq": 300, "ctl": "rel-ctl", "f": 298, "m": msgs},
+                   msg_id=9017)
+
+
+def _legacy_messages():
+    """What the ``legacy.*`` frames decode to."""
+    return {
+        "r_data": Message(
+            "R_DATA", "cm:ta0001", "shard:2",
+            {"seq": 129, "ctl": "rel-ctl", "t": "PUSH",
+             "p": {"view_id": "ta0001", "image": _image(2)},
+             "i": 88, "r": None},
+            msg_id=89, reply_to=None),
+        "reliable_flush": _reliable_flush(),
+    }
 
 
 def _messages():
@@ -110,13 +145,7 @@ def _messages():
                                          "versions": VersionVector({"z": 1})},
             msg_id=3, reply_to=2),
         "batch": batch,
-        "r_data": Message(
-            "R_DATA", "cm:ta0001", "shard:2",
-            {"seq": 129, "ctl": "rel-ctl", "t": "PUSH",
-             "p": {"view_id": "ta0001", "image": _image(2)},
-             "i": 88, "r": None},
-            msg_id=89, reply_to=None),
-        "reliable_flush": _reliable_flush(),
+        "flight": _flight(),
         "many_strings": Message(
             "T", "a", "b", {f"key-{i:03d}": f"key-{(i * 7) % 200:03d}"
                             for i in range(200)},
@@ -148,9 +177,9 @@ def _corpus():
             out[f"zstored.{name}"] = packed
     for name, value in _values().items():
         out[f"value.{name}"] = encode_value(value)
-    # JSON has no envelope records: the flush is pinned to what JsonCodec
-    # wrote before BinaryCodec had them.
-    out["json.reliable_flush"] = JsonCodec().encode(_reliable_flush())
+    # JSON has no envelope records: a flight spells its messages as
+    # their dicts, as a BATCH does.
+    out["json.flight"] = JsonCodec().encode(_flight())
     return out
 
 
@@ -165,15 +194,20 @@ def test_encoder_output_is_byte_identical_to_golden():
     assert {"frame", "zbody", "zstored", "value"} <= kinds
 
 
-@pytest.mark.parametrize("name", sorted(_messages()))
+@pytest.mark.parametrize("name", sorted({**_messages(), **_legacy_messages()}))
 def test_golden_frames_decode_to_the_messages_that_made_them(name):
+    """Every pinned frame, and every envelope record the encoder has
+    since stopped writing, decodes to the message that made it."""
     golden = json.loads(GOLDEN.read_text())
-    msg = _messages()[name]
-    decoded = BinaryCodec().decode(bytes.fromhex(golden[f"frame.{name}"]))
+    current = _messages()
+    msg = current[name] if name in current else _legacy_messages()[name]
+    raw = bytes.fromhex(golden[f"frame.{name}" if name in current
+                               else f"legacy.{name}_record"])
+    decoded = BinaryCodec().decode(raw)
     again = BinaryCodec().decode(BinaryCodec().encode(msg))
     assert decoded == again
     assert decoded.msg_id == msg.msg_id and decoded.reply_to == msg.reply_to
-    assert bytes.fromhex(golden[f"frame.{name}"])[0] == MAGIC_RAW
+    assert raw[0] == MAGIC_RAW
 
 
 @pytest.mark.parametrize("magic", [MAGIC_RAW, MAGIC_ZLIB])
@@ -197,38 +231,55 @@ def test_dict_form_batch_from_older_encoders_still_splits(magic):
 
 @pytest.mark.parametrize("magic", [MAGIC_RAW, MAGIC_ZLIB])
 def test_six_value_r_data_from_older_encoders_still_decodes(magic):
-    """``legacy.r_data`` spells the envelope as the generic six values."""
-    legacy = bytes.fromhex(json.loads(GOLDEN.read_text())["legacy.r_data"])
-    assert legacy[0] == MAGIC_RAW and legacy[1] in (0x05, 0x06)
-    frame = legacy
-    if magic == MAGIC_ZLIB:
-        frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
-    decoded = BinaryCodec().decode(frame)
-    expected = _messages()["r_data"]
-    assert decoded == expected
-    assert list(decoded.payload) == list(expected.payload)
-    native = BinaryCodec().encode(expected)
-    assert native[1] == 0x0F and len(native) < len(legacy)
+    """``legacy.r_data`` spells the envelope as the generic six values,
+    and ``legacy.r_data_record`` as the one-message ``0x0F`` record."""
+    golden = json.loads(GOLDEN.read_text())
+    expected = _legacy_messages()["r_data"]
+    for name, first in (("legacy.r_data", (0x05, 0x06)),
+                        ("legacy.r_data_record", (0x0F,))):
+        legacy = bytes.fromhex(golden[name])
+        assert legacy[0] == MAGIC_RAW and legacy[1] in first
+        frame = legacy
+        if magic == MAGIC_ZLIB:
+            frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
+        decoded = BinaryCodec().decode(frame)
+        assert decoded == expected
+        assert list(decoded.payload) == list(expected.payload)
+    # Not a flight: the encoder now spells it the generic way.
+    assert BinaryCodec().encode(expected) == bytes.fromhex(golden["legacy.r_data"])
 
 
 @pytest.mark.parametrize("magic", [MAGIC_RAW, MAGIC_ZLIB])
 def test_message_record_envelopes_from_older_encoders_still_split(magic):
     """``legacy.reliable_flush`` spells every R_DATA/R_ACK sub-message
-    as a ``0x0E`` record with a generic payload."""
-    legacy = bytes.fromhex(json.loads(GOLDEN.read_text())["legacy.reliable_flush"])
-    assert legacy[0] == MAGIC_RAW
-    frame = legacy
-    if magic == MAGIC_ZLIB:
-        frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
-    expected = _messages()["reliable_flush"]
-    decoded = BinaryCodec().decode(frame)
-    assert split_batch(decoded) == split_batch(expected)
-    assert [list(m.payload) for m in split_batch(decoded)] == [
-        list(m.payload) for m in split_batch(expected)]
-    assert decoded.msg_id == expected.msg_id
-    native = BinaryCodec().encode(expected)
-    assert split_batch(BinaryCodec().decode(native)) == split_batch(expected)
-    assert len(native) < len(legacy)
+    as a ``0x0E`` record with a generic payload;
+    ``legacy.reliable_flush_record`` as ``0x0F`` / ``0x10`` records."""
+    golden = json.loads(GOLDEN.read_text())
+    expected = _legacy_messages()["reliable_flush"]
+    for name in ("legacy.reliable_flush", "legacy.reliable_flush_record"):
+        legacy = bytes.fromhex(golden[name])
+        assert legacy[0] == MAGIC_RAW
+        frame = legacy
+        if magic == MAGIC_ZLIB:
+            frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
+        decoded = BinaryCodec().decode(frame)
+        assert split_batch(decoded) == split_batch(expected)
+        assert [list(m.payload) for m in split_batch(decoded)] == [
+            list(m.payload) for m in split_batch(expected)]
+        assert decoded.msg_id == expected.msg_id
+
+
+def test_a_flight_is_one_record_of_message_records():
+    golden = json.loads(GOLDEN.read_text())
+    raw = bytes.fromhex(golden["frame.flight"])
+    assert raw[:2] == bytes((MAGIC_RAW, 0x11))
+    decoded = BinaryCodec().decode(raw)
+    assert decoded == _flight()
+    assert all(type(m) is Message for m in decoded.payload["m"])
+    # JSON spells the messages as dicts; the sublayer reads both.
+    via_json = JsonCodec().decode(bytes.fromhex(golden["json.flight"]))
+    assert all(type(m) is dict for m in via_json.payload["m"])
+    assert [Message.from_dict(m) for m in via_json.payload["m"]] == _flight().payload["m"]
 
 
 @pytest.mark.parametrize("name", sorted(_values()))

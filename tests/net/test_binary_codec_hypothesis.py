@@ -171,10 +171,11 @@ def test_batch_envelope_splits_alike_under_every_codec(subs):
 
 
 # -- the reliable sublayer's envelopes --------------------------------------
-# R_DATA and R_ACK have records of their own (0x0F / 0x10) when they have
-# exactly ReliableTransport's shape, and the generic spelling otherwise.
-# The strategies below draw that shape and near misses of it; every one
-# must decode to what the JSON codec decodes, records or not.
+# An R_DATA flight and an R_ACK have records of their own (0x11 / 0x10)
+# when they have exactly ReliableTransport's shape, and the generic
+# spelling otherwise.  The strategies below draw that shape and near
+# misses of it; every one must decode to what the JSON codec decodes,
+# records or not.
 
 ints = st.integers(min_value=-(2**63), max_value=2**63)
 not_ints = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
@@ -183,35 +184,39 @@ not_strs = st.one_of(st.none(), st.booleans(), ints, st.lists(st.text(max_size=2
 
 
 @st.composite
-def r_data_payloads(draw):
+def flight_payloads(draw, exact=False):
     p = {
         "seq": draw(st.integers(0, 2**40)),
         "ctl": draw(st.sampled_from(["rel-ctl", "rel-ctl@n1", ""])),
-        "t": draw(st.sampled_from(["PUSH", "PULL_REQ", "INVALIDATE_ACK"])),
-        "p": draw(payloads),
-        "i": draw(ints),
-        "r": draw(st.one_of(st.none(), ints)),
+        "f": draw(st.integers(0, 2**40)),
+        "m": draw(st.lists(nested_messages(payload_values), max_size=3)),
     }
     if draw(st.booleans()):
         p["n"] = draw(st.integers(1, 2**20))
-    miss = draw(st.sampled_from([
-        None, "n", "extra", "missing", "seq", "neg_seq", "ctl", "t", "r",
-        "reorder",
+    miss = None if exact else draw(st.sampled_from([
+        None, "n", "extra", "missing", "seq", "neg_seq", "ctl", "f", "m",
+        "entry", "reorder",
     ]))
     if miss == "n":
-        p["n"] = draw(st.one_of(st.integers(-2, 1), not_ints))
+        p["n"] = draw(st.one_of(st.integers(-2, 0), not_ints))
     elif miss == "extra":
-        p[draw(st.sampled_from(["x", "N", "seq2"]))] = draw(scalars)
+        p[draw(st.sampled_from(["x", "N", "seq2", "t"]))] = draw(scalars)
     elif miss == "missing":
         del p[draw(st.sampled_from(sorted(p)))]
     elif miss == "seq":
         p["seq"] = draw(not_ints)
     elif miss == "neg_seq":
         p["seq"] = draw(st.integers(-(2**40), -1))
-    elif miss in ("ctl", "t"):
-        p[miss] = draw(not_strs)
-    elif miss == "r":
-        p["r"] = draw(not_ints.filter(lambda v: v is not None))
+    elif miss == "ctl":
+        p["ctl"] = draw(not_strs)
+    elif miss == "f":
+        p["f"] = draw(st.one_of(st.integers(-(2**20), -1), not_ints))
+    elif miss == "m":  # not a list
+        p["m"] = draw(st.one_of(scalars, st.tuples(
+            nested_messages(payload_values))))
+    elif miss == "entry":  # a non-message entry among the messages
+        p["m"] = p["m"] + [draw(st.one_of(scalars, st.dictionaries(
+            st.text(max_size=4), scalars, max_size=2)))]
     elif miss == "reorder":
         p = dict(reversed(list(p.items())))
     return p
@@ -253,7 +258,7 @@ def r_ack_payloads(draw):
 
 envelopes = st.one_of(
     st.builds(Message, st.just("R_DATA"), st.text(max_size=8),
-              st.sampled_from(["dir", "shard:3"]), r_data_payloads(),
+              st.sampled_from(["rel-ctl", "rel-ctl@n2"]), flight_payloads(),
               msg_id=ints, reply_to=st.one_of(st.none(), ints)),
     st.builds(Message, st.just("R_ACK"), st.text(max_size=8),
               st.sampled_from(["rel-ctl", "rel-ctl@n2"]), r_ack_payloads(),
@@ -275,6 +280,21 @@ def test_envelopes_and_near_misses_round_trip_top_level_and_nested(m):
         (sub,) = split_batch(codec.decode(codec.encode(nested)))
         assert type(sub) is Message and _eq(sub, via_json)
         assert list(sub.payload) == list(m.payload)
+
+
+@given(st.builds(Message, st.just("R_DATA"), st.text(max_size=8),
+                 st.just("rel-ctl"), flight_payloads(exact=True),
+                 msg_id=ints))
+@settings(max_examples=100, deadline=None)
+def test_a_flight_of_the_sublayers_shape_is_one_record_top_level_and_nested(m):
+    codec = BinaryCodec()
+    raw = codec.encode(m)
+    assert raw[1] == 0x11
+    assert _eq(codec.decode(raw), m)
+    batch = codec.encode(make_batch("dir", m.dst, [m, m]))
+    subs = split_batch(codec.decode(batch))
+    assert [type(sub) for sub in subs] == [Message, Message]
+    assert all(_eq(sub, m) for sub in subs)
 
 
 @given(st.lists(envelopes, min_size=1, max_size=4))

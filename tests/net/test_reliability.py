@@ -184,6 +184,9 @@ def _spy(inner, verdict=lambda m: "deliver"):
 
 
 def test_envelope_is_flat_and_keeps_the_logical_id():
+    """A sim flight is one message: it leaves from that message's source
+    for the receiving control endpoint, and the message rides inside as
+    itself, id and reply_to included."""
     kernel, inner, rel = make()
     frames, got = [], []
     inner.fault_policy = lambda m: frames.append(m) or "deliver"
@@ -192,12 +195,13 @@ def test_envelope_is_flat_and_keeps_the_logical_id():
     sent = Message("DATA", "a", "b", {"k": 1}, reply_to=41)
     rel.send(sent)
     kernel.run()
-    data = frames[0]
-    assert data.msg_type == R_DATA and (data.src, data.dst) == ("a", "b")
-    assert data.payload == {"seq": 1, "ctl": frames[1].dst, "t": "DATA",
-                            "p": {"k": 1}, "i": sent.msg_id, "r": 41}
+    data, ack = frames
+    assert data.msg_type == R_DATA and (data.src, data.dst) == ("a", "rel-ctl")
+    assert data.payload == {"seq": 1, "ctl": "rel-ctl", "f": 1, "m": [sent]}
     assert got == [sent] and got[0].msg_id == sent.msg_id
-    assert inner.is_bound(data.payload["ctl"])  # the ACK really travels
+    assert got[0].reply_to == 41
+    assert ack.msg_type == R_ACK and ack.dst == "rel-ctl"
+    assert inner.is_bound("rel-ctl")  # the ACK really travels
 
 
 def test_one_vector_acknowledges_a_whole_flight_across_links():
@@ -209,7 +213,8 @@ def test_one_vector_acknowledges_a_whole_flight_across_links():
         rel.send(Message("DATA", "a", "b", {"n": n}))
     rel.send(Message("DATA", "c", "b"))
     kernel.run()
-    assert vectors == [[["a", "b", [1, 2, 3]], ["c", "b", [1]]]]
+    # Four one-message sim flights on the one connection, one vector.
+    assert vectors == [[["rel-ctl", "rel-ctl", [1, 2, 3, 4]]]]
     assert rel.stats.acks_sent == 4 and rel.stats.ack_frames_sent == 1
     assert inner.stats.by_type[R_ACK] == 1
     assert rel.in_flight_count() == 0
@@ -237,8 +242,8 @@ def test_dropped_vector_every_seq_retransmitted_suppressed_and_reacked(no_jitter
     assert rel.stats.duplicates_suppressed == 3
     assert rel.stats.acks_sent == 6 and rel.stats.ack_frames_sent == 2
     # The re-ACK echoes the attempt it answers.
-    assert vectors == [[["a", "b", [1, 2, 3]]],
-                       [["a", "b", [[1, 2], [2, 2], [3, 2]]]]]
+    assert vectors == [[["rel-ctl", "rel-ctl", [1, 2, 3]]],
+                       [["rel-ctl", "rel-ctl", [[1, 2], [2, 2], [3, 2]]]]]
     assert rel.in_flight_count() == 0
 
 
@@ -260,7 +265,8 @@ def test_out_of_order_arrival_across_vectors():
         rel.send(Message("DATA", "a", "b", {"n": n}))
     kernel.run()
     # 2 and 3 are acknowledged while they wait for 1; hand-off is in order.
-    assert vectors == [[["a", "b", [2, 3]]], [["a", "b", [1]]]]
+    assert vectors == [[["rel-ctl", "rel-ctl", [2, 3]]],
+                       [["rel-ctl", "rel-ctl", [1]]]]
     assert got == [1, 2, 3]
     assert rel.stats.retransmits == 0 and rel.in_flight_count() == 0
 
@@ -297,18 +303,31 @@ def test_vectors_under_a_topology_see_the_latency_of_their_links(no_jitter):
 
 
 class ManualTransport(Transport):
-    """Hand-cranked inner transport: sent frames queue until
-    ``deliver``, timers fire when ``fire`` moves the clock past them."""
+    """Hand-cranked inner transport: ``flush`` runs the ``at_flush``
+    hooks (the layer above frames what it gathered), sent frames queue
+    until ``deliver``, timers fire when ``fire`` moves the clock past
+    them.  ``log`` keeps every frame ever sent."""
 
     def __init__(self):
         super().__init__()
         self.t = 0.0
         self.timers = []
         self.wire = []
+        self.hooks = []
+        self.log = []
 
     def send(self, msg):
         self.stats.record(msg)
         self.wire.append(msg)
+        self.log.append(msg)
+
+    def at_flush(self, fn):
+        self.hooks.append(fn)
+
+    def flush(self):
+        hooks, self.hooks = self.hooks, []
+        for fn in hooks:
+            fn()
 
     def now(self):
         return self.t
@@ -322,11 +341,16 @@ class ManualTransport(Transport):
         raise NotImplementedError
 
     def deliver(self):
+        self.flush()
         while self.wire:
             frames, self.wire = self.wire, []
             for msg in frames:
                 self._endpoints[msg.dst].handler(msg)
             self.fire(self.t)  # the receiver's end-of-turn ACK flush
+            self.flush()
+
+    def vectors(self):
+        return [m.payload["acks"] for m in self.log if m.msg_type == R_ACK]
 
     def fire(self, at):
         self.t = at
@@ -353,15 +377,22 @@ def test_one_timer_serves_every_envelope_and_rests_once_all_are_acked(no_jitter)
     inner, rel, got = _manual(ack_timeout=10.0)
     for n in range(5):
         rel.send(Message("DATA", "a", "b", {"n": n}))
-    assert inner.live_timers() == [10.0]  # five envelopes, one timer
+    assert inner.wire == [] and inner.live_timers() == []  # gathered only
+    inner.flush()
+    assert len(inner.wire) == 1 and rel.in_flight_count() == 1
+    inner.t = 1.0
+    rel.send(Message("DATA", "a", "b", {"n": 5}))
+    inner.flush()
+    assert inner.live_timers() == [10.0]  # two flights, one timer
     inner.deliver()
-    assert got == list(range(5)) and rel.in_flight_count() == 0
+    assert got == list(range(6)) and rel.in_flight_count() == 0
     inner.fire(10.0)
     assert inner.live_timers() == []  # nothing unacked: no re-arm
     assert rel.stats.retransmits == 0 and inner.wire == []
-    # The next send wakes it again.
+    # The next flight wakes it again.
     inner.t = 50.0
-    rel.send(Message("DATA", "a", "b", {"n": 5}))
+    rel.send(Message("DATA", "a", "b", {"n": 6}))
+    inner.flush()
     assert inner.live_timers() == [60.0]
 
 
@@ -377,6 +408,7 @@ def test_sim_run_terminates_soon_after_the_last_ack():
 def test_on_time_fire_retransmits_at_once(no_jitter):
     inner, rel, _ = _manual(ack_timeout=10.0)
     rel.send(Message("DATA", "a", "b", {"n": 0}))
+    inner.flush()
     inner.wire.clear()  # the frame is lost
     inner.fire(10.5)    # within a tenth of ack_timeout of the deadline
     assert rel.stats.retransmits == 1
@@ -386,6 +418,7 @@ def test_on_time_fire_retransmits_at_once(no_jitter):
 def test_late_fire_defers_the_scan_once_not_forever(no_jitter):
     inner, rel, _ = _manual(ack_timeout=10.0)
     rel.send(Message("DATA", "a", "b", {"n": 0}))
+    inner.flush()
     inner.wire.clear()
     inner.fire(12.0)  # 2.0 late: the thread was busy, look again shortly
     assert rel.stats.retransmits == 0
@@ -403,6 +436,7 @@ def test_late_fire_defers_the_scan_once_not_forever(no_jitter):
 def test_ack_read_during_the_deferral_saves_the_retransmission(no_jitter):
     inner, rel, got = _manual(ack_timeout=10.0)
     rel.send(Message("DATA", "a", "b", {"n": 0}))
+    inner.flush()
     held = inner.wire.pop()       # sits in the socket while the thread is busy
     inner.fire(12.0)              # the timer gets the thread first, late
     assert rel.stats.retransmits == 0
@@ -411,6 +445,108 @@ def test_ack_read_during_the_deferral_saves_the_retransmission(no_jitter):
     assert got == [0] and rel.in_flight_count() == 0
     inner.fire(14.5)
     assert rel.stats.retransmits == 0 and inner.live_timers() == []
+
+
+# ---------------------------------------------------------------------------
+# Flights of more than one message (the sim's flights are one message;
+# ManualTransport defers at_flush the way the socket writer does)
+# ---------------------------------------------------------------------------
+
+def _flight_msgs(frame):
+    return [m.payload["n"] for m in frame.payload["m"]]
+
+
+def test_a_dropped_three_message_flight_is_retransmitted_once_and_handed_off_in_order(no_jitter):
+    inner, rel, got = _manual(ack_timeout=10.0)
+    for n in range(3):
+        rel.send(Message("DATA", "a", "b", {"n": n}))
+    inner.flush()
+    (flight,) = inner.wire
+    assert flight.msg_type == R_DATA and _flight_msgs(flight) == [0, 1, 2]
+    inner.wire.clear()  # the flight is lost
+    inner.fire(10.0)
+    (again,) = inner.wire
+    assert _flight_msgs(again) == [0, 1, 2] and again.payload["n"] == 2
+    assert again.msg_id == flight.msg_id
+    inner.deliver()
+    assert got == [0, 1, 2]
+    assert rel.stats.retransmits == 1 and rel.in_flight_count() == 0
+    assert inner.vectors() == [[["rel-ctl", "rel-ctl", [[1, 2]]]]]
+    assert rel.stats.acks_sent == 1  # one flight, one sequence number
+    inner.fire(100.0)
+    assert got == [0, 1, 2] and inner.wire == []
+
+
+def test_a_duplicated_flight_is_suppressed_and_reacked():
+    inner, rel, got = _manual()
+    for n in range(3):
+        rel.send(Message("DATA", "a", "b", {"n": n}))
+    inner.flush()
+    inner.wire.append(inner.wire[0])  # a duplicate below the sublayer
+    inner.deliver()
+    assert got == [0, 1, 2]
+    assert rel.stats.duplicates_suppressed == 1
+    assert inner.vectors() == [[["rel-ctl", "rel-ctl", [1, 1]]]]
+    assert rel.in_flight_count() == 0
+
+
+def test_reordered_flights_are_handed_off_in_send_order():
+    inner, rel, got = _manual()
+    for first in (0, 3):
+        for n in range(first, first + 3):
+            rel.send(Message("DATA", "a", "b", {"n": n}))
+        inner.flush()
+    assert [_flight_msgs(f) for f in inner.wire] == [[0, 1, 2], [3, 4, 5]]
+    inner.wire.reverse()
+    inner.deliver()
+    assert got == [0, 1, 2, 3, 4, 5]
+    assert inner.vectors() == [[["rel-ctl", "rel-ctl", [2, 1]]]]
+    assert rel.in_flight_count() == 0
+
+
+def test_unbinding_an_address_mid_flight_takes_its_messages_out(no_jitter):
+    inner, rel, got = _manual(ack_timeout=10.0)
+    a = rel._endpoints["a"]
+    rel.bind("c", lambda m: None)
+    rel.send(Message("DATA", "a", "b", {"n": 0}))
+    rel.send(Message("DATA", "c", "b", {"n": 1}))
+    rel.send(Message("DATA", "a", "b", {"n": 2}))
+    inner.flush()
+    (flight,) = inner.wire
+    assert flight.src == "a" and _flight_msgs(flight) == [0, 1, 2]
+    inner.wire.clear()  # lost
+    rel.send(Message("DATA", "a", "b", {"n": 3}))  # gathered, not framed
+    a.close()
+    inner.flush()
+    assert inner.wire == []  # a's gathering went with it
+    inner.fire(10.0)
+    (again,) = inner.wire
+    # What is left leaves from its first message's source.
+    assert again.src == "c" and _flight_msgs(again) == [1]
+    assert again.msg_id == flight.msg_id
+    inner.deliver()
+    assert got == [1] and rel.in_flight_count() == 0
+    assert rel.stats.dropped == 0
+
+
+def test_an_abandoned_flight_does_not_strand_the_connection(no_jitter):
+    """A flight emptied by an unbind is never sent again; the next
+    flight's floor tells the receiver to stop waiting for it."""
+    inner, rel, got = _manual(ack_timeout=10.0)
+    a = rel._endpoints["a"]
+    rel.bind("c", lambda m: None)
+    rel.send(Message("DATA", "a", "b", {"n": 0}))
+    inner.flush()
+    inner.wire.clear()  # flight 1 is lost ...
+    a.close()           # ... and abandoned
+    assert rel.in_flight_count() == 0
+    rel.send(Message("DATA", "c", "b", {"n": 1}))
+    inner.flush()
+    assert inner.wire[0].payload["seq"] == 2 and inner.wire[0].payload["f"] == 2
+    inner.deliver()
+    assert got == [1]
+    inner.fire(100.0)
+    assert rel.stats.retransmits == 0 and rel.stats.dropped == 0
 
 
 def test_late_but_delivered_original_raises_the_timeout(no_jitter):
@@ -453,7 +589,7 @@ def test_lost_frames_retransmission_does_not_poison_the_estimate(no_jitter):
         rel.send(Message("DATA", "a", "b"))
         kernel.run()
     assert rel.stats.retransmits == 1 and rel.in_flight_count() == 0
-    assert rel._senders[("a", "b")].srtt == pytest.approx(2.0)
+    assert rel._senders[("rel-ctl", "rel-ctl")].srtt == pytest.approx(2.0)
     assert rel.rto("a", "b") < 6.0  # a 7-unit sample would make it > 20
 
 
