@@ -180,12 +180,12 @@ def test_round_fanout_coalesced(benchmark):
 
 
 def test_kernel_event_throughput(benchmark):
-    """Time to drain 10k timeout events."""
+    """Time to drain 10k timer events."""
 
     def run():
         k = SimKernel()
         for i in range(10_000):
-            k.timeout(float(i % 100))
+            k.call_in(float(i % 100), lambda: None)
         return k.run()
 
     assert benchmark(run) == 99.0

@@ -4,8 +4,9 @@
 The paper's prototype ran over a real network; this example runs the
 exact same directory/cache-manager code as the other examples, but on
 :class:`~repro.net.aio_transport.AioTcpTransport` — every control
-message is a length-prefixed JSON frame over a real socket, and the
-view scripts run as blocking threads instead of simulated processes.
+message is a length-prefixed JSON frame over a real socket.  The view
+scripts run exactly as on the sim: scripts step on completion callbacks
+and transport timers; on aio, on the loop thread.
 
 Run:  python examples/tcp_sockets.py
 """

@@ -18,9 +18,11 @@ The view-facing API mirrors the paper's Fig 3 listing::
     cm.push_image().wait()
     cm.kill_image().wait()            # (4) kill cache manager
 
-Every method returns a :class:`~repro.net.transport.Completion`; sim
-code yields ``completion.sim_event()``, threaded code calls
-``completion.wait()`` (the examples show both styles).
+Every method returns a :class:`~repro.net.transport.Completion`.  The
+listing's ``.wait()`` blocks a thread outside the aio loop; a view script
+(:func:`~repro.core.system.run_view_script`) yields the completion
+instead — scripts step on completion callbacks and transport timers; on
+aio, on the loop thread — and runs unchanged on every backend.
 
 Each operation has one path.  Every reply is unwrapped by one rule
 (:meth:`CacheManager._unwrap`, behind ``_call`` and the data requests);

@@ -2,9 +2,10 @@
 
 Also provides :func:`run_view_script`, the cross-backend driver that
 lets the *same* application code (a generator yielding completions)
-run on the simulated transport (as a kernel process) and on the socket
-transport (as a blocking thread) — the trick that keeps the airline
-case study single-sourced across both backends.
+run on the simulated transport and on the socket transport: scripts
+step on completion callbacks and transport timers; on aio, on the loop
+thread.  That keeps the airline case study single-sourced across both
+backends.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.core.directory import (
 from repro.core.messages import TraceLog
 from repro.core.property_set import PropertySet
 from repro.errors import ReproError
-from repro.net.aio_transport import TIME_SCALE
 from repro.net.sim_transport import SimTransport
 from repro.net.transport import Completion, Transport, resolve_transport
 
@@ -128,8 +128,10 @@ class FleccSystem:
 # Cross-backend script execution
 # ---------------------------------------------------------------------------
 # A *view script* is a generator that yields either a Completion (wait
-# for it; its value is sent back into the generator) or ("sleep", dt)
-# (advance time by dt).  The same script runs under both backends.
+# for it; its value is sent back into the generator, its failure thrown
+# in) or ("sleep", dt) (advance time by dt).  The same script runs under
+# every backend: it steps on completion callbacks and transport timers;
+# on aio, on the loop thread, so a script must never block.
 
 SleepCmd = Tuple[str, float]
 ScriptYield = Union[Completion, SleepCmd]
@@ -140,8 +142,8 @@ def _sim_backend(transport: Transport) -> Optional[SimTransport]:
     """The SimTransport at the bottom of a (possibly wrapped) stack.
 
     Wrappers such as :class:`~repro.net.reliability.ReliableTransport`
-    expose their wrapped backend as ``.inner``; scripts must run as
-    kernel processes whenever a sim kernel is anywhere underneath.
+    expose their wrapped backend as ``.inner``; whenever a sim kernel is
+    anywhere underneath, waiting on a script means stepping that kernel.
     """
     seen = set()
     t: Any = transport
@@ -154,107 +156,101 @@ def _sim_backend(transport: Transport) -> Optional[SimTransport]:
 
 
 def run_view_script(transport: Transport, script: ViewScript) -> "ScriptHandle":
-    """Run a view script appropriately for the transport backend."""
-    sim = _sim_backend(transport)
-    if sim is not None:
-        return _SimScriptHandle(sim, script)
-    return _ThreadScriptHandle(transport, script)
+    """Start a view script on ``transport``; see :class:`ScriptHandle`."""
+    return ScriptHandle(transport, script)
 
 
 class ScriptHandle:
-    """Handle to a running view script."""
+    """A running view script, stepped from transport callbacks.
 
-    def result(self, timeout: Optional[float] = None) -> Any:  # pragma: no cover
-        raise NotImplementedError
+    The script boots on a zero-delay timer; a yielded completion resumes
+    it from ``then`` and a sleep from ``transport.schedule``, so on the
+    sim the resumption points are kernel events and on aio every step
+    runs on the loop thread.
+    """
 
-    @property
-    def done(self) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-
-class _SimScriptHandle(ScriptHandle):
-    def __init__(self, transport: SimTransport, script: ViewScript) -> None:
-        kernel = transport.kernel
-
-        # Drive `script` manually so its return value is captured and
-        # failures of awaited completions are thrown back *into* the
-        # script (so application code can catch protocol errors).
-        def runner():
-            value_to_send: Any = None
-            exc_to_throw: Optional[BaseException] = None
-            try:
-                while True:
-                    if exc_to_throw is not None:
-                        exc, exc_to_throw = exc_to_throw, None
-                        step = script.throw(exc)
-                    else:
-                        step = script.send(value_to_send)
-                    value_to_send = None
-                    if isinstance(step, tuple) and step and step[0] == "sleep":
-                        yield kernel.timeout(step[1])
-                    elif isinstance(step, Completion):
-                        try:
-                            value_to_send = yield step.sim_event()
-                        except BaseException as e:  # forwarded to the script
-                            exc_to_throw = e
-                    else:
-                        raise ReproError(f"script yielded {step!r}")
-            except StopIteration as stop:
-                return stop.value
-
-        self._process = kernel.spawn(runner())
-        self._kernel = kernel
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        if not self._process.done:
-            self._kernel.run_until_complete(self._process)
-        return self._process.result
-
-    @property
-    def done(self) -> bool:
-        return self._process.done
-
-
-class _ThreadScriptHandle(ScriptHandle):
     def __init__(self, transport: Transport, script: ViewScript) -> None:
+        self._transport = transport
+        self._script = script
+        self._sim = _sim_backend(transport)
         self._result: Any = None
         self._exc: Optional[BaseException] = None
         self._finished = threading.Event()
+        self._after(0.0)
 
-        def run() -> None:
-            import time as _time
+    def _after(self, dt: float) -> None:
+        try:
+            self._transport.schedule(dt, self._step)
+        except BaseException as exc:  # transport closed: end, never hang
+            self._finish(None, exc)
 
-            value_to_send: Any = None
-            exc_to_throw: Optional[BaseException] = None
+    def _step(self, done: Optional[Completion] = None) -> None:
+        """Send ``done``'s outcome (None after a timer) into the script
+        and follow it until it waits, sleeps or ends."""
+        while True:
             try:
-                while True:
-                    if exc_to_throw is not None:
-                        exc, exc_to_throw = exc_to_throw, None
-                        step = script.throw(exc)
-                    else:
-                        step = script.send(value_to_send)
-                    value_to_send = None
-                    if isinstance(step, tuple) and step and step[0] == "sleep":
-                        _time.sleep(step[1] / TIME_SCALE)
-                    elif isinstance(step, Completion):
-                        try:
-                            value_to_send = step.wait(timeout=30.0)
-                        except BaseException as e:  # forwarded to the script
-                            exc_to_throw = e
-                    else:
-                        raise ReproError(f"script yielded {step!r}")
+                try:
+                    value = None if done is None else done.value
+                except BaseException as exc:  # a failed wait: the script's to catch
+                    step = self._script.throw(exc)
+                else:
+                    step = self._script.send(value)
             except StopIteration as stop:
-                self._result = stop.value
+                self._finish(stop.value, None)
+                return
             except BaseException as exc:  # surfaced via result()
-                self._exc = exc
-            finally:
-                self._finished.set()
+                self._finish(None, exc)
+                return
+            if isinstance(step, Completion):
+                done = self._wait(step)
+                if done is None:
+                    return
+            elif isinstance(step, tuple) and step[:1] == ("sleep",):
+                self._after(step[1])
+                return
+            else:
+                self._finish(None, ReproError(f"script yielded {step!r}"))
+                return
 
-        self._thread = threading.Thread(target=run, daemon=True)
-        self._thread.start()
+    def _wait(self, comp: Completion) -> Optional[Completion]:
+        """Resume on ``comp``.  Returns it when ``then`` called back at
+        once (it was already done): the caller loops instead of nesting
+        a frame per resolved completion.  Otherwise returns None and the
+        callback steps the script later."""
+        inline = True
+        ready: Optional[Completion] = None
+
+        def resume(c: Completion) -> None:
+            nonlocal ready
+            if inline:
+                ready = c
+            else:
+                self._step(c)
+
+        comp.then(resume)
+        inline = False
+        return ready
+
+    def _finish(self, value: Any, exc: Optional[BaseException]) -> None:
+        self._result, self._exc = value, exc
+        self._finished.set()
 
     def result(self, timeout: Optional[float] = None) -> Any:
-        if not self._finished.wait(timeout if timeout is not None else 60.0):
+        """The script's return value; raises what the script raised.
+
+        On a sim backend this steps the kernel until the script ends
+        (``timeout`` does not apply: simulated time is not wall time);
+        elsewhere it waits up to ``timeout`` wall-clock seconds (60 by
+        default)."""
+        if self._sim is not None:
+            kernel = self._sim.kernel
+            while not self._finished.is_set():
+                if kernel.peek() == float("inf"):
+                    raise ReproError(
+                        "deadlock: the script waits but the event queue is empty"
+                    )
+                kernel.step()
+        elif not self._finished.wait(60.0 if timeout is None else timeout):
             raise ReproError("script did not finish in time")
         if self._exc is not None:
             raise self._exc

@@ -16,10 +16,6 @@ class SimulationError(ReproError):
     """Errors raised by the discrete-event simulation kernel."""
 
 
-class ProcessKilled(SimulationError):
-    """Raised inside a simulated process when it is forcibly terminated."""
-
-
 class TransportError(ReproError):
     """Errors raised by the network substrate (sim or TCP transports)."""
 

@@ -29,7 +29,8 @@ from repro.sim.kernel import SimKernel
 
 
 class SimCompletion(Completion):
-    """Completion backed by a kernel event (awaitable from sim processes)."""
+    """Completion backed by a kernel event: ``then`` callbacks run when
+    the kernel processes it."""
 
     def __init__(self, kernel: SimKernel, name: str = "") -> None:
         self._event = kernel.event(name=name or "completion")
@@ -50,10 +51,6 @@ class SimCompletion(Completion):
     @property
     def value(self) -> Any:
         return self._event.value
-
-    def sim_event(self):
-        """The kernel event to ``yield`` from a simulated process."""
-        return self._event
 
 
 class SimTransport(Transport):

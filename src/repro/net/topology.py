@@ -10,7 +10,7 @@ decide where encryptor/decryptor pairs go.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 import networkx as nx
 
@@ -136,9 +136,3 @@ def wan_topology(
             topo.add_node(h, kind="host", domain=domain)
             topo.add_link(h, switch, latency=lan_latency, secure=True)
     return topo
-
-
-def uniform_topology(default_latency: float = 1.0) -> Optional[Topology]:
-    """Sentinel for "no topology": the sim transport then applies
-    ``default_latency`` between any pair of distinct addresses."""
-    return None

@@ -8,8 +8,11 @@ message delivery, a clock, timers (for quality triggers), and a way to
 wait for a reply.
 
 A :class:`Completion` is the cross-backend future: in simulation it
-wraps a kernel event (``yield comp.sim_event()`` from a process); in
-thread mode it wraps a ``threading.Event`` (``comp.wait()``).
+wraps a kernel event, on aio a done flag.  View scripts
+(:func:`repro.core.system.run_view_script`) step on completion callbacks
+(:meth:`Completion.then`) and transport timers (:meth:`Transport.schedule`);
+on aio, on the loop thread.  A thread outside the loop may block on
+``comp.wait()``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ MessageHandler = Callable[[Message], None]
 
 
 class Completion(abc.ABC):
-    """A one-shot future usable from sim processes or real threads."""
+    """A one-shot future: callbacks on every backend, ``wait()`` on aio."""
 
     @abc.abstractmethod
     def resolve(self, value: Any = None) -> None:
@@ -49,9 +52,6 @@ class Completion(abc.ABC):
         """The result; raises the failure exception if failed."""
 
     # Backend-specific waiting -----------------------------------------
-    def sim_event(self):  # pragma: no cover - overridden in sim backend
-        raise TransportError(f"{type(self).__name__} cannot be awaited in sim")
-
     def wait(self, timeout: Optional[float] = None) -> Any:  # pragma: no cover
         raise TransportError(f"{type(self).__name__} cannot block a thread")
 

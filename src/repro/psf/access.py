@@ -94,9 +94,6 @@ class AccessPolicy:
             ]
         )
 
-    def add_rule(self, rule: AccessRule) -> None:
-        self.rules.append(rule)
-
     def allowed_kind(self, credentials: Credentials) -> Optional[ViewKind]:
         """The most capable view kind these credentials may receive."""
         best: Optional[ViewKind] = None

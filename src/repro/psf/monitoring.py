@@ -69,10 +69,6 @@ class Monitor:
         g.nodes[node][attribute] = value
         self._publish(ChangeEvent("node", (node,), attribute, old, value))
 
-    def client_change(self, client_node: str, attribute: str, old: Any, new: Any) -> None:
-        """Report a client-side change (e.g. operation browse -> buy)."""
-        self._publish(ChangeEvent("client", (client_node,), attribute, old, new))
-
     def _publish(self, event: ChangeEvent) -> None:
         self.history.append(event)
         for fn in list(self._subscribers):

@@ -40,12 +40,3 @@ class QoSRequirement:
     max_latency: float = float("inf")
     privacy: bool = False
     operation: Operation = Operation.BROWSE
-
-    def with_operation(self, operation: Operation | str) -> "QoSRequirement":
-        """The same client switching between browse and buy (paper §1)."""
-        return QoSRequirement(
-            client_node=self.client_node,
-            max_latency=self.max_latency,
-            privacy=self.privacy,
-            operation=Operation(operation),
-        )

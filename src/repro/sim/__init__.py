@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel.
 
-A small, deterministic, generator-based discrete-event engine in the
+A small, deterministic, callback-based discrete-event engine in the
 spirit of SimPy, used as the substrate under the simulated network
 transport.  The paper's prototype ran on a real LAN; the simulation
 kernel lets the same protocol code run deterministically at laptop scale
@@ -8,32 +8,28 @@ kernel lets the same protocol code run deterministically at laptop scale
 
 Public surface:
 
-- :class:`~repro.sim.kernel.SimKernel` — the event loop / clock.
-- :class:`~repro.sim.process.Process` — a running generator process.
-- :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout` —
-  awaitable occurrences (``yield`` them from process generators).
-- :class:`~repro.sim.resources.Mutex`,
-  :class:`~repro.sim.resources.Store` — synchronization primitives.
+- :class:`~repro.sim.kernel.SimKernel` — the event loop / clock
+  (``call_at`` / ``call_in`` timers, ``step`` / ``peek`` / ``run``).
+- :class:`~repro.sim.events.Event` — a one-shot occurrence with
+  callbacks.
 - :func:`~repro.sim.rng.make_rng` — seeded random streams.
 - :class:`~repro.sim.faults.FaultScenario`,
   :class:`~repro.sim.faults.FaultInjector` — declarative, seedable
   fault injection compiled into transport fault policies + sim events.
+
+The kernel has no processes: view scripts
+(:func:`repro.core.system.run_view_script`) step on completion callbacks
+and transport timers; on aio, on the loop thread.
 """
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 from repro.sim.faults import CrashPlan, FaultInjector, FaultScenario, Partition
 from repro.sim.kernel import SimKernel
-from repro.sim.process import Process
-from repro.sim.resources import Mutex, Store
 from repro.sim.rng import make_rng, spawn_rng
 
 __all__ = [
     "Event",
-    "Timeout",
     "SimKernel",
-    "Process",
-    "Mutex",
-    "Store",
     "make_rng",
     "spawn_rng",
     "CrashPlan",

@@ -1,9 +1,9 @@
-"""Event primitives for the simulation kernel.
+"""Event primitive for the simulation kernel.
 
-An :class:`Event` is a one-shot occurrence that processes can wait on by
-``yield``-ing it.  Once triggered it carries a value (or an exception)
-and wakes every waiter.  :class:`Timeout` is an event pre-scheduled to
-trigger after a fixed delay.
+An :class:`Event` is a one-shot occurrence: once triggered it carries a
+value (or an exception), and the kernel runs its callbacks when it is
+processed.  Timers are events the kernel pre-triggers and schedules
+(:meth:`~repro.sim.kernel.SimKernel.call_at`).
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ _event_ids = itertools.count()
 
 
 class Event:
-    """A one-shot occurrence that simulated processes can wait on.
+    """A one-shot occurrence that callbacks can wait on.
 
     Events move through three states: *pending* (created), *triggered*
     (scheduled to fire at the current instant), and *processed* (all
-    callbacks run).  A process waits by ``yield``-ing the event from its
-    generator; the kernel resumes the process with the event's value, or
-    throws the event's exception into it.
+    callbacks run).
     """
 
     def __init__(self, kernel: "SimKernel", name: str = "") -> None:
@@ -39,10 +37,6 @@ class Event:
         self._processed = False
         # Callbacks receive the event itself.
         self.callbacks: List[Callable[["Event"], None]] = []
-        # Optional hook invoked when the (sole) waiting process is
-        # killed before the event fires — lets resources like Mutex
-        # remove the dead waiter from their queues.
-        self.cancel_hook: Optional[Callable[[], None]] = None
 
     # -- state ---------------------------------------------------------
     @property
@@ -84,10 +78,7 @@ class Event:
         return self
 
     def fail(self, exc: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        Waiting processes have ``exc`` thrown into their generator.
-        """
+        """Trigger the event with an exception."""
         if self._triggered:
             raise SimulationError(f"{self.name} already triggered")
         if not isinstance(exc, BaseException):
@@ -122,72 +113,3 @@ class Event:
             else "triggered" if self._triggered else "pending"
         )
         return f"<Event {self.name} {state}>"
-
-
-class Timeout(Event):
-    """An event that fires automatically ``delay`` time units from now."""
-
-    def __init__(self, kernel: "SimKernel", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(kernel, name=f"timeout({delay})")
-        self.delay = delay
-        self._value = value
-        self._triggered = True  # pre-triggered; fires when its time comes
-        kernel._schedule_at(kernel.now + delay, self)
-
-
-class AnyOf(Event):
-    """Fires when *any* of the given events has fired.
-
-    The value is the first event that completed.  Failures propagate.
-    """
-
-    def __init__(self, kernel: "SimKernel", events: List[Event]) -> None:
-        super().__init__(kernel, name="any_of")
-        if not events:
-            raise SimulationError("AnyOf requires at least one event")
-        self._done = False
-        for ev in events:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._done:
-            return
-        self._done = True
-        if ev.ok:
-            self.succeed(ev)
-        else:
-            assert ev.exception is not None
-            self.fail(ev.exception)
-
-
-class AllOf(Event):
-    """Fires when *all* of the given events have fired.
-
-    The value is the list of child values in construction order.  The
-    first failure fails the composite immediately.
-    """
-
-    def __init__(self, kernel: "SimKernel", events: List[Event]) -> None:
-        super().__init__(kernel, name="all_of")
-        self._children = list(events)
-        self._remaining = len(self._children)
-        self._failed = False
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for ev in self._children:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._failed or self.triggered:
-            return
-        if not ev.ok:
-            self._failed = True
-            assert ev.exception is not None
-            self.fail(ev.exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([c.value for c in self._children])

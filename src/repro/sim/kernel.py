@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event
 
 # Priorities: URGENT events (immediate triggers) run before NORMAL events
 # scheduled at the same instant, matching SimPy semantics where
-# `succeed()` completions land ahead of same-time timeouts.
+# `succeed()` completions land ahead of same-time timers.
 _URGENT = 0
 _NORMAL = 1
 
@@ -29,7 +29,6 @@ class SimKernel:
         self._now = float(start_time)
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
-        self._processes: List["Process"] = []
 
     # -- clock ----------------------------------------------------------
     @property
@@ -37,32 +36,14 @@ class SimKernel:
         """Current simulation time."""
         return self._now
 
-    # -- scheduling (kernel internal) ------------------------------------
-    def _schedule_at(self, when: float, event: Event, priority: int = _NORMAL) -> None:
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past: {when} < now={self._now}"
-            )
-        heapq.heappush(self._heap, (when, priority, next(self._seq), event))
-
+    # -- scheduling ------------------------------------------------------
     def _enqueue_triggered(self, event: Event) -> None:
         """Queue a just-triggered event to process at the current instant."""
         heapq.heappush(self._heap, (self._now, _URGENT, next(self._seq), event))
 
-    # -- public event constructors ---------------------------------------
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` units from now."""
-        return Timeout(self, delay, value)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, list(events))
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, list(events))
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute time ``when``; returns the underlying event."""
@@ -71,27 +52,12 @@ class SimKernel:
         ev = Event(self, name=f"call_at({when})")
         ev._triggered = True
         ev.add_callback(lambda _ev: fn())
-        self._schedule_at(when, ev)
+        heapq.heappush(self._heap, (when, _NORMAL, next(self._seq), ev))
         return ev
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` time units."""
         return self.call_at(self._now + delay, fn)
-
-    # -- processes --------------------------------------------------------
-    def spawn(
-        self, gen: Generator[Event, Any, Any], name: str = ""
-    ) -> "Process":
-        """Start a generator as a simulated process.
-
-        The generator ``yield``s events; the kernel resumes it with each
-        event's value (or throws the event's failure exception into it).
-        """
-        from repro.sim.process import Process  # local import: cycle guard
-
-        proc = Process(self, gen, name=name)
-        self._processes.append(proc)
-        return proc
 
     # -- main loop ----------------------------------------------------------
     def step(self) -> None:
@@ -109,9 +75,13 @@ class SimKernel:
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
         """Run until the queue drains or the clock passes ``until``.
 
-        Returns the final simulation time.  ``max_events`` guards against
-        runaway self-scheduling loops (raises :class:`SimulationError`).
+        Returns the final simulation time; the clock never moves back, so
+        an ``until`` already in the past processes nothing.
+        ``max_events`` guards against runaway self-scheduling loops
+        (raises :class:`SimulationError`).
         """
+        if until is not None and until < self._now:
+            return self._now
         remaining = max_events
         while self._heap:
             when = self._heap[0][0]
@@ -127,17 +97,3 @@ class SimKernel:
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def run_until_complete(self, proc: "Process", max_events: int = 10_000_000) -> Any:
-        """Run the loop until ``proc`` finishes; return its value."""
-        remaining = max_events
-        while not proc.done:
-            if not self._heap:
-                raise SimulationError(
-                    f"deadlock: {proc.name} not done but event queue is empty"
-                )
-            if remaining <= 0:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            remaining -= 1
-            self.step()
-        return proc.result

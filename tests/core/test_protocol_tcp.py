@@ -2,8 +2,9 @@
 
 The paper's prototype ran over a real network; these tests run the same
 engine code (directory + cache managers) across localhost sockets with
-blocking thread scripts, asserting the same protocol outcomes the sim
-tests establish.
+the same view scripts (scripts step on completion callbacks and
+transport timers; on aio, on the loop thread), asserting the same
+protocol outcomes the sim tests establish.
 """
 
 import pytest

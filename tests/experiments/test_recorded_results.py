@@ -1,0 +1,32 @@
+"""The paper's recorded results are reproduced exactly.
+
+Each committed ``results/<name>.json`` was written by the experiment
+runner; a default run of the same experiment today must produce the
+same ``result`` document.  These twelve experiments are deterministic
+(simulated time, seeded randomness), so any difference is a change in
+protocol behaviour, message counts or figures — not noise.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.runner import execute, registry, run_kwargs
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
+RECORDED = sorted(path.stem for path in RESULTS.glob("*.json"))
+
+
+def test_every_deterministic_record_is_committed():
+    assert len(RECORDED) == 12
+    assert set(RECORDED) <= set(registry())
+
+
+@pytest.mark.parametrize("name", RECORDED)
+def test_fresh_run_matches_recorded_result(name):
+    exp = registry()[name]
+    record = execute(exp, run_kwargs(exp))
+    fresh = json.loads(json.dumps(record["result"]))
+    recorded = json.loads((RESULTS / f"{name}.json").read_text())["result"]
+    assert fresh == recorded

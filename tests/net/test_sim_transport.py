@@ -163,18 +163,14 @@ def test_schedule_and_cancel():
     assert ran == ["a"]
 
 
-def test_completion_resolves_through_sim_event():
+def test_completion_resolves_through_then():
     k, tr = make()
     comp = tr.completion("c")
-
-    def proc():
-        val = yield comp.sim_event()
-        return val
-
-    p = k.spawn(proc())
+    seen = []
+    comp.then(lambda c: seen.append((k.now, c.value)))
     k.call_in(3.0, lambda: comp.resolve("hi"))
     k.run()
-    assert p.result == "hi"
+    assert seen == [(3.0, "hi")]
     assert comp.done and comp.value == "hi"
 
 

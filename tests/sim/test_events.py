@@ -62,23 +62,22 @@ def test_callback_on_already_processed_event_runs_immediately():
 def test_timeout_fires_at_correct_time():
     k = SimKernel()
     times = []
-    t = k.timeout(5.0, value="done")
-    t.add_callback(lambda e: times.append((k.now, e.value)))
+    k.call_in(5.0, lambda: times.append(k.now))
     k.run()
-    assert times == [(5.0, "done")]
+    assert times == [5.0]
 
 
 def test_negative_timeout_rejected():
     k = SimKernel()
     with pytest.raises(SimulationError):
-        k.timeout(-1.0)
+        k.call_in(-1.0, lambda: None)
 
 
 def test_timeouts_fire_in_time_order():
     k = SimKernel()
     order = []
     for d in (3.0, 1.0, 2.0):
-        k.timeout(d).add_callback(lambda e, d=d: order.append(d))
+        k.call_in(d, lambda d=d: order.append(d))
     k.run()
     assert order == [1.0, 2.0, 3.0]
 
@@ -87,74 +86,6 @@ def test_same_time_ties_broken_by_insertion_order():
     k = SimKernel()
     order = []
     for i in range(5):
-        k.timeout(1.0).add_callback(lambda e, i=i: order.append(i))
+        k.call_at(1.0, lambda i=i: order.append(i))
     k.run()
     assert order == [0, 1, 2, 3, 4]
-
-
-def test_any_of_fires_on_first():
-    k = SimKernel()
-
-    def proc():
-        a = k.timeout(5.0, value="slow")
-        b = k.timeout(1.0, value="fast")
-        first = yield k.any_of([a, b])
-        return first.value
-
-    p = k.spawn(proc())
-    k.run()
-    assert p.result == "fast"
-    assert k.now == 5.0  # the slow timeout still drains
-
-
-def test_any_of_empty_rejected():
-    k = SimKernel()
-    with pytest.raises(SimulationError):
-        k.any_of([])
-
-
-def test_all_of_collects_values_in_order():
-    k = SimKernel()
-
-    def proc():
-        a = k.timeout(5.0, value="a")
-        b = k.timeout(1.0, value="b")
-        vals = yield k.all_of([a, b])
-        return vals
-
-    p = k.spawn(proc())
-    k.run()
-    assert p.result == ["a", "b"]
-
-
-def test_all_of_empty_succeeds_immediately():
-    k = SimKernel()
-
-    def proc():
-        vals = yield k.all_of([])
-        return vals
-
-    p = k.spawn(proc())
-    k.run()
-    assert p.result == []
-
-
-def test_all_of_fails_fast_on_child_failure():
-    k = SimKernel()
-    bad = k.event()
-
-    def failer():
-        yield k.timeout(1.0)
-        bad.fail(RuntimeError("child died"))
-
-    def proc():
-        try:
-            yield k.all_of([bad, k.timeout(100.0)])
-        except RuntimeError as e:
-            return ("caught", str(e), k.now)
-        return "not caught"
-
-    k.spawn(failer())
-    p = k.spawn(proc())
-    k.run()
-    assert p.result == ("caught", "child died", 1.0)

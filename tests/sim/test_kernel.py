@@ -13,14 +13,14 @@ def test_clock_starts_at_start_time():
 
 def test_run_returns_final_time():
     k = SimKernel()
-    k.timeout(7.5)
+    k.call_in(7.5, lambda: None)
     assert k.run() == 7.5
 
 
 def test_run_until_caps_clock():
     k = SimKernel()
     fired = []
-    k.timeout(10.0).add_callback(lambda e: fired.append(k.now))
+    k.call_in(10.0, lambda: fired.append(k.now))
     assert k.run(until=5.0) == 5.0
     assert fired == []
     # The event is still queued; continuing the run fires it.
@@ -30,7 +30,7 @@ def test_run_until_caps_clock():
 
 def test_run_until_beyond_last_event_advances_clock():
     k = SimKernel()
-    k.timeout(1.0)
+    k.call_in(1.0, lambda: None)
     assert k.run(until=50.0) == 50.0
 
 
@@ -43,8 +43,8 @@ def test_step_on_empty_queue_raises():
 def test_peek_reports_next_event_time():
     k = SimKernel()
     assert k.peek() == float("inf")
-    k.timeout(3.0)
-    k.timeout(1.0)
+    k.call_in(3.0, lambda: None)
+    k.call_in(1.0, lambda: None)
     assert k.peek() == 1.0
 
 
@@ -74,37 +74,25 @@ def test_max_events_guard_catches_scheduling_loops():
         k.run(max_events=1000)
 
 
-def test_run_until_complete_returns_process_result():
+def test_run_until_in_the_past_processes_nothing():
+    # The clock never moves back: an `until` behind `now` is a no-op,
+    # so later timers are not scheduled behind already-processed time.
     k = SimKernel()
-
-    def proc():
-        yield k.timeout(3.0)
-        return "finished"
-
-    p = k.spawn(proc())
-    assert k.run_until_complete(p) == "finished"
-
-
-def test_run_until_complete_detects_deadlock():
-    k = SimKernel()
-
-    def proc():
-        yield k.event()  # never triggered
-
-    p = k.spawn(proc())
-    with pytest.raises(SimulationError, match="deadlock"):
-        k.run_until_complete(p)
+    fired = []
+    k.call_at(5.0, lambda: fired.append(5.0))
+    k.call_at(10.0, lambda: fired.append(10.0))
+    assert k.run(until=6.0) == 6.0
+    assert k.run(until=2.0) == 6.0
+    assert k.now == 6.0 and fired == [5.0]
+    k.call_in(1.0, lambda: fired.append(k.now))
+    k.run()
+    assert fired == [5.0, 7.0, 10.0]
 
 
 def test_urgent_triggers_run_before_same_time_timeouts():
     k = SimKernel()
     order = []
-
-    def proc():
-        yield k.timeout(1.0)
-        order.append("proc-at-1")
-
-    k.spawn(proc())
+    k.call_at(1.0, lambda: order.append("early-timer"))
 
     def at_one():
         ev = k.event()
@@ -114,6 +102,6 @@ def test_urgent_triggers_run_before_same_time_timeouts():
     # call_at(1.0, ...) enqueues at NORMAL priority; its urgent child
     # event still processes before later same-time NORMAL entries.
     k.call_at(1.0, at_one)
-    k.timeout(1.0).add_callback(lambda e: order.append("late-timeout"))
+    k.call_at(1.0, lambda: order.append("late-timer"))
     k.run()
-    assert order.index("urgent") < order.index("late-timeout")
+    assert order == ["early-timer", "urgent", "late-timer"]

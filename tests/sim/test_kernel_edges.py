@@ -2,136 +2,8 @@
 
 import pytest
 
-from repro.errors import ProcessKilled, SimulationError
-from repro.sim import Mutex, SimKernel, Store
-
-
-def test_any_of_over_processes_returns_first_finisher():
-    k = SimKernel()
-
-    def worker(delay, name):
-        yield k.timeout(delay)
-        return name
-
-    def racer():
-        fast = k.spawn(worker(1.0, "fast"))
-        slow = k.spawn(worker(9.0, "slow"))
-        first = yield k.any_of([fast, slow])
-        return first.value
-
-    p = k.spawn(racer())
-    k.run()
-    assert p.result == "fast"
-
-
-def test_any_of_failure_of_first_child_propagates():
-    k = SimKernel()
-
-    def bad():
-        yield k.timeout(1.0)
-        raise RuntimeError("first to finish, badly")
-
-    def racer():
-        try:
-            yield k.any_of([k.spawn(bad()), k.timeout(50.0)])
-        except RuntimeError as e:
-            return str(e)
-
-    p = k.spawn(racer())
-    k.run()
-    assert p.result == "first to finish, badly"
-
-
-def test_kill_process_waiting_on_mutex_releases_nothing():
-    k = SimKernel()
-    m = Mutex(k)
-
-    def holder():
-        yield m.acquire()
-        yield k.timeout(50.0)
-        m.release()
-
-    def waiter():
-        yield m.acquire()
-        m.release()
-        return "got it"
-
-    k.spawn(holder())
-    w = k.spawn(waiter())
-    k.run(until=5.0)
-    w.kill()
-    k.run()
-    # The lock cycle completed; killing the waiter didn't corrupt it.
-    assert not m.locked
-    with pytest.raises(ProcessKilled):
-        _ = w.result
-
-
-def test_store_try_get_does_not_jump_waiter_queue():
-    k = SimKernel()
-    s = Store(k)
-    got = []
-
-    def getter():
-        item = yield s.get()
-        got.append(item)
-
-    k.spawn(getter())
-    k.run()
-    # A waiter is queued; put should wake it, not feed try_get callers.
-    s.put("x")
-    assert s.try_get() is None
-    k.run()
-    assert got == ["x"]
-
-
-def test_nested_process_kill_cascades_via_exception():
-    k = SimKernel()
-
-    def child():
-        yield k.timeout(100.0)
-
-    def parent():
-        c = k.spawn(child())
-        try:
-            yield c
-        except ProcessKilled:
-            return "child was killed"
-
-    children = []
-
-    def spy_parent():
-        c = k.spawn(child())
-        children.append(c)
-        try:
-            yield c
-        except ProcessKilled:
-            return "observed kill"
-
-    p = k.spawn(spy_parent())
-    k.run(until=1.0)
-    children[0].kill()
-    k.run()
-    assert p.result == "observed kill"
-
-
-def test_killed_store_getter_does_not_swallow_items():
-    k = SimKernel()
-    s = Store(k)
-    got = []
-
-    def getter(name):
-        item = yield s.get()
-        got.append((name, item))
-
-    doomed = k.spawn(getter("doomed"))
-    survivor = k.spawn(getter("survivor"))
-    k.run()
-    doomed.kill()
-    s.put("only-item")
-    k.run()
-    # The item went to the live getter, not the corpse at queue head.
-    assert got == [("survivor", "only-item")]
+from repro.errors import SimulationError
+from repro.sim import SimKernel
 
 
 def test_event_name_in_error_messages():
