@@ -45,7 +45,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import DiscreteSet, Property, PropertySet
 from repro.core.directory import DirectoryManager
-from repro.core.system import FleccSystem, run_all_scripts
 from repro.experiments.report import Table
 from repro.experiments.runner import (
     Experiment,
@@ -56,19 +55,11 @@ from repro.experiments.runner import (
     point_doc,
 )
 from repro.net.message import reset_message_ids
-from repro.net.transport import resolve_transport
 from repro.testing import (
-    Agent,
     BareDirectory,
-    Store,
     brute_force_conflict_set,
-    extract_cells,
-    extract_from_object,
-    extract_from_view,
-    merge_into_object,
-    merge_into_view,
     pair_group_props,
-    props_for,
+    two_view_run,
 )
 
 #: Registered-view ramp; the 10k point rides only behind ``--full``.
@@ -106,7 +97,8 @@ GOLDEN_POINTS: Dict[int, Tuple[str, Dict[str, int]]] = {
     )
 }
 
-#: End state and census of :func:`_fig4_parity_run`, same provenance.
+#: End state and census of :func:`repro.testing.two_view_run` on the sim,
+#: the weak view leaving after the strong phase; same provenance.
 GOLDEN_FIG4: Dict[str, Dict[str, int]] = {
     "state": {"a": 99, "b": 21},
     "by_type": {
@@ -181,8 +173,8 @@ def _conflict_parity(dm: DirectoryManager, sample: List[str]) -> bool:
     )
 
 
-def run_sweep_point(n_views: int, seed: Optional[int] = None) -> DmProfilePoint:
-    """One ramp point (what a :class:`ShardSpec` worker runs; unseeded)."""
+def run_sweep_point(n_views: int, **_: Any) -> DmProfilePoint:
+    """One ramp point (unseeded)."""
     reset_message_ids()
     t_start = time.perf_counter()
     h = BareDirectory()
@@ -260,64 +252,11 @@ def run_sweep_point(n_views: int, seed: Optional[int] = None) -> DmProfilePoint:
 # Fig-4-style parity on the full system
 # ---------------------------------------------------------------------------
 
-def _fig4_parity_run() -> Tuple[Dict[str, int], Dict[str, int]]:
-    """One deterministic conflicting workload; returns (state, by_type).
-
-    Two overlapping views (so conflict rounds actually fire) run
-    single-actor phases back to back — message counts cannot depend on
-    races, which is what makes exact count parity assertable.
-    """
-    reset_message_ids()
-    transport = resolve_transport("sim")
-    store = Store({"a": 10, "b": 20})
-    system = FleccSystem(
-        transport, store, extract_from_object, merge_into_object,
-        extract_cells=extract_cells,
-    )
-    weak_agent, strong_agent = Agent(), Agent()
-    weak = system.add_view(
-        "weak-view", weak_agent, props_for(["a"]),
-        extract_from_view, merge_into_view, mode="weak",
-    )
-    strong = system.add_view(
-        "strong-view", strong_agent, props_for(["a", "b"]),
-        extract_from_view, merge_into_view, mode="strong",
-    )
-
-    def weak_script():
-        yield weak.start()
-        yield weak.init_image()
-        yield weak.start_use_image()
-        weak_agent.local["a"] = 99
-        weak.end_use_image()
-        yield weak.push_image()
-
-    def strong_script():
-        yield strong.start()
-        yield strong.init_image()
-        yield strong.start_use_image()
-        strong_agent.local["b"] = strong_agent.local.get("b", 0) + 1
-        strong.end_use_image()
-        yield strong.kill_image()
-
-    def weak_exit_script():
-        yield weak.kill_image()
-
-    run_all_scripts(transport, [weak_script()])
-    run_all_scripts(transport, [strong_script()])  # revokes the weak view
-    run_all_scripts(transport, [weak_exit_script()])
-    state = dict(store.cells)
-    by_type = dict(transport.stats.by_type)
-    system.close()
-    transport.close()
-    return state, by_type
-
-
 def fig4_parity() -> Tuple[bool, bool, Dict[str, int]]:
     """The system workload against :data:`GOLDEN_FIG4`.
 
     Returns (state_identical, counts_identical, this run's by_type)."""
-    state, by_type = _fig4_parity_run()
+    state, by_type = two_view_run("sim", weak_leaves_first=False)
     return (
         state == GOLDEN_FIG4["state"],
         by_type == GOLDEN_FIG4["by_type"],
@@ -352,15 +291,22 @@ class DmProfileResult:
         return t
 
 
-def sweep_points(ramp: Sequence[int] = DEFAULT_RAMP) -> List[int]:
-    """Picklable point descriptors: one view count each."""
+def sweep_points(
+    ramp: Optional[Sequence[int]] = None,
+    *,
+    full: bool,
+    max_views: Optional[int],
+    **_: Any,
+) -> List[int]:
+    """Picklable point descriptors: one view count each — ``ramp``, or
+    the default (``full``: the full) ramp capped at ``max_views``."""
+    if ramp is None:
+        ramp = capped_ramp(FULL_RAMP if full else DEFAULT_RAMP, max_views)
     return list(ramp)
 
 
 def merge_dm_profile(
-    points: List[int],
-    partials: List[DmProfilePoint],
-    seed: Optional[int] = None,
+    points: List[int], partials: List[DmProfilePoint], **_: Any
 ) -> DmProfileResult:
     result = DmProfileResult(points=list(partials))
     (
@@ -369,17 +315,6 @@ def merge_dm_profile(
         result.fig4_by_type,
     ) = fig4_parity()
     return result
-
-
-def run_dm_profile(
-    ramp: Optional[Sequence[int]] = None,
-    full: bool = False,
-    max_views: Optional[int] = None,
-) -> DmProfileResult:
-    if ramp is None:
-        ramp = capped_ramp(FULL_RAMP if full else DEFAULT_RAMP, max_views)
-    points = sweep_points(ramp)
-    return merge_dm_profile(points, [run_sweep_point(p) for p in points])
 
 
 def _growth(points: List[Dict[str, Any]], key: str) -> float:
@@ -475,16 +410,16 @@ def gates(payload: Dict[str, Any]) -> List[str]:
 
 
 EXPERIMENT = Experiment(
-    "dm_profile", run_dm_profile,
+    "dm_profile", ShardSpec(sweep_points, run_sweep_point, merge_dm_profile),
     params=(
         Param("--full", False,
               "include the 10k-view point (arms the performance gates)"),
         Param("--max-views", None,
               "cap the ramp at N views; N itself is the top point"),
     ),
-    shard=ShardSpec(sweep_points, run_sweep_point, merge_dm_profile),
     summarize=bench_payload, gates=gates, out="BENCH_dmprofile.json",
 )
+run_dm_profile = EXPERIMENT
 
 if __name__ == "__main__":
     cli(EXPERIMENT)

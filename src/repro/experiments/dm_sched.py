@@ -112,7 +112,7 @@ class DmSchedPoint:
     elapsed_s: float
 
 
-def _run_point(leg: str, limit: int, n_groups: int = N_GROUPS) -> DmSchedPoint:
+def _run_point(leg: str, limit: int, n_groups: int) -> DmSchedPoint:
     reset_message_ids()
     t_start = time.perf_counter()
     h = BareDirectory(ack_delay=ACK_DELAY, concurrent_rounds=limit)
@@ -236,7 +236,7 @@ def _replay_program(
 
 
 def randomized_parity(
-    seed: int = PARITY_SEED,
+    seed: int,
     n_groups: int = PARITY_GROUPS,
     batches: int = PARITY_BATCHES,
 ) -> Dict[str, Any]:
@@ -302,38 +302,22 @@ class DmSchedResult:
         return t
 
 
-def sweep_points(
-    n_groups: int = N_GROUPS,
-) -> List[Tuple[str, int, int]]:
+def sweep_points(groups: int, **_: Any) -> List[Tuple[str, int, int]]:
     """Picklable point descriptors: ``(leg, bound, n_groups)``."""
-    return [(leg, limit, n_groups) for leg, limit in LEGS]
+    return [(leg, limit, groups) for leg, limit in LEGS]
 
 
-def run_sweep_point(
-    point: Tuple[str, int, int], seed: Optional[int] = None
-) -> DmSchedPoint:
-    leg, limit, n_groups = point
-    return _run_point(leg, limit, n_groups)
+def run_sweep_point(point: Tuple[str, int, int], **_: Any) -> DmSchedPoint:
+    return _run_point(*point)
 
 
 def merge_dm_sched(
     points: List[Tuple[str, int, int]],
     partials: List[DmSchedPoint],
-    seed: Optional[int] = None,
+    seed: int,
+    **_: Any,
 ) -> DmSchedResult:
-    return DmSchedResult(
-        points=list(partials),
-        parity=randomized_parity(seed if seed is not None else PARITY_SEED),
-    )
-
-
-def run_dm_sched(
-    groups: int = N_GROUPS, seed: Optional[int] = None
-) -> DmSchedResult:
-    points = sweep_points(groups)
-    return merge_dm_sched(
-        points, [run_sweep_point(p, seed) for p in points], seed
-    )
+    return DmSchedResult(points=list(partials), parity=randomized_parity(seed))
 
 
 def bench_payload(result: DmSchedResult) -> Dict[str, object]:
@@ -437,16 +421,16 @@ def gates(payload: Dict[str, Any]) -> List[str]:
 
 
 EXPERIMENT = Experiment(
-    "dm_sched", run_dm_sched,
+    "dm_sched", ShardSpec(sweep_points, run_sweep_point, merge_dm_sched),
     params=(
         Param("--groups", N_GROUPS, "independent conflict groups in the burst"),
         Param("--seed", PARITY_SEED,
               "seed for the randomized-interleaving parity program"),
     ),
     seeded=True,
-    shard=ShardSpec(sweep_points, run_sweep_point, merge_dm_sched),
     summarize=bench_payload, gates=gates, out="BENCH_dmsched.json",
 )
+run_dm_sched = EXPERIMENT
 
 if __name__ == "__main__":
     cli(EXPERIMENT)

@@ -359,7 +359,7 @@ def _truncate_newest_snapshot(lineage_dir: Path) -> bool:
     return True
 
 
-def run_kill_point(point: Tuple[str, int, int], seed: int = 0) -> KillPoint:
+def run_kill_point(point: Tuple[str, int, int], seed: int) -> KillPoint:
     _, n_shards, index = point
     rng = stream_for(seed, f"durability-kill-{n_shards}-{index}")
     kill_at = float(rng.uniform(6.0, 45.0))
@@ -431,12 +431,13 @@ def run_kill_point(point: Tuple[str, int, int], seed: int = 0) -> KillPoint:
 
 
 # ---------------------------------------------------------------------------
-# Sweep plumbing (runner + parallel registration)
+# The sweep: its points, one point, the merge
 # ---------------------------------------------------------------------------
 def sweep_points(
-    kill_points: Sequence[Tuple[int, int]] = KILL_POINTS,
+    kill_points: Sequence[Tuple[int, int]] = KILL_POINTS, **_: Any
 ) -> List[Tuple[Any, ...]]:
-    """Picklable point descriptors for the parallel runner."""
+    """Picklable point descriptors: the overhead point, one per recovery
+    tail, one per kill."""
     points: List[Tuple[Any, ...]] = [("overhead",)]
     points += [("recovery", t) for t in RECOVERY_TAILS]
     for n_shards, count in kill_points:
@@ -444,7 +445,7 @@ def sweep_points(
     return points
 
 
-def run_sweep_point(point: Tuple[Any, ...], seed: int = 0) -> Any:
+def run_sweep_point(point: Tuple[Any, ...], seed: int, **_: Any) -> Any:
     family = point[0]
     if family == "overhead":
         return run_overhead_points()
@@ -454,9 +455,7 @@ def run_sweep_point(point: Tuple[Any, ...], seed: int = 0) -> Any:
 
 
 def merge_durability_sweep(
-    points: List[Tuple[Any, ...]],
-    partials: List[Any],
-    seed: int = 0,
+    points: List[Tuple[Any, ...]], partials: List[Any], **_: Any
 ) -> DurabilitySweepResult:
     result = DurabilitySweepResult()
     for p in partials:
@@ -467,15 +466,6 @@ def merge_durability_sweep(
         elif isinstance(p, KillPoint):
             result.kills.append(p)
     return result
-
-
-def run_durability_sweep(
-    kill_points: Sequence[Tuple[int, int]] = KILL_POINTS, seed: int = 0
-) -> DurabilitySweepResult:
-    points = sweep_points(kill_points)
-    return merge_durability_sweep(
-        points, [run_sweep_point(p, seed=seed) for p in points], seed=seed
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +541,12 @@ def gates(payload: Dict[str, object]) -> List[str]:
 
 
 EXPERIMENT = Experiment(
-    "durability_sweep", run_durability_sweep,
+    "durability_sweep",
+    ShardSpec(sweep_points, run_sweep_point, merge_durability_sweep),
     params=(Param("--seed", 0),), seeded=True,
-    shard=ShardSpec(sweep_points, run_sweep_point, merge_durability_sweep),
     summarize=bench_payload, gates=gates, out="BENCH_durability.json",
 )
+run_durability_sweep = EXPERIMENT
 
 if __name__ == "__main__":
     cli(EXPERIMENT)

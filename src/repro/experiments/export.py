@@ -1,22 +1,36 @@
-"""Export experiment results to CSV for downstream plotting.
+"""Export recorded experiment results to CSV for downstream plotting.
 
-Each exporter takes a result object from the corresponding ``run_*``
-function and writes one tidy CSV (long format: one observation per
-row), the shape pandas/R/gnuplot consume directly.  Used by
-``python -m repro.experiments.export``.
+Each exporter reads the ``result`` document of one record the runner
+wrote (``results/<name>.json``) and writes one tidy CSV (long format:
+one observation per row), the shape pandas/R/gnuplot consume directly.
+Nothing is re-run here::
+
+    python -m repro.experiments.runner   # results/<name>.json
+    python -m repro.experiments.export   # results/csv/*.csv from them
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from pathlib import Path
-from typing import List
+from typing import Any, Dict, List, Optional
 
-from repro.baselines.common import ProtocolName
-from repro.experiments.ablations import Abl1Result, Abl2Result, Abl3Result, Abl4Result, Abl5Result
-from repro.experiments.fig4_efficiency import Fig4Result
-from repro.experiments.fig5_adaptability import Fig5Result
-from repro.experiments.fig6_flexibility import Fig6Result
+#: The experiments recorded as a list of ``points`` rows, and the CSV
+#: columns of each row.
+POINT_COLUMNS: Dict[str, List[str]] = {
+    "abl2_trigger_period": ["pull_period", "messages", "mean_unseen"],
+    "abl4_centralization": [
+        "views", "centralized_functions", "decentralized_functions",
+    ],
+    "abl5_rw_semantics": [
+        "read_fraction", "rw_aware_messages", "write_only_messages",
+    ],
+    "abl6_loss_tolerance": ["loss_rate", "retries", "messages", "all_committed"],
+    "ext1_mixed_workload": [
+        "buy_fraction", "messages", "browser_invalidations", "lost_sales",
+    ],
+}
 
 
 def _write(path: Path, header: List[str], rows: List[list]) -> Path:
@@ -28,106 +42,78 @@ def _write(path: Path, header: List[str], rows: List[list]) -> Path:
     return path
 
 
-def export_fig4(result: Fig4Result, path: Path) -> Path:
-    rows = []
-    for protocol in ProtocolName:
-        for k, msgs in zip(result.conflicting_sweep, result.messages[protocol.value]):
-            rows.append([protocol.value, k, msgs])
+def export_fig4(doc: Dict[str, Any], path: Path) -> Path:
+    rows = [
+        [protocol, k, msgs]
+        for protocol, series in doc["messages"].items()
+        for k, msgs in zip(doc["conflicting_sweep"], series)
+    ]
     return _write(path, ["protocol", "conflicting_agents", "messages"], rows)
 
 
-def export_fig5(result: Fig5Result, path: Path) -> Path:
+def export_fig5(doc: Dict[str, Any], path: Path) -> Path:
     rows = [
-        [s.time, s.phase, s.duration, s.quality] for s in result.samples
+        [s["time"], s["phase"], s["duration"], s["quality"]]
+        for s in doc["samples"]
     ]
     return _write(path, ["time", "phase", "method_duration", "unseen_updates"], rows)
 
 
-def export_fig6(result: Fig6Result, path: Path) -> Path:
-    rows = []
-    for variant in (result.without_triggers, result.with_triggers):
-        for t, q in variant.quality_series:
-            rows.append([variant.label, t, q, variant.total_messages])
+def export_fig6(doc: Dict[str, Any], path: Path) -> Path:
+    rows = [
+        [variant["label"], t, q, variant["total_messages"]]
+        for variant in (doc["without_triggers"], doc["with_triggers"])
+        for t, q in variant["quality_series"]
+    ]
     return _write(
         path, ["variant", "time", "unseen_updates", "total_messages"], rows
     )
 
 
-def export_abl2(result: Abl2Result, path: Path) -> Path:
-    return _write(
-        path,
-        ["pull_period", "messages", "mean_unseen"],
-        [list(p) for p in result.points],
-    )
-
-
-def export_abl4(result: Abl4Result, path: Path) -> Path:
-    return _write(
-        path,
-        ["views", "centralized_functions", "decentralized_functions"],
-        [list(p) for p in result.points],
-    )
-
-
-def export_abl5(result: Abl5Result, path: Path) -> Path:
-    return _write(
-        path,
-        ["read_fraction", "rw_aware_messages", "write_only_messages"],
-        [list(p) for p in result.points],
-    )
-
-
-def export_abl6(result, path: Path) -> Path:
-    return _write(
-        path,
-        ["loss_rate", "retries", "messages", "all_committed"],
-        [[loss, r, m, ok] for loss, r, m, ok in result.points],
-    )
-
-
-def export_ext1(result, path: Path) -> Path:
-    return _write(
-        path,
-        ["buy_fraction", "messages", "browser_invalidations", "lost_sales"],
-        [list(p) for p in result.points],
-    )
+def export_points(name: str, doc: Dict[str, Any], path: Path) -> Path:
+    return _write(path, POINT_COLUMNS[name], doc["points"])
 
 
 def export_scalar_ablations(
-    abl1: Abl1Result, abl3: Abl3Result, path: Path
+    abl1: Dict[str, Any], abl3: Dict[str, Any], path: Path
 ) -> Path:
     return _write(
         path,
         ["ablation", "variant", "messages"],
         [
-            ["abl1", "conservative-static", abl1.messages_conservative],
-            ["abl1", "dynamic-properties", abl1.messages_dynamic],
-            ["abl3", "coarse-granularity", abl3.messages_coarse],
-            ["abl3", "fine-granularity", abl3.messages_fine],
+            ["abl1", "conservative-static", abl1["messages_conservative"]],
+            ["abl1", "dynamic-properties", abl1["messages_dynamic"]],
+            ["abl3", "coarse-granularity", abl3["messages_coarse"]],
+            ["abl3", "fine-granularity", abl3["messages_fine"]],
         ],
     )
 
 
-def export_all(out_dir: str = "results/csv") -> List[Path]:
-    """Run every experiment and write its CSV; returns written paths."""
-    from repro.experiments import ablations, fig4_efficiency, fig5_adaptability, fig6_flexibility
+def export_all(
+    results_dir: str = "results", out_dir: Optional[str] = None
+) -> List[Path]:
+    """Write every CSV from the records in ``results_dir`` (to its
+    ``csv/`` subdirectory unless ``out_dir`` says otherwise); returns
+    the written paths."""
+    records = Path(results_dir)
+    out = Path(out_dir) if out_dir else records / "csv"
 
-    from repro.experiments import mixed_workload
+    def result(name: str) -> Dict[str, Any]:
+        return json.loads((records / f"{name}.json").read_text())["result"]
 
-    out = Path(out_dir)
     written = [
-        export_fig4(fig4_efficiency.run_fig4(), out / "fig4_efficiency.csv"),
-        export_fig5(fig5_adaptability.run_fig5(), out / "fig5_adaptability.csv"),
-        export_fig6(fig6_flexibility.run_fig6(), out / "fig6_flexibility.csv"),
-        export_abl2(ablations.run_abl2(), out / "abl2_trigger_period.csv"),
-        export_abl4(ablations.run_abl4(), out / "abl4_centralization.csv"),
-        export_abl5(ablations.run_abl5(), out / "abl5_rw_semantics.csv"),
-        export_abl6(ablations.run_abl6(), out / "abl6_loss_tolerance.csv"),
-        export_ext1(mixed_workload.run_ext1(), out / "ext1_mixed_workload.csv"),
-        export_scalar_ablations(
-            ablations.run_abl1(), ablations.run_abl3(), out / "abl_scalars.csv"
-        ),
+        export_fig4(result("fig4_efficiency"), out / "fig4_efficiency.csv"),
+        export_fig5(result("fig5_adaptability"), out / "fig5_adaptability.csv"),
+        export_fig6(result("fig6_flexibility"), out / "fig6_flexibility.csv"),
     ]
+    written += [
+        export_points(name, result(name), out / f"{name}.csv")
+        for name in POINT_COLUMNS
+    ]
+    written.append(export_scalar_ablations(
+        result("abl1_static_vs_dynamic"), result("abl3_granularity"),
+        out / "abl_scalars.csv",
+    ))
     return written
 
 

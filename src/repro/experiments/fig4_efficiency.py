@@ -21,7 +21,7 @@ construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Dict, List
 
 from repro.apps.airline.app_spec import build_airline_system
 from repro.apps.airline.travel_agent import lifecycle
@@ -98,61 +98,41 @@ def _staggered(script, delay: float):
     return result
 
 
-def run_fig4(
-    n_agents: int = 100,
-    step: int = 10,
-    ops_per_agent: int = 1,
-    seed: int = 0,
-    stagger: float = 2.0,
-) -> Fig4Result:
-    """Sweep the conflicting-agent count and measure per-protocol traffic."""
-    points = sweep_points(n_agents, step)
-    totals = [
-        run_fig4_point(p, seed, n_agents, ops_per_agent, stagger) for p in points
-    ]
-    return merge_fig4(points, totals, n_agents=n_agents)
+# -- the sweep ----------------------------------------------------------------
+# Every (protocol, conflicting-count) point builds its own airline system
+# and transport, so points are independent tasks.
 
-
-# -- sweep sharding (parallel engine) ---------------------------------------
-# Every (protocol, conflicting-count) sweep point builds its own airline
-# system and transport, so points are independent and can run in
-# separate worker processes; merge_fig4 reassembles the exact Fig4Result
-# that run_fig4 produces serially.
-
-def sweep_points(n_agents: int = 100, step: int = 10) -> List[tuple]:
-    """Picklable descriptors for fig4's independent sweep points."""
-    sweep = list(range(step, n_agents + 1, step))
-    return [(p.value, k) for p in ProtocolName for k in sweep]
+def sweep_points(n_agents: int = 100, step: int = 10, **_: Any) -> List[tuple]:
+    """One ``(protocol, n_agents, n_conflicting)`` point per protocol
+    and conflicting-agent count, protocol-major."""
+    sweep = range(step, n_agents + 1, step)
+    return [(p.value, n_agents, k) for p in ProtocolName for k in sweep]
 
 
 def run_fig4_point(
     point: tuple,
-    seed: int | None = None,
-    n_agents: int = 100,
     ops_per_agent: int = 1,
+    seed: int = 0,
     stagger: float = 2.0,
+    **_: Any,
 ) -> int:
     """Run one sweep point; returns its message total."""
-    protocol_value, n_conflicting = point
+    protocol_value, n_agents, n_conflicting = point
     return _run_point(
         ProtocolName(protocol_value), n_agents, n_conflicting,
-        ops_per_agent, 0 if seed is None else seed, stagger,
+        ops_per_agent, seed, stagger,
     )
 
 
-def merge_fig4(
-    points: List[tuple],
-    partials: List[int],
-    seed: int | None = None,
-    n_agents: int = 100,
-) -> Fig4Result:
-    """Reassemble per-point totals into the serial run's result shape."""
+def merge_fig4(points: List[tuple], partials: List[int], **_: Any) -> Fig4Result:
+    """Per-point totals as the figure: one series per protocol."""
     totals = dict(zip(points, partials))
-    sweep = sorted({k for _, k in points})
+    n_agents = points[0][1]
+    sweep = sorted({point[2] for point in points})
     result = Fig4Result(n_agents=n_agents, conflicting_sweep=sweep)
     for protocol in ProtocolName:
         result.messages[protocol.value] = [
-            totals[(protocol.value, k)] for k in sweep
+            totals[(protocol.value, n_agents, k)] for k in sweep
         ]
     return result
 
@@ -178,9 +158,10 @@ def gates(result: Fig4Result) -> List[str]:
 
 
 EXPERIMENT = Experiment(
-    "fig4_efficiency", run_fig4, seeded=True, gates=gates,
-    shard=ShardSpec(sweep_points, run_fig4_point, merge_fig4),
+    "fig4_efficiency", ShardSpec(sweep_points, run_fig4_point, merge_fig4),
+    seeded=True, gates=gates,
 )
+run_fig4 = EXPERIMENT
 
 if __name__ == "__main__":
     cli(EXPERIMENT)

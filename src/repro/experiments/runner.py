@@ -3,9 +3,9 @@
 An experiment module states what it *is* — an :class:`Experiment`
 named ``EXPERIMENT`` (``ablations`` states a tuple ``EXPERIMENTS``)
 beside its workload — and this module owns everything else: parsing
-the command line, sharding sweeps across workers
-(:mod:`repro.experiments.parallel`), building and writing the record,
-evaluating the declared gates and the exit status.
+the command line, splitting the suite into tasks and running them,
+building and writing the record, evaluating the declared gates and the
+exit status.
 
 Every run, through any front door, yields the same record::
 
@@ -19,29 +19,34 @@ Every run, through any front door, yields the same record::
 ``results/<name>.json`` and ``BENCH_<x>.json`` are that record at two
 paths.  Front doors::
 
-    python -m repro.experiments.runner                  # everything, serial
-    python -m repro.experiments.runner --jobs 4         # parallel engine
+    python -m repro.experiments.runner                  # everything, in-process
+    python -m repro.experiments.runner --jobs 4         # on 4 worker processes
     python -m repro.experiments.runner --only chaos --check --out /tmp/r
     python -m repro.experiments.runner --only abl1_static_vs_dynamic --seeds 0 1 2
     python -m repro.experiments.chaos --check           # one module, its own flags
 
 ``--check`` turns any gate violation into exit status 1; without it
-violations are reported and recorded, not fatal.  ``--jobs 1`` (the
-default) runs in this process; anything higher fans whole experiments
-— and the points of experiments that declare a shard spec — across
-worker processes and merges the results deterministically.
+violations are reported and recorded, not fatal.  The suite runs as
+tasks — a whole experiment, or one point of a sweep declared as a
+:class:`ShardSpec` — in this process at ``--jobs 1`` (the default) and
+on a :mod:`multiprocessing` pool above that; either way each record is
+merged, judged and written in one place, so ``--jobs`` moves nothing
+but ``wall_seconds``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -81,38 +86,56 @@ class Param:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """How to split one experiment's sweep across workers.
+    """A sweep declared as independent points.
 
-    ``points()`` returns picklable point descriptors; ``run_point(point,
-    seed)`` computes one point's partial result; ``merge(points,
-    partials, seed)`` reassembles the exact object ``run`` returns.
+    ``points(**kw)`` returns picklable point descriptors;
+    ``run_point(point, **kw)`` computes one point's partial result;
+    ``merge(points, partials, **kw)`` assembles the experiment's result.
+    Each receives the run's keywords (``kw``) and takes what it needs.
+    The spec is itself the experiment's ``run``: calling it is their
+    composition, and the suite runs each point as its own task.
     """
 
-    points: Callable[[], List[Any]]
-    run_point: Callable[[Any, Optional[int]], Any]
-    merge: Callable[[List[Any], List[Any], Optional[int]], Any]
+    points: Callable[..., List[Any]]
+    run_point: Callable[..., Any]
+    merge: Callable[..., Any]
+
+    def __call__(self, **kwargs: Any) -> Any:
+        points = self.points(**kwargs)
+        partials = [self.run_point(p, **kwargs) for p in points]
+        return self.merge(points, partials, **kwargs)
 
 
 @dataclass(frozen=True)
 class Experiment:
     """What an experiment module states about itself.
 
-    ``run(**params)`` is the workload.  ``seeded`` says ``run`` takes a
-    ``seed`` keyword (what ``--seeds`` sweeps).  ``summarize(result)``
-    turns the result into the document that is recorded and gated;
-    without it the result itself is.  ``gates(summary)`` returns the
-    violated acceptance conditions, one string each.  ``out`` is where
-    the module's own command line writes its record by default.
+    ``run(**params)`` is the workload — a function, or a
+    :class:`ShardSpec`.  ``seeded`` says ``run`` takes a ``seed``
+    keyword (what ``--seeds`` sweeps).  ``summarize(result)`` turns the
+    result into the document that is recorded and gated; without it the
+    result itself is.  ``gates(summary)`` returns the violated
+    acceptance conditions, one string each.  ``out`` is where the
+    module's own command line writes its record by default.
+
+    Calling the experiment runs it with every declared parameter at its
+    default unless a keyword overrides it.
     """
 
     name: str
     run: Callable[..., Any]
     params: Tuple[Param, ...] = ()
     seeded: bool = False
-    shard: Optional[ShardSpec] = None
     summarize: Optional[Callable[[Any], Dict[str, Any]]] = None
     gates: Optional[Callable[[Any], List[str]]] = None
     out: Optional[str] = None
+
+    @property
+    def shard(self) -> Optional[ShardSpec]:
+        return self.run if isinstance(self.run, ShardSpec) else None
+
+    def __call__(self, **overrides: Any) -> Any:
+        return self.run(**{**run_kwargs(self), **overrides})
 
 
 def registry() -> Dict[str, Experiment]:
@@ -227,7 +250,7 @@ def make_record(
     result_json: Any,
     problems: List[str],
 ) -> Dict[str, Any]:
-    """The one persisted record (serial, parallel and module runs)."""
+    """The one persisted record (suite and module runs)."""
     return {
         "schema": SCHEMA,
         "experiment": exp.name,
@@ -252,16 +275,20 @@ def record_key(name: str, seed: Optional[int] = None) -> str:
     return name if seed is None else f"{name}.seed{seed}"
 
 
+def _timed(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any, float]:
+    """``fn``'s value and its wall seconds, from a fresh message-id
+    space: output never depends on what ran before in the process."""
+    reset_message_ids()
+    t0 = time.perf_counter()
+    value = fn(*args, **kwargs)
+    return value, time.perf_counter() - t0
+
+
 def execute(
     exp: Experiment, kwargs: Dict[str, Any], show: bool = False
 ) -> Dict[str, Any]:
     """Run one experiment in this process and build its record."""
-    # Fresh message-id space per experiment: output stays independent of
-    # whatever ran earlier in this process (serial == multiprocess).
-    reset_message_ids()
-    t0 = time.perf_counter()
-    result = exp.run(**kwargs)
-    elapsed = time.perf_counter() - t0
+    result, elapsed = _timed(exp.run, **kwargs)
     result_json, problems = judge(exp, result)
     if show:
         table = getattr(result, "table", None)
@@ -313,23 +340,105 @@ def resolve_names(only: Optional[Sequence[str]]) -> List[str]:
     return [n for n in names if n in set(only)]
 
 
-def run_serial(
+#: One unit of suite work, picklable: ``(name, seed, point)`` — the
+#: index of one point of a sharded sweep, or None for a whole run.
+Task = Tuple[str, Optional[int], Optional[int]]
+
+
+def _run_task(task: Task) -> Tuple[Task, float, Any]:
+    """Run one task: ``(task, seconds, payload)``.  A whole run's payload
+    is its judged ``(result document, gate violations)``; a point's is
+    its partial result, judged once the sweep is merged."""
+    name, seed, index = task
+    exp = registry()[name]
+    kwargs = run_kwargs(exp, seed)
+    key = record_key(name, seed)
+    if index is None:
+        print(f"running {key} ...", flush=True)
+        result, elapsed = _timed(exp.run, **kwargs)
+        return task, elapsed, judge(exp, result)
+    points = exp.shard.points(**kwargs)
+    print(f"running {key} point {index + 1}/{len(points)} ...", flush=True)
+    partial, elapsed = _timed(exp.shard.run_point, points[index], **kwargs)
+    return task, elapsed, partial
+
+
+def _settle(
+    exp: Experiment,
+    seed: Optional[int],
+    outcomes: Dict[Task, Tuple[float, Any]],
+    out_dir: str,
+) -> Dict[str, Any]:
+    """Merge (a sweep), judge, record and write one finished run.
+    A sweep's ``wall_seconds`` is its points' summed cost plus the merge."""
+    kwargs = run_kwargs(exp, seed)
+    if exp.shard is None:
+        elapsed, (result_json, problems) = outcomes[(exp.name, seed, None)]
+    else:
+        points = exp.shard.points(**kwargs)
+        done = [outcomes[(exp.name, seed, i)] for i in range(len(points))]
+        merged, elapsed = _timed(
+            exp.shard.merge, points, [partial for _, partial in done], **kwargs
+        )
+        elapsed += sum(seconds for seconds, _ in done)
+        result_json, problems = judge(exp, merged)
+    record = make_record(exp, kwargs, elapsed, result_json, problems)
+    key = record_key(exp.name, seed)
+    save_record(record, Path(out_dir) / f"{key}.json")
+    print(f"  done {key} in {record['wall_seconds']}s", flush=True)
+    return record
+
+
+def build_tasks(runs: Sequence[Tuple[str, Optional[int]]]) -> List[Task]:
+    """The tasks of these (name, seed) runs: one per point of a sharded
+    sweep, one per other run.  Points come first, so the long sweeps
+    start before the short whole runs and a pool drains evenly."""
+    experiments = registry()
+    point_tasks: List[Task] = []
+    whole_tasks: List[Task] = []
+    for name, seed in runs:
+        exp = experiments[name]
+        if exp.shard is None:
+            whole_tasks.append((name, seed, None))
+        else:
+            n = len(exp.shard.points(**run_kwargs(exp, seed)))
+            point_tasks.extend((name, seed, i) for i in range(n))
+    return point_tasks + whole_tasks
+
+
+def run_suite(
     names: Optional[Sequence[str]] = None,
     out_dir: str = "results",
+    jobs: int = 1,
     seeds: Optional[Sequence[int]] = None,
 ) -> List[Dict[str, Any]]:
-    """Run experiments one after another in this process."""
+    """Run experiments as tasks and write each record to ``out_dir``.
+
+    Tasks run in this process at ``jobs=1`` and on ``jobs`` worker
+    processes above that.  Returns the records ordered by (experiment,
+    seed)."""
     experiments = registry()
-    records = []
-    for name in resolve_names(names):
-        exp = experiments[name]
-        for seed in seeds_for(exp, seeds):
-            key = record_key(name, seed)
-            print(f"running {key} ...", flush=True)
-            records.append(execute(exp, run_kwargs(exp, seed)))
-            save_record(records[-1], Path(out_dir) / f"{key}.json")
-            print(f"  done in {records[-1]['wall_seconds']}s")
-    return records
+    runs = [
+        (name, seed)
+        for name in resolve_names(names)
+        for seed in seeds_for(experiments[name], seeds)
+    ]
+    tasks = build_tasks(runs)
+    pending = Counter(task[:2] for task in tasks)
+    outcomes: Dict[Task, Tuple[float, Any]] = {}
+    records: Dict[Tuple[str, Optional[int]], Dict[str, Any]] = {}
+    # spawn: a worker must not inherit the threads (aio loops, the log
+    # thread) of whatever ran in this process before.
+    pool = multiprocessing.get_context("spawn").Pool(jobs) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        each = pool.imap_unordered if pool else map
+        for task, elapsed, payload in each(_run_task, tasks):
+            outcomes[task] = (elapsed, payload)
+            run = task[:2]
+            pending[run] -= 1
+            if not pending[run]:
+                records[run] = _settle(experiments[run[0]], run[1], outcomes, out_dir)
+    return [records[run] for run in runs]
 
 
 def cli(
@@ -359,7 +468,7 @@ def cli(
         )
         parser.add_argument(
             "--jobs", type=int, default=1, metavar="N",
-            help="worker processes; 1 = serial (default)",
+            help="worker processes; 1 = in this process (default)",
         )
         parser.add_argument(
             "--seeds", type=int, nargs="+", metavar="SEED",
@@ -392,14 +501,8 @@ def cli(
             print(f"wrote {args.out}")
     elif args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    elif args.jobs == 1:
-        records = run_serial(args.only, args.out, seeds=args.seeds)
     else:
-        from repro.experiments.parallel import run_parallel
-
-        records = run_parallel(
-            names=args.only, out_dir=args.out, jobs=args.jobs, seeds=args.seeds
-        )
+        records = run_suite(args.only, args.out, jobs=args.jobs, seeds=args.seeds)
     enforce(records, check=getattr(args, "check", False))
     return records
 

@@ -22,9 +22,9 @@ The workload is transport-focused by construction: every CM owns a
 disjoint one-cell slice, so no conflict rounds serialize the run — the
 directory does O(1) work per op and the observed limits belong to the
 transport plane, not the coherence protocol (PR 6's shard sweep covers
-contention).  Each CM runs an event-driven script chained through
-``Completion.then`` — no per-CM driver threads, so the harness itself
-stays off the resource ceilings it is measuring.
+contention).  Each CM runs a view script, stepped on the loop thread
+— no per-CM driver threads, so the harness itself stays off the
+resource ceilings it is measuring.
 
 One *directory-bound* point rides the sweep as well (PR 10): the
 ``aio+paired`` variant makes each adjacent pair of strong CMs share a
@@ -37,9 +37,10 @@ correctness (sustained, zero errors, exact end state under contention),
 and the point is excluded from the max-sustainable figure.
 
 The ``--check`` gate also replays one deterministic Fig-4-style
-workload on sim and on sockets and requires both to reproduce the
-frozen :data:`GOLDEN_PARITY` census and end state — the last run that
-also carried the since-deleted thread-per-connection backend.
+workload (:func:`repro.testing.two_view_run`) on sim and on sockets and
+requires both to reproduce the frozen :data:`GOLDEN_PARITY` census and
+end state — the last run that also carried the since-deleted
+thread-per-connection backend.
 
 ``python -m repro.experiments.scale_sweep`` writes ``BENCH_scale.json``;
 ``--full`` adds the 10k point (manual/nightly — several minutes on one
@@ -48,12 +49,11 @@ core).
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.system import FleccSystem, run_all_scripts
+from repro.core.system import FleccSystem, run_view_script
 from repro.experiments.report import Table, percentile
 from repro.experiments.runner import (
     Experiment,
@@ -65,7 +65,6 @@ from repro.experiments.runner import (
 )
 from repro.net.aio_transport import AioTcpTransport
 from repro.net.message import reset_message_ids
-from repro.net.transport import resolve_transport
 from repro.testing import (
     Agent,
     Store,
@@ -75,6 +74,7 @@ from repro.testing import (
     merge_into_object,
     merge_into_view,
     props_for,
+    two_view_run,
 )
 
 #: CM-count ramp; the 10k point rides only behind ``--full``.
@@ -139,91 +139,22 @@ class ScalePoint:
     backpressure_stalls: int
 
 
-class _CmDriver:
-    """One CM's event-driven lifecycle, chained through ``then``.
-
-    start → init → [cycles x (acquire → mutate → release → push)] →
-    kill.  Every callback is exception-fenced into ``on_done`` so a
-    protocol failure is counted, never silently swallowed by the
-    resolving thread.
-    """
-
-    def __init__(
-        self,
-        system: FleccSystem,
-        index: int,
-        cycles: int,
-        lock: threading.Lock,
-        acquire_latencies: List[float],
-        on_done,
-        paired: bool = False,
-    ) -> None:
-        self.agent = Agent()
-        # Paired variant: CMs 2k and 2k+1 share cell k, so strong-mode
-        # acquires contend within each pair (real revocation rounds)
-        # while pairs stay mutually independent.
-        self.cell = _cell(index // 2) if paired else _cell(index)
-        self.cm = system.add_view(
-            f"cm{index:05d}", self.agent, props_for([self.cell]),
-            extract_from_view, merge_into_view, mode="strong",
-        )
-        self.cycles = cycles
-        self.cycle = 0
-        self._lock = lock
-        self._latencies = acquire_latencies
-        self._on_done = on_done
-        self._t0 = 0.0
-
-    def begin(self) -> None:
-        try:
-            self.cm.start().then(self._started)
-        except BaseException as exc:  # noqa: BLE001 - funnel to counter
-            self._on_done(exc)
-
-    def _step(self, comp, next_step) -> None:
-        try:
-            comp.value
-            next_step()
-        except BaseException as exc:  # noqa: BLE001
-            self._on_done(exc)
-
-    def _started(self, comp) -> None:
-        self._step(comp, lambda: self.cm.init_image().then(self._inited))
-
-    def _inited(self, comp) -> None:
-        self._step(comp, self._acquire)
-
-    def _acquire(self) -> None:
-        self._t0 = time.monotonic()
-        self.cm.start_use_image().then(self._granted)
-
-    def _granted(self, comp) -> None:
-        def use() -> None:
-            if self.cycle == 0:
-                # Only the initial start_use pays a wire acquire (the
-                # owner token is retained on a conflict-free slice);
-                # that is the latency the ramp is measuring.
-                dt = time.monotonic() - self._t0
-                with self._lock:
-                    self._latencies.append(dt)
-            self.agent.local[self.cell] = self.agent.local.get(self.cell, 0) + 1
-            self.cm.end_use_image()
-            self.cm.push_image().then(self._pushed)
-
-        self._step(comp, use)
-
-    def _pushed(self, comp) -> None:
-        def advance() -> None:
-            self.cycle += 1
-            if self.cycle < self.cycles:
-                self._acquire()
-            else:
-                self.cm.kill_image().then(self._killed)
-
-        self._step(comp, advance)
-
-    def _killed(self, comp) -> None:
-        self._step(comp, lambda: self._on_done(None))
+def _cm_script(cm, agent: Agent, cell: str, cycles: int, latencies: List[float]):
+    """start → init → [cycles x (acquire → mutate → release → push)] → kill."""
+    yield cm.start()
+    yield cm.init_image()
+    for cycle in range(cycles):
+        t0 = time.monotonic()
+        yield cm.start_use_image()
+        if cycle == 0:
+            # Only the initial start_use pays a wire acquire (the owner
+            # token is retained on a conflict-free slice); that is the
+            # latency the ramp is measuring.
+            latencies.append(time.monotonic() - t0)
+        agent.local[cell] = agent.local.get(cell, 0) + 1
+        cm.end_use_image()
+        yield cm.push_image()
+    yield cm.kill_image()
 
 
 def _run_point(spec: str, n_cms: int, cycles: int) -> ScalePoint:
@@ -247,31 +178,35 @@ def _run_point(spec: str, n_cms: int, cycles: int) -> ScalePoint:
         transport, store, extract_from_object, merge_into_object,
         extract_cells=extract_cells, **scheduler,
     )
-    lock = threading.Lock()
-    done = threading.Event()
-    remaining = [n_cms]
-    errors: List[BaseException] = []
     latencies: List[float] = []
-
-    def on_done(err: Optional[BaseException]) -> None:
-        with lock:
-            if err is not None:
-                errors.append(err)
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                done.set()
-
-    drivers = [
-        _CmDriver(system, i, cycles, lock, latencies, on_done, paired=paired)
-        for i in range(n_cms)
-    ]
+    scripts = []
+    for i in range(n_cms):
+        # Paired variant: CMs 2k and 2k+1 share cell k, so strong-mode
+        # acquires contend within each pair (real revocation rounds)
+        # while pairs stay mutually independent.
+        cell = _cell(i // 2) if paired else _cell(i)
+        agent = Agent()
+        cm = system.add_view(
+            f"cm{i:05d}", agent, props_for([cell]),
+            extract_from_view, merge_into_view, mode="strong",
+        )
+        scripts.append(_cm_script(cm, agent, cell, cycles, latencies))
     t0 = time.monotonic()
-    for d in drivers:
-        d.begin()
-    completed = done.wait(budget)
+    deadline = t0 + budget
+    handles = [run_view_script(transport, script) for script in scripts]
+    failed = unfinished = 0
+    for handle in handles:
+        try:
+            handle.result(max(0.0, deadline - time.monotonic()))
+        except Exception:  # counted, not raised
+            if handle.done:
+                failed += 1
+            else:
+                unfinished += 1
     elapsed = time.monotonic() - t0
+    completed = unfinished == 0
     stats = transport.stats
-    n_errors = len(errors) + len(transport.handler_errors)
+    n_errors = failed + len(transport.handler_errors)
     wrong_cells = 0
     if completed and not n_errors:
         # Paired cells absorb both partners' increments; strong-mode
@@ -287,7 +222,7 @@ def _run_point(spec: str, n_cms: int, cycles: int) -> ScalePoint:
         reason = ""
     elif not completed:
         reason = (
-            f"{remaining[0]} of {n_cms} CMs unfinished after "
+            f"{unfinished} of {n_cms} CMs unfinished after "
             f"{budget:.0f}s budget"
         )
     elif n_errors:
@@ -315,61 +250,11 @@ def _run_point(spec: str, n_cms: int, cycles: int) -> ScalePoint:
 # Transport parity
 # ---------------------------------------------------------------------------
 
-def _parity_run(spec: str) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """One deterministic workload on one backend: (end state, by_type).
-
-    Two single-actor phases run back to back (a weak lifecycle, then a
-    strong one), so message counts cannot depend on wall-clock races —
-    the property that makes count parity assertable on real sockets.
-    """
-    reset_message_ids()
-    transport = resolve_transport(spec)
-    store = Store({"a": 10, "b": 20})
-    system = FleccSystem(
-        transport, store, extract_from_object, merge_into_object,
-        extract_cells=extract_cells,
-    )
-    weak_agent, strong_agent = Agent(), Agent()
-    weak = system.add_view(
-        "weak-view", weak_agent, props_for(["a"]),
-        extract_from_view, merge_into_view, mode="weak",
-    )
-    strong = system.add_view(
-        "strong-view", strong_agent, props_for(["a", "b"]),
-        extract_from_view, merge_into_view, mode="strong",
-    )
-
-    def weak_script():
-        yield weak.start()
-        yield weak.init_image()
-        yield weak.start_use_image()
-        weak_agent.local["a"] = 99
-        weak.end_use_image()
-        yield weak.push_image()
-        yield weak.kill_image()
-
-    def strong_script():
-        yield strong.start()
-        yield strong.init_image()
-        yield strong.start_use_image()
-        strong_agent.local["b"] = strong_agent.local.get("b", 0) + 1
-        strong.end_use_image()
-        yield strong.kill_image()
-
-    run_all_scripts(transport, [weak_script()])
-    run_all_scripts(transport, [strong_script()])
-    state = dict(store.cells)
-    by_type = dict(transport.stats.by_type)
-    system.close()
-    transport.close()
-    return state, by_type
-
-
 def transport_parity() -> Tuple[bool, bool, Dict[str, int]]:
     """sim and aio on the parity workload, each against the golden.
 
     Returns (state_identical, counts_identical, sim's by_type)."""
-    runs = [_parity_run(spec) for spec in ("sim", "aio")]
+    runs = [two_view_run(spec, weak_leaves_first=True) for spec in ("sim", "aio")]
     return (
         all(state == GOLDEN_PARITY["state"] for state, _ in runs),
         all(by_type == GOLDEN_PARITY["by_type"] for _, by_type in runs),
@@ -405,12 +290,21 @@ class ScaleSweepResult:
 
 
 def sweep_points(
-    ramp: Sequence[int] = DEFAULT_RAMP, cycles: int = 2
+    ramp: Optional[Sequence[int]] = None,
+    *,
+    cycles: int,
+    full: bool,
+    max_cms: Optional[int],
+    **_: Any,
 ) -> List[Tuple[str, int, int]]:
-    """Picklable point descriptors: ``(transport, n_cms, cycles)``.
+    """Picklable point descriptors: ``(transport, n_cms, cycles)`` over
+    ``ramp``, or the default (``full``: the full) ramp capped at
+    ``max_cms``.
 
     Includes the directory-bound ``aio+paired`` contention point at
     the ramp's smallest size (rounded down to an even fleet)."""
+    if ramp is None:
+        ramp = capped_ramp(FULL_RAMP if full else DEFAULT_RAMP, max_cms)
     points = [("aio", n, cycles) for n in ramp]
     if ramp:
         paired_n = min(ramp) - (min(ramp) % 2)
@@ -419,17 +313,12 @@ def sweep_points(
     return points
 
 
-def run_sweep_point(
-    point: Tuple[str, int, int], seed: Optional[int] = None
-) -> ScalePoint:
-    spec, n_cms, cycles = point
-    return _run_point(spec, n_cms, cycles)
+def run_sweep_point(point: Tuple[str, int, int], **_: Any) -> ScalePoint:
+    return _run_point(*point)
 
 
 def merge_scale_sweep(
-    points: List[Tuple[str, int, int]],
-    partials: List[ScalePoint],
-    seed: Optional[int] = None,
+    points: List[Tuple[str, int, int]], partials: List[ScalePoint], **_: Any
 ) -> ScaleSweepResult:
     result = ScaleSweepResult(points=list(partials))
     (
@@ -438,18 +327,6 @@ def merge_scale_sweep(
         result.parity_by_type,
     ) = transport_parity()
     return result
-
-
-def run_scale_sweep(
-    ramp: Optional[Sequence[int]] = None,
-    cycles: int = 2,
-    full: bool = False,
-    max_cms: Optional[int] = None,
-) -> ScaleSweepResult:
-    if ramp is None:
-        ramp = capped_ramp(FULL_RAMP if full else DEFAULT_RAMP, max_cms)
-    points = sweep_points(ramp, cycles)
-    return merge_scale_sweep(points, [run_sweep_point(p) for p in points])
 
 
 def bench_payload(result: ScaleSweepResult) -> Dict[str, object]:
@@ -510,7 +387,7 @@ def gates(payload: Dict[str, Any]) -> List[str]:
 
 
 EXPERIMENT = Experiment(
-    "scale_sweep", run_scale_sweep,
+    "scale_sweep", ShardSpec(sweep_points, run_sweep_point, merge_scale_sweep),
     params=(
         Param("--full", False,
               "include the 10k-CM point (manual/nightly; minutes on one core)"),
@@ -519,9 +396,9 @@ EXPERIMENT = Experiment(
               "top point"),
         Param("--cycles", 2),
     ),
-    shard=ShardSpec(sweep_points, run_sweep_point, merge_scale_sweep),
     summarize=bench_payload, gates=gates, out="BENCH_scale.json",
 )
+run_scale_sweep = EXPERIMENT
 
 if __name__ == "__main__":
     cli(EXPERIMENT)

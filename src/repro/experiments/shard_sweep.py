@@ -357,40 +357,29 @@ def run_airline_leg(n_shards: int = 4) -> AirlineLeg:
 
 
 def sweep_points(
-    shards: Sequence[int] = (1, 2, 4, 8), rounds: int = 4
+    rounds: int, shards: Sequence[int] = (1, 2, 4, 8), **_: Any
 ) -> List[Tuple[int, bool, int]]:
-    """Picklable point descriptors: ``(n_shards, spanning, rounds)``."""
-    points = [(n, False, rounds) for n in shards]
-    # The worst case: every view spans every shard (skip the N=1 dup of
-    # "no parallelism available" only in the sense that N=1 is its own
-    # baseline — we still run it to anchor the ratio).
-    points += [(n, True, rounds) for n in shards]
-    return points
+    """Picklable point descriptors: ``(n_shards, spanning, rounds)``,
+    the shard-local workload at every shard count, then the spanning
+    worst case (N=1 included: it anchors the ratio)."""
+    return [
+        (n, spanning, rounds) for spanning in (False, True) for n in shards
+    ]
 
 
-def run_sweep_point(
-    point: Tuple[int, bool, int], seed: Optional[int] = None
-) -> ShardPoint:
-    n_shards, spanning, rounds = point
-    return _run_point(n_shards, spanning, rounds)
+def run_sweep_point(point: Tuple[int, bool, int], **_: Any) -> ShardPoint:
+    return _run_point(*point)
 
 
 def merge_shard_sweep(
     points: List[Tuple[int, bool, int]],
     partials: List[ShardPoint],
-    seed: Optional[int] = None,
+    **_: Any,
 ) -> ShardSweepResult:
     result = ShardSweepResult(points=list(partials))
     result.n1_state_identical, result.n1_messages_identical = _n1_parity()
     result.airline = run_airline_leg()
     return result
-
-
-def run_shard_sweep(
-    shards: Sequence[int] = (1, 2, 4, 8), rounds: int = 4
-) -> ShardSweepResult:
-    points = sweep_points(shards, rounds)
-    return merge_shard_sweep(points, [run_sweep_point(p) for p in points])
 
 
 def _point(result: ShardSweepResult, workload: str, n: int) -> Optional[ShardPoint]:
@@ -472,10 +461,11 @@ def gates(payload: Dict[str, object]) -> List[str]:
 
 
 EXPERIMENT = Experiment(
-    "shard_sweep", run_shard_sweep, params=(Param("--rounds", 4),),
-    shard=ShardSpec(sweep_points, run_sweep_point, merge_shard_sweep),
+    "shard_sweep", ShardSpec(sweep_points, run_sweep_point, merge_shard_sweep),
+    params=(Param("--rounds", 4),),
     summarize=bench_payload, gates=gates, out="BENCH_shard.json",
 )
+run_shard_sweep = EXPERIMENT
 
 if __name__ == "__main__":
     cli(EXPERIMENT)

@@ -34,9 +34,9 @@ Frame layout::
     byte 0   magic: 0xF1 raw binary | 0xF2 zlib-compressed body
     body     msg_type, src, dst, msg_id, reply_to, payload — six
              values in the generic encoding below — or one envelope
-             record of the reliable sublayer (0x11 flight, 0x10 r_ack;
-             0x0F read only); the decoder tells the two apart by the
-             first tag, a string tag in the six-value layout
+             record of the reliable sublayer (0x11 flight, 0x10
+             r_ack); the decoder tells the two apart by the first tag,
+             a string tag in the six-value layout
 
 Value encoding (one tag byte, then data)::
 
@@ -55,10 +55,8 @@ Value encoding (one tag byte, then data)::
     0x0E message nested Message: type, src, dst as strings, msg_id as a
                  zigzag varint, reply_to as varint 0 (none) or zigzag+1,
                  then the payload value
-    0x0F r_data  one-message R_DATA envelope, read only: src, dst,
-                 msg_id (zigzag), seq (uvarint), ctl, attempt (uvarint,
-                 0 = no "n" key), t, i (zigzag), r (0 = none, else
-                 zigzag+1), then p
+    0x0F         retired (a one-message R_DATA envelope no sublayer
+                 reads any more): a bad frame
     0x10 r_ack   R_ACK envelope: src, dst, msg_id (zigzag), entry
                  count; per entry src, dst, a count, then one uvarint
                  ``seq << 1 | has_attempt`` per sequence number, followed
@@ -80,8 +78,11 @@ missing or out of order, a wrong type, a negative ``seq``, an ``"n"``
 below 1, a ``reply_to``, a flight's ``"m"`` not a list of messages) is
 written the generic way.  The tags are additive: frames written before
 them spell sub-messages as six-key dicts or ``0x0E`` records and
-envelopes as six values or one-message ``0x0F`` records, and still
-decode (``split_batch`` takes either spelling).
+envelopes as six values, and still decode (``split_batch`` takes
+either spelling).  The one exception is the one-message ``0x0F``
+envelope record, retired with the per-message envelope itself: the
+sublayer drops such an envelope whatever its spelling, so the codec
+refuses the tag.
 
 Decoded results are equal to what :class:`JsonCodec` decodes from the
 same message (the cross-codec property tests assert exactly that), with
@@ -118,7 +119,6 @@ _T_VVEC = 0x0B
 _T_PSET = 0x0C
 _T_DELTA = 0x0D
 _T_MSG = 0x0E
-_T_RDATA = 0x0F
 _T_RACK = 0x10
 _T_FLIGHT = 0x11
 
@@ -535,8 +535,6 @@ def _dec_value(buf: bytes, pos: int, strings: List[str]) -> Tuple[Any, int]:
         return _dec_flight(buf, pos, strings)
     if tag == _T_RACK:
         return _dec_rack(buf, pos, strings)
-    if tag == _T_RDATA:
-        return _dec_rdata(buf, pos, strings)
     if tag == _T_FLOAT:
         return _DOUBLE.unpack_from(buf, pos)[0], pos + 8
     if tag == _T_NULL:
@@ -621,24 +619,6 @@ def _dec_flight(buf: bytes, pos: int, strings: List[str]) -> Tuple[Message, int]
     return Message(R_DATA, src, dst, payload, _unzigzag(msg_id)), pos
 
 
-def _dec_rdata(buf: bytes, pos: int, strings: List[str]) -> Tuple[Message, int]:
-    src, pos = _dec_str(buf, pos, strings)
-    dst, pos = _dec_str(buf, pos, strings)
-    msg_id, pos = _dec_uvarint(buf, pos)
-    seq, pos = _dec_uvarint(buf, pos)
-    ctl, pos = _dec_str(buf, pos, strings)
-    n, pos = _dec_uvarint(buf, pos)
-    t, pos = _dec_str(buf, pos, strings)
-    i, pos = _dec_uvarint(buf, pos)
-    r, pos = _dec_uvarint(buf, pos)
-    p, pos = _dec_value(buf, pos, strings)
-    payload = {"seq": seq, "ctl": ctl, "t": t, "p": p, "i": _unzigzag(i),
-               "r": _unzigzag(r - 1) if r else None}
-    if n:
-        payload["n"] = n
-    return Message(R_DATA, src, dst, payload, _unzigzag(msg_id)), pos
-
-
 def _dec_rack(buf: bytes, pos: int, strings: List[str]) -> Tuple[Message, int]:
     src, pos = _dec_str(buf, pos, strings)
     dst, pos = _dec_str(buf, pos, strings)
@@ -669,8 +649,6 @@ def _dec_frame_body(buf: bytes, pos: int) -> Tuple[Message, int]:
         return _dec_flight(buf, pos + 1, strings)
     if tag == _T_RACK:
         return _dec_rack(buf, pos + 1, strings)
-    if tag == _T_RDATA:
-        return _dec_rdata(buf, pos + 1, strings)
     msg_type, pos = _dec_value(buf, pos, strings)
     src, pos = _dec_value(buf, pos, strings)
     dst, pos = _dec_value(buf, pos, strings)

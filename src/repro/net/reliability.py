@@ -437,27 +437,36 @@ class ReliableTransport(LayeredTransport):
     def _on_ack(self, frame: Message) -> None:
         with self._lock:
             now = self.inner.now()
-            for src, dst, seqs in frame.payload["acks"]:
-                sender = self._senders.get((src, dst))
-                if sender is None:
-                    continue
-                for entry in seqs:
-                    seq, attempt = (entry, 1) if entry.__class__ is int else entry
-                    out = sender.unacked.pop(seq, None)
-                    if out is None:
-                        continue  # acknowledged before (a re-ACK)
-                    if 1 <= attempt <= len(out.sent_at):
-                        sender.observe(now - out.sent_at[attempt - 1])
-                    # The heap entry stays until the timer pops it; the
-                    # flight it pins does not.
-                    out.flight = None
-                    self._unacked -= 1
+            try:
+                for src, dst, seqs in frame.payload["acks"]:
+                    sender = self._senders.get((src, dst))
+                    if sender is None:
+                        continue
+                    for entry in seqs:
+                        seq, attempt = (
+                            (entry, 1) if entry.__class__ is int else entry)
+                        out = sender.unacked.pop(seq, None)
+                        if out is None:
+                            continue  # acknowledged before (a re-ACK)
+                        if 1 <= attempt <= len(out.sent_at):
+                            sender.observe(now - out.sent_at[attempt - 1])
+                        # The heap entry stays until the timer pops it;
+                        # the flight it pins does not.
+                        out.flight = None
+                        self._unacked -= 1
+            except (KeyError, TypeError, ValueError):
+                # Not an ACK vector: dropped from the bad entry on.
+                self.inner.stats.record_drop(frame)
 
     def _on_data(self, frame: Message) -> None:
         p = frame.payload
-        conn = (p["ctl"], frame.dst)
-        seq = p["seq"]
-        msgs = read_messages(p["m"])
+        try:
+            conn = (p["ctl"], frame.dst)
+            seq, floor = p["seq"], p["f"]
+            msgs = read_messages(p["m"])
+        except (KeyError, TypeError):  # not a flight (an older envelope?)
+            self.inner.stats.record_drop(frame)
+            return
         ready: List[List[Message]] = []
         with self._lock:
             if self._closed:
@@ -491,7 +500,6 @@ class ReliableTransport(LayeredTransport):
             # Below the floor nothing more is coming: hand off what is
             # buffered there, in order, and stop waiting for the rest
             # (a duplicate's floor counts too: it may be newer).
-            floor = p["f"]
             if floor > recv.delivered_upto + 1:
                 for below in sorted(s for s in recv.pending if s < floor):
                     ready.append(recv.pending.pop(below))

@@ -166,11 +166,6 @@ class MessageStats:
         if size > self.max_message_bytes:
             self.max_message_bytes = size
 
-    @property
-    def mean_encode_us(self) -> float:
-        """Mean encoder latency in microseconds (0.0 before any encode)."""
-        return (self.encode_ns / self.encodes) / 1000.0 if self.encodes else 0.0
-
     def record_drop(self, msg: Message) -> None:
         self.dropped += 1
 

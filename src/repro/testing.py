@@ -33,7 +33,7 @@ fault the directory's own op path.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core import (
     DiscreteSet,
@@ -48,7 +48,8 @@ from repro.core.messages import TraceLog
 from repro.core.static_map import Sharing, StaticSharingMap
 from repro.core.system import run_all_scripts, run_view_script
 from repro.net import SimTransport
-from repro.net.message import Message
+from repro.net.message import Message, reset_message_ids
+from repro.net.transport import resolve_transport
 from repro.sim import SimKernel
 
 
@@ -181,6 +182,68 @@ class ProtocolFixture:
     @property
     def stats(self):
         return self.transport.stats
+
+
+def two_view_run(
+    spec: str, weak_leaves_first: bool
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """One deterministic conflicting workload: (end state, messages by type).
+
+    A weak view on ``a`` writes and pushes; then a strong view on ``a``
+    and ``b`` acquires, writes and leaves.  The weak view unregisters
+    before the strong phase when ``weak_leaves_first``, else after it
+    (so the strong acquire revokes it).  Each phase runs alone to the
+    end, so message counts cannot depend on races: the parity workload
+    the experiments pin to frozen goldens on every backend (``spec`` is
+    a :func:`~repro.net.transport.resolve_transport` spec).
+    """
+    reset_message_ids()
+    transport = resolve_transport(spec)
+    store = Store({"a": 10, "b": 20})
+    system = FleccSystem(
+        transport, store, extract_from_object, merge_into_object,
+        extract_cells=extract_cells,
+    )
+    weak_agent, strong_agent = Agent(), Agent()
+    weak = system.add_view(
+        "weak-view", weak_agent, props_for(["a"]),
+        extract_from_view, merge_into_view, mode="weak",
+    )
+    strong = system.add_view(
+        "strong-view", strong_agent, props_for(["a", "b"]),
+        extract_from_view, merge_into_view, mode="strong",
+    )
+
+    def weak_phase():
+        yield weak.start()
+        yield weak.init_image()
+        yield weak.start_use_image()
+        weak_agent.local["a"] = 99
+        weak.end_use_image()
+        yield weak.push_image()
+        if weak_leaves_first:
+            yield weak.kill_image()
+
+    def strong_phase():
+        yield strong.start()
+        yield strong.init_image()
+        yield strong.start_use_image()
+        strong_agent.local["b"] = strong_agent.local.get("b", 0) + 1
+        strong.end_use_image()
+        yield strong.kill_image()
+
+    def weak_exit():
+        yield weak.kill_image()
+
+    phases = [weak_phase(), strong_phase()]
+    if not weak_leaves_first:
+        phases.append(weak_exit())
+    for phase in phases:
+        run_all_scripts(transport, [phase])
+    state, by_type = dict(store.cells), dict(transport.stats.by_type)
+    system.close()
+    transport.close()
+    return state, by_type
 
 
 # ---------------------------------------------------------------------------

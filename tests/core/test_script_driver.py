@@ -91,6 +91,22 @@ def test_sim_deadlock_raises_repro_error():
         run_view_script(transport, script()).result()
 
 
+def test_aio_result_times_out_on_a_wait_that_never_resolves():
+    transport = resolve_transport("aio")
+    never = transport.completion("never")
+
+    def script():
+        yield never
+
+    handle = run_view_script(transport, script())
+    with pytest.raises(ReproError, match="did not finish in time"):
+        handle.result(timeout=0.05)
+    assert not handle.done  # still waiting: a timeout is not a failure
+    never.resolve(None)
+    assert handle.result(10.0) is None and handle.done
+    transport.close()
+
+
 def test_schedule_failure_ends_the_script():
     transport = resolve_transport("aio")
     transport.schedule(0.0, lambda: None)  # start the loop, then close it

@@ -10,7 +10,7 @@ import copy
 import pytest
 
 from repro.experiments import dm_profile as dmp
-from repro.experiments.runner import cli, registry
+from repro.experiments.runner import cli, registry, run_kwargs
 
 # The two smallest pinned points: every one has a golden to be held to.
 RAMP = (100, 300)
@@ -137,7 +137,7 @@ def test_good_perf_numbers_clear_the_armed_gates(payload):
 
 
 def test_sweep_shards_reassemble_the_serial_result(result):
-    points = dmp.sweep_points(RAMP)
+    points = dmp.sweep_points(RAMP, full=False, max_views=None)
     assert points == list(RAMP)
     partials = [dmp.run_sweep_point(p) for p in points]
     merged = dmp.merge_dm_profile(points, partials)
@@ -146,5 +146,5 @@ def test_sweep_shards_reassemble_the_serial_result(result):
 
 
 def test_registered_with_runner_and_parallel_engine():
-    spec = registry()["dm_profile"].shard
-    assert spec.points() == list(dmp.DEFAULT_RAMP)
+    declared = registry()["dm_profile"]
+    assert declared.shard.points(**run_kwargs(declared)) == list(dmp.DEFAULT_RAMP)

@@ -10,7 +10,7 @@ import copy
 import pytest
 
 from repro.experiments import dm_sched as dms
-from repro.experiments.runner import registry
+from repro.experiments.runner import registry, run_kwargs
 
 GROUPS = 8
 
@@ -111,4 +111,5 @@ def test_sweep_point_roundtrip(result):
 def test_registered_with_runner_and_parallel_engine():
     declared = registry()["dm_sched"]
     assert declared.seeded
-    assert [p[:2] for p in declared.shard.points()] == list(dms.LEGS)
+    points = declared.shard.points(**run_kwargs(declared))
+    assert [p[:2] for p in points] == list(dms.LEGS)

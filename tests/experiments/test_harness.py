@@ -27,8 +27,16 @@ def _recording(exp, calls):
     """``exp`` with its workload swapped for one that records its keywords."""
     return dataclasses.replace(
         exp, run=lambda **kw: calls.append(kw) or {"ok": True},
-        summarize=None, gates=None, shard=None, out=None,
+        summarize=None, gates=None, out=None,
     )
+
+
+def _accepted(exp):
+    """The keywords ``exp.run`` names — for a sweep, those any of its
+    three functions names (``**_`` swallows the rest)."""
+    spec = exp.shard
+    fns = (spec.points, spec.run_point, spec.merge) if spec else (exp.run,)
+    return {name for fn in fns for name in inspect.signature(fn).parameters}
 
 
 # -- (a) parameters -----------------------------------------------------------
@@ -52,7 +60,7 @@ def test_stub_parameters_parse_and_reach_run():
 @pytest.mark.parametrize("name", list(registry()))
 def test_every_declared_parameter_parses_and_reaches_run(name):
     exp = registry()[name]
-    accepted = inspect.signature(exp.run).parameters
+    accepted = _accepted(exp)
     assert {p.dest for p in exp.params} <= set(accepted)
     assert not exp.seeded or "seed" in accepted
     calls = []
@@ -117,7 +125,7 @@ def test_runner_check_fails_when_fig4_loses_the_papers_shape(
     monkeypatch.setattr(
         fig4_efficiency, "EXPERIMENT",
         dataclasses.replace(
-            fig4_efficiency.EXPERIMENT, run=lambda: flat, shard=None
+            fig4_efficiency.EXPERIMENT, run=lambda: flat
         ),
     )
     argv = ["--only", "fig4_efficiency", "--out", str(tmp_path)]

@@ -7,6 +7,7 @@ budgets, payload shape, acceptance gates — at zero socket cost.
 
 import pytest
 
+from repro.experiments import scale_sweep
 from repro.experiments.scale_sweep import (
     DEFAULT_RAMP,
     FULL_RAMP,
@@ -95,8 +96,20 @@ def test_point_budget_is_bounded():
     assert 190.0 < point_budget(3000, 2) < 600.0
 
 
+def test_point_over_budget_reports_the_unfinished_cms(monkeypatch):
+    """The budget is one deadline over every CM's script: one too short
+    for the fleet leaves CMs unfinished, and the point says how many."""
+    monkeypatch.setattr(scale_sweep, "point_budget", lambda n_cms, cycles: 0.0)
+    point = scale_sweep.run_sweep_point(("aio", 20, 2))
+    assert not point.completed and not point.sustainable
+    assert point.budget_s == 0.0
+    unfinished = int(point.reason.split(" of ")[0])
+    assert 0 < unfinished <= 20
+    assert point.reason == f"{unfinished} of 20 CMs unfinished after 0s budget"
+
+
 def test_sweep_points_cover_ramp_and_paired_point():
-    pts = sweep_points((100, 1000), cycles=2)
+    pts = sweep_points((100, 1000), cycles=2, full=False, max_cms=None)
     assert pts == [("aio", 100, 2), ("aio", 1000, 2), ("aio+paired", 100, 2)]
     assert set(FULL_RAMP) - set(DEFAULT_RAMP) == {10000}
 

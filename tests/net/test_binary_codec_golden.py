@@ -20,7 +20,9 @@ instead of one envelope per message, the one-message ``0x0F`` spellings
 left the encoder: ``legacy.r_data_record`` and
 ``legacy.reliable_flush_record`` are what it wrote for ``r_data`` and
 ``reliable_flush`` until then, and ``flight`` pins the record that
-replaced them.
+replaced them.  The sublayer drops a one-message envelope however it is
+spelled, so the ``0x0F`` record then left the decoder too: those two
+frames must now be refused.
 """
 
 import json
@@ -38,6 +40,7 @@ from repro.core import (
     VersionVector,
 )
 from repro.core.image import DeltaImage
+from repro.errors import CodecError
 from repro.net import BinaryCodec, JsonCodec, Message
 from repro.net.binary_codec import MAGIC_RAW, MAGIC_ZLIB, decode_value, encode_value
 from repro.net.message import make_batch, split_batch
@@ -196,13 +199,13 @@ def test_encoder_output_is_byte_identical_to_golden():
 
 @pytest.mark.parametrize("name", sorted({**_messages(), **_legacy_messages()}))
 def test_golden_frames_decode_to_the_messages_that_made_them(name):
-    """Every pinned frame, and every envelope record the encoder has
+    """Every pinned frame, and every older spelling the encoder has
     since stopped writing, decodes to the message that made it."""
     golden = json.loads(GOLDEN.read_text())
     current = _messages()
     msg = current[name] if name in current else _legacy_messages()[name]
     raw = bytes.fromhex(golden[f"frame.{name}" if name in current
-                               else f"legacy.{name}_record"])
+                               else f"legacy.{name}"])
     decoded = BinaryCodec().decode(raw)
     again = BinaryCodec().decode(BinaryCodec().encode(msg))
     assert decoded == again
@@ -231,20 +234,17 @@ def test_dict_form_batch_from_older_encoders_still_splits(magic):
 
 @pytest.mark.parametrize("magic", [MAGIC_RAW, MAGIC_ZLIB])
 def test_six_value_r_data_from_older_encoders_still_decodes(magic):
-    """``legacy.r_data`` spells the envelope as the generic six values,
-    and ``legacy.r_data_record`` as the one-message ``0x0F`` record."""
+    """``legacy.r_data`` spells the envelope as the generic six values."""
     golden = json.loads(GOLDEN.read_text())
     expected = _legacy_messages()["r_data"]
-    for name, first in (("legacy.r_data", (0x05, 0x06)),
-                        ("legacy.r_data_record", (0x0F,))):
-        legacy = bytes.fromhex(golden[name])
-        assert legacy[0] == MAGIC_RAW and legacy[1] in first
-        frame = legacy
-        if magic == MAGIC_ZLIB:
-            frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
-        decoded = BinaryCodec().decode(frame)
-        assert decoded == expected
-        assert list(decoded.payload) == list(expected.payload)
+    legacy = bytes.fromhex(golden["legacy.r_data"])
+    assert legacy[0] == MAGIC_RAW and legacy[1] in (0x05, 0x06)
+    frame = legacy
+    if magic == MAGIC_ZLIB:
+        frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
+    decoded = BinaryCodec().decode(frame)
+    assert decoded == expected
+    assert list(decoded.payload) == list(expected.payload)
     # Not a flight: the encoder now spells it the generic way.
     assert BinaryCodec().encode(expected) == bytes.fromhex(golden["legacy.r_data"])
 
@@ -252,21 +252,34 @@ def test_six_value_r_data_from_older_encoders_still_decodes(magic):
 @pytest.mark.parametrize("magic", [MAGIC_RAW, MAGIC_ZLIB])
 def test_message_record_envelopes_from_older_encoders_still_split(magic):
     """``legacy.reliable_flush`` spells every R_DATA/R_ACK sub-message
-    as a ``0x0E`` record with a generic payload;
-    ``legacy.reliable_flush_record`` as ``0x0F`` / ``0x10`` records."""
+    as a ``0x0E`` record with a generic payload."""
     golden = json.loads(GOLDEN.read_text())
     expected = _legacy_messages()["reliable_flush"]
-    for name in ("legacy.reliable_flush", "legacy.reliable_flush_record"):
-        legacy = bytes.fromhex(golden[name])
-        assert legacy[0] == MAGIC_RAW
-        frame = legacy
-        if magic == MAGIC_ZLIB:
-            frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
-        decoded = BinaryCodec().decode(frame)
-        assert split_batch(decoded) == split_batch(expected)
-        assert [list(m.payload) for m in split_batch(decoded)] == [
-            list(m.payload) for m in split_batch(expected)]
-        assert decoded.msg_id == expected.msg_id
+    legacy = bytes.fromhex(golden["legacy.reliable_flush"])
+    assert legacy[0] == MAGIC_RAW
+    frame = legacy
+    if magic == MAGIC_ZLIB:
+        frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
+    decoded = BinaryCodec().decode(frame)
+    assert split_batch(decoded) == split_batch(expected)
+    assert [list(m.payload) for m in split_batch(decoded)] == [
+        list(m.payload) for m in split_batch(expected)]
+    assert decoded.msg_id == expected.msg_id
+
+
+@pytest.mark.parametrize("magic", [MAGIC_RAW, MAGIC_ZLIB])
+@pytest.mark.parametrize(
+    "name", ["legacy.r_data_record", "legacy.reliable_flush_record"])
+def test_retired_0x0f_records_are_refused(name, magic):
+    """The one-message ``0x0F`` envelope record, top-level or nested in
+    a BATCH, is a bad frame."""
+    legacy = bytes.fromhex(json.loads(GOLDEN.read_text())[name])
+    assert legacy[0] == MAGIC_RAW and 0x0F in legacy[1:]
+    frame = legacy
+    if magic == MAGIC_ZLIB:
+        frame = bytes((MAGIC_ZLIB,)) + zlib.compress(legacy[1:], 6)
+    with pytest.raises(CodecError):
+        BinaryCodec().decode(frame)
 
 
 def test_a_flight_is_one_record_of_message_records():

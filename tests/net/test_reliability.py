@@ -1,13 +1,16 @@
 """Unit + protocol tests for the reliable-delivery sublayer."""
 
+import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.core  # noqa: F401 - registers the image type legacy frames carry
 from repro.errors import TransportError
-from repro.net import Message, ReliableTransport, SimTransport
+from repro.net import BinaryCodec, Message, ReliableTransport, SimTransport
 from repro.net.aio_transport import AioTcpTransport
 from repro.net import reliability
 from repro.net.reliability import R_ACK, R_DATA
@@ -168,6 +171,42 @@ def test_constructor_validation():
 # ---------------------------------------------------------------------------
 # ACK vectors, the one retransmit timer, the learned timeout
 # ---------------------------------------------------------------------------
+
+def _legacy_r_data():
+    """An old-shape ``R_DATA``: one message spelled as t/p/i/r keys, no
+    flight fields — decoded from the golden frame that pins it."""
+    golden = json.loads(
+        (Path(__file__).with_name("golden_binary_frames.json")).read_text())
+    return BinaryCodec().decode(bytes.fromhex(golden["legacy.r_data"]))
+
+
+@pytest.mark.parametrize("shape", [
+    "old r_data", "r_data without m", "r_ack without acks",
+    "r_ack entry too short", "r_ack not a list",
+])
+def test_a_malformed_envelope_is_dropped_and_counted(shape):
+    kernel, inner, rel = make()
+    got = []
+    rel.bind("a", lambda m: None)
+    rel.bind("b", lambda m: got.append(m.msg_type))
+    payload = {
+        "old r_data": _legacy_r_data().payload,
+        "r_data without m": {"seq": 1, "ctl": "rel-ctl", "f": 1},
+        "r_ack without acks": {"ack": []},
+        "r_ack entry too short": {"acks": [["rel-ctl", "rel-ctl"]]},
+        "r_ack not a list": {"acks": 7},
+    }[shape]
+    msg_type = R_ACK if shape.startswith("r_ack") else R_DATA
+    rel.send(Message("HELLO", "a", "b"))  # binds the control endpoint
+    kernel.run()
+    inner.send(Message(msg_type, "x", "rel-ctl", payload))
+    kernel.run()  # raised out of the kernel before envelopes were checked
+    assert inner.stats.dropped == 1
+    # The sublayer still works: nothing from the bad envelope was taken.
+    rel.send(Message("HELLO", "a", "b"))
+    kernel.run()
+    assert got == ["HELLO", "HELLO"] and rel.in_flight_count() == 0
+
 
 def _spy(inner, verdict=lambda m: "deliver"):
     """Record every R_ACK payload crossing ``inner``; ``verdict``
