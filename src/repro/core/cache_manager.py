@@ -54,6 +54,9 @@ from repro.net.transport import Completion, Transport
 # Application-facing function signatures (paper Fig 3):
 #   extract_from_view(view, view_property_list) -> ObjectImage
 #   merge_into_view(view, image, view_property_list) -> None
+# A merge hook is per-cell: it may receive any subset of the slice (only
+# the cells that differ from the view, or no call at all), and an extract
+# returns a merged cell unchanged.
 ExtractFromView = Callable[[Any, PropertySet], ObjectImage]
 MergeIntoView = Callable[[Any, ObjectImage, PropertySet], None]
 
@@ -61,6 +64,16 @@ MergeIntoView = Callable[[Any, ObjectImage, PropertySet], None]
 # (message type, payload, and the state to take once it is served), or
 # None to enter locally.
 UseRequest = Optional[Tuple[str, Dict[str, Any], Optional[Callable[[], None]]]]
+
+
+def _differing(cells: Dict[str, Any], against: Dict[str, Any]) -> Dict[str, Any]:
+    """The entries of ``cells`` that ``against`` lacks or holds with
+    another value: the one rule for "this cell differs", used for both
+    the dirty cells of a hand-off and the cells a served image changes."""
+    return {
+        key: value for key, value in cells.items()
+        if key not in against or against[key] != value
+    }
 
 
 class _CompletionLock:
@@ -415,12 +428,7 @@ class CacheManager:
         """One extract of the view: its image, and the cells whose value
         changed since the last sync point."""
         current = self._extract_current()
-        base = self._base.cells
-        dirty = ObjectImage()
-        for key, value in current.cells.items():
-            if key not in base or base[key] != value:
-                dirty.cells[key] = value
-        return current, dirty
+        return current, ObjectImage(_differing(current.cells, self._base.cells))
 
     def _take_dirty(self) -> ObjectImage:
         """Hand the dirty cells to the directory: one extract is both the
@@ -451,8 +459,26 @@ class CacheManager:
         return not self._extract_dirty()[1].is_empty()
 
     def _apply_image(self, image: ObjectImage) -> None:
-        self.merge_into_view(self.view, image, self.properties)
-        self._base = self._extract_current()
+        """Bring the view to ``image`` with one extract and one compare.
+
+        The merge hook receives only the cells whose value differs from
+        the view's — ``image`` itself when all of them do, and no call
+        when none does — and that extract, with those cells at their new
+        values, is the new sync point.  View and base end where a merge
+        of the whole image and a fresh extract would leave them, because
+        a merge hook is per-cell and an extract returns a merged cell
+        unchanged.
+        """
+        current = self._extract_current()
+        changed = _differing(image.cells, current.cells)
+        if changed:
+            merged = (
+                image if len(changed) == len(image.cells)
+                else image.restrict(changed)
+            )
+            self.merge_into_view(self.view, merged, self.properties)
+            current.cells.update(changed)
+        self._base = current
         self.invalidated = False
 
     # -- delta synchronization -----------------------------------------------
@@ -463,11 +489,14 @@ class CacheManager:
         plain :class:`ObjectImage` (delta disabled there) or a
         :class:`DeltaImage` — complete, or a version-filtered delta
         against our accumulated base.  A delta merges into ``_synced``
-        and the *whole* accumulated image is applied to the view, so
-        local semantics are exactly those of a full pull while only the
-        changed cells crossed the wire.  Returns ``None`` when the delta
-        references a base this CM no longer holds (the caller must
-        re-request with ``full=True``).  Call with ``self._lock`` held.
+        and the *whole* accumulated image is the view's target, so local
+        semantics are exactly those of a full pull (an unpushed local
+        write outside the delta is reverted) while only the changed
+        cells crossed the wire; :meth:`_apply_image` hands the merge
+        hook just the cells that differ from the view.  Returns ``None``
+        when the delta references a base this CM no longer holds (the
+        caller must re-request with ``full=True``).  Call with
+        ``self._lock`` held.
         """
         if not isinstance(served, DeltaImage):
             self._drop_delta_base()

@@ -1273,10 +1273,7 @@ class DirectoryManager:
         if serve_delta:
             keys = self._slice_keys(rec.view_id)
             slice_size = len(keys)
-            changed = [
-                k for k in keys
-                if self.master_versions.get(k) > rec.seen.get(k)
-            ]
+            changed = self.master_versions.ahead_of(rec.seen, keys)
             image = self._extract_slice(rec, changed)
             if len(image) != len(changed):
                 # Some changed cells did not materialize — a stale slice

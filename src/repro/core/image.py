@@ -60,9 +60,7 @@ class ObjectImage:
         base image plus this delta (``base ⊕ delta ≡ full`` under
         :meth:`merge_newer`), so only the delta needs to cross the wire.
         """
-        return self.restrict(
-            k for k in self.cells if self.versions.get(k) > base.get(k)
-        )
+        return self.restrict(self.versions.ahead_of(base, self.cells))
 
     def is_empty(self) -> bool:
         return not self.cells

@@ -10,7 +10,7 @@ and 6).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.net.codec import register_codec_type
 
@@ -49,7 +49,10 @@ class VersionVector:
         return iter(sorted(self._v.items()))
 
     def copy(self) -> "VersionVector":
-        return VersionVector(self._v)
+        # A copy of a valid vector is valid: skip __init__'s per-entry check.
+        vv = VersionVector.__new__(VersionVector)
+        vv._v = dict(self._v)
+        return vv
 
     def __len__(self) -> int:
         return len(self._v)
@@ -80,9 +83,12 @@ class VersionVector:
         == base.merge_max(a)``, and ``a.diff(base)`` is empty exactly when
         ``base.dominates(a)``.
         """
-        return VersionVector(
-            {k: n for k, n in self._v.items() if n > base.get(k)}
-        )
+        return VersionVector({k: self._v[k] for k in self.ahead_of(base, self._v)})
+
+    def ahead_of(self, base: "VersionVector", keys: Iterable[str]) -> List[str]:
+        """The ``keys`` whose version here is strictly ahead of ``base``."""
+        mine, theirs = self._v, base._v
+        return [k for k in keys if mine.get(k, 0) > theirs.get(k, 0)]
 
     def unseen_updates(self, seen: "VersionVector", keys: Iterable[str] | None = None) -> int:
         """Paper's quality metric: updates in ``self`` not yet in ``seen``.

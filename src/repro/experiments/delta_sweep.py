@@ -16,7 +16,10 @@ What the A/B comparison must show:
   within the DeltaImage framing overhead;
 - **identity** — the paper's Fig-4 logical message counts and the final
   component/view state are *identical* between the two runs: delta
-  synchronization changes payload contents, never the protocol.
+  synchronization changes payload contents, never the protocol;
+- **merged cells** — on both runs the views' merge hooks receive only
+  the cells that differ from the view: each INIT's whole slice and each
+  pull's written cells, never the whole slice again.
 
 ``python -m repro.experiments.delta_sweep`` writes ``BENCH_delta.json``;
 ``--check`` exits non-zero unless every gate of :func:`gates` holds.
@@ -70,6 +73,9 @@ class DeltaPoint:
     cells_skipped: int
     delta_serves: int
     slice_index_hits: int
+    # Cells the two views' merge hooks received, per run.
+    full_merged_cells: int
+    delta_merged_cells: int
     # Invariants: both runs end in the same place via the same messages.
     state_identical: bool
     messages_identical: bool
@@ -108,6 +114,7 @@ class StoreRun:
     counters: Dict[str, int]        # the directory's
     pull_wall: List[float]          # wall seconds around each pull
     captured: List[Message]         # every message sent, with ``capture``
+    merged_cells: int               # cells both views' merge hooks received
 
 
 def run_store_workload(
@@ -152,15 +159,22 @@ def run_store_workload(
         extract_cells=extract_cells,
     )
     keys = sorted(store.cells)
+    merged_cells = 0
+
+    def counted_merge(agent, image, props):
+        nonlocal merged_cells
+        merged_cells += len(image)
+        merge_into_view(agent, image, props)
+
     writer_agent = Agent()
     writer = system.add_view(
         "writer", writer_agent, props_for(keys),
-        extract_from_view, merge_into_view,
+        extract_from_view, counted_merge,
     )
     reader_agent = Agent()
     reader = system.add_view(
         "reader", reader_agent, props_for(keys),
-        extract_from_view, merge_into_view,
+        extract_from_view, counted_merge,
     )
     pull_wall: List[float] = []
     period = 10.0
@@ -192,7 +206,7 @@ def run_store_workload(
     run_all_scripts(transport, [writer_script(), reader_script()])
     return StoreRun(
         store, reader_agent, transport.stats, system.directory.counters,
-        pull_wall, captured,
+        pull_wall, captured, merged_cells,
     )
 
 
@@ -235,6 +249,8 @@ def run_delta_sweep(
                 cells_skipped=dlt.stats.cells_skipped,
                 delta_serves=dlt.counters["delta_serves"],
                 slice_index_hits=dlt.counters["slice_index_hits"],
+                full_merged_cells=full.merged_cells,
+                delta_merged_cells=dlt.merged_cells,
                 state_identical=(
                     full.store.cells == dlt.store.cells
                     and full.reader_agent.local == dlt.reader_agent.local
@@ -290,8 +306,11 @@ def gates(payload: Dict[str, Any]) -> List[str]:
     so there is no noise to allow for: the low-locality point must
     shrink its pulls by :data:`MIN_LOW_LOCALITY_REDUCTION`, an all-dirty
     delta must cost what the full image costs, every pull must have
-    been served as a delta, and no point may differ from its full-image
-    twin in end state or logical message counts.
+    been served as a delta, no point may differ from its full-image
+    twin in end state or logical message counts, and on both runs the
+    merge hooks may receive only the cells that differ: the two INITs'
+    slices plus each round's written cells (``2·n_cells + rounds·dirty``;
+    a whole-slice merge per pull reads ``(2 + rounds)·n_cells``).
     """
     problems: List[str] = []
     reduction = payload["low_locality_bytes_reduction"]
@@ -321,6 +340,13 @@ def gates(payload: Dict[str, Any]) -> List[str]:
             problems.append(
                 f"{point}: {p['images_delta']} of {p['pulls']} pulls "
                 f"({p['rounds']} rounds) served as deltas"
+            )
+        expected = 2 * p["n_cells"] + p["rounds"] * p["dirty_per_round"]
+        if not p["full_merged_cells"] == p["delta_merged_cells"] == expected:
+            problems.append(
+                f"{point}: merge hooks received {p['full_merged_cells']} "
+                f"(full) / {p['delta_merged_cells']} (delta) cells "
+                f"(need {expected}, the cells that differ)"
             )
     return problems
 

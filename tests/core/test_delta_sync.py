@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import VersionVector
+from repro.apps.airline import Flight, FlightDatabase, build_airline_system
+from repro.core import Mode, VersionVector
 from repro.core import messages as M
 from repro.core.image import DeltaImage, ObjectImage
+from repro.core.system import run_all_scripts
 from repro.errors import ProtocolError
 from repro.net import Message
 from repro.net.codec import roundtrip
@@ -47,6 +49,11 @@ def test_diff_entries_strictly_newer(a, base):
     for key, n in a.items():
         if n > base.get(key):
             assert d.get(key) == n
+
+
+@given(vectors, vectors, st.lists(st.sampled_from(["a", "b", "c", "e"])))
+def test_ahead_of_keeps_the_given_keys_strictly_ahead(a, base, keys):
+    assert a.ahead_of(base, keys) == [k for k in keys if a.get(k) > base.get(k)]
 
 
 # -- image delta equivalence --------------------------------------------------
@@ -416,3 +423,133 @@ def test_refused_push_stays_dirty_and_converges(delta):
 
     fx.run_scripts(pull())
     assert agent.local == fx.store.cells == {"a": 1, "b": 2}
+
+
+# -- applying a served image: the merge hook gets only the cells that differ --
+
+def _spy_on_merges(cm):
+    """Record the keys of every image ``cm``'s merge hook receives."""
+    merges = []
+    hook = cm.merge_into_view
+
+    def spy(view, image, props):
+        merges.append(sorted(image.keys()))
+        hook(view, image, props)
+
+    cm.merge_into_view = spy
+    return merges
+
+
+def _started(fx, *cms):
+    def start(cm):
+        yield cm.start()
+        yield cm.init_image()
+
+    fx.run_scripts(*(start(cm) for cm in cms))
+
+
+@pytest.mark.parametrize("delta", [True, False], ids=["delta", "full"])
+def test_pull_merges_only_the_cells_that_differ(delta):
+    """Weak views ``w`` and ``r`` on {a: 1, b: 2, c: 3}: ``w`` pushes
+    a = 10, ``r`` writes c = 99 without pushing and then pulls.  ``r``
+    lands where a whole-slice apply would (its unpushed write reverted),
+    while its merge hook receives only ``a`` and ``c``."""
+    fx = ProtocolFixture(store_cells={"a": 1, "b": 2, "c": 3}, delta=delta)
+    cm_w, aw = fx.add_agent("w", ["a", "b", "c"])
+    cm_r, ar = fx.add_agent("r", ["a", "b", "c"])
+    merges = _spy_on_merges(cm_r)
+    _started(fx, cm_w, cm_r)
+
+    def write_and_push():
+        yield cm_w.start_use_image()
+        aw.local["a"] = 10
+        cm_w.end_use_image()
+        yield cm_w.push_image()
+
+    def write_and_pull():
+        yield cm_r.start_use_image()
+        ar.local["c"] = 99
+        cm_r.end_use_image()
+        yield cm_r.pull_image()
+
+    fx.run_scripts(write_and_push())
+    fx.run_scripts(write_and_pull())
+    assert ar.local == cm_r._base.cells == {"a": 10, "b": 2, "c": 3}
+    assert merges == [["a", "b", "c"], ["a", "c"]]
+    assert cm_r.counters["delta_pulls"] == (1 if delta else 0)
+
+
+@pytest.mark.parametrize("delta", [True, False], ids=["delta", "full"])
+def test_pull_with_nothing_changed_calls_no_merge_hook(delta):
+    fx = ProtocolFixture(store_cells={"a": 1, "b": 2}, delta=delta)
+    cm, agent = fx.add_agent("v", ["a", "b"])
+    merges = _spy_on_merges(cm)
+    _started(fx, cm)
+
+    def pull():
+        yield cm.pull_image()
+        yield cm.pull_image()
+
+    fx.run_scripts(pull())
+    assert merges == [["a", "b"]]
+    assert agent.local == cm._base.cells == {"a": 1, "b": 2}
+
+
+@pytest.mark.parametrize("delta", [True, False], ids=["delta", "full"])
+def test_base_is_a_fresh_extract_after_every_kind_of_serve(delta):
+    """The base an apply builds from one extract is the one a fresh
+    extract reads, with the airline's ``Flight`` hooks: after an INIT, a
+    (delta) pull, a complete pull and a GRANT."""
+    flights = [f"FL{i:04d}" for i in range(1, 4)]
+    airline = build_airline_system(
+        FlightDatabase(
+            [Flight(n, "NYC", "SFO", 100, 100, 250.0) for n in flights]
+        ),
+        delta=delta,
+    )
+    seller, cm_s = airline.add_travel_agent("seller", flights)
+    reader, cm = airline.add_travel_agent("reader", flights)
+
+    def run(*scripts):
+        run_all_scripts(airline.transport, list(scripts))
+
+    def fresh():
+        assert cm._base == cm.extract_from_view(reader, cm.properties)
+        assert {n: reader.local[n].to_cell() for n in flights} == {
+            n: airline.database.flights[n].to_cell() for n in flights
+        }
+
+    def start(c):
+        yield c.start()
+        yield c.init_image()
+
+    def sell(number):
+        yield cm_s.start_use_image()
+        seller.confirm_tickets(1, number)
+        cm_s.end_use_image()
+        yield cm_s.push_image()
+
+    def pull():
+        yield cm.pull_image()
+
+    def use():
+        yield cm.set_mode(Mode.STRONG)
+        yield cm.start_use_image()
+        cm.end_use_image()
+
+    run(start(cm_s), start(cm))
+    fresh()
+    run(sell(flights[0]))
+    run(pull())
+    fresh()
+    assert cm.counters["delta_pulls"] == (1 if delta else 0)
+    run(sell(flights[1]))
+    cm._drop_delta_base()
+    full_pulls = cm.counters["full_pulls"]
+    run(pull())
+    fresh()
+    assert cm.counters["full_pulls"] == full_pulls + (1 if delta else 0)
+    run(sell(flights[2]))
+    run(use())
+    fresh()
+    assert cm.counters["acquires"] == 1

@@ -117,3 +117,11 @@ def test_bump_strictly_increases_unseen_for_laggards(v, key):
     v2 = v.copy()
     v2.bump(key)
     assert v2.unseen_updates(seen) == before + 1
+
+
+@given(vectors)
+def test_copy_is_equal_and_independent(a):
+    c = a.copy()
+    assert c == a and dict(c.items()) == dict(a.items())
+    c.bump("z")
+    assert a.get("z") == 0 and c != a

@@ -43,6 +43,12 @@ def test_every_pull_was_served_as_a_delta():
         assert p.slice_index_hits > 0
 
 
+def test_merge_hooks_receive_only_the_cells_that_differ():
+    for p in _sweep().points:
+        expected = 2 * p.n_cells + p.rounds * p.dirty_per_round
+        assert p.full_merged_cells == p.delta_merged_cells == expected
+
+
 def test_bench_payload_shape():
     payload = bench_payload(_sweep())
     assert payload["low_locality_bytes_reduction"] >= 5.0
@@ -75,3 +81,5 @@ def test_gates_pass_on_the_sweep_and_fire_on_each_violation():
         lambda d: d.update(all_dirty_bytes_ratio=None))[0]
     assert "served as deltas" in broken(
         lambda d: d["points"][0].update(images_delta=3))[0]
+    assert "the cells that differ" in broken(
+        lambda d: d["points"][0].update(full_merged_cells=7 * 256))[0]
