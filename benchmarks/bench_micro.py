@@ -45,13 +45,6 @@ def test_trigger_evaluate(benchmark):
     assert benchmark(trig.evaluate, env) is True
 
 
-def test_trigger_evaluate_interpreted(benchmark):
-    """Reference tree-walking backend — the floor the compiled path beats."""
-    trig = Trigger("(t > 1500) && pending < 5 || force")
-    env = {"t": 2000.0, "pending": 3, "force": False}
-    assert benchmark(trig.evaluate_interpreted, env) is True
-
-
 def _conflict_views(n: int = 100):
     """A policy over n registered views with staggered overlapping
     intervals (~20 conflicts each)."""
@@ -73,11 +66,13 @@ def test_conflict_set_cached(benchmark):
 
 
 def test_conflict_set_uncached(benchmark):
-    """Same query with the cache defeated: the pre-memoization cost."""
+    """Same query with the memo defeated each time by a property update
+    of a far view: the cost of a miss."""
     pol = _conflict_views()
+    far = pol.properties_of("v099")
 
     def run():
-        pol.invalidate()
+        pol.update_properties("v099", far)
         return pol.conflict_set("v050")
 
     assert len(benchmark(run)) == 20

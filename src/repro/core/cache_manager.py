@@ -753,9 +753,15 @@ class CacheManager:
         return comp
 
     def set_triggers(self, triggers: TriggerSet) -> None:
-        """Replace the quality triggers at run time (weak-level tuning)."""
+        """Replace the quality triggers at run time (weak-level tuning).
+
+        A registered view that had no push or pull trigger starts
+        polling here; a running poll chain simply reads the new set.
+        """
         self.triggers = triggers
         self._trigger_env_dict = {}  # variable set may have changed
+        if self.registered and not self._triggers_stopped:
+            self._start_trigger_poller()
 
     def update_properties(self, properties: PropertySet) -> Completion:
         """Change the view's data properties at run time (paper §4.1)."""
@@ -923,7 +929,11 @@ class CacheManager:
         return self.triggers.validity.evaluate(self._trigger_env())
 
     def _start_trigger_poller(self) -> None:
-        if self.triggers.push is None and self.triggers.pull is None:
+        """Start the poll chain, unless one runs or there is nothing to
+        poll."""
+        if self._trigger_timer is not None or (
+            self.triggers.push is None and self.triggers.pull is None
+        ):
             return
         self._triggers_stopped = False
         self._schedule_trigger_poll()

@@ -6,18 +6,16 @@ to the *dynamic set of data properties* — ``dynConfl`` (Definition 1).
 
 Hot-path note (paper §4.1, Fig. 4): the static map exists precisely to
 short-circuit repeated ``dynConfl`` computation.  :class:`ConflictPolicy`
-extends that idea with an incremental :class:`ConflictIndex`
-(property-key inverted index: property name / discrete value → posting
-list of views) that supplies a view's conflict *candidates* in
-O(degree) instead of scanning the registry, and with memoization whose
-invalidation is *scoped*: a membership or property change for view
-``v`` evicts only the cached pairs involving ``v`` and bumps a per-view
-membership stamp on ``v``'s index neighborhood (plus static-map
-partners), so unrelated views keep their cached conflict sets.  The
-per-view set cache is keyed by ``(generation, stamp)`` — an O(1) check.
-The directory drives this through :meth:`ConflictPolicy.register_view` /
+adds an incremental :class:`ConflictIndex` (property-key inverted index:
+property name / discrete value → posting list of views) that supplies a
+view's conflict *candidates* in O(degree) instead of scanning the
+registry, and one memo: each view's sorted conflict set, keyed by the
+policy generation (advanced by every membership or property change the
+directory reports through :meth:`ConflictPolicy.register_view` /
 :meth:`ConflictPolicy.unregister_view` /
-:meth:`ConflictPolicy.update_properties`.
+:meth:`ConflictPolicy.update_properties`) and the static map's
+``version`` (advanced by every map edit).  Pairwise answers are not
+memoized.
 
 Candidate lists from the index are a *superset* of the true conflict
 set (postings over-approximate domain overlap; static SHARED partners
@@ -31,16 +29,10 @@ the pre-index brute-force directory produced.
 
 from __future__ import annotations
 
-from typing import (
-    Callable, Dict, Iterable, List, Optional, Set, Tuple,
-)
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.property_set import PropertySet
 from repro.core.static_map import Sharing, StaticSharingMap
-
-# Above this many cached entries, an invalidation clears the dicts
-# outright instead of leaving stale-generation tombstones behind.
-_CACHE_SWEEP_LIMIT = 65536
 
 _EMPTY_SET: frozenset = frozenset()
 
@@ -167,12 +159,12 @@ class ConflictPolicy:
     (paper: "views ... can dynamically change the sets of shared data")
     are honored without re-wiring.
 
-    Results are memoized per unordered pair and per conflict-set query.
     The owner of the live registry reports changes per view through
     :meth:`register_view` / :meth:`unregister_view` /
-    :meth:`update_properties` and invalidation stays scoped to the
-    changed view's conflict neighborhood.  :meth:`invalidate` always
-    remains a correct (if blunt) fallback.
+    :meth:`update_properties` (and :meth:`reset_index` on recovery);
+    each keeps the index current and advances the policy generation.
+    A static-map edit advances the map's own ``version``, so it needs
+    no call here.
     """
 
     # Always true.  Kept only because benchmarks/e2e/stack.py
@@ -187,147 +179,68 @@ class ConflictPolicy:
     ) -> None:
         self.static_map = static_map
         self.properties_of = properties_of
-        # Instrumentation for the ablation benches.  static_hits and
-        # dynamic_evals count *cache misses only* (i.e. actual decision
-        # work); repeated answers land in cache_hits instead.
+        # Instrumentation for the ablation benches: every pairwise
+        # decision lands in static_hits or dynamic_evals; conflict-set
+        # memo hits in cache_hits; index_candidates counts the views the
+        # index handed over for confirmation.
         self.static_hits = 0
         self.dynamic_evals = 0
         self.cache_hits = 0
-        # Candidates the inverted index yielded (vs. full-registry
-        # scans), and membership events absorbed without a whole-cache
-        # generation bump.
         self.index_candidates = 0
-        self.scoped_invalidations = 0
-        # Generation-stamped memoization: entries tagged with an older
-        # generation than the current one are treated as absent.
-        self._generation = 0
-        self._pair_cache: Dict[Tuple[str, str], Tuple[int, bool]] = {}
-        # Incremental index + scoped-invalidation state.
         self.index = ConflictIndex()
-        # Per-view membership stamp: bumped whenever an event touches
-        # the view's conflict neighborhood; the per-view set cache is
-        # valid only while both the generation and the stamp match.
-        self._stamps: Dict[str, int] = {}
-        self._set_cache: Dict[str, Tuple[int, int, List[str]]] = {}
-        # Reverse index of cached pair keys per view, for O(cached-deg)
-        # pair eviction when that view changes.
-        self._pairs_of: Dict[str, Set[Tuple[str, str]]] = {}
-
-    # -- cache control --------------------------------------------------
-    def invalidate(self) -> None:
-        """Drop all memoized answers (membership/property/map change)."""
-        self._generation += 1
-        if len(self._pair_cache) + len(self._set_cache) > _CACHE_SWEEP_LIMIT:
-            self._pair_cache.clear()
-            self._set_cache.clear()
-            self._pairs_of.clear()
-
-    @property
-    def generation(self) -> int:
-        """Monotone counter of invalidations (exposed for tests/probes)."""
-        return self._generation
-
-    def stamp_of(self, view_id: str) -> int:
-        """Membership stamp of a view (exposed for tests/probes)."""
-        return self._stamps.get(view_id, 0)
-
-    # -- scoped invalidation ---------------------------------------------
-    def _bump(self, views: Iterable[str]) -> None:
-        stamps = self._stamps
-        for v in views:
-            stamps[v] = stamps.get(v, 0) + 1
-
-    def _evict_pairs(self, view_id: str) -> None:
-        """Drop every cached pairwise answer involving ``view_id``."""
-        pair_cache = self._pair_cache
-        for key in self._pairs_of.pop(view_id, _EMPTY_SET):
-            pair_cache.pop(key, None)
+        # view id -> ((generation, static-map version), sorted set).
+        self._generation = 0
+        self._sets: Dict[str, Tuple[Tuple[int, int], List[str]]] = {}
 
     def _static_partners(self, view_id: str) -> List[str]:
         """Views statically marked SHARED with ``view_id``.
 
         A SHARED cell makes the pair conflict regardless of property
-        overlap, so these partners must be in the candidate set and
-        must be stamp-bumped on register/unregister even when the
-        inverted index sees no key overlap.  (DYNAMIC cells defer to
-        ``dynConfl`` and are therefore covered by the index itself.)
+        overlap, so these partners must be in the candidate set even
+        when the inverted index sees no key overlap.  (DYNAMIC cells
+        defer to ``dynConfl`` and are therefore covered by the index.)
         """
         sm = self.static_map
         if sm is None or not sm.has_view(view_id):
             return []
         return sm.statically_shared_with(view_id)
 
+    # -- membership -------------------------------------------------------
     def register_view(
         self, view_id: str, properties: Optional[PropertySet]
     ) -> None:
-        """A view joined (or re-joined): index it, invalidate its scope."""
-        affected = self.index.candidates_for(properties)
+        """A view joined (or re-joined): index it."""
         self.index.add(view_id, properties)
-        affected.update(self._static_partners(view_id))
-        affected.add(view_id)
-        self._evict_pairs(view_id)
-        self._set_cache.pop(view_id, None)
-        self._bump(affected)
-        self.scoped_invalidations += 1
+        self._generation += 1
 
     def unregister_view(self, view_id: str) -> None:
-        """A view left: drop its postings, invalidate its scope."""
-        affected = self.index.candidates(view_id)
-        affected.update(self._static_partners(view_id))
+        """A view left: drop its postings and its memo entry."""
         self.index.remove(view_id)
-        self._evict_pairs(view_id)
-        self._set_cache.pop(view_id, None)
-        self._stamps.pop(view_id, None)
-        self._bump(affected)
-        self.scoped_invalidations += 1
+        self._sets.pop(view_id, None)
+        self._generation += 1
 
     def update_properties(
         self, view_id: str, properties: Optional[PropertySet]
     ) -> None:
-        """A view's properties changed: re-index, invalidate old+new scope."""
-        affected = self.index.candidates(view_id)       # old neighborhood
-        self.index.add(view_id, properties)             # drops old postings
-        affected |= self.index.candidates(view_id)      # new neighborhood
-        affected.add(view_id)
-        self._evict_pairs(view_id)
-        self._set_cache.pop(view_id, None)
-        self._bump(affected)
-        self.scoped_invalidations += 1
-
-    def invalidate_pair(self, a: str, b: str) -> None:
-        """A static-map cell changed for one pair: scoped eviction."""
-        key = (a, b) if a <= b else (b, a)
-        self._pair_cache.pop(key, None)
-        self._bump((a, b))
-        self.scoped_invalidations += 1
+        """A view's properties changed: re-index it."""
+        self.index.add(view_id, properties)
+        self._generation += 1
 
     def reset_index(
         self, props_by_view: Dict[str, Optional[PropertySet]]
     ) -> None:
         """Rebuild the index from scratch (directory recovery path)."""
         self.index.clear()
+        self._sets.clear()
         for vid, props in props_by_view.items():
             self.index.add(vid, props)
-        self.invalidate()
+        self._generation += 1
 
     # -- queries --------------------------------------------------------
     def conflicts(self, a: str, b: str) -> bool:
+        """The static cell when it is known, else ``dynConfl``."""
         if a == b:
             return False
-        key = (a, b) if a <= b else (b, a)
-        hit = self._pair_cache.get(key)
-        if hit is not None and hit[0] == self._generation:
-            self.cache_hits += 1
-            return hit[1]
-        result = self._compute(a, b)
-        self._pair_cache[key] = (self._generation, result)
-        # Reverse index so a later change to either view can evict
-        # exactly this entry instead of bumping the generation.
-        self._pairs_of.setdefault(a, set()).add(key)
-        self._pairs_of.setdefault(b, set()).add(key)
-        return result
-
-    def _compute(self, a: str, b: str) -> bool:
         if self.static_map is not None:
             cell = self.static_map.get_if_present(a, b)
             if cell is not None and cell is not Sharing.DYNAMIC:
@@ -347,15 +260,16 @@ class ConflictPolicy:
 
         Candidates come from the inverted index (plus static-SHARED
         partners) and are confirmed pairwise; the result is name-sorted
-        and a private copy.  The cache key is the view's ``(generation,
-        membership-stamp)`` pair — an O(1) hit between scoped
-        invalidations.
+        and a private copy.  It is memoized until the next membership
+        or property change (the generation) or static-map edit (its
+        version).
         """
-        stamp = self._stamps.get(view_id, 0)
-        hit = self._set_cache.get(view_id)
-        if hit is not None and hit[0] == self._generation and hit[1] == stamp:
+        sm = self.static_map
+        key = (self._generation, sm.version if sm is not None else 0)
+        hit = self._sets.get(view_id)
+        if hit is not None and hit[0] == key:
             self.cache_hits += 1
-            return list(hit[2])
+            return list(hit[1])
         cand = self.index.candidates(view_id)
         statics = self._static_partners(view_id)
         if statics:
@@ -363,5 +277,5 @@ class ConflictPolicy:
             cand.discard(view_id)
         self.index_candidates += len(cand)
         result = sorted(c for c in cand if self.conflicts(view_id, c))
-        self._set_cache[view_id] = (self._generation, stamp, result)
+        self._sets[view_id] = (key, result)
         return list(result)

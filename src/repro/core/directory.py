@@ -184,16 +184,15 @@ class QuarantinedView:
     Instead of silently discarding a silent/crashed view's context, the
     directory quarantines it: a copy of the view's record taken at the
     quarantine (its fields — ``view_id``, ``address``, ``properties``,
-    ``mode``, ``seen``, ``last_state_seq`` — read through), the last
-    committed image of the view's slice, and — for a round the view
-    stalled or faulted — the operation it was blocking.  A recovering
-    cache manager that re-REGISTERs with the same view id reconciles
-    against this entry instead of starting from a blank record (which
-    would mis-classify its retransmissions).
+    ``mode``, ``seen``, ``last_state_seq`` — read through) and — for a
+    round the view stalled or faulted — the operation it was blocking.
+    A recovering cache manager that re-REGISTERs with the same view id
+    reconciles against this entry instead of starting from a blank
+    record (which would mis-classify its retransmissions), and re-syncs
+    its data with a complete INIT serve.
     """
 
     record: ViewRecord
-    image: ObjectImage
     reason: str                      # 'round-timeout' | 'lease-expired' | ...
     time: float
     op_context: Optional[Dict[str, Any]] = None
@@ -336,7 +335,7 @@ class DirectoryManager:
         self._slice_index: Dict[str, tuple] = {}
         self._known_keys: set = set()
         # Conflict policy: maintains the property-key inverted index
-        # and scoped invalidation over this registry.
+        # and the conflict-set memo over this registry.
         self.policy = ConflictPolicy(static_map, self._properties_of)
         # Maintained activity sets, kept in step with the flags by
         # _set_activity: who is active, and who holds strong-mode
@@ -373,7 +372,7 @@ class DirectoryManager:
             "commits_durable": 0, "commits_volatile": 0,
             "wal_recoveries": 0, "cells_replayed": 0,
             "recovery_reclaims": 0, "reclaim_timeouts": 0,
-            "index_candidates": 0, "scoped_invalidations": 0,
+            "index_candidates": 0,
             "lease_heap_pops": 0,
             # Round-scheduler instrumentation: high-water mark of
             # simultaneously running rounds, rounds that started while
@@ -505,18 +504,14 @@ class DirectoryManager:
         """Registered views conflicting with ``view_id`` (any activity).
 
         Candidates come from the policy's inverted index and the result
-        is cached per (generation, membership-stamp) — no registry scan.
+        is memoized until membership, properties or the static map
+        change — no registry scan.
         Subclasses may override this to change the relation; the round
         scheduler's scopes follow it (see :meth:`_op_scope`).
         """
         result = self.policy.conflict_set(view_id)
         self.counters["index_candidates"] = self.policy.index_candidates
         return result
-
-    def _sync_policy_counters(self) -> None:
-        """Mirror the policy's index instrumentation into counters."""
-        self.counters["index_candidates"] = self.policy.index_candidates
-        self.counters["scoped_invalidations"] = self.policy.scoped_invalidations
 
     def check_invariants(self) -> None:
         """Raise ProtocolError when a protocol invariant is broken.
@@ -611,9 +606,6 @@ class DirectoryManager:
         view id registers again or unregisters cleanly."""
         self.quarantined[rec.view_id] = QuarantinedView(
             ViewRecord.from_record(rec.to_record()),
-            # Last committed image of the view's slice: what the primary
-            # copy holds for it — the recovery baseline for re-sync.
-            image=self.extract_from_object(self.component, rec.properties),
             reason=reason,
             time=self.transport.now() if time is None else time,
             op_context=op_context,
@@ -624,16 +616,9 @@ class DirectoryManager:
         watchdog, or an application hook raised on its behalf): stash
         and log its reconciliation state, then deactivate it."""
         op_context = {"op_kind": op.kind, "requested_by": op.view_id}
-        try:
-            self._quarantine_view(rec, reason, op_context)
-        except Exception:  # noqa: BLE001 — best-effort, see below
-            # Quarantine runs the application's extract hook — after a
-            # fault, possibly the very hook that just failed; the stash
-            # is best-effort, the deactivation is not.
-            self._trace(f"{reason}-quarantine-failed", view=rec.view_id)
-        else:
-            self._log({"k": "quarantine", "v": rec.view_id,
-                       "reason": reason, "op": op_context})
+        self._quarantine_view(rec, reason, op_context)
+        self._log({"k": "quarantine", "v": rec.view_id,
+                   "reason": reason, "op": op_context})
         self._set_activity(rec, False, False)
 
     def _drop_view(self, view_id: str) -> None:
@@ -641,13 +626,10 @@ class DirectoryManager:
         and slice indexes, and every in-flight round (so no requester
         is blocked by a view that is gone).  Dropping a strong owner
         returns its token to the directory."""
-        # Scoped invalidation precedes the static-map removal: the
-        # policy still needs the map row to find SHARED partners.
         self.policy.unregister_view(view_id)
         self._release(view_id)
         if self.static_map is not None and self.static_map.has_view(view_id):
             self.static_map.remove_view(view_id)
-        self._sync_policy_counters()
         self.invalidate_slice_index(view_id)
         self._forget_in_rounds(view_id)
 
@@ -793,10 +775,7 @@ class DirectoryManager:
         self.counters["registers"] += 1
         if self.static_map is not None and not self.static_map.has_view(view_id):
             self.static_map.add_view(view_id)
-        # Scoped invalidation: only this view's conflict neighborhood
-        # is re-stamped.
         self.policy.register_view(view_id, rec.properties)
-        self._sync_policy_counters()
         self.invalidate_slice_index(view_id)  # properties may differ
         self._arm_lease_checker()
         self._log({"k": "register", **rec.to_record()})
@@ -875,10 +854,8 @@ class DirectoryManager:
             self._reply(msg, M.ERROR, {"error": "properties missing"})
             return
         rec.properties = props
-        # Conflict relationships may have moved: invalidate the view's
-        # old and new index neighborhoods.
+        # Conflict relationships may have moved: re-index the view.
         self.policy.update_properties(rec.view_id, props)
-        self._sync_policy_counters()
         self.invalidate_slice_index(rec.view_id)
         # The slice changed shape under the view: its next serve must
         # be a complete image of the new slice, not a delta of the old.
@@ -1387,7 +1364,7 @@ class DirectoryManager:
             "image": self.extract_from_object(self.component, PropertySet()),
             "views": [r.to_record() for r in self.views.values()],
             "quarantined": [
-                {**q.record.to_record(), "img": q.image, "reason": q.reason,
+                {**q.record.to_record(), "reason": q.reason,
                  "time": q.time, "op": q.op_context}
                 for q in self.quarantined.values()
             ],
@@ -1417,9 +1394,10 @@ class DirectoryManager:
             self.commit_seq = int(snap["cseq"])
             for vd in snap.get("views") or []:
                 self.views[vd["v"]] = ViewRecord.from_record(vd)
+            # An older writer's entry also carries "img": ignored.
             for qd in snap.get("quarantined") or []:
                 self.quarantined[qd["v"]] = QuarantinedView(
-                    ViewRecord.from_record(qd), qd["img"],
+                    ViewRecord.from_record(qd),
                     qd.get("reason", "recovered"), float(qd.get("time", 0.0)),
                     qd.get("op"),
                 )

@@ -36,6 +36,9 @@ class StaticSharingMap:
         self._index: Dict[str, int] = {}
         self._default = Sharing(default)
         self._m = np.full((0, 0), int(self._default), dtype=np.int8)
+        # Advanced by every mutation; the conflict policy keys its
+        # memo on it, so an edit needs no call into the policy.
+        self.version = 0
         for v in view_ids:
             self.add_view(v)
 
@@ -59,6 +62,7 @@ class StaticSharingMap:
         grown[:n, :n] = self._m
         grown[n, n] = int(Sharing.NONE)  # a view never "shares" with itself
         self._m = grown
+        self.version += 1
 
     def remove_view(self, view_id: str) -> None:
         if view_id not in self._index:
@@ -68,6 +72,7 @@ class StaticSharingMap:
         for v, j in list(self._index.items()):
             if j > i:
                 self._index[v] = j - 1
+        self.version += 1
 
     # -- cells ----------------------------------------------------------------
     def set(self, a: str, b: str, value: Sharing) -> None:
@@ -77,6 +82,7 @@ class StaticSharingMap:
             raise PropertyError(f"cannot set self-sharing for {a}")
         self._m[i, j] = int(value)
         self._m[j, i] = int(value)
+        self.version += 1
 
     def get(self, a: str, b: str) -> Sharing:
         i, j = self._pair(a, b)

@@ -140,26 +140,17 @@ def _eval_binop(node: BinOp, env: Env) -> Any:
 
 
 class Trigger:
-    """A compiled trigger: parse once, evaluate many times.
+    """A parsed trigger: parse once, evaluate many times.
 
-    ``evaluate(env)`` returns a strict boolean.  The paper binds ``t`` to
-    discrete time and the remaining names to view variables; this class
-    is agnostic — the cache manager assembles the environment.
-
-    Construction parses the source into an AST *and* lowers the AST to a
-    native Python code object (:mod:`repro.core.triggers.compiler`);
-    ``evaluate`` runs the compiled form, ``evaluate_interpreted`` walks
-    the tree — the two are semantically identical and the equivalence is
-    property-tested.
+    ``evaluate(env)`` walks the AST with :func:`evaluate` and returns a
+    strict boolean.  The paper binds ``t`` to discrete time and the
+    remaining names to view variables; this class is agnostic — the
+    cache manager assembles the environment.
     """
 
     def __init__(self, source: str) -> None:
         self.source = source
         self.ast: Node = parse_trigger(source)
-        # Local import: the compiler imports this module's helpers.
-        from repro.core.triggers.compiler import compile_trigger
-
-        self._compiled = compile_trigger(self.ast)
         self._variables = self.ast.variables()
 
     @property
@@ -179,11 +170,6 @@ class Trigger:
         return result
 
     def evaluate(self, env: Env) -> bool:
-        """Evaluate via the compiled fast path (the hot-tick backend)."""
-        return self._check_boolean(self._compiled(env))
-
-    def evaluate_interpreted(self, env: Env) -> bool:
-        """Evaluate via the tree-walking reference interpreter."""
         return self._check_boolean(evaluate(self.ast, env))
 
     def unparse(self) -> str:

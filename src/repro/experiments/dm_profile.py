@@ -18,7 +18,7 @@ profiler (:mod:`repro.core.profiling`) as the measuring instrument:
   pure-op phase issues PULL/ACQUIRE/PUSH traffic over a fixed sample of
   views; the churn-burst phase registers a fresh view into the full
   fleet and immediately operates on it — the worst case for a policy
-  that invalidates more than the newcomer's conflict neighborhood.
+  whose join or first query does work per registered view.
 - **One leg** — the directory's own conflict path.  Per-op directory
   cost comes from the profiler's phase totals (conflict lookup + target
   build + fan-out + serve), so sim latency and harness overhead cancel
@@ -151,7 +151,6 @@ class DmProfilePoint:
     commit_mean_us: float          # push-path commit, per commit sample
     churn_cycle_us: float          # REGISTER-into-full-fleet + one op
     index_candidates: int          # policy counter
-    scoped_invalidations: int      # policy counter
     conflict_parity: bool          # index answers == brute-force reference
     by_type: Dict[str, int]        # Fig-4 message counts for the point
     state_digest: str              # end-state fingerprint
@@ -216,8 +215,9 @@ def run_sweep_point(n_views: int, **_: Any) -> DmProfilePoint:
     commit_mean = commit_hist.mean_ns if commit_hist is not None else 0.0
 
     # Phase 3 — churn burst: a fresh view joins the *full* fleet, then
-    # immediately operates.  Scoped invalidation pays O(degree) per
-    # cycle; anything that grows with V here is a regression.
+    # immediately operates.  A join re-keys the conflict-set memo and
+    # the newcomer's set costs O(degree); anything that grows with V
+    # here is a regression.
     churn_phases = ("register",) + OP_PHASES
     t1 = prof.total_ns(*churn_phases)
     for c in range(CHURN_CYCLES):
@@ -238,7 +238,6 @@ def run_sweep_point(n_views: int, **_: Any) -> DmProfilePoint:
         commit_mean_us=commit_mean / 1000,
         churn_cycle_us=churn_total / CHURN_CYCLES / 1000,
         index_candidates=h.dm.counters["index_candidates"],
-        scoped_invalidations=h.dm.counters["scoped_invalidations"],
         conflict_parity=parity,
         by_type=dict(h.transport.stats.by_type),
         state_digest=h.state_digest(),
@@ -275,7 +274,7 @@ class DmProfileResult:
         t = Table(
             [
                 "views", "reg us", "op us", "churn us",
-                "idx cand", "scoped", "parity",
+                "idx cand", "parity",
             ],
             title="DM PROFILE — per-op directory cost vs registered views",
         )
@@ -285,7 +284,7 @@ class DmProfileResult:
                 f"{p.register_mean_us:.1f}",
                 f"{p.pure_op_us:.1f}",
                 f"{p.churn_cycle_us:.1f}",
-                p.index_candidates, p.scoped_invalidations,
+                p.index_candidates,
                 "ok" if p.conflict_parity else "DIVERGED",
             )
         return t

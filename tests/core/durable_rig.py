@@ -63,6 +63,11 @@ def unpack_fixture(fixture: Path, wal_root: Path):
     """Write a frozen lineage (``gen_legacy_wal_lineage.py``'s JSON)
     under ``wal_root``; returns the document and the lineage dir."""
     doc = json.loads(fixture.read_text())
+    # Fixtures frozen while a quarantine stash still kept a copy of its
+    # slice list that copy in the expected state; a stash keeps none
+    # now (recovery ignores the snapshot's "img" entry).
+    for q in doc["expected"]["quarantined"].values():
+        q.pop("image", None)
     lineage = wal_root / doc["spec"]["name"]
     lineage.mkdir()
     for name, blob in doc["files"].items():
@@ -107,9 +112,6 @@ def directory_state(dm: DirectoryManager, store: Store) -> Dict[str, Any]:
                 "mode": q.mode.value,
                 "seen": q.seen.to_jsonable(),
                 "last_state_seq": q.last_state_seq,
-                # An extract stamps no versions (a snapshot's copy
-                # decodes them as 0, which a VersionVector equates).
-                "image": dict(sorted(q.image.cells.items())),
                 "reason": q.reason,
                 "op_context": q.op_context,
             }

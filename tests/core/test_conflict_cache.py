@@ -1,10 +1,10 @@
-"""Conflict-index memoization: hits, invalidation, and directory wiring.
+"""Conflict-set memoization: hits, invalidation, and directory wiring.
 
-The cache must be invisible except for speed: every answer after an
-invalidation matches what an uncached policy would compute.  The
-directory-level tests exercise the paper's dynamic-reconfiguration
-story — "views ... can dynamically change the sets of shared data" —
-against the cached index.
+The memo must be invisible except for speed: every answer after a
+membership, property or static-map change matches what an uncached
+policy would compute.  The directory-level tests exercise the paper's
+dynamic-reconfiguration story — "views ... can dynamically change the
+sets of shared data" — against the cached index.
 """
 
 import pytest
@@ -16,8 +16,8 @@ from repro.errors import ProtocolError
 from tests.core.harness import ProtocolFixture, props_for
 
 
-def _policy(registry):
-    pol = ConflictPolicy(None, registry.get)
+def _policy(registry, static_map=None):
+    pol = ConflictPolicy(static_map, registry.get)
     for vid, props in registry.items():
         pol.register_view(vid, props)
     return pol
@@ -35,9 +35,8 @@ def _interval_props(**kw):
 
 def test_repeated_query_hits_cache():
     pol = _policy(_interval_props(a=(0, 10), b=(5, 15)))
-    assert pol.conflicts("a", "b")
-    assert pol.conflicts("a", "b")
-    assert pol.conflicts("b", "a")  # symmetric key shares the entry
+    for _ in range(3):
+        assert pol.conflict_set("a") == ["b"]
     assert pol.dynamic_evals == 1
     assert pol.cache_hits == 2
 
@@ -45,17 +44,22 @@ def test_repeated_query_hits_cache():
 def test_invalidate_forces_recompute():
     registry = _interval_props(a=(0, 10), b=(5, 15))
     pol = _policy(registry)
-    assert pol.conflicts("a", "b")
-    gen = pol.generation
-    # The registry changes out from under the policy: b moves away.
+    assert pol.conflict_set("a") == ["b"]
+    # b moves away: the reported property change re-keys the memo.
     registry["b"] = PropertySet([Property("cells", (100, 110))])
-    # Without invalidation the cached (stale) answer is served...
-    assert pol.conflicts("a", "b")
-    pol.invalidate()
-    assert pol.generation == gen + 1
-    # ...after invalidation the fresh relationship is computed.
-    assert not pol.conflicts("a", "b")
+    pol.update_properties("b", registry["b"])
+    assert pol.conflict_set("a") == []
     assert pol.dynamic_evals == 2
+
+
+def test_pairwise_answers_are_not_memoized():
+    registry = _interval_props(a=(0, 10), b=(5, 15))
+    pol = _policy(registry)
+    assert pol.conflicts("a", "b")
+    # conflicts() reads the live registry on every call.
+    registry["b"] = PropertySet([Property("cells", (100, 110))])
+    assert not pol.conflicts("b", "a")
+    assert pol.cache_hits == 0
 
 
 def test_conflict_set_caches_whole_result():
@@ -74,24 +78,23 @@ def test_conflict_set_result_is_a_private_copy():
     assert pol.conflict_set("a") == ["b"]
 
 
-def test_static_map_cell_change_honored_after_invalidate():
+def test_static_map_cell_change_honored_without_a_call():
     m = StaticSharingMap(["a", "b"])
     m.set("a", "b", Sharing.NONE)
-    pol = ConflictPolicy(m, _interval_props(a=(0, 10), b=(0, 10)).get)
-    assert not pol.conflicts("a", "b")
+    pol = _policy(_interval_props(a=(0, 10), b=(0, 10)), static_map=m)
+    assert pol.conflict_set("a") == []
     m.set("a", "b", Sharing.SHARED)
-    pol.invalidate()
-    assert pol.conflicts("a", "b")
+    assert pol.conflict_set("a") == ["b"]
     assert pol.static_hits == 2  # both computations answered statically
 
 
-def test_counters_count_misses_only():
+def test_counters_count_every_evaluation():
     pol = _policy(_interval_props(a=(0, 10), b=(5, 15)))
     for _ in range(5):
         pol.conflicts("a", "b")
-    assert pol.dynamic_evals == 1
+    assert pol.dynamic_evals == 5
     assert pol.static_hits == 0
-    assert pol.cache_hits == 4
+    assert pol.cache_hits == 0
 
 
 # -- directory-level invalidation ---------------------------------------
@@ -196,3 +199,23 @@ def test_strong_mode_invariant_after_property_change():
     directory._set_activity(directory.views["v2"], True, False)
     with pytest.raises(ProtocolError):
         directory.check_invariants()
+
+
+def test_static_map_change_is_seen_at_once():
+    """A cell written on the directory's live static map changes the
+    next conflict set with no call into the directory or its policy."""
+    fx = ProtocolFixture(
+        store_cells={"a": 1, "z": 2}, static_map=StaticSharingMap()
+    )
+    cma, _ = fx.add_agent("va", ["a"])
+    cmb, _ = fx.add_agent("vb", ["z"])
+
+    def setup(cm):
+        yield cm.start()
+        yield cm.init_image()
+
+    fx.run_scripts(setup(cma), setup(cmb))
+    directory = fx.system.directory
+    assert directory.conflict_set_of("va") == []
+    directory.static_map.set("va", "vb", Sharing.SHARED)
+    assert directory.conflict_set_of("va") == ["vb"]

@@ -1,4 +1,4 @@
-"""The incremental conflict index and scoped invalidation (PR 9).
+"""The incremental conflict index and the conflict-set memo.
 
 Two obligations, tested separately:
 
@@ -7,10 +7,9 @@ Two obligations, tested separately:
    recomputation over the full registry, under any interleaving of
    register / unregister / property-update / static-map events (the
    hypothesis machine at the bottom).
-2. *Scope*: invalidation stays local.  A membership event for view v
-   must not evict cached answers of views outside v's conflict
-   neighborhood, and the per-view set cache must be keyed by the
-   membership epoch.
+2. *Memo*: one entry per queried view, dropped when the view
+   unregisters, and never served across a membership, property or
+   static-map change.
 """
 
 from hypothesis import settings
@@ -114,7 +113,7 @@ def test_remove_cleans_empty_postings():
     idx.remove("a")  # idempotent
 
 
-# -- scoped invalidation ------------------------------------------------
+# -- the conflict-set memo ----------------------------------------------
 
 
 def _indexed_policy(registry, static_map=None):
@@ -132,43 +131,26 @@ def test_indexed_conflict_set_needs_no_candidate_list():
     }
     pol = _indexed_policy(registry)
     assert pol.conflict_set("a") == ["b"]
-    # One cache entry per queried view, keyed by the view id alone and
-    # validated by (generation, membership stamp).
-    assert list(pol._set_cache) == ["a"]
+    # One memo entry per queried view, keyed by the view id alone.
+    assert list(pol._sets) == ["a"]
 
 
-def test_unrelated_register_keeps_cached_set():
+def test_overlapping_register_refreshes_cached_set():
     registry = {
         "a": _ps(cells=DiscreteSet({1})),
         "b": _ps(cells=DiscreteSet({1})),
     }
     pol = _indexed_policy(registry)
+    assert pol.conflict_set("a") == ["b"]
     assert pol.conflict_set("a") == ["b"]
     hits = pol.cache_hits
-    # A view in a disjoint neighborhood joins: a's epoch is untouched.
-    registry["z"] = _ps(cells=DiscreteSet({99}))
-    pol.register_view("z", registry["z"])
-    stamp = pol.stamp_of("a")
-    assert pol.conflict_set("a") == ["b"]
-    assert pol.cache_hits == hits + 1  # served from the epoch cache
-    assert pol.stamp_of("a") == stamp
-
-
-def test_overlapping_register_bumps_neighborhood_epoch():
-    registry = {
-        "a": _ps(cells=DiscreteSet({1})),
-        "b": _ps(cells=DiscreteSet({1})),
-    }
-    pol = _indexed_policy(registry)
-    assert pol.conflict_set("a") == ["b"]
     registry["c"] = _ps(cells=DiscreteSet({1}))
-    stamp = pol.stamp_of("a")
     pol.register_view("c", registry["c"])
-    assert pol.stamp_of("a") == stamp + 1
     assert pol.conflict_set("a") == ["b", "c"]
+    assert pol.cache_hits == hits  # recomputed, not served from the memo
 
 
-def test_unregister_scopes_to_neighborhood():
+def test_unregister_drops_memo_entry():
     registry = {
         "a": _ps(cells=DiscreteSet({1})),
         "b": _ps(cells=DiscreteSet({1})),
@@ -176,14 +158,14 @@ def test_unregister_scopes_to_neighborhood():
     }
     pol = _indexed_policy(registry)
     assert pol.conflict_set("a") == ["b"]
+    assert pol.conflict_set("b") == ["a"]
     assert pol.conflict_set("z") == []
-    z_stamp = pol.stamp_of("z")
     del registry["b"]
     pol.unregister_view("b")
+    # At most one entry per registered view: no sweep needed.
+    assert sorted(pol._sets) == ["a", "z"]
     assert pol.conflict_set("a") == []
-    assert pol.stamp_of("z") == z_stamp
-    assert pol.scoped_invalidations >= 4  # no whole-cache generation bumps
-    assert pol.generation == 0
+    assert pol.conflict_set("z") == []
 
 
 def test_property_update_invalidates_old_and_new_neighborhoods():
@@ -215,7 +197,7 @@ def test_static_shared_partner_without_property_overlap():
     assert pol.conflict_set("b") == ["a"]
 
 
-def test_invalidate_pair_is_scoped():
+def test_static_map_edit_refreshes_cached_set():
     m = StaticSharingMap(["a", "b", "z"])
     m.set("a", "b", Sharing.SHARED)
     registry = {
@@ -225,24 +207,9 @@ def test_invalidate_pair_is_scoped():
     }
     pol = _indexed_policy(registry, static_map=m)
     assert pol.conflict_set("a") == ["b"]
-    z_stamp = pol.stamp_of("z")
+    version = m.version
     m.set("a", "b", Sharing.NONE)
-    pol.invalidate_pair("a", "b")
-    assert pol.conflict_set("a") == []
-    assert pol.stamp_of("z") == z_stamp
-    assert pol.generation == 0  # never a whole-cache bump
-
-
-def test_global_invalidate_still_works_as_fallback():
-    registry = {
-        "a": _ps(cells=DiscreteSet({1})),
-        "b": _ps(cells=DiscreteSet({1})),
-    }
-    pol = _indexed_policy(registry)
-    assert pol.conflict_set("a") == ["b"]
-    registry["b"] = _ps(cells=DiscreteSet({9}))
-    pol.invalidate()  # blunt, but must stay correct (ablations use it)
-    pol.reset_index(registry)
+    assert m.version == version + 1
     assert pol.conflict_set("a") == []
 
 
@@ -263,7 +230,7 @@ def test_reset_index_rebuilds_from_scratch():
 def test_external_writer_slice_invalidation_with_index():
     """The multilevel coordinator's path: cells committed outside
     ``_commit`` must surface through ``invalidate_slice_index`` while
-    the conflict index keeps serving scoped answers."""
+    the conflict index keeps serving answers."""
     fx = ProtocolFixture(store_cells={"a": 1})
     cm, _ = fx.add_agent("v1", ["a", "b"])
 
@@ -321,8 +288,6 @@ class ConflictChurnMachine(RuleBasedStateMachine):
     def unregister(self, view):
         if view not in self.registry:
             return
-        # Mirror the directory's ordering: the policy sees the event
-        # while the static-map row still exists (SHARED partners).
         self.policy.unregister_view(view)
         del self.registry[view]
         self.static_map.remove_view(view)
@@ -343,11 +308,10 @@ class ConflictChurnMachine(RuleBasedStateMachine):
         if a == b or a not in self.registry or b not in self.registry:
             return
         self.static_map.set(a, b, value)
-        self.policy.invalidate_pair(a, b)
 
     @rule(a=st.sampled_from(VIEW_POOL), b=st.sampled_from(VIEW_POOL))
     def query_pair(self, a, b):
-        # Interleave reads so stale cache entries would be observed.
+        # Interleave pairwise reads with the conflict-set queries.
         if a in self.registry and b in self.registry:
             self.policy.conflicts(a, b)
 
@@ -357,7 +321,6 @@ class ConflictChurnMachine(RuleBasedStateMachine):
             assert self.policy.conflict_set(vid) == brute_force_conflict_set(
                 vid, self.registry, self.static_map
             ), f"conflict set of {vid} diverged from brute force"
-        assert self.policy.generation == 0  # always scoped, never global
 
 
 TestConflictChurn = ConflictChurnMachine.TestCase

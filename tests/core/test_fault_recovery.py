@@ -61,7 +61,6 @@ def test_lease_expiry_reclaims_strong_ownership_and_cm_recovers():
     assert d.exclusive_views() == []
     q = d.quarantined["v1"]
     assert q.reason == "lease-expired"
-    assert q.image.cells == {"a": 0}  # last committed slice preserved
 
     # Exclusivity is reclaimable: a new strong view acquires and commits.
     cm2, a2 = add_view(fx, "v2", ["a"], mode=Mode.STRONG)
@@ -164,7 +163,6 @@ def test_round_timeout_quarantines_silent_view_with_op_context():
     assert d.counters["rounds_quarantined"] == 1
     q = d.quarantined["v1"]
     assert q.reason == "round-timeout"
-    assert q.image.cells == {"a": 1}  # v1's last committed slice
     assert q.op_context == {"op_kind": "acquire", "requested_by": "v2"}
 
 

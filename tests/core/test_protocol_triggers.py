@@ -129,9 +129,35 @@ def test_set_triggers_at_runtime_changes_behavior():
     assert fx.stats.by_type.get(M.PULL_REQ, 0) == 0
 
     cm.set_triggers(TriggerSet(pull="true"))
-    cm._start_trigger_poller()
     fx.run(until=200.0)
     assert fx.stats.by_type.get(M.PULL_REQ, 0) >= 3
+
+
+def test_set_triggers_twice_keeps_one_tick_per_period():
+    fx = ProtocolFixture(store_cells={"a": 0})
+    cm, _ = fx.add_agent("v1", ["a"], trigger_poll_period=10.0)
+    ticks = []
+    poll = cm._poll_triggers
+
+    def counting_poll():
+        ticks.append(fx.transport.now())
+        poll()
+
+    cm._poll_triggers = counting_poll
+
+    def setup():
+        yield cm.start()
+        yield cm.init_image()
+
+    fx.run_scripts(setup())
+    cm.set_triggers(TriggerSet(pull="t < 0"))
+    cm.set_triggers(TriggerSet(pull="true"))
+    fx.run(until=fx.transport.now() + 100.0)
+    cm.set_triggers(TriggerSet(push="false", pull="true"))
+    fx.run(until=fx.transport.now() + 100.0)
+    assert len(ticks) == 20
+    gaps = {round(b - a, 9) for a, b in zip(ticks, ticks[1:])}
+    assert gaps == {10.0}
 
 
 def test_no_triggers_means_no_poller_traffic():

@@ -34,6 +34,7 @@ from repro.baselines.multicast import MulticastDirectory
 from repro.core import DiscreteSet, Property, PropertySet
 from repro.core import messages as M
 from repro.core.directory import DirectoryManager
+from repro.core.durability import DurabilitySpec
 from repro.core.image import ObjectImage
 from repro.core.profiling import PHASES
 from repro.core.sharding import ShardedFleccSystem
@@ -56,6 +57,7 @@ from repro.testing import (
     pair_group_props,
     props_for,
 )
+from tests.core.durable_rig import wal_records
 
 ACK_DELAY = 1.0
 
@@ -328,9 +330,8 @@ def test_commit_fault_mid_round_quarantines_and_releases_slot():
 
 
 def test_serve_fault_replies_error_and_next_op_proceeds():
-    # One-shot bomb: the serve blows up once, then the hook recovers —
-    # so the quarantine stash (which re-runs the extract to snapshot
-    # the slice) can record the loss.
+    # One-shot bomb: the serve blows up once, then the hook recovers
+    # for the next op.
     armed = {"shots": 0}
 
     def bomb_extract(store, props):
@@ -389,6 +390,35 @@ def test_regrant_serve_fault_is_fenced():
     h.drain()
     assert len(_grants_for(h, r2)) == 1
     h.dm.check_invariants()
+    h.close()
+
+
+def test_serve_fault_stashes_and_logs_the_requester(wal_root):
+    """An extract hook that keeps raising at serve time: the requester
+    is still stashed as ``serve-fault`` and its quarantine is logged —
+    the stash runs no application hook."""
+    armed = {"on": False}
+
+    def bomb_extract(store, props):
+        if armed["on"]:
+            raise RuntimeError("extract exploded")
+        return extract_slice(store, props)
+
+    spec = DurabilitySpec(root=wal_root, fsync="always", snapshot_every=0)
+    h = BareDirectory(extract_from_object=bomb_extract, durability=spec)
+    _paired_fleet(h, 1)
+    armed["on"] = True
+    h.acquire(_vid(0))
+    h.drain()
+    assert h.dm.counters["serve_faults"] == 1
+    assert h.dm.quarantined[_vid(0)].reason == "serve-fault"
+    logged = [
+        r for r in wal_records(wal_root / spec.name)
+        if r.get("k") == "quarantine"
+    ]
+    assert [(r["v"], r["reason"]) for r in logged] == [
+        (_vid(0), "serve-fault")
+    ]
     h.close()
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the trigger evaluator and Trigger/TriggerSet classes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.triggers import Trigger, TriggerSet
 from repro.errors import TriggerEvalError, TriggerSyntaxError
@@ -118,3 +120,126 @@ class TestTriggerSet:
         assert ts2.push.source == "t > 1"
         assert ts2.pull is None
         assert ts2.validity.source == "x < 2"
+
+
+# -- expected outcomes ---------------------------------------------------
+# (source, env, outcome): a strict boolean, or the exact TriggerEvalError
+# message.  Short-circuits, ``%``/``/`` by zero, unknown variables and
+# functions, type errors, arity errors and non-boolean top levels.
+
+EXPECTED = [
+    ("(t > 1500) && pending < 5 || force",
+     {"t": 2000.0, "pending": 3, "force": False}, True),
+    ("t % 200 == 0 && pending < 5", {"t": 400, "pending": 1}, True),
+    ("t % 200 == 0 && pending < 5", {"t": 401, "pending": 1}, False),
+    # Short-circuit: the false/true left side must hide a right-side error.
+    ("false && 1 / 0 > 0", {}, False),
+    ("true || 1 / 0 > 0", {}, True),
+    ("true && 1 / 0 > 0", {}, "division by zero in trigger"),
+    ("false || t / 0 > 0", {"t": 1}, "division by zero in trigger"),
+    # Division / modulo by zero.
+    ("1 / (t - t) > 0", {"t": 5}, "division by zero in trigger"),
+    ("t % 0 == 1", {"t": 5}, "modulo by zero in trigger"),
+    ("10 / 4 == 2.5", {}, True),
+    # Unknown variable (and one hiding behind a short-circuit).
+    ("ghost > 0", {}, "unknown variable 'ghost'"),
+    ("false && ghost > 0", {}, False),
+    ("true && ghost", {}, "unknown variable 'ghost'"),
+    # Type errors: booleans are not numbers.
+    ("t + true > 0", {"t": 1}, "right of '+': expected a number, got True"),
+    ("force + 1 > 0", {"force": True},
+     "left of '+': expected a number, got True"),
+    ("t == true", {"t": 1}, "'==' between boolean and number"),
+    ("t != false", {"t": 0}, "'!=' between boolean and number"),
+    ("!(t)", {"t": 1}, "operand of '!': expected a boolean, got 1"),
+    ("-force > 0", {"force": True},
+     "operand of unary '-': expected a number, got True"),
+    ("t && force", {"t": 1, "force": True},
+     "left of '&&': expected a boolean, got 1"),
+    # Non-boolean top level.
+    ("t + 1", {"t": 1}, "trigger 't + 1' evaluated to non-boolean 2.0"),
+    ("abs(0 - t)", {"t": 3},
+     "trigger 'abs(0 - t)' evaluated to non-boolean 3.0"),
+    ("min(1, 2)", {}, "trigger 'min(1, 2)' evaluated to non-boolean 1.0"),
+    # Builtins: values, arity errors, unknown function.
+    ("abs(0 - t) > 2", {"t": 3}, True),
+    ("floor(t) == 3", {"t": 3.7}, True),
+    ("ceil(t) == 4", {"t": 3.2}, True),
+    ("min(t, 5, 2) <= max(1, t)", {"t": 4}, True),
+    ("abs(1, 2) > 0", {}, "abs() takes 1 argument(s), got 2"),
+    ("min(1) > 0", {}, "min() takes >= 2 argument(s), got 1"),
+    ("sqrt(t) > 0", {"t": 4},
+     "unknown function 'sqrt'; available: abs, ceil, floor, max, min"),
+    ("abs(force) > 0", {"force": True},
+     "argument of abs(): expected a number, got True"),
+    # Comparison chains / nesting / unary stacking.
+    ("!(!(t > 0))", {"t": 1}, True),
+    ("-(-t) == t", {"t": 7}, True),
+    ("((t + 1) * 2 - 2) / 2 == t", {"t": 21}, True),
+    ("(t >= 0) == (t <= 100)", {"t": 50}, True),
+]
+
+
+@pytest.mark.parametrize("source,env,expected", EXPECTED)
+def test_expected_outcomes(source, env, expected):
+    trig = Trigger(source)
+    if isinstance(expected, bool):
+        assert trig.evaluate(env) is expected
+    else:
+        with pytest.raises(TriggerEvalError) as err:
+            trig.evaluate(env)
+        assert str(err.value) == expected
+
+
+def test_error_messages():
+    cases = {
+        "ghost > 1": "unknown variable 'ghost'",
+        "1 / 0 > 0": "division by zero in trigger",
+        "1 % 0 > 0": "modulo by zero in trigger",
+        "min(1) > 0": "min() takes >= 2 argument(s), got 1",
+        "abs(1, 2) > 0": "abs() takes 1 argument(s), got 2",
+    }
+    for source, message in cases.items():
+        with pytest.raises(TriggerEvalError) as err:
+            Trigger(source).evaluate({})
+        assert message in str(err.value)
+
+
+_SOURCES = st.sampled_from(
+    [
+        "t > lo && t < hi",
+        "t % step == 0 || force",
+        "!(done) && (x + y) / 2 >= t",
+        "min(x, y) <= max(x, y) && abs(x - y) < 100",
+        "floor(t / step) * step == t",
+        "(x * y - t > 0) == force",
+        "ceil(x) >= floor(x)",
+    ]
+)
+
+_VALUES = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.floats(min_value=-5, max_value=5, allow_nan=False, width=32).map(float),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    source=_SOURCES,
+    env=st.fixed_dictionaries(
+        {},
+        optional={
+            name: _VALUES
+            for name in ("t", "lo", "hi", "step", "force", "done", "x", "y")
+        },
+    ),
+)
+def test_generated_environments_yield_bool_or_trigger_error(source, env):
+    """Random (often ill-typed or incomplete) environments: a trigger
+    yields a strict boolean or raises TriggerEvalError, nothing else."""
+    try:
+        result = Trigger(source).evaluate(env)
+    except TriggerEvalError:
+        return
+    assert isinstance(result, bool)

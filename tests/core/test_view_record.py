@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.directory import QuarantinedView, ViewRecord
-from repro.core.image import ObjectImage
 from repro.core.modes import Mode
 from repro.core.versioning import VersionVector
 from repro.net.binary_codec import decode_value, encode_value
@@ -29,7 +28,7 @@ RECORD_FIELDS = (
     "view_id", "address", "properties", "mode", "triggers", "seen",
     "last_state_seq", "last_served_seq", "synced", "active", "exclusive",
 )
-STASH_FIELDS = ("image", "reason", "time", "op_context")
+STASH_FIELDS = ("reason", "time", "op_context")
 
 names = st.text(min_size=1, max_size=8)
 counters = st.integers(0, 2**40)
@@ -57,8 +56,6 @@ def view_records(draw):
 quarantined_views = st.builds(
     QuarantinedView,
     view_records(),
-    st.dictionaries(st.sampled_from(CELLS), st.integers(-100, 100))
-    .map(ObjectImage),
     st.sampled_from(["round-timeout", "round-fault", "serve-fault",
                      "reclaim-timeout", "lease-expired"]),
     st.floats(0.0, 1e9),

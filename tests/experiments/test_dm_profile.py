@@ -45,8 +45,6 @@ def test_conflict_parity_on_every_point(result):
 def test_index_counters_tick_on_every_point(result):
     for p in result.points:
         assert p.index_candidates > 0
-        # One scoped invalidation per REGISTER, never a whole-cache bump.
-        assert p.scoped_invalidations == p.n_views + dmp.CHURN_CYCLES
 
 
 def test_points_agree_with_the_golden_on_messages_and_state(result):
