@@ -453,10 +453,11 @@ class DirectoryManager:
         multilevel replica coordinator's anti-entropy absorb — must call
         this after introducing cells, or the index can serve stale keys.
         """
-        if view_id is None:
-            self._slice_index.clear()
-        else:
-            self._slice_index.pop(view_id, None)
+        with self._lock:
+            if view_id is None:
+                self._slice_index.clear()
+            else:
+                self._slice_index.pop(view_id, None)
 
     # ------------------------------------------------------------------
     # Maintained activity sets
@@ -1370,6 +1371,13 @@ class DirectoryManager:
             ],
         }
 
+    def snapshot(self) -> None:
+        """Snapshot the durable state now.  A sharded plane calls this
+        on each shard its placement cut gave keys to, so the cells the
+        shard gained are in its lineage before anything is served."""
+        with self._lock:
+            self.durability.snapshot(self._durable_state())
+
     def _log(self, record: Dict[str, Any]) -> bool:
         """Append one WAL record; True when it is already durable."""
         if self.durability is None:
@@ -1388,8 +1396,16 @@ class DirectoryManager:
         cells = 0
         snap = rs.snapshot
         if snap is not None:
-            self.merge_into_object(self.component, snap["image"], PropertySet())
-            cells += len(snap["image"])
+            image: ObjectImage = snap["image"]
+            if self.key_filter is not None:
+                # A shard's snapshot may predate its plane's placement
+                # cut (core/sharding.py): cells it no longer owns are
+                # the new owner's to recover.
+                owned = [k for k in image.keys() if self.key_filter(k)]
+                if len(owned) != len(image):
+                    image = image.restrict(owned)
+            self.merge_into_object(self.component, image, PropertySet())
+            cells += len(image)
             self.master_versions = snap["versions"].copy()
             self.commit_seq = int(snap["cseq"])
             for vd in snap.get("views") or []:

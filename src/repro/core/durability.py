@@ -4,7 +4,8 @@
 through :class:`~repro.core.system.FleccSystem`,
 :class:`~repro.core.sharding.ShardedFleccSystem` (one lineage per
 shard, named by shard id + partitioner fingerprint, plus a placement
-manifest when the plane cut its own key ranges) and
+manifest when the plane cut its own key ranges — the manifest then
+names the lineages) and
 ``build_airline_system``.  :class:`DurabilityManager` owns one
 lineage's on-disk state:
 
@@ -27,6 +28,7 @@ under the key ``"n"`` and leaves the rest to the directory manager.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
 import struct
@@ -49,6 +51,8 @@ from repro.net.binary_codec import decode_value, encode_value
 SNAP_MAGIC = b"FLSNP01\n"
 _LEN = struct.Struct(">I")
 _CRC = struct.Struct(">I")
+
+log = logging.getLogger(__name__)
 
 _SEGMENT_RE = re.compile(r"^wal-(\d+)\.log$")
 _SNAPSHOT_RE = re.compile(r"^snap-(\d+)\.bin$")
@@ -148,7 +152,15 @@ def _load_snapshot(path: Path) -> Dict[str, Any]:
 def load_placement(spec: DurabilitySpec) -> Optional[Dict[str, Any]]:
     """The placement manifest under ``spec``'s root; None before the
     first build.  A manifest that does not parse raises: coming up on
-    freshly cut split points would orphan every lineage on disk."""
+    freshly cut split points would orphan every lineage on disk.
+
+    Fields: ``splits`` and their ``fingerprint``; ``placed`` — False
+    while the split points are the provisional equal-count cut a plane
+    re-cuts at its first data request, absent (meaning True) in
+    manifests written before that cut existed; ``lineages`` — the
+    per-shard lineage names, absent in older manifests, whose lineages
+    are named ``for_shard(i, fingerprint)``.
+    """
     try:
         raw = spec.placement_path.read_text()
     except FileNotFoundError:
@@ -157,7 +169,13 @@ def load_placement(spec: DurabilitySpec) -> Optional[Dict[str, Any]]:
         doc = json.loads(raw)
     except ValueError:
         doc = None
-    if not isinstance(doc, dict) or not {"splits", "fingerprint"} <= doc.keys():
+    if (
+        not isinstance(doc, dict)
+        or not {"splits", "fingerprint"} <= doc.keys()
+        or not isinstance(doc.get("placed", True), bool)
+        or not isinstance(doc.get("lineages", []), list)
+        or not all(isinstance(n, str) for n in doc.get("lineages", []))
+    ):
         raise WalError(f"{spec.placement_path}: unreadable placement manifest")
     return doc
 
@@ -247,18 +265,17 @@ class DurabilityManager:
                 state.snapshot = _load_snapshot(path)
                 state.snapshot_lsn = lsn
                 break
-            except WalError:
+            except WalError as exc:
                 # A damaged snapshot (e.g. the process died while one
                 # was being written): fall back to the previous
                 # generation and pay a longer WAL replay instead.
                 state.snapshots_skipped += 1
+                log.warning("%s: skipping a damaged snapshot, falling back "
+                            "to the generation before it: %s", path, exc)
         segments = self._segments()
         for i, (first_lsn, path) in enumerate(segments):
             last = i == len(segments) - 1
-            try:
-                scan = scan_wal(path)
-            except WalCorruptionError:
-                raise
+            scan = scan_wal(path)
             if scan.torn:
                 if not last:
                     # Rotation closes segments cleanly; a short interior
@@ -266,14 +283,21 @@ class DurabilityManager:
                     raise WalCorruptionError(
                         f"{path}: truncated interior WAL segment"
                     )
+                dropped = path.stat().st_size - scan.valid_end
                 with open(path, "r+b") as f:
                     f.truncate(scan.valid_end)
                 state.torn_tail_truncated = True
+                log.warning("%s: truncated a torn WAL tail, %d byte(s) "
+                            "after byte %d", path, dropped, scan.valid_end)
             for payload in scan.records:
                 record = decode_value(payload)
                 if record.get("n", 0) > state.snapshot_lsn:
                     state.records.append(record)
         state.records.sort(key=lambda r: r.get("n", 0))
+        log.info("%s: recovered snapshot lsn %d, %d WAL record(s) to "
+                 "replay, %d damaged snapshot(s) skipped", self.dir,
+                 state.snapshot_lsn, len(state.records),
+                 state.snapshots_skipped)
         return state
 
     def _open_tail_writer(self) -> WalWriter:

@@ -9,7 +9,10 @@ while keeping every cache manager oblivious:
 - One **placement**, :class:`KeyRangePartitioner`, assigns each cell
   key to one shard: the component's sorted keys cut into contiguous
   ranges, so a view serving a run of adjacent keys — and with it every
-  round of its conflict group — lives on one shard.
+  round of its conflict group — lives on one shard.  A plane that
+  places keys itself cuts equal-count ranges at build time, provisional
+  until the first data request, when the router re-cuts them once
+  where no registered footprint straddles a split.
 - A CM-side :class:`ShardRouter` (a ``LayeredTransport``) resolves
   each view to its **footprint** — the shards its slice can touch — by
   one rule: the owners of the values of the property that enumerates,
@@ -38,10 +41,12 @@ import logging
 import threading
 import zlib
 from collections import Counter
+from dataclasses import replace
 from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -83,8 +88,10 @@ class KeyRangePartitioner:
     conflict group's rounds all run on the one shard that owns the run.
 
     :meth:`from_keys` cuts equal-count ranges from a key population;
-    it is what a :class:`ShardedDirectoryPlane` built without a
-    partitioner uses.  A key-range partition names no partition
+    :meth:`from_footprints` moves that cut off the registered views'
+    footprints.  A :class:`ShardedDirectoryPlane` built without a
+    partitioner uses the first at build time and the second, once, at
+    its first data request.  A key-range partition names no partition
     property: the router finds and verifies, per view, the property
     that enumerates the view's keys (:meth:`ShardRouter.footprint`) and
     records the last name it found in ``partition_property`` — a label
@@ -113,6 +120,55 @@ class KeyRangePartitioner:
             )
         n = len(ordered)
         return cls([ordered[i * n // n_shards] for i in range(1, n_shards)])
+
+    @classmethod
+    def from_footprints(
+        cls,
+        keys: Iterable[str],
+        footprints: Iterable[Iterable[str]],
+        n_shards: int,
+    ) -> "KeyRangePartitioner":
+        """The :meth:`from_keys` cut, moved off the footprints.
+
+        Position ``p`` among the sorted distinct ``keys`` is the split
+        ``ordered[p]``; it is *allowed* when no footprint (a set of
+        keys) has keys on both sides of it.  Each equal-count position
+        moves to the nearest allowed one, the lower on a tie, so the
+        splits stay sorted and shards may come out empty.  With no
+        allowed position the equal-count cut stands.  Sorting and
+        bisecting only: the cut does not depend on the process.
+        """
+        ordered = sorted({str(k) for k in keys})
+        equal = cls.from_keys(ordered, n_shards)
+        n = len(ordered)
+        # A footprint straddles exactly the positions p with
+        # min < ordered[p] <= max: one run, added up as a difference
+        # array.
+        depth = [0] * (n + 1)
+        for footprint in footprints:
+            values = [str(v) for v in footprint]
+            if values:
+                depth[bisect.bisect_right(ordered, min(values))] += 1
+                depth[bisect.bisect_right(ordered, max(values))] -= 1
+        allowed: List[int] = []
+        straddling = 0
+        for p in range(n):
+            straddling += depth[p]
+            if not straddling:
+                allowed.append(p)
+        if not allowed:
+            return equal
+        splits = []
+        for i in range(1, n_shards):
+            e = i * n // n_shards
+            j = bisect.bisect_left(allowed, e)
+            below = allowed[j - 1] if j else None
+            above = allowed[j] if j < len(allowed) else None
+            if below is None or (above is not None and above - e < e - below):
+                splits.append(ordered[above])
+            else:
+                splits.append(ordered[below])
+        return cls(splits)
 
     def shard_of(self, key: Any) -> int:
         """The shard owning ``key`` (total: any key has one owner)."""
@@ -151,7 +207,7 @@ class _ViewRoute:
     """Router-side registration state for one view."""
 
     __slots__ = (
-        "view_id", "cm_addr", "properties", "register_payload",
+        "view_id", "cm_addr", "properties", "register_payload", "keys",
         "shards", "forwarded", "shard_since", "serve_seq", "last_served",
         "inflight",
     )
@@ -160,6 +216,9 @@ class _ViewRoute:
         self.view_id = view_id
         self.cm_addr = cm_addr
         self.properties = properties
+        # The footprint as keys, as verified at REGISTER (None: the view
+        # spans the plane): what a provisional placement is re-cut by.
+        self.keys: Optional[FrozenSet[str]] = None
         # The original REGISTER payload, kept for synthesized
         # registrations when a view's footprint later grows a shard.
         self.register_payload: Dict[str, Any] = {}
@@ -238,6 +297,10 @@ class ShardRouter(LayeredTransport):
     Images leaving a cache manager are checked against the partition
     under both rules; a forwarded view that writes a key another shard
     owns grows its route and is fanned out from then on.
+
+    A router whose plane placed keys provisionally (``recut`` set) has
+    the split points re-cut once, at the first request that is not a
+    REGISTER, and re-homes the views registered so far (``_place``).
     """
 
     def __init__(
@@ -262,6 +325,11 @@ class ShardRouter(LayeredTransport):
         # component, set by the plane: what ``footprint`` verifies a
         # candidate property against.
         self.extract_slice: Optional[Callable[[PropertySet], ObjectImage]] = None
+        # Set by a plane whose split points are a provisional cut:
+        # called once, at the first request that is not a REGISTER,
+        # with the footprints registered so far; it re-cuts the split
+        # points in place (``_place``).
+        self.recut: Optional[Callable[[List[FrozenSet[str]]], None]] = None
         self._key_shard: Dict[str, int] = {}
         self._inner_eps: Dict[str, Endpoint] = {}
         self._views: Dict[str, _ViewRoute] = {}
@@ -277,6 +345,7 @@ class ShardRouter(LayeredTransport):
             "registrations_extended": 0,
             "late_replies": 0,
             "whole_plane_views": 0,
+            "views_rehomed": 0,
         }
         self._lock = threading.RLock()
         self._closed = False
@@ -323,17 +392,29 @@ class ShardRouter(LayeredTransport):
         contract (slice keys ⊆ the property's values).  A view whose
         keys no property enumerates spans the plane, with a warning.
         """
+        return self._owners(self._footprint_keys(view_id, properties))
+
+    def _footprint_keys(
+        self, view_id: str, properties: PropertySet
+    ) -> Optional[FrozenSet[str]]:
+        """The values of the verified enumerating property, as keys; None
+        when the view spans the plane (always, on one shard)."""
         n_shards = len(self.shard_addresses)
         if n_shards == 1:
-            return [0]
-        part = self.partitioner
+            return None
         prop, why = self._enumerating_property(properties)
         if prop is not None:
-            part.partition_property = prop.name
-            return sorted({part.shard_of(v) for v in prop.domain.values})
+            self.partitioner.partition_property = prop.name
+            return frozenset(str(v) for v in prop.domain.values)
         self.counters["whole_plane_views"] += 1
         log.warning("view %r spans all %d shards: %s", view_id, n_shards, why)
-        return list(range(n_shards))
+        return None
+
+    def _owners(self, keys: Optional[FrozenSet[str]]) -> List[int]:
+        if keys is None:
+            return list(range(len(self.shard_addresses)))
+        shard_of = self.partitioner.shard_of
+        return sorted({shard_of(k) for k in keys})
 
     def _enumerating_property(
         self, properties: PropertySet
@@ -373,6 +454,8 @@ class ShardRouter(LayeredTransport):
         if mt == M.REGISTER:
             self._route_register(msg)
             return
+        if self.recut is not None:
+            self._place()
         route = self._views.get(msg.payload.get("view_id"))
         if route is None:
             self._deliver(msg.reply(M.ERROR, {"error": (
@@ -424,7 +507,8 @@ class ShardRouter(LayeredTransport):
         p = msg.payload
         view_id = p.get("view_id")
         properties = p.get("properties") or PropertySet()
-        shards = self.footprint(view_id, properties)
+        keys = self._footprint_keys(view_id, properties)
+        shards = self._owners(keys)
         route = self._views.get(view_id)
         if route is None:
             route = _ViewRoute(view_id, msg.src, properties)
@@ -432,6 +516,7 @@ class ShardRouter(LayeredTransport):
         route.cm_addr = msg.src
         self._by_addr[msg.src] = route
         route.properties = properties
+        route.keys = keys
         route.shards = shards
         route.register_payload = dict(p)
         if len(shards) == 1:
@@ -442,6 +527,51 @@ class ShardRouter(LayeredTransport):
             for s in shards
         ]
         self._begin_fanout(msg, route, targets)
+
+    def _place(self) -> None:
+        """Have a provisional placement re-cut, then re-home the views.
+
+        Runs once, before the first request that is not a REGISTER is
+        routed: nothing has been served or committed yet, so moving a
+        split point moves no cell, version or cursor — only the views
+        registered so far.  The plane re-cuts the split points in place
+        (the shards' ``_owns`` filters read them at call time), and each
+        view whose shard set changed is re-homed the way
+        ``_route_prop_update`` does it: a swallowed REGISTER to each
+        shard it gains, an UNREGISTER with an empty image to each it
+        loses.  All of that is sent before the triggering request, so
+        per-link FIFO orders it ahead.
+        """
+        recut, self.recut = self.recut, None
+        old = list(self.partitioner.splits)
+        recut([r.keys for r in self._views.values() if r.keys is not None])
+        self._key_shard.clear()
+        moved = []
+        for vid in sorted(self._views):
+            route = self._views[vid]
+            if route.keys is None:
+                continue
+            shards = self._owners(route.keys)
+            if shards == route.shards:
+                continue
+            for shard in shards:
+                if shard not in route.shards:
+                    m = self._shard_register(route, shard, route.properties)
+                    self._swallow.add(m.msg_id)
+                    self.inner.send(m)
+            for shard in route.shards:
+                if shard not in shards:
+                    m = Message(M.UNREGISTER, route.cm_addr,
+                                self.shard_addresses[shard],
+                                {"view_id": vid, "image": ObjectImage()})
+                    self._swallow.add(m.msg_id)
+                    self.inner.send(m)
+            route.shards = shards
+            moved.append(vid)
+        self.counters["views_rehomed"] += len(moved)
+        log.info("placement cut at the first data request: splits %s -> %s, "
+                 "%d view(s) re-homed %s", old, self.partitioner.splits,
+                 len(moved), moved)
 
     def _route_data(self, msg: Message, route: _ViewRoute) -> None:
         if len(route.shards) == 1:
@@ -833,14 +963,22 @@ def _place_keys(
     component: Any,
     extract_from_object: ExtractFromObject,
     durability: Optional[DurabilitySpec],
-) -> KeyRangePartitioner:
-    """The default placement: the manifest's split points when a durable
-    plane was built here before, else equal-count ranges cut from the
-    component's keys as they are now (and recorded for the next build)."""
+) -> Tuple[KeyRangePartitioner, Optional[Dict[str, Any]], Optional[List[str]]]:
+    """The default placement, the manifest it was read from (None when
+    cut fresh) and, while the placement is provisional, the component's
+    sorted keys as they are now, which the cut at the first data
+    request is taken over (None once placed, and on one shard).
+
+    The split points are the manifest's when a durable plane was built
+    here before, else equal-count ranges cut from those keys.
+    """
     saved = load_placement(durability) if durability is not None else None
     if saved is not None:
         part = KeyRangePartitioner(saved["splits"])
-        if part.n_shards != n_shards:
+        lineages = saved.get("lineages")
+        if part.n_shards != n_shards or (
+            lineages is not None and len(lineages) != n_shards
+        ):
             raise ReproError(
                 f"{durability.placement_path}: placed for {part.n_shards} "
                 f"shards, plane built with n_shards={n_shards}"
@@ -850,18 +988,16 @@ def _place_keys(
                 f"{durability.placement_path}: split points do not match "
                 f"their fingerprint {saved['fingerprint']!r}"
             )
-        return part
-    keys = (
-        extract_from_object(component, PropertySet()).keys()
-        if n_shards > 1 else ()
+        if saved.get("placed", True):
+            return part, saved, None
+    if n_shards == 1:
+        return KeyRangePartitioner(), saved, None
+    keys = sorted(
+        {str(k) for k in extract_from_object(component, PropertySet()).keys()}
     )
-    part = KeyRangePartitioner.from_keys(keys, n_shards)
-    if durability is not None and n_shards > 1:
-        store_placement(
-            durability,
-            {"splits": part.splits, "fingerprint": part.fingerprint()},
-        )
-    return part
+    if saved is not None:
+        return part, saved, keys
+    return KeyRangePartitioner.from_keys(keys, n_shards), None, keys
 
 
 class ShardedDirectoryPlane:
@@ -877,11 +1013,18 @@ class ShardedDirectoryPlane:
     enumerates the component's keys once (an extract with the empty
     property set, the convention directory snapshots use) and cuts them
     into ``n_shards`` contiguous equal-count ranges
-    (:meth:`KeyRangePartitioner.from_keys`).  Placement that depends on
-    data is state: a durable plane writes the split points to a manifest
-    beside its lineages at first build and *reads them back* on every
-    rebuild, so a component that has grown since cannot shift the
-    routing under lineages already on disk.
+    (:meth:`KeyRangePartitioner.from_keys`).  That cut is provisional:
+    at the first routed request that is not a REGISTER the router
+    re-cuts it, once, where no registered footprint straddles a split
+    (:meth:`KeyRangePartitioner.from_footprints`).  Placement that
+    depends on data is state: a durable plane writes the split points to
+    a manifest beside its lineages at first build, marked provisional,
+    rewrites it at the cut, and *reads it back* on every rebuild, so a
+    component that has grown since cannot shift the routing under
+    lineages already on disk.  The lineages keep the names they were
+    opened under (the manifest lists them); a plane rebuilt from a
+    placed manifest never cuts again, one rebuilt from a provisional
+    manifest cuts at its next first data request.
 
     With ``n_shards=1`` the plane degenerates to exactly the unsharded
     construction — raw extract functions, no key filter, the original
@@ -903,19 +1046,27 @@ class ShardedDirectoryPlane:
         **dm_kwargs: Any,
     ) -> None:
         # Durable plane: one WAL/snapshot lineage per shard, named by
-        # shard id + partitioner fingerprint — recovering through a
-        # *different* partitioner would re-home cells the new routing
-        # sends elsewhere, so the lineage name pins the partition.
+        # shard id + the fingerprint of the partitioner it was opened
+        # under — recovering through a *different* partitioner would
+        # re-home cells the new routing sends elsewhere, so the lineage
+        # name pins the partition.  The provisional cut's re-cut moves
+        # no committed cell, so the lineages keep their names; the
+        # manifest lists them.
         durability = dm_kwargs.pop("durability", None)
         if durability is not None and not isinstance(durability, DurabilitySpec):
             raise ReproError(
                 "a sharded plane needs a DurabilitySpec (it derives one "
                 f"lineage per shard), got {type(durability).__name__}"
             )
+        manifest: Optional[Dict[str, Any]] = None
+        # The component's keys while the placement is provisional: the
+        # cut at the first data request is taken over them.
+        self._keys: Optional[List[str]] = None
         if partitioner is None:
-            partitioner = _place_keys(
+            partitioner, manifest, self._keys = _place_keys(
                 n_shards, component, extract_from_object, durability
             )
+        provisional = self._keys is not None
         self.partitioner = partitioner
         self.n_shards = partitioner.n_shards
         self.address = directory_address
@@ -933,7 +1084,20 @@ class ShardedDirectoryPlane:
         self.router.extract_slice = (
             lambda props: extract_from_object(component, props)
         )
-        fingerprint = partitioner.fingerprint()
+        self._durability = durability
+        self._lineages: List[str] = []
+        # Shards crashed and not yet restarted (``crash_shard``).
+        self._down: Set[int] = set()
+        if durability is not None:
+            fingerprint = partitioner.fingerprint()
+            self._lineages = (manifest or {}).get("lineages") or [
+                durability.for_shard(i, fingerprint).name
+                for i in range(self.n_shards)
+            ]
+            if manifest is None and provisional:
+                self._record_placement(placed=False)
+        if provisional:
+            self.router.recut = self._recut
         self.shards: List[DirectoryManager] = []
         self._shard_factories: List[Callable[[], DirectoryManager]] = []
         for i, addr in enumerate(self.addresses):
@@ -948,7 +1112,7 @@ class ShardedDirectoryPlane:
                     )
                 kwargs["key_filter"] = self._owns(i)
             if durability is not None:
-                kwargs["durability"] = durability.for_shard(i, fingerprint)
+                kwargs["durability"] = replace(durability, name=self._lineages[i])
 
             def factory(
                 _addr: str = addr,
@@ -967,6 +1131,45 @@ class ShardedDirectoryPlane:
 
             self._shard_factories.append(factory)
             self.shards.append(factory())
+
+    def _record_placement(self, placed: bool) -> None:
+        store_placement(self._durability, {
+            "splits": list(self.partitioner.splits),
+            "fingerprint": self.partitioner.fingerprint(),
+            "placed": placed,
+            "lineages": self._lineages,
+        })
+
+    def _recut(self, footprints: List[FrozenSet[str]]) -> None:
+        """The one re-cut of the provisional split points, at the first
+        data request (``ShardRouter._place``): off the registered
+        footprints, in place.  If they move, every shard's slice index
+        was built on the old partition, and a durable plane snapshots
+        each shard that gained keys — its boot snapshot holds only the
+        cells it owned then — before it records the final placement.
+        With a shard down the provisional cut stands as the final one:
+        a move would need the down shard's cells, which are back in
+        memory only once it has recovered its boot snapshot."""
+        part = self.partitioner
+        keys, self._keys = self._keys or [], None
+        old = [part.shard_of(k) for k in keys]
+        gained: List[int] = []
+        if keys and not self._down:
+            splits = KeyRangePartitioner.from_footprints(
+                keys, footprints, part.n_shards
+            ).splits
+            if splits != part.splits:
+                part.splits[:] = splits
+                for dm in self.shards:
+                    dm.invalidate_slice_index()
+                gained = sorted({
+                    part.shard_of(k) for k, was in zip(keys, old)
+                    if part.shard_of(k) != was
+                })
+        if self._durability is not None:
+            for shard in gained:
+                self.shards[shard].snapshot()
+            self._record_placement(placed=True)
 
     def _owns(self, shard: int) -> Callable[[str], bool]:
         part = self.partitioner
@@ -1040,6 +1243,7 @@ class ShardedDirectoryPlane:
         """Kill one shard like a dead process (see DirectoryManager.crash):
         its volatile state is abandoned and its WAL loses exactly what
         the fsync policy had not synced."""
+        self._down.add(shard)
         self.shards[shard].crash(torn_tail=torn_tail)
 
     def restart_shard(self, shard: int = 0) -> DirectoryManager:
@@ -1047,6 +1251,7 @@ class ShardedDirectoryPlane:
         same construction spec recovers the shard's durable lineage and
         re-binds the shard address."""
         self.shards[shard] = self._shard_factories[shard]()
+        self._down.discard(shard)
         return self.shards[shard]
 
     def close(self) -> None:

@@ -21,7 +21,11 @@ Three point families exercise the durable directory plane
   the in-process component (a *process* kill would lose exactly that
   volatile state — without the wipe the shared component would mask
   any recovery bug), optionally injects damage, restarts the shard
-  mid-workload, and requires:
+  mid-workload, and requires (the plane is given the equal-count cut
+  explicitly, so the two spanning views span every shard: the cut a
+  plane takes at its first data request would put them on one, and
+  most kills would hit an empty shard; the ``cut`` family covers that
+  cut):
 
   - the finished run's primary copy equals a crash-free run's
     (**parity**), and
@@ -36,6 +40,15 @@ Three point families exercise the durable directory plane
   the snapshot write (the in-process write is atomic, so the torn
   on-disk state is modeled by post-crash truncation) — recovery must
   fall back to the previous snapshot and pay a longer replay.
+- **cut** — the same two gates on a 4-shard plane that places its keys
+  itself: two groups of two writers over ``k00``-``k03`` and
+  ``k04``-``k07`` straddle the provisional equal-count splits, so the
+  first data request re-cuts them to ``[k00, k04, k04]`` (shards 1 and
+  3 gain keys, 0 and 2 lose all theirs).  The writers register, then
+  wait ``CUT_SETTLE`` before their first data request, and each point
+  kills one shard (all four in turn) in one of three windows: killed
+  and restarted *before* the cut, *across* it (down at the first data
+  request, so the provisional cut stands), or *after* it.
 
 ``python -m repro.experiments.durability_sweep`` writes
 ``BENCH_durability.json``; ``--check`` exits non-zero unless every gate
@@ -56,7 +69,11 @@ from repro.core import messages as M
 from repro.core.directory import DirectoryManager
 from repro.core.durability import DurabilitySpec
 from repro.core.image import ObjectImage
-from repro.core.sharding import ShardedDirectoryPlane, ShardedFleccSystem
+from repro.core.sharding import (
+    KeyRangePartitioner,
+    ShardedDirectoryPlane,
+    ShardedFleccSystem,
+)
 from repro.core.system import FleccSystem, run_all_scripts
 from repro.experiments.report import Table
 from repro.experiments.runner import Experiment, Param, ShardSpec, cli, point_doc
@@ -86,6 +103,15 @@ INJECTIONS = ("none", "torn", "snap")
 TORN_GARBAGE = struct.pack(">I", 64) + b"interrupted"
 
 KILL_CELLS = [f"k{i:02d}" for i in range(8)]
+
+# Cut family: 12 points, each window x each of the 4 shards.
+CUT_WINDOWS = ("before", "across", "after")
+CUT_KILL_POINTS = 12
+# A group's writers write its first two cells and its last: k00 and
+# k04, which the cut hands to shards 1 and 3, are never written, so
+# only those shards' snapshots at the cut keep them.
+CUT_GROUPS = (["k01", "k02", "k00", "k03"], ["k05", "k06", "k04", "k07"])
+CUT_SETTLE = 16.0   # registered by t=2; first data request near t=18
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +152,17 @@ class KillPoint:
 
 
 @dataclass
+class CutKillPoint(KillPoint):
+    window: str                  # "before" | "across" | "after" the cut
+    views_rehomed: int           # 0 when the provisional cut stood
+
+
+@dataclass
 class DurabilitySweepResult:
     overhead: List[OverheadPoint] = field(default_factory=list)
     recovery: List[RecoveryPoint] = field(default_factory=list)
     kills: List[KillPoint] = field(default_factory=list)
+    cut_kills: List[CutKillPoint] = field(default_factory=list)
 
     def table(self) -> Table:
         t = Table(
@@ -141,8 +174,9 @@ class DurabilitySweepResult:
         for p in self.recovery:
             t.add_row("recovery", f"tail={p.tail_len}", "recovery_ms",
                       f"{p.recovery_ms:.2f}")
-        bad = [p for p in self.kills if p.lost_writes or not p.parity]
-        t.add_row("kill", f"{len(self.kills)} points", "failed", len(bad))
+        for family, points in (("kill", self.kills), ("cut", self.cut_kills)):
+            bad = [p for p in points if p.lost_writes or not p.parity]
+            t.add_row(family, f"{len(points)} points", "failed", len(bad))
         return t
 
 
@@ -283,30 +317,37 @@ def _kill_workload(
     kernel: SimKernel,
     n_ops: int = 4,
     sleep: float = 6.0,
+    groups: Sequence[Sequence[str]] = (KILL_CELLS,),
+    settle: float = 0.0,
 ) -> Dict[str, Agent]:
-    """Two strong writers over a spanning slice: each increments its own
-    cell plus a shared contended cell ``n_ops`` times.  Retransmission
-    (request_timeout x max_retries) rides out the DM downtime window."""
+    """Two strong writers per group, each viewing the group's cells:
+    each increments its own cell plus the group's last, contended, cell
+    ``n_ops`` times, after waiting ``settle`` between registering and
+    its first data request.  Retransmission (request_timeout x
+    max_retries) rides out the DM downtime window."""
     agents: Dict[str, Agent] = {}
     scripts = []
-    for i in range(2):
+    for i in range(2 * len(groups)):
+        cells = groups[i // 2]
         agent = Agent()
         agents[f"w{i}"] = agent
         cm = system.add_view(
-            f"w{i}", agent, props_for(KILL_CELLS),
+            f"w{i}", agent, props_for(cells),
             extract_from_view, merge_into_view, mode="strong",
             request_timeout=25.0, max_retries=16,
         )
 
-        def script(cm=cm, agent=agent, i=i):
+        def script(cm=cm, agent=agent, i=i, own=cells[i % 2],
+                   shared=cells[-1]):
             yield cm.start()
+            if settle:
+                yield ("sleep", settle)
             yield cm.init_image()
             yield ("sleep", i * 1.7)
             for _ in range(n_ops):
                 yield cm.start_use_image()
-                own = KILL_CELLS[i]
                 agent.local[own] = agent.local.get(own, 0) + 1
-                agent.local["k07"] = agent.local.get("k07", 0) + 1
+                agent.local[shared] = agent.local.get(shared, 0) + 1
                 cm.end_use_image()
                 yield ("sleep", sleep)
             yield cm.kill_image()
@@ -317,15 +358,20 @@ def _kill_workload(
 
 
 def _build_kill_system(
-    root: Path, n_shards: int
+    root: Path, n_shards: int, placed: bool = True
 ) -> Tuple[SimKernel, ShardedFleccSystem, Store]:
+    """``placed``: the equal-count cut, given explicitly; else the plane
+    places the keys itself and re-cuts them at the first data request."""
     reset_message_ids()
     kernel = SimKernel()
     transport = SimTransport(kernel, default_latency=1.0, strict_wire=True)
     store = Store({c: 0 for c in KILL_CELLS})
     system = ShardedFleccSystem(
         transport, store, extract_from_object, merge_into_object,
-        n_shards=n_shards, extract_cells=extract_cells,
+        n_shards=n_shards,
+        partitioner=(KeyRangePartitioner.from_keys(KILL_CELLS, n_shards)
+                     if placed else None),
+        extract_cells=extract_cells,
         durability=DurabilitySpec(root=root, fsync="always", snapshot_every=4),
     )
     return kernel, system, store
@@ -359,19 +405,26 @@ def _truncate_newest_snapshot(lineage_dir: Path) -> bool:
     return True
 
 
-def run_kill_point(point: Tuple[str, int, int], seed: int) -> KillPoint:
-    _, n_shards, index = point
-    rng = stream_for(seed, f"durability-kill-{n_shards}-{index}")
-    kill_at = float(rng.uniform(6.0, 45.0))
-    downtime = float(rng.uniform(10.0, 30.0))
-    shard = int(rng.integers(n_shards))
-    injection = INJECTIONS[index % len(INJECTIONS)]
-
+def _kill_run(
+    n_shards: int,
+    kill_at: float,
+    downtime: float,
+    shard: int,
+    injection: str,
+    placed: bool = True,
+    **workload: Any,
+) -> Dict[str, Any]:
+    """One kill: a crash-free baseline, then the same workload with
+    ``shard`` killed at ``kill_at`` and restarted ``downtime`` later,
+    then the final crash of every shard.  Returns the KillPoint fields
+    that are measured, plus the router's ``views_rehomed``."""
     # Crash-free baseline: the same deterministic workload untouched.
     base_root = Path(tempfile.mkdtemp(prefix="flecc-wal-"))
     try:
-        _, base_system, base_store = _build_kill_system(base_root, n_shards)
-        _kill_workload(base_system, None)
+        _, base_system, base_store = _build_kill_system(
+            base_root, n_shards, placed
+        )
+        _kill_workload(base_system, None, **workload)
         baseline = dict(base_store.cells)
         base_system.close()
     finally:
@@ -379,7 +432,7 @@ def run_kill_point(point: Tuple[str, int, int], seed: int) -> KillPoint:
 
     root = Path(tempfile.mkdtemp(prefix="flecc-wal-"))
     try:
-        kernel, system, store = _build_kill_system(root, n_shards)
+        kernel, system, store = _build_kill_system(root, n_shards, placed)
         plane = system.plane
         injected = {"applied": injection}
 
@@ -393,7 +446,7 @@ def run_kill_point(point: Tuple[str, int, int], seed: int) -> KillPoint:
 
         kernel.call_at(kill_at, do_crash)
         kernel.call_at(kill_at + downtime, lambda: plane.restart_shard(shard))
-        _kill_workload(system, kernel)
+        _kill_workload(system, kernel, **workload)
         kernel.run()  # drain crash/restart events past the scripts' end
         parity = dict(store.cells) == baseline
         recoveries = system.transport.stats.recoveries
@@ -417,17 +470,57 @@ def run_kill_point(point: Tuple[str, int, int], seed: int) -> KillPoint:
         lost = sum(
             1 for k, v in final.items() if store.cells.get(k) != v
         )
+        views_rehomed = plane.counters["views_rehomed"]
         system.close()
-        return KillPoint(
-            n_shards=n_shards, index=index, kill_at=kill_at,
-            downtime=downtime, shard=shard, injection=injected["applied"],
-            parity=parity, lost_writes=lost, recoveries=recoveries,
-            cells_replayed=cells_replayed,
+        return dict(
+            injection=injected["applied"], parity=parity, lost_writes=lost,
+            recoveries=recoveries, cells_replayed=cells_replayed,
             snapshots_skipped=snapshots_skipped,
-            torn_truncated=torn_truncated,
+            torn_truncated=torn_truncated, views_rehomed=views_rehomed,
         )
     finally:
         shutil.rmtree(root, ignore_errors=True)
+
+
+def run_kill_point(point: Tuple[str, int, int], seed: int) -> KillPoint:
+    _, n_shards, index = point
+    rng = stream_for(seed, f"durability-kill-{n_shards}-{index}")
+    kill_at = float(rng.uniform(6.0, 45.0))
+    downtime = float(rng.uniform(10.0, 30.0))
+    shard = int(rng.integers(n_shards))
+    injection = INJECTIONS[index % len(INJECTIONS)]
+    measured = _kill_run(n_shards, kill_at, downtime, shard, injection)
+    del measured["views_rehomed"]
+    return KillPoint(
+        n_shards=n_shards, index=index, kill_at=kill_at,
+        downtime=downtime, shard=shard, **measured,
+    )
+
+
+def run_cut_kill_point(point: Tuple[str, int, int], seed: int) -> CutKillPoint:
+    """A kill on a plane that cuts its own placement: window
+    ``index % 3`` of :data:`CUT_WINDOWS`, shard ``index // 3 % 4``."""
+    _, n_shards, index = point
+    rng = stream_for(seed, f"durability-cut-{n_shards}-{index}")
+    window = CUT_WINDOWS[index % len(CUT_WINDOWS)]
+    if window == "before":       # back before the first data request
+        kill_at = float(rng.uniform(0.5, 4.0))
+        downtime = float(rng.uniform(1.0, 8.0))
+    elif window == "across":     # down at the first data request
+        kill_at = float(rng.uniform(6.0, CUT_SETTLE))
+        downtime = float(rng.uniform(14.0, 30.0))
+    else:
+        kill_at = float(rng.uniform(CUT_SETTLE + 4.0, 45.0))
+        downtime = float(rng.uniform(10.0, 30.0))
+    shard = index // len(CUT_WINDOWS) % n_shards
+    measured = _kill_run(
+        n_shards, kill_at, downtime, shard, "none", placed=False,
+        groups=CUT_GROUPS, settle=CUT_SETTLE,
+    )
+    return CutKillPoint(
+        n_shards=n_shards, index=index, kill_at=kill_at,
+        downtime=downtime, shard=shard, window=window, **measured,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +535,7 @@ def sweep_points(
     points += [("recovery", t) for t in RECOVERY_TAILS]
     for n_shards, count in kill_points:
         points += [("kill", n_shards, i) for i in range(count)]
+    points += [("cut", 4, i) for i in range(CUT_KILL_POINTS)]
     return points
 
 
@@ -451,6 +545,8 @@ def run_sweep_point(point: Tuple[Any, ...], seed: int, **_: Any) -> Any:
         return run_overhead_points()
     if family == "recovery":
         return run_recovery_point(point[1])
+    if family == "cut":
+        return run_cut_kill_point(point, seed=seed)
     return run_kill_point(point, seed=seed)
 
 
@@ -463,6 +559,8 @@ def merge_durability_sweep(
             result.overhead.extend(p)
         elif isinstance(p, RecoveryPoint):
             result.recovery.append(p)
+        elif isinstance(p, CutKillPoint):
+            result.cut_kills.append(p)
         elif isinstance(p, KillPoint):
             result.kills.append(p)
     return result
@@ -497,6 +595,9 @@ def bench_payload(result: DurabilitySweepResult) -> Dict[str, object]:
         ],
         "recovery": [point_doc(p, recovery_ms=3) for p in result.recovery],
         "kills": [point_doc(p, kill_at=2, downtime=2) for p in result.kills],
+        "cut_kills": [
+            point_doc(p, kill_at=2, downtime=2) for p in result.cut_kills
+        ],
     }
 
 
@@ -531,6 +632,23 @@ def gates(payload: Dict[str, object]) -> List[str]:
         problems.append(
             "no kill point actually fell back past a damaged snapshot"
         )
+    cut_kills = payload.get("cut_kills") or []
+    for p in cut_kills:
+        if p["lost_writes"] or not p["parity"]:
+            problems.append(
+                f"cut kill point #{p['index']} ({p['window']} the cut, shard "
+                f"{p['shard']}): {p['lost_writes']} lost committed write(s), "
+                f"parity {p['parity']}"
+            )
+    windows = {p["window"] for p in cut_kills}
+    for window in CUT_WINDOWS:
+        if window not in windows:
+            problems.append(f"no cut kill point {window} the cut")
+    if not any(p["views_rehomed"] for p in cut_kills
+               if p["window"] != "across"):
+        problems.append("no cut kill point re-cut the placement")
+    if any(p["views_rehomed"] for p in cut_kills if p["window"] == "across"):
+        problems.append("a plane re-cut its placement with a shard down")
     ratio = payload.get("batch_overhead_ratio") or 0.0
     if not ratio or ratio > 1.5:
         problems.append(

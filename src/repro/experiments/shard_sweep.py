@@ -24,7 +24,10 @@ Two workload shapes bracket the design space:
   whole key space, so every acquire takes all N shards, one at a time
   in ascending index, and every pull fans out to all N and waits on the
   merge barrier.  No parallelism is available, and an acquire costs one
-  hop per shard, so N > 1 is slower than one shard.
+  hop per shard, so N > 1 is slower than one shard.  This leg is given
+  the equal-count cut explicitly: a plane that places keys itself
+  re-cuts it off the footprints at the first data request, and would
+  put every spanning view on one shard.
 
 The ``--check`` gate also replays a mixed-mode Fig-4-style workload on
 the unsharded :class:`~repro.core.system.FleccSystem` and on the plane
@@ -52,7 +55,7 @@ from repro.apps.airline.workload import (
     reserve_operations,
 )
 from repro.core.system import FleccSystem, run_all_scripts
-from repro.core.sharding import ShardedFleccSystem
+from repro.core.sharding import KeyRangePartitioner, ShardedFleccSystem
 from repro.experiments.report import Table, percentile
 from repro.experiments.runner import Experiment, Param, ShardSpec, cli, point_doc
 from repro.net.message import reset_message_ids
@@ -78,8 +81,8 @@ CELLS = [f"c{i:02d}" for i in range(N_GROUPS * CELLS_PER_GROUP)]
 
 # Airline leg: 16 agents, the first 8 sharing one block of 5 flights.
 # 60 flights over 4 shards is 15 a shard — three whole blocks — so no
-# agent's block straddles a split point (the one alignment an
-# equal-count cut cannot promise; tests/core/test_shard_locality.py).
+# agent's block straddles an equal-count split point, and the
+# footprint cut at the first data request keeps those split points.
 AIRLINE_AGENTS, AIRLINE_CONFLICTING, AIRLINE_FLIGHTS = 16, 8, 60
 
 
@@ -170,7 +173,10 @@ def _run_point(
     store = Store({c: 0 for c in CELLS})
     system = ShardedFleccSystem(
         transport, store, extract_from_object, merge_into_object,
-        n_shards=n_shards, extract_cells=extract_cells,
+        n_shards=n_shards,
+        partitioner=(KeyRangePartitioner.from_keys(CELLS, n_shards)
+                     if spanning else None),
+        extract_cells=extract_cells,
     )
     latencies: List[float] = []
     ops = [0]

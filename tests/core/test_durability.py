@@ -10,6 +10,7 @@ under ``fsync=always``.
 """
 
 import errno
+import logging
 import os
 import threading
 
@@ -114,6 +115,50 @@ def test_damaged_snapshot_falls_back_a_generation(wal_root):
     # tail record both come back from the surviving segments.
     assert [r["i"] for r in d2.recovered.records] == [1, 2]
     d2.close()
+
+
+def _recovery_log(caplog):
+    return [(r.levelname, r.getMessage()) for r in caplog.records
+            if r.name == "repro.core.durability"]
+
+
+def test_recovery_says_it_fell_back_past_a_damaged_snapshot(wal_root, caplog):
+    spec = _spec(wal_root, name="fall-log", keep_snapshots=2)
+    d = DurabilityManager(spec)
+    d.append({"k": "commit", "i": 0})
+    cut = d.snapshot({"s": 1})
+    d.append({"k": "commit", "i": 1})
+    d.snapshot({"s": 2})
+    d.close()
+    newest = max(spec.directory.glob("snap-*.bin"),
+                 key=lambda p: int(p.stem.split("-")[1]))
+    newest.write_bytes(newest.read_bytes()[:10])
+    with caplog.at_level(logging.INFO, logger="repro.core.durability"):
+        DurabilityManager(spec).close()
+    [(level, warning), (info_level, summary)] = _recovery_log(caplog)
+    assert level == "WARNING"
+    assert newest.name in warning and "damaged snapshot" in warning
+    assert info_level == "INFO"
+    assert f"snapshot lsn {cut}, 1 WAL record(s)" in summary
+    assert "1 damaged snapshot(s) skipped" in summary
+
+
+def test_recovery_says_it_truncated_a_torn_tail(wal_root, caplog):
+    spec = _spec(wal_root, name="torn-log")
+    d = DurabilityManager(spec)
+    for i in range(3):
+        d.append({"k": "commit", "i": i})
+    d.simulate_crash(torn_tail=b"\x00\x00\x00\x40interrupted")
+    with caplog.at_level(logging.INFO, logger="repro.core.durability"):
+        d2 = DurabilityManager(spec)
+    assert d2.recovered.torn_tail_truncated
+    d2.close()
+    [(level, warning), (info_level, summary)] = _recovery_log(caplog)
+    assert level == "WARNING"
+    assert "torn WAL tail" in warning and "15 byte(s)" in warning
+    assert info_level == "INFO"
+    assert "snapshot lsn 0, 3 WAL record(s)" in summary
+    assert "0 damaged snapshot(s) skipped" in summary
 
 
 def test_lsns_keep_ascending_across_restart(wal_root):

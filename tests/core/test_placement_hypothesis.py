@@ -2,11 +2,13 @@
 
 Placement (``KeyRangePartitioner``): every key has exactly one owner,
 owners are monotone in key order, and nothing about the routing depends
-on the process.  Footprint (``ShardRouter.footprint``): whatever the
-property set looks like, the shards a view is routed to contain the
-owners of every key its slice holds — it may over-approximate, never
-under.  Placement is durable state: a rebuilt plane reads its split
-points back instead of cutting new ones.
+on the process.  The footprint cut (``from_footprints``) moves each
+equal-count split to the nearest position no footprint straddles, and
+keeps it where there is none.  Footprint (``ShardRouter.footprint``):
+whatever the property set looks like, the shards a view is routed to
+contain the owners of every key its slice holds — it may
+over-approximate, never under.  Placement is durable state: a rebuilt
+plane reads its split points back instead of cutting new ones.
 """
 
 import json
@@ -79,6 +81,117 @@ def test_shard_of_does_not_depend_on_the_process():
     assert json.loads(out.stdout) == [
         here.splits, here.fingerprint(), [here.shard_of(k) for k in probe],
     ]
+
+
+def _spans(footprints):
+    return [(min(fp), max(fp)) for fp in footprints if fp]
+
+
+def _straddles(split, spans):
+    """A footprint has keys on both sides of ``split``: some below it,
+    some at or above it (``shard_of`` bisects right)."""
+    return any(lo < split <= hi for lo, hi in spans)
+
+
+def _nearest_allowed_cut(population, footprints, n):
+    """The rule, by brute force over every position."""
+    ordered = sorted(set(population))
+    spans = _spans(footprints)
+    allowed = [p for p in range(len(ordered))
+               if not _straddles(ordered[p], spans)]
+    if not allowed:
+        return KeyRangePartitioner.from_keys(population, n).splits
+    cut = []
+    for i in range(1, n):
+        e = i * len(ordered) // n
+        cut.append(ordered[min(allowed, key=lambda p: (abs(p - e), p))])
+    return cut
+
+
+@st.composite
+def populations_and_footprints(draw):
+    """Keys plus footprints drawn from them, padded with values that are
+    not keys (some sort below every key, so no position may be left):
+    footprints overlap, nest and chain, so they often cannot all be
+    separated."""
+    population = draw(keys)
+    value = st.sampled_from(population) | key | st.sampled_from(["", "0"])
+    footprints = draw(st.lists(
+        st.lists(value, min_size=1, max_size=6).map(set), max_size=8,
+    ))
+    return population, footprints, draw(n_shards)
+
+
+@settings(deadline=None, max_examples=300)
+@given(populations_and_footprints())
+def test_footprint_cut_splits_where_no_footprint_straddles(case):
+    population, footprints, n = case
+    part = KeyRangePartitioner.from_footprints(population, footprints, n)
+    assert part.n_shards == n
+    ordered = sorted(population)
+    owners = [part.shard_of(k) for k in ordered]
+    assert all(0 <= o < n for o in owners)
+    assert owners == sorted(owners)
+    spans = _spans(footprints)
+    if any(not _straddles(k, spans) for k in ordered):
+        assert not any(_straddles(s, spans) for s in part.splits)
+    else:
+        assert part.splits == KeyRangePartitioner.from_keys(population, n).splits
+    assert part.splits == _nearest_allowed_cut(population, footprints, n)
+
+
+def test_footprint_cut_of_the_bench_shapes():
+    """Positions among the sorted flights, 4 shards: only the 64-flight
+    groups move (to [0, 64, 64]); runs of 5 already sit between splits."""
+    def cut(views, group, slice_len):
+        flights = [f"FL{i:04d}" for i in range(views // group * slice_len)]
+        slices = [flights[v // group * slice_len:][:slice_len]
+                  for v in range(views)]
+        splits = KeyRangePartitioner.from_footprints(flights, slices, 4).splits
+        return [flights.index(s) for s in splits]
+
+    assert cut(8, 4, 64) == [0, 64, 64]          # weak_readmix
+    assert cut(8, 1, 5) == [10, 20, 30]          # disjoint_push
+    assert cut(8, 2, 5) == [5, 10, 15]           # hot_pairs
+    assert cut(256, 2, 5) == [160, 320, 480]     # open_zipf
+
+
+def test_footprint_cut_keeps_equal_count_when_nothing_is_allowed():
+    population = ["b", "c", "d", "e"]
+    # Reaches below the first key: every position is straddled.
+    part = KeyRangePartitioner.from_footprints(population, [{"a", "e"}], 2)
+    assert part.splits == ["d"]
+    # Without the footprint nothing moves either.
+    assert KeyRangePartitioner.from_footprints(population, [], 3).splits == \
+        KeyRangePartitioner.from_keys(population, 3).splits
+
+
+def test_footprint_cut_does_not_depend_on_the_process():
+    """Same cut in a subprocess with another PYTHONHASHSEED: footprints
+    arrive as sets, whose iteration order is salted per process."""
+    population = [f"FL{i:04d}" for i in range(50)] + ["zeta", "Ω"]
+    footprints = [[f"FL{i:04d}" for i in range(lo, lo + 12)]
+                  for lo in (3, 11, 27, 30)] + [["zeta", "FL0049"]]
+    code = (
+        "import json, sys\n"
+        "from repro.core.sharding import KeyRangePartitioner\n"
+        "population, footprints = json.load(sys.stdin)\n"
+        "p = KeyRangePartitioner.from_footprints(\n"
+        "    population, [set(f) for f in footprints], 5)\n"
+        "print(json.dumps([p.splits, p.fingerprint()]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        input=json.dumps([population, footprints]),
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONHASHSEED="977", PYTHONPATH=src),
+    )
+    here = KeyRangePartitioner.from_footprints(
+        population, [set(f) for f in footprints], 5
+    )
+    assert here.splits != KeyRangePartitioner.from_keys(population, 5).splits
+    assert json.loads(out.stdout) == [here.splits, here.fingerprint()]
 
 
 def test_placement_needs_keys_and_sorted_splits():

@@ -1,12 +1,15 @@
 """Shard-local by default: a plane built with no partitioner keeps a
 conflict group's rounds on one shard.
 
-The liveness cases are strong views sharing runs of flights.  On the
-hash-partitioned default every such view spanned every shard; on the
-key-range default a run that straddles a split point still spans two.
-A spanning acquire takes its shards in ascending index, so any number
-of them, on any split points, on any scheduler setting, must finish
-with the single-dict outcome: one seat gone per reserve.
+The liveness cases are strong views sharing runs of flights.  A plane
+that places keys itself re-cuts its split points off the registered
+footprints at the first data request (``test_placement_cut.py``), so
+the cases that need a run to straddle a split point pass today's
+equal-count cut explicitly (``KeyRangePartitioner.from_keys``): there
+the run spans two shards.  A spanning acquire takes its shards in
+ascending index, so any number of them, on any split points, on any
+scheduler setting, must finish with the single-dict outcome: one seat
+gone per reserve.
 """
 
 import logging
@@ -90,11 +93,18 @@ def _reserve_all(system, db, slices, n_ops, think_time=0.0):
 SLICE = [f"FL{i:04d}" for i in range(5)]
 
 
-def _contend(n_flights, n_views):
+def _equal_count(n_flights, n_shards=4):
+    """Today's equal-count cut of the flights, as an explicit partitioner."""
+    return KeyRangePartitioner.from_keys(
+        [f"FL{i:04d}" for i in range(n_flights)], n_shards
+    )
+
+
+def _contend(n_flights, n_views, partitioner=None):
     """``n_views`` STRONG agents all serving FL0000..FL0004, 50 reserve
     ops each with no think time; returns (seats lost, plane counters,
     the shards the views were routed to)."""
-    db, system = _airline(n_flights)
+    db, system = _airline(n_flights, partitioner=partitioner)
     lost = _reserve_all(system, db, [SLICE] * n_views, OPS)
     counters = system.plane.counters
     footprint = sorted({system.plane.partitioner.shard_of(k) for k in SLICE})
@@ -114,11 +124,12 @@ def test_four_strong_views_on_one_slice_all_finish():
 
 
 def test_slice_straddling_a_split_point_spans_exactly_two_shards():
-    """15 flights over 4 shards cuts at FL0003: the slice FL0000..FL0004
-    straddles it.  An equal-count cut cannot promise alignment with the
-    application's slices — what it promises is adjacency, so a straddling
-    slice costs two shards, not four, and stays correct."""
-    lost, counters, footprint = _contend(n_flights=15, n_views=2)
+    """15 flights cut equal-count over 4 shards split at FL0003: the
+    slice FL0000..FL0004 straddles it.  The cut promises adjacency, so a
+    straddling slice costs two shards, not four, and stays correct."""
+    lost, counters, footprint = _contend(
+        n_flights=15, n_views=2, partitioner=_equal_count(15)
+    )
     assert lost == 2 * OPS
     assert footprint == [0, 1]
     assert counters["cross_shard_rounds"] > 0
@@ -126,8 +137,11 @@ def test_slice_straddling_a_split_point_spans_exactly_two_shards():
 
 
 def test_four_strong_views_straddling_a_split_point():
-    lost, _counters, _footprint = _contend(n_flights=15, n_views=4)
+    lost, _counters, footprint = _contend(
+        n_flights=15, n_views=4, partitioner=_equal_count(15)
+    )
     assert lost == 4 * OPS
+    assert footprint == [0, 1]
 
 
 @settings(deadline=None, max_examples=30)
@@ -149,7 +163,8 @@ def test_strong_views_on_random_split_points_all_finish(
     overlap their neighbours' runs: every reserve completes and costs
     exactly one seat, as on one dict."""
     db, system = _airline(
-        16, n_shards=n_shards, concurrent_rounds=concurrent_rounds,
+        16, partitioner=_equal_count(16, n_shards), n_shards=n_shards,
+        concurrent_rounds=concurrent_rounds,
         coalesce_rounds=coalesce_and_delta, delta=coalesce_and_delta,
     )
     flights = sorted(db.flights)
@@ -168,7 +183,8 @@ def test_four_straddling_strong_views_on_the_composed_aio_stack(wal_root):
     wire = AioTcpTransport(wrap_batches=True)
     top = ReliableTransport(wire)
     db, system = _airline(
-        15, transport=top, codec="binary+zlib", delta=True,
+        15, partitioner=_equal_count(15), transport=top,
+        codec="binary+zlib", delta=True,
         coalesce_rounds=True, concurrent_rounds=0,
         durability=DurabilitySpec(wal_root, fsync="batch"),
     )
@@ -224,10 +240,13 @@ def test_a_shard_error_inside_a_barrier_is_loud(caplog):
         return extract_from_object(store, props)
 
     cells = [f"k{i}" for i in range(8)]
+    # Today's equal-count cut, given explicitly: the footprint cut would
+    # put the whole slice on one shard, and there would be no barrier.
     system = ShardedFleccSystem(
         SimTransport(SimKernel(), default_latency=1.0),
         Store({c: 0 for c in cells}), exploding_extract, merge_into_object,
-        n_shards=2, extract_cells=extract_cells,
+        n_shards=2, partitioner=KeyRangePartitioner.from_keys(cells, 2),
+        extract_cells=extract_cells,
     )
     cm = system.add_view("spanning", Agent(), props_for(cells),
                          extract_from_view, merge_into_view)
@@ -299,7 +318,6 @@ def test_whole_plane_restarts_from_its_manifest_after_the_component_grew(
     cells = [f"k{i:02d}" for i in range(16)]
     store = Store({c: 0 for c in cells})
     system = _durable_plane(wal_root, store)
-    splits = list(system.plane.partitioner.splits)
     agent = Agent()
     cm = system.add_view("v", agent, props_for(cells + ["k16", "k17"]),
                          extract_from_view, merge_into_view, mode="weak")
@@ -315,6 +333,8 @@ def test_whole_plane_restarts_from_its_manifest_after_the_component_grew(
         yield cm.push_image()
 
     run_all_scripts(system.transport, [script()])
+    # The split points as the first data request re-cut them.
+    splits = list(system.plane.partitioner.splits)
     acked = dict(store.cells)
     assert acked["k17"] == 117 and acked["k00"] == 100
     for shard in range(4):
@@ -325,6 +345,7 @@ def test_whole_plane_restarts_from_its_manifest_after_the_component_grew(
 
     rebuilt = _durable_plane(wal_root, store)
     assert rebuilt.plane.partitioner.splits == splits
+    assert rebuilt.plane.router.recut is None  # placed: never re-cut
     assert [dm.durability.spec.name for dm in rebuilt.plane.shards] == \
         [dm.durability.spec.name for dm in system.plane.shards]
     assert {k: v for k, v in store.cells.items() if k.startswith("k")} == acked

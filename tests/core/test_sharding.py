@@ -8,12 +8,18 @@ per key, restart stability — is held in ``test_placement_hypothesis``):
 - a spanning property set run across N shards converges to exactly the
   state a single-shard run of the same workload produces (the
   cross-shard conflict rounds lose no updates).
+
+The planes here are given the equal-count cut explicitly: a plane that
+places keys itself would re-cut it off the spanning footprints at the
+first data request and put every view on one shard
+(``test_placement_cut``).
 """
 
 import pytest
 
 from repro.core import FleccSystem, ShardedFleccSystem
 from repro.core import messages as M
+from repro.core.sharding import KeyRangePartitioner
 from repro.core.system import run_all_scripts
 from repro.net import Message, SimTransport
 from repro.net.message import reset_message_ids
@@ -53,7 +59,9 @@ def _build(n_shards, cells=CELLS, record=None):
     else:
         system = ShardedFleccSystem(
             transport, store, extract_from_object, merge_into_object,
-            n_shards=n_shards, extract_cells=extract_cells,
+            n_shards=n_shards,
+            partitioner=KeyRangePartitioner.from_keys(cells, n_shards),
+            extract_cells=extract_cells,
         )
     return transport, store, system
 
