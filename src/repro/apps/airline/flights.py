@@ -8,8 +8,9 @@ the sharing structure the paper's Fig 4 experiment sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Collection, Dict, Iterable, List, Optional
 
+from repro.core.domains import DiscreteSet
 from repro.core.image import ObjectImage
 from repro.core.property import Property
 from repro.core.property_set import PropertySet
@@ -141,13 +142,23 @@ def _flight_index(number: str) -> Optional[int]:
     return None
 
 
-def _served_numbers(db_or_all: Iterable[str], props: PropertySet) -> List[str]:
+def _served_numbers(present: Collection[str], props: PropertySet) -> List[str]:
+    """The flight numbers among ``present`` that ``props`` selects, sorted."""
     by_name = props.get("Flights")
     by_index = props.get("FlightIndex")
     if by_name is None and by_index is None:
-        return sorted(db_or_all)
+        return sorted(present)
+    if by_index is None and isinstance(by_name.domain, DiscreteSet):
+        # A named slice: walk the smaller of it and ``present`` (the
+        # slice against a whole database, the keys of a delta serve
+        # against their slice), looking each up in the other.
+        values = by_name.domain.values
+        walk, look = (
+            (values, present) if len(values) < len(present) else (present, values)
+        )
+        return sorted(n for n in walk if n in look)
     out = []
-    for n in db_or_all:
+    for n in present:
         if by_name is not None and by_name.domain.contains(n):
             out.append(n)
             continue
@@ -172,7 +183,7 @@ def extract_cells_from_database(
     """Partial extract for delta serves: only ``keys``, no full scan."""
     img = ObjectImage()
     for number in _served_numbers(
-        (k for k in keys if k in db.flights), props
+        {k for k in keys if k in db.flights}, props
     ):
         img.cells[number] = db.flights[number].to_cell()
     return img

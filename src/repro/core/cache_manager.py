@@ -116,6 +116,11 @@ class _CompletionLock:
         if nxt is not None:
             nxt.resolve(None)
 
+    def abandon(self) -> None:
+        """Forget every waiter: their callbacks are never run."""
+        with self._lock:
+            self._queue.clear()
+
 
 class CacheManager:
     """Per-view protocol engine + application API."""
@@ -801,6 +806,11 @@ class CacheManager:
             self._closed = True
             self.registered = False
             self._stop_timers()
+            # No reply reaches a closed endpoint, so nothing waiting on
+            # one (or on the use lock) can finish; dropping the waiters
+            # drops their callbacks, which hold this manager.
+            self._pending.clear()
+        self._use_lock.abandon()
         self.endpoint.close()
 
     # ------------------------------------------------------------------

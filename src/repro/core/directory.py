@@ -203,6 +203,17 @@ class QuarantinedView:
         return getattr(self.record, name)
 
 
+def _properties_in(
+    views: Dict[str, ViewRecord]
+) -> Callable[[str], Optional[PropertySet]]:
+    """The conflict policy's ``properties_of`` over a live registry."""
+    def properties_of(view_id: str) -> Optional[PropertySet]:
+        rec = views.get(view_id)
+        return rec.properties if rec else None
+
+    return properties_of
+
+
 @dataclass
 class _PendingOp:
     """A queued multi-message operation.
@@ -335,8 +346,10 @@ class DirectoryManager:
         self._slice_index: Dict[str, tuple] = {}
         self._known_keys: set = set()
         # Conflict policy: maintains the property-key inverted index
-        # and the conflict-set memo over this registry.
-        self.policy = ConflictPolicy(static_map, self._properties_of)
+        # and the conflict-set memo over this registry.  It reads the
+        # registry, not the manager: a bound method here would make the
+        # manager a reference cycle that outlives close().
+        self.policy = ConflictPolicy(static_map, _properties_in(self.views))
         # Maintained activity sets, kept in step with the flags by
         # _set_activity: who is active, and who holds strong-mode
         # exclusivity, without registry scans.
@@ -410,10 +423,6 @@ class DirectoryManager:
     # ------------------------------------------------------------------
     # Introspection used by experiments / QualityProbe
     # ------------------------------------------------------------------
-    def _properties_of(self, view_id: str) -> Optional[PropertySet]:
-        rec = self.views.get(view_id)
-        return rec.properties if rec else None
-
     def seen_versions_of(self, view_id: str) -> VersionVector:
         rec = self.views.get(view_id)
         return rec.seen if rec else VersionVector()

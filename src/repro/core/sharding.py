@@ -953,6 +953,7 @@ class ShardRouter(LayeredTransport):
 
     def close(self) -> None:
         self._closed = True
+        self.recut = None  # the plane's bound method: a cycle through it
         super().close()  # closes router endpoints -> unbinds inner ones
         # The inner transport is shared with the shards; its owner
         # (the plane / the caller) closes it.

@@ -174,6 +174,9 @@ def _run_log_thread() -> None:
     while True:
         writer, offset, records = _fsync_requests.get()
         writer._run_fsync(offset, records)
+        # Not bound while blocked on the next request: the last writer
+        # of a closed log would stay reachable from this thread.
+        del writer
 
 
 def _request_fsync(writer: "WalWriter", offset: int, records: int) -> None:

@@ -59,7 +59,7 @@ import struct
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.errors import CodecError, TransportError
 from repro.net.binary_codec import codec_name, resolve_codec
@@ -70,6 +70,13 @@ _log = logging.getLogger(__name__)
 
 _LEN = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024
+
+# Bytes one socket read asks for.  asyncio's selector transports ask for
+# 256 KiB, and glibc serves an allocation that size with mmap until some
+# earlier free in the process has raised its mmap threshold, so every
+# read then costs an mmap, page faults and a munmap.  64 KiB stays on
+# the heap.
+_READ_BYTES = 64 * 1024
 
 # Most messages the writer coalesces into one ``drain()``.
 MAX_FLUSH = 128
@@ -315,6 +322,7 @@ class AioTcpTransport(Transport):
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._server_writers.add(writer)
+        writer.transport.max_size = _READ_BYTES  # see _READ_BYTES
         codec = self.codec
         try:
             while True:
@@ -547,10 +555,14 @@ class AioTcpTransport(Transport):
     def schedule(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
         self._ensure_loop()
         loop = self._loop
-        state: Dict[str, Any] = {"cancelled": False, "handle": None}
+        # ``run`` (which the loop's handle holds) sees the cancelled
+        # flag but never the handle: handle -> run -> handle would be a
+        # cycle outliving every timer the loop dropped unrun at close.
+        cancelled = False
+        handle: Optional[asyncio.Handle] = None
 
         def run() -> None:
-            if state["cancelled"] or self._closed:
+            if cancelled or self._closed:
                 return
             try:
                 fn()
@@ -561,22 +573,25 @@ class AioTcpTransport(Transport):
                     raise
 
         def create() -> None:
-            if not state["cancelled"]:
-                state["handle"] = (
+            nonlocal handle
+            if not cancelled:
+                handle = (
                     loop.call_later(delay / TIME_SCALE, run)
                     if delay > 0 else loop.call_soon(run)
                 )
 
+        def drop() -> None:
+            if handle is not None:
+                handle.cancel()
+
         def cancel() -> None:
-            state["cancelled"] = True
+            nonlocal cancelled
+            cancelled = True
             if threading.get_ident() == self._loop_tid:
-                if state["handle"] is not None:
-                    state["handle"].cancel()
+                drop()
                 return
             try:
-                loop.call_soon_threadsafe(
-                    lambda: state["handle"] and state["handle"].cancel()
-                )
+                loop.call_soon_threadsafe(drop)
             except RuntimeError:
                 pass
 
@@ -628,7 +643,10 @@ class AioTcpTransport(Transport):
             except (asyncio.CancelledError, Exception):
                 pass
         if self._server is not None:
+            # The server holds its protocol factory, a bound method of
+            # ours: dropping it breaks that cycle.
             self._server.close()
+            self._server = None
         for writer in list(self._server_writers):
             try:
                 writer.close()

@@ -6,21 +6,28 @@ experiments run on a LAN.  :class:`Topology` carries per-link latency
 and security attributes; the simulated transport reads end-to-end
 latency from shortest paths, and the PSF planner reads link security to
 decide where encryptor/decryptor pairs go.
+
+networkx is imported when a topology is built, not with this module:
+the coherence protocol and the socket transports never read a graph,
+so a process that runs only them never loads it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Tuple
 
 from repro.errors import TransportError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Topology:
     """An undirected graph of named nodes and attributed links."""
 
     def __init__(self) -> None:
+        import networkx as nx
+
         self._g = nx.Graph()
         self._path_cache: Dict[Tuple[str, str], Tuple[float, List[str]]] = {}
 
@@ -70,6 +77,8 @@ class Topology:
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
+        import networkx as nx
+
         try:
             length, nodes = nx.single_source_dijkstra(
                 self._g, src, dst, weight="latency"

@@ -69,11 +69,18 @@ class TimerHandle:
             self._cancel_fn()
 
 
+def _closed_handler(msg: Message) -> None:
+    """A closed endpoint's handler: a late delivery does nothing."""
+
+
 class Endpoint:
     """A named attachment point on a transport.
 
     Incoming messages addressed to ``address`` are dispatched to the
     ``handler`` callback.  ``send`` routes through the owning transport.
+    Closing drops the handler: it is usually a bound method of the
+    endpoint's owner, which holds the endpoint, and that cycle would
+    keep a closed owner alive until the cyclic collector ran.
     """
 
     def __init__(self, transport: "Transport", address: str, handler: MessageHandler):
@@ -94,6 +101,7 @@ class Endpoint:
     def close(self) -> None:
         if not self.closed:
             self.closed = True
+            self.handler = _closed_handler
             self.transport._unbind(self.address)
 
     def __repr__(self) -> str:  # pragma: no cover

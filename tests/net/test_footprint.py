@@ -1,0 +1,78 @@
+"""What a socket plane carries: no networkx, and nothing left for the
+cyclic collector once it is closed.
+
+Only a :class:`~repro.net.topology.Topology` (the simulator, the PSF
+planner, Fig 1) needs networkx, so it is imported when one is built.
+Every check runs in a fresh interpreter: a module another test already
+imported, or garbage another test left, would hide what is measured.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _python(code: str, timeout: float = 120.0) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=timeout, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT)])),
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    return proc.stdout
+
+
+def test_library_and_socket_stacks_do_not_import_networkx():
+    out = _python(
+        "import sys\n"
+        "import repro, repro.core, repro.net, repro.core.sharding\n"
+        "import repro.net.aio_transport, repro.net.reliability\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    assert out.split() == ["False"]
+
+
+def test_a_topology_still_imports_networkx_when_built():
+    out = _python(
+        "import sys\n"
+        "from repro.net.topology import lan_topology\n"
+        "before = 'networkx' in sys.modules\n"
+        "topo = lan_topology(['a', 'b'])\n"
+        "print(before, 'networkx' in sys.modules, topo.latency('a', 'b'),\n"
+        "      type(topo.graph).__name__)\n"
+    )
+    assert out.split() == ["False", "True", "1.0", "Graph"]
+
+
+def test_composed_plane_runs_with_networkx_blocked(tmp_path):
+    out = _python(
+        "import sys\n"
+        "sys.modules['networkx'] = None  # any import of it now fails\n"
+        "from tests.net.composed_rig import build_composed, drive\n"
+        f"system, top, store = build_composed({str(tmp_path)!r})\n"
+        "try:\n"
+        "    drive(system, store)\n"
+        "    system.plane.check_invariants()\n"
+        "finally:\n"
+        "    system.close()\n"
+        "    top.close()\n"
+        "print(sorted(system.plane.counters.items()))\n"
+    )
+    assert "('commits'," in out
+
+
+def test_a_closed_plane_is_freed_by_reference_counting(tmp_path):
+    out = _python(
+        "import json\n"
+        "from tests.net.composed_rig import leftovers\n"
+        f"print(json.dumps(leftovers({str(tmp_path)!r})))\n"
+    )
+    left = json.loads(out.splitlines()[-1])
+    assert left == {"alive": [], "cyclic": []}, (
+        "outlived close() and del: " + json.dumps(left)
+    )
