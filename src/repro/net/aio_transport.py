@@ -17,25 +17,32 @@ the codec it opened with.
 Machinery:
 
 - **Multiplexing** — all endpoints bound on one transport share a
-  single asyncio server and a single mux connection; ``bind`` is a
+  single listening socket and a single mux connection; ``bind`` is a
   dict insert, not a socket.  10k endpoints cost 10k dict entries and
   one socket pair.
 - **Write coalescing** — the writer coroutine drains whatever has
   queued since the last flush and ships it in one ``write()`` +
   ``drain()``; with ``wrap_batches=True`` adjacent messages are
   additionally wrapped in one ``BATCH`` envelope, paying one codec
-  pass and one frame for the whole flush.  Just before it drains, the
-  writer runs the hooks :meth:`AioTcpTransport.at_flush` collected, so
-  a layer above can hand everything it gathered in the loop turn to
-  that same flush.  Hooks are the transport's, not a connection's: a
-  link that dies with hooks pending is replaced at once, and its
-  successor runs them.
+  pass and one frame for the whole flush.
+- **Replay** — the server reads each connection with an
+  :class:`asyncio.Protocol` that decodes a frame and delivers it in the
+  callback that read it, counting the frame as consumed just before.
+  The mux link keeps every frame it wrote until then.  When the link
+  dies (the server dropped it, or the socket failed), its replacement
+  aborts the old server connection on the loop thread and then
+  re-sends, in order and as encoded, the frames that connection never
+  consumed, then the messages still queued, then anything sent since.
+  So the link loses and duplicates nothing while the transport lives,
+  which is what :attr:`AioTcpTransport.reliable` states.  A frame the
+  server cannot decode counts as consumed: it is listed under
+  :data:`BAD_FRAME`, costs its connection, and is never re-sent.
 - **Backpressure** — the send queue is bounded (``max_queue``).  A
   send against a full queue is *refused* with a ``TransportError``
-  and counted in ``stats.backpressure_stalls``; stacked layers that
-  already handle lossy links (``ReliableTransport`` catches the error
-  and recovers via its retransmit timer) turn that refusal into flow
-  control instead of unbounded buffering.
+  and counted in ``stats.backpressure_stalls``; a layer above turns
+  that refusal into flow control instead of unbounded buffering
+  (``ReliableTransport`` keeps refused sends in order and offers them
+  again on its backoff timer).
 
 Threaded callers are first-class: ``send``/``schedule``/``close`` may
 be called from any thread (``call_soon_threadsafe`` carries them onto
@@ -55,11 +62,12 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import socket
 import struct
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import CodecError, TransportError
 from repro.net.binary_codec import codec_name, resolve_codec
@@ -177,7 +185,8 @@ class ThreadCompletion(Completion):
 
 
 class _Link:
-    """The mux connection: one bounded queue + one writer coroutine."""
+    """The mux connection: one bounded queue, one writer coroutine, and
+    the frames written that its server connection has not consumed."""
 
     def __init__(self, max_queue: int) -> None:
         self.max_queue = max_queue
@@ -189,6 +198,131 @@ class _Link:
         self.wake = asyncio.Event()
         self.task: Optional[asyncio.Task] = None
         self.error: Optional[BaseException] = None
+        # Encoded frames, length prefix included, in write order: written
+        # (or, carried over from a dead link, to be written first on
+        # connect) and not yet consumed by the server side.  Loop thread.
+        self.unconsumed: Deque[bytes] = deque()
+        # The accepted end of this link's connection, once it is known.
+        self.server: Optional["_ServerConn"] = None
+        # Set (under ``lock``) when a replacement takes the queue over:
+        # a send that still holds this link must go to its successor.
+        self.retired = False
+
+
+class _ServerConn(asyncio.Protocol):
+    """One accepted connection.  Frames are decoded and delivered in the
+    callback that read them, each counted as consumed just before; on
+    the mux link's own connection that pops the link's oldest
+    unconsumed frame, so a replacement re-sends exactly the frames this
+    connection never delivered."""
+
+    def __init__(self, owner: "AioTcpTransport") -> None:
+        self.owner: Optional["AioTcpTransport"] = owner
+        self.codec = owner.codec
+        self.transport: Optional[asyncio.Transport] = None
+        self.link: Optional[_Link] = None
+        self.claimed = False
+        # A frame split across reads: its chunks, their total length and
+        # the bytes needed before anything more can be read.
+        self.parts: List[bytes] = []
+        self.have = 0
+        self.need = 0
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        transport.max_size = _READ_BYTES  # type: ignore[attr-defined]
+        owner = self.owner
+        owner._server_conns.add(self)
+        if transport.get_extra_info("peername") in owner._dialled:
+            self._claim()
+
+    def _claim(self) -> None:
+        """Find the link this connection serves; the link's writer
+        registered it before writing, so by the first frame it is known.
+        A raw-socket peer has none."""
+        self.claimed = True
+        link = self.owner._dialled.pop(
+            self.transport.get_extra_info("peername"), None)
+        if link is None:
+            return
+        if link.retired:  # replaced before it was accepted: re-sent there
+            self.transport.abort()
+            return
+        link.server = self
+        self.link = link
+
+    def abort(self) -> None:
+        """Drop the connection at once: nothing more is read or delivered."""
+        if self.transport is not None:
+            self.transport.abort()
+
+    def data_received(self, data: bytes) -> None:
+        if not self.claimed:
+            self._claim()
+            if self.transport.is_closing():
+                return
+        if self.parts:
+            self.parts.append(data)
+            self.have += len(data)
+            if self.have < self.need:
+                return
+            data = b"".join(self.parts)
+            self.parts = []
+        owner, decode, link = self.owner, self.codec.decode, self.link
+        off, end, size = 0, len(data), _LEN.size
+        while True:
+            if end - off < size:
+                need = size
+                break
+            (length,) = _LEN.unpack_from(data, off)
+            stop = off + size + length
+            if length > _MAX_FRAME:
+                self._bad(link, TransportError(f"frame too large: {length}"))
+                return
+            if stop > end:
+                need = stop - off
+                break
+            raw = data[off + size:stop]
+            off = stop
+            if link is not None:
+                link.unconsumed.popleft()
+            try:
+                owner._deliver(decode(raw))
+            except CodecError as exc:  # undecodable, or a BATCH unsplit
+                self._bad(None, exc)
+                return
+            if self.transport.is_closing():
+                return
+        if off < end:
+            self.parts = [data[off:] if off else data]
+            self.have, self.need = end - off, need
+
+    def _bad(self, link: Optional[_Link], exc: BaseException) -> None:
+        """The stream cannot be re-synchronised after a bad frame, so the
+        connection goes — and with it everything multiplexed on it,
+        which is why it must not go quietly.  The frame counts as
+        consumed (``link``: pop it now), so it is never re-sent."""
+        if link is not None:
+            link.unconsumed.popleft()
+        self.owner.handler_errors.append((BAD_FRAME, exc))
+        _log.warning(
+            "dropping connection from %s: %s",
+            self.transport.get_extra_info("peername"), exc,
+        )
+        self.transport.close()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        # Break every reference back: the link and the transport outlive
+        # a connection only as long as something else holds them.
+        self.owner._server_conns.discard(self)
+        link = self.link
+        if link is not None and link.server is self:
+            link.server = None
+        self.owner = self.link = self.transport = None
+        self.parts = []
+        if not self.lost.done():
+            self.lost.set_result(None)
 
 
 def _link_read_done(read: asyncio.Future, link: _Link) -> None:
@@ -232,14 +366,17 @@ class AioTcpTransport(Transport):
         # there, and on it send/schedule/cancel touch the loop directly
         # instead of paying call_soon_threadsafe's self-pipe write.
         self._loop_tid: Optional[int] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._server_writers: set = set()
+        # The listening socket, and the accepted connections still being
+        # wrapped in a _ServerConn (close() waits for them).
+        self._listener: Optional[socket.socket] = None
+        self._accepting: Set[asyncio.Task] = set()
+        # Accepted connections, and the mux links that dialled one but
+        # are not yet claimed by it, keyed by the link's local address.
+        # Both loop thread only.
+        self._server_conns: Set[_ServerConn] = set()
+        self._dialled: Dict[Tuple[str, int], _Link] = {}
         self._port: Optional[int] = None
         self._link: Optional[_Link] = None
-        # at_flush hooks the live link's writer runs before its next
-        # drain (guarded by _hooks_lock: any thread may add one).
-        self._hooks: List[Callable[[], None]] = []
-        self._hooks_lock = threading.Lock()
         # Writer gate for deterministic backpressure tests: cleared by
         # pause_writes(), the writer coroutine parks before its next
         # flush until resume_writes().
@@ -262,6 +399,14 @@ class AioTcpTransport(Transport):
         self.codec = resolve_codec(codec)
         self.codec.stats = self.stats
         self._reset_link()
+
+    @property
+    def reliable(self) -> bool:
+        """True: while the transport lives, every frame the mux link
+        accepts is delivered exactly once and in send order, across
+        dead connections too (see *Replay* above).  Only a send to an
+        address not bound here is lost, as on any backend."""
+        return True
 
     @property
     def preferred_codec(self) -> str:
@@ -307,49 +452,36 @@ class AioTcpTransport(Transport):
             loop.close()
 
     async def _start_server(self) -> int:
-        self._server = await asyncio.start_server(
-            self._serve_conn, "127.0.0.1", 0
-        )
-        return self._server.sockets[0].getsockname()[1]
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(128)
+        listener.setblocking(False)
+        self._listener = listener
+        asyncio.get_running_loop().add_reader(listener.fileno(), self._accept)
+        return listener.getsockname()[1]
+
+    def _accept(self) -> None:
+        """Accept what is pending and wrap each connection in a
+        :class:`_ServerConn`.  Not an asyncio server: closing one while
+        an accepted socket waits for its transport leaks that socket."""
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+                return
+            conn.setblocking(False)
+            task = loop.create_task(loop.connect_accepted_socket(
+                lambda: _ServerConn(self), conn))
+            self._accepting.add(task)
+            task.add_done_callback(self._accepting.discard)
 
     @property
     def port(self) -> Optional[int]:
         """The shared server port (None until the loop has started)."""
         return self._port
 
-    # -- server side ------------------------------------------------------
-    async def _serve_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._server_writers.add(writer)
-        writer.transport.max_size = _READ_BYTES  # see _READ_BYTES
-        codec = self.codec
-        try:
-            while True:
-                header = await reader.readexactly(_LEN.size)
-                (length,) = _LEN.unpack(header)
-                if length > _MAX_FRAME:
-                    raise TransportError(f"frame too large: {length}")
-                msg = codec.decode(await reader.readexactly(length))
-                self._deliver(msg)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        except (TransportError, CodecError) as exc:
-            # The stream cannot be re-synchronised after a bad frame, so
-            # the connection goes — and with it everything multiplexed
-            # on it, which is why it must not go quietly.
-            self.handler_errors.append((BAD_FRAME, exc))
-            _log.warning(
-                "dropping connection from %s: %s",
-                writer.get_extra_info("peername"), exc,
-            )
-        finally:
-            self._server_writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:
-                pass
-
+    # -- server side (see _ServerConn) ------------------------------------
     def _invoke(self, ep: Endpoint, msg: Message) -> None:
         """Handler exceptions are recorded, not propagated — one bad
         handler must not tear down the shared mux connection."""
@@ -359,8 +491,10 @@ class AioTcpTransport(Transport):
             self.handler_errors.append((msg.msg_type, exc))
 
     # -- client (writer) side ---------------------------------------------
-    async def _run_link(self, link: _Link) -> None:
+    async def _run_link(self, link: _Link, dead: Optional[_Link]) -> None:
         link.task = asyncio.current_task()
+        if dead is not None:
+            self._take_over(link, dead)
         codec = self.codec
         try:
             reader, writer = await asyncio.open_connection(
@@ -369,52 +503,82 @@ class AioTcpTransport(Transport):
         except OSError as exc:
             link.error = exc
             return
+        # Registered before the first write, so the server side finds it
+        # by the time it reads a frame.
+        self._dialled[writer.get_extra_info("sockname")] = link
         closed: Optional[asyncio.Future] = None
+        msgs: List[Message] = []
         try:
             # The server never writes, so a read that returns means the
             # connection is gone: wake the writer to retire the link
             # before it writes into a dead socket.
             closed = asyncio.ensure_future(reader.read(1))
             closed.add_done_callback(lambda f: _link_read_done(f, link))
+            if link.unconsumed:
+                writer.write(b"".join(link.unconsumed))
             while True:
-                while not link.queue and not self._hooks and not closed.done():
+                while not link.queue and not closed.done():
                     link.wake.clear()
                     await link.wake.wait()
                 await self._gate.wait()
                 if closed.done():
                     raise ConnectionResetError("connection closed by the server")
-                if self._hooks:
-                    with self._hooks_lock:
-                        hooks, self._hooks = self._hooks, []
-                    for fn in hooks:
-                        fn()
-                msgs: List[Message] = []
                 with link.lock:
                     while link.queue and len(msgs) < MAX_FLUSH:
                         msgs.append(link.queue.popleft())
                 if not msgs:
                     continue
-                writer.write(self._encode_flush(msgs, codec))
+                frames = self._encode_flush(msgs, codec)
+                n, msgs = len(msgs), []
+                link.unconsumed.extend(frames)
+                writer.write(b"".join(frames))
                 await writer.drain()
-                if len(msgs) > 1:
-                    self.stats.record_coalesced_flush(len(msgs) - 1)
+                if n > 1:
+                    self.stats.record_coalesced_flush(n - 1)
         except asyncio.CancelledError:
             raise
         except (ConnectionError, OSError, CodecError, TransportError) as exc:
             link.error = exc
-            if self._hooks and not self._closed:
-                # Nothing else may send soon: the hooks get a link now.
-                self._wake(self._link_for())
+            for m in msgs:  # a flush that failed to encode is lost
+                self.stats.record_drop(m)
+            if not self._closed and (link.unconsumed or link.queue):
+                # Nothing else may send soon: what the link leaves
+                # behind gets its replacement now.
+                self._link_for()
         finally:
             if closed is not None and not closed.done():
                 closed.cancel()
+            writer.close()
             try:
-                writer.close()
-            except Exception:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
                 pass
 
-    def _encode_flush(self, msgs: List[Message], codec: Any) -> bytes:
-        """Encode one flush worth of messages into wire bytes.
+    def _take_over(self, link: _Link, dead: _Link) -> None:
+        """Hand what ``dead`` did not deliver to its replacement ``link``
+        (on the loop thread, before ``link`` connects): the frames its
+        server connection never consumed, re-sent first as encoded, then
+        its queue, ahead of anything sent to ``link`` since.  The old
+        server connection is aborted first, so it delivers none of them."""
+        if dead.server is not None:
+            dead.server.abort()
+        with dead.lock:
+            # Not yet claimed, its server connection aborts when it is.
+            dead.retired = True
+            stranded = list(dead.queue)
+            dead.queue.clear()
+        link.unconsumed, dead.unconsumed = dead.unconsumed, link.unconsumed
+        if stranded:
+            with link.lock:
+                link.queue.extendleft(reversed(stranded))
+        _log.warning(
+            "mux link lost (%s): reconnecting, re-sending %d unconsumed "
+            "frame(s) and %d queued message(s)",
+            dead.error, len(link.unconsumed), len(stranded),
+        )
+
+    def _encode_flush(self, msgs: List[Message], codec: Any) -> List[bytes]:
+        """Encode one flush worth of messages into wire frames.
 
         Stats contract: each logical message is recorded exactly once
         (identical ``by_type``/``by_pair``/``total`` to the sim
@@ -434,21 +598,22 @@ class AioTcpTransport(Transport):
             stats.bytes_sent += len(raw)
             stats.batches_sent += 1
             stats.messages_coalesced += len(msgs)
-            return _LEN.pack(len(raw)) + raw
-        parts: List[bytes] = []
+            return [_LEN.pack(len(raw)) + raw]
+        frames: List[bytes] = []
         for m in msgs:
             t0 = time.perf_counter_ns()
             raw = codec.encode(m)
             size = len(raw)
             stats.record_encode(size, time.perf_counter_ns() - t0)
             stats.record(m, size=size)
-            parts.append(_LEN.pack(size) + raw)
-        return b"".join(parts)
+            frames.append(_LEN.pack(size) + raw)
+        return frames
 
     def _link_for(self) -> _Link:
-        """The live mux link; a link whose writer has died (connection
+        """The live mux link.  A link whose writer has died (connection
         refused, reset or closed by the server) is replaced here, by the
-        next send, and what was still queued on it counts as dropped."""
+        next send or by the dying writer itself when it leaves frames or
+        messages behind; the replacement takes them over."""
         link = self._link
         if link is not None and link.error is None:
             return link
@@ -458,20 +623,9 @@ class AioTcpTransport(Transport):
                 return dead
             link = _Link(self.max_queue)
             self._link = link
-        if dead is not None:
-            with dead.lock:
-                stranded = list(dead.queue)
-                dead.queue.clear()
-            for m in stranded:
-                self.stats.record(m)
-                self.stats.record_drop(m)
-            _log.warning(
-                "mux link lost (%s): reconnecting, %d queued message(s) "
-                "dropped", dead.error, len(stranded),
-            )
         loop = self._loop
         assert loop is not None  # _ensure_loop ran first
-        asyncio.run_coroutine_threadsafe(self._run_link(link), loop)
+        asyncio.run_coroutine_threadsafe(self._run_link(link, dead), loop)
         return link
 
     def _reset_link(self) -> None:
@@ -518,27 +672,23 @@ class AioTcpTransport(Transport):
             self.stats.record_drop(msg)
             return
         self._ensure_loop()
-        link = self._link_for()
-        with link.lock:
-            if len(link.queue) >= link.max_queue:
-                self.stats.record_backpressure_stall()
-                raise TransportError(
-                    f"send queue full ({link.max_queue}) for {msg.msg_type} "
-                    f"{msg.src}->{msg.dst}: receiver is slower than sender"
-                )
-            link.queue.append(msg)
-            depth = len(link.queue)
+        while True:
+            link = self._link_for()
+            with link.lock:
+                if link.retired:
+                    continue  # taken over meanwhile: its successor's turn
+                if len(link.queue) >= link.max_queue:
+                    self.stats.record_backpressure_stall()
+                    raise TransportError(
+                        f"send queue full ({link.max_queue}) for "
+                        f"{msg.msg_type} {msg.src}->{msg.dst}: receiver is "
+                        f"slower than sender"
+                    )
+                link.queue.append(msg)
+                depth = len(link.queue)
+            break
         self.stats.record_queue_depth(depth)
         self._wake(link)
-
-    def at_flush(self, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` in the link writer, just before its next drain."""
-        if self._closed:
-            raise TransportError("transport closed")
-        self._ensure_loop()
-        with self._hooks_lock:
-            self._hooks.append(fn)
-        self._wake(self._link_for())
 
     def _wake(self, link: _Link) -> None:
         if threading.get_ident() == self._loop_tid:
@@ -598,8 +748,10 @@ class AioTcpTransport(Transport):
         try:
             if threading.get_ident() == self._loop_tid:
                 create()
-            else:
+            elif delay > 0:
                 loop.call_soon_threadsafe(create)
+            else:  # one loop turn, not two: ``run`` itself is the callback
+                handle = loop.call_soon_threadsafe(run)
         except RuntimeError:
             raise TransportError("transport closed")
         return TimerHandle(cancel)
@@ -617,10 +769,10 @@ class AioTcpTransport(Transport):
             return
         if thread is threading.current_thread():
             # close() from a handler/timer on the loop itself: blocking
-            # on the shutdown future would deadlock — fire and return
-            # (run_forever's finally cancels whatever remains).
-            loop.create_task(self._shutdown())
-            loop.call_soon(loop.stop)
+            # on the shutdown would deadlock — the loop stops once it is
+            # done.
+            loop.create_task(self._shutdown()).add_done_callback(
+                lambda _task: loop.stop())
             return
         try:
             fut = asyncio.run_coroutine_threadsafe(self._shutdown(), loop)
@@ -635,20 +787,27 @@ class AioTcpTransport(Transport):
             thread.join(join_timeout)
 
     async def _shutdown(self) -> None:
+        """Stop the writer and the server, and let every connection
+        finish closing before the loop stops: a socket left to the
+        garbage collector would be reported as unclosed."""
         link = self._link
         if link is not None and link.task is not None:
             link.task.cancel()
             try:
-                await link.task
+                await link.task  # its writer closes on the way out
             except (asyncio.CancelledError, Exception):
                 pass
-        if self._server is not None:
-            # The server holds its protocol factory, a bound method of
-            # ours: dropping it breaks that cycle.
-            self._server.close()
-            self._server = None
-        for writer in list(self._server_writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            # The loop's reader holds our accept method: removing it
+            # breaks that cycle.
+            asyncio.get_running_loop().remove_reader(listener.fileno())
+            listener.close()
+        if self._accepting:
+            await asyncio.wait(list(self._accepting), timeout=1.0)
+        conns = list(self._server_conns)
+        for conn in conns:
+            conn.abort()
+        if conns:
+            await asyncio.wait([conn.lost for conn in conns], timeout=1.0)
+        self._dialled.clear()

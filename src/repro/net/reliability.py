@@ -67,6 +67,16 @@ per flight:
   scan is put off once, by a quarter of ``ack_timeout``, before
   anything is declared lost.
 
+Over a reliable inner transport (:attr:`Transport.reliable`, e.g. the
+aio link, which replays what a dropped connection did not deliver) the
+sublayer steps aside, as the end-to-end argument asks (Saltzer, Reed &
+Clark, 1984): it binds each endpoint on the inner transport under its
+own address and forwards every send, with no flights, ACKs, timer or
+dedup.  Only the inner transport's refusal of a send for backpressure
+is still its business: the refused message and every later one wait
+in order in an overflow, offered again on the retransmission backoff
+until :data:`MAX_ATTEMPTS` runs out, so refusal stays flow control.
+
 Threads: ``send`` may be called from any thread while the inner
 transport's delivery thread runs the flush, ACK and timer paths; one
 lock guards the sublayer's state and is never held across
@@ -86,9 +96,9 @@ message, so there they count messages as well.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net.message import R_ACK, R_DATA, Message, read_messages
@@ -208,6 +218,9 @@ class ReliableTransport(LayeredTransport):
     messages on the inner transport, so they ride whatever codec the
     inner transport speaks.  ``ack_timeout`` is the initial and minimum
     retransmission timeout; ``seed`` seeds the retransmission jitter.
+
+    Over an inner transport that is itself reliable the endpoints bind
+    on it directly and sends are forwarded (see the module docstring).
     """
 
     def __init__(
@@ -248,6 +261,19 @@ class ReliableTransport(LayeredTransport):
         self._owed: Dict[Conn, Tuple[str, List[Any]]] = {}
         self._acks_armed = False
         self._closed = False
+        # The step-aside: over a reliable inner transport, the inner
+        # endpoint each of ours is bound as, and the sends the inner
+        # transport refused (with every later one), in send order, with
+        # the attempt count of the oldest.
+        self._forward = inner.reliable
+        self._inner_eps: Dict[str, Endpoint] = {}
+        self._overflow: Deque[Message] = deque()
+        self._overflow_attempt = 1
+
+    @property
+    def reliable(self) -> bool:
+        """True: this is what the sublayer provides, over any inner."""
+        return True
 
     # -- control endpoints -------------------------------------------------
     @staticmethod
@@ -269,10 +295,24 @@ class ReliableTransport(LayeredTransport):
                 self.inner.place(name, node)
         return ep.address
 
+    def _on_bind(self, ep: Endpoint) -> None:
+        if self._forward:
+            self._inner_eps[ep.address] = self.inner.bind(ep.address, ep.handler)
+
     def _on_unbind(self, ep: Endpoint) -> None:
         """Take the closed address's messages out of the gathering and
-        out of unacknowledged flights; an emptied flight is abandoned."""
+        out of unacknowledged flights; an emptied flight is abandoned.
+        Forwarding, its inner endpoint closes and its refused sends go."""
         addr = ep.address
+        if self._forward:
+            inner_ep = self._inner_eps.pop(addr, None)
+            if inner_ep is not None:
+                inner_ep.close()
+            with self._lock:
+                if any(m.src == addr for m in self._overflow):
+                    self._overflow = deque(
+                        m for m in self._overflow if m.src != addr)
+            return
         with self._lock:
             for conn, box in list(self._outbox.items()):
                 kept = [m for m in box if m.src != addr]
@@ -303,6 +343,9 @@ class ReliableTransport(LayeredTransport):
     def send(self, msg: Message) -> None:
         if self._closed:
             raise TransportError("reliable transport closed")
+        if self._forward:
+            self._pass(msg)
+            return
         with self._lock:
             # Logical accounting: what the protocol sent, envelope-free.
             self.stats.record(msg)
@@ -316,6 +359,60 @@ class ReliableTransport(LayeredTransport):
                 return
             self._flush_armed = True
         self.inner.at_flush(self._flush)
+
+    def _pass(self, msg: Message) -> None:
+        """Forward ``msg`` to the reliable inner transport, behind any
+        send it refused before."""
+        with self._lock:
+            self.stats.record(msg)
+            if self._overflow:
+                self._overflow.append(msg)
+                return
+        try:
+            self.inner.send(msg)
+        except TransportError:
+            with self._lock:
+                self._overflow.append(msg)
+                if self._timer is None:
+                    self._arm_overflow()
+
+    def _arm_overflow(self) -> None:
+        """Offer the overflow again after the backoff of its oldest
+        message's next attempt (lock held)."""
+        self._timer = self.inner.schedule(
+            self._retry_delay(self.ack_timeout, self._overflow_attempt),
+            self._offer_overflow)
+
+    def _offer_overflow(self) -> None:
+        """Re-offer refused sends, oldest first.  Each leaves the overflow
+        only once the inner transport took it, so a send made meanwhile
+        still finds the overflow non-empty and queues behind it."""
+        with self._lock:
+            self._timer = None
+        while True:
+            with self._lock:
+                if self._closed or not self._overflow:
+                    return
+                msg = self._overflow[0]
+            try:
+                self.inner.send(msg)
+            except TransportError:
+                with self._lock:
+                    if self._closed:
+                        return
+                    self._overflow_attempt += 1
+                    if self._overflow_attempt > MAX_ATTEMPTS:
+                        # Out of attempts: lost, like a raw transport's
+                        # loss; the protocol's own watchdogs take over.
+                        self._overflow.popleft()
+                        self._overflow_attempt = 1
+                        self.stats.record_drop(msg)
+                    if self._overflow and self._timer is None:
+                        self._arm_overflow()
+                return
+            with self._lock:
+                self._overflow.popleft()
+                self._overflow_attempt = 1
 
     def _flush(self) -> None:
         """Send what was gathered: one flight per connection."""
@@ -335,7 +432,8 @@ class ReliableTransport(LayeredTransport):
                 flight = _flight(msgs[0].src, conn[1], seq, conn[0], floor, msgs)
                 out = sender.unacked[seq] = _Outgoing(conn, seq, flight, now)
                 self._unacked += 1
-                self._push(out, now + self._retry_delay(sender, 1))
+                self._push(out, now + self._retry_delay(
+                    sender.rto(self.ack_timeout), 1))
                 flights.append(flight)
         for flight in flights:
             self._wire_send(flight)
@@ -349,9 +447,8 @@ class ReliableTransport(LayeredTransport):
             # path, for an ACK vector the sender's is.
             self.inner.stats.record_drop(frame)
 
-    def _retry_delay(self, sender: _ConnSender, attempt: int) -> float:
-        delay = min(sender.rto(self.ack_timeout) * BACKOFF ** (attempt - 1),
-                    MAX_BACKOFF)
+    def _retry_delay(self, rto: float, attempt: int) -> float:
+        delay = min(rto * BACKOFF ** (attempt - 1), MAX_BACKOFF)
         return delay * (1.0 + JITTER * (2.0 * self._jitter_rng.random() - 1.0))
 
     # -- the retransmit timer (lock held in _push/_arm) --------------------
@@ -417,7 +514,8 @@ class ReliableTransport(LayeredTransport):
                     flight.src, flight.dst, out.seq, p["ctl"], sender.floor(),
                     p["m"], attempt, flight.msg_id))
                 self._pushes += 1
-                heappush(heap, (now + self._retry_delay(sender, attempt), self._pushes, out))
+                heappush(heap, (now + self._retry_delay(
+                    sender.rto(self.ack_timeout), attempt), self._pushes, out))
             if self._unacked == 0:
                 heap.clear()
             else:
@@ -528,8 +626,9 @@ class ReliableTransport(LayeredTransport):
 
     # -- introspection ---------------------------------------------------
     def in_flight_count(self) -> int:
-        """Flights awaiting acknowledgement (for tests/monitoring)."""
-        return self._unacked
+        """Flights awaiting acknowledgement, and sends a reliable inner
+        transport refused and has not yet taken (for tests/monitoring)."""
+        return self._unacked + len(self._overflow)
 
     def rto(self, src: str, dst: str) -> float:
         """The current retransmission timeout of the connection src→dst
@@ -550,6 +649,7 @@ class ReliableTransport(LayeredTransport):
             self._senders.clear()
             self._outbox.clear()
             self._owed.clear()
+            self._overflow.clear()
             self._unacked = 0
             ctl, self._ctl = self._ctl, {}
         super().close()  # closes this transport's endpoints

@@ -78,8 +78,9 @@ class MessageStats:
     # sender did NOT pay for separately).
     batches_sent: int = 0
     messages_coalesced: int = 0
-    # Reliable-delivery sublayer (net/reliability.py), per flight (one
-    # R_DATA per connection per flush; one message on the sim): flights
+    # Reliable-delivery sublayer (net/reliability.py) over an unreliable
+    # inner transport (the sim), per flight (one R_DATA per connection
+    # per flush; one message on the sim); all 0 where it forwards: flights
     # retransmitted after an ACK timeout, incoming flights suppressed as
     # duplicates by the receiver's dedup window, sequence numbers
     # acknowledged (one per flight received, duplicates included) and
@@ -110,7 +111,7 @@ class MessageStats:
     # another frame's flush instead of paying for their own drain, and
     # sends refused because the bounded queue was at its high-water
     # mark (the refusal surfaces as a TransportError, which pushes back
-    # into ReliableTransport's retransmit path instead of buffering
+    # into ReliableTransport's ordered overflow instead of buffering
     # unboundedly).
     send_queue_hwm: int = 0
     flushes_coalesced: int = 0

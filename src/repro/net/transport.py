@@ -130,6 +130,18 @@ class Transport(abc.ABC):
         if ep is not None:
             self._on_unbind(ep)
 
+    @property
+    def reliable(self) -> bool:
+        """Whether every message this transport accepts reaches its bound
+        destination exactly once, in send order: the guarantee the
+        paper's FSMs assume (§4.2).  A fact of the class, never an
+        option: a backend that can lose or duplicate says False (the
+        default, and the simulator's, which injects both), one that
+        cannot says True, and a transport stacked on another (``inner``)
+        says what its inner one does."""
+        inner = getattr(self, "inner", None)
+        return inner is not None and inner.reliable
+
     def endpoints(self) -> List[str]:
         return list(self._endpoints)
 
@@ -196,10 +208,10 @@ class Transport(abc.ABC):
 
 class LayeredTransport(Transport):
     """A transport stacked on another (``inner``): the clock, timers,
-    completions, flush boundary, topology placement and codec selection
-    are the inner backend's, so the same engine code runs on the stack
-    as on the backend alone.  ``inner`` is also how tools walk a stack
-    down."""
+    completions, flush boundary, topology placement, codec selection
+    and delivery guarantee (:attr:`Transport.reliable`) are the inner
+    backend's, so the same engine code runs on the stack as on the
+    backend alone.  ``inner`` is also how tools walk a stack down."""
 
     def __init__(self, inner: Transport) -> None:
         super().__init__()

@@ -8,6 +8,8 @@ behind every shard.  ``build_aio`` is a plain :class:`FleccSystem` on
 aio.  ``drive`` runs strong and weak views through start, init,
 acquire, push and pull on either and checks the store; ``leftovers``
 also leaves requests in flight, closes, and reports what outlived it.
+``drive_through_link_loss`` drives the composed plane while its mux
+connection is lost mid-burst, and reports what each message did.
 
 The functions run in a fresh interpreter (tests/net/test_footprint.py
 starts one per check), so they import nothing a socket stack does not
@@ -71,10 +73,10 @@ def build_aio() -> Tuple[FleccSystem, Transport, Store]:
     return system, top, store
 
 
-def _script(cm: Any, agent: Agent, mode: str, cell: str):
+def _script(cm: Any, agent: Agent, mode: str, cell: str, rounds: int = ROUNDS):
     yield cm.start()
     yield cm.init_image()
-    for _ in range(ROUNDS):
+    for _ in range(rounds):
         if mode == "weak":
             yield cm.pull_image()
         yield cm.start_use_image()       # an ACQUIRE for a strong view
@@ -84,10 +86,11 @@ def _script(cm: Any, agent: Agent, mode: str, cell: str):
     yield cm.pull_image()
 
 
-def drive(system: FleccSystem, store: Store) -> None:
-    """Every view increments its own cell ``ROUNDS`` times; raises if an
-    op failed or an increment was lost.  ``w0`` also polls a push
-    trigger and ``s0`` arms request retries, so timers are live."""
+def drive(system: FleccSystem, store: Store, rounds: int = ROUNDS) -> None:
+    """Every view increments its own cell ``rounds`` times; raises if an
+    op failed, or if the store differs from the single-dict model of
+    those increments.  ``w0`` also polls a push trigger and ``s0`` arms
+    request retries, so timers are live."""
     scripts = []
     for view_id, (mode, cells, cell) in VIEWS.items():
         options: Dict[str, Any] = {"mode": mode}
@@ -99,10 +102,75 @@ def drive(system: FleccSystem, store: Store) -> None:
         agent = Agent()
         cm = system.add_view(view_id, agent, props_for(cells),
                              extract_from_view, merge_into_view, **options)
-        scripts.append(_script(cm, agent, mode, cell))
+        scripts.append(_script(cm, agent, mode, cell, rounds))
     run_all_scripts(system.transport, scripts, timeout=60.0)
+    model = {c: 0 for c in CELLS}
     for _, _, cell in VIEWS.values():
-        assert store.cells[cell] == ROUNDS, (cell, store.cells[cell])
+        model[cell] += rounds
+    assert store.cells == model, store.cells
+
+
+#: An encoded frame no codec reads (no binary magic, not UTF-8 JSON).
+BAD_FRAME_BYTES = b"\x00\x00\x00\x03\xff\xff\xff"
+
+
+def _drop_link(wire: AioTcpTransport) -> None:
+    """Close every server connection, as the server does after a frame
+    it cannot decode: the mux link's among them, mid-delivery."""
+    for conn in list(wire._server_conns):
+        conn.transport.close()
+
+
+def _inject_bad_frame(wire: AioTcpTransport) -> None:
+    """Make the link's next flush end with an undecodable frame."""
+    encode = wire._encode_flush
+
+    def once(msgs: List[Any], codec: Any) -> List[bytes]:
+        del wire._encode_flush  # back to the class's
+        return [*encode(msgs, codec), BAD_FRAME_BYTES]
+
+    wire._encode_flush = once
+
+
+def drive_through_link_loss(wal_root: str, fault: str,
+                            after: int = 40) -> Dict[str, Any]:
+    """``drive`` the composed plane, strong pushes and weak pulls, while
+    the mux connection is lost once: after ``after`` deliveries it is
+    dropped from the server side (``fault="drop"``) or handed an
+    undecodable frame (``fault="bad_frame"``).  ``drive`` checks every
+    op and the end state; returns the msg_ids handed to handlers, the
+    wire's counters, the errors it listed and whether the faulted link
+    was replaced."""
+    system, top, store = build_composed(wal_root)
+    wire = top.inner
+    assert isinstance(wire, AioTcpTransport)
+    delivered: List[int] = []
+    faulted: List[Any] = []  # the link that carried the fault
+    invoke = wire._invoke
+    act = {"drop": _drop_link, "bad_frame": _inject_bad_frame}[fault]
+
+    def counting(ep: Any, msg: Any) -> None:
+        delivered.append(msg.msg_id)
+        if len(delivered) == after:
+            faulted.append(wire._link)
+            act(wire)
+        invoke(ep, msg)
+
+    wire._invoke = counting
+    try:
+        drive(system, store, rounds=6)
+        system.plane.check_invariants()
+    finally:
+        system.close()
+        top.close()
+        del wire._invoke
+    return {
+        "delivered": delivered,
+        "wire": wire.stats,
+        "logical": top.stats,
+        "errors": [kind for kind, _ in wire.handler_errors],
+        "replaced": bool(faulted) and wire._link is not faulted[0],
+    }
 
 
 def _strand(system: FleccSystem):

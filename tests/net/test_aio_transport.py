@@ -313,13 +313,16 @@ def test_stacked_reliable_transport_recovers_stalled_frames(monkeypatch):
         tr.pause_writes()
         for i in range(12):
             # The bounded queue refuses some of these; ReliableTransport
-            # records the drop and retransmits on the ack timer.
+            # keeps them, in order, and offers them again on its timer.
             rel.send(Message("SEQ", "src", "dst", {"i": i}))
+        assert tr.stats.backpressure_stalls >= 1
         time.sleep(0.05)
         tr.resume_writes()
         assert done.wait(20.0)
-        # No frame loss end to end despite refused sends.
+        # No frame loss end to end despite refused sends, and no reorder.
         assert sorted(got) == list(range(12))
+        assert got == list(range(12))
+        assert _wait_for(lambda: rel.in_flight_count() == 0)
     finally:
         rel.close()
 
@@ -333,7 +336,7 @@ def _drop_server_connections(tr):
     """Close every inbound connection from the server side, as the
     server does after a frame it cannot decode."""
     tr._loop.call_soon_threadsafe(
-        lambda: [w.close() for w in list(tr._server_writers)]
+        lambda: [c.transport.close() for c in list(tr._server_conns)]
     )
 
 
@@ -362,23 +365,28 @@ def test_send_after_the_server_drops_the_link_reconnects(transport, caplog):
     assert transport.stats.dropped == 0
 
 
-def test_messages_stranded_on_a_dead_link_count_as_drops(transport, caplog):
+def test_messages_stranded_on_a_dead_link_arrive_on_its_replacement(
+        transport, caplog):
     got = []
     transport.bind("a", lambda m: None)
     transport.bind("b", lambda m: got.append(m.payload["i"]))
     transport.send(Message("PING", "a", "b", {"i": 0}))
     assert _wait_for(lambda: got == [0])
+    first = transport._link
     transport.pause_writes()
     for i in (1, 2, 3):
         transport.send(Message("PING", "a", "b", {"i": i}))
     _drop_server_connections(transport)
-    time.sleep(0.1)
-    transport.resume_writes()  # the writer finds the connection gone
-    assert _wait_for(lambda: transport._link.error is not None)
     with caplog.at_level("WARNING", logger="repro.net.aio_transport"):
+        time.sleep(0.1)
+        transport.resume_writes()  # the writer finds the connection gone
+        # The dead writer hands its queue on at once, in order, and a
+        # later send queues behind it.
+        assert _wait_for(lambda: got == [0, 1, 2, 3])
         transport.send(Message("PING", "a", "b", {"i": 4}))
-        assert _wait_for(lambda: got == [0, 4])
-    assert transport.stats.dropped == 3
+        assert _wait_for(lambda: got == [0, 1, 2, 3, 4])
+    assert first.error is not None and transport._link is not first
+    assert transport.stats.dropped == 0
     assert any("3 queued" in r.getMessage() for r in caplog.records)
 
 
@@ -401,27 +409,11 @@ def test_reliable_send_survives_the_server_dropping_the_link():
         rel.close()
 
 
-def test_a_flush_hook_pending_on_a_dead_link_runs_on_its_replacement(transport):
-    got, ran = [], []
-    transport.bind("a", lambda m: None)
-    transport.bind("b", lambda m: got.append(m.payload["i"]))
-    transport.send(Message("PING", "a", "b", {"i": 0}))
-    assert _wait_for(lambda: got == [0])
-    first = transport._link
-    transport.pause_writes()
-    transport.at_flush(lambda: ran.append(transport._link))
-    _drop_server_connections(transport)
-    time.sleep(0.1)
-    transport.resume_writes()  # the writer finds the connection gone
-    assert _wait_for(lambda: ran)
-    assert first.error is not None
-    assert ran[0] is transport._link and ran[0] is not first
-
-
-def test_one_loop_turns_reliable_sends_leave_as_one_flight():
-    """Eight sends in one loop turn: the writer runs the sublayer's flush
-    hook before it drains, so they leave as one R_DATA, in send order."""
-    from repro.net.message import R_DATA
+def test_one_loop_turns_reliable_sends_leave_in_one_flush():
+    """Eight sends in one loop turn over the reliable aio link: the
+    sublayer forwards them, so they leave in one flush, in send order,
+    with no R_DATA envelope and nothing to acknowledge."""
+    from repro.net.message import R_ACK, R_DATA
     from repro.net.reliability import ReliableTransport
 
     tr = AioTcpTransport(codec="binary")
@@ -445,9 +437,12 @@ def test_one_loop_turns_reliable_sends_leave_as_one_flight():
         rel.schedule(0.0, burst)  # on the loop thread: one turn
         assert done.wait(5.0)
         assert got == list(range(8))
-        assert tr.stats.by_type[R_DATA] == 1
+        assert tr.stats.by_type[R_DATA] == tr.stats.by_type[R_ACK] == 0
+        assert tr.stats.by_type["SEQ"] == tr.stats.encodes == 8
+        assert tr.stats.flushes_coalesced == 7  # one drain for all eight
         assert rel.stats.total == 8 and rel.stats.retransmits == 0
-        assert _wait_for(lambda: rel.in_flight_count() == 0)
+        assert rel.stats.acks_sent == 0
+        assert rel.in_flight_count() == 0
     finally:
         rel.close()
 
