@@ -199,7 +199,7 @@ class CacheManager:
         # sharded directory plane several shards can concurrently revoke
         # one spanning view, and every revoker must be answered *after*
         # the critical section.
-        self._deferred: List[Message] = []
+        self._held_commands: List[Message] = []
         self._use_lock = _CompletionLock(transport, f"{view_id}.use")
         self._in_use = False
         self._lock = threading.RLock()
@@ -379,8 +379,8 @@ class CacheManager:
             # distinct msg_ids are distinct commands (e.g. from several
             # shards of a partitioned directory plane) and each gets its
             # own answer at end-of-use.
-            if all(m.msg_id != msg.msg_id for m in self._deferred):
-                self._deferred.append(msg)
+            if all(m.msg_id != msg.msg_id for m in self._held_commands):
+                self._held_commands.append(msg)
             return
         self._answer(msg)
 
@@ -721,7 +721,7 @@ class CacheManager:
             if not self._in_use:
                 raise ProtocolError(f"{self.view_id}: end_use without start_use")
             self._in_use = False
-            deferred, self._deferred = self._deferred, []
+            deferred, self._held_commands = self._held_commands, []
             # Answer every deferred command in arrival order.  The first
             # hand-off carries all dirty cells; the rest are empty — on a
             # sharded plane the router re-homes any cells the first
@@ -836,7 +836,7 @@ class CacheManager:
             self.invalidated = True
             self._stop_timers()
             self._pending.clear()  # a dead process answers nothing
-            self._deferred = []
+            self._held_commands = []
             self._in_use = False
             self._base = ObjectImage()
             self._drop_delta_base()  # delta base is volatile state too

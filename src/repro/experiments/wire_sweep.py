@@ -27,13 +27,13 @@ What the A/B must show:
 
 One more point is recorded and not gated on its timings: a **control
 frame** shaped like the composed stack's steady state (one write flush:
-an ``R_DATA`` flight of 4 ``PULL_REQ`` + one ``R_ACK`` vector in a
-``BATCH`` envelope), encoded with its sub-messages spelled as dicts and
-as native records — the flight / ``R_ACK`` envelope records, whose
-payload keys the tag implies — raw and deflated: the bytes and the
-encode + decode time behind ``binary_codec.SEGMENT_BYTES``.  Such a frame fits
-one segment either way, so deflating it buys no packet and costs the
-loop thread.
+four ``PULL_REQ`` messages in a ``BATCH`` envelope; the sublayer
+forwards over the reliable aio link, so no flight or ACK vector
+crosses it),
+encoded with its sub-messages spelled as dicts and as native records,
+raw and deflated: the bytes and the encode + decode time behind
+``binary_codec.SEGMENT_BYTES``.  Such a frame fits one segment either
+way, so deflating it buys no packet and costs the loop thread.
 
 ``python -m repro.experiments.wire_sweep`` writes ``BENCH_wire.json``;
 ``--check`` exits non-zero unless every gate of :func:`gates` holds.
@@ -67,7 +67,6 @@ from repro.net.binary_codec import (
     resolve_codec,
 )
 from repro.net.message import BATCH, Message, make_batch, reset_message_ids, split_batch
-from repro.net.reliability import R_ACK, R_DATA
 from repro.net.stats import MessageStats
 
 #: Codec specs swept by default (resolve_codec spellings).
@@ -267,23 +266,14 @@ def _run_fig4_workload(
 
 def _control_flush() -> List[Message]:
     """What one write flush of the composed e2e stack carries between
-    ops of a read-mostly load: four cache managers' PULL_REQs in one
-    R_DATA flight, and the ACK vector for the flight of replies just
-    read."""
-    reqs = [
+    ops of a read-mostly load: four cache managers' PULL_REQs, each to
+    its shard."""
+    return [
         Message(M.PULL_REQ, f"cm:ta{v:04d}", f"shard:{v % 4}", {
             "need_fresh": False, "since": 5300 + 7 * v,
             "view_id": f"ta{v:04d}",
         }, msg_id=91000 + 3 * v)
         for v in range(4)
-    ]
-    return [
-        Message(R_DATA, reqs[0].src, "rel-ctl", {
-            "seq": 2100, "ctl": "rel-ctl", "f": 2100, "m": reqs,
-        }, msg_id=91012),
-        Message(R_ACK, reqs[0].src, "rel-ctl", {
-            "acks": [["rel-ctl", "rel-ctl", [2040]]],
-        }, msg_id=91013),
     ]
 
 

@@ -10,9 +10,10 @@ Wire contract: each frame is a 4-byte big-endian length followed by the
 encoded message.  A connection speaks the transport's codec from its
 first frame: the client (the mux link's writer) takes ``self.codec``
 when it opens the connection and the server takes it at accept.  Both
-ends are this one object, so there is nothing to negotiate, and a
-connection opened before :meth:`AioTcpTransport.set_codec` finishes on
-the codec it opened with.
+ends are this one object, so there is nothing to negotiate.  The codec
+is chosen before the first send (:meth:`AioTcpTransport.set_codec`
+refuses once the mux link exists), and a connection a raw peer opened
+before a ``set_codec`` finishes on the codec it was accepted with.
 
 Machinery:
 
@@ -393,12 +394,18 @@ class AioTcpTransport(Transport):
 
     # -- codec selection --------------------------------------------------
     def set_codec(self, codec: Any) -> None:
-        """Swap the wire codec; the mux link is dropped so the next send
-        opens a connection on the new one.  Quiesce traffic first:
-        frames still queued on the old link are discarded with it."""
-        self.codec = resolve_codec(codec)
-        self.codec.stats = self.stats
-        self._reset_link()
+        """Choose the wire codec, before the first send.  The mux link
+        speaks the codec it opened with and replays what it holds in
+        it, so once the link exists this raises ``TransportError``
+        instead of leaving queued messages behind."""
+        codec = resolve_codec(codec)
+        with self._lifecycle_lock:  # no link may open between check and set
+            if self._link is not None:
+                raise TransportError(
+                    "set_codec after the first send: the mux link already "
+                    f"speaks {self.preferred_codec}")
+            self.codec = codec
+            codec.stats = self.stats
 
     @property
     def reliable(self) -> bool:
@@ -627,22 +634,6 @@ class AioTcpTransport(Transport):
         assert loop is not None  # _ensure_loop ran first
         asyncio.run_coroutine_threadsafe(self._run_link(link, dead), loop)
         return link
-
-    def _reset_link(self) -> None:
-        with self._lifecycle_lock:
-            link, self._link = self._link, None
-        loop = self._loop
-        if link is None or loop is None:
-            return
-
-        def kill() -> None:
-            if link.task is not None:
-                link.task.cancel()
-
-        try:
-            loop.call_soon_threadsafe(kill)
-        except RuntimeError:
-            pass  # loop already gone
 
     # -- test hooks -------------------------------------------------------
     def pause_writes(self) -> None:

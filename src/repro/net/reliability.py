@@ -7,27 +7,21 @@ not guarantee that — :class:`~repro.net.sim_transport.SimTransport`
 supports injected drops/duplicates/delays and the TCP backend can lose
 frames to a vanished endpoint.  :class:`ReliableTransport` wraps any
 inner :class:`~repro.net.transport.Transport` and restores the FSMs'
-assumptions at TCP's cost model — bookkeeping per segment, messages
-per flight:
+assumptions the way TCP does, one message per segment:
 
 - **Connections**: the sublayer binds one control endpoint per
   topology node its senders sit on (a single one, ``rel-ctl``, where
   the inner transport has no placement).  A connection is the pair
   (sending control endpoint, receiving control endpoint): one per node
-  pair under a sim topology, a single one on a socket stack.
-- **Flights**: the sublayer does not frame each logical message.  It
-  gathers them per connection until the inner transport is about to
-  put frames on the wire (:meth:`~repro.net.transport.Transport.at_flush`)
-  and sends each connection's gathering as one ``R_DATA`` flight
-  ``{"seq", "ctl", "f", "m"}``: the connection's sequence number, the
-  sender's control address, the floor (see below) and the logical
-  messages in send order, each keeping its own ``msg_id`` and
-  ``reply_to``.  A flight leaves from its first message's source and
-  goes to the receiving control endpoint, which is always bound, so the
-  inner transport charges the path latency of its messages and a
-  vanished destination cannot strand the rest of the flight.  The sim
-  frames every send on the spot, so there a flight is one message; on
-  aio it is whatever the loop turn sent.
+  pair under a sim topology, a single one without placement.
+- **Flights**: each logical message leaves at once as one ``R_DATA``
+  flight ``{"seq", "ctl", "f", "m"}``: the connection's sequence
+  number, the sender's control address, the floor (see below) and, in
+  ``"m"``, the message itself, keeping its own ``msg_id`` and
+  ``reply_to``.  A flight leaves from its message's source and goes to
+  the receiving control endpoint, which is always bound, so the inner
+  transport charges the message's path latency and a vanished
+  destination is the hand-off's business, not the wire's.
 - **At-least-once**: unacknowledged flights sit in one deadline heap
   served by a single inner timer; an expired one is retransmitted (with
   ``"n"``, the attempt number) with exponential backoff (plus seeded
@@ -51,21 +45,17 @@ per flight:
 - **In-order handoff**: out-of-order flights are buffered and their
   messages handed to their endpoints in send order, per connection, so
   delayed/reordered frames cannot interleave a round's replies.
-- **No stranded connection**: unbinding an address takes its messages
-  out of the flights still unacknowledged and out of the gathering; a
-  flight left empty is abandoned (never sent again, not counted as
-  given up).  A flight's floor ``"f"`` is the lowest sequence number
-  its sender still retransmits, so every flight below it was
-  acknowledged, abandoned or given up: the receiver hands off what it
-  buffered below the floor and stops waiting for the rest.
+- **No stranded connection**: unbinding an address abandons its
+  unacknowledged flights (never sent again, not counted as given up).
+  A flight's floor ``"f"`` is the lowest sequence number its sender
+  still retransmits, so every flight below it was acknowledged,
+  abandoned or given up: the receiver hands off what it buffered below
+  the floor and stops waiting for the rest.
 - **Learned timeout**: per connection, ``RTO = max(ack_timeout, srtt
   + 4*rttvar)``.  The ACK echoes the attempt number it answers, so every
   ACK is an unambiguous round-trip sample — including the slow
   originals whose retransmission was spurious, which is exactly what
-  the estimator has to see.  A retransmit timer that itself fires late
-  means the thread was busy and ACKs may sit unread behind it: the
-  scan is put off once, by a quarter of ``ack_timeout``, before
-  anything is declared lost.
+  the estimator has to see.
 
 Over a reliable inner transport (:attr:`Transport.reliable`, e.g. the
 aio link, which replays what a dropped connection did not deliver) the
@@ -78,9 +68,9 @@ in order in an overflow, offered again on the retransmission backoff
 until :data:`MAX_ATTEMPTS` runs out, so refusal stays flow control.
 
 Threads: ``send`` may be called from any thread while the inner
-transport's delivery thread runs the flush, ACK and timer paths; one
-lock guards the sublayer's state and is never held across
-``inner.send``, ``inner.at_flush`` or a handler hand-off.
+transport's delivery thread runs the ACK and timer paths; one lock
+guards the sublayer's state and is never held across ``inner.send`` or
+a handler hand-off.
 
 Accounting: ``self.stats`` records the *logical* messages the protocol
 sent — exactly what a raw transport would record for the same run, so
@@ -89,8 +79,8 @@ wire overhead is visible separately in ``inner.stats`` and in this
 layer's counters, which count flights: ``acks_sent`` (sequence numbers
 acknowledged, one per flight received), ``ack_frames_sent`` (``R_ACK``
 vectors that carried them), ``retransmits``, ``duplicates_suppressed``
-and ``dropped`` (flights given up).  On the sim a flight is one
-message, so there they count messages as well.
+and ``dropped`` (flights given up); a flight being one message, they
+count messages as well.
 """
 
 from __future__ import annotations
@@ -109,12 +99,6 @@ from repro.net.transport import Endpoint, LayeredTransport, TimerHandle, Transpo
 # R_ACK terminates at the sublayer.
 
 Conn = Tuple[str, str]  # (sending control address, receiving control address)
-
-# A timer that fires later than this share of ack_timeout past its
-# deadline ran behind a busy thread; the scan is then put off, once, by
-# _LATE_DEFER * ack_timeout so ACKs already in the socket get read.
-_LATE_FIRE = 0.1
-_LATE_DEFER = 0.25
 
 # Flight ids remembered per receiving connection for duplicate
 # suppression, and the ceiling (transport time units) on one
@@ -212,12 +196,12 @@ class ReliableTransport(LayeredTransport):
 
     Endpoints bind on this transport exactly as on a raw one; only the
     sublayer's control endpoints bind on the inner transport, where its
-    frames actually travel.  Clock, timers, completions, placement,
-    codec selection and the flush boundary are the inner backend's
-    (:class:`LayeredTransport`): R_DATA/R_ACK envelopes are ordinary
-    messages on the inner transport, so they ride whatever codec the
-    inner transport speaks.  ``ack_timeout`` is the initial and minimum
-    retransmission timeout; ``seed`` seeds the retransmission jitter.
+    frames actually travel.  Clock, timers, completions, placement and
+    codec selection are the inner backend's (:class:`LayeredTransport`):
+    R_DATA/R_ACK envelopes are ordinary messages on the inner transport,
+    so they ride whatever codec the inner transport speaks.
+    ``ack_timeout`` is the initial and minimum retransmission timeout;
+    ``seed`` seeds the retransmission jitter.
 
     Over an inner transport that is itself reliable the endpoints bind
     on it directly and sends are forwarded (see the module docstring).
@@ -243,10 +227,6 @@ class ReliableTransport(LayeredTransport):
         self._ctl: Dict[Optional[str], Endpoint] = {}
         self._senders: Dict[Conn, _ConnSender] = {}
         self._receivers: Dict[Conn, _ConnReceiver] = {}
-        # Messages sent since the last flush, per connection, and
-        # whether a flush hook is pending on the inner transport.
-        self._outbox: Dict[Conn, List[Message]] = {}
-        self._flush_armed = False
         self._unacked = 0
         # (deadline, push order, flight state), head = next to expire.
         # Acknowledged entries stay until the timer pops them.
@@ -255,7 +235,6 @@ class ReliableTransport(LayeredTransport):
         self._timer: Optional[TimerHandle] = None
         self._timer_at = 0.0
         self._timer_gen = 0
-        self._deferred = False
         # connection -> (an address of ours the vector leaves from, the
         # sequence numbers owed)
         self._owed: Dict[Conn, Tuple[str, List[Any]]] = {}
@@ -300,8 +279,7 @@ class ReliableTransport(LayeredTransport):
             self._inner_eps[ep.address] = self.inner.bind(ep.address, ep.handler)
 
     def _on_unbind(self, ep: Endpoint) -> None:
-        """Take the closed address's messages out of the gathering and
-        out of unacknowledged flights; an emptied flight is abandoned.
+        """Abandon the closed address's unacknowledged flights.
         Forwarding, its inner endpoint closes and its refused sends go."""
         addr = ep.address
         if self._forward:
@@ -314,27 +292,9 @@ class ReliableTransport(LayeredTransport):
                         m for m in self._overflow if m.src != addr)
             return
         with self._lock:
-            for conn, box in list(self._outbox.items()):
-                kept = [m for m in box if m.src != addr]
-                if not kept:
-                    del self._outbox[conn]
-                elif len(kept) != len(box):
-                    self._outbox[conn] = kept
             for sender in self._senders.values():
                 for seq, out in list(sender.unacked.items()):
-                    flight = out.flight
-                    msgs = flight.payload["m"]
-                    kept = [m for m in msgs if m.src != addr]
-                    if len(kept) == len(msgs):
-                        continue
-                    if kept:
-                        # A new envelope: the old one may still be in
-                        # flight below, sharing its payload.
-                        p = flight.payload
-                        out.flight = _flight(
-                            kept[0].src, flight.dst, seq, p["ctl"], p["f"],
-                            kept, p.get("n", 1), flight.msg_id)
-                    else:
+                    if out.flight.src == addr:
                         out.flight = None
                         del sender.unacked[seq]
                         self._unacked -= 1
@@ -350,15 +310,18 @@ class ReliableTransport(LayeredTransport):
             # Logical accounting: what the protocol sent, envelope-free.
             self.stats.record(msg)
             conn = (self._ctl_for(msg.src), self._ctl_for(msg.dst))
-            box = self._outbox.get(conn)
-            if box is None:
-                self._outbox[conn] = [msg]
-            else:
-                box.append(msg)
-            if self._flush_armed:
-                return
-            self._flush_armed = True
-        self.inner.at_flush(self._flush)
+            sender = self._senders.get(conn)
+            if sender is None:
+                sender = self._senders[conn] = _ConnSender()
+            now = self.inner.now()
+            floor = sender.floor()
+            sender.next_seq = seq = sender.next_seq + 1
+            flight = _flight(msg.src, conn[1], seq, conn[0], floor, [msg])
+            out = sender.unacked[seq] = _Outgoing(conn, seq, flight, now)
+            self._unacked += 1
+            self._push(out, now + self._retry_delay(
+                sender.rto(self.ack_timeout), 1))
+        self._wire_send(flight)
 
     def _pass(self, msg: Message) -> None:
         """Forward ``msg`` to the reliable inner transport, behind any
@@ -414,30 +377,6 @@ class ReliableTransport(LayeredTransport):
                 self._overflow.popleft()
                 self._overflow_attempt = 1
 
-    def _flush(self) -> None:
-        """Send what was gathered: one flight per connection."""
-        flights: List[Message] = []
-        with self._lock:
-            self._flush_armed = False
-            outbox, self._outbox = self._outbox, {}
-            if self._closed:
-                return
-            now = self.inner.now()
-            for conn, msgs in outbox.items():
-                sender = self._senders.get(conn)
-                if sender is None:
-                    sender = self._senders[conn] = _ConnSender()
-                floor = sender.floor()
-                sender.next_seq = seq = sender.next_seq + 1
-                flight = _flight(msgs[0].src, conn[1], seq, conn[0], floor, msgs)
-                out = sender.unacked[seq] = _Outgoing(conn, seq, flight, now)
-                self._unacked += 1
-                self._push(out, now + self._retry_delay(
-                    sender.rto(self.ack_timeout), 1))
-                flights.append(flight)
-        for flight in flights:
-            self._wire_send(flight)
-
     def _wire_send(self, frame: Message) -> None:
         try:
             self.inner.send(frame)
@@ -477,15 +416,8 @@ class ReliableTransport(LayeredTransport):
             self._timer = None
             if self._unacked == 0:
                 self._heap.clear()  # nothing to watch: the timer rests
-                self._deferred = False
                 return
             now = self.inner.now()
-            late = now - self._timer_at > _LATE_FIRE * self.ack_timeout
-            if late and not self._deferred:
-                self._deferred = True
-                self._arm(now + _LATE_DEFER * self.ack_timeout)
-                return
-            self._deferred = False
             heap = self._heap
             while heap:
                 deadline, _, out = heap[0]
@@ -647,7 +579,6 @@ class ReliableTransport(LayeredTransport):
                 self._timer = None
             self._heap.clear()
             self._senders.clear()
-            self._outbox.clear()
             self._owed.clear()
             self._overflow.clear()
             self._unacked = 0

@@ -169,8 +169,3 @@ class SimTransport(Transport):
 
     def completion(self, name: str = "") -> SimCompletion:
         return SimCompletion(self.kernel, name)
-
-    def at_flush(self, fn: Callable[[], None]) -> None:
-        """At once: every send is framed on the spot, so the flush a
-        hook must precede is the next send itself."""
-        fn()

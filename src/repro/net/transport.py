@@ -193,13 +193,6 @@ class Transport(abc.ABC):
     def completion(self, name: str = "") -> Completion:
         """New unresolved completion bound to this backend."""
 
-    def at_flush(self, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` once, before this transport next puts frames on
-        the wire: what a layer above sends from ``fn`` leaves in that
-        flush.  A backend that knows its flush boundary overrides this;
-        the default is a zero-delay timer."""
-        self.schedule(0.0, fn)
-
     def close(self) -> None:
         """Release backend resources (sockets, threads)."""
         for addr in list(self._endpoints):
@@ -208,10 +201,10 @@ class Transport(abc.ABC):
 
 class LayeredTransport(Transport):
     """A transport stacked on another (``inner``): the clock, timers,
-    completions, flush boundary, topology placement, codec selection
-    and delivery guarantee (:attr:`Transport.reliable`) are the inner
-    backend's, so the same engine code runs on the stack as on the
-    backend alone.  ``inner`` is also how tools walk a stack down."""
+    completions, topology placement, codec selection and delivery
+    guarantee (:attr:`Transport.reliable`) are the inner backend's, so
+    the same engine code runs on the stack as on the backend alone.
+    ``inner`` is also how tools walk a stack down."""
 
     def __init__(self, inner: Transport) -> None:
         super().__init__()
@@ -225,9 +218,6 @@ class LayeredTransport(Transport):
 
     def completion(self, name: str = "") -> Completion:
         return self.inner.completion(name)
-
-    def at_flush(self, fn: Callable[[], None]) -> None:
-        self.inner.at_flush(fn)
 
     def node_of(self, address: str) -> Optional[str]:
         """Topology placement passthrough (round coalescing support)."""

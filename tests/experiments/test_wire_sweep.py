@@ -81,7 +81,7 @@ def test_delta_parity_preserved_under_every_codec(result):
 def test_control_frame_point_records_what_the_segment_floor_rests_on(result, payload):
     c = result.control
     frames = c.frames
-    assert c.splits_identical and c.sub_messages == 2  # a flight + a vector
+    assert c.splits_identical and c.sub_messages == 4  # four PULL_REQs
     assert set(frames) == {"dict", "native"}
     for forms in frames.values():
         assert set(forms) == {"raw", "deflated"}

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.errors import CodecError, ReproError
+from repro.errors import CodecError, ReproError, TransportError
 from repro.net import (
     BinaryCodec,
     JsonCodec,
@@ -149,21 +149,44 @@ def test_undecodable_frame_is_recorded_and_logged_not_swallowed(transport, caplo
         assert done.wait(5.0)
 
 
-def test_set_codec_renegotiates_existing_links(transport):
+def test_set_codec_is_refused_once_the_link_exists(transport):
+    """The codec is chosen before the first send: the mux link keeps
+    the one it opened with, and so does every later frame."""
     done1, done2 = threading.Event(), threading.Event()
     transport.bind("a", lambda m: None)
     transport.bind("b", lambda m: (done1.set() if not done1.is_set() else done2.set()))
     x, y = Message("X", "a", "b"), Message("Y", "a", "b")
     transport.send(x)
     assert done1.wait(5.0)
-    assert transport.stats.bytes_sent == len(BinaryCodec().encode(x))
-    transport.set_codec("json")  # drops the link; the next one opens on json
-    assert transport.preferred_codec == "json"
+    with pytest.raises(TransportError, match="after the first send"):
+        transport.set_codec("json")
+    assert transport.preferred_codec == "binary"
     transport.send(y)
     assert done2.wait(5.0)
+    binary = BinaryCodec()
     assert transport.stats.bytes_sent == (
-        len(BinaryCodec().encode(x)) + len(JsonCodec().encode(y)))
+        len(binary.encode(x)) + len(binary.encode(y)))
     assert transport.handler_errors == []
+
+
+def test_set_codec_on_a_live_link_loses_no_queued_message(transport):
+    """Messages queued behind a parked writer when set_codec is tried
+    all arrive, in order, on the link they were queued on."""
+    got = []
+    transport.bind("a", lambda m: None)
+    transport.bind("b", lambda m: got.append(m.payload["i"]))
+    transport.send(Message("X", "a", "b", {"i": 0}))
+    assert _wait_for(lambda: got == [0])
+    transport.pause_writes()
+    for i in (1, 2, 3):
+        transport.send(Message("X", "a", "b", {"i": i}))
+    with pytest.raises(TransportError):
+        transport.set_codec("json")
+    transport.resume_writes()
+    transport.send(Message("X", "a", "b", {"i": 4}))
+    assert _wait_for(lambda: len(got) == 5), got
+    assert got == [0, 1, 2, 3, 4]
+    assert transport.stats.dropped == 0 and transport.handler_errors == []
 
 
 def test_frame_bytes_shrink_under_binary_codec():

@@ -342,31 +342,21 @@ def test_vectors_under_a_topology_see_the_latency_of_their_links(no_jitter):
 
 
 class ManualTransport(Transport):
-    """Hand-cranked inner transport: ``flush`` runs the ``at_flush``
-    hooks (the layer above frames what it gathered), sent frames queue
-    until ``deliver``, timers fire when ``fire`` moves the clock past
-    them.  ``log`` keeps every frame ever sent."""
+    """Hand-cranked inner transport: sent frames go on ``wire`` at once
+    and queue there until ``deliver``, timers fire when ``fire`` moves
+    the clock past them.  ``log`` keeps every frame ever sent."""
 
     def __init__(self):
         super().__init__()
         self.t = 0.0
         self.timers = []
         self.wire = []
-        self.hooks = []
         self.log = []
 
     def send(self, msg):
         self.stats.record(msg)
         self.wire.append(msg)
         self.log.append(msg)
-
-    def at_flush(self, fn):
-        self.hooks.append(fn)
-
-    def flush(self):
-        hooks, self.hooks = self.hooks, []
-        for fn in hooks:
-            fn()
 
     def now(self):
         return self.t
@@ -380,13 +370,11 @@ class ManualTransport(Transport):
         raise NotImplementedError
 
     def deliver(self):
-        self.flush()
         while self.wire:
             frames, self.wire = self.wire, []
             for msg in frames:
                 self._endpoints[msg.dst].handler(msg)
             self.fire(self.t)  # the receiver's end-of-turn ACK flush
-            self.flush()
 
     def vectors(self):
         return [m.payload["acks"] for m in self.log if m.msg_type == R_ACK]
@@ -414,15 +402,13 @@ def _manual(**kw):
 
 def test_one_timer_serves_every_envelope_and_rests_once_all_are_acked(no_jitter):
     inner, rel, got = _manual(ack_timeout=10.0)
+    assert inner.live_timers() == []
     for n in range(5):
         rel.send(Message("DATA", "a", "b", {"n": n}))
-    assert inner.wire == [] and inner.live_timers() == []  # gathered only
-    inner.flush()
-    assert len(inner.wire) == 1 and rel.in_flight_count() == 1
+    assert len(inner.wire) == 5 and rel.in_flight_count() == 5  # one each
     inner.t = 1.0
     rel.send(Message("DATA", "a", "b", {"n": 5}))
-    inner.flush()
-    assert inner.live_timers() == [10.0]  # two flights, one timer
+    assert inner.live_timers() == [10.0]  # six flights, one timer
     inner.deliver()
     assert got == list(range(6)) and rel.in_flight_count() == 0
     inner.fire(10.0)
@@ -431,7 +417,6 @@ def test_one_timer_serves_every_envelope_and_rests_once_all_are_acked(no_jitter)
     # The next flight wakes it again.
     inner.t = 50.0
     rel.send(Message("DATA", "a", "b", {"n": 6}))
-    inner.flush()
     assert inner.live_timers() == [60.0]
 
 
@@ -447,122 +432,57 @@ def test_sim_run_terminates_soon_after_the_last_ack():
 def test_on_time_fire_retransmits_at_once(no_jitter):
     inner, rel, _ = _manual(ack_timeout=10.0)
     rel.send(Message("DATA", "a", "b", {"n": 0}))
-    inner.flush()
     inner.wire.clear()  # the frame is lost
-    inner.fire(10.5)    # within a tenth of ack_timeout of the deadline
-    assert rel.stats.retransmits == 1
-    assert [m.payload.get("n") for m in inner.wire] == [2]
-
-
-def test_late_fire_defers_the_scan_once_not_forever(no_jitter):
-    inner, rel, _ = _manual(ack_timeout=10.0)
-    rel.send(Message("DATA", "a", "b", {"n": 0}))
-    inner.flush()
-    inner.wire.clear()
-    inner.fire(12.0)  # 2.0 late: the thread was busy, look again shortly
-    assert rel.stats.retransmits == 0
-    assert inner.live_timers() == [14.5]
-    inner.fire(20.0)  # late again: the deferral is spent, scan now
-    assert rel.stats.retransmits == 1
-    assert [m.payload.get("n") for m in inner.wire] == [2]
-    # ... and the next late fire may defer again.
-    inner.wire.clear()
-    (deadline,) = inner.live_timers()
-    inner.fire(deadline + 5.0)
-    assert rel.stats.retransmits == 1 and inner.live_timers() == [deadline + 7.5]
-
-
-def test_ack_read_during_the_deferral_saves_the_retransmission(no_jitter):
-    inner, rel, got = _manual(ack_timeout=10.0)
-    rel.send(Message("DATA", "a", "b", {"n": 0}))
-    inner.flush()
-    held = inner.wire.pop()       # sits in the socket while the thread is busy
-    inner.fire(12.0)              # the timer gets the thread first, late
-    assert rel.stats.retransmits == 0
-    inner.wire.append(held)
-    inner.deliver()               # now the frame and its ACK are read
-    assert got == [0] and rel.in_flight_count() == 0
-    inner.fire(14.5)
-    assert rel.stats.retransmits == 0 and inner.live_timers() == []
-
-
-# ---------------------------------------------------------------------------
-# Flights of more than one message (the sim's flights are one message;
-# ManualTransport defers at_flush the way the socket writer does)
-# ---------------------------------------------------------------------------
-
-def _flight_msgs(frame):
-    return [m.payload["n"] for m in frame.payload["m"]]
-
-
-def test_a_dropped_three_message_flight_is_retransmitted_once_and_handed_off_in_order(no_jitter):
-    inner, rel, got = _manual(ack_timeout=10.0)
-    for n in range(3):
-        rel.send(Message("DATA", "a", "b", {"n": n}))
-    inner.flush()
-    (flight,) = inner.wire
-    assert flight.msg_type == R_DATA and _flight_msgs(flight) == [0, 1, 2]
-    inner.wire.clear()  # the flight is lost
     inner.fire(10.0)
-    (again,) = inner.wire
-    assert _flight_msgs(again) == [0, 1, 2] and again.payload["n"] == 2
-    assert again.msg_id == flight.msg_id
-    inner.deliver()
-    assert got == [0, 1, 2]
-    assert rel.stats.retransmits == 1 and rel.in_flight_count() == 0
-    assert inner.vectors() == [[["rel-ctl", "rel-ctl", [[1, 2]]]]]
-    assert rel.stats.acks_sent == 1  # one flight, one sequence number
-    inner.fire(100.0)
-    assert got == [0, 1, 2] and inner.wire == []
+    assert rel.stats.retransmits == 1
+    assert [m.payload.get("n") for m in inner.wire] == [2]
 
+
+# ---------------------------------------------------------------------------
+# Duplicates, reordering and unbinding, frame by frame
+# ---------------------------------------------------------------------------
 
 def test_a_duplicated_flight_is_suppressed_and_reacked():
     inner, rel, got = _manual()
-    for n in range(3):
+    for n in range(2):
         rel.send(Message("DATA", "a", "b", {"n": n}))
-    inner.flush()
     inner.wire.append(inner.wire[0])  # a duplicate below the sublayer
     inner.deliver()
-    assert got == [0, 1, 2]
+    assert got == [0, 1]
     assert rel.stats.duplicates_suppressed == 1
-    assert inner.vectors() == [[["rel-ctl", "rel-ctl", [1, 1]]]]
+    assert inner.vectors() == [[["rel-ctl", "rel-ctl", [1, 2, 1]]]]
     assert rel.in_flight_count() == 0
 
 
 def test_reordered_flights_are_handed_off_in_send_order():
     inner, rel, got = _manual()
-    for first in (0, 3):
-        for n in range(first, first + 3):
-            rel.send(Message("DATA", "a", "b", {"n": n}))
-        inner.flush()
-    assert [_flight_msgs(f) for f in inner.wire] == [[0, 1, 2], [3, 4, 5]]
+    for n in range(4):
+        rel.send(Message("DATA", "a", "b", {"n": n}))
+    assert [f.payload["seq"] for f in inner.wire] == [1, 2, 3, 4]
     inner.wire.reverse()
     inner.deliver()
-    assert got == [0, 1, 2, 3, 4, 5]
-    assert inner.vectors() == [[["rel-ctl", "rel-ctl", [2, 1]]]]
+    assert got == [0, 1, 2, 3]
+    assert inner.vectors() == [[["rel-ctl", "rel-ctl", [4, 3, 2, 1]]]]
     assert rel.in_flight_count() == 0
 
 
 def test_unbinding_an_address_mid_flight_takes_its_messages_out(no_jitter):
+    """Closing ``a`` abandons its flights whole; ``c``'s flight between
+    them is retransmitted, carrying a floor past the abandoned one."""
     inner, rel, got = _manual(ack_timeout=10.0)
     a = rel._endpoints["a"]
     rel.bind("c", lambda m: None)
     rel.send(Message("DATA", "a", "b", {"n": 0}))
     rel.send(Message("DATA", "c", "b", {"n": 1}))
     rel.send(Message("DATA", "a", "b", {"n": 2}))
-    inner.flush()
-    (flight,) = inner.wire
-    assert flight.src == "a" and _flight_msgs(flight) == [0, 1, 2]
-    inner.wire.clear()  # lost
-    rel.send(Message("DATA", "a", "b", {"n": 3}))  # gathered, not framed
+    sent = list(inner.wire)
+    inner.wire.clear()  # all three are lost
     a.close()
-    inner.flush()
-    assert inner.wire == []  # a's gathering went with it
+    assert rel.in_flight_count() == 1
     inner.fire(10.0)
     (again,) = inner.wire
-    # What is left leaves from its first message's source.
-    assert again.src == "c" and _flight_msgs(again) == [1]
-    assert again.msg_id == flight.msg_id
+    assert again.src == "c" and again.msg_id == sent[1].msg_id
+    assert (again.payload["seq"], again.payload["f"], again.payload["n"]) == (2, 2, 2)
     inner.deliver()
     assert got == [1] and rel.in_flight_count() == 0
     assert rel.stats.dropped == 0
@@ -575,12 +495,10 @@ def test_an_abandoned_flight_does_not_strand_the_connection(no_jitter):
     a = rel._endpoints["a"]
     rel.bind("c", lambda m: None)
     rel.send(Message("DATA", "a", "b", {"n": 0}))
-    inner.flush()
     inner.wire.clear()  # flight 1 is lost ...
     a.close()           # ... and abandoned
     assert rel.in_flight_count() == 0
     rel.send(Message("DATA", "c", "b", {"n": 1}))
-    inner.flush()
     assert inner.wire[0].payload["seq"] == 2 and inner.wire[0].payload["f"] == 2
     inner.deliver()
     assert got == [1]
