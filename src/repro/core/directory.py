@@ -345,6 +345,9 @@ class DirectoryManager:
         # introduces a cell key the index has never seen.
         self._slice_index: Dict[str, tuple] = {}
         self._known_keys: set = set()
+        # A shard's owned keys as of its last full snapshot extract,
+        # dropped with the whole slice index (core/sharding.py).
+        self._owned_keys: Optional[List[str]] = None
         # Conflict policy: maintains the property-key inverted index
         # and the conflict-set memo over this registry.  It reads the
         # registry, not the manager: a bound method here would make the
@@ -465,6 +468,7 @@ class DirectoryManager:
         with self._lock:
             if view_id is None:
                 self._slice_index.clear()
+                self._owned_keys = None
             else:
                 self._slice_index.pop(view_id, None)
 
@@ -1369,9 +1373,7 @@ class DirectoryManager:
         return {
             "cseq": self.commit_seq,
             "versions": self.master_versions.copy(),
-            # Convention: the empty property set extracts the complete
-            # component (the same convention CM recovery relies on).
-            "image": self.extract_from_object(self.component, PropertySet()),
+            "image": self._snapshot_image(),
             "views": [r.to_record() for r in self.views.values()],
             "quarantined": [
                 {**q.record.to_record(), "reason": q.reason,
@@ -1379,6 +1381,22 @@ class DirectoryManager:
                 for q in self.quarantined.values()
             ],
         }
+
+    def _snapshot_image(self) -> ObjectImage:
+        """Every cell this directory owns.  Convention: the empty
+        property set extracts the complete component (the same
+        convention CM recovery relies on).  A shard with a partial
+        extract hook materializes only the owned keys its last full
+        extract found; a commit that brings a key the directory has not
+        seen, a placement cut and any external writer drop that list
+        with the slice index."""
+        keys = self._owned_keys
+        if keys is not None and self.extract_cells is not None:
+            return self.extract_cells(self.component, PropertySet(), keys)
+        image = self.extract_from_object(self.component, PropertySet())
+        if self.key_filter is not None:
+            self._owned_keys = list(image.keys())
+        return image
 
     def snapshot(self) -> None:
         """Snapshot the durable state now.  A sharded plane calls this
